@@ -5,8 +5,8 @@
 CI_DEPS = dune alcotest qcheck qcheck-alcotest bechamel bechamel-notty \
 	fmt logs cmdliner ocamlformat odoc
 
-.PHONY: all build test fmt doc bench bench-json perf-gate smoke ci \
-	ci-deps baseline-refresh clean
+.PHONY: all build test fmt doc bench bench-json perf-gate perf-pairs smoke \
+	ci ci-deps baseline-refresh clean
 
 all: build
 
@@ -47,6 +47,15 @@ bench-json:
 perf-gate:
 	dune exec bench/main.exe -- \
 		--json BENCH.json --baseline bench/baseline.json --tolerance 25
+
+# Alternating paired runs of perfbench on REV and on the working tree,
+# with medians, quartiles and pair wins per end-to-end metric; see
+# scripts/perf_pairs.sh.
+REV ?= HEAD
+WORKLOAD ?= coll
+PAIRS ?= 10
+perf-pairs:
+	bash scripts/perf_pairs.sh $(REV) $(WORKLOAD) $(PAIRS)
 
 # Install exactly what CI installs (shared by every workflow job).
 ci-deps:

@@ -53,6 +53,9 @@ type t = {
   window : int;
   sync_every : int;
   armed : (int, seq_res) Hashtbl.t;
+  (* Frame buffers of retired slots, reused by the next [arm_seq]: once
+     the window runs, no new frame is allocated. *)
+  mutable free_frames : bytes list;
   mutable seq : int; (* next sequence number *)
   mutable arm_hi : int; (* highest armed sequence *)
   mutable retire_lo : int; (* lowest armed sequence *)
@@ -91,10 +94,17 @@ let slot_options =
     ack_disable = true;
   }
 
+let take_frame t =
+  match t.free_frames with
+  | buf :: rest ->
+    t.free_frames <- rest;
+    buf
+  | [] -> Bytes.create t.frame
+
 let arm_seq t s =
   let slots =
     Array.init t.rounds (fun j ->
-        let sl_buf = Bytes.create t.frame in
+        let sl_buf = take_frame t in
         let sl_me =
           ok ~op:"nic me_attach"
             (P.Ni.me_attach t.ni ~portal_index:t.portal_index
@@ -115,6 +125,10 @@ let arm_seq t s =
   let done_ct = ok ~op:"nic ct_alloc" (P.Ni.ct_alloc t.ni) in
   Hashtbl.replace t.armed s { slots; done_ct }
 
+(* Retirement runs only once every deposit for [s] has landed (window
+   protocol above), and unlinking the slot's entry frees its descriptor,
+   so nothing can write the frame again: it is safe to hand to a new
+   sequence. *)
 let retire_seq t s =
   match Hashtbl.find_opt t.armed s with
   | None -> ()
@@ -122,7 +136,8 @@ let retire_seq t s =
     Array.iter
       (fun sl ->
         ok ~op:"nic me_unlink" (P.Ni.me_unlink t.ni sl.sl_me);
-        ok ~op:"nic ct_free" (P.Ni.ct_free t.ni sl.sl_ct))
+        ok ~op:"nic ct_free" (P.Ni.ct_free t.ni sl.sl_ct);
+        t.free_frames <- sl.sl_buf :: t.free_frames)
       res.slots;
     ok ~op:"nic ct_free" (P.Ni.ct_free t.ni res.done_ct);
     Hashtbl.remove t.armed s
@@ -163,6 +178,7 @@ let create ni ~ranks ~rank ?(portal_index = 8) ?(max_payload = 1024)
       window;
       sync_every;
       armed = Hashtbl.create 64;
+      free_frames = [];
       seq = 0;
       arm_hi = -1;
       retire_lo = 0;

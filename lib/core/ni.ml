@@ -5,13 +5,29 @@ type md_entry = {
   mutable owner : Handle.me option; (* attached ME, none for bound MDs *)
 }
 
+(* Match entries form an intrusive doubly-linked list per portal, so
+   attach, insert and unlink are O(1) and allocate nothing beyond the
+   entry. Both ends of every list point at the shared terminator [nil],
+   whose own links are never written. *)
 type me_entry = {
   me : Me.t;
   pt_index : int;
   mutable me_ct : Handle.ct;
       (* Counting event bumped at match time ({!me_set_ct});
          [Handle.none] when the entry has no counter attached. *)
+  mutable prev : me_entry;
+  mutable next : me_entry;
 }
+
+let rec nil =
+  {
+    me = Me.create ~match_id:Match_id.any ~match_bits:Match_bits.zero
+        ~ignore_bits:Match_bits.zero ();
+    pt_index = -1;
+    me_ct = Handle.none;
+    prev = nil;
+    next = nil;
+  }
 
 type drop_reason =
   | Malformed
@@ -172,7 +188,8 @@ type ct_entry = {
 type t = {
   tp : Simnet.Transport.t;
   self : Simnet.Proc_id.t;
-  pt : Handle.me list array; (* match lists, head searched first *)
+  pt_head : me_entry array; (* match lists, head searched first *)
+  pt_tail : me_entry array;
   ni_acl : Acl.t;
   mds : (Handle.md_kind, md_entry) Handle.Table.t;
   mes : (Handle.me_kind, me_entry) Handle.Table.t;
@@ -213,7 +230,7 @@ let id t = t.self
 let sched t = t.tp.Simnet.Transport.sched
 let transport t = t.tp
 let acl t = t.ni_acl
-let portal_table_size t = Array.length t.pt
+let portal_table_size t = Array.length t.pt_head
 
 let self_incarnation t =
   t.tp.Simnet.Transport.node_incarnation t.self.Simnet.Proc_id.nid
@@ -259,19 +276,37 @@ let eq_free t h =
 (* ------------------------------------------------------------------ *)
 (* Match entries *)
 
+(* Splice [e] between [prev] and [next] in its portal's list; [nil] on
+   either side makes [e] that end of the list. *)
+let link t e ~prev ~next =
+  e.prev <- prev;
+  e.next <- next;
+  if prev == nil then t.pt_head.(e.pt_index) <- e else prev.next <- e;
+  if next == nil then t.pt_tail.(e.pt_index) <- e else next.prev <- e
+
+let unlink_entry t e =
+  if e.prev == nil then t.pt_head.(e.pt_index) <- e.next
+  else e.prev.next <- e.next;
+  if e.next == nil then t.pt_tail.(e.pt_index) <- e.prev
+  else e.next.prev <- e.prev
+
+let new_entry ~pt_index ~match_id ~match_bits ~ignore_bits ~unlink =
+  let me = Me.create ~unlink ~match_id ~match_bits ~ignore_bits () in
+  { me; pt_index; me_ct = Handle.none; prev = nil; next = nil }
+
 let me_attach t ~portal_index ~match_id ~match_bits ~ignore_bits
     ?(unlink = Md.Retain) ?(pos = `Tail) () =
-  if portal_index < 0 || portal_index >= Array.length t.pt then
+  if portal_index < 0 || portal_index >= Array.length t.pt_head then
     Error Errors.Invalid_pt_index
   else begin
-    let me = Me.create ~unlink ~match_id ~match_bits ~ignore_bits () in
-    let h =
-      Handle.Table.alloc t.mes
-        { me; pt_index = portal_index; me_ct = Handle.none }
+    let e =
+      new_entry ~pt_index:portal_index ~match_id ~match_bits ~ignore_bits
+        ~unlink
     in
+    let h = Handle.Table.alloc t.mes e in
     (match pos with
-    | `Head -> t.pt.(portal_index) <- h :: t.pt.(portal_index)
-    | `Tail -> t.pt.(portal_index) <- t.pt.(portal_index) @ [ h ]);
+    | `Head -> link t e ~prev:nil ~next:t.pt_head.(portal_index)
+    | `Tail -> link t e ~prev:t.pt_tail.(portal_index) ~next:nil);
     Ok h
   end
 
@@ -279,23 +314,15 @@ let me_insert t ~base ~match_id ~match_bits ~ignore_bits ?(unlink = Md.Retain)
     ~pos () =
   match Handle.Table.find t.mes base with
   | None -> Error Errors.Invalid_me
-  | Some base_entry ->
-    let me = Me.create ~unlink ~match_id ~match_bits ~ignore_bits () in
-    let h =
-      Handle.Table.alloc t.mes
-        { me; pt_index = base_entry.pt_index; me_ct = Handle.none }
+  | Some b ->
+    let e =
+      new_entry ~pt_index:b.pt_index ~match_id ~match_bits ~ignore_bits ~unlink
     in
-    let rec insert = function
-      | [] -> [ h ] (* base vanished concurrently: append *)
-      | x :: rest when Handle.equal x base ->
-        (match pos with `Before -> h :: x :: rest | `After -> x :: h :: rest)
-      | x :: rest -> x :: insert rest
-    in
-    t.pt.(base_entry.pt_index) <- insert t.pt.(base_entry.pt_index);
+    let h = Handle.Table.alloc t.mes e in
+    (match pos with
+    | `Before -> link t e ~prev:b.prev ~next:b
+    | `After -> link t e ~prev:b ~next:b.next);
     Ok h
-
-let remove_me_from_pt t h pt_index =
-  t.pt.(pt_index) <- List.filter (fun x -> not (Handle.equal x h)) t.pt.(pt_index)
 
 let me_unlink t h =
   match Handle.Table.find t.mes h with
@@ -310,7 +337,7 @@ let me_unlink t h =
     else begin
       List.iter (fun mdh -> ignore (Handle.Table.free t.mds mdh))
         (Me.md_handles entry.me);
-      remove_me_from_pt t h entry.pt_index;
+      unlink_entry t entry;
       ignore (Handle.Table.free t.mes h);
       Ok ()
     end
@@ -375,7 +402,7 @@ let auto_unlink_md t h (entry : md_entry) =
         ignore (Me.remove_md me_entry.me h);
         if Me.is_empty me_entry.me && Me.unlink_policy me_entry.me = Md.Unlink
         then begin
-          remove_me_from_pt t meh me_entry.pt_index;
+          unlink_entry t me_entry;
           ignore (Handle.Table.free t.mes meh)
         end));
     ignore (Handle.Table.free t.mds h)
@@ -725,28 +752,26 @@ let post_event t ?md ~kind ~(msg : Wire.t) ~mlength ~offset queue =
 (* Walk the match list of a portal table entry (Figure 4). Returns the
    number of entries examined together with the outcome. *)
 let translate t ~portal_index ~src ~mbits ~op ~rlength ~roffset =
-  let rec walk examined = function
-    | [] -> (examined, Error ())
-    | meh :: rest ->
-      (match Handle.Table.find t.mes meh with
-      | None -> walk (examined + 1) rest
-      | Some me_entry ->
-        let examined = examined + 1 in
-        if not (Me.criteria_match me_entry.me ~src ~mbits) then walk examined rest
-        else begin
-          (* Only the first memory descriptor is considered. *)
-          match Me.first_md me_entry.me with
-          | None -> walk examined rest
-          | Some mdh ->
-            (match Handle.Table.find t.mds mdh with
-            | None -> walk examined rest
-            | Some md_entry ->
-              (match Md.accepts md_entry.md ~op ~rlength ~roffset with
-              | Error _ -> walk examined rest
-              | Ok acc -> (examined, Ok (me_entry, mdh, md_entry, acc))))
-        end)
+  let rec walk examined e =
+    if e == nil then (examined, Error ())
+    else begin
+      let examined = examined + 1 in
+      if not (Me.criteria_match e.me ~src ~mbits) then walk examined e.next
+      else begin
+        (* Only the first memory descriptor is considered. *)
+        match Me.first_md e.me with
+        | None -> walk examined e.next
+        | Some mdh ->
+          (match Handle.Table.find t.mds mdh with
+          | None -> walk examined e.next
+          | Some md_entry ->
+            (match Md.accepts md_entry.md ~op ~rlength ~roffset with
+            | Error _ -> walk examined e.next
+            | Ok acc -> (examined, Ok (e, mdh, md_entry, acc))))
+      end
+    end
   in
-  let result = walk 0 t.pt.(portal_index) in
+  let result = walk 0 t.pt_head.(portal_index) in
   t.c.c_translations <- t.c.c_translations + 1;
   t.c.c_entries <- t.c.c_entries + fst result;
   result
@@ -756,7 +781,7 @@ let match_walk_cost t ~entries =
 
 let handle_put_or_get t (msg : Wire.t) ~op =
   let src = msg.Wire.initiator in
-  if msg.Wire.portal_index < 0 || msg.Wire.portal_index >= Array.length t.pt then
+  if msg.Wire.portal_index < 0 || msg.Wire.portal_index >= Array.length t.pt_head then
     drop t Invalid_portal_index
   else begin
     match
@@ -860,7 +885,7 @@ let handle_atomic t (msg : Wire.t) =
   match msg.Wire.atomic with
   | None -> drop t Malformed
   | Some a ->
-    if msg.Wire.portal_index < 0 || msg.Wire.portal_index >= Array.length t.pt
+    if msg.Wire.portal_index < 0 || msg.Wire.portal_index >= Array.length t.pt_head
     then drop t Invalid_portal_index
     else begin
       match
@@ -1040,7 +1065,8 @@ let create tp ~id:self ?(portal_table_size = 64) ?(acl_size = 16) () =
     {
       tp;
       self;
-      pt = Array.make portal_table_size [];
+      pt_head = Array.make portal_table_size nil;
+      pt_tail = Array.make portal_table_size nil;
       ni_acl = Acl.create ~size:acl_size;
       mds = Handle.Table.create ();
       mes = Handle.Table.create ();

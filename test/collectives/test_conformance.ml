@@ -71,7 +71,28 @@ let workload n world coll ~rank =
   done;
   Buffer.contents buf
 
-let run_workload ?(n = 8) ?domains impl =
+(* Slot-frame reuse: bcasts whose payload shrinks on every call, with an
+   allreduce after each, over several windows' worth of sequences. The
+   NIC engine recycles retired slot frames, so every frame is armed again
+   while still holding a longer frame from an earlier sequence; only the
+   new frame may reach the result. *)
+let shrinking_bcasts n _world coll ~rank =
+  let buf = Buffer.create 8192 in
+  for i = 0 to 39 do
+    let root = i mod n in
+    let payload =
+      if rank = root then
+        Bytes.init (400 - (i * 10)) (fun j -> Char.chr (((i * 7) + j) land 0xff))
+      else Bytes.empty
+    in
+    Buffer.add_bytes buf (C.any_bcast coll ~root payload);
+    Buffer.add_bytes buf
+      (C.any_allreduce coll ~op:C.sum_floats
+         (C.bytes_of_floats [| float_of_int (rank * i); 0.5 |]))
+  done;
+  Buffer.contents buf
+
+let run_workload ?(n = 8) ?domains ?(workload = workload) impl =
   let results = Array.make n "" in
   let drops =
     run_group ~n ?domains impl (fun world coll ~rank ->
@@ -80,17 +101,23 @@ let run_workload ?(n = 8) ?domains impl =
   (results, drops)
 
 let equality_tests =
-  [
-    Alcotest.test_case "nic matches host on a mixed workload" `Quick (fun () ->
-        let host, _ = run_workload C.Host in
-        let nic, drops = run_workload C.Nic_offload in
-        Array.iteri
-          (fun rank h ->
-            Alcotest.(check string)
-              (Printf.sprintf "rank %d bytes" rank)
-              h nic.(rank))
-          host;
-        Alcotest.(check int) "nic runs drop-free" 0 drops);
+  List.map
+    (fun (name, workload) ->
+      Alcotest.test_case ("nic matches host on " ^ name) `Quick (fun () ->
+          let host, _ = run_workload ~workload C.Host in
+          let nic, drops = run_workload ~workload C.Nic_offload in
+          Array.iteri
+            (fun rank h ->
+              Alcotest.(check string)
+                (Printf.sprintf "rank %d bytes" rank)
+                h nic.(rank))
+            host;
+          Alcotest.(check int) "nic runs drop-free" 0 drops))
+    [
+      ("a mixed workload", workload);
+      ("shrinking bcasts with reused slot frames", shrinking_bcasts);
+    ]
+  @ [
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"random payloads agree between engines"
          ~count:10

@@ -380,6 +380,145 @@ let unlink_tests =
         Alcotest.(check int) "no match" 1 (Ni.dropped env.ni1 Ni.No_match));
   ]
 
+(* Match-list model: random attach/insert/unlink sequences on one portal,
+   checked against a plain list of entry ids. Each entry matches exactly
+   one of four keys, so duplicates exercise first-match-wins; one-shot
+   entries (Count 1 + Unlink on both MD and ME) leave the list when a
+   probe consumes them. After every step a probe put must land in the
+   entry the model predicts, and the walk must examine exactly the
+   entries in front of it (or the whole list on a miss). *)
+type mop =
+  | Attach of [ `Head | `Tail ] * int * bool (* pos, key, one-shot *)
+  | Insert of [ `Before | `After ] * int * int * bool (* pos, base, key, one-shot *)
+  | Unlink of int (* index into the list *)
+
+let pp_step (mop, probe) =
+  let shot o = if o then "!" else "" in
+  (match mop with
+  | Attach (`Head, k, o) -> Printf.sprintf "head k%d%s" k (shot o)
+  | Attach (`Tail, k, o) -> Printf.sprintf "tail k%d%s" k (shot o)
+  | Insert (`Before, i, k, o) -> Printf.sprintf "before #%d k%d%s" i k (shot o)
+  | Insert (`After, i, k, o) -> Printf.sprintf "after #%d k%d%s" i k (shot o)
+  | Unlink i -> Printf.sprintf "unlink #%d" i)
+  ^ Printf.sprintf " / put k%d" probe
+
+let gen_steps =
+  let open QCheck.Gen in
+  let key = int_range 0 3 in
+  let mop =
+    frequency
+      [
+        ( 3,
+          map3
+            (fun head k o -> Attach ((if head then `Head else `Tail), k, o))
+            bool key bool );
+        ( 3,
+          bool >>= fun before ->
+          small_nat >>= fun i ->
+          map2
+            (fun k o -> Insert ((if before then `Before else `After), i, k, o))
+            key bool );
+        (1, map (fun i -> Unlink i) small_nat);
+      ]
+  in
+  list_size (int_range 1 40) (pair mop key)
+
+let run_match_list_model steps =
+  let env = setup () in
+  let eqh = ok ~what:"eq_alloc" (Ni.eq_alloc env.ni1 ~capacity:64) in
+  let imd =
+    ok ~what:"md_bind" (Ni.md_bind env.ni0 (Ni.md_spec (Bytes.of_string "x")))
+  in
+  let entries = Hashtbl.create 16 in (* id -> (key, one-shot, handle) *)
+  let key id = let k, _, _ = Hashtbl.find entries id in k in
+  let model = ref [] in
+  let next_id = ref 0 in
+  let add ~key ~oneshot attach =
+    let id = !next_id in
+    incr next_id;
+    let threshold, unlink =
+      if oneshot then (Md.Count 1, Md.Unlink) else (Md.Infinite, Md.Retain)
+    in
+    let meh =
+      ok ~what:"attach"
+        (attach ~match_id:Match_id.any ~match_bits:(Match_bits.of_int key)
+           ~ignore_bits:Match_bits.zero ~unlink)
+    in
+    ignore
+      (ok ~what:"md_attach"
+         (Ni.md_attach env.ni1 ~me:meh
+            (Ni.md_spec ~threshold ~unlink ~eq:eqh ~user_ptr:id (Bytes.create 8))));
+    Hashtbl.replace entries id (key, oneshot, meh);
+    id
+  in
+  let nth i = List.nth !model (i mod List.length !model) in
+  let insert_at ~base ~after id =
+    model :=
+      List.concat_map
+        (fun x ->
+          if x <> base then [ x ] else if after then [ x; id ] else [ id; x ])
+        !model
+  in
+  let apply = function
+    | Attach (pos, k, oneshot) ->
+      let id =
+        add ~key:k ~oneshot (fun ~match_id ~match_bits ~ignore_bits ~unlink ->
+            Ni.me_attach env.ni1 ~portal_index:0 ~match_id ~match_bits
+              ~ignore_bits ~unlink ~pos ())
+      in
+      model := if pos = `Head then id :: !model else !model @ [ id ]
+    | Insert (_, _, _, _) | Unlink _ when !model = [] -> ()
+    | Insert (pos, i, k, oneshot) ->
+      let base = nth i in
+      let _, _, base_h = Hashtbl.find entries base in
+      let id =
+        add ~key:k ~oneshot (fun ~match_id ~match_bits ~ignore_bits ~unlink ->
+            Ni.me_insert env.ni1 ~base:base_h ~match_id ~match_bits
+              ~ignore_bits ~unlink ~pos ())
+      in
+      insert_at ~base ~after:(pos = `After) id
+    | Unlink i ->
+      let id = nth i in
+      let _, _, h = Hashtbl.find entries id in
+      ok ~what:"me_unlink" (Ni.me_unlink env.ni1 h);
+      model := List.filter (( <> ) id) !model
+  in
+  let probe k =
+    let entries_walked () = (Ni.counters env.ni1).Ni.entries_walked in
+    let before = entries_walked () in
+    ok ~what:"put"
+      (Ni.put env.ni0 ~md:imd ~ack:false
+         (Ni.op ~target:(proc 1 0) ~portal_index:0 ~cookie:1
+            ~match_bits:(Match_bits.of_int k) ()));
+    Scheduler.run env.sched;
+    let walked = entries_walked () - before in
+    let rec first pos = function
+      | [] -> None
+      | id :: rest -> if key id = k then Some (pos, id) else first (pos + 1) rest
+    in
+    match (first 1 !model, drain_events env.ni1 eqh) with
+    | None, [] -> walked = List.length !model
+    | Some (pos, id), [ ev ] ->
+      let _, oneshot, _ = Hashtbl.find entries id in
+      if oneshot then model := List.filter (( <> ) id) !model;
+      ev.Event.md_user_ptr = id && walked = pos
+    | _ -> false
+  in
+  List.for_all
+    (fun (mop, k) ->
+      apply mop;
+      probe k)
+    steps
+
+let model_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"match list agrees with a list model" ~count:150
+         (QCheck.make gen_steps
+            ~print:(fun steps -> String.concat "; " (List.map pp_step steps)))
+         run_match_list_model);
+  ]
+
 let drop_tests =
   [
     Alcotest.test_case "invalid portal index" `Quick (fun () ->
@@ -674,6 +813,7 @@ let () =
       ("put_get", put_get_tests);
       ("matching", matching_tests);
       ("unlink", unlink_tests);
+      ("model", model_tests);
       ("drops", drop_tests);
       ("bypass", bypass_tests);
       ("ordering", ordering_tests);
