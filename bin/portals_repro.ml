@@ -12,10 +12,22 @@ let ppf = Format.std_formatter
 (* --- shared arguments -------------------------------------------------- *)
 
 let transport_conv =
+  let kinds =
+    [
+      ("offload", Runtime.Offload);
+      ("mcp", Runtime.Offload);
+      ("kernel", Runtime.Kernel_interrupt);
+      ("rtscts", Runtime.Rtscts);
+    ]
+  in
   let parse s =
-    match Runtime.Cli.transport_kind_of_string s with
-    | Ok k -> Ok k
-    | Error msg -> Error (`Msg msg)
+    match List.assoc_opt s kinds with
+    | Some k -> Ok k
+    | None ->
+      Error
+        (`Msg
+          (Printf.sprintf "unknown transport %S (valid: offload|kernel|rtscts)"
+             s))
   in
   let print fmt t = Format.fprintf fmt "%s" (Runtime.transport_kind_name t) in
   Arg.conv (parse, print)
@@ -36,13 +48,29 @@ let floats_conv = Arg.list ~sep:',' Arg.float
 let ints_conv = Arg.list ~sep:',' Arg.int
 
 (* Comma-separated name lists ("--transports gm,ibverbs") validated
-   against a closed set through the shared Runtime.Cli plumbing, so this
-   CLI and bench/main reject a malformed list with the same message. *)
+   against a closed set: every name checked, with the set spelled out in
+   the error; duplicates dropped (first wins), order kept. "" and "all"
+   select the whole set. *)
 let names_conv ~what ~valid =
-  let parse s =
-    match Runtime.Cli.pick_list ~what ~valid s with
-    | Ok l -> Ok l
-    | Error msg -> Error (`Msg msg)
+  let pick acc x =
+    match acc with
+    | Error _ -> acc
+    | Ok _ when not (List.mem x valid) ->
+      Error
+        (`Msg
+          (Printf.sprintf "unknown %s %S (valid: %s)" what x
+             (String.concat ", " valid)))
+    | Ok l -> Ok (if List.mem x l then l else x :: l)
+  in
+  let parse = function
+    | "" | "all" -> Ok valid
+    | s -> (
+      match
+        String.split_on_char ',' s |> List.map String.trim
+        |> List.filter (fun x -> x <> "")
+      with
+      | [] -> Error (`Msg (Printf.sprintf "empty %s list" what))
+      | xs -> Result.map List.rev (List.fold_left pick (Ok []) xs))
   in
   let print fmt l = Format.fprintf fmt "%s" (String.concat "," l) in
   Arg.conv (parse, print)
@@ -708,7 +736,25 @@ let chaos_cmd =
           partition-aware liveness (exit 1 on any violation)")
     Term.(ret (const run $ env_term $ quick $ seed $ json))
 
-let run_par ?(nodes = 256) ?(steps = 8) ?(check = false) ?(seed = 0) ?json () =
+(* The multicore lane's gate: PAR.par4 must beat PAR.seq by [floor] in
+   aggregate events/sec. Meaningless on one hardware core, where the
+   window barrier only adds overhead. *)
+let speedup_gate ~floor records =
+  match Experiments.Par.speedup records with
+  | None ->
+    Format.eprintf "par: --min-speedup needs the PAR.seq/PAR.par4 records@.";
+    exit 2
+  | Some s when s < floor ->
+    Format.eprintf
+      "par: parallel speedup %.2fx below the %.2fx floor (PAR.par4 vs \
+       PAR.seq)@."
+      s floor;
+    exit 1
+  | Some s ->
+    Format.fprintf ppf "par: parallel speedup %.2fx (floor %.2fx)@." s floor
+
+let run_par ?(nodes = 256) ?(steps = 8) ?(check = false) ?(seed = 0) ?json
+    ?min_speedup () =
   (if check then begin
      (* --check always compares against a genuinely parallel run, even
         when the session default is sequential. *)
@@ -733,21 +779,27 @@ let run_par ?(nodes = 256) ?(steps = 8) ?(check = false) ?(seed = 0) ?json () =
             r.Experiments.Par.delivered r.Experiments.Par.expected
             r.Experiments.Par.errors)
    end);
-  match json with
-  | None -> ()
-  | Some out ->
+  if json <> None || min_speedup <> None then begin
     let records = Experiments.Par.perf_records ~seed () in
-    Experiments.Perf.write_json ~path:out records;
-    (match Experiments.Par.speedup records with
-    | Some s -> Format.fprintf ppf "par: par4/seq events/sec ratio %.2fx@." s
-    | None -> ());
-    Format.fprintf ppf "par: wrote %s@." out
+    (match json with
+    | None -> ()
+    | Some out ->
+      Experiments.Perf.write_json ~path:out records;
+      (match Experiments.Par.speedup records with
+      | Some s -> Format.fprintf ppf "par: par4/seq events/sec ratio %.2fx@." s
+      | None -> ());
+      Format.fprintf ppf "par: wrote %s@." out);
+    Option.iter (fun floor -> speedup_gate ~floor records) min_speedup
+  end
 
 let par_cmd =
-  let run () nodes steps check seed json =
-    match run_par ~nodes ~steps ~check ~seed ?json () with
-    | () -> `Ok ()
-    | exception Failure msg -> `Error (false, msg)
+  let run () nodes steps check seed json min_speedup =
+    match min_speedup with
+    | Some x when x <= 0. -> `Error (false, "--min-speedup must be > 0")
+    | _ -> (
+      match run_par ~nodes ~steps ~check ~seed ?json ?min_speedup () with
+      | () -> `Ok ()
+      | exception Failure msg -> `Error (false, msg))
   in
   let nodes =
     Arg.(
@@ -786,13 +838,26 @@ let par_cmd =
              write them to $(docv) — the records the multicore speedup \
              gate consumes.")
   in
+  let min_speedup =
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "min-speedup" ] ~docv:"X"
+          ~doc:
+            "Meter $(b,PAR.seq) and $(b,PAR.par4) and exit 1 unless \
+             PAR.par4's events/sec is at least $(docv) times PAR.seq's \
+             (the multicore CI lane gates X=2; meaningless on one core).")
+  in
   Cmd.v
     (Cmd.info "par"
        ~doc:
          "Parallel engine: halo exchange on a 2-D torus sharded across \
           OCaml domains, with an order-insensitive delivery digest that \
           must match the sequential reference bit-for-bit")
-    Term.(ret (const run $ env_term $ nodes $ steps $ check $ seed $ json))
+    Term.(
+      ret
+        (const run $ env_term $ nodes $ steps $ check $ seed $ json
+       $ min_speedup))
 
 let run_coll ?(quick = false) ?(check = false) ?(iters = 8) ?(seed = 0) ?json
     () =
@@ -859,24 +924,135 @@ let coll_cmd =
           busy (COLL)")
     Term.(ret (const run $ env_term $ quick $ check $ iters $ seed $ json))
 
+(* Performance records for every experiment, metered, optionally gated
+   against a baseline: the file the CI perf gate compares against
+   bench/baseline.json. Exit 1 on a regression, 2 on an unreadable
+   baseline. *)
+let bench_cmd =
+  let run () json baseline tolerance_pct quick =
+    if tolerance_pct < 0. then `Error (false, "--tolerance must be >= 0")
+    else begin
+      let records =
+        Experiments.Perf.all ~quick ()
+        @ Experiments.Matrix.perf_records ~quick ()
+        @ Experiments.Rma.perf_records ~quick ()
+        @ Experiments.Chaos.perf_records ~quick:true ()
+        @ Experiments.Par.perf_records ~quick ()
+        @ Experiments.Coll.perf_records ~quick ()
+      in
+      Experiments.Perf.pp ppf records;
+      (match json with
+      | None -> ()
+      | Some out ->
+        Experiments.Perf.write_json ~path:out records;
+        Format.fprintf ppf "bench: wrote %s@." out);
+      (match baseline with
+      | None -> ()
+      | Some path -> (
+        match Experiments.Perf.read_json ~path with
+        | Error msg ->
+          Format.eprintf "bench: cannot read baseline %s: %s@." path msg;
+          exit 2
+        | Ok baseline -> (
+          match
+            Experiments.Perf.compare_baseline ~baseline ~current:records
+              ~tolerance_pct
+          with
+          | [] ->
+            Format.fprintf ppf "bench: baseline gate passed (tolerance %.0f%%)@."
+              tolerance_pct
+          | regressions ->
+            Experiments.Perf.pp_regressions Format.err_formatter regressions;
+            exit 1)));
+      `Ok ()
+    end
+  in
+  let json =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "json" ] ~docv:"OUT"
+          ~doc:"Write the records to $(docv) as portals-bench/1 JSON.")
+  in
+  let baseline =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "baseline" ] ~docv:"FILE"
+          ~doc:
+            "Compare against the records in $(docv) and exit 1 if any \
+             experiment's events/sec dropped by more than \
+             $(b,--tolerance) (records under 1000 events are skipped).")
+  in
+  let tolerance =
+    Arg.(
+      value & opt float 25.
+      & info [ "tolerance" ] ~docv:"PCT"
+          ~doc:"Allowed events/sec drop, in percent, before the gate fails.")
+  in
+  let quick =
+    Arg.(value & flag & info [ "quick" ] ~doc:"Smoke-test sized workloads.")
+  in
+  Cmd.v
+    (Cmd.info "bench"
+       ~doc:
+         "Meter every experiment (wall time, sim-events, fibers, events/sec, \
+          peak heap) and optionally gate events/sec against a baseline")
+    Term.(ret (const run $ env_term $ json $ baseline $ tolerance $ quick))
+
+(* Every table and figure, each under a section header. *)
 let all_cmd =
+  let rule () = Format.fprintf ppf "%s@." (String.make 78 '-') in
+  let section title f =
+    rule ();
+    Format.fprintf ppf "%s@." title;
+    rule ();
+    f ()
+  in
   let run () =
-    Experiments.Tables.pp ppf (Experiments.Tables.run ());
-    Experiments.Protocols.pp ppf (Experiments.Protocols.run_put ());
-    Experiments.Protocols.pp ppf (Experiments.Protocols.run_get ());
-    Experiments.Translation.pp ppf (Experiments.Translation.run ());
-    Experiments.Latency.pp ppf (Experiments.Latency.run ());
-    Experiments.Bandwidth.pp ppf (Experiments.Bandwidth.run ());
-    Experiments.Fig6.pp ppf (Experiments.Fig6.run ());
-    Experiments.Scaling.pp_memory ppf (Experiments.Scaling.run_memory ());
-    Experiments.Scaling.pp_collectives ppf (Experiments.Scaling.run_collectives ());
-    Experiments.Drops.pp ppf (Experiments.Drops.run ());
-    Experiments.Ablation.pp_threshold ppf (Experiments.Ablation.run_threshold ());
-    Experiments.Ablation.pp_interrupts ppf (Experiments.Ablation.run_interrupts ());
-    Experiments.Rel_loss_sweep.pp ppf (Experiments.Rel_loss_sweep.run ());
-    Experiments.Crash_restart.pp ppf (Experiments.Crash_restart.run ());
-    Experiments.Congestion.pp ppf (Experiments.Congestion.run ());
-    Experiments.Rma.pp ppf (Experiments.Rma.run ())
+    section "T1-T4: wire formats" (fun () ->
+        Experiments.Tables.pp ppf (Experiments.Tables.run ()));
+    section "F1/F2: data movement protocols" (fun () ->
+        Experiments.Protocols.pp ppf (Experiments.Protocols.run_put ());
+        Experiments.Protocols.pp ppf (Experiments.Protocols.run_get ()));
+    section "F3/F4: address translation" (fun () ->
+        Experiments.Translation.pp ppf (Experiments.Translation.run ()));
+    section "L1: zero-length ping-pong latency (section 3: MCP < 20us)"
+      (fun () -> Experiments.Latency.pp ppf (Experiments.Latency.run ()));
+    section "B1: streaming bandwidth (section 3: packet pipelining)" (fun () ->
+        Experiments.Bandwidth.pp ppf (Experiments.Bandwidth.run ()));
+    section "F5/F6: application bypass (the paper's headline result)"
+      (fun () -> Experiments.Fig6.pp ppf (Experiments.Fig6.run ()));
+    section "S1: unexpected-buffer memory vs job size (section 4.1)" (fun () ->
+        Experiments.Scaling.pp_memory ppf (Experiments.Scaling.run_memory ()));
+    section "S2: collective scaling on connectionless Portals" (fun () ->
+        Experiments.Scaling.pp_collectives ppf
+          (Experiments.Scaling.run_collectives ()));
+    section "A1: dropped-message accounting (section 4.8)" (fun () ->
+        Experiments.Drops.pp ppf (Experiments.Drops.run ()));
+    section "A2: ablations" (fun () ->
+        Experiments.Ablation.pp_threshold ppf
+          (Experiments.Ablation.run_threshold ());
+        Experiments.Ablation.pp_interrupts ppf
+          (Experiments.Ablation.run_interrupts ()));
+    section
+      "R1: reliability under wire loss (section 2: reliable in-order delivery)"
+      (fun () ->
+        Experiments.Rel_loss_sweep.pp ppf (Experiments.Rel_loss_sweep.run ()));
+    section "C1: crash-restart recovery (section 3: connectionless peers)"
+      (fun () ->
+        Experiments.Crash_restart.pp ppf (Experiments.Crash_restart.run ()));
+    section
+      "N1: traffic patterns vs interconnect topology (section 2: Cplant scale)"
+      (fun () -> Experiments.Congestion.pp ppf (Experiments.Congestion.run ()));
+    section
+      "RMA: one-sided windows over Portals atomics (section 4.4, MPI-2 \
+       heritage)" (fun () -> Experiments.Rma.pp ppf (Experiments.Rma.run ()));
+    section
+      "COLL: NIC-offloaded vs host-driven collectives (sections 2/5.1 bypass; \
+       quick cells — `portals_repro coll` for the full sweep)"
+      (fun () -> Experiments.Coll.pp ppf (Experiments.Coll.run ~quick:true ()));
+    rule ()
   in
   Cmd.v (Cmd.info "all" ~doc:"Regenerate every table and figure")
     Term.(const run $ env_term)
@@ -891,23 +1067,27 @@ let default_term =
       & info [ "experiment" ] ~docv:"NAME"
           ~doc:
             "Run experiment $(docv) with default parameters (equivalent to \
-             the $(docv) subcommand). $(b,--metrics) and $(b,--trace-out) \
-             apply to fig5, fig6 and rel_loss_sweep.")
+             the $(docv) subcommand). $(b,--metrics) applies to fig5, \
+             fig6, rel_loss_sweep and congestion; $(b,--trace-out) to fig5 \
+             and fig6.")
   in
   let run () experiment metrics trace_out =
-    let plain name f =
-      if metrics <> None || trace_out <> None then
-        `Error
-          ( false,
-            Printf.sprintf
-              "--metrics/--trace-out are only supported with --experiment \
-               fig5|fig6 (got %s)"
-              name )
-      else begin
+    let run_if ok name f =
+      if ok then begin
         f ();
         `Ok ()
       end
+      else
+        `Error
+          ( false,
+            Printf.sprintf
+              "--metrics applies only to --experiment \
+               fig5|fig6|rel_loss_sweep|congestion, --trace-out only to \
+               fig5|fig6 (got %s)"
+              name )
     in
+    let plain = run_if (metrics = None && trace_out = None) in
+    let metrics_only = run_if (trace_out = None) in
     match experiment with
     | None -> `Help (`Pager, None)
     | Some "fig6" ->
@@ -937,15 +1117,13 @@ let default_term =
     | Some ("translation" as n) ->
       plain n (fun () ->
           Experiments.Translation.pp ppf (Experiments.Translation.run ()))
-    | Some ("rel_loss_sweep" | "rel-loss-sweep") when trace_out = None ->
-      run_rel_loss_sweep ~metrics ();
-      `Ok ()
+    | Some (("rel_loss_sweep" | "rel-loss-sweep") as n) ->
+      metrics_only n (fun () -> run_rel_loss_sweep ~metrics ())
     | Some (("crash_restart" | "crash-restart") as n) ->
       plain n (fun () ->
           Experiments.Crash_restart.pp ppf (Experiments.Crash_restart.run ()))
-    | Some "congestion" when trace_out = None ->
-      run_congestion ~metrics ();
-      `Ok ()
+    | Some ("congestion" as n) ->
+      metrics_only n (fun () -> run_congestion ~metrics ())
     | Some ("matrix" as n) -> plain n (fun () -> run_matrix ())
     | Some ("rma" as n) -> plain n (fun () -> run_rma ())
     | Some ("chaos" as n) -> plain n (fun () -> run_chaos ~quick:true ())
@@ -973,7 +1151,7 @@ let () =
               bandwidth_cmd; fig5_cmd; fig6_cmd; memory_cmd; collectives_cmd;
               drops_cmd; ablation_cmd; rel_loss_sweep_cmd; crash_restart_cmd;
               congestion_cmd; matrix_cmd; rma_cmd; chaos_cmd; par_cmd;
-              coll_cmd; all_cmd;
+              coll_cmd; bench_cmd; all_cmd;
             ])
      with Invalid_argument msg ->
        Format.eprintf "portals_repro: %s@." msg;

@@ -55,91 +55,3 @@ module Summary = struct
     Format.fprintf ppf "%s: n=%d mean=%.3f min=%.3f max=%.3f sd=%.3f" t.name
       t.count (mean t) (min t) (max t) (stddev t)
 end
-
-module Series = struct
-  type t = { name : string; mutable rev_points : (float * float) list; mutable len : int }
-
-  let create ?(name = "") () = { name; rev_points = []; len = 0 }
-
-  let push t ~x ~y =
-    t.rev_points <- (x, y) :: t.rev_points;
-    t.len <- t.len + 1
-
-  let points t = List.rev t.rev_points
-  let length t = t.len
-  let name t = t.name
-
-  let pp_table ?(x_label = "x") ?(y_label = "y") ppf t =
-    Format.fprintf ppf "%-16s %-16s@." x_label y_label;
-    let row (x, y) = Format.fprintf ppf "%-16.4f %-16.4f@." x y in
-    List.iter row (points t)
-end
-
-module Histogram = struct
-  type t = {
-    name : string;
-    bounds : float array;
-    counts : int array; (* length = Array.length bounds + 1, last = overflow *)
-    mutable total : int;
-  }
-
-  let create ?(name = "") ~buckets () =
-    let bounds = Array.copy buckets in
-    Array.sort compare bounds;
-    { name; bounds; counts = Array.make (Array.length bounds + 1) 0; total = 0 }
-
-  let bucket_index t x =
-    let n = Array.length t.bounds in
-    let rec go i = if i >= n then n else if x <= t.bounds.(i) then i else go (i + 1) in
-    go 0
-
-  let observe t x =
-    let i = bucket_index t x in
-    t.counts.(i) <- t.counts.(i) + 1;
-    t.total <- t.total + 1
-
-  let counts t =
-    let n = Array.length t.bounds in
-    let rec go i acc =
-      if i < 0 then acc
-      else
-        let bound = if i = n then None else Some t.bounds.(i) in
-        go (i - 1) ((bound, t.counts.(i)) :: acc)
-    in
-    go n []
-
-  let count t = t.total
-
-  let quantile t q =
-    if t.total = 0 then 0.
-    else begin
-      let target = q *. float_of_int t.total in
-      let n = Array.length t.bounds in
-      let rec go i seen =
-        if i > n then t.bounds.(n - 1)
-        else
-          let seen' = seen + t.counts.(i) in
-          if float_of_int seen' >= target then
-            if i = n then (if n = 0 then 0. else t.bounds.(n - 1))
-            else begin
-              let lo = if i = 0 then 0. else t.bounds.(i - 1) in
-              let hi = t.bounds.(i) in
-              if t.counts.(i) = 0 then hi
-              else
-                let frac = (target -. float_of_int seen) /. float_of_int t.counts.(i) in
-                lo +. (frac *. (hi -. lo))
-            end
-          else go (i + 1) seen'
-      in
-      go 0 0
-    end
-
-  let pp ppf t =
-    Format.fprintf ppf "%s (n=%d):@." t.name t.total;
-    let row (bound, c) =
-      match bound with
-      | Some b -> Format.fprintf ppf "  <= %-12.3f %d@." b c
-      | None -> Format.fprintf ppf "  >  %-12.3f %d@." t.bounds.(Array.length t.bounds - 1) c
-    in
-    List.iter row (counts t)
-end

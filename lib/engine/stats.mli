@@ -1,10 +1,9 @@
 (** Measurement collection for simulation runs.
 
-    Three collector kinds cover everything the benches report:
+    Two collector kinds:
     {ul
     {- [Counter]: monotonically increasing integer (messages sent, drops).}
-    {- [Summary]: running mean/min/max/stddev of float samples (latencies).}
-    {- [Series]: (x, y) points accumulated in order (a figure's curve).}} *)
+    {- [Summary]: running mean/min/max/stddev of float samples (latencies).}} *)
 
 module Counter : sig
   type t
@@ -33,38 +32,5 @@ module Summary : sig
 
   val total : t -> float
   val reset : t -> unit
-  val pp : Format.formatter -> t -> unit
-end
-
-module Series : sig
-  type t
-
-  val create : ?name:string -> unit -> t
-  val push : t -> x:float -> y:float -> unit
-  val points : t -> (float * float) list
-  (** Points in insertion order. *)
-
-  val length : t -> int
-  val name : t -> string
-  val pp_table : ?x_label:string -> ?y_label:string -> Format.formatter -> t -> unit
-  (** Render as an aligned two-column table, one row per point. *)
-end
-
-module Histogram : sig
-  type t
-
-  val create : ?name:string -> buckets:float array -> unit -> t
-  (** [create ~buckets] uses [buckets] as ascending upper bounds; samples
-      above the last bound land in an overflow bucket. *)
-
-  val observe : t -> float -> unit
-  val counts : t -> (float option * int) list
-  (** Bucket upper bound ([None] = overflow) and count, ascending. *)
-
-  val count : t -> int
-  val quantile : t -> float -> float
-  (** [quantile t q] estimates the [q]-quantile (0 <= q <= 1) by linear
-      interpolation within buckets. *)
-
   val pp : Format.formatter -> t -> unit
 end

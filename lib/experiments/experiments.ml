@@ -1,6 +1,6 @@
 (** Regeneration code for every table and figure of the paper, plus the
-    ablations DESIGN.md calls out. One module per experiment; the bench
-    harness ([bench/main.ml]) and the CLI ([bin/]) drive these. *)
+    ablations DESIGN.md calls out. One module per experiment; the CLI
+    ([bin/portals_repro.ml]) drives these. *)
 
 module Fig5 = Fig5
 module Fig6 = Fig6

@@ -13,17 +13,16 @@ type t = {
 let work_intervals_ms = [ 0.; 2.; 5.; 10.; 15.; 20.; 25.; 30.; 40.; 50. ]
 
 (* One configuration's sweep. Each (work interval, mean wait) point goes
-   both into a plain [Stats.Series] — the original output path — and into
-   the aggregate registry as a ["fig6.wait_ms"] series labelled with the
-   configuration, so consumers can read the figure straight out of a
-   metrics snapshot. The final (largest-work) run of each sweep donates
+   into the aggregate registry as a ["fig6.wait_ms"] series labelled with
+   the configuration (the registry is created with [~detail:true], so the
+   series keeps every point); the figure's [points] are read back from
+   it, and consumers can read the same curve out of a metrics snapshot. The final (largest-work) run of each sweep donates
    its full world registry, labelled by configuration, and optionally its
    trace spans. *)
 let sweep ~registry ~capture_trace ~label ~message_size ~batch ~iterations
     ~work_ms ~backend ~transport ~tests_during_work =
   let labels = [ ("config", label) ] in
   let curve = Metrics.series registry ~labels "fig6.wait_ms" in
-  let legacy = Stats.Series.create ~name:label () in
   let last = List.length work_ms - 1 in
   let spans = ref [] in
   List.iteri
@@ -43,14 +42,13 @@ let sweep ~registry ~capture_trace ~label ~message_size ~batch ~iterations
           }
       in
       let y = result.Fig5.mean_wait /. 1000. in
-      Stats.Series.push legacy ~x:ms ~y;
       Metrics.push curve ~x:ms ~y;
       if donor then begin
         Metrics.absorb registry ~labels result.Fig5.metrics;
         spans := result.Fig5.spans
       end)
     work_ms;
-  ({ label; points = Stats.Series.points legacy }, (label, !spans))
+  ({ label; points = Metrics.series_points curve }, (label, !spans))
 
 let run ?(message_size = 50_000) ?(batch = 10) ?(iterations = 3)
     ?(work_ms = work_intervals_ms) ?(capture_trace = false) () =

@@ -39,8 +39,8 @@ val run :
   t
 (** Run the selected cells (default: the full grid). Raises
     [Invalid_argument] on an unknown transport or axis name — CLIs
-    should pre-validate with {!Runtime.Cli.pick_list}. [quick] shrinks
-    every workload to smoke-test size. *)
+    should validate against {!transport_names} and {!axis_names}
+    first. [quick] shrinks every workload to smoke-test size. *)
 
 val find_cell : t -> transport:string -> axis:string -> cell option
 val pp : Format.formatter -> t -> unit

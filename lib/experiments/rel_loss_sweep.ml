@@ -1,5 +1,4 @@
 open Sim_engine
-module Campaign = Reliability.Campaign
 
 type mode_result = {
   delivered : int;
@@ -22,7 +21,8 @@ let stream ?registry ~loss ~seed ~reliable ~msgs ~size () =
     Simnet.Fabric.create sched ~profile:Simnet.Profile.myrinet_mcp ~nodes:2
   in
   Simnet.Fabric.set_fault_model fabric
-    (Campaign.fault { Campaign.loss; seed });
+    (if loss <= 0. then None
+     else Some (Simnet.Fault.bernoulli ~seed ~p:loss ()));
   let rel = if reliable then Some (Reliability.attach fabric) else None in
   let src = Simnet.Proc_id.make ~nid:0 ~pid:0 in
   let dst = Simnet.Proc_id.make ~nid:1 ~pid:0 in
@@ -77,27 +77,23 @@ let average results =
       int_of_float (Float.round (meani (fun r -> r.retries_exhausted) results));
   }
 
+(* The loss x seed grid, losses-major: one fresh pair of fabrics per
+   point, so every [(loss, seed)] replays bit-exactly. *)
 let run ?(losses = default_losses) ?(seeds = [ 1; 2; 3 ]) ?(msgs = 200)
     ?(size = 1024) ?registry () =
-  let outcomes =
-    Campaign.run ~losses ~seeds ~f:(fun ~loss ~seed ->
-        ( stream ?registry ~loss ~seed ~reliable:true ~msgs ~size (),
-          stream ?registry ~loss ~seed ~reliable:false ~msgs ~size () ))
-  in
   List.map
     (fun loss ->
-      let at_loss =
-        List.filter_map
-          (fun o ->
-            if o.Campaign.point.Campaign.loss = loss then
-              Some o.Campaign.value
-            else None)
-          outcomes
+      let runs =
+        List.map
+          (fun seed ->
+            ( stream ?registry ~loss ~seed ~reliable:true ~msgs ~size (),
+              stream ?registry ~loss ~seed ~reliable:false ~msgs ~size () ))
+          seeds
       in
       {
         loss;
-        reliable = average (List.map fst at_loss);
-        raw = average (List.map snd at_loss);
+        reliable = average (List.map fst runs);
+        raw = average (List.map snd runs);
       })
     losses
 

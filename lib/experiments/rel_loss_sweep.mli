@@ -6,8 +6,8 @@
     fabric must deliver every message (zero application-visible loss as
     long as the retry budget holds) at the price of retransmissions and
     completion time; the raw fabric keeps its speed and silently loses a
-    matching fraction of the stream. Campaign points replay bit-exactly
-    from [(loss, seed)]. *)
+    matching fraction of the stream. Each [(loss, seed)] point replays
+    bit-exactly. *)
 
 type mode_result = {
   delivered : int;  (** Messages the application actually received. *)

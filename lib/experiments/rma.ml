@@ -26,7 +26,7 @@ type row = {
 
 type t = { rows : row list }
 
-let workload_names = Runtime.Cli.rma_workload_names
+let workload_names = [ "latency"; "passive"; "halo"; "hashtable" ]
 
 (* --- workload parameters (full / --quick) ------------------------------ *)
 

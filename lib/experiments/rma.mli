@@ -32,12 +32,12 @@ type row = {
 type t = { rows : row list }
 
 val workload_names : string list
-(** = {!Runtime.Cli.rma_workload_names}. *)
+(** [latency], [passive], [halo], [hashtable], in run order. *)
 
 val run : ?workloads:string list -> ?quick:bool -> ?seed:int -> unit -> t
 (** Run the selected workloads (default all). Raises [Invalid_argument]
-    on an unknown name — CLIs should pre-validate with
-    {!Runtime.Cli.pick_list}. [quick] shrinks every workload to
+    on an unknown name — CLIs should validate against
+    {!workload_names} first. [quick] shrinks every workload to
     smoke-test size. *)
 
 val find_row : t -> workload:string -> row option

@@ -1,6 +1,5 @@
 (** Chaos campaign grids: composing corruption, delay, partition, crash
-    and loss faults into cells ({!Campaign}'s sibling for the full fault
-    domain).
+    and loss faults into cells that span the full fault domain.
 
     A {!cell} names one point of the fault space plus a seed; {!grid}
     builds the cartesian product of per-axis levels. The translation to

@@ -1,6 +1,5 @@
 open Sim_engine
 module Frame = Rel_frame
-module Campaign = Campaign
 module Chaos = Chaos
 
 type config = {

@@ -48,9 +48,6 @@
 module Frame = Rel_frame
 (** Wire format of the protocol's [Data] and [Ack] frames. *)
 
-module Campaign = Campaign
-(** Fault-injection campaign runner (loss-rate × seed grids). *)
-
 module Chaos = Chaos
 (** Chaos campaign grids: corruption × delay × partition × crash × loss
     cells over seeds, for invariant-checked fault sweeps

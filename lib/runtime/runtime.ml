@@ -6,4 +6,3 @@ include World
 module Control = Control
 module Liveness = Liveness
 module Stack = Stack
-module Cli = Cli

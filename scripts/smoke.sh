@@ -19,6 +19,17 @@ $DUNE exec bin/portals_repro.exe -- \
   | tee "$OUT/rel_loss_sweep.out"
 grep -q 'rel.retransmits' "$OUT/rel_loss_sweep.out"
 grep -q 'fabric.drops_injected' "$OUT/rel_loss_sweep.out"
+# --trace-out has nothing to trace in the loss sweep or the congestion
+# sweep: both must die with the usage error that names what applies.
+for exp in rel_loss_sweep congestion; do
+  if $DUNE exec bin/portals_repro.exe -- \
+      --experiment "$exp" --trace-out "$OUT/$exp.trace.json" \
+      2>"$OUT/$exp.trace.err"; then
+    echo "--experiment $exp accepted --trace-out" >&2
+    exit 1
+  fi
+  grep -qF -- "--trace-out only to fig5|fig6 (got $exp)" "$OUT/$exp.trace.err"
+done
 
 echo "== smoke: crash campaign (one mid-run restart, fixed seed) =="
 # Both backends through the identical crash + restart schedule; the run
@@ -156,5 +167,37 @@ diff "$OUT/chaos.d1.out" "$OUT/chaos.d4.out"
 $DUNE exec bin/portals_repro.exe -- par --check --domains 4 --run-seed 7 \
   | tee "$OUT/par.out"
 grep -q 'domains=1 and domains=4 agree' "$OUT/par.out"
+
+echo "== smoke: perf records + baseline gate (quick sizes) =="
+# The gate silently skips baseline ids missing from the current run, so
+# every committed baseline id must be present in the records.
+$DUNE exec bin/portals_repro.exe -- \
+  bench --quick --json "$OUT/bench.json" > "$OUT/bench.out"
+python3 - "$OUT/bench.json" bench/baseline.json <<'EOF'
+import json, sys
+current = {r["id"] for r in json.load(open(sys.argv[1]))["records"]}
+baseline = [r["id"] for r in json.load(open(sys.argv[2]))["records"]]
+missing = [i for i in baseline if i not in current]
+if missing:
+    sys.exit("baseline ids missing from the bench records: %s" % missing)
+EOF
+# A baseline 100x faster than any machine must trip the gate: exit 1.
+python3 - bench/baseline.json "$OUT/baseline_x100.json" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+for r in doc["records"]:
+    r["events_per_sec"] *= 100
+json.dump(doc, open(sys.argv[2], "w"))
+EOF
+status=0
+$DUNE exec bin/portals_repro.exe -- \
+  bench --quick --json "$OUT/bench.json" \
+  --baseline "$OUT/baseline_x100.json" > "$OUT/bench_gate.out" \
+  2> "$OUT/bench_gate.err" || status=$?
+if [ "$status" -ne 1 ]; then
+  echo "perf gate exited $status against a 100x baseline (want 1)" >&2
+  exit 1
+fi
+grep -q 'PERF REGRESSION' "$OUT/bench_gate.err"
 
 echo "== smoke: ok =="
