@@ -110,9 +110,9 @@ let env_term =
             "Run every world under fault model $(docv): \
              $(b,bernoulli:P), $(b,gilbert:PE:PX), $(b,duplicate:P), \
              $(b,corrupt:P) (seeded bit-flips/truncations), \
-             $(b,delay:MEAN_US\\[:JITTER_US\\]) (extra seeded latency), \
+             $(b,delay:MEAN_US[:JITTER_US]) (extra seeded latency), \
              $(b,flap:PERIOD_US:DOWN_US), \
-             $(b,partition:A.B|C.D\\@CUT_US\\[:HEAL_US\\]) (scheduled \
+             $(b,partition:A.B|C.D@CUT_US[:HEAL_US]) (scheduled \
              group cut; $(b,>) instead of $(b,|) cuts one way only) or \
              $(b,none); combine with $(b,+) (a drop by any component \
              wins, corruption over delay). Implies the reliability shim, \
@@ -126,8 +126,8 @@ let env_term =
       & info [ "crash" ] ~docv:"SPEC"
           ~doc:
             "Crash-stop nodes mid-run: $(docv) is a comma-separated list \
-             of $(b,NID\\@DOWN_US) (crash forever) or \
-             $(b,NID\\@DOWN_US:UP_US) (restart with a fresh incarnation \
+             of $(b,NID@DOWN_US) (crash forever) or \
+             $(b,NID@DOWN_US:UP_US) (restart with a fresh incarnation \
              at UP_US). Applied to every world the experiment builds.")
   in
   let topology =
@@ -138,8 +138,8 @@ let env_term =
           ~doc:
             "Interconnect topology for every world the experiment \
              builds: $(b,full) (default; private wires, the seed \
-             model), $(b,ring), $(b,torus2d\\[:AxB\\]), \
-             $(b,torus3d\\[:AxBxC\\]) or $(b,fattree\\[:K\\]). Without \
+             model), $(b,ring), $(b,torus2d[:AxB]), \
+             $(b,torus3d[:AxBxC]) or $(b,fattree[:K]). Without \
              explicit dimensions the shape is fitted to each world's \
              node count; with them, the product must match. Messages \
              then hop across shared links (dimension-order or up/down \

@@ -17,7 +17,23 @@ type unlink_policy = Unlink | Retain
    starting at [seg_off]. A plain descriptor has one segment; a
    gather/scatter descriptor (the paper's §7 extension) has several, and
    operations see their logical concatenation. *)
-type segment = { seg_buf : bytes; seg_off : int; seg_len : int }
+type segment = { mutable seg_buf : bytes; seg_off : int; seg_len : int }
+
+(* A reservation is a segment whose bytes do not exist yet ([seg_buf]
+   shorter than [seg_len]; validated segments never are). Descriptors
+   over it share the record, so the first touch through any of them
+   creates the bytes for all. *)
+type reservation = segment
+
+let reserve length =
+  if length < 0 then invalid_arg "Md.reserve: negative length";
+  { seg_buf = Bytes.empty; seg_off = 0; seg_len = length }
+
+let backed seg = Bytes.length seg.seg_buf >= seg.seg_len
+
+(* Demand-zero paging, except that the contents are unspecified, as
+   with [Bytes.create]. *)
+let back seg = if not (backed seg) then seg.seg_buf <- Bytes.create seg.seg_len
 
 type t = {
   iov : segment array;
@@ -76,9 +92,15 @@ let create_iovec ?(options = default_options) ?(threshold = Infinite)
   make ~options ~threshold ~unlink ~eq ~eq_handle ~user_ptr
     (Array.of_list (List.map validate segments))
 
+let create_reserved ?(options = default_options) ?(threshold = Infinite)
+    ?(unlink = Retain) ?eq ?(eq_handle = Handle.none) ?(user_ptr = 0) r =
+  make ~options ~threshold ~unlink ~eq ~eq_handle ~user_ptr [| r |]
+
 let buffer t =
   match t.iov with
-  | [| { seg_buf; _ } |] -> seg_buf
+  | [| seg |] ->
+    back seg;
+    seg.seg_buf
   | _ -> invalid_arg "Md.buffer: gather/scatter descriptor (use read)"
 
 let segment_count t = Array.length t.iov
@@ -163,6 +185,7 @@ let iter_range t ~offset ~len f =
           if !logical < seg_end && !logical >= !seg_start then begin
             let within = !logical - !seg_start in
             let piece = min !remaining (seg.seg_len - within) in
+            back seg;
             f seg.seg_buf (seg.seg_off + within) piece (!logical - offset);
             logical := !logical + piece;
             remaining := !remaining - piece

@@ -68,8 +68,41 @@ val create_iovec :
     the descriptor gathers and an incoming put scatters. Raises
     [Invalid_argument] on an empty vector or an out-of-range piece. *)
 
+type reservation
+(** Memory that is promised but not yet created — the simulator's
+    demand-zero pages. A reservation of [n] bytes owns no memory until a
+    descriptor over it is first written or read; then all [n] bytes are
+    created with [Bytes.create], so never-written bytes read back
+    unspecified, never as an error. Every descriptor over the same
+    reservation sees the same bytes, so a slab re-armed with a fresh
+    descriptor keeps what already landed in it, and a slab that nothing
+    ever lands in costs no memory. *)
+
+val reserve : int -> reservation
+(** [reserve n] promises [n] bytes. Raises [Invalid_argument] on a
+    negative length. *)
+
+val backed : reservation -> bool
+(** Whether the reservation's bytes exist yet (trivially so for a
+    zero-length one). *)
+
+val create_reserved :
+  ?options:options ->
+  ?threshold:threshold ->
+  ?unlink:unlink_policy ->
+  ?eq:Event.Queue.t ->
+  ?eq_handle:Handle.eq ->
+  ?user_ptr:int ->
+  reservation ->
+  t
+(** Describe all of a reservation. The first {!write}, {!read},
+    {!blit_to} or {!buffer} creates its bytes if no descriptor has yet;
+    everything else — acceptance, offsets, thresholds — behaves as for
+    a flat descriptor of the same length. *)
+
 val buffer : t -> bytes
-(** Backing buffer of a single-segment descriptor; raises
+(** Backing buffer of a single-segment descriptor (a reserved region's
+    bytes are created by this call if nothing touched them yet); raises
     [Invalid_argument] for gather/scatter descriptors. *)
 
 val segment_count : t -> int

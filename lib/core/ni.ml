@@ -204,6 +204,7 @@ type t = {
 type md_region =
   | Flat of { buffer : bytes; length : int option }
   | Iovec of (bytes * int * int) list
+  | Reserved of Md.reservation
 
 type md_spec = {
   region : md_region;
@@ -221,6 +222,10 @@ let md_spec ?(options = Md.default_options) ?(threshold = Md.Infinite)
 let md_spec_iovec ?(options = Md.default_options) ?(threshold = Md.Infinite)
     ?(unlink = Md.Retain) ?(eq = Handle.none) ?(user_ptr = 0) segments =
   { region = Iovec segments; options; threshold; unlink; eq; user_ptr }
+
+let md_spec_reserved ?(options = Md.default_options) ?(threshold = Md.Infinite)
+    ?(unlink = Md.Retain) ?(eq = Handle.none) ?(user_ptr = 0) reservation =
+  { region = Reserved reservation; options; threshold; unlink; eq; user_ptr }
 
 let op ?(cookie = Acl.default_cookie_job) ?(match_bits = Match_bits.zero)
     ?(offset = 0) ~target ~portal_index () =
@@ -360,6 +365,9 @@ let md_of_spec t (spec : md_spec) =
     | Iovec segments ->
       Md.create_iovec ~options:spec.options ~threshold:spec.threshold
         ~unlink:spec.unlink ?eq ?eq_handle ~user_ptr:spec.user_ptr segments
+    | Reserved reservation ->
+      Md.create_reserved ~options:spec.options ~threshold:spec.threshold
+        ~unlink:spec.unlink ?eq ?eq_handle ~user_ptr:spec.user_ptr reservation
   in
   if Handle.is_none spec.eq then Ok (build ())
   else begin
@@ -431,6 +439,16 @@ let md_unlink t h =
 
 let md_local_offset t h =
   Result.map (fun e -> Md.local_offset e.md) (find_md t h)
+
+let md_read t h ~offset ~len ~dst ~dst_off =
+  match find_md t h with
+  | Error e -> Error e
+  | Ok { md; _ } ->
+    if
+      offset < 0 || len < 0 || offset + len > Md.length md || dst_off < 0
+      || dst_off + len > Bytes.length dst
+    then Error Errors.Invalid_arg
+    else Ok (Md.blit_to md ~offset ~len ~dst ~dst_off)
 
 (* PtlMDUpdate: atomically replace a descriptor, but only when [test_eq]
    is empty — the primitive that lets a library check "nothing happened

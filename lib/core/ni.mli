@@ -29,6 +29,15 @@ type md_region =
   | Flat of { buffer : bytes; length : int option }
   | Iovec of (bytes * int * int) list
       (** Gather/scatter pieces (§7's planned extension). *)
+  | Reserved of Md.reservation
+      (** Memory created on the first write or read through the
+          descriptor ({!Md.reservation}): demand-zero paging, with the
+          contents of never-written bytes unspecified as with
+          [Bytes.create]. A library reads what landed through {!md_read}.
+          Meant for slabs sized for a worst case that may never come —
+          §4.1's unexpected-message buffers then cost memory only once a
+          message arrives. Descriptors over one reservation share its
+          bytes, so re-arming a slab does not recreate them. *)
 
 type md_spec = {
   region : md_region;
@@ -60,6 +69,16 @@ val md_spec_iovec :
   (bytes * int * int) list ->
   md_spec
 (** Gather/scatter spec over [(buffer, off, len)] pieces. *)
+
+val md_spec_reserved :
+  ?options:Md.options ->
+  ?threshold:Md.threshold ->
+  ?unlink:Md.unlink_policy ->
+  ?eq:Handle.eq ->
+  ?user_ptr:int ->
+  Md.reservation ->
+  md_spec
+(** Spec over a [Reserved] region: all of the reservation. *)
 
 type drop_reason =
   | Malformed  (** Undecodable wire image. *)
@@ -215,6 +234,16 @@ val md_unlink : t -> Handle.md -> (unit, Errors.t) result
 
 val md_local_offset : t -> Handle.md -> (int, Errors.t) result
 (** Current locally managed offset — how much of a slab MD is consumed. *)
+
+val md_read :
+  t -> Handle.md -> offset:int -> len:int -> dst:bytes -> dst_off:int ->
+  (unit, Errors.t) result
+(** Copy [len] bytes at [offset] of the descriptor's region into [dst]
+    at [dst_off]: how a library reads data that landed in a region it
+    does not hold the memory of (a [Reserved] slab). Reading a reserved
+    region nothing was written to creates its bytes and returns
+    unspecified contents; it does not fail. [Invalid_arg] when either
+    range is out of bounds, [Invalid_md] for a stale handle. *)
 
 val md_update :
   t -> Handle.md -> md_spec -> test_eq:Handle.eq -> (bool, Errors.t) result

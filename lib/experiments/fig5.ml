@@ -60,18 +60,21 @@ let run ?(capture_trace = false) p =
       (* All in-fiber clock reads go to this rank's own shard. *)
       let sched = Runtime.sched_of_rank world rank in
       let cpu = Runtime.host_cpu_of_rank world rank in
+      (* Like an MPI benchmark, each rank allocates its buffers once and
+         reuses them every iteration. *)
+      let recv_bufs = Array.init p.batch (fun _ -> Bytes.create p.message_size) in
+      let send_bufs = Array.init p.batch (fun _ -> Bytes.create p.message_size) in
       for _iter = 1 to p.iterations do
         (* pre-post several non-blocking receives *)
         let recvs =
           List.init p.batch (fun i ->
-              Mpi.irecv ep ~source:peer ~tag:i (Bytes.create p.message_size))
+              Mpi.irecv ep ~source:peer ~tag:i recv_bufs.(i))
         in
         (* barrier *)
         Mpi.barrier ep;
         (* post a batch of sends *)
         let sends =
-          List.init p.batch (fun i ->
-              Mpi.isend ep ~dst:peer ~tag:i (Bytes.create p.message_size))
+          List.init p.batch (fun i -> Mpi.isend ep ~dst:peer ~tag:i send_bufs.(i))
         in
         (* work (fixed loop iterations) — only the working node *)
         if rank = worker && Time_ns.compare p.work Time_ns.zero > 0 then begin

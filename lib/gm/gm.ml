@@ -114,7 +114,7 @@ let provide_receive_token t buffer = Queue.add buffer t.tokens
 let send t ~dst payload =
   t.s_sends <- t.s_sends + 1;
   let length = Bytes.length payload in
-  t.tp.Simnet.Transport.send ~src:t.self ~dst (Bytes.copy payload);
+  t.tp.Simnet.Transport.send ~src:t.self ~dst payload;
   Sim_engine.Scheduler.after t.tp.Simnet.Transport.sched
     t.tp.Simnet.Transport.send_overhead (fun () ->
       if t.live then begin

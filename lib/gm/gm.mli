@@ -47,7 +47,10 @@ val provide_receive_token : t -> bytes -> unit
 
 val send : t -> dst:Simnet.Proc_id.t -> bytes -> unit
 (** Asynchronous send; a [Send_complete] event is queued once the data
-    has left. The buffer must not be reused before then. *)
+    has left. The port takes ownership of the image it is given: no
+    copy is made, the transport carries these very bytes, so the caller
+    must never write to them again ([Mpi_gm] encodes a fresh image for
+    every send). *)
 
 val poll : t -> event option
 (** Drain one completion event, oldest first — the {e only} way the

@@ -37,10 +37,10 @@ let decode_rdvz_header buf ~off =
 (* --- GM framing -------------------------------------------------------- *)
 
 type gm_message =
-  | Gm_eager of { env : t; payload : bytes }
+  | Gm_eager of { env : t; payload : bytes; pay_off : int; pay_len : int }
   | Gm_rts of { env : t; cookie : int; total_len : int }
   | Gm_cts of { cookie : int }
-  | Gm_data of { cookie : int; payload : bytes }
+  | Gm_data of { cookie : int; payload : bytes; pay_off : int; pay_len : int }
 
 let gm_header_size = 33
 
@@ -60,19 +60,24 @@ let decode_env buf off =
     tag = Int32.to_int (Bytes.get_int32_le buf (off + 9));
   }
 
+(* One allocation per image: the header is zeroed (fields a kind does
+   not use stay 0 on the wire), the payload slice is blitted once. *)
 let encode_gm msg =
-  let payload =
+  let payload, pay_off, pay_len =
     match msg with
-    | Gm_eager { payload; _ } | Gm_data { payload; _ } -> payload
-    | Gm_rts _ | Gm_cts _ -> Bytes.empty
+    | Gm_eager { payload; pay_off; pay_len; _ }
+    | Gm_data { payload; pay_off; pay_len; _ } ->
+      (payload, pay_off, pay_len)
+    | Gm_rts _ | Gm_cts _ -> (Bytes.empty, 0, 0)
   in
-  let buf = Bytes.make (gm_header_size + Bytes.length payload) '\x00' in
+  let buf = Bytes.create (gm_header_size + pay_len) in
+  Bytes.fill buf 0 gm_header_size '\x00';
   Bytes.set_uint8 buf 0 gm_magic;
   (match msg with
-  | Gm_eager { env; payload } ->
+  | Gm_eager { env; _ } ->
     Bytes.set_uint8 buf 1 0;
     encode_env buf 2 env;
-    Bytes.set_int64_le buf 15 (Int64.of_int (Bytes.length payload))
+    Bytes.set_int64_le buf 15 (Int64.of_int pay_len)
   | Gm_rts { env; cookie; total_len } ->
     Bytes.set_uint8 buf 1 1;
     encode_env buf 2 env;
@@ -81,21 +86,26 @@ let encode_gm msg =
   | Gm_cts { cookie } ->
     Bytes.set_uint8 buf 1 2;
     Bytes.set_int64_le buf 23 (Int64.of_int cookie)
-  | Gm_data { cookie; payload } ->
+  | Gm_data { cookie; _ } ->
     Bytes.set_uint8 buf 1 3;
-    Bytes.set_int64_le buf 15 (Int64.of_int (Bytes.length payload));
+    Bytes.set_int64_le buf 15 (Int64.of_int pay_len);
     Bytes.set_int64_le buf 23 (Int64.of_int cookie));
-  Bytes.blit payload 0 buf gm_header_size (Bytes.length payload);
+  Bytes.blit payload pay_off buf gm_header_size pay_len;
   buf
 
-let decode_gm buf =
-  if Bytes.length buf < gm_header_size then Error "gm message: truncated"
+(* In place, like [Wire.decode_view]: a payload-carrying message views
+   [buf] itself, its bytes at [gm_header_size .. len-1]. *)
+let decode_gm buf ~len =
+  if len < gm_header_size || len > Bytes.length buf then Error "gm message: truncated"
   else if Bytes.get_uint8 buf 0 <> gm_magic then Error "gm message: bad magic"
   else begin
-    let payload () = Bytes.sub buf gm_header_size (Bytes.length buf - gm_header_size) in
+    let pay_len = len - gm_header_size in
     let cookie () = Int64.to_int (Bytes.get_int64_le buf 23) in
     match Bytes.get_uint8 buf 1 with
-    | 0 -> Ok (Gm_eager { env = decode_env buf 2; payload = payload () })
+    | 0 ->
+      Ok
+        (Gm_eager
+           { env = decode_env buf 2; payload = buf; pay_off = gm_header_size; pay_len })
     | 1 ->
       Ok
         (Gm_rts
@@ -105,7 +115,10 @@ let decode_gm buf =
              cookie = cookie ();
            })
     | 2 -> Ok (Gm_cts { cookie = cookie () })
-    | 3 -> Ok (Gm_data { cookie = cookie (); payload = payload () })
+    | 3 ->
+      Ok
+        (Gm_data
+           { cookie = cookie (); payload = buf; pay_off = gm_header_size; pay_len })
     | k -> Error (Printf.sprintf "gm message: unknown kind %d" k)
   end
 

@@ -64,16 +64,27 @@ val decode_rdvz_header : bytes -> off:int -> (int64 * int, string) result
 (** {1 GM framing} *)
 
 type gm_message =
-  | Gm_eager of { env : t; payload : bytes }
+  | Gm_eager of { env : t; payload : bytes; pay_off : int; pay_len : int }
+      (** The message bytes are [payload.[pay_off .. pay_off+pay_len-1]]. *)
   | Gm_rts of { env : t; cookie : int; total_len : int }
       (** "I have [total_len] bytes for this envelope; pull when matched." *)
   | Gm_cts of { cookie : int }
       (** "Matched; send the data for [cookie]." *)
-  | Gm_data of { cookie : int; payload : bytes }
+  | Gm_data of { cookie : int; payload : bytes; pay_off : int; pay_len : int }
 
 val gm_header_size : int
+
 val encode_gm : gm_message -> bytes
-val decode_gm : bytes -> (gm_message, string) result
+(** A fresh wire image: header and payload slice in one buffer, the
+    payload copied once. *)
+
+val decode_gm : bytes -> len:int -> (gm_message, string) result
+(** Decode the message in the first [len] bytes of [buf] {e in place}:
+    a decoded [Gm_eager]/[Gm_data] views [buf] itself
+    ([pay_off = gm_header_size], [pay_len = len - gm_header_size]), so
+    the receiver blits its payload straight out of the receive token.
+    A caller that keeps the payload past the token's reuse must copy
+    it. *)
 
 (** {1 ibverbs channel framing}
 

@@ -189,10 +189,10 @@ let match_posted t (env : Envelope.t) =
   done;
   !found
 
-let copy_in t req payload length =
-  let n = min length (Bytes.length req.buffer) in
+let copy_in t req payload ~off ~len =
+  let n = min len (Bytes.length req.buffer) in
   Scheduler.delay t.sched (t.tp.Simnet.Transport.host_copy_time n);
-  Bytes.blit payload 0 req.buffer 0 n;
+  Bytes.blit payload off req.buffer 0 n;
   n
 
 (* Grant a matched rendezvous: provision a token big enough for the data
@@ -203,18 +203,22 @@ let grant_rts t ~env ~cookie ~total req =
     (Bytes.create (total + Envelope.gm_header_size));
   gm_send t ~dst:env.Envelope.src_rank (Envelope.Gm_cts { cookie }) Sk_control
 
-let handle_recv t ~src payload length =
-  let data = Bytes.sub payload 0 length in
-  match Envelope.decode_gm data with
+(* [token] is decoded in place: matched payloads are blitted straight
+   from it into the request buffer. *)
+let handle_recv t token length =
+  match Envelope.decode_gm token ~len:length with
   | Error _ -> () (* not an MPI message; ignore *)
-  | Ok (Envelope.Gm_eager { env; payload }) ->
+  | Ok (Envelope.Gm_eager { env; payload; pay_off; pay_len }) ->
     (match match_posted t env with
     | Some req ->
-      let n = copy_in t req payload (Bytes.length payload) in
+      let n = copy_in t req payload ~off:pay_off ~len:pay_len in
       complete t req
         { source = env.Envelope.src_rank; tag = env.Envelope.tag; length = n }
     | None ->
-      Queue.add (Ux_eager { ux_env = env; ux_payload = payload }) t.unexpected)
+      (* The token is recycled once this returns: keep a copy. *)
+      Queue.add
+        (Ux_eager { ux_env = env; ux_payload = Bytes.sub payload pay_off pay_len })
+        t.unexpected)
   | Ok (Envelope.Gm_rts { env; cookie; total_len }) ->
     (match match_posted t env with
     | Some req -> grant_rts t ~env ~cookie ~total:total_len req
@@ -228,16 +232,18 @@ let handle_recv t ~src payload length =
     | Some (req, data) ->
       Hashtbl.remove t.awaiting_cts cookie;
       let dst = req.want_source in
-      gm_send t ~dst (Envelope.Gm_data { cookie; payload = data }) (Sk_data req))
-  | Ok (Envelope.Gm_data { cookie; payload }) ->
+      gm_send t ~dst
+        (Envelope.Gm_data
+           { cookie; payload = data; pay_off = 0; pay_len = Bytes.length data })
+        (Sk_data req))
+  | Ok (Envelope.Gm_data { cookie; payload; pay_off; pay_len }) ->
     (match Hashtbl.find_opt t.awaiting_data cookie with
     | None -> ()
     | Some (req, env) ->
       Hashtbl.remove t.awaiting_data cookie;
-      let n = copy_in t req payload (Bytes.length payload) in
+      let n = copy_in t req payload ~off:pay_off ~len:pay_len in
       complete t req
-        { source = env.Envelope.src_rank; tag = env.Envelope.tag; length = n });
-  ignore src
+        { source = env.Envelope.src_rank; tag = env.Envelope.tag; length = n })
 
 let handle_sent t =
   match Queue.take_opt t.sent_fifo with
@@ -263,10 +269,10 @@ let progress_raw t =
   let rec drain () =
     match Gm.poll t.gm_port with
     | None -> ()
-    | Some (Gm.Recv_complete { src; buffer; length }) ->
-      handle_recv t ~src buffer length;
-      (* Recycle the token (unexpected eagers were copied out of it by
-         Bytes.sub, so the buffer is free either way). *)
+    | Some (Gm.Recv_complete { buffer; length; _ }) ->
+      handle_recv t buffer length;
+      (* Recycle the token (unexpected eagers were copied out of it, so
+         the buffer is free either way). *)
       if Bytes.length buffer = token_size t then
         Gm.provide_receive_token t.gm_port buffer;
       drain ()
@@ -314,7 +320,10 @@ let isend t ?(context = 0) ~dst ~tag data =
   (match env.Envelope.protocol with
   | Envelope.Eager ->
     t.eager_sends <- t.eager_sends + 1;
-    gm_send t ~dst (Envelope.Gm_eager { env; payload = data }) (Sk_eager req)
+    gm_send t ~dst
+      (Envelope.Gm_eager
+         { env; payload = data; pay_off = 0; pay_len = Bytes.length data })
+      (Sk_eager req)
   | Envelope.Rendezvous ->
     t.rdvz_sends <- t.rdvz_sends + 1;
     let cookie = fresh_cookie t in
@@ -356,7 +365,7 @@ let irecv t ?(context = 0) ?(source = Envelope.any_source)
   in
   (match take_unexpected t ~context ~source ~tag with
   | Some (Ux_eager { ux_env; ux_payload }) ->
-    let n = copy_in t req ux_payload (Bytes.length ux_payload) in
+    let n = copy_in t req ux_payload ~off:0 ~len:(Bytes.length ux_payload) in
     complete t req
       { source = ux_env.Envelope.src_rank; tag = ux_env.Envelope.tag; length = n }
   | Some (Ux_rts { ux_env; ux_cookie; ux_total }) ->

@@ -101,9 +101,12 @@ type request = {
   mutable rdvz_tag : int;
 }
 
+(* A slab's memory is a reservation: the NI creates it when the first
+   unexpected message lands, and the library reads it back through the
+   slab's MD. Re-arming attaches a new MD over the same reservation. *)
 type slab = {
   s_idx : int;
-  s_buffer : bytes;
+  s_memory : P.Md.reservation;
   mutable s_meh : P.Handle.me;
   mutable s_mdh : P.Handle.md;
   mutable s_outstanding : int; (* unexpected chunks not yet copied out *)
@@ -174,10 +177,10 @@ let attach_slab t (slab : slab) =
   let mdh =
     ok_exn ~op:"slab md_attach"
       (P.Ni.md_attach t.ni ~me:meh
-         (P.Ni.md_spec ~options:slab_md_options ~threshold:P.Md.Infinite
+         (P.Ni.md_spec_reserved ~options:slab_md_options ~threshold:P.Md.Infinite
             ~unlink:P.Md.Retain ~eq:t.eqh
             ~user_ptr:(-(slab.s_idx + 1))
-            slab.s_buffer))
+            slab.s_memory))
   in
   slab.s_meh <- meh;
   slab.s_mdh <- mdh
@@ -252,7 +255,7 @@ let create tp ~ranks ~rank:my_rank ?(config = default_config) () =
         Array.init config.slab_count (fun s_idx ->
             {
               s_idx;
-              s_buffer = Bytes.create config.slab_size;
+              s_memory = P.Md.reserve config.slab_size;
               s_meh = P.Handle.none;
               s_mdh = P.Handle.none;
               s_outstanding = 0;
@@ -336,6 +339,19 @@ let maybe_rearm_slab t (slab : slab) =
 
 let maybe_rearm_all t = Array.iter (fun slab -> maybe_rearm_slab t slab) t.slabs
 
+let read_slab t (slab : slab) ~off ~len ~dst =
+  ok_exn ~op:"slab md_read"
+    (P.Ni.md_read t.ni slab.s_mdh ~offset:off ~len ~dst ~dst_off:0)
+
+(* A header too close to the slab's end to hold one is truncated, which
+   the decoder reports. *)
+let read_rdvz_header t slab ~off =
+  let hdr =
+    Bytes.create (min Envelope.rdvz_header_size (t.cfg.slab_size - off))
+  in
+  read_slab t slab ~off ~len:(Bytes.length hdr) ~dst:hdr;
+  Envelope.decode_rdvz_header hdr ~off:0
+
 let first_slab_me t =
   match t.slab_order with
   | [] -> invalid_arg "Mpi_portals: no slabs configured"
@@ -390,7 +406,7 @@ let handle_event t (ev : P.Event.t) =
            })
         t.unexpected
     | Envelope.Rendezvous ->
-      (match Envelope.decode_rdvz_header slab.s_buffer ~off:ev.P.Event.offset with
+      (match read_rdvz_header t slab ~off:ev.P.Event.offset with
       | Error _ -> decode_error t ~ctx:"unexpected rendezvous header"
       | Ok (cookie, total_len) ->
         Queue.add
@@ -604,7 +620,7 @@ let irecv t ?(context = context_world) ?(source = Envelope.any_source)
        released. *)
     let n = min ux_mlen (Bytes.length buffer) in
     Scheduler.delay t.sched (t.tp.Simnet.Transport.host_copy_time n);
-    Bytes.blit ux_slab.s_buffer ux_off buffer 0 n;
+    read_slab t ux_slab ~off:ux_off ~len:n ~dst:buffer;
     ux_slab.s_outstanding <- ux_slab.s_outstanding - 1;
     t.ux_bytes <- t.ux_bytes - ux_mlen;
     maybe_rearm_slab t ux_slab;

@@ -12,6 +12,8 @@ type t = {
   total_len : int;
   offset : int;
   payload : bytes;
+  pay_off : int;
+  pay_len : int;
 }
 
 let magic = 0x5C
@@ -27,13 +29,13 @@ let kind_of_code = function
   | _ -> None
 
 let encode t =
-  let buf = Bytes.create (header_size + Bytes.length t.payload) in
+  let buf = Bytes.create (header_size + t.pay_len) in
   Bytes.set_uint8 buf 0 magic;
   Bytes.set_uint8 buf 1 (kind_code t.kind);
   Bytes.set_int64_le buf 2 (Int64.of_int t.msg_id);
   Bytes.set_int64_le buf 10 (Int64.of_int t.total_len);
   Bytes.set_int64_le buf 18 (Int64.of_int t.offset);
-  Bytes.blit t.payload 0 buf header_size (Bytes.length t.payload);
+  Bytes.blit t.payload t.pay_off buf header_size t.pay_len;
   buf
 
 let decode buf =
@@ -49,11 +51,13 @@ let decode buf =
           msg_id = Int64.to_int (Bytes.get_int64_le buf 2);
           total_len = Int64.to_int (Bytes.get_int64_le buf 10);
           offset = Int64.to_int (Bytes.get_int64_le buf 18);
-          payload = Bytes.sub buf header_size (Bytes.length buf - header_size);
+          payload = buf;
+          pay_off = header_size;
+          pay_len = Bytes.length buf - header_size;
         }
   end
 
 let pp ppf t =
   Format.fprintf ppf "%s id=%d total=%d off=%d payload=%d"
     (kind_to_string t.kind) t.msg_id t.total_len t.offset
-    (Bytes.length t.payload)
+    t.pay_len

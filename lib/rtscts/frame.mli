@@ -18,14 +18,24 @@ type t = {
   kind : kind;
   msg_id : int;  (** Sender-assigned, unique per (src, dst) pair. *)
   total_len : int;  (** Full message length (all kinds). *)
-  offset : int;  (** Position of [payload] within the message (Data). *)
-  payload : bytes;  (** Message bytes (Eager, Data); else empty. *)
+  offset : int;  (** Position of the payload within the message (Data). *)
+  payload : bytes;
+  pay_off : int;
+  pay_len : int;
+      (** The frame's message bytes are
+          [payload.[pay_off .. pay_off+pay_len-1]] (Eager, Data; empty
+          for Rts and Cts): a view, so a sender frames a slice of its
+          buffer and a receiver reads a slice of the frame without
+          either copying it first. *)
 }
 
 val header_size : int
 
 val encode : t -> bytes
+(** A fresh image: header plus the payload slice, copied once. *)
 
 val decode : bytes -> (t, string) result
+(** Decode in place: the result's payload views the frame itself
+    ([pay_off = header_size]). *)
 
 val pp : Format.formatter -> t -> unit

@@ -197,7 +197,9 @@ let stream_packets t pair msg_id payload ~on_done =
               msg_id;
               total_len = len;
               offset;
-              payload = Bytes.sub payload offset n;
+              payload;
+              pay_off = offset;
+              pay_len = n;
             };
           if offset + n >= len then on_done ());
       if offset + n < len then go (offset + n)
@@ -226,7 +228,15 @@ let rec pump t pair =
       Scheduler.at t.sched copy_done (fun () ->
           steal t pair.src.Simnet.Proc_id.nid (Simnet.Profile.copy_time profile len);
           send_frame t ~src:pair.src ~dst
-            { Frame.kind = Frame.Eager; msg_id; total_len = len; offset = 0; payload };
+            {
+              Frame.kind = Frame.Eager;
+              msg_id;
+              total_len = len;
+              offset = 0;
+              payload;
+              pay_off = 0;
+              pay_len = len;
+            };
           pump t pair)
     end
     else if
@@ -258,6 +268,8 @@ let rec pump t pair =
               total_len = len;
               offset = 0;
               payload = Bytes.empty;
+              pay_off = 0;
+              pay_len = 0;
             })
       (* The pump stalls here; the CTS handler resumes it. *)
     end
@@ -296,7 +308,10 @@ let handle_frame t ~me ~src frame =
     let copy_done = Simnet.Link.occupy t.kcopy.(nid) cost in
     Scheduler.at t.sched copy_done (fun () ->
         steal t nid (Simnet.Profile.copy_time profile frame.Frame.total_len);
-        deliver_up t ~me ~src frame.Frame.payload)
+        (* The upper layer owns what it is handed: copy the payload out
+           of the frame image. *)
+        deliver_up t ~me ~src
+          (Bytes.sub frame.Frame.payload frame.Frame.pay_off frame.Frame.pay_len))
   | Frame.Rts ->
     interrupt ();
     t.st.s_cts <- t.st.s_cts + 1;
@@ -307,6 +322,8 @@ let handle_frame t ~me ~src frame =
         total_len = frame.Frame.total_len;
         offset = 0;
         payload = Bytes.empty;
+        pay_off = 0;
+        pay_len = 0;
       }
   | Frame.Cts ->
     interrupt ();
@@ -322,8 +339,9 @@ let handle_frame t ~me ~src frame =
         Hashtbl.replace t.assemblies key a;
         a
     in
-    let n = Bytes.length frame.Frame.payload in
-    Bytes.blit frame.Frame.payload 0 assembly.buffer frame.Frame.offset n;
+    let n = frame.Frame.pay_len in
+    Bytes.blit frame.Frame.payload frame.Frame.pay_off assembly.buffer
+      frame.Frame.offset n;
     assembly.received <- assembly.received + n;
     let copy_done =
       Simnet.Link.occupy t.kcopy.(nid) (Simnet.Profile.copy_time profile n)

@@ -200,4 +200,16 @@ if [ "$status" -ne 1 ]; then
 fi
 grep -q 'PERF REGRESSION' "$OUT/bench_gate.err"
 
+echo "== smoke: help pages render without markup errors =="
+# cmdliner reports a bad escape in a doc string as a "cmdliner error"
+# line on stderr and prints the page anyway, so only a grep catches it.
+for cmd in par chaos fig6; do
+  $DUNE exec bin/portals_repro.exe -- "$cmd" --help=plain \
+    > "$OUT/$cmd.help" 2>&1
+  if grep -q 'cmdliner error' "$OUT/$cmd.help"; then
+    grep 'cmdliner error' "$OUT/$cmd.help" >&2
+    exit 1
+  fi
+done
+
 echo "== smoke: ok =="

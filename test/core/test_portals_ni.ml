@@ -807,6 +807,112 @@ let counter_tests =
         Alcotest.(check bool) "entries walked" true (c1.Ni.entries_walked >= 2));
   ]
 
+(* Reserved regions: descriptors whose memory the NI creates on first
+   touch, and the MPI unexpected-message slabs built on them. *)
+let reserved_tests =
+  let reserved_target ni r =
+    let eqh = ok ~what:"eq_alloc" (Ni.eq_alloc ni ~capacity:8) in
+    let meh =
+      ok ~what:"me_attach"
+        (Ni.me_attach ni ~portal_index:0 ~match_id:Match_id.any
+           ~match_bits:Match_bits.zero ~ignore_bits:Match_bits.all_ones
+           ~unlink:Md.Retain ())
+    in
+    let mdh =
+      ok ~what:"md_attach" (Ni.md_attach ni ~me:meh (Ni.md_spec_reserved ~eq:eqh r))
+    in
+    (eqh, mdh)
+  in
+  [
+    Alcotest.test_case "a put lands at its offset in a reserved MD" `Quick
+      (fun () ->
+        let env = setup () in
+        let r = Md.reserve 64 in
+        let teq, tmd = reserved_target env.ni1 r in
+        Alcotest.(check bool) "no memory before the put" false (Md.backed r);
+        let _, imd = bind_initiator env.ni0 (Bytes.of_string "landed") in
+        ok ~what:"put"
+          (Ni.put env.ni0 ~md:imd ~ack:false
+             (Ni.op ~target:(proc 1 0) ~portal_index:0 ~cookie:1 ~offset:40 ()));
+        Scheduler.run env.sched;
+        Alcotest.(check bool) "memory after the put" true (Md.backed r);
+        (match drain_events env.ni1 teq with
+        | [ ev ] ->
+          Alcotest.(check int) "offset" 40 ev.Event.offset;
+          Alcotest.(check int) "mlength" 6 ev.Event.mlength
+        | evs -> Alcotest.failf "%d target events" (List.length evs));
+        let got = Bytes.make 8 '.' in
+        ok ~what:"md_read"
+          (Ni.md_read env.ni1 tmd ~offset:40 ~len:6 ~dst:got ~dst_off:1);
+        Alcotest.(check string) "read back" ".landed." (Bytes.to_string got));
+    Alcotest.test_case "reading a never-written reserved MD does not raise"
+      `Quick (fun () ->
+        let env = setup () in
+        let r = Md.reserve 32 in
+        let _, tmd = reserved_target env.ni1 r in
+        let dst = Bytes.create 32 in
+        ok ~what:"md_read" (Ni.md_read env.ni1 tmd ~offset:0 ~len:32 ~dst ~dst_off:0);
+        Alcotest.(check bool) "the read created the memory" true (Md.backed r);
+        expect_err Errors.Invalid_arg ~what:"read past the end"
+          (Ni.md_read env.ni1 tmd ~offset:30 ~len:4 ~dst ~dst_off:0);
+        expect_err Errors.Invalid_arg ~what:"read past the destination"
+          (Ni.md_read env.ni1 tmd ~offset:0 ~len:4 ~dst ~dst_off:30));
+    Alcotest.test_case
+      "unexpected eager data and rendezvous headers round-trip through \
+       reserved slabs across rearms" `Quick (fun () ->
+        let module MP = Mpi.Mpi_portals in
+        let env = setup () in
+        (* Two 256-byte slabs; a slab re-arms once more than
+           256 - (64 + 16) bytes of it are used and all claimed. One
+           round is four 60-byte eager messages plus one rendezvous
+           header (16 bytes): exactly one slab. Three rounds fit only
+           if both slabs re-arm, the third landing in slab 0's second
+           descriptor over the same memory. *)
+        let config =
+          { MP.default_config with MP.eager_threshold = 64; slab_size = 256; slab_count = 2 }
+        in
+        (* Nodes 0 and 1 already hold [setup]'s interfaces. *)
+        let ranks = [| proc 2 0; proc 3 0 |] in
+        let eps = Array.init 2 (fun rank -> MP.create env.tp ~ranks ~rank ~config ()) in
+        let rounds = 3 in
+        let message round i =
+          Bytes.init
+            (if i = 4 then 200 else 60)
+            (fun j -> Char.chr (((round * 50) + (i * 7) + j) land 255))
+        in
+        let claimed = ref 0 in
+        let gap = Time_ns.us 500. in
+        Scheduler.spawn env.sched (fun () ->
+            for round = 1 to rounds do
+              let sends =
+                List.init 5 (fun i -> MP.isend eps.(0) ~dst:1 ~tag:i (message round i))
+              in
+              List.iter (fun r -> ignore (MP.wait eps.(0) r)) sends;
+              Scheduler.delay env.sched gap
+            done);
+        Scheduler.spawn env.sched (fun () ->
+            for round = 1 to rounds do
+              (* The sender starts a round [gap] after the last one
+                 completed: all of it lands before any receive is
+                 posted, so all of it is unexpected. *)
+              Scheduler.delay env.sched (Time_ns.add gap (Time_ns.us 200.));
+              for i = 0 to 4 do
+                let want = message round i in
+                let buf = Bytes.create (Bytes.length want) in
+                let st = MP.wait eps.(1) (MP.irecv eps.(1) ~source:0 ~tag:i buf) in
+                Alcotest.(check int) "length" (Bytes.length want) st.MP.length;
+                Alcotest.(check string)
+                  (Printf.sprintf "round %d message %d" round i)
+                  (Bytes.to_string want) (Bytes.to_string buf);
+                incr claimed
+              done
+            done);
+        Scheduler.run env.sched;
+        Alcotest.(check int) "every message claimed" (5 * rounds) !claimed;
+        Alcotest.(check int) "every eager byte was unexpected" 240
+          (MP.unexpected_bytes_highwater eps.(1)));
+  ]
+
 let () =
   Alcotest.run "portals_ni"
     [
@@ -819,4 +925,5 @@ let () =
       ("ordering", ordering_tests);
       ("eq_overflow", eq_overflow_tests);
       ("counters", counter_tests);
+      ("reserved", reserved_tests);
     ]

@@ -918,6 +918,78 @@ let context_tests =
           Alcotest.(check string) "claimed by context" "seven" !got);
     ]
 
+(* Allocation budgets: words this domain allocates for one large
+   message, with the two application buffers allocated beforehand. Each
+   stack is allowed its payload-sized copies and less than one payload of
+   everything else, so a copy that creeps back in fails here. *)
+let budget_payload = 50_000
+let payload_words = budget_payload / (Sys.word_size / 8)
+
+let words_during f =
+  let minor0, promoted0, major0 = Gc.counters () in
+  let v = f () in
+  let minor1, promoted1, major1 = Gc.counters () in
+  (v, int_of_float (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)))
+
+let exchange_words ~sched ~tp create =
+  let ranks = [| proc 0 0; proc 1 0 |] in
+  let eps = Array.init 2 (fun rank -> create tp ~ranks ~rank) in
+  let sent = Bytes.init budget_payload (fun i -> Char.chr (i land 255)) in
+  let got = Bytes.create budget_payload in
+  Scheduler.spawn sched (fun () ->
+      ignore (Mpi.wait eps.(0) (Mpi.isend eps.(0) ~dst:1 ~tag:3 sent)));
+  Scheduler.spawn sched (fun () ->
+      ignore (Mpi.wait eps.(1) (Mpi.irecv eps.(1) ~source:0 ~tag:3 got)));
+  let (), words = words_during (fun () -> Scheduler.run sched) in
+  Alcotest.(check bool) "payload delivered" true (Bytes.equal sent got);
+  words
+
+let check_copies name ~copies words =
+  if words >= (copies + 1) * payload_words then
+    Alcotest.failf "%s: %d words for a %d-byte message, budget %d payload copies"
+      name words budget_payload copies
+
+let alloc_budget_tests =
+  let fabric profile =
+    let sched = Scheduler.create () in
+    (sched, Simnet.Fabric.create sched ~profile ~nodes:2)
+  in
+  [
+    (* The encoded image and the rendezvous receive token. *)
+    Alcotest.test_case "gm: 2 payload copies per message" `Quick (fun () ->
+        let sched, fab = fabric Simnet.Profile.myrinet_mcp in
+        exchange_words ~sched ~tp:(Simnet.Transport.offload fab)
+          (fun tp ~ranks ~rank -> Mpi.create_gm tp ~ranks ~rank ())
+        |> check_copies "gm" ~copies:2);
+    (* The wire image, its packets' frames and the reassembly buffer. *)
+    Alcotest.test_case "portals over rtscts: 3 payload copies per message"
+      `Quick (fun () ->
+        let sched, fab = fabric Simnet.Profile.myrinet_kernel in
+        exchange_words ~sched ~tp:(Rtscts.transport (Rtscts.create fab))
+          (fun tp ~ranks ~rank -> Mpi.create_rtscts tp ~ranks ~rank ())
+        |> check_copies "rtscts" ~copies:3);
+    (* The wire image only: it lands straight in the receive buffer. *)
+    Alcotest.test_case "portals over offload: 1 payload copy per message"
+      `Quick (fun () ->
+        let sched, fab = fabric Simnet.Profile.myrinet_mcp in
+        exchange_words ~sched ~tp:(Simnet.Transport.offload fab)
+          (fun tp ~ranks ~rank -> Mpi.create_portals tp ~ranks ~rank ())
+        |> check_copies "offload" ~copies:1);
+    Alcotest.test_case "portals endpoint creation leaves its slabs unallocated"
+      `Quick (fun () ->
+        let _, fab = fabric Simnet.Profile.myrinet_mcp in
+        let tp = Simnet.Transport.offload fab in
+        let cfg = Mpi.Mpi_portals.default_config in
+        let _, words =
+          words_during (fun () ->
+              Mpi.Mpi_portals.create tp ~ranks:[| proc 0 0; proc 1 0 |] ~rank:0 ())
+        in
+        let slab_words = cfg.Mpi.Mpi_portals.slab_size / (Sys.word_size / 8) in
+        if words >= slab_words then
+          Alcotest.failf "create allocated %d words, one slab is %d" words
+            slab_words);
+  ]
+
 let () =
   Alcotest.run "mpi"
     [
@@ -930,4 +1002,5 @@ let () =
       ("crash", crash_tests);
       ("nx", nx_tests);
       ("contexts", context_tests);
+      ("alloc_budget", alloc_budget_tests);
     ]

@@ -8,16 +8,25 @@ let setup ?config ?(profile = Simnet.Profile.myrinet_kernel) () =
   let m = Rtscts.create ?config fabric in
   (sched, fabric, m, Rtscts.transport m)
 
+(* The payload of a decoded frame is a view into the frame image. *)
+let frame_payload f =
+  Bytes.sub_string f.Rtscts.Frame.payload f.Rtscts.Frame.pay_off
+    f.Rtscts.Frame.pay_len
+
 let frame_tests =
   [
     Alcotest.test_case "frame round trip" `Quick (fun () ->
+        (* The sender frames a slice of a larger buffer, as
+           [stream_packets] does. *)
         let f =
           {
             Rtscts.Frame.kind = Rtscts.Frame.Data;
             msg_id = 42;
             total_len = 100_000;
             offset = 8192;
-            payload = Bytes.of_string "chunk-bytes";
+            payload = Bytes.of_string "<<chunk-bytes>>";
+            pay_off = 2;
+            pay_len = 11;
           }
         in
         (match Rtscts.Frame.decode (Rtscts.Frame.encode f) with
@@ -26,7 +35,9 @@ let frame_tests =
           Alcotest.(check int) "msg_id" 42 d.Rtscts.Frame.msg_id;
           Alcotest.(check int) "total" 100_000 d.Rtscts.Frame.total_len;
           Alcotest.(check int) "offset" 8192 d.Rtscts.Frame.offset;
-          Alcotest.(check bytes) "payload" f.Rtscts.Frame.payload d.Rtscts.Frame.payload
+          Alcotest.(check int) "view starts after the header"
+            Rtscts.Frame.header_size d.Rtscts.Frame.pay_off;
+          Alcotest.(check string) "payload" "chunk-bytes" (frame_payload d)
         | Error e -> Alcotest.fail e));
     Alcotest.test_case "decode rejects garbage" `Quick (fun () ->
         Alcotest.(check bool) "short" true
@@ -37,18 +48,104 @@ let frame_tests =
       (QCheck.Test.make ~name:"frame encode/decode identity" ~count:300
          QCheck.(quad (int_range 0 3) (int_range 0 10_000)
                    (int_range 0 (1 lsl 20))
-                   (string_of_size Gen.(int_range 0 200)))
-         (fun (k, id, off, s) ->
+                   (pair (string_of_size Gen.(int_range 0 200))
+                      (string_of_size Gen.(int_range 0 8))))
+         (fun (k, id, off, (s, pad)) ->
            let kind =
              match k with 0 -> Rtscts.Frame.Eager | 1 -> Rtscts.Frame.Rts | 2 -> Rtscts.Frame.Cts | _ -> Rtscts.Frame.Data
            in
            let f =
              { Rtscts.Frame.kind; msg_id = id; total_len = off + String.length s;
-               offset = off; payload = Bytes.of_string s }
+               offset = off; payload = Bytes.of_string (pad ^ s ^ pad);
+               pay_off = String.length pad; pay_len = String.length s }
            in
            match Rtscts.Frame.decode (Rtscts.Frame.encode f) with
-           | Ok d -> d = f
+           | Ok d ->
+             d.Rtscts.Frame.kind = kind
+             && d.Rtscts.Frame.msg_id = id
+             && d.Rtscts.Frame.total_len = f.Rtscts.Frame.total_len
+             && d.Rtscts.Frame.offset = off
+             && frame_payload d = s
            | Error _ -> false));
+  ]
+
+(* The GM framing of the MPI layer decodes receive tokens in place; a
+   token is usually larger than the message it holds. *)
+let gm_message_gen =
+  let open QCheck.Gen in
+  let env =
+    map3
+      (fun protocol (context, src_rank) tag ->
+        {
+          Mpi.Envelope.protocol =
+            (if protocol then Mpi.Envelope.Eager else Mpi.Envelope.Rendezvous);
+          context;
+          src_rank;
+          tag;
+        })
+      bool
+      (pair (int_range 0 Mpi.Envelope.max_context)
+         (int_range 0 Mpi.Envelope.max_rank))
+      (int_range 0 Mpi.Envelope.max_tag)
+  in
+  (* Payload lengths straddle the GM eager threshold (16 KiB). *)
+  let payload =
+    map3
+      (fun len pad seed ->
+        let buf = Bytes.init (pad + len + pad) (fun i -> Char.chr (((i * 131) + seed) land 255)) in
+        (buf, pad, len))
+      (int_range 0 70_000) (int_range 0 16) (int_range 0 255)
+  in
+  let cookie = int_range 0 (1 lsl 40) in
+  int_range 0 3 >>= function
+  | 0 ->
+    map2
+      (fun env (payload, pay_off, pay_len) ->
+        Mpi.Envelope.Gm_eager { env; payload; pay_off; pay_len })
+      env payload
+  | 1 ->
+    map3
+      (fun env cookie total_len -> Mpi.Envelope.Gm_rts { env; cookie; total_len })
+      env cookie (int_range 0 70_000)
+  | 2 -> map (fun cookie -> Mpi.Envelope.Gm_cts { cookie }) cookie
+  | _ ->
+    map2
+      (fun cookie (payload, pay_off, pay_len) ->
+        Mpi.Envelope.Gm_data { cookie; payload; pay_off; pay_len })
+      cookie payload
+
+let gm_kind = function
+  | Mpi.Envelope.Gm_eager _ -> "eager"
+  | Gm_rts _ -> "rts"
+  | Gm_cts _ -> "cts"
+  | Gm_data _ -> "data"
+
+let gm_framing_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"gm in-place decode round trip, all four kinds"
+         ~count:200
+         (QCheck.make ~print:gm_kind gm_message_gen)
+         (fun msg ->
+           let image = Mpi.Envelope.encode_gm msg in
+           let len = Bytes.length image in
+           let token = Bytes.make (len + 64) '\xAA' in
+           Bytes.blit image 0 token 0 len;
+           let slice payload off n = Bytes.sub_string payload off n in
+           match (msg, Mpi.Envelope.decode_gm token ~len) with
+           | ( Mpi.Envelope.Gm_eager { env; payload; pay_off; pay_len },
+               Ok (Mpi.Envelope.Gm_eager d) ) ->
+             d.env = env && d.payload == token
+             && d.pay_off = Mpi.Envelope.gm_header_size
+             && slice d.payload d.pay_off d.pay_len = slice payload pay_off pay_len
+           | Gm_rts { env; cookie; total_len }, Ok (Gm_rts d) ->
+             d.env = env && d.cookie = cookie && d.total_len = total_len
+           | Gm_cts { cookie }, Ok (Gm_cts d) -> d.cookie = cookie
+           | Gm_data { cookie; payload; pay_off; pay_len }, Ok (Gm_data d) ->
+             d.cookie = cookie && d.payload == token
+             && d.pay_off = Mpi.Envelope.gm_header_size
+             && slice d.payload d.pay_off d.pay_len = slice payload pay_off pay_len
+           | _, (Ok _ | Error _) -> false));
   ]
 
 let delivery_tests =
@@ -288,6 +385,7 @@ let () =
   Alcotest.run "rtscts"
     [
       ("frame", frame_tests);
+      ("gm_framing", gm_framing_tests);
       ("delivery", delivery_tests);
       ("void_sender", void_sender_tests);
       ("portals_over_rtscts", portals_over_rtscts_tests);
