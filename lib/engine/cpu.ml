@@ -8,27 +8,28 @@ type t = {
 }
 
 let create ?(name = "cpu") sched =
-  let t =
-    {
-      sched;
-      cpu_name = name;
-      lock = Sync.Semaphore.create ~name:(name ^ ".lock") sched 1;
-      due = None;
-      stolen = Time_ns.zero;
-      computed = Time_ns.zero;
-    }
-  in
+  {
+    sched;
+    cpu_name = name;
+    lock = Sync.Semaphore.create ~name:(name ^ ".lock") sched 1;
+    due = None;
+    stolen = Time_ns.zero;
+    computed = Time_ns.zero;
+  }
+
+let probe_family sched ~size cpu =
   let m = Scheduler.metrics sched in
-  let labels = [ ("cpu", name) ] in
-  Metrics.probe m ~labels "cpu.stolen_us" (fun () -> Time_ns.to_us t.stolen);
-  Metrics.probe m ~labels "cpu.compute_us" (fun () -> Time_ns.to_us t.computed);
-  Metrics.probe m ~labels "cpu.occupancy" (fun () ->
+  let member i = (cpu i).cpu_name in
+  let family name f = Metrics.probe_family m ~label:"cpu" ~size ~member name f in
+  family "cpu.stolen_us" (fun i -> Time_ns.to_us (cpu i).stolen);
+  family "cpu.compute_us" (fun i -> Time_ns.to_us (cpu i).computed);
+  family "cpu.occupancy" (fun i ->
       (* Fraction of elapsed simulated time this CPU spent executing
          application compute or stolen protocol work. *)
+      let t = cpu i in
       let now = Time_ns.to_us (Scheduler.now sched) in
       if now <= 0. then 0.
-      else (Time_ns.to_us t.computed +. Time_ns.to_us t.stolen) /. now);
-  t
+      else (Time_ns.to_us t.computed +. Time_ns.to_us t.stolen) /. now)
 
 let name t = t.cpu_name
 

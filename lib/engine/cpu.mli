@@ -22,10 +22,17 @@
 type t
 
 val create : ?name:string -> Scheduler.t -> t
-(** Registers ["cpu.stolen_us"], ["cpu.compute_us"] and ["cpu.occupancy"]
-    probes labelled [("cpu", name)] in the scheduler's metrics registry.
+(** A fresh idle CPU. Creating one registers no metric: the owner of a
+    set of CPUs registers their probes once with {!probe_family}.
     Completed {!compute} intervals emit ["cpu"] trace spans when the
     scheduler's trace is enabled. *)
+
+val probe_family : Scheduler.t -> size:int -> (int -> t) -> unit
+(** [probe_family sched ~size cpu] registers the ["cpu.stolen_us"],
+    ["cpu.compute_us"] and ["cpu.occupancy"] probe families over CPUs
+    [cpu 0 .. cpu (size - 1)] in [sched]'s metrics registry, member [i]
+    labelled [("cpu", name (cpu i))] (see {!Metrics.probe_family}).
+    Occupancy is measured against [sched]'s clock. *)
 
 val name : t -> string
 

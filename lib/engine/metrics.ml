@@ -7,7 +7,11 @@
    twice returns the same instrument, so components created in loops (one
    NI per rank, one link per node) can register unconditionally. Probes are
    polled only at snapshot time, so hot paths pay nothing for them; the
-   mutating instruments pay one branch on the shared [enabled] flag. *)
+   mutating instruments pay one branch on the shared [enabled] flag.
+
+   A probe family stands for one probe per member of an array (every CPU,
+   every link) as a single registration: no per-member closure, label
+   list or table entry exists until a snapshot expands it. *)
 
 type labels = (string * string) list
 
@@ -46,7 +50,23 @@ type instrument =
   | Summary of summary
   | Series of series
 
-type entry = { name : string; labels : labels; mutable instrument : instrument }
+(* [stamp] orders registrations, so a snapshot can let the latest one
+   win where a family member and another registration share a key. *)
+type entry = {
+  name : string;
+  labels : labels;
+  mutable instrument : instrument;
+  mutable stamp : int;
+}
+
+type family = {
+  f_name : string;
+  f_label : string;
+  f_size : int;
+  f_member : int -> string;
+  f_value : int -> float;
+  f_stamp : int;
+}
 
 type t = {
   enabled : bool ref;
@@ -56,6 +76,8 @@ type t = {
      the curves. Deep-dive experiments (Fig. 5/6 worlds) switch it on. *)
   detail : bool ref;
   mutable rev_entries : entry list;
+  mutable rev_families : family list;
+  mutable last_stamp : int;
   tbl : (string * labels, entry) Hashtbl.t;
 }
 
@@ -64,6 +86,8 @@ let create ?(enabled = true) ?(detail = false) () =
     enabled = ref enabled;
     detail = ref detail;
     rev_entries = [];
+    rev_families = [];
+    last_stamp = 0;
     tbl = Hashtbl.create 64;
   }
 
@@ -79,13 +103,17 @@ let kind_name = function
   | Summary _ -> "summary"
   | Series _ -> "series"
 
+let next_stamp t =
+  t.last_stamp <- t.last_stamp + 1;
+  t.last_stamp
+
 let register t name labels make =
   let labels = normalize_labels labels in
   let key = (name, labels) in
   match Hashtbl.find_opt t.tbl key with
   | Some entry -> entry
   | None ->
-    let entry = { name; labels; instrument = make () } in
+    let entry = { name; labels; instrument = make (); stamp = next_stamp t } in
     Hashtbl.add t.tbl key entry;
     t.rev_entries <- entry :: t.rev_entries;
     entry
@@ -119,8 +147,22 @@ let probe t ?(labels = []) name f =
      stale closure polling dead state. *)
   let entry = register t name labels (fun () -> Probe f) in
   match entry.instrument with
-  | Probe _ -> entry.instrument <- Probe f
+  | Probe _ ->
+    entry.instrument <- Probe f;
+    entry.stamp <- next_stamp t
   | other -> mismatch name "probe" (kind_name other)
+
+let probe_family t ~label ~size ~member name f =
+  t.rev_families <-
+    {
+      f_name = name;
+      f_label = label;
+      f_size = size;
+      f_member = member;
+      f_value = f;
+      f_stamp = next_stamp t;
+    }
+    :: t.rev_families
 
 let new_summary enabled =
   Summary
@@ -255,11 +297,40 @@ let snapshot t : Snapshot.t =
     in
     { Snapshot.name = e.name; labels = e.labels; value }
   in
-  List.rev_map capture t.rev_entries
-  |> List.stable_sort (fun (a : Snapshot.entry) b ->
-         match String.compare a.Snapshot.name b.Snapshot.name with
-         | 0 -> compare a.Snapshot.labels b.Snapshot.labels
-         | c -> c)
+  let expand acc f =
+    let rec go i acc =
+      if i < 0 then acc
+      else
+        let e =
+          {
+            Snapshot.name = f.f_name;
+            labels = [ (f.f_label, f.f_member i) ];
+            value = Snapshot.Gauge (f.f_value i);
+          }
+        in
+        go (i - 1) ((f.f_stamp, e) :: acc)
+    in
+    go (f.f_size - 1) acc
+  in
+  let by_key (a : Snapshot.entry) (b : Snapshot.entry) =
+    match String.compare a.Snapshot.name b.Snapshot.name with
+    | 0 -> compare a.Snapshot.labels b.Snapshot.labels
+    | c -> c
+  in
+  (* Sorted by key with the latest registration first, so keeping the
+     first entry of each key lets the last registration win. *)
+  let order (sa, a) (sb, b) =
+    match by_key a b with 0 -> Int.compare sb sa | c -> c
+  in
+  let rec latest acc = function
+    | (_, e) :: rest -> (
+      match acc with
+      | prev :: _ when by_key prev e = 0 -> latest acc rest
+      | _ -> latest (e :: acc) rest)
+    | [] -> List.rev acc
+  in
+  let stamped = List.rev_map (fun e -> (e.stamp, capture e)) t.rev_entries in
+  List.fold_left expand stamped t.rev_families |> List.sort order |> latest []
 
 let absorb t ?(labels = []) (snap : Snapshot.t) =
   List.iter

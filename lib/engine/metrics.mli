@@ -17,7 +17,13 @@
     Re-registering a {!probe} rebinds the closure — components recreated
     under the same identity replace their predecessor's probe. Asking for
     a key that exists with a different instrument kind raises
-    [Invalid_argument]. *)
+    [Invalid_argument].
+
+    Per-component gauges (one per CPU, link or receive engine) are
+    registered as {!probe_family}: one registration per metric for a
+    whole array of components, owned by whoever owns the array. Creating
+    a [Cpu.t] or a [Link.t] registers nothing, so building a world costs
+    one registration per metric, not one per component. *)
 
 type t
 
@@ -64,6 +70,27 @@ val probe : t -> ?labels:labels -> string -> (unit -> float) -> unit
 (** [probe t name f] registers a gauge whose value is [f ()] polled at
     {!snapshot} time. *)
 
+val probe_family :
+  t ->
+  label:string ->
+  size:int ->
+  member:(int -> string) ->
+  string ->
+  (int -> float) ->
+  unit
+(** [probe_family t ~label ~size ~member name f] registers [size] probes
+    in one go: member [i] is the gauge [name] labelled
+    [[(label, member i)]], whose value is [f i] polled at {!snapshot}
+    time. Nothing per member is allocated until a snapshot expands the
+    family into exactly the entries [size] separate {!probe} calls would
+    have produced.
+
+    Where a family member and any other registration share a
+    (name, labels) key — an earlier family over the same components, or
+    a {!probe} — the snapshot shows only the later registration, as
+    re-registering a {!probe} does. Families are never checked against
+    other instrument kinds. *)
+
 val summary : t -> ?labels:labels -> string -> summary
 val observe : summary -> float -> unit
 
@@ -109,7 +136,8 @@ module Snapshot : sig
 end
 
 val snapshot : t -> Snapshot.t
-(** Capture every instrument's current value; probes are polled here. *)
+(** Capture every instrument's current value; probes and family members
+    are polled here. *)
 
 val absorb : t -> ?labels:labels -> Snapshot.t -> unit
 (** [absorb t ~labels snap] merges a snapshot into [t], prefixing every

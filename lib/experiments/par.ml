@@ -25,6 +25,8 @@ type result = {
   sim_time_us : float;
   window_rounds : int;  (** 0 when sequential. *)
   lookahead_us : float;  (** 0 when sequential. *)
+  setup_s : float;
+  run_s : float;
   wall_s : float;
 }
 
@@ -115,8 +117,9 @@ let run ?(nodes = 256) ?(steps = 8) ?domains ?seed () =
         done)
       (neighbors nid)
   done;
+  let t1 = Unix.gettimeofday () in
   Runtime.run world;
-  let wall_s = Unix.gettimeofday () -. t0 in
+  let t2 = Unix.gettimeofday () in
   let sum a = Array.fold_left ( + ) 0 a in
   let sim_time_us =
     Array.fold_left
@@ -139,7 +142,9 @@ let run ?(nodes = 256) ?(steps = 8) ?domains ?seed () =
       (match Runtime.lookahead world with
       | None -> 0.
       | Some l -> Time_ns.to_us l);
-    wall_s;
+    setup_s = t1 -. t0;
+    run_s = t2 -. t1;
+    wall_s = t2 -. t0;
   }
 
 let ok r = r.errors = 0 && r.delivered = r.expected
@@ -156,8 +161,9 @@ let pp ppf r =
     (String.concat "x" (List.map string_of_int r.dims))
     r.nodes r.steps;
   Format.fprintf ppf
-    "  domains=%d lookahead=%.1fus window_rounds=%d wall=%.3fs%s@." r.domains
-    r.lookahead_us r.window_rounds r.wall_s
+    "  domains=%d lookahead=%.1fus window_rounds=%d wall=%.3fs setup=%.3fs \
+     run=%.3fs%s@."
+    r.domains r.lookahead_us r.window_rounds r.wall_s r.setup_s r.run_s
     (if ok r then ""
      else
        Printf.sprintf "  [%d/%d delivered, %d errors]" r.delivered r.expected

@@ -20,7 +20,10 @@ type result = {
   sim_time_us : float;
   window_rounds : int;  (** 0 when sequential. *)
   lookahead_us : float;  (** 0 when sequential. *)
-  wall_s : float;
+  setup_s : float;
+      (** Host seconds building the world and scheduling every send. *)
+  run_s : float;  (** Host seconds in [Runtime.run]. *)
+  wall_s : float;  (** [setup_s +. run_s]. *)
 }
 
 val run :

@@ -73,7 +73,7 @@ let create ?config fabric =
       pairs = Hashtbl.create 64;
       kcopy =
         Array.init (Simnet.Fabric.node_count fabric) (fun nid ->
-            Simnet.Link.create ~name:(Printf.sprintf "kcopy%d" nid) sched);
+            Simnet.Link.create ~name:("kcopy" ^ string_of_int nid) sched);
       uppers = Hashtbl.create 64;
       assemblies = Hashtbl.create 64;
       st =
@@ -89,6 +89,7 @@ let create ?config fabric =
       send_error = (fun ~src:_ ~dst:_ ~len:_ -> ());
     }
   in
+  Simnet.Link.probe_family sched ~size:(Array.length t.kcopy) (Array.get t.kcopy);
   let m = Scheduler.metrics sched in
   let labels = [ ("protocol", "rtscts") ] in
   let probe name f = Metrics.probe m ~labels name (fun () -> float_of_int (f ())) in

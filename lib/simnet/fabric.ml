@@ -114,11 +114,10 @@ type t = {
   mutable crash_listeners : (Proc_id.nid -> unit) array;
   mutable restart_listeners : (Proc_id.nid -> unit) array;
   (* Injected drops are counted per (src, dst) pair in the registry;
-     [stats] derives the total by summing these. The common pid-0/pid-0
-     pair for each (src nid, dst nid) lives in a flat [nodes²] array;
-     pairs involving a nonzero pid fall back to the table. *)
-  drop_pairs_nid : Metrics.counter option array;
-  drop_pairs_other : (Proc_id.t * Proc_id.t, Metrics.counter) Hashtbl.t;
+     [stats] derives the total by summing these. A pair's counter is
+     created by its first drop, so the table grows with the traffic
+     that was lost, never with the node count. *)
+  drop_pairs : (Proc_id.t * Proc_id.t, Metrics.counter) Hashtbl.t;
 }
 
 let create ?(topology = Topology.Full) ?queue_limit sched ~profile ~nodes =
@@ -165,10 +164,14 @@ let create ?(topology = Topology.Full) ?queue_limit sched ~profile ~nodes =
       restart_count = Stats.Counter.create ~name:"fabric.restarts" ();
       crash_listeners = [||];
       restart_listeners = [||];
-      drop_pairs_nid = Array.make (nodes * nodes) None;
-      drop_pairs_other = Hashtbl.create 16;
+      drop_pairs = Hashtbl.create 16;
     }
   in
+  (* The fabric owns every node's CPU and link and the hop links, so it
+     registers their probes: one family per metric, not one per part. *)
+  Cpu.probe_family sched ~size:nodes (fun nid -> Node.host_cpu t.nodes.(nid));
+  Link.probe_family sched ~size:nodes (fun nid -> Node.tx_link t.nodes.(nid));
+  Link.probe_family sched ~size:(Array.length hop_links) (Array.get hop_links);
   let m = Scheduler.metrics sched in
   let probe name f = Metrics.probe m name (fun () -> float_of_int (f ())) in
   probe "fabric.sent" (fun () -> Stats.Counter.value t.sent);
@@ -362,29 +365,19 @@ let install_shim t shim =
 
 let has_shim t = t.shim <> None
 
-let make_drop_pair_counter t ~src ~dst =
-  Metrics.counter
-    (Scheduler.metrics t.fabric_sched)
-    ~labels:[ ("src", Proc_id.to_string src); ("dst", Proc_id.to_string dst) ]
-    "fabric.drops_injected"
-
 let drop_pair_counter t ~src ~dst =
-  if src.Proc_id.pid = 0 && dst.Proc_id.pid = 0 then begin
-    let idx = (src.Proc_id.nid * Array.length t.nodes) + dst.Proc_id.nid in
-    match t.drop_pairs_nid.(idx) with
-    | Some c -> c
-    | None ->
-      let c = make_drop_pair_counter t ~src ~dst in
-      t.drop_pairs_nid.(idx) <- Some c;
-      c
-  end
-  else
-    match Hashtbl.find_opt t.drop_pairs_other (src, dst) with
-    | Some c -> c
-    | None ->
-      let c = make_drop_pair_counter t ~src ~dst in
-      Hashtbl.replace t.drop_pairs_other (src, dst) c;
-      c
+  match Hashtbl.find_opt t.drop_pairs (src, dst) with
+  | Some c -> c
+  | None ->
+    let c =
+      Metrics.counter
+        (Scheduler.metrics t.fabric_sched)
+        ~labels:
+          [ ("src", Proc_id.to_string src); ("dst", Proc_id.to_string dst) ]
+        "fabric.drops_injected"
+    in
+    Hashtbl.replace t.drop_pairs (src, dst) c;
+    c
 
 let deliver t ~src ~dst payload =
   match find_handler t dst with
@@ -643,12 +636,6 @@ let stats t =
     corrupts_injected = Stats.Counter.value t.corrupt_injected;
     delays_injected = Stats.Counter.value t.delay_injected;
     drops_injected =
-      Array.fold_left
-        (fun acc c ->
-          match c with None -> acc | Some c -> acc + Metrics.counter_value c)
-        (Hashtbl.fold
-           (fun _ c acc -> acc + Metrics.counter_value c)
-           t.drop_pairs_other 0)
-        t.drop_pairs_nid;
+      Hashtbl.fold (fun _ c acc -> acc + Metrics.counter_value c) t.drop_pairs 0;
     dups_injected = Stats.Counter.value t.dup_injected;
   }

@@ -71,7 +71,14 @@ val create :
     shape; [queue_limit] (default unbounded) caps each shared hop
     link's outstanding-transmission queue, beyond which messages are
     congestion-dropped. Raises [Invalid_argument] if the topology
-    cannot host [nodes] (see {!Topology.build}). *)
+    cannot host [nodes] (see {!Topology.build}).
+
+    The fabric registers the probes of the parts it owns, one family per
+    metric: ["cpu.*"] over the node CPUs, ["link.*"] over the node
+    transmit links and the hop links (see {!Link.probe_family}). Its
+    size is linear in [nodes] plus the hop links; per-pair state (routes,
+    FIFO floors, drop counters) is created by the first message that
+    needs it. *)
 
 val sched : t -> Sim_engine.Scheduler.t
 val profile : t -> Profile.t

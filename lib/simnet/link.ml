@@ -23,39 +23,38 @@ type t = {
 
 let create ?(name = "link") ?bandwidth ?(latency = Time_ns.zero) ?queue_limit
     ?(tracked = false) sched =
-  let t =
-    {
-      sched;
-      link_name = name;
-      bandwidth;
-      latency;
-      queue_limit;
-      tracked;
-      free_at = Time_ns.zero;
-      busy = Time_ns.zero;
-      outstanding = 0;
-      peak_outstanding = 0;
-      drops = 0;
-      hook = None;
-      flows = Hashtbl.create (if tracked then 8 else 1);
-      peak_flows = 0;
-    }
-  in
+  {
+    sched;
+    link_name = name;
+    bandwidth;
+    latency;
+    queue_limit;
+    tracked;
+    free_at = Time_ns.zero;
+    busy = Time_ns.zero;
+    outstanding = 0;
+    peak_outstanding = 0;
+    drops = 0;
+    hook = None;
+    flows = Hashtbl.create (if tracked then 8 else 1);
+    peak_flows = 0;
+  }
+
+let probe_family sched ~size link =
+  let tracked = size > 0 && (link 0).tracked in
   let m = Scheduler.metrics sched in
-  let labels = [ ("link", name) ] in
-  Metrics.probe m ~labels "link.busy_us" (fun () -> Time_ns.to_us t.busy);
-  Metrics.probe m ~labels "link.utilization" (fun () ->
+  let member i = (link i).link_name in
+  let family name f = Metrics.probe_family m ~label:"link" ~size ~member name f in
+  family "link.busy_us" (fun i -> Time_ns.to_us (link i).busy);
+  family "link.utilization" (fun i ->
       let now = Time_ns.to_us (Scheduler.now sched) in
-      if now <= 0. then 0. else Time_ns.to_us t.busy /. now);
+      if now <= 0. then 0. else Time_ns.to_us (link i).busy /. now);
   if tracked then begin
-    Metrics.probe m ~labels "link.busy_ns" (fun () -> float_of_int t.busy);
-    Metrics.probe m ~labels "link.queue_depth" (fun () ->
-        float_of_int t.peak_outstanding);
-    Metrics.probe m ~labels "link.flows" (fun () -> float_of_int t.peak_flows);
-    Metrics.probe m ~labels "link.congestion_drops" (fun () ->
-        float_of_int t.drops)
-  end;
-  t
+    family "link.busy_ns" (fun i -> float_of_int (link i).busy);
+    family "link.queue_depth" (fun i -> float_of_int (link i).peak_outstanding);
+    family "link.flows" (fun i -> float_of_int (link i).peak_flows);
+    family "link.congestion_drops" (fun i -> float_of_int (link i).drops)
+  end
 
 let occupy t d =
   if Time_ns.compare d Time_ns.zero < 0 then

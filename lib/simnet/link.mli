@@ -36,8 +36,9 @@ val create :
   ?tracked:bool ->
   Sim_engine.Scheduler.t ->
   t
-(** [create sched] registers ["link.busy_us"] and ["link.utilization"]
-    probes labelled [("link", name)] in the scheduler's metrics registry.
+(** [create sched] is an idle link. Creating one registers no metric:
+    the owner of a set of links registers their probes once with
+    {!probe_family}.
 
     [bandwidth] (bytes/s) and [latency] (propagation delay, default 0)
     are used by {!transmit}; [queue_limit] bounds the number of
@@ -45,12 +46,23 @@ val create :
     those queued behind it) before further traffic is dropped — [None]
     (default) queues without bound, i.e. pure backpressure.
 
-    [tracked] (default false; topology hop links set it) additionally
+    [tracked] (default false; topology hop links set it) makes
+    {!transmit} maintain queue-depth and flow counts — the bookkeeping
+    costs one scheduler event per transmission, which the seed's
+    private-wire hot paths must not pay. *)
+
+val probe_family :
+  Sim_engine.Scheduler.t -> size:int -> (int -> t) -> unit
+(** [probe_family sched ~size link] registers the ["link.busy_us"] and
+    ["link.utilization"] probe families over links
+    [link 0 .. link (size - 1)] in [sched]'s metrics registry, member [i]
+    labelled [("link", name (link i))] (see
+    [Sim_engine.Metrics.probe_family]). For tracked links it also
     registers ["link.queue_depth"] (peak outstanding transmissions),
-    ["link.flows"] (peak concurrent distinct flows) and ["link.busy_ns"]
-    probes, and makes {!transmit} maintain the underlying counts — the
-    bookkeeping costs one scheduler event per transmission, which the
-    seed's private-wire hot paths must not pay. *)
+    ["link.flows"] (peak concurrent distinct flows),
+    ["link.congestion_drops"] and ["link.busy_ns"]; [link 0] decides
+    whether the links are tracked, so one family must not mix the two.
+    Utilisation is measured against [sched]'s clock. *)
 
 val occupy : t -> Sim_engine.Time_ns.t -> Sim_engine.Time_ns.t
 (** [occupy t d] reserves the resource for duration [d] starting at the

@@ -14,8 +14,8 @@ let create sched ~nid ~profile =
     sched;
     node_nid = nid;
     node_profile = profile;
-    cpu = Sim_engine.Cpu.create ~name:(Printf.sprintf "cpu%d" nid) sched;
-    link = Link.create ~name:(Printf.sprintf "link%d" nid) sched;
+    cpu = Sim_engine.Cpu.create ~name:("cpu" ^ string_of_int nid) sched;
+    link = Link.create ~name:("link" ^ string_of_int nid) sched;
     up = true;
     node_incarnation = 0;
     node_crashes = 0;

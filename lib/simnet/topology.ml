@@ -38,12 +38,12 @@ let neighbors t v =
   else List.rev t.adj.(v)
 
 let vertex_name t v =
-  if v < t.topo_nodes then Printf.sprintf "node%d" v
-  else Printf.sprintf "sw%d" (v - t.topo_nodes)
+  if v < t.topo_nodes then "node" ^ string_of_int v
+  else "sw" ^ string_of_int (v - t.topo_nodes)
 
 let link_name t id =
   let l = link t id in
-  Printf.sprintf "%s->%s" (vertex_name t l.src_v) (vertex_name t l.dst_v)
+  String.concat "->" [ vertex_name t l.src_v; vertex_name t l.dst_v ]
 
 let dims t =
   match t.kind with

@@ -21,13 +21,22 @@ type t = {
 
 let host_cpu_of fabric nid = Node.host_cpu (Fabric.node fabric nid)
 
+(* One serialising engine per node, named [prefix ^ nid]. The transport
+   owns the array, so it registers the engines' probes, one family per
+   metric. *)
+let node_engines fabric prefix =
+  let sched = Fabric.sched fabric in
+  let links =
+    Array.init (Fabric.node_count fabric) (fun nid ->
+        Link.create ~name:(prefix ^ string_of_int nid) sched)
+  in
+  Link.probe_family sched ~size:(Array.length links) (Array.get links);
+  links
+
 (* One receive engine (DMA or kernel-copy pipeline) per node: messages
    land in arrival order even when a small message tails a large one —
    the in-order guarantee of §2 must survive the landing stage. *)
-let rx_engines fabric =
-  let sched = Fabric.sched fabric in
-  Array.init (Fabric.node_count fabric) (fun nid ->
-      Link.create ~name:(Printf.sprintf "rx%d" nid) sched)
+let rx_engines fabric = node_engines fabric "rx"
 
 let offload fabric =
   let profile = Fabric.profile fabric in
@@ -80,10 +89,7 @@ let kernel_interrupt fabric =
   (* The kernel send path (syscall + bounce copy) is also a serialising
      stage — without it a small send would reach the wire before a large
      one posted just ahead of it. *)
-  let tx_engines =
-    Array.init (Fabric.node_count fabric) (fun nid ->
-        Link.create ~name:(Printf.sprintf "ktx%d" nid) sched)
-  in
+  let tx_engines = node_engines fabric "ktx" in
   let charge_rx nid cost = Cpu.steal (host_cpu_of fabric nid) cost in
   {
     sched;

@@ -724,6 +724,59 @@ let metrics_tests =
         | Some (Metrics.Snapshot.Gauge g) ->
           Alcotest.(check (float 1e-9)) "probe" 0.25 g
         | _ -> Alcotest.fail "probe missing");
+    Alcotest.test_case "probe family expands to one gauge per member"
+      `Quick (fun () ->
+        let m = Metrics.create () in
+        let names = [| "b"; "c"; "a" |] in
+        Metrics.probe_family m ~label:"link" ~size:3 ~member:(Array.get names)
+          "link.busy_us"
+          (fun i -> float_of_int (10 * i));
+        Metrics.probe m ~labels:[ ("link", "z") ] "link.busy_us" (fun () -> 7.);
+        Metrics.add (Metrics.counter m "a.count") 2;
+        let keys =
+          List.map
+            (fun (e : Metrics.Snapshot.entry) ->
+              (e.Metrics.Snapshot.name, e.Metrics.Snapshot.labels,
+               e.Metrics.Snapshot.value))
+            (Metrics.snapshot m)
+        in
+        let g v = Metrics.Snapshot.Gauge v in
+        Alcotest.(check bool) "sorted, one entry per member" true
+          (keys
+          = [
+              ("a.count", [], Metrics.Snapshot.Counter 2);
+              ("link.busy_us", [ ("link", "a") ], g 20.);
+              ("link.busy_us", [ ("link", "b") ], g 0.);
+              ("link.busy_us", [ ("link", "c") ], g 10.);
+              ("link.busy_us", [ ("link", "z") ], g 7.);
+            ]));
+    Alcotest.test_case "last registration of a family key wins" `Quick
+      (fun () ->
+        let m = Metrics.create () in
+        let member i = "cpu" ^ string_of_int i in
+        let family size v =
+          Metrics.probe_family m ~label:"cpu" ~size ~member "cpu.occupancy"
+            (fun _ -> v)
+        in
+        (* A probe shadowed by a later family, a family partly shadowed
+           by a later, smaller one, and a probe registered last. *)
+        Metrics.probe m ~labels:[ ("cpu", "cpu2") ] "cpu.occupancy" (fun () -> 9.);
+        family 3 1.;
+        family 2 2.;
+        Metrics.probe m ~labels:[ ("cpu", "cpu0") ] "cpu.occupancy" (fun () -> 3.);
+        let got =
+          List.map
+            (fun (e : Metrics.Snapshot.entry) ->
+              match e.Metrics.Snapshot.value with
+              | Metrics.Snapshot.Gauge v ->
+                (List.assoc "cpu" e.Metrics.Snapshot.labels, v)
+              | _ -> Alcotest.fail "not a gauge")
+            (Metrics.snapshot m)
+        in
+        Alcotest.(check (list (pair string (float 0.))))
+          "one entry per key, latest value"
+          [ ("cpu0", 3.); ("cpu1", 2.); ("cpu2", 1.) ]
+          got);
     Alcotest.test_case "summary moments" `Quick (fun () ->
         let m = Metrics.create () in
         let s = Metrics.summary m "rtt" in

@@ -925,9 +925,14 @@ let context_tests =
 let budget_payload = 50_000
 let payload_words = budget_payload / (Sys.word_size / 8)
 
+(* The counters take in the minor heap's words only when it is emptied;
+   emptying it on both sides makes the count exact instead of depending
+   on how full the heap was when [f] started. *)
 let words_during f =
+  Gc.minor ();
   let minor0, promoted0, major0 = Gc.counters () in
   let v = f () in
+  Gc.minor ();
   let minor1, promoted1, major1 = Gc.counters () in
   (v, int_of_float (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)))
 

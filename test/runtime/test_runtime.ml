@@ -526,6 +526,36 @@ let par_tests =
         Alcotest.(check int) "sum of ranks" 6 (Atomic.get total));
   ]
 
+let build_cost_tests =
+  [
+    Alcotest.test_case "a 2-domain world costs at most two 1-domain ones"
+      `Quick (fun () ->
+        (* Each shard holds a full replica of the fabric, so two shards
+           may cost twice one, but nothing the replicas share may grow
+           with the shard count. The constant covers the shard map, the
+           per-replica owner arrays and the window runtime (~12k words
+           measured). *)
+        let slack_words = 32_768. in
+        let words domains =
+          (* The counters take in the minor heap's words only when it is
+             emptied, so empty it on both sides. *)
+          Gc.minor ();
+          let minor0, promoted0, major0 = Gc.counters () in
+          let world =
+            Runtime.create_world ~seed:0
+              ~topology:(Simnet.Topology.Torus2d (64, 64))
+              ~domains ~nodes:4096 ()
+          in
+          Gc.minor ();
+          let minor1, promoted1, major1 = Gc.counters () in
+          Alcotest.(check int) "domains" domains (Runtime.domains world);
+          minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+        in
+        let one = words 1 and two = words 2 in
+        if two > (2. *. one) +. slack_words then
+          Alcotest.failf "2 domains allocate %.0f words, 1 domain %.0f" two one);
+  ]
+
 let () =
   Alcotest.run "runtime"
     [
@@ -534,4 +564,5 @@ let () =
       ("run env", env_tests);
       ("liveness", liveness_tests);
       ("parallel", par_tests);
+      ("setup", build_cost_tests);
     ]

@@ -1201,6 +1201,230 @@ let shard_map_tests =
           | exception Invalid_argument _ -> true));
   ]
 
+(* --- per-component probe families and world-build cost ---------------- *)
+
+(* Words this domain allocates while [f] runs. The counters take in the
+   minor heap's words only when it is emptied, so empty it on both
+   sides. *)
+let words_during f =
+  Gc.minor ();
+  let minor0, promoted0, major0 = Gc.counters () in
+  let v = f () in
+  Gc.minor ();
+  let minor1, promoted1, major1 = Gc.counters () in
+  (v, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
+let entry_key (e : Metrics.Snapshot.entry) =
+  (e.Metrics.Snapshot.name, e.Metrics.Snapshot.labels)
+
+let has_prefix p s =
+  String.length s >= String.length p && String.sub s 0 (String.length p) = p
+
+(* The snapshot entries under [prefix], as comparable tuples. *)
+let entries_with_prefix prefix snap =
+  List.filter_map
+    (fun (e : Metrics.Snapshot.entry) ->
+      if has_prefix prefix e.Metrics.Snapshot.name then
+        Some (e.Metrics.Snapshot.name, e.Metrics.Snapshot.labels, e.Metrics.Snapshot.value)
+      else None)
+    snap
+
+(* The probes a CPU or a link used to register for itself, one closure
+   per component, built here as the reference the families must match. *)
+let reference_cpu_probes m sched cpu =
+  let labels = [ ("cpu", Cpu.name cpu) ] in
+  Metrics.probe m ~labels "cpu.stolen_us" (fun () ->
+      Time_ns.to_us (Cpu.stolen_total cpu));
+  Metrics.probe m ~labels "cpu.compute_us" (fun () ->
+      Time_ns.to_us (Cpu.compute_total cpu));
+  Metrics.probe m ~labels "cpu.occupancy" (fun () ->
+      let now = Time_ns.to_us (Scheduler.now sched) in
+      if now <= 0. then 0.
+      else
+        (Time_ns.to_us (Cpu.compute_total cpu)
+        +. Time_ns.to_us (Cpu.stolen_total cpu))
+        /. now)
+
+let reference_link_probes m sched ~tracked link =
+  let labels = [ ("link", Link.name link) ] in
+  let busy () = Link.busy_time link in
+  Metrics.probe m ~labels "link.busy_us" (fun () -> Time_ns.to_us (busy ()));
+  Metrics.probe m ~labels "link.utilization" (fun () ->
+      let now = Time_ns.to_us (Scheduler.now sched) in
+      if now <= 0. then 0. else Time_ns.to_us (busy ()) /. now);
+  if tracked then begin
+    Metrics.probe m ~labels "link.busy_ns" (fun () -> float_of_int (busy ()));
+    Metrics.probe m ~labels "link.queue_depth" (fun () ->
+        float_of_int (Link.peak_queue_depth link));
+    Metrics.probe m ~labels "link.flows" (fun () ->
+        float_of_int (Link.peak_flows link));
+    Metrics.probe m ~labels "link.congestion_drops" (fun () ->
+        float_of_int (Link.congestion_drops link))
+  end
+
+let probe_family_tests =
+  [
+    Alcotest.test_case "3x3 torus snapshots the per-component cpu/link entries"
+      `Quick (fun () ->
+        let sched = Scheduler.create () in
+        let fabric =
+          Fabric.create ~topology:(Topology.Torus2d (3, 3)) ~queue_limit:2
+            sched ~profile:Profile.myrinet_kernel ~nodes:9
+        in
+        let transport = Transport.kernel_interrupt fabric in
+        for nid = 0 to 8 do
+          transport.Transport.register (pid nid 0) (fun ~src:_ _ -> ())
+        done;
+        (* Compute on some CPUs while every node sends a burst to two
+           peers, so CPUs, node links, hop links (queues, flows,
+           congestion drops) and both engine arrays all move. *)
+        Scheduler.spawn sched (fun () ->
+            Cpu.compute (Node.host_cpu (Fabric.node fabric 4)) (Time_ns.us 40.));
+        for nid = 0 to 8 do
+          for k = 1 to 2 do
+            for _ = 1 to 3 do
+              transport.Transport.send ~src:(pid nid 0)
+                ~dst:(pid ((nid + (3 * k)) mod 9) 0)
+                (Bytes.create (500 * k))
+            done
+          done
+        done;
+        (* Raw bursts onto the hop links, past the queue limit. *)
+        for nid = 1 to 8 do
+          for _ = 1 to 4 do
+            Fabric.send fabric ~src:(pid nid 0) ~dst:(pid 0 0) (Bytes.create 2000)
+          done
+        done;
+        Scheduler.run sched;
+        let snap = Metrics.snapshot (Scheduler.metrics sched) in
+        let reference = Metrics.create () in
+        for nid = 0 to 8 do
+          let node = Fabric.node fabric nid in
+          reference_cpu_probes reference sched (Node.host_cpu node);
+          reference_link_probes reference sched ~tracked:false (Node.tx_link node)
+        done;
+        for id = 0 to Topology.link_count (Fabric.topology fabric) - 1 do
+          reference_link_probes reference sched ~tracked:true
+            (Fabric.hop_link fabric id)
+        done;
+        let want = Metrics.snapshot reference in
+        Alcotest.(check int) "every cpu entry" 27
+          (List.length (entries_with_prefix "cpu." snap));
+        Alcotest.(check bool) "cpu.* identical to per-cpu probes" true
+          (entries_with_prefix "cpu." snap = entries_with_prefix "cpu." want);
+        Alcotest.(check bool) "some hop link dropped" true
+          ((Fabric.stats fabric).Fabric.drops_congested > 0);
+        (* Engine links are private to the transport: check each rx/ktx
+           entry exists once and its utilisation is busy time over now. *)
+        let is_engine (_, labels, _) =
+          match labels with
+          | [ ("link", l) ] -> has_prefix "rx" l || has_prefix "ktx" l
+          | _ -> false
+        in
+        let links = entries_with_prefix "link." snap in
+        let fabric_links = List.filter (fun e -> not (is_engine e)) links in
+        Alcotest.(check bool) "link.* of fabric parts identical" true
+          (fabric_links = entries_with_prefix "link." want);
+        let engines = List.filter is_engine links in
+        Alcotest.(check int) "busy_us + utilization per engine" (2 * 18)
+          (List.length engines);
+        let now = Time_ns.to_us (Scheduler.now sched) in
+        List.iter
+          (fun (name, labels, value) ->
+            if name = "link.busy_us" then
+              match
+                ( value,
+                  Metrics.Snapshot.find snap ~labels "link.utilization" )
+              with
+              | Metrics.Snapshot.Gauge busy, Some (Metrics.Snapshot.Gauge u) ->
+                Alcotest.(check (float 1e-12)) "utilization" (busy /. now) u
+              | _ -> Alcotest.fail "engine gauges missing")
+          engines;
+        Alcotest.(check bool) "rx engines did work" true
+          (List.exists
+             (fun (name, labels, value) ->
+               name = "link.busy_us"
+               && labels = [ ("link", "rx0") ]
+               && value <> Metrics.Snapshot.Gauge 0.)
+             engines));
+    Alcotest.test_case "two transports over one fabric: one entry per key"
+      `Quick (fun () ->
+        let sched, fabric = mk_fabric ~nodes:2 () in
+        let _first = Transport.offload fabric in
+        let second = Transport.offload fabric in
+        second.Transport.register (pid 1 0) (fun ~src:_ _ -> ());
+        second.Transport.send ~src:(pid 0 0) ~dst:(pid 1 0) (Bytes.create 64);
+        Scheduler.run sched;
+        let snap = Metrics.snapshot (Scheduler.metrics sched) in
+        let keys = List.map entry_key snap in
+        Alcotest.(check int) "no duplicate keys" (List.length keys)
+          (List.length (List.sort_uniq compare keys));
+        match
+          Metrics.Snapshot.filter snap "link.busy_us"
+          |> List.filter (fun (e : Metrics.Snapshot.entry) ->
+                 e.Metrics.Snapshot.labels = [ ("link", "rx1") ])
+        with
+        | [ { Metrics.Snapshot.value = Metrics.Snapshot.Gauge busy; _ } ] ->
+          (* Only the second transport's engine landed the message. *)
+          Alcotest.(check bool) "last registration wins" true (busy > 0.)
+        | _ -> Alcotest.fail "expected exactly one rx1 entry");
+    Alcotest.test_case "drop counters for pid-0 and nonzero-pid pairs" `Quick
+      (fun () ->
+        let sched, fabric = mk_fabric () in
+        Fabric.set_fault_model fabric (Some (Fault.bernoulli ~seed:1 ~p:1.0 ()));
+        let send src dst n =
+          for _ = 1 to n do
+            Fabric.send fabric ~src ~dst (Bytes.create 8)
+          done
+        in
+        send (pid 0 0) (pid 1 0) 2;
+        send (pid 0 1) (pid 1 0) 1;
+        send (pid 2 0) (pid 3 5) 3;
+        send (pid 3 2) (pid 3 2) 4;
+        Scheduler.run sched;
+        let snap = Metrics.snapshot (Scheduler.metrics sched) in
+        let counts =
+          List.map
+            (fun (e : Metrics.Snapshot.entry) ->
+              match e.Metrics.Snapshot.value with
+              | Metrics.Snapshot.Counter n ->
+                ( List.assoc "src" e.Metrics.Snapshot.labels,
+                  List.assoc "dst" e.Metrics.Snapshot.labels,
+                  n )
+              | _ -> Alcotest.fail "not a counter")
+            (Metrics.Snapshot.filter snap "fabric.drops_injected")
+        in
+        Alcotest.(check (list (triple string string int)))
+          "one labelled counter per pair, sorted by (dst, src)"
+          [
+            ("0:0", "1:0", 2);
+            ("0:1", "1:0", 1);
+            ("3:2", "3:2", 4);
+            ("2:0", "3:5", 3);
+          ]
+          counts;
+        Alcotest.(check int) "stats total is their sum" 10
+          (Fabric.stats fabric).Fabric.drops_injected);
+    Alcotest.test_case "64x64 torus fabric builds within a per-node budget"
+      `Quick (fun () ->
+        (* Measured at 571 words per node (OCaml 5.1, 64-bit); the budget
+           leaves about 55% headroom. A nodes x nodes table alone would
+           cost 4096 words per node here. *)
+        let budget_per_node = 900. in
+        let nodes = 64 * 64 in
+        let sched = Scheduler.create () in
+        let fabric, words =
+          words_during (fun () ->
+              Fabric.create ~topology:(Topology.Torus2d (64, 64)) sched
+                ~profile:Profile.myrinet_mcp ~nodes)
+        in
+        Alcotest.(check int) "built" nodes (Fabric.node_count fabric);
+        let per_node = words /. float_of_int nodes in
+        if per_node > budget_per_node then
+          Alcotest.failf "%.0f words per node, budget %.0f" per_node
+            budget_per_node);
+  ]
+
 let () =
   Alcotest.run "simnet"
     [
@@ -1218,4 +1442,5 @@ let () =
       ("crash", crash_tests);
       ("shard_map", shard_map_tests);
       ("transport", transport_tests);
+      ("probe_families", probe_family_tests);
     ]
