@@ -34,6 +34,18 @@ type t = {
   scratch_mdh : P.Handle.md;
 }
 
+exception Eq_overflow of { capacity : int; dropped : int }
+
+let () =
+  Printexc.register_printer (function
+    | Eq_overflow { capacity; dropped } ->
+      Some
+        (Printf.sprintf
+           "Pool.Eq_overflow: the pool's event queue (capacity %d) dropped %d \
+            arrivals; size it from the job"
+           capacity dropped)
+    | _ -> None)
+
 let ok_exn = P.Errors.ok_exn
 
 let slab_options =
@@ -167,8 +179,14 @@ let take t ~bits =
     t.pending_count <- t.pending_count - 1;
     Some p
 
+let check_overflow t =
+  let dropped = P.Event.Queue.dropped t.eqq in
+  if dropped > 0 then
+    raise (Eq_overflow { capacity = P.Event.Queue.capacity t.eqq; dropped })
+
 let rec recv t ~bits =
   drain t;
+  check_overflow t;
   match take t ~bits with
   | Some p ->
     let data = Bytes.sub p.p_slab.s_buffer p.p_off p.p_len in

@@ -12,6 +12,10 @@
 
 type t
 
+exception Eq_overflow of { capacity : int; dropped : int }
+(** The pool's event queue of [capacity] entries overflowed and lost
+    [dropped] arrivals. Their messages can never be claimed. *)
+
 val create :
   Portals.Ni.t ->
   portal_index:int ->
@@ -20,7 +24,11 @@ val create :
   ?eq_capacity:int ->
   unit ->
   t
-(** Defaults: 4 slabs of 128 KiB, EQ depth 4096. *)
+(** Defaults: 4 slabs of 128 KiB, EQ depth 4096. The EQ must hold every
+    arrival the owner has not yet drained: size it from the job (for a
+    gather, at least the number of messages in flight to this rank). Its
+    ring grows with use, so depth costs nothing on ranks that receive
+    little. *)
 
 val ni : t -> Portals.Ni.t
 
@@ -32,7 +40,10 @@ val send :
 val recv : t -> bits:Portals.Match_bits.t -> bytes
 (** Fiber-only: block until a pooled message with exactly [bits] has
     arrived, remove it from the pool and return a copy of its payload.
-    Messages with the same bits are claimed in arrival order. *)
+    Messages with the same bits are claimed in arrival order.
+
+    Raises {!Eq_overflow} once the pool's event queue has dropped an
+    arrival, rather than blocking on a message that was lost. *)
 
 val pending : t -> int
 (** Messages sitting in the pool (drained events not yet claimed). *)

@@ -32,9 +32,13 @@ let pp ppf t =
 module Queue = struct
   type event = t
 
+  (* The ring starts empty and doubles on demand up to [capacity], so a
+     queue costs what it holds rather than what it could hold: a deep EQ
+     on a rank that never receives stays a few words. *)
   type t = {
     sched : Sim_engine.Scheduler.t;
-    ring : event option array;
+    capacity : int;
+    mutable ring : event option array;
     mutable head : int; (* next read position *)
     mutable len : int;
     mutable dropped : int;
@@ -49,7 +53,8 @@ module Queue = struct
     let t =
       {
         sched;
-        ring = Array.make capacity None;
+        capacity;
+        ring = [||];
         head = 0;
         len = 0;
         dropped = 0;
@@ -73,9 +78,9 @@ module Queue = struct
           float_of_int t.dropped));
     t
 
-  let capacity t = Array.length t.ring
+  let capacity t = t.capacity
   let count t = t.len
-  let is_full t = t.len = Array.length t.ring
+  let is_full t = t.len = t.capacity
 
   let record_depth t =
     match t.depth_series with
@@ -85,12 +90,26 @@ module Queue = struct
         ~x:(Sim_engine.Time_ns.to_us (Sim_engine.Scheduler.now t.sched))
         ~y:(float_of_int t.len)
 
+  (* Called with the ring full and [len < capacity]: move the entries,
+     oldest first, to the front of a ring twice the size (at least 8
+     slots, at most [capacity]). *)
+  let grow t =
+    let old = t.ring in
+    let size = Array.length old in
+    let ring = Array.make (min t.capacity (max 8 (2 * size))) None in
+    let first = size - t.head in
+    Array.blit old t.head ring 0 first;
+    Array.blit old 0 ring first t.head;
+    t.ring <- ring;
+    t.head <- 0
+
   let post t ev =
     if is_full t then begin
       t.dropped <- t.dropped + 1;
       false
     end
     else begin
+      if t.len = Array.length t.ring then grow t;
       let tail = (t.head + t.len) mod Array.length t.ring in
       t.ring.(tail) <- Some ev;
       t.len <- t.len + 1;

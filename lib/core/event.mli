@@ -6,7 +6,15 @@
     there are enough event slots and the rate of event consumption is able
     to keep up with the rate of event production to avoid missing events"
     (§4.8). A post to a full queue is counted as dropped; readers observe
-    the loss through {!Queue.dropped} (the [PTL_EQ_DROPPED] condition). *)
+    the loss through {!Queue.dropped} (the [PTL_EQ_DROPPED] condition).
+
+    Cost model: a queue pays for the events it holds, not for its
+    capacity. Its ring starts empty and doubles (from 8 slots) as events
+    arrive, up to [capacity], copying the queued entries in arrival
+    order; it never shrinks. Creating a queue allocates the same few
+    words whatever its capacity, so a deep queue on an endpoint that
+    never receives is free, and one that fills pays about twice its
+    high-water depth over its life. *)
 
 type kind =
   | Sent  (** Initiator: an outgoing put left the local interface. *)
@@ -51,7 +59,8 @@ module Queue : sig
   type t
 
   val create : ?name:string -> Sim_engine.Scheduler.t -> capacity:int -> t
-  (** Raises [Invalid_argument] if capacity is not positive. With [name],
+  (** Raises [Invalid_argument] if capacity is not positive. No slot is
+      allocated until the first {!post}. With [name],
       the queue registers an ["eq.depth"] time-series (µs, depth) and
       ["eq.posted"]/["eq.dropped"] probes labelled [("eq", name)] in the
       scheduler's metrics registry. *)
@@ -63,8 +72,8 @@ module Queue : sig
   val is_full : t -> bool
 
   val post : t -> event -> bool
-  (** Append an event; false (and the dropped counter ticks) when full.
-      Wakes blocked {!wait}ers. *)
+  (** Append an event; false (and the dropped counter ticks) exactly when
+      [count = capacity]. Wakes blocked {!wait}ers. *)
 
   val get : t -> event option
   (** Non-blocking read in arrival order ([PtlEQGet]). *)

@@ -265,7 +265,7 @@ let counters t =
 let eq_alloc t ~capacity =
   if capacity <= 0 then Error Errors.Invalid_arg
   else begin
-    let name = Format.asprintf "%a#%d" Simnet.Proc_id.pp t.self t.eq_seq in
+    let name = Simnet.Proc_id.to_string t.self ^ "#" ^ string_of_int t.eq_seq in
     t.eq_seq <- t.eq_seq + 1;
     Ok (Handle.Table.alloc t.eqs (Event.Queue.create ~name (sched t) ~capacity))
   end
@@ -1116,7 +1116,7 @@ let create tp ~id:self ?(portal_table_size = 64) ?(acl_size = 16) () =
      as probes: the receive path keeps its plain integer bumps, and the
      registry polls them only at snapshot time. *)
   let m = Scheduler.metrics (sched t) in
-  let proc = Format.asprintf "%a" Simnet.Proc_id.pp self in
+  let proc = Simnet.Proc_id.to_string self in
   List.iter
     (fun reason ->
       Metrics.probe m

@@ -3,15 +3,18 @@
    and the CLI read a uniform snapshot back out instead of stitching
    together per-module records.
 
-   Instruments are keyed by (name, sorted labels); registering the same key
-   twice returns the same instrument, so components created in loops (one
-   NI per rank, one link per node) can register unconditionally. Probes are
-   polled only at snapshot time, so hot paths pay nothing for them; the
-   mutating instruments pay one branch on the shared [enabled] flag.
+   Counters, gauges, summaries and series are keyed by (name, sorted
+   labels) in a table; registering the same key twice returns the same
+   instrument, so components created in loops (one NI per rank, one link
+   per node) can register unconditionally. The mutating instruments pay
+   one branch on the shared [enabled] flag.
 
-   A probe family stands for one probe per member of an array (every CPU,
-   every link) as a single registration: no per-member closure, label
-   list or table entry exists until a snapshot expands it. *)
+   Probes and probe families are snapshot-time gauges and never enter the
+   table. A probe is one record pushed on a list, with its labels as
+   given; a family stands for one probe per member of an array (every
+   CPU, every link) as a single registration. Normalising labels,
+   resolving keys and polling all happen when a snapshot is taken, so
+   registering an NI's 29 probes makes 29 list cells. *)
 
 type labels = (string * string) list
 
@@ -46,18 +49,15 @@ type series = {
 type instrument =
   | Counter of counter
   | Gauge of gauge
-  | Probe of (unit -> float)
   | Summary of summary
   | Series of series
 
 (* [stamp] orders registrations, so a snapshot can let the latest one
-   win where a family member and another registration share a key. *)
-type entry = {
-  name : string;
-  labels : labels;
-  mutable instrument : instrument;
-  mutable stamp : int;
-}
+   win where a probe, a family member or a table entry share a key. *)
+type entry = { name : string; labels : labels; instrument : instrument; stamp : int }
+
+(* Labels as the caller gave them: normalised only by [snapshot]. *)
+type probe = { p_name : string; p_labels : labels; p_read : unit -> float; p_stamp : int }
 
 type family = {
   f_name : string;
@@ -76,6 +76,7 @@ type t = {
      the curves. Deep-dive experiments (Fig. 5/6 worlds) switch it on. *)
   detail : bool ref;
   mutable rev_entries : entry list;
+  mutable rev_probes : probe list;
   mutable rev_families : family list;
   mutable last_stamp : int;
   tbl : (string * labels, entry) Hashtbl.t;
@@ -86,6 +87,7 @@ let create ?(enabled = true) ?(detail = false) () =
     enabled = ref enabled;
     detail = ref detail;
     rev_entries = [];
+    rev_probes = [];
     rev_families = [];
     last_stamp = 0;
     tbl = Hashtbl.create 64;
@@ -99,7 +101,6 @@ let set_detail t on = t.detail := on
 let kind_name = function
   | Counter _ -> "counter"
   | Gauge _ -> "gauge"
-  | Probe _ -> "probe"
   | Summary _ -> "summary"
   | Series _ -> "series"
 
@@ -141,16 +142,13 @@ let gauge t ?(labels = []) name =
   | Gauge g -> g
   | other -> mismatch name "gauge" (kind_name other)
 
+(* A later probe under the same key shadows an earlier one at snapshot
+   time: a component recreated under the same identity (e.g. a fresh NI
+   for the same rank) must not publish its predecessor's counters. *)
 let probe t ?(labels = []) name f =
-  (* Re-registering a probe rebinds it: a component recreated under the
-     same identity (e.g. a fresh NI for the same rank) must not leave a
-     stale closure polling dead state. *)
-  let entry = register t name labels (fun () -> Probe f) in
-  match entry.instrument with
-  | Probe _ ->
-    entry.instrument <- Probe f;
-    entry.stamp <- next_stamp t
-  | other -> mismatch name "probe" (kind_name other)
+  t.rev_probes <-
+    { p_name = name; p_labels = labels; p_read = f; p_stamp = next_stamp t }
+    :: t.rev_probes
 
 let probe_family t ~label ~size ~member name f =
   t.rev_families <-
@@ -219,7 +217,6 @@ let reset t =
       match e.instrument with
       | Counter c -> c.c_value <- 0
       | Gauge g -> g.g_value <- 0.
-      | Probe _ -> ()
       | Summary m ->
         m.m_count <- 0;
         m.m_total <- 0.;
@@ -285,52 +282,91 @@ let summary_stats m =
       total = m.m_total;
     }
 
-let snapshot t : Snapshot.t =
-  let capture e : Snapshot.entry =
-    let value =
-      match e.instrument with
-      | Counter c -> Snapshot.Counter c.c_value
-      | Gauge g -> Snapshot.Gauge g.g_value
-      | Probe f -> Snapshot.Gauge (f ())
-      | Summary m -> summary_stats m
-      | Series r -> Snapshot.Series (series_points r)
-    in
-    { Snapshot.name = e.name; labels = e.labels; value }
+(* Where a snapshot row comes from; polled only once it has won its key. *)
+type source = Entry of entry | Probe of probe | Member of family * int
+
+type row = { r_name : string; r_labels : labels; r_stamp : int; r_source : source }
+
+let poll row : Snapshot.entry =
+  let value =
+    match row.r_source with
+    | Entry { instrument = Counter c; _ } -> Snapshot.Counter c.c_value
+    | Entry { instrument = Gauge g; _ } -> Snapshot.Gauge g.g_value
+    | Entry { instrument = Summary m; _ } -> summary_stats m
+    | Entry { instrument = Series r; _ } -> Snapshot.Series (series_points r)
+    | Probe p -> Snapshot.Gauge (p.p_read ())
+    | Member (f, i) -> Snapshot.Gauge (f.f_value i)
   in
-  let expand acc f =
+  { Snapshot.name = row.r_name; labels = row.r_labels; value }
+
+let snapshot t : Snapshot.t =
+  let of_entry acc e =
+    { r_name = e.name; r_labels = e.labels; r_stamp = e.stamp; r_source = Entry e }
+    :: acc
+  in
+  let of_probe acc p =
+    {
+      r_name = p.p_name;
+      r_labels = normalize_labels p.p_labels;
+      r_stamp = p.p_stamp;
+      r_source = Probe p;
+    }
+    :: acc
+  in
+  let of_family acc f =
     let rec go i acc =
       if i < 0 then acc
       else
-        let e =
-          {
-            Snapshot.name = f.f_name;
-            labels = [ (f.f_label, f.f_member i) ];
-            value = Snapshot.Gauge (f.f_value i);
-          }
-        in
-        go (i - 1) ((f.f_stamp, e) :: acc)
+        go (i - 1)
+          ({
+             r_name = f.f_name;
+             r_labels = [ (f.f_label, f.f_member i) ];
+             r_stamp = f.f_stamp;
+             r_source = Member (f, i);
+           }
+          :: acc)
     in
     go (f.f_size - 1) acc
   in
-  let by_key (a : Snapshot.entry) (b : Snapshot.entry) =
-    match String.compare a.Snapshot.name b.Snapshot.name with
-    | 0 -> compare a.Snapshot.labels b.Snapshot.labels
+  let by_key a b =
+    match String.compare a.r_name b.r_name with
+    | 0 -> compare a.r_labels b.r_labels
     | c -> c
   in
   (* Sorted by key with the latest registration first, so keeping the
-     first entry of each key lets the last registration win. *)
-  let order (sa, a) (sb, b) =
-    match by_key a b with 0 -> Int.compare sb sa | c -> c
+     first row of each key lets the last registration win. *)
+  let order a b = match by_key a b with 0 -> Int.compare b.r_stamp a.r_stamp | c -> c in
+  (* A probe and a table instrument may not share a key, in either
+     order; the error names the later of the two as the one wanted. *)
+  let check_kinds group =
+    let entry =
+      List.find_map (fun r -> match r.r_source with Entry e -> Some e | _ -> None) group
+    in
+    (* [group] runs latest first, so the last probe seen is the earliest. *)
+    let first_probe =
+      List.fold_left
+        (fun acc r -> match r.r_source with Probe p -> Some p.p_stamp | _ -> acc)
+        None group
+    in
+    match (entry, first_probe) with
+    | Some e, Some p when p > e.stamp -> mismatch e.name "probe" (kind_name e.instrument)
+    | Some e, Some _ -> mismatch e.name (kind_name e.instrument) "probe"
+    | _ -> ()
   in
-  let rec latest acc = function
-    | (_, e) :: rest -> (
-      match acc with
-      | prev :: _ when by_key prev e = 0 -> latest acc rest
-      | _ -> latest (e :: acc) rest)
+  let rec resolve acc = function
     | [] -> List.rev acc
+    | winner :: rest ->
+      let rec split shadowed = function
+        | row :: rest when by_key winner row = 0 -> split (row :: shadowed) rest
+        | rest -> (shadowed, rest)
+      in
+      let shadowed, rest = split [] rest in
+      (match shadowed with [] -> () | _ -> check_kinds (winner :: List.rev shadowed));
+      resolve (poll winner :: acc) rest
   in
-  let stamped = List.rev_map (fun e -> (e.stamp, capture e)) t.rev_entries in
-  List.fold_left expand stamped t.rev_families |> List.sort order |> latest []
+  let rows = List.fold_left of_entry [] t.rev_entries in
+  let rows = List.fold_left of_probe rows t.rev_probes in
+  List.fold_left of_family rows t.rev_families |> List.sort order |> resolve []
 
 let absorb t ?(labels = []) (snap : Snapshot.t) =
   List.iter

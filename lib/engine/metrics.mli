@@ -11,13 +11,23 @@
     the arithmetic; probes are closures polled only by {!snapshot}, so the
     instrumented hot path pays nothing for them. Disabling the registry
     ({!set_enabled}) turns every mutation into a single load-and-branch.
+    Registering a counter, gauge, summary or series normalises its labels
+    and makes one table entry. Registering a {!probe} or a
+    {!probe_family} is one record on a list: labels are normalised, keys
+    resolved and values polled only when a snapshot is taken, so that
+    cost moves from every component's setup to the (rare) snapshot. A
+    probe shadowed by a later one stays reachable until the registry is
+    dropped.
 
-    Registration is idempotent: asking for an instrument under an existing
-    (name, labels) key returns the already-registered instrument.
-    Re-registering a {!probe} rebinds the closure — components recreated
-    under the same identity replace their predecessor's probe. Asking for
-    a key that exists with a different instrument kind raises
-    [Invalid_argument].
+    Registration is idempotent: asking for a counter, gauge, summary or
+    series under an existing (name, labels) key returns the
+    already-registered instrument. Asking for such a key that exists with
+    a different instrument kind raises [Invalid_argument]. A later
+    {!probe} under an existing probe's key shadows it — components
+    recreated under the same identity replace their predecessor's probe.
+    A probe whose key is also a counter's, gauge's, summary's or series'
+    makes {!snapshot} raise [Invalid_argument], whichever was registered
+    first.
 
     Per-component gauges (one per CPU, link or receive engine) are
     registered as {!probe_family}: one registration per metric for a
@@ -68,7 +78,8 @@ val gauge_value : gauge -> float
 
 val probe : t -> ?labels:labels -> string -> (unit -> float) -> unit
 (** [probe t name f] registers a gauge whose value is [f ()] polled at
-    {!snapshot} time. *)
+    {!snapshot} time. The last probe or family member registered under a
+    (name, labels) key is the one a snapshot shows. *)
 
 val probe_family :
   t ->
@@ -137,7 +148,9 @@ end
 
 val snapshot : t -> Snapshot.t
 (** Capture every instrument's current value; probes and family members
-    are polled here. *)
+    are polled here, and only those that won their key. Raises
+    [Invalid_argument] if a probe shares its key with a counter, gauge,
+    summary or series. *)
 
 val absorb : t -> ?labels:labels -> Snapshot.t -> unit
 (** [absorb t ~labels snap] merges a snapshot into [t], prefixing every

@@ -152,9 +152,15 @@ let run_perf ?(node_counts = [ 64; 128; 256; 512; 1024 ]) ?(rounds = 4)
         nis
     in
     (* The gather pool lives on its own portal entry, away from the
-       collectives' (default entry 6). *)
+       collectives' (default entry 6). Its EQ follows the job: the root
+       drains round r's fragments before it joins allreduce r + 1, which
+       every sender must pass before sending round r + 2, so at most two
+       rounds' fragments wait undrained. The ring grows only on the root. *)
+    let eq_capacity = max 1 (2 * (n - 1) * frags) in
     let pools =
-      Array.map (fun ni -> Collectives.Pool.create ni ~portal_index:7 ()) nis
+      Array.map
+        (fun ni -> Collectives.Pool.create ni ~portal_index:7 ~eq_capacity ())
+        nis
     in
     Array.iter
       (fun coll ->

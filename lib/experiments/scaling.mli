@@ -55,7 +55,9 @@ val run_perf :
     a segmented gather to rank 0 ([frags] 8-byte fragments per rank,
     claimed per-sender by match bits after an allreduce has let them all
     arrive unexpected) plus an 8-float allreduce. World setup and a
-    warmup barrier are excluded from the measurement. Defaults: 64, 128,
+    warmup barrier are excluded from the measurement. The gather pools'
+    event queues hold [2 * (nodes - 1) * frags] events, two rounds of
+    fragments, so the sweep runs at any node count. Defaults: 64, 128,
     256, 512 and 1024 nodes, 4 rounds, 4 fragments. *)
 
 val pp_perf : Format.formatter -> perf_row list -> unit

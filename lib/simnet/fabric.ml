@@ -57,6 +57,12 @@ type par = {
   par_post : dst_shard:int -> time:Time_ns.t -> remote -> unit;
 }
 
+(* Crash or restart callbacks in registration order: a growable array
+   with a count, so registering one is amortized O(1). *)
+type listeners = { mutable fns : (Proc_id.nid -> unit) array; mutable count : int }
+
+let new_listeners () = { fns = [||]; count = 0 }
+
 type t = {
   fabric_sched : Scheduler.t;
   fabric_profile : Profile.t;
@@ -111,8 +117,8 @@ type t = {
   dup_injected : Stats.Counter.t;
   crash_count : Stats.Counter.t;
   restart_count : Stats.Counter.t;
-  mutable crash_listeners : (Proc_id.nid -> unit) array;
-  mutable restart_listeners : (Proc_id.nid -> unit) array;
+  crash_listeners : listeners;
+  restart_listeners : listeners;
   (* Injected drops are counted per (src, dst) pair in the registry;
      [stats] derives the total by summing these. A pair's counter is
      created by its first drop, so the table grows with the traffic
@@ -162,8 +168,8 @@ let create ?(topology = Topology.Full) ?queue_limit sched ~profile ~nodes =
       dup_injected = Stats.Counter.create ~name:"fabric.dup_injected" ();
       crash_count = Stats.Counter.create ~name:"fabric.crashes" ();
       restart_count = Stats.Counter.create ~name:"fabric.restarts" ();
-      crash_listeners = [||];
-      restart_listeners = [||];
+      crash_listeners = new_listeners ();
+      restart_listeners = new_listeners ();
       drop_pairs = Hashtbl.create 16;
     }
   in
@@ -271,9 +277,25 @@ let owns t nid =
    authority for. Remote handler tables live on the owning shard. *)
 let endpoint_live t pid = if owns t pid.Proc_id.nid then is_registered t pid else true
 
-let append_listener arr f = Array.append arr [| f |]
-let on_crash t f = t.crash_listeners <- append_listener t.crash_listeners f
-let on_restart t f = t.restart_listeners <- append_listener t.restart_listeners f
+let append_listener l f =
+  if l.count = Array.length l.fns then begin
+    let fns = Array.make (max 4 (2 * l.count)) f in
+    Array.blit l.fns 0 fns 0 l.count;
+    l.fns <- fns
+  end;
+  l.fns.(l.count) <- f;
+  l.count <- l.count + 1
+
+(* Only the listeners registered before this event fire: one appended by
+   a running listener waits for the next event. *)
+let fire l nid =
+  let n = l.count in
+  for i = 0 to n - 1 do
+    l.fns.(i) nid
+  done
+
+let on_crash t f = append_listener t.crash_listeners f
+let on_restart t f = append_listener t.restart_listeners f
 
 (* In parallel mode this runs on {e every} shard at the same simulated
    time (the schedule is replicated), so each shard's replica of the
@@ -289,13 +311,13 @@ let crash t nid =
      fabric and its resident fibers are destroyed. *)
   Array.fill t.handlers.(nid) 0 (Array.length t.handlers.(nid)) None;
   ignore (Scheduler.kill_domain t.fabric_sched nid);
-  Array.iter (fun f -> f nid) t.crash_listeners
+  fire t.crash_listeners nid
 
 let restart t nid =
   let n = node t nid in
   Node.restart n;
   if owns t nid then Stats.Counter.incr t.restart_count;
-  Array.iter (fun f -> f nid) t.restart_listeners
+  fire t.restart_listeners nid
 
 let apply_crash_schedule t schedule =
   List.iter

@@ -156,7 +156,13 @@ val on_crash : t -> (Proc_id.nid -> unit) -> unit
 (** Register a callback run (in registration order) after a node has been
     crash-stopped — processes already deregistered, fibers already
     killed. Layers with per-peer state (reliability, MPI endpoints)
-    subscribe to observe failures promptly. *)
+    subscribe to observe failures promptly.
+
+    Cost: registering appends to a growable array in amortized O(1), so
+    a world whose every rank subscribes builds its listener list in
+    O(ranks). A crash calls each listener once. A listener registered
+    while listeners are running does not run for that crash, only for
+    later ones. *)
 
 val on_restart : t -> (Proc_id.nid -> unit) -> unit
 (** Same, run after a node restarts (incarnation already bumped). *)

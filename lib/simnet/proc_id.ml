@@ -9,4 +9,4 @@ let compare a b =
 
 let hash t = (t.nid * 65_537) + t.pid
 let pp ppf t = Format.fprintf ppf "%d:%d" t.nid t.pid
-let to_string t = Format.asprintf "%a" pp t
+let to_string t = string_of_int t.nid ^ ":" ^ string_of_int t.pid

@@ -282,6 +282,71 @@ let pool_tests =
           "per-key order" [ "b1"; "a1"; "b2"; "a2"; "a3" ] (List.rev !got);
         Alcotest.(check int) "pool drained" 0
           (Collectives.Pool.pending pools.(0)));
+    Alcotest.test_case "an overflowed pool EQ raises, not Deadlock" `Quick
+      (fun () ->
+        (* Three arrivals into a two-entry EQ while the root sleeps: the
+           third is dropped, so its message can never be claimed. *)
+        let world = Runtime.create_world ~nodes:4 () in
+        let pools =
+          Array.map
+            (fun pid ->
+              Collectives.Pool.create
+                (Portals.Ni.create world.Runtime.transport ~id:pid ())
+                ~portal_index:6 ~eq_capacity:2 ())
+            world.Runtime.ranks
+        in
+        for rank = 1 to 3 do
+          Scheduler.spawn world.Runtime.sched (fun () ->
+              Collectives.Pool.send pools.(rank) ~dst:world.Runtime.ranks.(0)
+                ~bits:(Portals.Match_bits.of_int rank) (Bytes.of_string "m"))
+        done;
+        let outcome = ref None in
+        Scheduler.spawn world.Runtime.sched (fun () ->
+            Scheduler.delay world.Runtime.sched (Time_ns.ms 10.);
+            outcome :=
+              Some
+                (try
+                   List.iter
+                     (fun k ->
+                       ignore
+                         (Collectives.Pool.recv pools.(0)
+                            ~bits:(Portals.Match_bits.of_int k)))
+                     [ 1; 2; 3 ];
+                   Ok ()
+                 with Collectives.Pool.Eq_overflow { capacity; dropped } ->
+                   Error (capacity, dropped)));
+        Runtime.run world;
+        Alcotest.(check (option (result unit (pair int int))))
+          "capacity 2, one dropped" (Some (Error (2, 1))) !outcome);
+    Alcotest.test_case "endpoint words per rank at 1024 nodes" `Quick
+      (fun () ->
+        let n = 1024 in
+        let world = Runtime.create_world ~nodes:n () in
+        let ranks = world.Runtime.ranks in
+        (* Tiny slabs, so the count is the endpoints' own cost: NI tables
+           and probes, two pools with their default EQ depths (1024 and
+           4096), match entries, descriptors and fault listeners. Measured
+           2501 words per rank (OCaml 5.1.1, x86-64); the budget leaves
+           60% headroom. Rings allocated at full capacity and probes
+           registered in the instrument table cost 11116. *)
+        let budget = 4000 in
+        let build () =
+          Array.mapi
+            (fun rank pid ->
+              let ni = Portals.Ni.create world.Runtime.transport ~id:pid () in
+              ( Collectives.create ni ~ranks ~rank ~slab_size:64 (),
+                Collectives.Pool.create ni ~portal_index:7 ~slab_size:64 () ))
+            ranks
+        in
+        Gc.minor ();
+        let minor0, promoted0, major0 = Gc.counters () in
+        ignore (Sys.opaque_identity (build ()));
+        Gc.minor ();
+        let minor1, promoted1, major1 = Gc.counters () in
+        let words = minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0) in
+        let per_rank = int_of_float words / n in
+        if per_rank > budget then
+          Alcotest.failf "%d words per rank, budget %d" per_rank budget);
   ]
 
 let () =

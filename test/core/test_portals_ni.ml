@@ -805,6 +805,38 @@ let counter_tests =
         Alcotest.(check int) "received ack+reply" 2 c0.Ni.messages_received;
         Alcotest.(check int) "translations" 2 c1.Ni.translations;
         Alcotest.(check bool) "entries walked" true (c1.Ni.entries_walked >= 2));
+    Alcotest.test_case "a re-created NI publishes only its own counters" `Quick
+      (fun () ->
+        let env = setup () in
+        let put_to_1 () =
+          let _, imd = bind_initiator env.ni0 (Bytes.of_string "abc") in
+          ok ~what:"put"
+            (Ni.put env.ni0 ~md:imd
+               (Ni.op ~target:(proc 1 0) ~portal_index:0 ~cookie:1 ()));
+          Scheduler.run env.sched
+        in
+        let _ = attach_target env.ni1 (Bytes.create 16) in
+        put_to_1 ();
+        put_to_1 ();
+        Ni.shutdown env.ni1;
+        let ni1 = Ni.create env.tp ~id:(proc 1 0) () in
+        let _ = attach_target ni1 (Bytes.create 16) in
+        put_to_1 ();
+        let snap = Metrics.snapshot (Scheduler.metrics env.sched) in
+        let values name labels =
+          List.filter_map
+            (fun (e : Metrics.Snapshot.entry) ->
+              match e.Metrics.Snapshot.value with
+              | Metrics.Snapshot.Gauge v when e.Metrics.Snapshot.labels = labels -> Some v
+              | _ -> None)
+            (Metrics.Snapshot.filter snap name)
+        in
+        Alcotest.(check (list (float 0.))) "one rx entry, the new NI's" [ 1. ]
+          (values "ni.rx_messages" [ ("proc", "1:0") ]);
+        Alcotest.(check (list (float 0.))) "one posted entry, the new EQ's" [ 1. ]
+          (values "eq.posted" [ ("eq", "1:0#0") ]);
+        Alcotest.(check (list (float 0.))) "old NI's sender side untouched" [ 3. ]
+          (values "ni.puts" [ ("proc", "0:0") ]));
   ]
 
 (* Reserved regions: descriptors whose memory the NI creates on first

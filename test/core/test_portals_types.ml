@@ -357,6 +357,49 @@ let event_queue_tests =
         Alcotest.check_raises "zero"
           (Invalid_argument "Event.Queue.create: capacity must be positive")
           (fun () -> ignore (Event.Queue.create (sched_eq ()) ~capacity:0)));
+    (* The ring grows on demand: a mix of posts and gets checked against a
+       list model exercises every growth with the entries wrapped round
+       the ring's end, and the overflow rule at exactly [capacity]. *)
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"fifo across growth and wrap; drop at capacity"
+         ~count:300
+         QCheck.(pair (int_range 1 40) (list_of_size Gen.(0 -- 400) (int_bound 2)))
+         (fun (capacity, ops) ->
+           let q = Event.Queue.create (sched_eq ()) ~capacity in
+           let model = Queue.create () and next = ref 0 and drops = ref 0 in
+           List.iter
+             (fun op ->
+               if op > 0 then begin
+                 let ev = { (dummy_event Event.Put) with Event.offset = !next } in
+                 incr next;
+                 let accepted = Event.Queue.post q ev in
+                 if accepted = (Queue.length model = capacity) then
+                   QCheck.Test.fail_reportf "post at depth %d of %d returned %b"
+                     (Queue.length model) capacity accepted;
+                 if accepted then Queue.add ev.Event.offset model else incr drops
+               end
+               else
+                 match (Event.Queue.get q, Queue.take_opt model) with
+                 | None, None -> ()
+                 | Some ev, Some want when ev.Event.offset = want -> ()
+                 | _ -> QCheck.Test.fail_report "get out of FIFO order")
+             ops;
+           Event.Queue.count q = Queue.length model
+           && Event.Queue.is_full q = (Queue.length model = capacity)
+           && Event.Queue.dropped q = !drops
+           && Event.Queue.capacity q = capacity));
+    Alcotest.test_case "create allocates the same words at any capacity" `Quick
+      (fun () ->
+        let sched = sched_eq () in
+        let words capacity =
+          Gc.minor ();
+          let minor0, promoted0, major0 = Gc.counters () in
+          ignore (Sys.opaque_identity (Event.Queue.create sched ~capacity));
+          Gc.minor ();
+          let minor1, promoted1, major1 = Gc.counters () in
+          int_of_float (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+        in
+        Alcotest.(check int) "capacity 1_000_000 vs 16" (words 16) (words 1_000_000));
   ]
 
 let wire_gen =

@@ -777,6 +777,28 @@ let metrics_tests =
           "one entry per key, latest value"
           [ ("cpu0", 3.); ("cpu1", 2.); ("cpu2", 1.) ]
           got);
+    Alcotest.test_case "a probe and a counter may not share a key" `Quick
+      (fun () ->
+        (* Probes are resolved at snapshot time, so the collision may
+           surface there; the probe's labels are given unsorted to check
+           they key like the counter's. *)
+        let collide ~probe_first =
+          let m = Metrics.create () in
+          let probe () =
+            Metrics.probe m ~labels:[ ("b", "1"); ("a", "2") ] "x" (fun () -> 1.)
+          in
+          let counter () = ignore (Metrics.counter m ~labels:[ ("a", "2"); ("b", "1") ] "x") in
+          if probe_first then (probe (); counter ()) else (counter (); probe ());
+          ignore (Metrics.snapshot m)
+        in
+        Alcotest.check_raises "counter, then probe"
+          (Invalid_argument
+             "Metrics: \"x\" already registered as a counter, wanted a probe")
+          (fun () -> collide ~probe_first:false);
+        Alcotest.check_raises "probe, then counter"
+          (Invalid_argument
+             "Metrics: \"x\" already registered as a probe, wanted a counter")
+          (fun () -> collide ~probe_first:true));
     Alcotest.test_case "summary moments" `Quick (fun () ->
         let m = Metrics.create () in
         let s = Metrics.summary m "rtt" in

@@ -277,6 +277,16 @@ let scaling_tests =
             true
             (ratio >= 3.0 && ratio <= 12.0)
         | _ -> Alcotest.fail "two rows");
+    (* With a fixed 4096-entry root EQ, 1199 senders x 4 fragments
+       overflowed it and the sweep hung in Deadlock. *)
+    Alcotest.test_case "throughput sweep completes at 1200 nodes" `Quick
+      (fun () ->
+        match Experiments.Scaling.run_perf ~node_counts:[ 1200 ] ~rounds:2 () with
+        | [ r ] ->
+          Alcotest.(check int) "nodes" 1200 r.Experiments.Scaling.p_nodes;
+          Alcotest.(check bool) "events processed" true
+            (r.Experiments.Scaling.p_sim_events > 0)
+        | _ -> Alcotest.fail "one row");
   ]
 
 let drops_tests =

@@ -1126,6 +1126,27 @@ let crash_tests =
           (List.rev !log
           = [ `Down (2, Time_ns.us 5.); `Up (2, Time_ns.us 9.) ]);
         Alcotest.(check int) "incarnation bumped" 1 (Fabric.incarnation fabric 2));
+    Alcotest.test_case "10k crash listeners fire once each, in order" `Quick
+      (fun () ->
+        let _, fabric = mk_fabric () in
+        let n = 10_000 in
+        let fired = Array.make n 0 and order = ref [] and late = ref [] in
+        for i = 0 to n - 1 do
+          Fabric.on_crash fabric (fun nid ->
+              fired.(i) <- fired.(i) + 1;
+              order := i :: !order;
+              (* Added while listeners run: must wait for the next crash. *)
+              if i = n - 1 && nid = 1 then
+                Fabric.on_crash fabric (fun nid -> late := nid :: !late))
+        done;
+        Fabric.crash fabric 1;
+        Alcotest.(check bool) "each fired once" true (Array.for_all (( = ) 1) fired);
+        Alcotest.(check bool) "registration order" true
+          (List.rev !order = List.init n Fun.id);
+        Alcotest.(check (list int)) "late listener silent" [] !late;
+        Fabric.crash fabric 2;
+        Alcotest.(check (list int)) "late listener fires next crash" [ 2 ] !late;
+        Alcotest.(check bool) "others fired twice" true (Array.for_all (( = ) 2) fired));
   ]
 
 (* --- shard map --------------------------------------------------------- *)
