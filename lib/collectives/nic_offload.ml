@@ -23,11 +23,14 @@
    window advances at an internal chain barrier run every [sync_every]
    sequences, which (a) proves every rank is past the retired
    sequences — a rank's own collective completing implies every deposit
-   addressed to it for that sequence has already landed, so unlinking is
-   drop-free — and (b) re-arms one window ahead. The window must cover
-   two full sync periods (enforced in [create]): a fast rank may run a
-   whole period ahead of a slow rank that has completed only the
-   previous internal barrier. *)
+   addressed to it for that sequence has already landed, so retiring is
+   drop-free — and (b) re-arms one window ahead. Re-arming re-targets a
+   retired slot set in place ([Ni.me_retarget], [Ni.ct_reset]): its
+   entries take the new sequence's bits, so a stray late deposit for the
+   old sequence matches nothing. The window must cover two full sync
+   periods (enforced in [create]): a fast rank may run a whole period
+   ahead of a slow rank that has completed only the previous internal
+   barrier. *)
 
 module P = Portals
 
@@ -40,7 +43,14 @@ type slot = {
   sl_buf : bytes;
 }
 
-type seq_res = { slots : slot array; done_ct : P.Handle.ct }
+(* One sequence's slots and completion counter. A set lives as long as
+   the endpoint: retiring a sequence hands its set to a later one. *)
+type seq_res = {
+  mutable res_seq : int; (* the sequence it is armed for, -1 if none *)
+  slots : slot array;
+  done_ct : P.Handle.ct;
+  done_inc : P.Ni.triggered_action; (* bump [done_ct] by one *)
+}
 
 type t = {
   ni : P.Ni.t;
@@ -52,16 +62,18 @@ type t = {
   rounds : int; (* ceil log2 (size); slots per sequence *)
   window : int;
   sync_every : int;
-  armed : (int, seq_res) Hashtbl.t;
-  (* Frame buffers of retired slots, reused by the next [arm_seq]: once
-     the window runs, no new frame is allocated. *)
-  mutable free_frames : bytes list;
+  armed : seq_res array; (* sequence s at s mod window *)
   mutable seq : int; (* next sequence number *)
   mutable arm_hi : int; (* highest armed sequence *)
   mutable retire_lo : int; (* lowest armed sequence *)
   mutable last_sync : int; (* sequence of the last internal barrier *)
   scratch : bytes;
   scratch_md : P.Handle.md;
+  (* The reduce accumulator, reused by every reduce: frame, bound
+     descriptor, and the counter its children's slots bump. *)
+  acc_buf : bytes;
+  acc_md : P.Handle.md;
+  sum_ct : P.Handle.ct;
   (* Crash-stopped nodes, from the transport's notifications; consulted
      by [barrier ~tolerant]. *)
   down : (Simnet.Proc_id.nid, unit) Hashtbl.t;
@@ -94,17 +106,18 @@ let slot_options =
     ack_disable = true;
   }
 
-let take_frame t =
-  match t.free_frames with
-  | buf :: rest ->
-    t.free_frames <- rest;
-    buf
-  | [] -> Bytes.create t.frame
+let vacant =
+  {
+    res_seq = -1;
+    slots = [||];
+    done_ct = P.Handle.none;
+    done_inc = P.Ni.Triggered_ct_inc { ct = P.Handle.none; amount = 0 };
+  }
 
-let arm_seq t s =
+let new_res t s =
   let slots =
     Array.init t.rounds (fun j ->
-        let sl_buf = take_frame t in
+        let sl_buf = Bytes.create t.frame in
         let sl_me =
           ok ~op:"nic me_attach"
             (P.Ni.me_attach t.ni ~portal_index:t.portal_index
@@ -123,24 +136,44 @@ let arm_seq t s =
         { sl_me; sl_md; sl_ct; sl_buf })
   in
   let done_ct = ok ~op:"nic ct_alloc" (P.Ni.ct_alloc t.ni) in
-  Hashtbl.replace t.armed s { slots; done_ct }
+  {
+    res_seq = s;
+    slots;
+    done_ct;
+    done_inc = P.Ni.Triggered_ct_inc { ct = done_ct; amount = 1 };
+  }
+
+(* Point a retired set at sequence [s]. Each entry goes to the tail of
+   the match list, slot by slot, exactly where [new_res] would attach a
+   fresh one; the old frame bytes stay until the next deposit. *)
+let rearm t res s =
+  Array.iteri
+    (fun j sl ->
+      ok ~op:"nic me_retarget"
+        (P.Ni.me_retarget t.ni sl.sl_me ~match_bits:(slot_bits ~seq:s ~slot:j ~src:0));
+      ok ~op:"nic ct_reset" (P.Ni.ct_reset t.ni sl.sl_ct))
+    res.slots;
+  ok ~op:"nic ct_reset" (P.Ni.ct_reset t.ni res.done_ct);
+  res.res_seq <- s
+
+let install t res = t.armed.(res.res_seq mod t.window) <- res
 
 (* Retirement runs only once every deposit for [s] has landed (window
-   protocol above), and unlinking the slot's entry frees its descriptor,
-   so nothing can write the frame again: it is safe to hand to a new
-   sequence. *)
+   protocol above), so the set may be re-armed for a new sequence. *)
 let retire_seq t s =
-  match Hashtbl.find_opt t.armed s with
-  | None -> ()
-  | Some res ->
-    Array.iter
-      (fun sl ->
-        ok ~op:"nic me_unlink" (P.Ni.me_unlink t.ni sl.sl_me);
-        ok ~op:"nic ct_free" (P.Ni.ct_free t.ni sl.sl_ct);
-        t.free_frames <- sl.sl_buf :: t.free_frames)
-      res.slots;
-    ok ~op:"nic ct_free" (P.Ni.ct_free t.ni res.done_ct);
-    Hashtbl.remove t.armed s
+  let i = s mod t.window in
+  let res = t.armed.(i) in
+  t.armed.(i) <- vacant;
+  res.res_seq <- -1;
+  res
+
+let free_res t res =
+  Array.iter
+    (fun sl ->
+      ok ~op:"nic me_unlink" (P.Ni.me_unlink t.ni sl.sl_me);
+      ok ~op:"nic ct_free" (P.Ni.ct_free t.ni sl.sl_ct))
+    res.slots;
+  ok ~op:"nic ct_free" (P.Ni.ct_free t.ni res.done_ct)
 
 let create ni ~ranks ~rank ?(portal_index = 8) ?(max_payload = 1024)
     ?(window = 24) ?(sync_every = 8) () =
@@ -162,6 +195,15 @@ let create ni ~ranks ~rank ?(portal_index = 8) ?(max_payload = 1024)
             ~options:{ P.Md.default_options with P.Md.ack_disable = true }
             ~threshold:P.Md.Infinite ~unlink:P.Md.Retain scratch))
   in
+  let acc_buf = Bytes.create frame in
+  let acc_md =
+    ok ~op:"nic acc md_bind"
+      (P.Ni.md_bind ni
+         (P.Ni.md_spec
+            ~options:{ P.Md.default_options with P.Md.ack_disable = true }
+            ~threshold:P.Md.Infinite ~unlink:P.Md.Retain acc_buf))
+  in
+  let sum_ct = ok ~op:"nic ct_alloc" (P.Ni.ct_alloc ni) in
   let down = Hashtbl.create 4 in
   let tp = P.Ni.transport ni in
   tp.Simnet.Transport.on_crash (fun nid -> Hashtbl.replace down nid ());
@@ -177,20 +219,22 @@ let create ni ~ranks ~rank ?(portal_index = 8) ?(max_payload = 1024)
       rounds = ceil_log2 n;
       window;
       sync_every;
-      armed = Hashtbl.create 64;
-      free_frames = [];
+      armed = Array.make window vacant;
       seq = 0;
       arm_hi = -1;
       retire_lo = 0;
       last_sync = 0;
       scratch;
       scratch_md;
+      acc_buf;
+      acc_md;
+      sum_ct;
       down;
     }
   in
   if n > 1 then begin
     for s = 0 to window - 1 do
-      arm_seq t s
+      install t (new_res t s)
     done;
     t.arm_hi <- window - 1
   end;
@@ -206,9 +250,9 @@ let next_seq t =
   s
 
 let find_res t s =
-  match Hashtbl.find_opt t.armed s with
-  | Some r -> r
-  | None -> failwith "Nic_offload: sequence not armed (window bug)"
+  let r = t.armed.(s mod t.window) in
+  if r.res_seq <> s then failwith "Nic_offload: sequence not armed (window bug)";
+  r
 
 let chain_op t ~dst ~seq ~slot =
   P.Ni.op ~target:t.ranks.(dst) ~portal_index:t.portal_index
@@ -255,7 +299,7 @@ let run_barrier ?(tolerant = false) t seq =
     in
     ok ~op:"nic ct_arm"
       (P.Ni.ct_arm t.ni ~ct:res.slots.(k).sl_ct ~threshold:1
-         (forward @ [ P.Ni.Triggered_ct_inc { ct = res.done_ct; amount = 1 } ]))
+         (forward @ [ res.done_inc ]))
   done;
   Bytes.set_int64_le t.scratch 0 0L;
   put_scratch t ~dst:((t.my_rank + 1) mod n) ~seq ~slot:0 ~length:8;
@@ -277,15 +321,23 @@ let internal_sync ?tolerant t =
   let b = next_seq t in
   run_barrier ?tolerant t b;
   t.last_sync <- b;
-  for s = t.retire_lo to b do
-    retire_seq t s
+  let spare = ref [] in
+  for s = b downto t.retire_lo do
+    spare := retire_seq t s :: !spare
   done;
   t.retire_lo <- b + 1;
   let hi = b + t.window - 1 in
   for s = t.arm_hi + 1 to hi do
-    arm_seq t s
+    match !spare with
+    | res :: rest ->
+      spare := rest;
+      rearm t res s;
+      install t res
+    | [] -> failwith "Nic_offload: arming more than retired (window bug)"
   done;
-  t.arm_hi <- hi
+  t.arm_hi <- hi;
+  (* The first sync retires one sequence more than it arms. *)
+  List.iter (free_res t) !spare
 
 let after_call ?tolerant t =
   if size t > 1 && t.seq - t.last_sync >= t.sync_every then
@@ -347,7 +399,7 @@ let run_bcast t seq ~root payload =
     in
     ok ~op:"nic ct_arm"
       (P.Ni.ct_arm t.ni ~ct:res.slots.(0).sl_ct ~threshold:1
-         (forwards @ [ P.Ni.Triggered_ct_inc { ct = res.done_ct; amount = 1 } ]));
+         (forwards @ [ res.done_inc ]));
     ignore (ok ~op:"nic ct_wait" (P.Ni.ct_wait t.ni res.done_ct ~threshold:1));
     frame_payload res.slots.(0).sl_buf
   end
@@ -375,19 +427,12 @@ let run_reduce t seq ~root ~op payload =
         (if vr + mask < n then k :: children else children)
   in
   let children, parent = classify 1 0 [] in
-  let acc_buf = Bytes.create t.frame in
   let len = Bytes.length payload in
   if len > t.max_payload then
     invalid_arg "Nic_offload: payload larger than max_payload";
+  let acc_buf = t.acc_buf and acc_md = t.acc_md and sum_ct = t.sum_ct in
   Bytes.set_int64_le acc_buf 0 (Int64.of_int len);
   Bytes.blit payload 0 acc_buf 8 len;
-  let acc_md =
-    ok ~op:"nic acc md_bind"
-      (P.Ni.md_bind t.ni
-         (P.Ni.md_spec
-            ~options:{ P.Md.default_options with P.Md.ack_disable = true }
-            ~threshold:P.Md.Infinite ~unlink:P.Md.Retain acc_buf))
-  in
   (* Frame-aware fold: combine the slot's payload region into the
      accumulator's, leaving the accumulator's length untouched (the host
      engine's in-place [op acc contribution] contract). *)
@@ -398,7 +443,7 @@ let run_reduce t seq ~root ~op payload =
     op a s;
     Bytes.blit a 0 dst 8 la
   in
-  let sum_ct = ok ~op:"nic ct_alloc" (P.Ni.ct_alloc t.ni) in
+  ok ~op:"nic ct_reset" (P.Ni.ct_reset t.ni sum_ct);
   List.iter
     (fun k ->
       ok ~op:"nic ct_arm"
@@ -429,13 +474,9 @@ let run_reduce t seq ~root ~op payload =
   ok ~op:"nic ct_arm"
     (P.Ni.ct_arm t.ni ~ct:sum_ct
        ~threshold:(List.length children)
-       (folds @ forward
-       @ [ P.Ni.Triggered_ct_inc { ct = res.done_ct; amount = 1 } ]));
+       (folds @ forward @ [ res.done_inc ]));
   ignore (ok ~op:"nic ct_wait" (P.Ni.ct_wait t.ni res.done_ct ~threshold:1));
-  let result = if parent = None then Some (frame_payload acc_buf) else None in
-  ok ~op:"nic ct_free" (P.Ni.ct_free t.ni sum_ct);
-  ok ~op:"nic md_unlink" (P.Ni.md_unlink t.ni acc_md);
-  result
+  if parent = None then Some (frame_payload acc_buf) else None
 
 (* --- public operations ------------------------------------------------ *)
 

@@ -26,6 +26,11 @@
     advances at an internal chain barrier every [sync_every] sequences,
     which also proves retirement is drop-free (a completed collective
     implies every deposit addressed here for its sequence has landed).
+    A retired sequence's slots are re-armed in place for a sequence one
+    window ahead ({!Portals.Ni.me_retarget}, {!Portals.Ni.ct_reset}), and
+    the reduce accumulator persists across calls: after [create] the
+    endpoint allocates no NI resources, the first internal sync releases
+    one surplus slot set, and from then on the set it holds is fixed.
 
     {b Equivalence.} Results are byte-identical to {!Collectives} for
     the same ranks, roots, payloads and operators — reductions fold

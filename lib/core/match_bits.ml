@@ -28,6 +28,8 @@ let field ~shift ~width v =
 let extract ~shift ~width t =
   Int64.to_int (Int64.logand (Int64.shift_right_logical t shift) (mask ~shift:0 ~width))
 
+let hi32 t = Int64.to_int (Int64.shift_right_logical t 32)
+let lo32 t = Int64.to_int t land 0xFFFF_FFFF
 let logor = Int64.logor
 let lognot = Int64.lognot
 let equal = Int64.equal

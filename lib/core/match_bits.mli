@@ -33,6 +33,10 @@ val extract : shift:int -> width:int -> t -> int
 val mask : shift:int -> width:int -> t
 (** A contiguous mask of [width] ones starting at [shift]. *)
 
+val hi32 : t -> int
+val lo32 : t -> int
+(** The high and low 32 bits, as non-negative immediates. *)
+
 val logor : t -> t -> t
 val lognot : t -> t
 val equal : t -> t -> bool

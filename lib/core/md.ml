@@ -103,6 +103,13 @@ let buffer t =
     seg.seg_buf
   | _ -> invalid_arg "Md.buffer: gather/scatter descriptor (use read)"
 
+let whole_buffer t =
+  match t.iov with
+  | [| seg |] when seg.seg_off = 0 ->
+    back seg;
+    if Bytes.length seg.seg_buf = seg.seg_len then Some seg.seg_buf else None
+  | _ -> None
+
 let segment_count t = Array.length t.iov
 let length t = t.md_len
 let options t = t.opts
@@ -112,6 +119,7 @@ let eq t = t.md_eq
 let eq_handle t = t.md_eq_handle
 let user_ptr t = t.md_user_ptr
 let local_offset t = t.loc_offset
+let rewind t = t.loc_offset <- 0
 let active t = match t.thresh with Infinite -> true | Count n -> n > 0
 let pending t = t.pending_ops
 let incr_pending t = t.pending_ops <- t.pending_ops + 1

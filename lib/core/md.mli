@@ -105,6 +105,12 @@ val buffer : t -> bytes
     bytes are created by this call if nothing touched them yet); raises
     [Invalid_argument] for gather/scatter descriptors. *)
 
+val whole_buffer : t -> bytes option
+(** The backing buffer when the region is exactly one whole buffer (one
+    segment, offset 0, every byte of it), so that operating on the
+    buffer is operating on the region; [None] otherwise. Like {!buffer}
+    it creates a reserved region's bytes. *)
+
 val segment_count : t -> int
 
 val length : t -> int
@@ -118,6 +124,10 @@ val eq_handle : t -> Handle.eq
 val user_ptr : t -> int
 val local_offset : t -> int
 (** Current locally managed offset (0 for remote-managed MDs). *)
+
+val rewind : t -> unit
+(** Set the locally managed offset back to 0, so the next deposit lands
+    at the start of the region again. The threshold is left as it is. *)
 
 val active : t -> bool
 (** Threshold not exhausted. *)

@@ -18,15 +18,27 @@ val create :
   t
 (** A fresh, empty match entry. [unlink] (default [Retain]) controls
     whether the entry is removed from the match list when its MD list
-    empties (Figure 4's cascade). *)
+    empties (Figure 4's cascade). The criteria are stored as immediate
+    integers (32-bit halves of the bits and of the care mask, with the
+    source pattern in 31 bits each for nid and pid), so a process id in
+    [match_id] must be non-negative and below 2^31 - 1:
+    [Invalid_argument] otherwise. *)
 
 val match_id : t -> Match_id.t
 val match_bits : t -> Match_bits.t
 val ignore_bits : t -> Match_bits.t
 val unlink_policy : t -> Md.unlink_policy
 
+val set_match_bits : t -> Match_bits.t -> unit
+(** Replace the match bits; the ignore bits and the source pattern stay. *)
+
 val criteria_match : t -> src:Simnet.Proc_id.t -> mbits:Match_bits.t -> bool
 (** Do the source process and match bits satisfy this entry? *)
+
+val matches_split : t -> nid:int -> pid:int -> hi:int -> lo:int -> bool
+(** {!criteria_match} with the request already split: [hi] and [lo] are
+    the high and low 32 bits of the request's match bits. A match-list
+    walk splits the request once and tests every entry with this. *)
 
 val md_handles : t -> Handle.md list
 (** Attached memory descriptors, first (head) to last. *)

@@ -259,6 +259,16 @@ let counters t =
     triggered_fired = t.c.c_triggered;
   }
 
+type resources = { live_mes : int; live_mds : int; live_eqs : int; live_cts : int }
+
+let resources t =
+  {
+    live_mes = Handle.Table.live_count t.mes;
+    live_mds = Handle.Table.live_count t.mds;
+    live_eqs = Handle.Table.live_count t.eqs;
+    live_cts = Handle.Table.live_count t.cts;
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Event queues *)
 
@@ -329,21 +339,49 @@ let me_insert t ~base ~match_id ~match_bits ~ignore_bits ?(unlink = Md.Retain)
     | `After -> link t e ~prev:b ~next:b.next);
     Ok h
 
+let rec any_md_busy t = function
+  | [] -> false
+  | mdh :: rest ->
+    (match Handle.Table.find t.mds mdh with
+    | Some { md; _ } when Md.pending md > 0 -> true
+    | Some _ | None -> any_md_busy t rest)
+
 let me_unlink t h =
   match Handle.Table.find t.mes h with
   | None -> Error Errors.Invalid_me
   | Some entry ->
-    let md_busy mdh =
-      match Handle.Table.find t.mds mdh with
-      | None -> false
-      | Some { md; _ } -> Md.pending md > 0
-    in
-    if List.exists md_busy (Me.md_handles entry.me) then Error Errors.Md_in_use
+    if any_md_busy t (Me.md_handles entry.me) then Error Errors.Md_in_use
     else begin
       List.iter (fun mdh -> ignore (Handle.Table.free t.mds mdh))
         (Me.md_handles entry.me);
       unlink_entry t entry;
       ignore (Handle.Table.free t.mes h);
+      Ok ()
+    end
+
+let rec rewind_mds t = function
+  | [] -> ()
+  | mdh :: rest ->
+    (match Handle.Table.find t.mds mdh with
+    | Some { md; _ } -> Md.rewind md
+    | None -> ());
+    rewind_mds t rest
+
+(* Re-arm an entry where it stands: new bits, and the tail of its list,
+   which is where unlink + attach would put a fresh entry, so walks count
+   the same. The handle, the descriptors and the counter stay; only the
+   descriptors' locally managed offsets go back to 0. *)
+let me_retarget t h ~match_bits =
+  match Handle.Table.find t.mes h with
+  | None -> Error Errors.Invalid_me
+  | Some entry ->
+    let mds = Me.md_handles entry.me in
+    if any_md_busy t mds then Error Errors.Md_in_use
+    else begin
+      rewind_mds t mds;
+      Me.set_match_bits entry.me match_bits;
+      unlink_entry t entry;
+      link t entry ~prev:t.pt_tail.(entry.pt_index) ~next:nil;
       Ok ()
     end
 
@@ -598,8 +636,24 @@ let ct_alloc t =
          ct_waitq = Sync.Waitq.create ~name:"ct" (sched t);
        })
 
+(* Waiters wake to find the handle gone and fail with [Invalid_ct]. *)
 let ct_free t h =
-  if Handle.Table.free t.cts h then Ok () else Error Errors.Invalid_ct
+  match Handle.Table.find t.cts h with
+  | None -> Error Errors.Invalid_ct
+  | Some e ->
+    ignore (Handle.Table.free t.cts h);
+    Sync.Waitq.broadcast e.ct_waitq;
+    Ok ()
+
+(* PtlCTSet to 0 plus PtlCTCancelTriggered. No waiter can be satisfied by
+   a value going down, so none is woken. *)
+let ct_reset t h =
+  match Handle.Table.find t.cts h with
+  | None -> Error Errors.Invalid_ct
+  | Some e ->
+    e.ct_value <- 0;
+    e.ct_armed <- [];
+    Ok ()
 
 let ct_get t h = Result.map (fun e -> e.ct_value) (find_ct t h)
 
@@ -613,6 +667,20 @@ let me_set_ct t ~me ~ct =
       entry.me_ct <- ct;
       Ok ())
 
+(* The earliest-armed chain whose threshold [value] meets, or [no_chain].
+   Plain recursion, so that a bump allocates no closure and removing the
+   chain copies only the cells armed before it (none when it is the
+   head). *)
+let no_chain = { a_threshold = max_int; a_actions = []; a_eq = Handle.none; a_user_ptr = 0 }
+
+let rec first_due value = function
+  | [] -> no_chain
+  | a :: rest -> if a.a_threshold <= value then a else first_due value rest
+
+let rec without a = function
+  | [] -> []
+  | x :: rest -> if x == a then rest else x :: without a rest
+
 (* Run one armed chain. Every action resolves its handles at fire time —
    the §4.8 discipline extended to the triggered path: a chain whose
    descriptor or counter vanished (or whose descriptor exhausted its
@@ -625,43 +693,7 @@ let rec run_chain t (a : armed) =
   t.tp.Simnet.Transport.charge_rx t.self.Simnet.Proc_id.nid
     (Time_ns.ns
        (List.length a.a_actions * t.tp.Simnet.Transport.match_entry_cost));
-  List.iter
-    (fun action ->
-      match action with
-      | Triggered_put { md; ack; length; op } ->
-        (match Handle.Table.find t.mds md with
-        | None -> drop t Triggered_target_gone
-        | Some entry when not (Md.active entry.md) ->
-          drop t Triggered_md_inactive
-        | Some _ ->
-          (match put t ~md ~ack ~triggered:true ?length op with
-          | Ok () -> ()
-          | Error _ -> drop t Triggered_md_inactive))
-      | Triggered_atomic { md; aop; operand; compare; op } ->
-        (match Handle.Table.find t.mds md with
-        | None -> drop t Triggered_target_gone
-        | Some entry when not (Md.active entry.md) ->
-          drop t Triggered_md_inactive
-        | Some _ ->
-          (match atomic t ~md ~aop ~operand ~compare op with
-          | Ok () -> ()
-          | Error _ -> drop t Triggered_md_inactive))
-      | Triggered_combine { dst; src; f } ->
-        (match (Handle.Table.find t.mds dst, Handle.Table.find t.mds src) with
-        | None, _ | _, None -> drop t Triggered_target_gone
-        | Some d, Some s ->
-          (* The NIC-resident combine (the programmable-NIC reduction of
-             Yu et al.): read both regions, fold [src] into [dst] in
-             place, write back. *)
-          let db = Md.read d.md ~offset:0 ~len:(Md.length d.md) in
-          let sb = Md.read s.md ~offset:0 ~len:(Md.length s.md) in
-          f db sb;
-          Md.write d.md ~offset:0 ~src:db ~src_off:0 ~len:(Bytes.length db))
-      | Triggered_ct_inc { ct; amount } ->
-        (match Handle.Table.find t.cts ct with
-        | None -> drop t Triggered_target_gone
-        | Some e -> ct_bump t e amount))
-    a.a_actions;
+  run_actions t a.a_actions;
   if not (Handle.is_none a.a_eq) then begin
     match Handle.Table.find t.eqs a.a_eq with
     | None -> drop t Triggered_target_gone
@@ -683,6 +715,49 @@ let rec run_chain t (a : armed) =
       if not (Event.Queue.post queue ev) then drop t Triggered_eq_full
   end
 
+and run_actions t = function
+  | [] -> ()
+  | action :: rest ->
+    run_action t action;
+    run_actions t rest
+
+and run_action t = function
+  | Triggered_put { md; ack; length; op } ->
+    (match Handle.Table.find t.mds md with
+    | None -> drop t Triggered_target_gone
+    | Some entry when not (Md.active entry.md) -> drop t Triggered_md_inactive
+    | Some _ ->
+      (match put t ~md ~ack ~triggered:true ?length op with
+      | Ok () -> ()
+      | Error _ -> drop t Triggered_md_inactive))
+  | Triggered_atomic { md; aop; operand; compare; op } ->
+    (match Handle.Table.find t.mds md with
+    | None -> drop t Triggered_target_gone
+    | Some entry when not (Md.active entry.md) -> drop t Triggered_md_inactive
+    | Some _ ->
+      (match atomic t ~md ~aop ~operand ~compare op with
+      | Ok () -> ()
+      | Error _ -> drop t Triggered_md_inactive))
+  | Triggered_combine { dst; src; f } ->
+    (match (Handle.Table.find t.mds dst, Handle.Table.find t.mds src) with
+    | None, _ | _, None -> drop t Triggered_target_gone
+    | Some d, Some s ->
+      (* The NIC-resident combine (the programmable-NIC reduction of
+         Yu et al.): fold [src] into [dst] in place. Regions that are
+         whole, distinct buffers are folded where they lie; any other
+         shape goes through copies of both regions. *)
+      (match (Md.whole_buffer d.md, Md.whole_buffer s.md) with
+      | Some db, Some sb when db != sb -> f db sb
+      | _ ->
+        let db = Md.read d.md ~offset:0 ~len:(Md.length d.md) in
+        let sb = Md.read s.md ~offset:0 ~len:(Md.length s.md) in
+        f db sb;
+        Md.write d.md ~offset:0 ~src:db ~src_off:0 ~len:(Bytes.length db)))
+  | Triggered_ct_inc { ct; amount } ->
+    (match Handle.Table.find t.cts ct with
+    | None -> drop t Triggered_target_gone
+    | Some e -> ct_bump t e amount)
+
 (* Bump a counter and fire every chain whose threshold is now met, in
    arming order. Chains are removed before running, so a chain that bumps
    its own counter (fan-in accumulation) re-enters cleanly. *)
@@ -692,14 +767,12 @@ and ct_bump t (e : ct_entry) n =
   Sync.Waitq.broadcast e.ct_waitq
 
 and fire_eligible t (e : ct_entry) =
-  match
-    List.find_opt (fun a -> a.a_threshold <= e.ct_value) e.ct_armed
-  with
-  | None -> ()
-  | Some a ->
-    e.ct_armed <- List.filter (fun x -> x != a) e.ct_armed;
+  let a = first_due e.ct_value e.ct_armed in
+  if a != no_chain then begin
+    e.ct_armed <- without a e.ct_armed;
     run_chain t a;
     fire_eligible t e
+  end
 
 let ct_inc t h n =
   if n <= 0 then Error Errors.Invalid_arg
@@ -767,29 +840,38 @@ let post_event t ?md ~kind ~(msg : Wire.t) ~mlength ~offset queue =
   in
   ignore (Event.Queue.post queue ev)
 
-(* Walk the match list of a portal table entry (Figure 4). Returns the
-   number of entries examined together with the outcome. *)
-let translate t ~portal_index ~src ~mbits ~op ~rlength ~roffset =
-  let rec walk examined e =
-    if e == nil then (examined, Error ())
+(* Walk a match list from [e] (Figure 4) for a request whose source and
+   bits are already split into immediates. A top-level function rather
+   than a closure over the request, so a translation allocates only its
+   result. Returns the number of entries examined with the outcome. *)
+let rec walk t ~nid ~pid ~hi ~lo ~op ~rlength ~roffset examined e =
+  if e == nil then (examined, Error ())
+  else begin
+    let examined = examined + 1 in
+    if not (Me.matches_split e.me ~nid ~pid ~hi ~lo) then
+      walk t ~nid ~pid ~hi ~lo ~op ~rlength ~roffset examined e.next
     else begin
-      let examined = examined + 1 in
-      if not (Me.criteria_match e.me ~src ~mbits) then walk examined e.next
-      else begin
-        (* Only the first memory descriptor is considered. *)
-        match Me.first_md e.me with
-        | None -> walk examined e.next
-        | Some mdh ->
-          (match Handle.Table.find t.mds mdh with
-          | None -> walk examined e.next
-          | Some md_entry ->
-            (match Md.accepts md_entry.md ~op ~rlength ~roffset with
-            | Error _ -> walk examined e.next
-            | Ok acc -> (examined, Ok (e, mdh, md_entry, acc))))
-      end
+      (* Only the first memory descriptor is considered. *)
+      match Me.md_handles e.me with
+      | [] -> walk t ~nid ~pid ~hi ~lo ~op ~rlength ~roffset examined e.next
+      | mdh :: _ ->
+        (match Handle.Table.find t.mds mdh with
+        | None -> walk t ~nid ~pid ~hi ~lo ~op ~rlength ~roffset examined e.next
+        | Some md_entry ->
+          (match Md.accepts md_entry.md ~op ~rlength ~roffset with
+          | Error _ ->
+            walk t ~nid ~pid ~hi ~lo ~op ~rlength ~roffset examined e.next
+          | Ok acc -> (examined, Ok (e, mdh, md_entry, acc))))
     end
+  end
+
+let translate t ~portal_index ~(src : Simnet.Proc_id.t) ~mbits ~op ~rlength
+    ~roffset =
+  let result =
+    walk t ~nid:src.Simnet.Proc_id.nid ~pid:src.Simnet.Proc_id.pid
+      ~hi:(Match_bits.hi32 mbits) ~lo:(Match_bits.lo32 mbits)
+      ~op ~rlength ~roffset 0 t.pt_head.(portal_index)
   in
-  let result = walk 0 t.pt_head.(portal_index) in
   t.c.c_translations <- t.c.c_translations + 1;
   t.c.c_entries <- t.c.c_entries + fst result;
   result

@@ -216,6 +216,25 @@ val me_unlink : t -> Handle.me -> (unit, Errors.t) result
     Fails with [Md_in_use] if any attached descriptor has outstanding
     operations. *)
 
+val me_retarget :
+  t -> Handle.me -> match_bits:Match_bits.t -> (unit, Errors.t) result
+(** Re-arm a match entry in place for new traffic. The entry takes
+    [match_bits] (its ignore bits and source pattern stay) and moves to
+    the tail of its portal's match list, the position a fresh
+    {!me_attach} at [`Tail] would take, so the list order, and with it
+    the number of entries every later walk examines, is the same as
+    after {!me_unlink} followed by that attach. The handle, the attached
+    descriptors and the attached counter ({!me_set_ct}) stay; each
+    descriptor's locally managed offset goes back to 0 ({!Md.rewind}),
+    so its next deposit lands at the start of the region. Thresholds are
+    not restored. A request still in flight for the old bits finds no
+    match here. Fails with [Md_in_use] if any attached descriptor has
+    outstanding operations, and changes nothing then.
+
+    This is how a library keeps long-lived NI state (§4) instead of
+    rebuilding an entry, its descriptors and its counter for each use:
+    {!Collectives.Nic_offload} re-targets its retired window slots. *)
+
 val me_md_count : t -> Handle.me -> (int, Errors.t) result
 (** Number of descriptors attached to the entry. *)
 
@@ -365,11 +384,15 @@ type triggered_action =
       src : Handle.md;
       f : bytes -> bytes -> unit;
     }
-      (** NIC-local reduction step: read both regions, run [f dst src]
-          (which folds [src] into [dst] in place), write [dst] back — the
-          combine a programmable NIC performs on a tree packet before
-          forwarding it (Yu et al.'s MCP). No message is sent; pair with a
-          trailing {!Triggered_put} of [dst] to forward the result. *)
+      (** NIC-local reduction step: run [f dst src], which folds the
+          [src] region into the [dst] region in place — the combine a
+          programmable NIC performs on a tree packet before forwarding it
+          (Yu et al.'s MCP). When each descriptor covers one whole buffer
+          ({!Md.whole_buffer}) and the buffers differ, [f] gets those
+          buffers; otherwise it gets copies of both regions and the [dst]
+          copy is written back. [f] must not modify [src]. No message is
+          sent; pair with a trailing {!Triggered_put} of [dst] to forward
+          the result. *)
   | Triggered_ct_inc of { ct : Handle.ct; amount : int }
       (** Bump another counter — fan-in accumulation ("all children
           arrived") and chain-completion flags. May cascade: the bump
@@ -380,7 +403,15 @@ val ct_alloc : t -> (Handle.ct, Errors.t) result
 
 val ct_free : t -> Handle.ct -> (unit, Errors.t) result
 (** Release a counter. Chains still armed on it are discarded; a match
-    entry still pointing at it bumps into {!drop_reason.Triggered_target_gone}. *)
+    entry still pointing at it bumps into {!drop_reason.Triggered_target_gone}.
+    Fibers blocked in {!ct_wait} on it wake and fail with [Invalid_ct]. *)
+
+val ct_reset : t -> Handle.ct -> (unit, Errors.t) result
+(** Set the value to 0 and discard every chain armed on the counter that
+    has not fired ([PtlCTSet] to 0 plus [PtlCTCancelTriggered]). The
+    handle stays valid, as does any match entry pointing at it. Fibers
+    blocked in {!ct_wait} are not woken: they keep waiting for their
+    threshold, now counted from 0. *)
 
 val ct_get : t -> Handle.ct -> (int, Errors.t) result
 (** Current value ([PtlCTGet]). *)
@@ -395,7 +426,8 @@ val ct_wait : t -> Handle.ct -> threshold:int -> (int, Errors.t) result
     value observed ([PtlCTWait]). This is the {e only} blocking point a
     NIC-offloaded collective uses — everything between the host's first
     send and this wake happens in receive paths. Fails with [Invalid_ct]
-    if the counter is freed while waiting. *)
+    if the counter is freed while waiting; a {!ct_reset} while waiting
+    keeps the fiber blocked until the threshold is reached again. *)
 
 val me_set_ct : t -> me:Handle.me -> ct:Handle.ct -> (unit, Errors.t) result
 (** Attach a counter to a match entry: every put/get/atomic that commits
@@ -428,3 +460,12 @@ val dropped_total : t -> int
 (** The interface's dropped message count (§4.8). *)
 
 val counters : t -> counters
+
+type resources = { live_mes : int; live_mds : int; live_eqs : int; live_cts : int }
+(** Live handles of each kind: match entries (linked in some match list),
+    memory descriptors (attached or bound), event queues and counters. *)
+
+val resources : t -> resources
+(** What the interface holds right now. A library that re-arms its
+    entries in place holds a constant set however many operations run;
+    a leak shows up as growth here. *)

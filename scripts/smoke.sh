@@ -138,6 +138,15 @@ $DUNE exec bin/portals_repro.exe -- \
   coll --quick --run-seed 7 | tee "$OUT/coll.out"
 grep -q '^torus2d .* busy  nic' "$OUT/coll.out"
 grep -q '^torus2d .* busy  host' "$OUT/coll.out"
+# Simulated latencies are deterministic: the table is pinned byte for
+# byte, so any drift in either engine's timing fails here. A change that
+# means to move them updates the digest and says why.
+coll_sha=dde717895ef0aeb1373f32210aaae170ffc8196c930af08b9166314c2da39f43
+got_sha=$(sha256sum "$OUT/coll.out" | cut -d' ' -f1)
+if [ "$got_sha" != "$coll_sha" ]; then
+  echo "coll --quick --run-seed 7 output drifted: sha256 $got_sha" >&2
+  exit 1
+fi
 # The S2 scaling sweep must run under either engine; a bogus engine name
 # must die with a clean usage error.
 $DUNE exec bin/portals_repro.exe -- \

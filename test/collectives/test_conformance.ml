@@ -267,6 +267,120 @@ let chaos_tests =
               [ ("host", C.Host); ("nic", C.Nic_offload) ]))
   ]
 
+(* Soak: windows of mixed calls on 16 ranks, each worth the NIC engine's
+   whole sequence window (24 sequences: 21 calls' worth plus 3 internal
+   syncs), so every slot set is retired and re-armed once per window.
+   The first [soak_warmup] windows settle the window's phase against the
+   sync period (the first sync retires one more set than it arms); the
+   [soak_windows] after them are measured. Then one rank crashes and the
+   survivors run tolerant barriers across more internal syncs. Returns
+   each rank's observable bytes, how many survivors the tolerant
+   barriers released, and for each measured window the (translations,
+   entries walked) summed over every NI and each rank's held
+   resources at its end. *)
+let soak_warmup = 2
+let soak_windows = 10
+
+let soak impl =
+  let n = 16 and victim = 5 in
+  let total = soak_warmup + soak_windows in
+  let world = Runtime.create_world ~nodes:n () in
+  let out = Array.init n (fun _ -> Buffer.create 4096) in
+  let walks = Array.make_matrix total n (0, 0) in
+  let held = Array.make_matrix total n None in
+  let released = ref 0 in
+  let victim_done = Sync.Ivar.create world.Runtime.sched in
+  Runtime.spawn_ranks world (fun ~rank ->
+      let ni =
+        P.Ni.create (Runtime.transport_of_rank world rank)
+          ~id:world.Runtime.ranks.(rank) ()
+      in
+      let coll = C.create_impl impl ni ~ranks:world.Runtime.ranks ~rank () in
+      let bcast root tag =
+        let payload =
+          if rank = root then Bytes.of_string (Printf.sprintf "%s-%d" tag root)
+          else Bytes.empty
+        in
+        Buffer.add_bytes out.(rank) (C.any_bcast coll ~root payload)
+      in
+      for w = 0 to total - 1 do
+        for g = 0 to 6 do
+          let root = ((w * 7) + g) mod n in
+          if g mod 2 = 0 then begin
+            bcast root (Printf.sprintf "w%d" w);
+            Buffer.add_bytes out.(rank)
+              (C.any_allreduce coll ~op:C.sum_floats
+                 (C.bytes_of_floats
+                    [| float_of_int (rank + w); 0.5 *. float_of_int g |]))
+          end
+          else begin
+            C.any_barrier coll;
+            C.any_barrier ~tolerant:true coll;
+            bcast root "b"
+          end
+        done;
+        let c = P.Ni.counters ni in
+        walks.(w).(rank) <- (c.P.Ni.translations, c.P.Ni.entries_walked);
+        held.(w).(rank) <- Some (P.Ni.resources ni)
+      done;
+      C.any_barrier coll;
+      if rank = victim then Sync.Ivar.fill victim_done ()
+      else begin
+        (* The crash lands 1 ms after the victim's last barrier, with
+           nothing in flight; survivors start 2 ms after theirs. *)
+        Scheduler.delay (Runtime.sched_of_rank world rank) (Time_ns.ms 2.);
+        for _ = 1 to 12 do
+          C.any_barrier ~tolerant:true coll
+        done;
+        incr released
+      end);
+  Scheduler.spawn world.Runtime.sched (fun () ->
+      Sync.Ivar.read victim_done;
+      Scheduler.delay world.Runtime.sched (Time_ns.ms 1.);
+      Simnet.Fabric.crash world.Runtime.fabric
+        world.Runtime.ranks.(victim).Simnet.Proc_id.nid);
+  Runtime.run world;
+  let summed w =
+    Array.fold_left (fun (t, e) (t', e') -> (t + t', e + e')) (0, 0) walks.(w)
+  in
+  let measured =
+    List.init soak_windows (fun i ->
+        let w = soak_warmup + i in
+        let (t, e), (t0, e0) = (summed w, summed (w - 1)) in
+        ((t - t0, e - e0), held.(w)))
+  in
+  (Array.map Buffer.contents out, !released, measured)
+
+let soak_tests =
+  [
+    Alcotest.test_case "window soak: nic matches host and leaks nothing"
+      `Quick (fun () ->
+        let host, host_released, _ = soak C.Host in
+        let nic, nic_released, measured = soak C.Nic_offload in
+        Array.iteri
+          (fun rank h ->
+            Alcotest.(check string) (Printf.sprintf "rank %d bytes" rank) h
+              nic.(rank))
+          host;
+        Alcotest.(check int) "host survivors released" 15 host_released;
+        Alcotest.(check int) "nic survivors released" 15 nic_released;
+        let first = List.hd measured
+        and last = List.nth measured (soak_windows - 1) in
+        let (t0, e0), held0 = first and (t1, e1), held1 = last in
+        Alcotest.(check bool) "every window translates" true (t0 > 0 && t1 > 0);
+        (* Equal means, compared exactly: e0 / t0 = e1 / t1. A slot set
+           left linked would lengthen every later walk. *)
+        Alcotest.(check int) "mean walk per translation, cross-multiplied"
+          (e0 * t1) (e1 * t0);
+        Array.iteri
+          (fun rank h ->
+            Alcotest.(check bool)
+              (Printf.sprintf "rank %d holds the same handles" rank)
+              true
+              (h <> None && h = held1.(rank)))
+          held0)
+  ]
+
 let () =
   Alcotest.run "coll-conformance"
     [
@@ -275,4 +389,5 @@ let () =
       ("tolerant", tolerant_tests);
       ("domains", domain_tests);
       ("chaos", chaos_tests);
+      ("soak", soak_tests);
     ]

@@ -278,6 +278,48 @@ let me_tests =
           (Me.criteria_match me ~src:(proc 1 0) ~mbits:(Match_bits.of_int 43));
         Alcotest.(check bool) "wrong source" false
           (Me.criteria_match me ~src:(proc 2 0) ~mbits:(Match_bits.of_int 42)));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"criteria read back, match like Match_bits, survive new bits"
+         ~count:500
+         QCheck.(
+           tup5 int64 int64 int64
+             (pair (option (int_range 0 0x7FFF_FFFE)) (option (int_range 0 0x7FFF_FFFE)))
+             bool)
+         (fun (bits, ignore, req, (nid, pid), unlink) ->
+           let comp = function None -> Match_id.Any | Some id -> Match_id.Id id in
+           let mid = Match_id.make ~nid:(comp nid) ~pid:(comp pid) in
+           let unlink = if unlink then Md.Unlink else Md.Retain in
+           let me =
+             Me.create ~unlink ~match_id:mid ~match_bits:bits ~ignore_bits:ignore ()
+           in
+           let src =
+             proc (Option.value nid ~default:7) (Option.value pid ~default:3)
+           in
+           let same_criteria b =
+             Match_id.equal (Me.match_id me) mid
+             && Match_bits.equal (Me.match_bits me) b
+             && Match_bits.equal (Me.ignore_bits me) ignore
+             && Me.unlink_policy me = unlink
+             && Me.criteria_match me ~src ~mbits:req
+                = Match_bits.matches ~mbits:req ~match_bits:b ~ignore_bits:ignore
+           in
+           let before = same_criteria bits in
+           Me.set_match_bits me req;
+           before && same_criteria req
+           && Me.criteria_match me ~src ~mbits:req));
+    Alcotest.test_case "process ids outside 31 bits are rejected" `Quick
+      (fun () ->
+        List.iter
+          (fun id ->
+            match
+              Me.create
+                ~match_id:(Match_id.make ~nid:(Match_id.Id id) ~pid:Match_id.Any)
+                ~match_bits:Match_bits.zero ~ignore_bits:Match_bits.zero ()
+            with
+            | _ -> Alcotest.failf "id %d accepted" id
+            | exception Invalid_argument _ -> ())
+          [ -1; 0x7FFF_FFFF ]);
     Alcotest.test_case "md list order and removal" `Quick (fun () ->
         let me =
           Me.create ~match_id:Match_id.any ~match_bits:Match_bits.zero

@@ -1,7 +1,8 @@
 (* Counting events and triggered-operation chains (the Portals-4-style
    extension backing the NIC-offloaded collectives): match-time counter
    bumps, arm-time firing, chain actions (put / combine / counter
-   cascade), the TRIGGERED event's wire provenance, and the three §4.8
+   cascade), the TRIGGERED event's wire provenance, re-arming in place
+   (match-entry re-targeting and counter reset), and the three §4.8
    drop reasons for mis-armed chains. *)
 
 open Portals
@@ -86,6 +87,25 @@ let counter_tests =
         (match Ni.ct_get env.ni0 ct with
         | Error Errors.Invalid_ct -> ()
         | Ok _ | Error _ -> Alcotest.fail "freed counter still resolves"));
+    Alcotest.test_case "freeing a counter wakes its waiters" `Quick (fun () ->
+        (* A fiber blocked on a counter that is freed must fail with
+           Invalid_ct at the free, not sleep until the run deadlocks. *)
+        let env = setup () in
+        let ct = ok ~what:"alloc" (Ni.ct_alloc env.ni0) in
+        let outcome = ref None in
+        Scheduler.spawn env.sched (fun () ->
+            let r = Ni.ct_wait env.ni0 ct ~threshold:1 in
+            outcome := Some (r, Scheduler.now env.sched));
+        Scheduler.spawn env.sched (fun () ->
+            Scheduler.delay env.sched (Time_ns.us 1.);
+            ok ~what:"free" (Ni.ct_free env.ni0 ct));
+        Scheduler.run env.sched;
+        match !outcome with
+        | Some (Error Errors.Invalid_ct, at) ->
+          Alcotest.(check int) "woken at the free" (Time_ns.us 1.) at
+        | Some (Ok v, _) -> Alcotest.failf "wait returned %d" v
+        | Some (Error e, _) -> Alcotest.failf "wrong error %s" (Errors.to_string e)
+        | None -> Alcotest.fail "waiter never finished");
     Alcotest.test_case "non-positive inc and negative threshold rejected"
       `Quick (fun () ->
         let env = setup () in
@@ -228,6 +248,181 @@ let chain_tests =
         | evs -> Alcotest.failf "expected one event, got %d" (List.length evs));
   ]
 
+(* Three exact-bits entries (bits 1, 2, 3) on portal 0, each over its own
+   buffer with the given descriptor options; returns [(me, md, buffer)]
+   in list order. *)
+let exact_entries ?(options = Md.default_options) ni =
+  List.map
+    (fun bits ->
+      let me =
+        ok ~what:"me_attach"
+          (Ni.me_attach ni ~portal_index:0 ~match_id:Match_id.any
+             ~match_bits:(Match_bits.of_int bits)
+             ~ignore_bits:Match_bits.zero ())
+      in
+      let buf = Bytes.make 16 '.' in
+      let md = ok ~what:"md_attach" (Ni.md_attach ni ~me (Ni.md_spec ~options buf)) in
+      (me, md, buf))
+    [ 1; 2; 3 ]
+
+(* Put [payload] from ni0 to [target] with [bits], run to quiescence, and
+   return how many match entries the target examined for it. *)
+let walk_of env ~target ~bits payload =
+  let ni = if target = 1 then env.ni1 else env.ni2 in
+  let before = (Ni.counters ni).Ni.entries_walked in
+  let md = sender_md env.ni0 (Bytes.of_string payload) in
+  ok ~what:"put"
+    (Ni.put env.ni0 ~md ~ack:false
+       (Ni.op ~target:(proc target 0) ~portal_index:0
+          ~match_bits:(Match_bits.of_int bits) ()));
+  Scheduler.run env.sched;
+  (Ni.counters ni).Ni.entries_walked - before
+
+let rearm_tests =
+  [
+    Alcotest.test_case "retarget orders and walks like unlink + attach"
+      `Quick (fun () ->
+        let env = setup () in
+        (* ni1 re-targets its bits-2 entry to bits 4; ni2 unlinks it and
+           attaches a fresh bits-4 entry. *)
+        let retargeted =
+          match exact_entries env.ni1 with
+          | [ _; (me, _, buf); _ ] ->
+            ok ~what:"retarget"
+              (Ni.me_retarget env.ni1 me ~match_bits:(Match_bits.of_int 4));
+            buf
+          | _ -> assert false
+        in
+        (match exact_entries env.ni2 with
+        | [ _; (me, _, _); _ ] ->
+          ok ~what:"unlink" (Ni.me_unlink env.ni2 me);
+          let me =
+            ok ~what:"me_attach"
+              (Ni.me_attach env.ni2 ~portal_index:0 ~match_id:Match_id.any
+                 ~match_bits:(Match_bits.of_int 4)
+                 ~ignore_bits:Match_bits.zero ())
+          in
+          ignore
+            (ok ~what:"md_attach"
+               (Ni.md_attach env.ni2 ~me (Ni.md_spec (Bytes.make 16 '.'))))
+        | _ -> assert false);
+        (* Bits 4 now sit at the tail, 3 second, 1 first; bits 2 match
+           nothing and walk the whole list. *)
+        List.iter
+          (fun (bits, walked) ->
+            List.iter
+              (fun target ->
+                Alcotest.(check int)
+                  (Printf.sprintf "bits %d on ni%d" bits target)
+                  walked
+                  (walk_of env ~target ~bits "x"))
+              [ 1; 2 ])
+          [ (4, 3); (3, 2); (1, 1); (2, 3) ];
+        let c1 = Ni.counters env.ni1 and c2 = Ni.counters env.ni2 in
+        Alcotest.(check (pair int int)) "same counters"
+          (c2.Ni.translations, c2.Ni.entries_walked)
+          (c1.Ni.translations, c1.Ni.entries_walked);
+        Alcotest.(check char) "bits 4 landed in the re-targeted buffer" 'x'
+          (Bytes.get retargeted 0);
+        Alcotest.(check int) "bits 2 dropped as no match" 1
+          (Ni.dropped env.ni1 Ni.No_match);
+        Alcotest.(check int) "handles held unchanged" 3
+          (Ni.resources env.ni1).Ni.live_mes);
+    Alcotest.test_case "retarget refuses a busy descriptor" `Quick (fun () ->
+        let env = setup () in
+        match exact_entries env.ni1 with
+        | [ (me, md, buf); _; _ ] ->
+          (* A get from the entry's own descriptor keeps it busy until
+             the reply, which never comes: ni2 has no entries. *)
+          ok ~what:"get"
+            (Ni.get env.ni1 ~md (Ni.op ~target:(proc 2 0) ~portal_index:0 ()));
+          (match Ni.me_retarget env.ni1 me ~match_bits:(Match_bits.of_int 9) with
+          | Error Errors.Md_in_use -> ()
+          | Ok () -> Alcotest.fail "retargeted a busy entry"
+          | Error e -> Alcotest.failf "wrong error %s" (Errors.to_string e));
+          Alcotest.(check int) "old bits still match first" 1
+            (walk_of env ~target:1 ~bits:1 "y");
+          Alcotest.(check char) "deposit landed" 'y' (Bytes.get buf 0)
+        | _ -> assert false);
+    Alcotest.test_case "retargeted descriptor takes its next deposit at 0"
+      `Quick (fun () ->
+        let env = setup () in
+        let options = { Md.default_options with Md.manage_remote = false } in
+        match exact_entries ~options env.ni1 with
+        | [ (me, md, buf); _; _ ] ->
+          ignore (walk_of env ~target:1 ~bits:1 "abcd");
+          Alcotest.(check int) "offset advanced" 4
+            (ok ~what:"offset" (Ni.md_local_offset env.ni1 md));
+          ok ~what:"retarget"
+            (Ni.me_retarget env.ni1 me ~match_bits:(Match_bits.of_int 7));
+          Alcotest.(check int) "offset rewound" 0
+            (ok ~what:"offset" (Ni.md_local_offset env.ni1 md));
+          ignore (walk_of env ~target:1 ~bits:7 "wxyz");
+          Alcotest.(check string) "second deposit at the start" "wxyz"
+            (Bytes.sub_string buf 0 4);
+          Alcotest.(check string) "nothing written past it" "...."
+            (Bytes.sub_string buf 4 4);
+          ignore (walk_of env ~target:1 ~bits:1 "late");
+          Alcotest.(check int) "old bits match nothing" 1
+            (Ni.dropped env.ni1 Ni.No_match)
+        | _ -> assert false);
+    Alcotest.test_case "reset zeroes the value and drops unfired chains"
+      `Quick (fun () ->
+        let env = setup () in
+        let ct = ok ~what:"alloc" (Ni.ct_alloc env.ni0) in
+        let flag = ok ~what:"alloc" (Ni.ct_alloc env.ni0) in
+        ok ~what:"arm"
+          (Ni.ct_arm env.ni0 ~ct ~threshold:2
+             [ Ni.Triggered_ct_inc { ct = flag; amount = 1 } ]);
+        ok ~what:"inc" (Ni.ct_inc env.ni0 ct 1);
+        ok ~what:"reset" (Ni.ct_reset env.ni0 ct);
+        Alcotest.(check int) "value back to zero" 0 (ct_val env.ni0 ct);
+        ok ~what:"inc" (Ni.ct_inc env.ni0 ct 2);
+        Alcotest.(check int) "cancelled chain never fires" 0 (ct_val env.ni0 flag);
+        ok ~what:"arm"
+          (Ni.ct_arm env.ni0 ~ct ~threshold:2
+             [ Ni.Triggered_ct_inc { ct = flag; amount = 1 } ]);
+        Alcotest.(check int) "a chain armed after the reset fires" 1
+          (ct_val env.ni0 flag);
+        Alcotest.(check int) "one chain fired in all" 1
+          (Ni.counters env.ni0).Ni.triggered_fired);
+    Alcotest.test_case "reset leaves waiters waiting from zero" `Quick
+      (fun () ->
+        let env = setup () in
+        let ct = ok ~what:"alloc" (Ni.ct_alloc env.ni0) in
+        let woke = ref None in
+        Scheduler.spawn env.sched (fun () ->
+            let v = ok ~what:"wait" (Ni.ct_wait env.ni0 ct ~threshold:2) in
+            woke := Some (v, Scheduler.now env.sched));
+        Scheduler.spawn env.sched (fun () ->
+            let step f =
+              Scheduler.delay env.sched (Time_ns.us 1.);
+              ok ~what:"step" (f ())
+            in
+            step (fun () -> Ni.ct_inc env.ni0 ct 1);
+            step (fun () -> Ni.ct_reset env.ni0 ct);
+            step (fun () -> Ni.ct_inc env.ni0 ct 1);
+            step (fun () -> Ni.ct_inc env.ni0 ct 1));
+        Scheduler.run env.sched;
+        Alcotest.(check (option (pair int int))) "woke at 4 us with 2"
+          (Some (2, Time_ns.us 4.))
+          !woke);
+    Alcotest.test_case "chains one bump makes eligible fire in arming order"
+      `Quick (fun () ->
+        (* The documented contract: arming order, not threshold order.
+           The higher-threshold chain was armed first, so it runs first. *)
+        let env = setup () in
+        let eqh = ok ~what:"eq_alloc" (Ni.eq_alloc env.ni0 ~capacity:4) in
+        let ct = ok ~what:"alloc" (Ni.ct_alloc env.ni0) in
+        let other = ok ~what:"alloc" (Ni.ct_alloc env.ni0) in
+        let inc = [ Ni.Triggered_ct_inc { ct = other; amount = 1 } ] in
+        ok ~what:"arm2" (Ni.ct_arm env.ni0 ~ct ~eq:eqh ~user_ptr:2 ~threshold:2 inc);
+        ok ~what:"arm1" (Ni.ct_arm env.ni0 ~ct ~eq:eqh ~user_ptr:1 ~threshold:1 inc);
+        ok ~what:"inc" (Ni.ct_inc env.ni0 ct 2);
+        Alcotest.(check (list int)) "fired in arming order" [ 2; 1 ]
+          (List.map (fun e -> e.Event.md_user_ptr) (drain env.ni0 eqh)));
+  ]
+
 let drop_tests =
   [
     Alcotest.test_case "vanished handles drop as triggered_target_gone"
@@ -302,5 +497,6 @@ let () =
     [
       ("counters", counter_tests);
       ("chains", chain_tests);
+      ("rearm", rearm_tests);
       ("drops", drop_tests);
     ]
