@@ -42,12 +42,10 @@ bench:
 bench-json:
 	dune exec bin/portals_repro.exe -- bench --json BENCH.json
 
-# Fail if any experiment's events/sec regressed more than 25% against
-# the committed baseline. Refresh with `make baseline-refresh` on a
-# quiet machine; see README.
+# Fail if any record's sim_events, fibers or sim_time_us differs from
+# the committed baseline; see README.
 perf-gate:
-	dune exec bin/portals_repro.exe -- \
-		bench --json BENCH.json --baseline bench/baseline.json --tolerance 25
+	dune exec bin/portals_repro.exe -- bench --json BENCH.json --baseline bench/baseline.json
 
 # Alternating paired runs of perfbench on REV and on the working tree,
 # with medians, quartiles and pair wins per end-to-end metric; see
@@ -62,19 +60,10 @@ perf-pairs:
 ci-deps:
 	opam install --yes $(CI_DEPS)
 
-# Rebuild bench/baseline.json as the best-of-3 events/sec per record.
-# Three full passes smooth out scheduler noise; taking the max per id
-# keeps the gate honest (a regression must beat the machine's best day,
-# not an unlucky run). Run on a quiet machine, then commit the file.
+# Rewrite bench/baseline.json from this tree; commit it with the change
+# that moved the sim fields, and say why.
 baseline-refresh:
-	for i in 1 2 3; do \
-		dune exec bin/portals_repro.exe -- bench --json BENCH.$$i.json \
-			|| exit 1; \
-	done
-	python3 scripts/merge_baselines.py \
-		BENCH.1.json BENCH.2.json BENCH.3.json > bench/baseline.json
-	rm -f BENCH.1.json BENCH.2.json BENCH.3.json
-	@echo "wrote bench/baseline.json (best of 3); review and commit it"
+	dune exec bin/portals_repro.exe -- bench --json bench/baseline.json
 
 # Seeded acceptance smoke, shared with CI (scripts/smoke.sh).
 smoke: build

@@ -628,9 +628,9 @@ let matrix_cmd =
       & opt (some string) None
       & info [ "json" ] ~docv:"OUT"
           ~doc:
-            "Also meter every cell as a portals-bench/1 record \
+            "Also meter every cell as a portals-bench/2 record \
              (id $(b,MX.<transport>.<axis>)) and write the report to \
-             $(docv) — the file the CI perf gate consumes.")
+             $(docv) — the records the CI bench gate compares.")
   in
   Cmd.v
     (Cmd.info "matrix"
@@ -676,9 +676,9 @@ let rma_cmd =
       & opt (some string) None
       & info [ "json" ] ~docv:"OUT"
           ~doc:
-            "Also meter every workload as a portals-bench/1 record \
+            "Also meter every workload as a portals-bench/2 record \
              (id $(b,RMA.<workload>)) and write the report to $(docv) — \
-             the file the CI perf gate consumes.")
+             the records the CI bench gate compares.")
   in
   Cmd.v
     (Cmd.info "rma"
@@ -724,7 +724,7 @@ let chaos_cmd =
       & opt (some string) None
       & info [ "json" ] ~docv:"OUT"
           ~doc:
-            "Also meter each fault axis as a portals-bench/1 record \
+            "Also meter each fault axis as a portals-bench/2 record \
              (id $(b,CH.<axis>)) and write the report to $(docv).")
   in
   Cmd.v
@@ -834,7 +834,7 @@ let par_cmd =
       & info [ "json" ] ~docv:"OUT"
           ~doc:
             "Also meter the workload sequentially and at 4 domains as \
-             portals-bench/1 records ($(b,PAR.seq), $(b,PAR.par4)) and \
+             portals-bench/2 records ($(b,PAR.seq), $(b,PAR.par4)) and \
              write them to $(docv) — the records the multicore speedup \
              gate consumes.")
   in
@@ -912,9 +912,9 @@ let coll_cmd =
       & info [ "json" ] ~docv:"OUT"
           ~doc:
             "Also meter busy-host barrier/allreduce under each engine as \
-             portals-bench/1 records (id $(b,COLL.<engine>.<op>)) and \
+             portals-bench/2 records (id $(b,COLL.<engine>.<op>)) and \
              write the report to $(docv) — gated against \
-             bench/baseline.json by the CI perf gate.")
+             bench/baseline.json by the CI bench gate.")
   in
   Cmd.v
     (Cmd.info "coll"
@@ -925,54 +925,53 @@ let coll_cmd =
     Term.(ret (const run $ env_term $ quick $ check $ iters $ seed $ json))
 
 (* Performance records for every experiment, metered, optionally gated
-   against a baseline: the file the CI perf gate compares against
-   bench/baseline.json. Exit 1 on a regression, 2 on an unreadable
-   baseline. *)
+   against a baseline: the file the CI bench gate compares against
+   bench/baseline.json. The gate compares the deterministic sim-side
+   fields exactly; exit 1 on any drift, 2 on an unreadable baseline. *)
 let bench_cmd =
-  let run () json baseline tolerance_pct quick =
-    if tolerance_pct < 0. then `Error (false, "--tolerance must be >= 0")
-    else begin
-      let records =
-        Experiments.Perf.all ~quick ()
-        @ Experiments.Matrix.perf_records ~quick ()
-        @ Experiments.Rma.perf_records ~quick ()
-        @ Experiments.Chaos.perf_records ~quick:true ()
-        @ Experiments.Par.perf_records ~quick ()
-        @ Experiments.Coll.perf_records ~quick ()
-      in
-      Experiments.Perf.pp ppf records;
-      (match json with
-      | None -> ()
-      | Some out ->
+  let run () json baseline quick =
+    let baseline =
+      Option.map
+        (fun path ->
+          match Experiments.Perf.read_json ~path with
+          | Ok records -> records
+          | Error msg ->
+            Format.eprintf "bench: cannot read baseline %s: %s@." path msg;
+            exit 2)
+        baseline
+    in
+    let records =
+      Experiments.Perf.all ~quick ()
+      @ Experiments.Matrix.perf_records ~quick ()
+      @ Experiments.Rma.perf_records ~quick ()
+      @ Experiments.Chaos.perf_records ~quick:true ()
+      @ Experiments.Par.perf_records ~quick ()
+      @ Experiments.Coll.perf_records ~quick ()
+    in
+    Experiments.Perf.pp ppf records;
+    Option.iter
+      (fun out ->
         Experiments.Perf.write_json ~path:out records;
-        Format.fprintf ppf "bench: wrote %s@." out);
-      (match baseline with
-      | None -> ()
-      | Some path -> (
-        match Experiments.Perf.read_json ~path with
-        | Error msg ->
-          Format.eprintf "bench: cannot read baseline %s: %s@." path msg;
-          exit 2
-        | Ok baseline -> (
-          match
-            Experiments.Perf.compare_baseline ~baseline ~current:records
-              ~tolerance_pct
-          with
-          | [] ->
-            Format.fprintf ppf "bench: baseline gate passed (tolerance %.0f%%)@."
-              tolerance_pct
-          | regressions ->
-            Experiments.Perf.pp_regressions Format.err_formatter regressions;
-            exit 1)));
-      `Ok ()
-    end
+        Format.fprintf ppf "bench: wrote %s@." out)
+      json;
+    Option.iter
+      (fun baseline ->
+        match Experiments.Perf.drift ~baseline ~current:records with
+        | [] ->
+          Format.fprintf ppf
+            "bench: all %d records match the baseline's sim fields exactly@."
+            (List.length records)
+        | drifts ->
+          Experiments.Perf.pp_drift Format.err_formatter drifts;
+          exit 1)
+      baseline
   in
   let json =
     Arg.(
       value
       & opt (some string) None
       & info [ "json" ] ~docv:"OUT"
-          ~doc:"Write the records to $(docv) as portals-bench/1 JSON.")
+          ~doc:"Write the records to $(docv) as portals-bench/2 JSON.")
   in
   let baseline =
     Arg.(
@@ -980,15 +979,11 @@ let bench_cmd =
       & opt (some string) None
       & info [ "baseline" ] ~docv:"FILE"
           ~doc:
-            "Compare against the records in $(docv) and exit 1 if any \
-             experiment's events/sec dropped by more than \
-             $(b,--tolerance) (records under 1000 events are skipped).")
-  in
-  let tolerance =
-    Arg.(
-      value & opt float 25.
-      & info [ "tolerance" ] ~docv:"PCT"
-          ~doc:"Allowed events/sec drop, in percent, before the gate fails.")
+            "Compare against the records in $(docv), a file written by \
+             $(b,--json): exit 1 if any record's $(b,sim_events), \
+             $(b,fibers) or $(b,sim_time_us) differs, or if an id is \
+             missing from either side; exit 2 if $(docv) cannot be read. \
+             Wall time and allocation are not compared.")
   in
   let quick =
     Arg.(value & flag & info [ "quick" ] ~doc:"Smoke-test sized workloads.")
@@ -997,8 +992,9 @@ let bench_cmd =
     (Cmd.info "bench"
        ~doc:
          "Meter every experiment (wall time, sim-events, fibers, events/sec, \
-          peak heap) and optionally gate events/sec against a baseline")
-    Term.(ret (const run $ env_term $ json $ baseline $ tolerance $ quick))
+          allocated words) and optionally gate the sim-side fields against \
+          a baseline, exactly")
+    Term.(const run $ env_term $ json $ baseline $ quick)
 
 (* Every table and figure, each under a section header. *)
 let all_cmd =

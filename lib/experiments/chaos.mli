@@ -51,5 +51,5 @@ val total_violations : t -> int
 val pp : Format.formatter -> t -> unit
 
 val perf_records : ?quick:bool -> ?seed:int -> unit -> Perf.record list
-(** One portals-bench/1 record per {!axis_cells} entry (ids [CH.<axis>]);
+(** One portals-bench/2 record per {!axis_cells} entry (ids [CH.<axis>]);
     raises [Failure] if any metered cell violates an invariant. *)

@@ -329,10 +329,9 @@ let pp ppf t =
 
 (* --- perf records ------------------------------------------------------ *)
 
-(* One portals-bench/1 record per cell, id MX.<transport>.<axis>; the
-   committed bench/baseline.json carries the ibverbs latency/bandwidth
-   rows so CI gates the new stack's hot paths like any other
-   experiment. *)
+(* One portals-bench/2 record per cell, id MX.<transport>.<axis>; the
+   committed bench/baseline.json pins every cell's sim-side fields like
+   any other experiment's. *)
 let record_id ~transport ~axis = Printf.sprintf "MX.%s.%s" transport axis
 
 let perf_records ?(transports = transport_names) ?(axes = axis_names)

@@ -55,6 +55,6 @@ val perf_records :
   ?seed:int ->
   unit ->
   Perf.record list
-(** Meter every selected cell as a {!Perf.record} (portals-bench/1), id
+(** Meter every selected cell as a {!Perf.record} (portals-bench/2), id
     {!record_id} — what the bench harness appends to its report and the
     CI gate compares against [bench/baseline.json]. *)

@@ -205,7 +205,7 @@ let perf_records ?(quick = false) ?(seed = 0) () =
   [
     Perf.meter ~id:record_seq (fun () ->
         ignore (run ~nodes ~steps ~domains:1 ~seed ()));
-    Perf.meter ~id:record_par4 (fun () ->
+    Perf.meter ~domains:4 ~id:record_par4 (fun () ->
         ignore (run ~nodes ~steps ~domains:4 ~seed ()));
   ]
 

@@ -14,7 +14,7 @@ open Sim_engine
                 probing and a fetch_add occupancy counter
 
    Every workload is deterministic for a fixed seed; the bench harness
-   meters each as an RMA.<workload> portals-bench/1 record. *)
+   meters each as an RMA.<workload> portals-bench/2 record. *)
 
 type row = {
   workload : string;

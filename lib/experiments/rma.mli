@@ -48,6 +48,6 @@ val record_id : string -> string
 
 val perf_records :
   ?workloads:string list -> ?quick:bool -> ?seed:int -> unit -> Perf.record list
-(** Meter every selected workload as a {!Perf.record} (portals-bench/1),
+(** Meter every selected workload as a {!Perf.record} (portals-bench/2),
     id {!record_id} — appended to the bench report and gated against
     [bench/baseline.json] like any other experiment. *)

@@ -177,42 +177,43 @@ $DUNE exec bin/portals_repro.exe -- par --check --domains 4 --run-seed 7 \
   | tee "$OUT/par.out"
 grep -q 'domains=1 and domains=4 agree' "$OUT/par.out"
 
-echo "== smoke: perf records + baseline gate (quick sizes) =="
-# The gate silently skips baseline ids missing from the current run, so
-# every committed baseline id must be present in the records.
+echo "== smoke: bench records match the baseline's sim fields exactly =="
+# sim_events, fibers and sim_time_us are deterministic, so every record
+# must match bench/baseline.json exactly, on any compiler. A drift here
+# is a behaviour change (or a determinism bug), never noise.
 $DUNE exec bin/portals_repro.exe -- \
-  bench --quick --json "$OUT/bench.json" > "$OUT/bench.out"
-python3 - "$OUT/bench.json" bench/baseline.json <<'EOF'
-import json, sys
-current = {r["id"] for r in json.load(open(sys.argv[1]))["records"]}
-baseline = [r["id"] for r in json.load(open(sys.argv[2]))["records"]]
-missing = [i for i in baseline if i not in current]
-if missing:
-    sys.exit("baseline ids missing from the bench records: %s" % missing)
-EOF
-# A baseline 100x faster than any machine must trip the gate: exit 1.
-python3 - bench/baseline.json "$OUT/baseline_x100.json" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-for r in doc["records"]:
-    r["events_per_sec"] *= 100
-json.dump(doc, open(sys.argv[2], "w"))
-EOF
+  bench --json "$OUT/bench.json" --baseline bench/baseline.json \
+  > "$OUT/bench.out"
+# A doctored baseline must fail the gate (exit 1) and name the record:
+# one with a changed sim_events, one with a record deleted.
+sed '/"id": "F5"/s/"sim_events": [0-9]*/"sim_events": 1/' \
+  bench/baseline.json > "$OUT/baseline_events.json"
+sed '/"id": "CH.mix"/d' bench/baseline.json > "$OUT/baseline_missing.json"
+for doctored in events:F5 missing:CH.mix; do
+  file="$OUT/baseline_${doctored%%:*}.json"
+  status=0
+  $DUNE exec bin/portals_repro.exe -- bench --baseline "$file" \
+    > /dev/null 2> "$OUT/bench_gate.err" || status=$?
+  if [ "$status" -ne 1 ]; then
+    echo "bench gate exited $status against $file (want 1)" >&2
+    exit 1
+  fi
+  grep -qF "DRIFT ${doctored#*:}" "$OUT/bench_gate.err"
+done
+# A baseline the reader cannot read is a usage failure: exit 2.
+head -c 200 bench/baseline.json > "$OUT/baseline_truncated.json"
 status=0
 $DUNE exec bin/portals_repro.exe -- \
-  bench --quick --json "$OUT/bench.json" \
-  --baseline "$OUT/baseline_x100.json" > "$OUT/bench_gate.out" \
-  2> "$OUT/bench_gate.err" || status=$?
-if [ "$status" -ne 1 ]; then
-  echo "perf gate exited $status against a 100x baseline (want 1)" >&2
+  bench --baseline "$OUT/baseline_truncated.json" 2> /dev/null || status=$?
+if [ "$status" -ne 2 ]; then
+  echo "bench gate exited $status on a truncated baseline (want 2)" >&2
   exit 1
 fi
-grep -q 'PERF REGRESSION' "$OUT/bench_gate.err"
 
 echo "== smoke: help pages render without markup errors =="
 # cmdliner reports a bad escape in a doc string as a "cmdliner error"
 # line on stderr and prints the page anyway, so only a grep catches it.
-for cmd in par chaos fig6; do
+for cmd in par chaos fig6 bench; do
   $DUNE exec bin/portals_repro.exe -- "$cmd" --help=plain \
     > "$OUT/$cmd.help" 2>&1
   if grep -q 'cmdliner error' "$OUT/$cmd.help"; then

@@ -523,15 +523,23 @@ let perf_tests =
       fibers = 3;
       sim_time_us = 250.125;
       events_per_sec = eps;
-      peak_heap_words = 4096;
+      alloc_words = 4096;
     }
+  in
+  let baseline = [ mk "F5" 40_000.0; mk ~events:20_656 "S3" 1.65e6 ] in
+  let drift_names drifts =
+    List.map
+      (function
+        | Changed { id; field; _ } -> id ^ " " ^ field
+        | Missing id -> "missing " ^ id
+        | Extra id -> "extra " ^ id)
+      drifts
   in
   [
     Alcotest.test_case "json round trip preserves every field" `Quick
       (fun () ->
-        let records = [ mk "T1" 40_000.0; mk ~events:20_656 "S3" 1.65e6 ] in
-        match of_json_string (to_json records) with
-        | Error e -> Alcotest.failf "parse failed: %s" e
+        match of_json_string (to_json baseline) with
+        | Error e -> Alcotest.failf "read failed: %s" e
         | Ok back ->
           Alcotest.(check int) "count" 2 (List.length back);
           List.iter2
@@ -544,37 +552,61 @@ let perf_tests =
               Alcotest.(check (float 1e-9)) "wall_s" a.wall_s b.wall_s;
               Alcotest.(check (float 0.11)) "events_per_sec" a.events_per_sec
                 b.events_per_sec;
-              Alcotest.(check int) "peak_heap_words" a.peak_heap_words
-                b.peak_heap_words)
-            records back);
+              Alcotest.(check int) "alloc_words" a.alloc_words b.alloc_words)
+            baseline back;
+          Alcotest.(check (list string)) "no drift after a round trip" []
+            (drift_names (drift ~baseline:back ~current:baseline)));
     Alcotest.test_case "parser rejects malformed input" `Quick (fun () ->
+        let text = to_json baseline in
+        let lines = String.split_on_char '\n' text in
+        (* Cut the first record line short, mid-field. *)
+        let truncated =
+          String.concat "\n"
+            (List.mapi
+               (fun i l -> if i = 4 then String.sub l 0 30 else l)
+               lines)
+        in
+        let header = List.filteri (fun i _ -> i < 4) lines in
+        let no_records = String.concat "\n" (header @ [ "  ]"; "}"; "" ]) in
         List.iter
           (fun s ->
             match of_json_string s with
             | Error _ -> ()
             | Ok _ -> Alcotest.failf "accepted %S" s)
-          [ ""; "{"; "{\"records\": [}"; "[1,2,3]"; "{\"schema\": 42}" ]);
-    Alcotest.test_case "gate flags drops beyond tolerance only" `Quick
-      (fun () ->
-        let baseline = [ mk "T1" 100_000.0; mk "F5" 200_000.0 ] in
-        let current = [ mk "T1" 80_000.0; mk "F5" 195_000.0 ] in
-        (* T1 dropped 20%: inside a 25% tolerance, outside a 10% one. *)
-        Alcotest.(check int) "25% passes" 0
-          (List.length (compare_baseline ~baseline ~current ~tolerance_pct:25.));
-        (match compare_baseline ~baseline ~current ~tolerance_pct:10. with
-        | [ r ] ->
-          Alcotest.(check string) "flagged id" "T1" r.r_id;
-          Alcotest.(check (float 1e-6)) "ratio" 0.8 r.r_ratio
-        | rs -> Alcotest.failf "expected one regression, got %d" (List.length rs)));
-    Alcotest.test_case "gate skips tiny runs and unmatched ids" `Quick
-      (fun () ->
-        (* 500 events finish in microseconds; their events/sec is timer
-           noise, so even a 10x drop must not trip the gate. Ids present
-           on only one side are ignored rather than failed. *)
-        let baseline = [ mk ~events:500 "F1" 1e6; mk "OLD" 100_000.0 ] in
-        let current = [ mk ~events:500 "F1" 1e5; mk "NEW" 50.0 ] in
-        Alcotest.(check int) "nothing flagged" 0
-          (List.length (compare_baseline ~baseline ~current ~tolerance_pct:25.)));
+          [
+            "";
+            "{";
+            truncated;
+            to_json [];
+            no_records;
+            String.sub text 0 (String.length text - 3);
+            (* The previous schema, which had no "ocaml" line. *)
+            "{\n  \"schema\": \"portals-bench/1\",\n  \"records\": [\n";
+          ]);
+    Alcotest.test_case "gate names each drifted field" `Quick (fun () ->
+        let bumped f =
+          drift_names
+            (drift ~baseline
+               ~current:
+                 (List.map (fun r -> if r.id = "S3" then f r else r) baseline))
+        in
+        Alcotest.(check (list string)) "identical" [] (bumped Fun.id);
+        (* Host-side fields are recorded, not gated. *)
+        Alcotest.(check (list string)) "wall time and allocation" []
+          (bumped (fun r ->
+               { r with wall_s = 9.; events_per_sec = 1.; alloc_words = 1 }));
+        Alcotest.(check (list string)) "sim_events + 1" [ "S3 sim_events" ]
+          (bumped (fun r -> { r with sim_events = r.sim_events + 1 }));
+        Alcotest.(check (list string)) "fibers + 1" [ "S3 fibers" ]
+          (bumped (fun r -> { r with fibers = r.fibers + 1 }));
+        Alcotest.(check (list string)) "sim_time_us + 0.001"
+          [ "S3 sim_time_us" ]
+          (bumped (fun r -> { r with sim_time_us = r.sim_time_us +. 0.001 })));
+    Alcotest.test_case "gate flags missing and extra ids" `Quick (fun () ->
+        Alcotest.(check (list string)) "missing" [ "missing S3" ]
+          (drift_names (drift ~baseline ~current:[ List.hd baseline ]));
+        Alcotest.(check (list string)) "extra" [ "extra NEW" ]
+          (drift_names (drift ~baseline ~current:(baseline @ [ mk "NEW" 1. ]))));
     Alcotest.test_case "same-seed runs agree on sim-side fields" `Slow
       (fun () ->
         let a = all ~quick:true () in
