@@ -48,13 +48,14 @@ perf-gate:
 	dune exec bin/portals_repro.exe -- bench --json BENCH.json --baseline bench/baseline.json
 
 # Alternating paired runs of perfbench on REV and on the working tree,
-# with medians, quartiles and pair wins per end-to-end metric; see
-# scripts/perf_pairs.sh.
+# at seed SEED, with medians, quartiles and pair wins per end-to-end
+# metric, then every run's value; see scripts/perf_pairs.sh.
 REV ?= HEAD
 WORKLOAD ?= coll
 PAIRS ?= 10
+SEED ?= 0
 perf-pairs:
-	bash scripts/perf_pairs.sh $(REV) $(WORKLOAD) $(PAIRS)
+	bash scripts/perf_pairs.sh $(REV) $(WORKLOAD) $(PAIRS) $(SEED)
 
 # Install exactly what CI installs (shared by every workflow job).
 ci-deps:

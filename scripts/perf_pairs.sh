@@ -1,30 +1,33 @@
 #!/usr/bin/env bash
 # Paired benchmark comparison of a commit against the working tree:
 #
-#   bash scripts/perf_pairs.sh REV WORKLOAD [PAIRS]
-#   make perf-pairs REV=HEAD WORKLOAD=coll PAIRS=10
+#   bash scripts/perf_pairs.sh REV WORKLOAD [PAIRS [SEED]]
+#   make perf-pairs REV=HEAD WORKLOAD=coll PAIRS=10 SEED=0
 #
 # Exports REV (`git archive`) into a temporary directory and builds the
 # benchmark there and in the working tree. Then it runs
-# `sh perfbench/run.sh --workload WORKLOAD --trace 0` on both sides PAIRS
-# times (default 10), alternating which side runs first.
+# `sh perfbench/run.sh --workload WORKLOAD --seed SEED --trace 0` on both
+# sides PAIRS times (default 10; SEED defaults to 0), alternating which
+# side runs first.
 #
 # For every end-to-end metric it prints each side's median and quartiles,
 # the change in the median, and how many pairs the working tree won (ties
 # count for neither). A metric is a GAIN when the tree wins at least nine
 # tenths of the pairs and the medians differ by more than REV's
 # interquartile range; it is WORSE when the tree's median is worse than
-# REV's by more than the metric's bound in BENCHMARK.json. Run it from the
-# root of the checkout; it edits nothing in the checkout.
+# REV's by more than the metric's bound in BENCHMARK.json. After the table
+# it lists every run's value, per metric and side, in the order run. Run it
+# from the root of the checkout; it edits nothing in the checkout.
 set -euo pipefail
 
 usage() {
-  echo "usage: bash scripts/perf_pairs.sh REV WORKLOAD [PAIRS]" >&2
+  echo "usage: bash scripts/perf_pairs.sh REV WORKLOAD [PAIRS [SEED]]" >&2
   exit 2
 }
-[ $# -ge 2 ] && [ $# -le 3 ] || usage
-rev=$1 workload=$2 pairs=${3:-10}
+[ $# -ge 2 ] && [ $# -le 4 ] || usage
+rev=$1 workload=$2 pairs=${3:-10} seed=${4:-0}
 case $pairs in '' | *[!0-9]* | 0 | 1) usage ;; esac
+case $seed in '' | *[!0-9]*) usage ;; esac
 if [ ! -f dune-project ] || [ ! -f perfbench/run.sh ] || [ ! -f BENCHMARK.json ]; then
   echo "perf_pairs: run from the root of a portals_repro checkout" >&2
   exit 2
@@ -42,8 +45,8 @@ for dir in "$tmp/rev" "$tree"; do
 done
 
 run() { # side dir
-  (cd "$2" && sh perfbench/run.sh --workload "$workload" --trace 0 |
-    tail -n 1) >>"$tmp/$1.jsonl"
+  (cd "$2" && sh perfbench/run.sh --workload "$workload" --seed "$seed" \
+    --trace 0 | tail -n 1) >>"$tmp/$1.jsonl"
 }
 for i in $(seq 1 "$pairs"); do
   if [ $((i % 2)) -eq 1 ]; then
@@ -54,12 +57,12 @@ for i in $(seq 1 "$pairs"); do
   echo "pair $i/$pairs done" >&2
 done
 
-python3 - "$tmp/rev.jsonl" "$tmp/tree.jsonl" "$rev" "$workload" <<'EOF'
+python3 - "$tmp/rev.jsonl" "$tmp/tree.jsonl" "$rev" "$workload" "$seed" <<'EOF'
 import json
 import statistics
 import sys
 
-rev_file, tree_file, rev, workload = sys.argv[1:]
+rev_file, tree_file, rev, workload, seed = sys.argv[1:]
 load = lambda f: [json.loads(line) for line in open(f)]
 runs = {"rev": load(rev_file), "tree": load(tree_file)}
 spec = {m["name"]: m for m in json.load(open("BENCHMARK.json"))["end_to_end"]}
@@ -70,7 +73,7 @@ for side, rs in runs.items():
         print(f"warning: {bad} incorrect {side} run(s)")
 
 print(f"{workload}: {rev} (rev) against the working tree (tree), "
-      f"{len(runs['rev'])} pairs")
+      f"{len(runs['rev'])} pairs, seed {seed}")
 print(f"{'metric':14} {'rev median [q1, q3]':32} {'tree median [q1, q3]':32} "
       f"{'change':>8} {'wins':>6}  verdict")
 for name, m in spec.items():
@@ -91,4 +94,10 @@ for name, m in spec.items():
     cell = lambda med, q: f"{med:.4g} [{q[0]:.4g}, {q[2]:.4g}] {m['unit']}"
     print(f"{name:14} {cell(ma, qa):32} {cell(mb, qb):32} "
           f"{change:+8.2%} {wins:>3}/{len(a):<2}  {verdict}")
+
+print("every run, in the order run (pair i is column i):")
+for name, m in spec.items():
+    for side, rs in runs.items():
+        vals = " ".join(f"{r['metrics'][name]['value']:.4g}" for r in rs)
+        print(f"{name:14} {side:4} {vals} {m['unit']}")
 EOF

@@ -78,6 +78,64 @@ let prng_tests =
         Alcotest.(check bool) "mean near 5" true (mean > 4.5 && mean < 5.5));
   ]
 
+(* Pops every event in order, as [(time, value)] pairs. *)
+let drain_heap h =
+  let rec go acc =
+    if Event_heap.is_empty h then List.rev acc
+    else
+      let time = Event_heap.min_time h in
+      go ((time, Event_heap.pop_min h) :: acc)
+  in
+  go []
+
+(* The reference the index heap is checked against: a set of
+   [(time, insertion index)] pairs, popped from its least element. *)
+module Model = Set.Make (struct
+  type t = int * int
+
+  let compare = compare
+end)
+
+type heap_op = Add of int | Pop | Drain_to of int
+
+(* Applies [ops] to a heap of insertion indices and to the model, then
+   drains both. Returns whether every pop agreed with the model on time
+   and value and every inserted index came out exactly once, and the
+   heap's peak length. *)
+let heap_agrees_with_model ops =
+  let h = Event_heap.create () in
+  let model = ref Model.empty and next = ref 0 and popped = ref [] in
+  let ok = ref true in
+  let pop () =
+    if not (Model.is_empty !model) then begin
+      let expected = Model.min_elt !model in
+      model := Model.remove expected !model;
+      let t = Event_heap.min_time h in
+      let v = Event_heap.pop_min h in
+      if (t, v) <> expected then ok := false;
+      popped := v :: !popped
+    end
+  in
+  List.iter
+    (function
+      | Add time ->
+        Event_heap.add h ~time !next;
+        model := Model.add (time, !next) !model;
+        incr next
+      | Pop -> pop ()
+      | Drain_to k ->
+        while Model.cardinal !model > k do
+          pop ()
+        done)
+    ops;
+  while not (Model.is_empty !model) do
+    pop ()
+  done;
+  ( !ok
+    && Event_heap.is_empty h
+    && List.sort compare !popped = List.init !next Fun.id,
+    Event_heap.peak_size h )
+
 let heap_tests =
   [
     Alcotest.test_case "pop order" `Quick (fun () ->
@@ -85,35 +143,32 @@ let heap_tests =
         Event_heap.add h ~time:30 "c";
         Event_heap.add h ~time:10 "a";
         Event_heap.add h ~time:20 "b";
-        let order = ref [] in
-        Event_heap.drain h (fun _ v -> order := v :: !order);
-        Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] (List.rev !order));
+        Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ]
+          (List.map snd (drain_heap h)));
     Alcotest.test_case "FIFO tie-break at equal times" `Quick (fun () ->
         let h = Event_heap.create () in
         List.iter (fun v -> Event_heap.add h ~time:5 v) [ "1"; "2"; "3"; "4" ];
-        let order = ref [] in
-        Event_heap.drain h (fun _ v -> order := v :: !order);
         Alcotest.(check (list string)) "insertion order" [ "1"; "2"; "3"; "4" ]
-          (List.rev !order));
+          (List.map snd (drain_heap h)));
     Alcotest.test_case "peek does not remove" `Quick (fun () ->
         let h = Event_heap.create () in
         Event_heap.add h ~time:9 ();
-        Alcotest.(check (option int)) "peek" (Some 9) (Event_heap.peek_time h);
+        Alcotest.(check int) "min_time" 9 (Event_heap.min_time h);
         Alcotest.(check int) "length" 1 (Event_heap.length h));
     Alcotest.test_case "empty heap" `Quick (fun () ->
         let h : unit Event_heap.t = Event_heap.create () in
         Alcotest.(check bool) "is_empty" true (Event_heap.is_empty h);
-        Alcotest.(check (option int)) "peek" None (Event_heap.peek_time h);
-        Alcotest.(check bool) "pop" true (Event_heap.pop h = None));
+        Alcotest.check_raises "pop_min" Event_heap.Empty (fun () ->
+            Event_heap.pop_min h);
+        Alcotest.check_raises "min_time" Event_heap.Empty (fun () ->
+            ignore (Event_heap.min_time h)));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"heap sorts like List.sort" ~count:300
          QCheck.(list (int_range 0 1000))
          (fun times ->
            let h = Event_heap.create () in
            List.iter (fun time -> Event_heap.add h ~time time) times;
-           let out = ref [] in
-           Event_heap.drain h (fun _ v -> out := v :: !out);
-           List.rev !out = List.sort compare times));
+           List.map snd (drain_heap h) = List.sort compare times));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"stable for equal keys" ~count:100
          QCheck.(list_of_size (Gen.int_range 0 50) (int_range 0 5))
@@ -122,15 +177,12 @@ let heap_tests =
               indices must come out ascending. *)
            let h = Event_heap.create () in
            List.iteri (fun i time -> Event_heap.add h ~time (time, i)) times;
-           let out = ref [] in
-           Event_heap.drain h (fun _ v -> out := v :: !out);
-           let sorted = List.rev !out in
            let rec check = function
              | (t1, i1) :: ((t2, i2) :: _ as rest) ->
                (t1 < t2 || (t1 = t2 && i1 < i2)) && check rest
              | [ _ ] | [] -> true
            in
-           check sorted));
+           check (List.map snd (drain_heap h))));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"pop order under interleaved add/pop" ~count:300
          (* Negative = pop, otherwise add at that time. Interleaving
@@ -138,33 +190,90 @@ let heap_tests =
             add-all-then-drain never does. *)
          QCheck.(list (int_range (-3) 40))
          (fun ops ->
-           let h = Event_heap.create () in
-           let pending = ref [] in
-           let idx = ref 0 in
-           let ok = ref true in
-           let pop_and_check () =
-             match !pending with
-             | [] -> ()
-             | p0 :: ps ->
-               let expected = List.fold_left min p0 ps in
-               let t = Event_heap.min_time h in
-               let got = Event_heap.pop_min h in
-               if got <> expected || t <> fst expected then ok := false;
-               pending := List.filter (fun e -> e <> expected) !pending
+           fst
+             (heap_agrees_with_model
+                (List.map (fun op -> if op < 0 then Pop else Add op) ops))));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"model: long runs across four doublings"
+         ~count:40
+         (* Adds outnumber pops two to one, so 1000+ operations pass 128
+            pending — capacity 16 doubled four times — all but certainly;
+            a case that does not is discarded, not failed. Times 0..7 make
+            ties common. *)
+         QCheck.(
+           make
+             ~print:(fun ops -> string_of_int (List.length ops) ^ " ops")
+             Gen.(
+               list_size (int_range 1000 3000)
+                 (frequency
+                    [ (2, map (fun t -> Add t) (int_range 0 7)); (1, return Pop) ])))
+         (fun ops ->
+           let agrees, peak = heap_agrees_with_model ops in
+           QCheck.assume (peak > 128);
+           agrees));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"model: regrowth after draining to a few"
+         ~count:60
+         (* Fill past 128, drain to [k], then refill past the capacity
+            reached: the growth then repacks keys whose slot ids were
+            recycled out of order, from seqs of both fills. *)
+         QCheck.(
+           triple (int_range 129 250) (int_range 0 4)
+             (list_of_size (Gen.int_range 400 700) (int_range 0 7)))
+         (fun (fill, k, refill) ->
+           let agrees, peak =
+             heap_agrees_with_model
+               (List.init fill (fun i -> Add (i mod 8))
+               @ [ Drain_to k ]
+               @ List.concat_map
+                   (fun t -> if t = 0 then [ Add t; Pop ] else [ Add t ])
+                   refill)
            in
-           List.iter
-             (fun op ->
-               if op < 0 then pop_and_check ()
-               else begin
-                 Event_heap.add h ~time:op (op, !idx);
-                 pending := (op, !idx) :: !pending;
-                 incr idx
-               end)
-             ops;
-           while !pending <> [] do
-             pop_and_check ()
-           done;
-           !ok && Event_heap.is_empty h));
+           QCheck.assume (peak > 256);
+           agrees));
+    Alcotest.test_case "overflow guard raises before misordering" `Quick
+      (fun () ->
+        let limit shift = max_int lsr shift in
+        (* Capacity 16 keeps 4 slot bits: the last two seqs that fit. *)
+        let h = Event_heap.For_testing.create_at_seq (limit 4 - 1) in
+        Event_heap.add h ~time:5 "a";
+        Event_heap.add h ~time:5 "b";
+        Alcotest.check_raises "third add"
+          (Invalid_argument "Event_heap.add: sequence numbers exhausted")
+          (fun () -> Event_heap.add h ~time:1 "c");
+        Alcotest.(check (list (pair int string))) "FIFO at the limit"
+          [ (5, "a"); (5, "b") ] (drain_heap h);
+        (* Sixteen events fill capacity 16; growing to 32 costs a slot
+           bit, which the upper half of their seqs no longer fits in: the
+           growth is refused before it repacks, and the sixteen still come
+           out in order. *)
+        let h = Event_heap.For_testing.create_at_seq (limit 5 - 7) in
+        for i = 0 to 15 do
+          Event_heap.add h ~time:(i mod 3) i
+        done;
+        Alcotest.check_raises "growth"
+          (Invalid_argument "Event_heap.add: sequence numbers exhausted")
+          (fun () -> Event_heap.add h ~time:0 16);
+        Alcotest.(check int) "length" 16 (Event_heap.length h);
+        let expected =
+          List.init 16 (fun i -> (i mod 3, i)) |> List.sort compare
+        in
+        Alcotest.(check (list (pair int int))) "order kept" expected
+          (drain_heap h);
+        (* One seq lower, the same growth fits: keys repacked at the very
+           top of the int range keep their order. *)
+        let h = Event_heap.For_testing.create_at_seq (limit 5 - 16) in
+        for i = 0 to 16 do
+          Event_heap.add h ~time:(i mod 3) i
+        done;
+        Alcotest.check_raises "18th add"
+          (Invalid_argument "Event_heap.add: sequence numbers exhausted")
+          (fun () -> Event_heap.add h ~time:0 17);
+        let expected =
+          List.init 17 (fun i -> (i mod 3, i)) |> List.sort compare
+        in
+        Alcotest.(check (list (pair int int))) "repacked order" expected
+          (drain_heap h));
   ]
 
 let scheduler_tests =
