@@ -75,13 +75,13 @@ let names_conv ~what ~valid =
   let print fmt l = Format.fprintf fmt "%s" (String.concat "," l) in
   Arg.conv (parse, print)
 
-(* Every command takes [--loss] / [--seed] / [--fault] / [--crash]: they
-   set the process-wide run environment (Runtime.set_run_env) before the
-   experiment builds its worlds, so any experiment replays
-   deterministically on a degraded fabric — lossy/bursty/flapping wires,
-   scheduled node crash-restarts — with the reliability protocol shimmed
-   underneath. *)
-let env_term =
+(* Every command takes [--loss] / [--seed] / [--fault] / [--crash] and
+   the other scenario flags: together they make one Runtime.Scenario.t
+   that the command hands to its experiment, which builds every world
+   from it, so any experiment replays deterministically on a degraded
+   fabric — lossy/bursty/flapping wires, scheduled node crash-restarts —
+   with the reliability protocol shimmed underneath. *)
+let scenario_term =
   let loss =
     Arg.(
       value
@@ -98,8 +98,8 @@ let env_term =
       & opt (some int) None
       & info [ "seed" ] ~docv:"N"
           ~doc:
-            "Default scheduler/fault PRNG seed, for deterministic replay \
-             (default 0).")
+            "Scheduler, fault-model and campaign PRNG seed, for \
+             deterministic replay (default 0).")
   in
   let fault =
     Arg.(
@@ -208,10 +208,10 @@ let env_term =
             (if wall > 0. then float_of_int events /. wall else 0.))
     end;
     match
-      Runtime.set_run_env ?loss ?seed ?fault ?crashes ?topology ?queue_limit
+      Runtime.Scenario.make ?loss ?seed ?fault ?crashes ?topology ?queue_limit
         ?domains ?collectives ()
     with
-    | () -> `Ok ()
+    | scenario -> `Ok scenario
     | exception Invalid_argument msg -> `Error (false, msg)
   in
   Term.(
@@ -274,14 +274,16 @@ let emit_observability ~metrics ~trace_out ~snapshot ~traces =
 (* --- commands ----------------------------------------------------------- *)
 
 let tables_cmd =
-  let run () = Experiments.Tables.pp ppf (Experiments.Tables.run ()) in
+  let run _scenario = Experiments.Tables.pp ppf (Experiments.Tables.run ()) in
   Cmd.v (Cmd.info "tables" ~doc:"Regenerate Tables 1-6 (wire formats)")
-    Term.(const run $ env_term)
+    Term.(const run $ scenario_term)
 
 let protocols_cmd =
-  let run () transport =
-    Experiments.Protocols.pp ppf (Experiments.Protocols.run_put ~transport ());
-    Experiments.Protocols.pp ppf (Experiments.Protocols.run_get ~transport ())
+  let run scenario transport =
+    Experiments.Protocols.pp ppf
+      (Experiments.Protocols.run_put ~scenario ~transport ());
+    Experiments.Protocols.pp ppf
+      (Experiments.Protocols.run_get ~scenario ~transport ())
   in
   let transport =
     Arg.(value & opt transport_conv Runtime.Offload
@@ -289,11 +291,12 @@ let protocols_cmd =
   in
   Cmd.v
     (Cmd.info "protocols" ~doc:"Regenerate Figures 1-2 (put/get timelines)")
-    Term.(const run $ env_term $ transport)
+    Term.(const run $ scenario_term $ transport)
 
 let translation_cmd =
-  let run () depths =
-    Experiments.Translation.pp ppf (Experiments.Translation.run ~depths ())
+  let run scenario depths =
+    Experiments.Translation.pp ppf
+      (Experiments.Translation.run ~scenario ~depths ())
   in
   let depths =
     Arg.(value & opt ints_conv Experiments.Translation.default_depths
@@ -301,12 +304,12 @@ let translation_cmd =
   in
   Cmd.v
     (Cmd.info "translation" ~doc:"Regenerate Figures 3-4 (address translation)")
-    Term.(const run $ env_term $ depths)
+    Term.(const run $ scenario_term $ depths)
 
 let latency_cmd =
-  let run () size iterations =
+  let run scenario size iterations =
     Experiments.Latency.pp ppf
-      (Experiments.Latency.run ~message_size:size ~iterations ())
+      (Experiments.Latency.run ~scenario ~message_size:size ~iterations ())
   in
   let size =
     Arg.(value & opt int 0 & info [ "size" ] ~doc:"Message size in bytes")
@@ -315,11 +318,12 @@ let latency_cmd =
     Arg.(value & opt int 50 & info [ "iterations" ] ~doc:"Ping-pong rounds")
   in
   Cmd.v (Cmd.info "latency" ~doc:"Ping-pong latency across placements (L1)")
-    Term.(const run $ env_term $ size $ iterations)
+    Term.(const run $ scenario_term $ size $ iterations)
 
 let bandwidth_cmd =
-  let run () sizes count =
-    Experiments.Bandwidth.pp ppf (Experiments.Bandwidth.run ~sizes ~count ())
+  let run scenario sizes count =
+    Experiments.Bandwidth.pp ppf
+      (Experiments.Bandwidth.run ~scenario ~sizes ~count ())
   in
   let sizes =
     Arg.(value & opt ints_conv Experiments.Bandwidth.default_sizes
@@ -329,13 +333,13 @@ let bandwidth_cmd =
     Arg.(value & opt int 16 & info [ "count" ] ~doc:"Messages per size")
   in
   Cmd.v (Cmd.info "bandwidth" ~doc:"Streaming bandwidth vs size (B1)")
-    Term.(const run $ env_term $ sizes $ count)
+    Term.(const run $ scenario_term $ sizes $ count)
 
 let fig5_cmd =
-  let run () backend transport size batch work tests metrics trace_out =
+  let run scenario backend transport size batch work tests metrics trace_out =
     let backend_name = match backend with `Portals -> "portals" | `Gm -> "gm" in
     let r =
-      Experiments.Fig5.run
+      Experiments.Fig5.run ~scenario
         ~capture_trace:(trace_out <> None)
         {
           Experiments.Fig5.backend;
@@ -371,12 +375,13 @@ let fig5_cmd =
   in
   Cmd.v (Cmd.info "fig5" ~doc:"One application-bypass measurement (Table 5)")
     Term.(
-      const run $ env_term $ backend $ transport $ size $ batch $ work $ tests
+      const run $ scenario_term $ backend $ transport $ size $ batch $ work $ tests
       $ metrics_arg $ trace_out_arg)
 
-let run_fig6 ?message_size ?work_ms ?iterations ~metrics ~trace_out () =
+let run_fig6 ~scenario ?message_size ?work_ms ?iterations ~metrics ~trace_out
+    () =
   let t =
-    Experiments.Fig6.run ?message_size ?work_ms ?iterations
+    Experiments.Fig6.run ~scenario ?message_size ?work_ms ?iterations
       ~capture_trace:(trace_out <> None) ()
   in
   Experiments.Fig6.pp ppf t;
@@ -384,8 +389,9 @@ let run_fig6 ?message_size ?work_ms ?iterations ~metrics ~trace_out () =
     ~traces:t.Experiments.Fig6.traces
 
 let fig6_cmd =
-  let run () size work_ms iterations metrics trace_out =
-    run_fig6 ~message_size:size ~work_ms ~iterations ~metrics ~trace_out ()
+  let run scenario size work_ms iterations metrics trace_out =
+    run_fig6 ~scenario ~message_size:size ~work_ms ~iterations ~metrics
+      ~trace_out ()
   in
   let size = Arg.(value & opt int 50_000 & info [ "size" ] ~doc:"Message size") in
   let work =
@@ -397,45 +403,47 @@ let fig6_cmd =
   in
   Cmd.v (Cmd.info "fig6" ~doc:"Regenerate Figure 6 (application bypass)")
     Term.(
-      const run $ env_term $ size $ work $ iterations $ metrics_arg
+      const run $ scenario_term $ size $ work $ iterations $ metrics_arg
       $ trace_out_arg)
 
 let memory_cmd =
-  let run () jobs =
+  let run scenario jobs =
     Experiments.Scaling.pp_memory ppf
-      (Experiments.Scaling.run_memory ~job_sizes:jobs ())
+      (Experiments.Scaling.run_memory ~scenario ~job_sizes:jobs ())
   in
   let jobs =
     Arg.(value & opt ints_conv [ 4; 8; 16; 32; 64 ]
          & info [ "jobs" ] ~doc:"Job sizes to sweep")
   in
   Cmd.v (Cmd.info "memory" ~doc:"Unexpected-buffer memory vs job size (S1)")
-    Term.(const run $ env_term $ jobs)
+    Term.(const run $ scenario_term $ jobs)
 
 let collectives_cmd =
-  let run () nodes =
+  let run scenario nodes =
     Experiments.Scaling.pp_collectives ppf
-      (Experiments.Scaling.run_collectives ~node_counts:nodes ())
+      (Experiments.Scaling.run_collectives ~scenario ~node_counts:nodes ())
   in
   let nodes =
     Arg.(value & opt ints_conv [ 2; 4; 8; 16; 32; 64; 128; 256 ]
          & info [ "nodes" ] ~doc:"Node counts to sweep")
   in
   Cmd.v (Cmd.info "collectives" ~doc:"Collective scaling (S2)")
-    Term.(const run $ env_term $ nodes)
+    Term.(const run $ scenario_term $ nodes)
 
 let drops_cmd =
-  let run () = Experiments.Drops.pp ppf (Experiments.Drops.run ()) in
+  let run scenario =
+    Experiments.Drops.pp ppf (Experiments.Drops.run ~scenario ())
+  in
   Cmd.v (Cmd.info "drops" ~doc:"Trigger and count every drop reason (A1)")
-    Term.(const run $ env_term)
+    Term.(const run $ scenario_term)
 
 let ablation_cmd =
-  let run () =
+  let run _scenario =
     Experiments.Ablation.pp_threshold ppf (Experiments.Ablation.run_threshold ());
     Experiments.Ablation.pp_interrupts ppf (Experiments.Ablation.run_interrupts ())
   in
   Cmd.v (Cmd.info "ablation" ~doc:"Design-choice ablations (A2)")
-    Term.(const run $ env_term)
+    Term.(const run $ scenario_term)
 
 let run_rel_loss_sweep ?losses ?seeds ?msgs ?size ~metrics () =
   let registry = Sim_engine.Metrics.create () in
@@ -450,7 +458,7 @@ let run_rel_loss_sweep ?losses ?seeds ?msgs ?size ~metrics () =
     Format.pp_print_flush ppf ()
 
 let rel_loss_sweep_cmd =
-  let run () losses seeds msgs size metrics =
+  let run _scenario losses seeds msgs size metrics =
     run_rel_loss_sweep ~losses ~seeds ~msgs ~size ~metrics ()
   in
   let losses =
@@ -470,10 +478,10 @@ let rel_loss_sweep_cmd =
   Cmd.v
     (Cmd.info "rel-loss-sweep"
        ~doc:"Goodput/completion vs wire loss, reliable vs raw fabric (R1)")
-    Term.(const run $ env_term $ losses $ seeds $ msgs $ size $ metrics_arg)
+    Term.(const run $ scenario_term $ losses $ seeds $ msgs $ size $ metrics_arg)
 
 let crash_restart_cmd =
-  let run () msgs size down_at up_at horizon seed =
+  let run scenario msgs size down_at up_at horizon =
     let d = Experiments.Crash_restart.default_config in
     let config =
       {
@@ -487,7 +495,7 @@ let crash_restart_cmd =
     in
     Format.fprintf ppf "%a@." Experiments.Crash_restart.pp_config config;
     Experiments.Crash_restart.pp ppf
-      (Experiments.Crash_restart.run ~config ~seed ())
+      (Experiments.Crash_restart.run ~scenario ~config ())
   in
   let d = Experiments.Crash_restart.default_config in
   let msgs =
@@ -513,15 +521,12 @@ let crash_restart_cmd =
          & opt float (Sim_engine.Time_ns.to_us d.Experiments.Crash_restart.horizon)
          & info [ "horizon" ] ~doc:"Simulation horizon, us")
   in
-  let seed =
-    Arg.(value & opt int 0 & info [ "run-seed" ] ~doc:"World PRNG seed")
-  in
   Cmd.v
     (Cmd.info "crash-restart"
        ~doc:
          "Mid-run node crash + restart: recovery time and messages lost, \
           Portals vs GM (C1)")
-    Term.(const run $ env_term $ msgs $ size $ down_at $ up_at $ horizon $ seed)
+    Term.(const run $ scenario_term $ msgs $ size $ down_at $ up_at $ horizon)
 
 let run_congestion ?nodes ?topologies ?msgs_per_peer ?size ?queue_limit ?seed
     ~metrics () =
@@ -538,9 +543,9 @@ let run_congestion ?nodes ?topologies ?msgs_per_peer ?size ?queue_limit ?seed
     Format.pp_print_flush ppf ()
 
 let congestion_cmd =
-  let run () nodes topologies msgs size queue_limit seed metrics =
+  let run scenario nodes topologies msgs size queue_limit metrics =
     run_congestion ~nodes ~topologies ~msgs_per_peer:msgs ~size ?queue_limit
-      ~seed ~metrics ()
+      ~seed:scenario.Runtime.Scenario.seed ~metrics ()
   in
   let nodes =
     Arg.(value & opt int 16 & info [ "nodes" ] ~doc:"Nodes per world")
@@ -564,35 +569,31 @@ let congestion_cmd =
       & opt (some int) None
       & info [ "limit" ] ~doc:"Hop-link queue limit (congestion drops beyond it)")
   in
-  let seed =
-    Arg.(value & opt int 0 & info [ "run-seed" ] ~doc:"World PRNG seed")
-  in
   Cmd.v
     (Cmd.info "congestion"
        ~doc:
          "All-to-all vs nearest-neighbor goodput across interconnect \
           topologies (N1)")
     Term.(
-      const run $ env_term $ nodes $ topologies $ msgs $ size $ queue_limit
-      $ seed $ metrics_arg)
+      const run $ scenario_term $ nodes $ topologies $ msgs $ size $ queue_limit
+      $ metrics_arg)
 
-let run_matrix ?(transports = Experiments.Matrix.transport_names)
-    ?(axes = Experiments.Matrix.axis_names) ?(quick = false) ?(seed = 0)
-    ?json () =
-  let t = Experiments.Matrix.run ~transports ~axes ~quick ~seed () in
+let run_matrix ~scenario ?(transports = Experiments.Matrix.transport_names)
+    ?(axes = Experiments.Matrix.axis_names) ?(quick = false) ?json () =
+  let t = Experiments.Matrix.run ~scenario ~transports ~axes ~quick () in
   Experiments.Matrix.pp ppf t;
   match json with
   | None -> ()
   | Some out ->
     let records =
-      Experiments.Matrix.perf_records ~transports ~axes ~quick ~seed ()
+      Experiments.Matrix.perf_records ~scenario ~transports ~axes ~quick ()
     in
     Experiments.Perf.write_json ~path:out records;
     Format.fprintf ppf "matrix: wrote %s@." out
 
 let matrix_cmd =
-  let run () transports axes quick seed json =
-    run_matrix ~transports ~axes ~quick ~seed ?json ()
+  let run scenario transports axes quick json =
+    run_matrix ~scenario ~transports ~axes ~quick ?json ()
   in
   let transports =
     Arg.(
@@ -619,9 +620,6 @@ let matrix_cmd =
   let quick =
     Arg.(value & flag & info [ "quick" ] ~doc:"Smoke-test sized workloads.")
   in
-  let seed =
-    Arg.(value & opt int 0 & info [ "run-seed" ] ~doc:"World PRNG seed")
-  in
   let json =
     Arg.(
       value
@@ -638,21 +636,25 @@ let matrix_cmd =
          "Cross-stack benchmark matrix: every transport x \
           {latency, bandwidth, overlap, loss-goodput, congestion-goodput} \
           (MX)")
-    Term.(const run $ env_term $ transports $ axes $ quick $ seed $ json)
+    Term.(const run $ scenario_term $ transports $ axes $ quick $ json)
 
-let run_rma ?(workloads = Experiments.Rma.workload_names) ?(quick = false)
-    ?(seed = 0) ?json () =
-  let t = Experiments.Rma.run ~workloads ~quick ~seed () in
+let run_rma ~scenario ?(workloads = Experiments.Rma.workload_names)
+    ?(quick = false) ?json () =
+  let t = Experiments.Rma.run ~scenario ~workloads ~quick () in
   Experiments.Rma.pp ppf t;
   match json with
   | None -> ()
   | Some out ->
-    let records = Experiments.Rma.perf_records ~workloads ~quick ~seed () in
+    let records =
+      Experiments.Rma.perf_records ~scenario ~workloads ~quick ()
+    in
     Experiments.Perf.write_json ~path:out records;
     Format.fprintf ppf "rma: wrote %s@." out
 
 let rma_cmd =
-  let run () workloads quick seed json = run_rma ~workloads ~quick ~seed ?json () in
+  let run scenario workloads quick json =
+    run_rma ~scenario ~workloads ~quick ?json ()
+  in
   let workloads =
     Arg.(
       value
@@ -666,9 +668,6 @@ let rma_cmd =
   in
   let quick =
     Arg.(value & flag & info [ "quick" ] ~doc:"Smoke-test sized workloads.")
-  in
-  let seed =
-    Arg.(value & opt int 0 & info [ "run-seed" ] ~doc:"World PRNG seed")
   in
   let json =
     Arg.(
@@ -685,15 +684,15 @@ let rma_cmd =
        ~doc:
          "One-sided RMA: window put/atomic latency, passive-target \
           progress, RMA vs send/recv halo, CAS hash table (RMA)")
-    Term.(const run $ env_term $ workloads $ quick $ seed $ json)
+    Term.(const run $ scenario_term $ workloads $ quick $ json)
 
-let run_chaos ?(quick = false) ?(seed = 0) ?json () =
-  let t = Experiments.Chaos.run ~quick ~seed () in
+let run_chaos ~scenario ?(quick = false) ?json () =
+  let t = Experiments.Chaos.run ~scenario ~quick () in
   Experiments.Chaos.pp ppf t;
   (match json with
   | None -> ()
   | Some out ->
-    let records = Experiments.Chaos.perf_records ~quick ~seed () in
+    let records = Experiments.Chaos.perf_records ~scenario ~quick () in
     Experiments.Perf.write_json ~path:out records;
     Format.fprintf ppf "chaos: wrote %s@." out);
   if not (Experiments.Chaos.zero_violations t) then
@@ -702,8 +701,8 @@ let run_chaos ?(quick = false) ?(seed = 0) ?json () =
          (Experiments.Chaos.total_violations t))
 
 let chaos_cmd =
-  let run () quick seed json =
-    match run_chaos ~quick ~seed ?json () with
+  let run scenario quick json =
+    match run_chaos ~scenario ~quick ?json () with
     | () -> `Ok ()
     | exception Failure msg -> `Error (false, msg)
   in
@@ -714,9 +713,6 @@ let chaos_cmd =
           ~doc:
             "One cell per fault axis plus a mixed cell, instead of the \
              full corruption x delay x partition x crash x loss grid.")
-  in
-  let seed =
-    Arg.(value & opt int 0 & info [ "run-seed" ] ~doc:"Campaign PRNG seed")
   in
   let json =
     Arg.(
@@ -734,7 +730,7 @@ let chaos_cmd =
           partition x crash x loss cells, asserting exactly-once \
           delivery, byte integrity, RMA linearizability and \
           partition-aware liveness (exit 1 on any violation)")
-    Term.(ret (const run $ env_term $ quick $ seed $ json))
+    Term.(ret (const run $ scenario_term $ quick $ json))
 
 (* The multicore lane's gate: PAR.par4 must beat PAR.seq by [floor] in
    aggregate events/sec. Meaningless on one hardware core, where the
@@ -753,16 +749,16 @@ let speedup_gate ~floor records =
   | Some s ->
     Format.fprintf ppf "par: parallel speedup %.2fx (floor %.2fx)@." s floor
 
-let run_par ?(nodes = 256) ?(steps = 8) ?(check = false) ?(seed = 0) ?json
+let run_par ~scenario ?(nodes = 256) ?(steps = 8) ?(check = false) ?json
     ?min_speedup () =
   (if check then begin
      (* --check always compares against a genuinely parallel run, even
-        when the session default is sequential. *)
+        when the scenario is sequential. *)
      let domains =
-       let d = Runtime.run_domains_env () in
+       let d = scenario.Runtime.Scenario.domains in
        if d > 1 then d else 4
      in
-     match Experiments.Par.selfcheck ~nodes ~steps ~domains ~seed () with
+     match Experiments.Par.selfcheck ~scenario ~nodes ~steps ~domains () with
      | Ok (seq, par) ->
        Experiments.Par.pp ppf seq;
        Experiments.Par.pp ppf par;
@@ -771,7 +767,7 @@ let run_par ?(nodes = 256) ?(steps = 8) ?(check = false) ?(seed = 0) ?json
      | Error msg -> failwith ("par: " ^ msg)
    end
    else begin
-     let r = Experiments.Par.run ~nodes ~steps ~seed () in
+     let r = Experiments.Par.run ~scenario ~nodes ~steps () in
      Experiments.Par.pp ppf r;
      if not (Experiments.Par.ok r) then
        failwith
@@ -780,7 +776,7 @@ let run_par ?(nodes = 256) ?(steps = 8) ?(check = false) ?(seed = 0) ?json
             r.Experiments.Par.errors)
    end);
   if json <> None || min_speedup <> None then begin
-    let records = Experiments.Par.perf_records ~seed () in
+    let records = Experiments.Par.perf_records ~scenario () in
     (match json with
     | None -> ()
     | Some out ->
@@ -793,11 +789,11 @@ let run_par ?(nodes = 256) ?(steps = 8) ?(check = false) ?(seed = 0) ?json
   end
 
 let par_cmd =
-  let run () nodes steps check seed json min_speedup =
+  let run scenario nodes steps check json min_speedup =
     match min_speedup with
     | Some x when x <= 0. -> `Error (false, "--min-speedup must be > 0")
     | _ -> (
-      match run_par ~nodes ~steps ~check ~seed ?json ?min_speedup () with
+      match run_par ~scenario ~nodes ~steps ~check ?json ?min_speedup () with
       | () -> `Ok ()
       | exception Failure msg -> `Error (false, msg))
   in
@@ -823,9 +819,6 @@ let par_cmd =
             "Run the identical world at $(b,--domains 1) and at the \
              session's domain count (4 when sequential) and fail unless \
              the canonical lines agree byte-for-byte.")
-  in
-  let seed =
-    Arg.(value & opt int 0 & info [ "run-seed" ] ~doc:"World PRNG seed")
   in
   let json =
     Arg.(
@@ -856,30 +849,28 @@ let par_cmd =
           must match the sequential reference bit-for-bit")
     Term.(
       ret
-        (const run $ env_term $ nodes $ steps $ check $ seed $ json
-       $ min_speedup))
+        (const run $ scenario_term $ nodes $ steps $ check $ json $ min_speedup))
 
-let run_coll ?(quick = false) ?(check = false) ?(iters = 8) ?(seed = 0) ?json
-    () =
+let run_coll ~scenario ?(quick = false) ?(check = false) ?(iters = 8) ?json () =
   if check then begin
-    if Experiments.Coll.check ~seed () then
+    if Experiments.Coll.check ~scenario () then
       Format.fprintf ppf "coll: host and nic agree (torus2d:4x4)@."
     else failwith "coll: host and nic engines disagree"
   end
   else begin
-    let t = Experiments.Coll.run ~iters ~quick ~seed () in
+    let t = Experiments.Coll.run ~scenario ~iters ~quick () in
     Experiments.Coll.pp ppf t
   end;
   match json with
   | None -> ()
   | Some out ->
-    let records = Experiments.Coll.perf_records ~quick ~seed () in
+    let records = Experiments.Coll.perf_records ~scenario ~quick () in
     Experiments.Perf.write_json ~path:out records;
     Format.fprintf ppf "coll: wrote %s@." out
 
 let coll_cmd =
-  let run () quick check iters seed json =
-    match run_coll ~quick ~check ~iters ~seed ?json () with
+  let run scenario quick check iters json =
+    match run_coll ~scenario ~quick ~check ~iters ?json () with
     | () -> `Ok ()
     | exception Failure msg -> `Error (false, msg)
   in
@@ -902,9 +893,6 @@ let coll_cmd =
       value & opt int 8
       & info [ "iters" ] ~docv:"N" ~doc:"Averaged calls per cell.")
   in
-  let seed =
-    Arg.(value & opt int 0 & info [ "run-seed" ] ~doc:"World PRNG seed")
-  in
   let json =
     Arg.(
       value
@@ -922,14 +910,14 @@ let coll_cmd =
          "NIC-offloaded vs host-driven collectives: barrier/bcast/allreduce \
           latency across topologies and node counts, host CPUs idle vs \
           busy (COLL)")
-    Term.(ret (const run $ env_term $ quick $ check $ iters $ seed $ json))
+    Term.(ret (const run $ scenario_term $ quick $ check $ iters $ json))
 
 (* Performance records for every experiment, metered, optionally gated
    against a baseline: the file the CI bench gate compares against
    bench/baseline.json. The gate compares the deterministic sim-side
    fields exactly; exit 1 on any drift, 2 on an unreadable baseline. *)
 let bench_cmd =
-  let run () json baseline quick =
+  let run scenario json baseline quick =
     let baseline =
       Option.map
         (fun path ->
@@ -941,12 +929,12 @@ let bench_cmd =
         baseline
     in
     let records =
-      Experiments.Perf.all ~quick ()
-      @ Experiments.Matrix.perf_records ~quick ()
-      @ Experiments.Rma.perf_records ~quick ()
-      @ Experiments.Chaos.perf_records ~quick:true ()
-      @ Experiments.Par.perf_records ~quick ()
-      @ Experiments.Coll.perf_records ~quick ()
+      Experiments.Perf.all ~scenario ~quick ()
+      @ Experiments.Matrix.perf_records ~scenario ~quick ()
+      @ Experiments.Rma.perf_records ~scenario ~quick ()
+      @ Experiments.Chaos.perf_records ~scenario ~quick:true ()
+      @ Experiments.Par.perf_records ~scenario ~quick ()
+      @ Experiments.Coll.perf_records ~scenario ~quick ()
     in
     Experiments.Perf.pp ppf records;
     Option.iter
@@ -994,7 +982,7 @@ let bench_cmd =
          "Meter every experiment (wall time, sim-events, fibers, events/sec, \
           allocated words) and optionally gate the sim-side fields against \
           a baseline, exactly")
-    Term.(const run $ env_term $ json $ baseline $ quick)
+    Term.(const run $ scenario_term $ json $ baseline $ quick)
 
 (* Every table and figure, each under a section header. *)
 let all_cmd =
@@ -1005,27 +993,30 @@ let all_cmd =
     rule ();
     f ()
   in
-  let run () =
+  let run scenario =
     section "T1-T4: wire formats" (fun () ->
         Experiments.Tables.pp ppf (Experiments.Tables.run ()));
     section "F1/F2: data movement protocols" (fun () ->
-        Experiments.Protocols.pp ppf (Experiments.Protocols.run_put ());
-        Experiments.Protocols.pp ppf (Experiments.Protocols.run_get ()));
+        Experiments.Protocols.pp ppf (Experiments.Protocols.run_put ~scenario ());
+        Experiments.Protocols.pp ppf (Experiments.Protocols.run_get ~scenario ()));
     section "F3/F4: address translation" (fun () ->
-        Experiments.Translation.pp ppf (Experiments.Translation.run ()));
+        Experiments.Translation.pp ppf
+          (Experiments.Translation.run ~scenario ()));
     section "L1: zero-length ping-pong latency (section 3: MCP < 20us)"
-      (fun () -> Experiments.Latency.pp ppf (Experiments.Latency.run ()));
+      (fun () ->
+        Experiments.Latency.pp ppf (Experiments.Latency.run ~scenario ()));
     section "B1: streaming bandwidth (section 3: packet pipelining)" (fun () ->
-        Experiments.Bandwidth.pp ppf (Experiments.Bandwidth.run ()));
+        Experiments.Bandwidth.pp ppf (Experiments.Bandwidth.run ~scenario ()));
     section "F5/F6: application bypass (the paper's headline result)"
-      (fun () -> Experiments.Fig6.pp ppf (Experiments.Fig6.run ()));
+      (fun () -> Experiments.Fig6.pp ppf (Experiments.Fig6.run ~scenario ()));
     section "S1: unexpected-buffer memory vs job size (section 4.1)" (fun () ->
-        Experiments.Scaling.pp_memory ppf (Experiments.Scaling.run_memory ()));
+        Experiments.Scaling.pp_memory ppf
+          (Experiments.Scaling.run_memory ~scenario ()));
     section "S2: collective scaling on connectionless Portals" (fun () ->
         Experiments.Scaling.pp_collectives ppf
-          (Experiments.Scaling.run_collectives ()));
+          (Experiments.Scaling.run_collectives ~scenario ()));
     section "A1: dropped-message accounting (section 4.8)" (fun () ->
-        Experiments.Drops.pp ppf (Experiments.Drops.run ()));
+        Experiments.Drops.pp ppf (Experiments.Drops.run ~scenario ()));
     section "A2: ablations" (fun () ->
         Experiments.Ablation.pp_threshold ppf
           (Experiments.Ablation.run_threshold ());
@@ -1037,21 +1028,26 @@ let all_cmd =
         Experiments.Rel_loss_sweep.pp ppf (Experiments.Rel_loss_sweep.run ()));
     section "C1: crash-restart recovery (section 3: connectionless peers)"
       (fun () ->
-        Experiments.Crash_restart.pp ppf (Experiments.Crash_restart.run ()));
+        Experiments.Crash_restart.pp ppf
+          (Experiments.Crash_restart.run ~scenario ()));
     section
       "N1: traffic patterns vs interconnect topology (section 2: Cplant scale)"
-      (fun () -> Experiments.Congestion.pp ppf (Experiments.Congestion.run ()));
+      (fun () ->
+        Experiments.Congestion.pp ppf
+          (Experiments.Congestion.run ~seed:scenario.Runtime.Scenario.seed ()));
     section
       "RMA: one-sided windows over Portals atomics (section 4.4, MPI-2 \
-       heritage)" (fun () -> Experiments.Rma.pp ppf (Experiments.Rma.run ()));
+       heritage)" (fun () ->
+        Experiments.Rma.pp ppf (Experiments.Rma.run ~scenario ()));
     section
       "COLL: NIC-offloaded vs host-driven collectives (sections 2/5.1 bypass; \
        quick cells — `portals_repro coll` for the full sweep)"
-      (fun () -> Experiments.Coll.pp ppf (Experiments.Coll.run ~quick:true ()));
+      (fun () ->
+        Experiments.Coll.pp ppf (Experiments.Coll.run ~scenario ~quick:true ()));
     rule ()
   in
   Cmd.v (Cmd.info "all" ~doc:"Regenerate every table and figure")
-    Term.(const run $ env_term)
+    Term.(const run $ scenario_term)
 
 (* Flag-style entry point: [--experiment NAME --metrics[=json] --trace-out F]
    without naming a subcommand. *)
@@ -1067,7 +1063,7 @@ let default_term =
              fig6, rel_loss_sweep and congestion; $(b,--trace-out) to fig5 \
              and fig6.")
   in
-  let run () experiment metrics trace_out =
+  let run scenario experiment metrics trace_out =
     let run_if ok name f =
       if ok then begin
         f ();
@@ -1087,11 +1083,11 @@ let default_term =
     match experiment with
     | None -> `Help (`Pager, None)
     | Some "fig6" ->
-      run_fig6 ~metrics ~trace_out ();
+      run_fig6 ~scenario ~metrics ~trace_out ();
       `Ok ()
     | Some "fig5" ->
       let r =
-        Experiments.Fig5.run
+        Experiments.Fig5.run ~scenario
           ~capture_trace:(trace_out <> None)
           Experiments.Fig5.default_params
       in
@@ -1104,32 +1100,38 @@ let default_term =
     | Some ("tables" as n) ->
       plain n (fun () -> Experiments.Tables.pp ppf (Experiments.Tables.run ()))
     | Some ("latency" as n) ->
-      plain n (fun () -> Experiments.Latency.pp ppf (Experiments.Latency.run ()))
+      plain n (fun () ->
+          Experiments.Latency.pp ppf (Experiments.Latency.run ~scenario ()))
     | Some ("bandwidth" as n) ->
       plain n (fun () ->
-          Experiments.Bandwidth.pp ppf (Experiments.Bandwidth.run ()))
+          Experiments.Bandwidth.pp ppf (Experiments.Bandwidth.run ~scenario ()))
     | Some ("drops" as n) ->
-      plain n (fun () -> Experiments.Drops.pp ppf (Experiments.Drops.run ()))
+      plain n (fun () ->
+          Experiments.Drops.pp ppf (Experiments.Drops.run ~scenario ()))
     | Some ("translation" as n) ->
       plain n (fun () ->
-          Experiments.Translation.pp ppf (Experiments.Translation.run ()))
+          Experiments.Translation.pp ppf
+            (Experiments.Translation.run ~scenario ()))
     | Some (("rel_loss_sweep" | "rel-loss-sweep") as n) ->
       metrics_only n (fun () -> run_rel_loss_sweep ~metrics ())
     | Some (("crash_restart" | "crash-restart") as n) ->
       plain n (fun () ->
-          Experiments.Crash_restart.pp ppf (Experiments.Crash_restart.run ()))
+          Experiments.Crash_restart.pp ppf
+            (Experiments.Crash_restart.run ~scenario ()))
     | Some ("congestion" as n) ->
-      metrics_only n (fun () -> run_congestion ~metrics ())
-    | Some ("matrix" as n) -> plain n (fun () -> run_matrix ())
-    | Some ("rma" as n) -> plain n (fun () -> run_rma ())
-    | Some ("chaos" as n) -> plain n (fun () -> run_chaos ~quick:true ())
+      metrics_only n (fun () ->
+          run_congestion ~seed:scenario.Runtime.Scenario.seed ~metrics ())
+    | Some ("matrix" as n) -> plain n (fun () -> run_matrix ~scenario ())
+    | Some ("rma" as n) -> plain n (fun () -> run_rma ~scenario ())
+    | Some ("chaos" as n) ->
+      plain n (fun () -> run_chaos ~scenario ~quick:true ())
     | Some other ->
       `Error
         ( false,
           Printf.sprintf
             "unknown experiment %S (try a subcommand; see --help)" other )
   in
-  Term.(ret (const run $ env_term $ experiment $ metrics_arg $ trace_out_arg))
+  Term.(ret (const run $ scenario_term $ experiment $ metrics_arg $ trace_out_arg))
 
 let () =
   let doc = "Reproduction harness for Portals 3.0 (IPPS 2002)" in

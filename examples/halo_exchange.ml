@@ -71,8 +71,9 @@ let () =
 
   (* ---- 2. The endpoints: MPI over Portals ----------------------------
      One endpoint per rank, created before any rank runs so no early
-     message can be lost (this is what Runtime.launch_mpi automates; we
-     do it by hand here to show the seams between the layers). *)
+     message can be lost (this is what Runtime.Stack.launch_on
+     automates; we do it by hand here to show the seams between the
+     layers). *)
   let endpoints =
     Array.init ranks (fun rank ->
         Mpi.create_portals world.Runtime.transport ~ranks:world.Runtime.ranks

@@ -240,6 +240,10 @@ let portal_table_size t = Array.length t.pt_head
 let self_incarnation t =
   t.tp.Simnet.Transport.node_incarnation t.self.Simnet.Proc_id.nid
 
+(* The transport's fabric decides whether frames carry CRC trailers;
+   read at each send and receive, never cached. *)
+let integrity t = t.tp.Simnet.Transport.integrity ()
+
 let drop t reason = t.drops.(drop_reason_index reason) <- t.drops.(drop_reason_index reason) + 1
 let dropped t reason = t.drops.(drop_reason_index reason)
 let dropped_total t = Array.fold_left ( + ) 0 t.drops
@@ -543,7 +547,7 @@ let put t ~md:mdh ?(ack = true) ?(triggered = false) ?length (o : op) =
       t.c.c_puts <- t.c.c_puts + 1;
       if ack_requested then Md.incr_pending md;
       t.tp.Simnet.Transport.send ~src:t.self ~dst:o.target
-        (Wire.encode_with msg ~fill:(fun buf off ->
+        (Wire.encode_with ~integrity:(integrity t) msg ~fill:(fun buf off ->
              Md.blit_to md ~offset:0 ~len ~dst:buf ~dst_off:off));
       (* SENT once the message has left the local interface. When the
          descriptor has no event queue and an infinite threshold the
@@ -594,7 +598,8 @@ let get t ~md:mdh (o : op) =
       in
       t.c.c_gets <- t.c.c_gets + 1;
       Md.incr_pending md;
-      t.tp.Simnet.Transport.send ~src:t.self ~dst:o.target (Wire.encode msg);
+      t.tp.Simnet.Transport.send ~src:t.self ~dst:o.target
+        (Wire.encode ~integrity:(integrity t) msg);
       Ok ()
     end
 
@@ -615,7 +620,8 @@ let atomic t ~md:mdh ~aop ~operand ?(compare = 0L) (o : op) =
       in
       t.c.c_atomics <- t.c.c_atomics + 1;
       Md.incr_pending md;
-      t.tp.Simnet.Transport.send ~src:t.self ~dst:o.target (Wire.encode msg);
+      t.tp.Simnet.Transport.send ~src:t.self ~dst:o.target
+        (Wire.encode ~integrity:(integrity t) msg);
       Ok ()
     end
 
@@ -960,14 +966,14 @@ let handle_put_or_get t (msg : Wire.t) ~op =
           if ack_wanted then begin
             t.c.c_acks <- t.c.c_acks + 1;
             t.tp.Simnet.Transport.send ~src:t.self ~dst:src
-              (Wire.encode
+              (Wire.encode ~integrity:(integrity t)
                  (Wire.ack_of_put ~incarnation:(self_incarnation t) msg
                     ~mlength))
           end
         | Md.Op_get ->
           t.c.c_replies <- t.c.c_replies + 1;
           t.tp.Simnet.Transport.send ~src:t.self ~dst:src
-            (Wire.encode
+            (Wire.encode ~integrity:(integrity t)
                (Wire.reply_of_get ~incarnation:(self_incarnation t) msg
                   ~mlength ~data:reply_data))
         | Md.Op_atomic -> assert false);
@@ -1048,7 +1054,7 @@ let handle_atomic t (msg : Wire.t) =
                 ~mlength:acc.Md.mlength ~offset queue);
             t.c.c_atomics_exec <- t.c.c_atomics_exec + 1;
             t.tp.Simnet.Transport.send ~src:t.self ~dst:src
-              (Wire.encode
+              (Wire.encode ~integrity:(integrity t)
                  (Wire.atomic_reply_of_request
                     ~incarnation:(self_incarnation t) msg ~fetched:old));
             bump_match_ct t matched_ct
@@ -1134,7 +1140,7 @@ let handle_incoming t ~src:_ payload =
   if t.live then begin
     t.c.c_rx <- t.c.c_rx + 1;
     t.c.c_rx_bytes <- t.c.c_rx_bytes + Bytes.length payload;
-    match Wire.decode_view payload with
+    match Wire.decode_view ~integrity:(integrity t) payload with
     | Error (Wire.Bad_checksum _) -> drop t Checksum_failed
     | Error _ -> drop t Malformed
     | Ok msg ->

@@ -65,15 +65,13 @@ let header_size = 72
 (* Version 0x31 frames are version 0x30 frames plus a CRC-32C trailer
    over everything before it (header, extension block, payload). The
    version byte keeps the format self-describing — a decoder accepts
-   either — while the process-wide [Simnet.Integrity] switch decides
+   either — while the caller's [~integrity] (its fabric's bit) decides
    what encoders emit, so fault-free runs stay byte-identical to the
-   pre-integrity format. While the switch is on, decoders also {e
+   pre-integrity format. With [~integrity:true], decoders also {e
    reject} unprotected 0x30 frames: otherwise one bit flip in the
    version byte would downgrade a protected frame out of coverage. *)
 let version_checksummed = 0x31
 let checksum_size = 4
-let frame_checksum_size () =
-  if Simnet.Integrity.is_enabled () then checksum_size else 0
 
 (* Atomic messages carry an extension block after the fixed header:
    1 byte atomic opcode, 8 bytes operand, 8 bytes compare value. In a
@@ -254,9 +252,9 @@ let seal buf =
   Bytes.set_int32_le buf body
     (Int32.of_int (Simnet.Crc32c.digest ~pos:0 ~len:body buf))
 
-let encode t =
+let encode ~integrity t =
   let ext = ext_size t.op in
-  let ck = frame_checksum_size () in
+  let ck = if integrity then checksum_size else 0 in
   let buf = Bytes.create (header_size + ext + Bytes.length t.data + ck) in
   write_header buf t;
   Bytes.blit t.data 0 buf (header_size + ext) (Bytes.length t.data);
@@ -266,9 +264,9 @@ let encode t =
   end;
   buf
 
-let encode_with t ~fill =
+let encode_with ~integrity t ~fill =
   let ext = ext_size t.op in
-  let ck = frame_checksum_size () in
+  let ck = if integrity then checksum_size else 0 in
   let buf = Bytes.create (header_size + ext + t.length + ck) in
   write_header buf t;
   fill buf (header_size + ext);
@@ -297,7 +295,7 @@ let pp_decode_error ppf = function
     Format.fprintf ppf "checksum mismatch: computed 0x%08x, frame says 0x%08x"
       expected got
 
-let decode_gen ~extract_data buf =
+let decode_gen ~integrity ~extract_data buf =
   let got = Bytes.length buf in
   if got < header_size then Error (Truncated { expected = header_size; got })
   else if Bytes.get_uint8 buf 0 <> magic then Error Bad_magic
@@ -305,7 +303,7 @@ let decode_gen ~extract_data buf =
     let v = Bytes.get_uint8 buf 1 in
     if
       (not (v = version || v = version_checksummed))
-      || (v = version && Simnet.Integrity.is_enabled ())
+      || (v = version && integrity)
     then Error (Bad_version v)
     else begin
       match op_of_code (Bytes.get_uint8 buf 2) with
@@ -385,15 +383,18 @@ let decode_gen ~extract_data buf =
     end
   end
 
-let decode buf =
-  decode_gen ~extract_data:(fun buf ~off ~len -> Bytes.sub buf off len) buf
+let decode ~integrity buf =
+  decode_gen ~integrity
+    ~extract_data:(fun buf ~off ~len -> Bytes.sub buf off len)
+    buf
 
 (* The receive hot path blits payload straight from the wire image into
    the matched memory descriptor, so [decode]'s per-message [Bytes.sub]
    is pure overhead there. A viewed message aliases the whole image as
    [data]; its payload bytes live at [header_size ..] (all payload-
    carrying operations have no extension block). *)
-let decode_view buf = decode_gen ~extract_data:(fun buf ~off:_ ~len:_ -> buf) buf
+let decode_view ~integrity buf =
+  decode_gen ~integrity ~extract_data:(fun buf ~off:_ ~len:_ -> buf) buf
 
 let field_inventory = function
   | Put_request ->

@@ -38,14 +38,15 @@
     magic, version, operation, atomic opcode and lengths so a corrupt
     message surfaces as an error, not an exception.
 
-    {b Integrity.} While [Simnet.Integrity] is enabled the encoder emits
-    version-[0x31] frames: the version-[0x30] image plus a 4-byte
-    {!Simnet.Crc32c} trailer over header, extension block and payload.
-    Decoders verify the trailer ({!decode_error.Bad_checksum}) and, while
-    the switch is on, reject unprotected [0x30] frames so a bit flip in
-    the version byte cannot downgrade a frame out of coverage. With the
-    switch off (the default) the format is byte-identical to the
-    pre-integrity encoding. *)
+    {b Integrity.} Every encoder and decoder takes [~integrity], the bit
+    of the fabric the frame crosses ({!Simnet.Fabric.integrity}). With
+    [~integrity:true] the encoder emits version-[0x31] frames: the
+    version-[0x30] image plus a 4-byte {!Simnet.Crc32c} trailer over
+    header, extension block and payload. Decoders verify the trailer
+    ({!decode_error.Bad_checksum}) and, with [~integrity:true], reject
+    unprotected [0x30] frames so a bit flip in the version byte cannot
+    downgrade a frame out of coverage. With [~integrity:false] the
+    format is byte-identical to the pre-integrity encoding. *)
 
 type op =
   | Put_request
@@ -117,10 +118,6 @@ val atomic_word_size : int
 
 val checksum_size : int
 (** Size of the CRC-32C trailer a version-[0x31] frame carries (4). *)
-
-val frame_checksum_size : unit -> int
-(** {!checksum_size} if [Simnet.Integrity] is currently enabled, else 0 —
-    the per-frame byte overhead the current encoding mode adds. *)
 
 val put_request :
   ?ack_requested:bool ->
@@ -195,13 +192,13 @@ val atomic_reply_of_request : ?incarnation:int -> t -> fetched:int64 -> t
 val fetched_value : t -> int64 option
 (** The fetched value of an atomic reply; [None] on any other message. *)
 
-val encode : t -> bytes
+val encode : integrity:bool -> t -> bytes
 (** Raises [Invalid_argument] when [op] and [atomic] disagree — an
     atomic operation without its extension block, or a block attached to
     an operation whose frame has no room for one (it would overwrite the
     start of the payload). *)
 
-val encode_with : t -> fill:(bytes -> int -> unit) -> bytes
+val encode_with : integrity:bool -> t -> fill:(bytes -> int -> unit) -> bytes
 (** [encode_with t ~fill] allocates the wire image, writes the header
     from [t], and calls [fill buf off] exactly once to deposit
     [t.length] payload bytes at [off]; [t.data] is ignored. Initiators
@@ -212,8 +209,8 @@ val encode_with : t -> fill:(bytes -> int -> unit) -> bytes
 type decode_error =
   | Bad_magic
   | Bad_version of int
-      (** Unknown version byte — or an unprotected [0x30] frame while
-          [Simnet.Integrity] is enabled. *)
+      (** Unknown version byte — or an unprotected [0x30] frame decoded
+          with [~integrity:true]. *)
   | Bad_operation of int
   | Bad_atomic_op of int
       (** An atomic message whose extension block carries an opcode
@@ -227,9 +224,9 @@ type decode_error =
 
 val pp_decode_error : Format.formatter -> decode_error -> unit
 
-val decode : bytes -> (t, decode_error) result
+val decode : integrity:bool -> bytes -> (t, decode_error) result
 
-val decode_view : bytes -> (t, decode_error) result
+val decode_view : integrity:bool -> bytes -> (t, decode_error) result
 (** Like {!decode}, but without copying the payload: the returned [data]
     is the {e whole} wire image, with payload bytes at
     [\[header_size, header_size + length)]. The receive hot path uses

@@ -9,8 +9,8 @@ let default_sizes = [ 1_024; 4_096; 16_384; 65_536; 262_144; 1_048_576 ]
 
 let pt_bench = 8
 
-let measure ~transport ~size ~count =
-  let world = Runtime.create_world ~transport ~nodes:2 () in
+let measure ~scenario ~transport ~size ~count =
+  let world = Runtime.create_world ~scenario ~transport ~nodes:2 () in
   let ni0 = P.Ni.create world.Runtime.transport ~id:world.Runtime.ranks.(0) () in
   let ni1 = P.Ni.create world.Runtime.transport ~id:world.Runtime.ranks.(1) () in
   let eqh = P.Errors.ok_exn ~op:"eq" (P.Ni.eq_alloc ni1 ~capacity:(count * 2)) in
@@ -60,16 +60,19 @@ let measure ~transport ~size ~count =
   let elapsed = Time_ns.to_s !finished in
   if elapsed <= 0. then 0. else bytes /. elapsed /. 1e6
 
-let run_one ?(sizes = default_sizes) ?(count = 16) transport =
+let run_one ?(scenario = Runtime.Scenario.default) ?(sizes = default_sizes)
+    ?(count = 16) transport =
   {
     placement = Runtime.transport_kind_name transport;
     rows =
-      List.map (fun size -> { size; mb_per_s = measure ~transport ~size ~count })
+      List.map
+        (fun size ->
+          { size; mb_per_s = measure ~scenario ~transport ~size ~count })
         sizes;
   }
 
-let run ?sizes ?count () =
-  List.map (fun transport -> run_one ?sizes ?count transport)
+let run ?scenario ?sizes ?count () =
+  List.map (fun transport -> run_one ?scenario ?sizes ?count transport)
     [ Runtime.Offload; Runtime.Rtscts ]
 
 let pp ppf ts =

@@ -15,9 +15,12 @@ type t = { placement : string; rows : row list }
 val default_sizes : int list
 
 val run_one :
+  ?scenario:Runtime.Scenario.t ->
   ?sizes:int list -> ?count:int -> Runtime.transport_kind -> t
 (** Default 16 messages per size, sizes 1 KB .. 1 MB. *)
 
-val run : ?sizes:int list -> ?count:int -> unit -> t list
+val run :
+  ?scenario:Runtime.Scenario.t -> ?sizes:int list -> ?count:int -> unit ->
+  t list
 
 val pp : Format.formatter -> t list -> unit

@@ -75,10 +75,14 @@ let check_payload ~src ~dst ~seq buf =
 (* Each cell scripts its own faults, replicated onto every shard fabric
    (fresh model instances per replica — same cell, same seed, identical
    per-pair streams — with the partition and crash schedules applied to
-   all replicas so shadow crash state stays in lockstep). *)
+   all replicas so shadow crash state stays in lockstep). Frames travel
+   checksummed exactly when the cell is faulty — the clean control cell
+   doubles as a check that the byte-identical legacy encoding still
+   satisfies every invariant. *)
 let inject_cell_faults cell ~partitions ~crashes fabrics =
   Array.map
     (fun fabric ->
+      Simnet.Fabric.set_integrity fabric (C.faulty cell);
       Simnet.Fabric.set_fault_model fabric (C.fault_of_cell cell);
       if partitions <> [] then
         Simnet.Fabric.apply_partition_schedule fabric partitions;
@@ -86,13 +90,15 @@ let inject_cell_faults cell ~partitions ~crashes fabrics =
       Reliability.attach fabric)
     fabrics
 
-let run_stream_world ~quick cell =
+(* The cell scripts every fault; of the scenario, only the domain count
+   reaches its worlds. *)
+let run_stream_world ~domains ~quick cell =
   let nodes = 6 in
   let nids = List.init nodes Fun.id in
   let msgs = stream_msgs ~quick in
   let world =
     Runtime.create_world ~seed:cell.C.seed ~topology:Simnet.Topology.Full
-      ~env_faults:false ~nodes ()
+      ~domains ~nodes ()
   in
   (* Crash victims live outside every stream pair and the monitor, so
      the exactly-once obligation stays well-defined: nobody streams to a
@@ -244,12 +250,12 @@ let run_stream_world ~quick cell =
 
 (* --- the RMA linearizability world ------------------------------------- *)
 
-let run_rma_world ~quick cell =
+let run_rma_world ~domains ~quick cell =
   let nodes = 6 and ranks = 4 in
   let ops = rma_ops ~quick in
   let world =
     Runtime.create_world ~seed:(cell.C.seed + 1) ~topology:Simnet.Topology.Full
-      ~env_faults:false ~nodes ()
+      ~domains ~nodes ()
   in
   ignore
     (inject_cell_faults cell
@@ -335,26 +341,23 @@ let run_rma_world ~quick cell =
 
 (* --- per-cell driver ---------------------------------------------------- *)
 
-let run_cell ?(quick = false) cell =
-  (* Frames travel checksummed exactly when the cell is faulty — the
-     clean control cell doubles as a check that the byte-identical
-     legacy encoding still satisfies every invariant. *)
-  Simnet.Integrity.with_enabled (C.faulty cell) (fun () ->
-      let sviol, delivered, (corrupts, delays, parted), rel_corrupt_drops, t1 =
-        run_stream_world ~quick cell
-      in
-      let rviol, checksum_drops, t2 = run_rma_world ~quick cell in
-      {
-        cell;
-        violations = List.rev sviol @ List.rev rviol;
-        delivered;
-        corrupts_injected = corrupts;
-        delays_injected = delays;
-        drops_partitioned = parted;
-        rel_corrupt_drops;
-        checksum_drops;
-        sim_time_us = t1 +. t2;
-      })
+let run_cell ?(scenario = Runtime.Scenario.default) ?(quick = false) cell =
+  let domains = scenario.Runtime.Scenario.domains in
+  let sviol, delivered, (corrupts, delays, parted), rel_corrupt_drops, t1 =
+    run_stream_world ~domains ~quick cell
+  in
+  let rviol, checksum_drops, t2 = run_rma_world ~domains ~quick cell in
+  {
+    cell;
+    violations = List.rev sviol @ List.rev rviol;
+    delivered;
+    corrupts_injected = corrupts;
+    delays_injected = delays;
+    drops_partitioned = parted;
+    rel_corrupt_drops;
+    checksum_drops;
+    sim_time_us = t1 +. t2;
+  }
 
 (* --- campaign grids ----------------------------------------------------- *)
 
@@ -379,11 +382,14 @@ let default_cells ?(quick = false) ~seed () =
       ~partitions:[ false; true ] ~crash_counts:[ 0; 1 ] ~losses:[ 0.; 0.02 ]
       ~seeds:[ seed + 1 ] ()
 
-let run ?(cells = []) ?(quick = false) ?(seed = 0) () =
+let run ?(scenario = Runtime.Scenario.default) ?(cells = []) ?(quick = false)
+    () =
   let cells =
-    match cells with [] -> default_cells ~quick ~seed () | cells -> cells
+    match cells with
+    | [] -> default_cells ~quick ~seed:scenario.Runtime.Scenario.seed ()
+    | cells -> cells
   in
-  { reports = List.map (run_cell ~quick) cells }
+  { reports = List.map (run_cell ~scenario ~quick) cells }
 
 let zero_violations t =
   List.for_all (fun r -> r.violations = []) t.reports
@@ -413,13 +419,13 @@ let pp ppf t =
 
 let record_id name = "CH." ^ name
 
-let perf_records ?(quick = true) ?(seed = 0) () =
+let perf_records ?(scenario = Runtime.Scenario.default) ?(quick = true) () =
   List.map
     (fun (name, cell) ->
       Perf.meter ~id:(record_id name) (fun () ->
-          let r = run_cell ~quick cell in
+          let r = run_cell ~scenario ~quick cell in
           if r.violations <> [] then
             failwith
               (Printf.sprintf "chaos invariant violated in %s: %s" name
                  (String.concat "; " r.violations))))
-    (axis_cells ~seed)
+    (axis_cells ~seed:scenario.Runtime.Scenario.seed)

@@ -38,18 +38,32 @@ val default_cells :
   ?quick:bool -> seed:int -> unit -> Reliability.Chaos.cell list
 (** [quick]: the {!axis_cells}; otherwise the full 2x2x2x2x2 grid. *)
 
-val run_cell : ?quick:bool -> Reliability.Chaos.cell -> report
-(** Run both worlds for one cell. Frames travel checksummed exactly when
-    the cell injects faults, so the clean control cell also pins the
-    byte-identical legacy encoding. *)
+val run_cell :
+  ?scenario:Runtime.Scenario.t -> ?quick:bool -> Reliability.Chaos.cell ->
+  report
+(** Run both worlds for one cell. The cell scripts every fault; of
+    [scenario] (default {!Runtime.Scenario.default}) only the domain
+    count is used. Frames travel checksummed exactly when the cell
+    injects faults (each fabric's integrity bit), so the clean control
+    cell also pins the byte-identical legacy encoding. Touches no state
+    outside its own worlds: cells may run concurrently on separate
+    domains. *)
 
-val run : ?cells:Reliability.Chaos.cell list -> ?quick:bool -> ?seed:int ->
-  unit -> t
+val run :
+  ?scenario:Runtime.Scenario.t ->
+  ?cells:Reliability.Chaos.cell list ->
+  ?quick:bool ->
+  unit ->
+  t
+(** Run [cells] (default {!default_cells} at the scenario's seed) with
+    {!run_cell}. *)
 
 val zero_violations : t -> bool
 val total_violations : t -> int
 val pp : Format.formatter -> t -> unit
 
-val perf_records : ?quick:bool -> ?seed:int -> unit -> Perf.record list
-(** One portals-bench/2 record per {!axis_cells} entry (ids [CH.<axis>]);
+val perf_records :
+  ?scenario:Runtime.Scenario.t -> ?quick:bool -> unit -> Perf.record list
+(** One portals-bench/2 record per {!axis_cells} entry at the scenario's
+    seed (ids [CH.<axis>]);
     raises [Failure] if any metered cell violates an invariant. *)

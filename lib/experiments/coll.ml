@@ -30,9 +30,9 @@ let busy_slice = Time_ns.us 50.
    the application the paper's §5.1 bypass argument protects. The host
    engine always charges its per-hop cost to the rank's CPU; the NIC
    engine never touches it, which is the measured contrast. *)
-let with_world ~impl ~topology ~nodes ~busy ~seed f =
+let with_world ~scenario ~impl ~topology ~nodes ~busy f =
   let kind = Simnet.Topology.of_spec ~nodes topology in
-  let world = Runtime.create_world ~nodes ~topology:kind ~seed () in
+  let world = Runtime.create_world ~scenario ~nodes ~topology:kind () in
   let ranks = world.Runtime.ranks in
   let quit = Array.make (Array.length ranks) false in
   if busy then
@@ -67,11 +67,11 @@ let with_world ~impl ~topology ~nodes ~busy ~seed f =
    every rank stamps its own finish; the cell's number is
    (latest finish - start) / iters. The sync run is outside the window,
    so a busy host pays only for the measured calls. *)
-let measure ?(iters = 8) ~impl ~topology ~nodes ~busy ~seed () =
+let measure ~scenario ~iters ~impl ~topology ~nodes ~busy =
   let starts = Array.make 3 Time_ns.zero in
   let finishes = Array.init 3 (fun _ -> Array.make nodes Time_ns.zero) in
   let world =
-    with_world ~impl ~topology ~nodes ~busy ~seed (fun world coll ~rank ->
+    with_world ~scenario ~impl ~topology ~nodes ~busy (fun world coll ~rank ->
         let sched = Runtime.sched_of_rank world rank in
         let payload =
           C.bytes_of_floats (Array.init 8 (fun i -> float_of_int (rank + i)))
@@ -108,7 +108,8 @@ let measure ?(iters = 8) ~impl ~topology ~nodes ~busy ~seed () =
     c_allreduce_us = lat 2;
   }
 
-let run ?(iters = 8) ?(quick = false) ?(seed = 0) ?plan () =
+let run ?(scenario = Runtime.Scenario.default) ?(iters = 8) ?(quick = false)
+    ?plan () =
   let plan =
     match plan with
     | Some p -> p
@@ -125,7 +126,7 @@ let run ?(iters = 8) ?(quick = false) ?(seed = 0) ?plan () =
                 List.map
                   (fun impl ->
                     let cell =
-                      measure ~iters ~impl ~topology ~nodes ~busy ~seed ()
+                      measure ~scenario ~iters ~impl ~topology ~nodes ~busy
                     in
                     let labels =
                       [
@@ -168,10 +169,10 @@ let pp ppf t =
 (* Cross-engine equality: the mixed workload of the conformance suite in
    miniature — every rank's concatenated observable bytes must agree
    between engines on the same world. *)
-let workload_bytes impl ~nodes ~topology ~seed =
+let workload_bytes ~scenario impl ~nodes ~topology =
   let out = Array.make nodes "" in
   let _ =
-    with_world ~impl ~topology ~nodes ~busy:false ~seed
+    with_world ~scenario ~impl ~topology ~nodes ~busy:false
       (fun _ coll ~rank ->
         let n = nodes in
         let buf = Buffer.create 128 in
@@ -200,19 +201,20 @@ let workload_bytes impl ~nodes ~topology ~seed =
   in
   out
 
-let check ?(nodes = 16) ?(topology = "torus2d:4x4") ?(seed = 7) () =
-  workload_bytes C.Host ~nodes ~topology ~seed
-  = workload_bytes C.Nic_offload ~nodes ~topology ~seed
+let check ?(scenario = Runtime.Scenario.default) ?(nodes = 16)
+    ?(topology = "torus2d:4x4") () =
+  workload_bytes ~scenario C.Host ~nodes ~topology
+  = workload_bytes ~scenario C.Nic_offload ~nodes ~topology
 
 (* Perf records: each id meters one collective hammered on a 16-node
    torus with busy host CPUs — the regime the offload exists for. *)
 let record_id impl op = Printf.sprintf "COLL.%s.%s" (C.impl_name impl) op
 
-let perf_records ?(quick = false) ?(seed = 0) () =
+let perf_records ?(scenario = Runtime.Scenario.default) ?(quick = false) () =
   let iters = if quick then 8 else 32 in
   let drive impl f =
     ignore
-      (with_world ~impl ~topology:"torus2d" ~nodes:16 ~busy:true ~seed
+      (with_world ~scenario ~impl ~topology:"torus2d" ~nodes:16 ~busy:true
          (fun _ coll ~rank ->
            ignore rank;
            for _ = 1 to iters do

@@ -36,16 +36,23 @@ val default_plan : (string * int list) list
     (the k = 4 and k = 6 shapes), ring at 8/16/32. *)
 
 val run :
-  ?iters:int -> ?quick:bool -> ?seed:int -> ?plan:(string * int list) list ->
-  unit -> t
+  ?scenario:Runtime.Scenario.t ->
+  ?iters:int ->
+  ?quick:bool ->
+  ?plan:(string * int list) list ->
+  unit ->
+  t
 (** Measure every (topology, nodes, idle|busy, host|nic) cell of the
     plan (default {!default_plan}; [quick] shrinks to two cells'
     worth). [iters] (default 8) back-to-back calls are averaged per
-    cell. *)
+    cell. Every world is built from [scenario] (default
+    {!Runtime.Scenario.default}). *)
 
 val pp : Format.formatter -> t -> unit
 
-val check : ?nodes:int -> ?topology:string -> ?seed:int -> unit -> bool
+val check :
+  ?scenario:Runtime.Scenario.t -> ?nodes:int -> ?topology:string -> unit ->
+  bool
 (** Byte-identity spot check, the smoke-test entry: a mixed
     allreduce/bcast/barrier/reduce workload on a 4×4 torus (by default)
     run under both engines; [true] iff every rank's observable bytes
@@ -55,7 +62,7 @@ val record_id : Collectives.impl -> string -> string
 (** ["COLL.<impl>.<op>"]. *)
 
 val perf_records :
-  ?quick:bool -> ?seed:int -> unit -> Perf.record list
+  ?scenario:Runtime.Scenario.t -> ?quick:bool -> unit -> Perf.record list
 (** Meter [COLL.{host,nic}.{barrier,allreduce}] — each op hammered on a
     busy-host 16-node torus — as perf records gated against
     [bench/baseline.json]. *)

@@ -67,8 +67,8 @@ let sum_stale_drops sched =
     0
     (Metrics.Snapshot.filter snap "ni.drops")
 
-let run_backend ~(cfg : config) ~seed backend =
-  let world = Runtime.create_world ~nodes:2 ~seed () in
+let run_backend ~scenario ~(cfg : config) backend =
+  let world = Runtime.create_world ~scenario ~nodes:2 () in
   let sched = world.Runtime.sched in
   let fabric = world.Runtime.fabric in
   let tp = world.Runtime.transport in
@@ -148,8 +148,11 @@ let run_backend ~(cfg : config) ~seed backend =
     drops_crashed = fstats.Simnet.Fabric.drops_crashed;
   }
 
-let run ?(config = default_config) ?(seed = 0) () =
-  [ run_backend ~cfg:config ~seed `Portals; run_backend ~cfg:config ~seed `Gm ]
+let run ?(scenario = Runtime.Scenario.default) ?(config = default_config) () =
+  [
+    run_backend ~scenario ~cfg:config `Portals;
+    run_backend ~scenario ~cfg:config `Gm;
+  ]
 
 let pp_config ppf (cfg : config) =
   Format.fprintf ppf

@@ -17,9 +17,11 @@ let put ni ~target ~portal_index ~cookie payload =
   P.Errors.ok_exn ~op:"put"
     (P.Ni.put ni ~md:mdh ~ack:false (P.Ni.op ~target ~portal_index ~cookie ()))
 
-let run () =
-  let world = Runtime.create_world ~nodes:2 () in
+let run ?scenario () =
+  let world = Runtime.create_world ?scenario ~nodes:2 () in
   let tp = world.Runtime.transport in
+  (* Hand-built frames are encoded the way the world's NIs encode. *)
+  let encode msg = P.Wire.encode ~integrity:(tp.Simnet.Transport.integrity ()) msg in
   let r0 = world.Runtime.ranks.(0) and r1 = world.Runtime.ranks.(1) in
   let ni0 = P.Ni.create tp ~id:r0 () in
   let ni1 = P.Ni.create tp ~id:r1 () in
@@ -68,7 +70,7 @@ let run () =
       ~eq_handle:(P.Handle.of_wire 0x4242L) ~data:Bytes.empty ()
   in
   tp.Simnet.Transport.send ~src:r1 ~dst:r0
-    (P.Wire.encode (P.Wire.ack_of_put stray_put ~mlength:0));
+    (encode (P.Wire.ack_of_put stray_put ~mlength:0));
   (* 8. stray reply to a dead descriptor *)
   let stray_get =
     P.Wire.get_request ~initiator:r1 ~target:r0 ~portal_index:0 ~cookie:0
@@ -76,7 +78,7 @@ let run () =
       ~md_handle:(P.Handle.of_wire 0x2424L) ~rlength:0 ()
   in
   tp.Simnet.Transport.send ~src:r1 ~dst:r0
-    (P.Wire.encode (P.Wire.reply_of_get stray_get ~mlength:0 ~data:Bytes.empty));
+    (encode (P.Wire.reply_of_get stray_get ~mlength:0 ~data:Bytes.empty));
   (* 9. reply to a full event queue *)
   let full_eqh = P.Errors.ok_exn ~op:"eq" (P.Ni.eq_alloc ni0 ~capacity:1) in
   let full_eqq = P.Errors.ok_exn ~op:"eq" (P.Ni.eq ni0 full_eqh) in
@@ -108,7 +110,7 @@ let run () =
       ~cookie:0 ~match_bits:P.Match_bits.zero ~offset:0
       ~md_handle:P.Handle.none ~eq_handle:P.Handle.none ~data:Bytes.empty ()
   in
-  tp.Simnet.Transport.send ~src:r0 ~dst:r1 (P.Wire.encode stale_put);
+  tp.Simnet.Transport.send ~src:r0 ~dst:r1 (encode stale_put);
   (* 11. atomic on a word that isn't word-aligned *)
   let amd =
     P.Errors.ok_exn ~op:"bind"
@@ -126,7 +128,7 @@ let run () =
       ()
   in
   tp.Simnet.Transport.send ~src:r1 ~dst:r0
-    (P.Wire.encode (P.Wire.atomic_reply_of_request stray_atomic ~fetched:0L));
+    (encode (P.Wire.atomic_reply_of_request stray_atomic ~fetched:0L));
   (* 13. fetched-value reply to a full event queue *)
   let afull_eqh = P.Errors.ok_exn ~op:"eq" (P.Ni.eq_alloc ni0 ~capacity:1) in
   let afull_eqq = P.Errors.ok_exn ~op:"eq" (P.Ni.eq ni0 afull_eqh) in
@@ -151,19 +153,16 @@ let run () =
          md_user_ptr = 0;
          time = Time_ns.zero;
        });
-  (* 14. corrupted checksummed frame: encode under integrity, flip a
+  (* 14. corrupted checksummed frame: encode with integrity, flip a
      payload bit in flight. The 0x31 frame self-describes, so the CRC is
-     verified at the receiver even though the process-wide switch is back
-     off by the time it lands. *)
+     verified at the receiver even when the world's own fabric has
+     integrity off. *)
   let corrupted =
-    Simnet.Integrity.with_enabled true (fun () ->
-        let put =
-          P.Wire.put_request ~initiator:r0 ~target:r1 ~portal_index:pt_bench
-            ~cookie:0 ~match_bits:P.Match_bits.zero ~offset:0
-            ~md_handle:P.Handle.none ~eq_handle:P.Handle.none
-            ~data:(Bytes.make 4 'x') ()
-        in
-        P.Wire.encode put)
+    P.Wire.encode ~integrity:true
+      (P.Wire.put_request ~initiator:r0 ~target:r1 ~portal_index:pt_bench
+         ~cookie:0 ~match_bits:P.Match_bits.zero ~offset:0
+         ~md_handle:P.Handle.none ~eq_handle:P.Handle.none
+         ~data:(Bytes.make 4 'x') ())
   in
   Bytes.set_uint8 corrupted P.Wire.header_size
     (Bytes.get_uint8 corrupted P.Wire.header_size lxor 0x01);

@@ -4,7 +4,7 @@
 
 type row = { reason : string; count : int }
 
-val run : unit -> row list
+val run : ?scenario:Runtime.Scenario.t -> unit -> row list
 (** One row per {!Portals.Ni.drop_reason}, in declaration order; each
     count should be exactly 1 (the harness triggers each reason once). *)
 

@@ -29,8 +29,8 @@ type result = {
   spans : Trace.span list;
 }
 
-let run ?(capture_trace = false) p =
-  let world = Runtime.create_world ~transport:p.transport ~nodes:2 () in
+let run ?scenario ?(capture_trace = false) p =
+  let world = Runtime.create_world ?scenario ~transport:p.transport ~nodes:2 () in
   let sched = world.Runtime.sched in
   let registry = Scheduler.metrics sched in
   (* This world's snapshot is the figure's data: record the EQ-depth and

@@ -50,7 +50,8 @@ type result = {
       (** Structured trace spans; empty unless [capture_trace]. *)
 }
 
-val run : ?capture_trace:bool -> params -> result
+val run :
+  ?scenario:Runtime.Scenario.t -> ?capture_trace:bool -> params -> result
 (** Execute the experiment in a fresh simulated world. With
     [capture_trace:true] the world's trace is enabled and the retained
     spans are returned in the result (default [false]: tracing stays a

@@ -19,7 +19,7 @@ let work_intervals_ms = [ 0.; 2.; 5.; 10.; 15.; 20.; 25.; 30.; 40.; 50. ]
    it, and consumers can read the same curve out of a metrics snapshot. The final (largest-work) run of each sweep donates
    its full world registry, labelled by configuration, and optionally its
    trace spans. *)
-let sweep ~registry ~capture_trace ~label ~message_size ~batch ~iterations
+let sweep ~scenario ~registry ~capture_trace ~label ~message_size ~batch ~iterations
     ~work_ms ~backend ~transport ~tests_during_work =
   let labels = [ ("config", label) ] in
   let curve = Metrics.series registry ~labels "fig6.wait_ms" in
@@ -29,7 +29,7 @@ let sweep ~registry ~capture_trace ~label ~message_size ~batch ~iterations
     (fun i ms ->
       let donor = i = last in
       let result =
-        Fig5.run
+        Fig5.run ~scenario
           ~capture_trace:(capture_trace && donor)
           {
             Fig5.backend;
@@ -50,11 +50,12 @@ let sweep ~registry ~capture_trace ~label ~message_size ~batch ~iterations
     work_ms;
   ({ label; points = Metrics.series_points curve }, (label, !spans))
 
-let run ?(message_size = 50_000) ?(batch = 10) ?(iterations = 3)
-    ?(work_ms = work_intervals_ms) ?(capture_trace = false) () =
+let run ?(scenario = Runtime.Scenario.default) ?(message_size = 50_000)
+    ?(batch = 10) ?(iterations = 3) ?(work_ms = work_intervals_ms)
+    ?(capture_trace = false) () =
   let registry = Metrics.create ~detail:true () in
   let sweep ~label ~backend ~transport ~tests_during_work =
-    sweep ~registry ~capture_trace ~label ~message_size ~batch ~iterations
+    sweep ~scenario ~registry ~capture_trace ~label ~message_size ~batch ~iterations
       ~work_ms ~backend ~transport ~tests_during_work
   in
   let runs =

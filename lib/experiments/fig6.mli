@@ -37,6 +37,7 @@ val work_intervals_ms : float list
 (** The default sweep: 0 to 50 ms. *)
 
 val run :
+  ?scenario:Runtime.Scenario.t ->
   ?message_size:int ->
   ?batch:int ->
   ?iterations:int ->

@@ -36,8 +36,9 @@ let send ni ~target payload =
   P.Errors.ok_exn ~op:"put"
     (P.Ni.put ni ~md:mdh ~ack:false (P.Ni.op ~target ~portal_index:pt_bench ()))
 
-let run_one ?profile ?label ?(message_size = 0) ?(iterations = 50) transport =
-  let world = Runtime.create_world ?profile ~transport ~nodes:2 () in
+let run_one ?scenario ?profile ?label ?(message_size = 0) ?(iterations = 50)
+    transport =
+  let world = Runtime.create_world ?scenario ?profile ~transport ~nodes:2 () in
   let ni0 = P.Ni.create world.Runtime.transport ~id:world.Runtime.ranks.(0) () in
   let ni1 = P.Ni.create world.Runtime.transport ~id:world.Runtime.ranks.(1) () in
   let eq0 = attach_echo ni0 (Bytes.create (max message_size 8)) in
@@ -77,16 +78,16 @@ let run_one ?profile ?label ?(message_size = 0) ?(iterations = 50) transport =
     one_way_us = mean /. 2.;
   }
 
-let run ?message_size ?iterations () =
+let run ?scenario ?message_size ?iterations () =
   let rows =
     List.map
-      (fun transport -> run_one ?message_size ?iterations transport)
+      (fun transport -> run_one ?scenario ?message_size ?iterations transport)
       [ Runtime.Offload; Runtime.Kernel_interrupt; Runtime.Rtscts ]
     @ [
-        run_one ?message_size ?iterations
+        run_one ?scenario ?message_size ?iterations
           ~profile:Simnet.Profile.asci_red_puma ~label:"puma/asci-red"
           Runtime.Kernel_interrupt;
-        run_one ?message_size ?iterations
+        run_one ?scenario ?message_size ?iterations
           ~profile:Simnet.Profile.tcp_reference ~label:"tcp-reference"
           Runtime.Rtscts;
       ]

@@ -14,6 +14,7 @@ type row = {
 }
 
 val run_one :
+  ?scenario:Runtime.Scenario.t ->
   ?profile:Simnet.Profile.t ->
   ?label:string ->
   ?message_size:int ->
@@ -24,7 +25,9 @@ val run_one :
     warmup round trip); [profile] overrides the transport's default
     hardware profile, [label] the row name. *)
 
-val run : ?message_size:int -> ?iterations:int -> unit -> row list
+val run :
+  ?scenario:Runtime.Scenario.t ->
+  ?message_size:int -> ?iterations:int -> unit -> row list
 (** The three Myrinet placements plus the Puma/ASCI-Red heritage
     platform (§2) and the TCP reference implementation (§3), fastest
     first. *)

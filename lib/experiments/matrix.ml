@@ -75,9 +75,11 @@ let quick_params =
 (* --- the five workloads ------------------------------------------------ *)
 
 (* Small-message ping-pong; mean round trip in us. *)
-let run_latency ~seed ~p stack =
+let run_latency ~scenario ~p stack =
   let rtts = ref [] in
-  let world = Runtime.create_world ~transport:stack.Runtime.Stack.kind ~seed ~nodes:2 () in
+  let world =
+    Runtime.create_world ~scenario ~transport:stack.Runtime.Stack.kind ~nodes:2 ()
+  in
   let sched = world.Runtime.sched in
   ignore
     (Runtime.Stack.launch_on world stack (fun ep ->
@@ -105,9 +107,11 @@ let run_latency ~seed ~p stack =
 
 (* One-way stream; payload MB/s over the span from first send posted to
    last receive complete. *)
-let run_bandwidth ~seed ~p stack =
+let run_bandwidth ~scenario ~p stack =
   let t_start = ref Time_ns.zero and t_end = ref Time_ns.zero in
-  let world = Runtime.create_world ~transport:stack.Runtime.Stack.kind ~seed ~nodes:2 () in
+  let world =
+    Runtime.create_world ~scenario ~transport:stack.Runtime.Stack.kind ~nodes:2 ()
+  in
   let sched = world.Runtime.sched in
   ignore
     (Runtime.Stack.launch_on world stack (fun ep ->
@@ -139,10 +143,13 @@ let run_bandwidth ~seed ~p stack =
    application compute between post and wait (t_both). Overlap% =
    (t_comm + work - t_both) / min(t_comm, work) — 100 means the whole
    cheaper leg hid behind the other, 0 means full serialisation. *)
-let run_overlap ~seed ~p stack =
+let run_overlap ~scenario ~p stack =
   let elapse ~work_us =
     let t0 = ref Time_ns.zero and t1 = ref Time_ns.zero in
-    let world = Runtime.create_world ~transport:stack.Runtime.Stack.kind ~seed ~nodes:2 () in
+    let world =
+      Runtime.create_world ~scenario ~transport:stack.Runtime.Stack.kind
+        ~nodes:2 ()
+    in
     let sched = world.Runtime.sched in
     ignore
       (Runtime.Stack.launch_on world stack (fun ep ->
@@ -173,29 +180,19 @@ let run_overlap ~seed ~p stack =
   (pct, "%overlap", t_comm +. t_both)
 
 (* Goodput of a fixed eager stream over a Bernoulli-lossy fabric with
-   the reliability shim underneath — the world is assembled by hand so
-   the process-wide run env is untouched. *)
-let run_loss_goodput ~seed ~p stack =
-  let sched = Scheduler.create ~seed () in
-  let profile =
-    match stack.Runtime.Stack.kind with
-    | Runtime.Offload -> Simnet.Profile.myrinet_mcp
-    | Runtime.Kernel_interrupt | Runtime.Rtscts -> Simnet.Profile.myrinet_kernel
+   the reliability shim underneath. The cell scripts its own loss, so
+   its world is built from the default scenario and takes only the
+   scenario's seed: the run's faults, topology and domains do not reach
+   it, and its frames stay unchecksummed. *)
+let run_loss_goodput ~scenario ~p stack =
+  let seed = scenario.Runtime.Scenario.seed in
+  let world =
+    Runtime.create_world ~transport:stack.Runtime.Stack.kind ~seed ~nodes:2 ()
   in
-  let fabric = Simnet.Fabric.create sched ~profile ~nodes:2 in
+  let sched = world.Runtime.sched and fabric = world.Runtime.fabric in
   Simnet.Fabric.set_fault_model fabric
     (Some (Simnet.Fault.bernoulli ~seed ~p:p.loss_p ()));
   ignore (Reliability.attach fabric);
-  let tp =
-    match stack.Runtime.Stack.kind with
-    | Runtime.Offload -> Simnet.Transport.offload fabric
-    | Runtime.Kernel_interrupt -> Simnet.Transport.kernel_interrupt fabric
-    | Runtime.Rtscts -> Rtscts.transport (Rtscts.create fabric)
-  in
-  let ranks =
-    [| Simnet.Proc_id.make ~nid:0 ~pid:0; Simnet.Proc_id.make ~nid:1 ~pid:0 |]
-  in
-  let world = { Runtime.sched; fabric; transport = tp; ranks; par = None } in
   let t_start = ref Time_ns.zero and t_end = ref Time_ns.zero in
   ignore
     (Runtime.Stack.launch_on world stack (fun ep ->
@@ -222,12 +219,12 @@ let run_loss_goodput ~seed ~p stack =
 
 (* Aggregate all-to-all goodput on a 2D-torus interconnect: every rank
    streams to every peer, so messages contend on shared hop links. *)
-let run_congestion_goodput ~seed ~p stack =
+let run_congestion_goodput ~scenario ~p stack =
   let nodes = p.cg_nodes in
   let topology = Simnet.Topology.of_spec ~nodes "torus2d" in
   let world =
-    Runtime.create_world ~transport:stack.Runtime.Stack.kind ~seed ~topology
-      ~nodes ()
+    Runtime.create_world ~scenario ~transport:stack.Runtime.Stack.kind
+      ~topology ~nodes ()
   in
   let sched = world.Runtime.sched in
   let t_end = ref Time_ns.zero in
@@ -262,14 +259,14 @@ let run_congestion_goodput ~seed ~p stack =
   in
   (mbps, "MB/s-agg", Time_ns.to_us (Scheduler.now sched))
 
-let run_axis ~seed ~p stack axis =
+let run_axis ~scenario ~p stack axis =
   let value, unit_, sim_time_us =
     match axis with
-    | "latency" -> run_latency ~seed ~p stack
-    | "bandwidth" -> run_bandwidth ~seed ~p stack
-    | "overlap" -> run_overlap ~seed ~p stack
-    | "loss-goodput" -> run_loss_goodput ~seed ~p stack
-    | "congestion-goodput" -> run_congestion_goodput ~seed ~p stack
+    | "latency" -> run_latency ~scenario ~p stack
+    | "bandwidth" -> run_bandwidth ~scenario ~p stack
+    | "overlap" -> run_overlap ~scenario ~p stack
+    | "loss-goodput" -> run_loss_goodput ~scenario ~p stack
+    | "congestion-goodput" -> run_congestion_goodput ~scenario ~p stack
     | other -> invalid_arg (Printf.sprintf "Matrix: unknown axis %S" other)
   in
   { transport = stack.Runtime.Stack.name; axis; value; unit_; sim_time_us }
@@ -277,8 +274,8 @@ let run_axis ~seed ~p stack axis =
 let resolve_stacks transports =
   List.map Runtime.Stack.find_exn transports
 
-let run ?(transports = transport_names) ?(axes = axis_names) ?(quick = false)
-    ?(seed = 0) () =
+let run ?(scenario = Runtime.Scenario.default) ?(transports = transport_names)
+    ?(axes = axis_names) ?(quick = false) () =
   let p = if quick then quick_params else full_params in
   let stacks = resolve_stacks transports in
   List.iter
@@ -290,7 +287,7 @@ let run ?(transports = transport_names) ?(axes = axis_names) ?(quick = false)
     axes;
   let cells =
     List.concat_map
-      (fun stack -> List.map (fun axis -> run_axis ~seed ~p stack axis) axes)
+      (fun stack -> List.map (fun axis -> run_axis ~scenario ~p stack axis) axes)
       stacks
   in
   { cells }
@@ -334,8 +331,8 @@ let pp ppf t =
    any other experiment's. *)
 let record_id ~transport ~axis = Printf.sprintf "MX.%s.%s" transport axis
 
-let perf_records ?(transports = transport_names) ?(axes = axis_names)
-    ?(quick = false) ?(seed = 0) () =
+let perf_records ?(scenario = Runtime.Scenario.default)
+    ?(transports = transport_names) ?(axes = axis_names) ?(quick = false) () =
   let p = if quick then quick_params else full_params in
   let stacks = resolve_stacks transports in
   List.concat_map
@@ -344,6 +341,6 @@ let perf_records ?(transports = transport_names) ?(axes = axis_names)
         (fun axis ->
           Perf.meter
             ~id:(record_id ~transport:stack.Runtime.Stack.name ~axis)
-            (fun () -> run_axis ~seed ~p stack axis))
+            (fun () -> run_axis ~scenario ~p stack axis))
         axes)
     stacks

@@ -31,13 +31,15 @@ val transport_names : string list
 (** = {!Runtime.Stack.names}. *)
 
 val run :
+  ?scenario:Runtime.Scenario.t ->
   ?transports:string list ->
   ?axes:string list ->
   ?quick:bool ->
-  ?seed:int ->
   unit ->
   t
-(** Run the selected cells (default: the full grid). Raises
+(** Run the selected cells (default: the full grid) under [scenario]
+    (default {!Runtime.Scenario.default}); the loss-goodput cell takes
+    only the scenario's seed and scripts its own loss. Raises
     [Invalid_argument] on an unknown transport or axis name — CLIs
     should validate against {!transport_names} and {!axis_names}
     first. [quick] shrinks every workload to smoke-test size. *)
@@ -49,10 +51,10 @@ val record_id : transport:string -> axis:string -> string
 (** ["MX.<transport>.<axis>"], the perf-record id of one cell. *)
 
 val perf_records :
+  ?scenario:Runtime.Scenario.t ->
   ?transports:string list ->
   ?axes:string list ->
   ?quick:bool ->
-  ?seed:int ->
   unit ->
   Perf.record list
 (** Meter every selected cell as a {!Perf.record} (portals-bench/2), id

@@ -66,17 +66,13 @@ let payload_ok ~src ~step b =
   done;
   !ok
 
-let run ?(nodes = 256) ?(steps = 8) ?domains ?seed () =
+let run ?scenario ?(nodes = 256) ?(steps = 8) ?domains () =
   if nodes < 9 then invalid_arg "Par.run: need at least a 3x3 torus";
-  let seed =
-    match seed with Some s -> s | None -> snd (Runtime.run_env ())
-  in
-  let domains =
-    match domains with Some d -> d | None -> Runtime.run_domains_env ()
-  in
   let topology = Simnet.Topology.of_spec ~nodes "torus2d" in
   let t0 = Unix.gettimeofday () in
-  let world = Runtime.create_world ~seed ~topology ~domains ~nodes () in
+  let world =
+    Runtime.create_world ?scenario ~topology ?domains ~nodes ()
+  in
   let topo = Simnet.Fabric.topology world.Runtime.fabric in
   (* Torus links are node-to-node; keep the guard in case a switch-based
      shape is ever substituted. *)
@@ -172,9 +168,9 @@ let pp ppf r =
 
 (* Run the identical world sequentially and at [domains]; any divergence
    in the canonical line is an engine determinism bug. *)
-let selfcheck ?nodes ?steps ?(domains = 4) ?seed () =
-  let seq = run ?nodes ?steps ~domains:1 ?seed () in
-  let par = run ?nodes ?steps ~domains ?seed () in
+let selfcheck ?scenario ?nodes ?steps ?(domains = 4) () =
+  let seq = run ?scenario ?nodes ?steps ~domains:1 () in
+  let par = run ?scenario ?nodes ?steps ~domains () in
   let problems =
     List.concat
       [
@@ -199,14 +195,14 @@ let selfcheck ?nodes ?steps ?(domains = 4) ?seed () =
 let record_seq = "PAR.seq"
 let record_par4 = "PAR.par4"
 
-let perf_records ?(quick = false) ?(seed = 0) () =
+let perf_records ?scenario ?(quick = false) () =
   let nodes = if quick then 64 else 256 in
   let steps = if quick then 4 else 8 in
   [
     Perf.meter ~id:record_seq (fun () ->
-        ignore (run ~nodes ~steps ~domains:1 ~seed ()));
+        ignore (run ?scenario ~nodes ~steps ~domains:1 ()));
     Perf.meter ~domains:4 ~id:record_par4 (fun () ->
-        ignore (run ~nodes ~steps ~domains:4 ~seed ()));
+        ignore (run ?scenario ~nodes ~steps ~domains:4 ()));
   ]
 
 (* Aggregate events/sec ratio of the 4-domain run over the sequential

@@ -27,12 +27,17 @@ type result = {
 }
 
 val run :
-  ?nodes:int -> ?steps:int -> ?domains:int -> ?seed:int -> unit -> result
+  ?scenario:Runtime.Scenario.t ->
+  ?nodes:int ->
+  ?steps:int ->
+  ?domains:int ->
+  unit ->
+  result
 (** One exchange: [nodes] (default 256, >= 9) on the fitted 2-D torus,
-    [steps] send rounds (default 8) to each torus neighbour. [domains]
-    and [seed] default to the {!Runtime.set_run_env} values. The run
-    honours the process-wide fault environment, so a faulty world
-    exercises the sharded reliability shim too. *)
+    [steps] send rounds (default 8) to each torus neighbour, in a world
+    built from [scenario] (default {!Runtime.Scenario.default}): its
+    seed, its domain count unless [domains] is given, and its faults,
+    so a faulty scenario exercises the sharded reliability shim too. *)
 
 val ok : result -> bool
 (** Every expected payload arrived, none damaged. *)
@@ -44,10 +49,10 @@ val canonical : result -> string
 val pp : Format.formatter -> result -> unit
 
 val selfcheck :
+  ?scenario:Runtime.Scenario.t ->
   ?nodes:int ->
   ?steps:int ->
   ?domains:int ->
-  ?seed:int ->
   unit ->
   (result * result, string) Result.t
 (** Run the identical world at [--domains 1] and [domains] (default 4)
@@ -62,7 +67,8 @@ val record_seq : string
 val record_par4 : string
 (** ["PAR.par4"] — the workload at 4 domains. *)
 
-val perf_records : ?quick:bool -> ?seed:int -> unit -> Perf.record list
+val perf_records :
+  ?scenario:Runtime.Scenario.t -> ?quick:bool -> unit -> Perf.record list
 
 val speedup : Perf.record list -> float option
 (** [events_per_sec] of [PAR.par4] over [PAR.seq], when both are present

@@ -31,9 +31,10 @@ val meter : ?domains:int -> id:string -> (unit -> 'a) -> record
     Other experiment families (e.g. the benchmark matrix) build their
     records with this. *)
 
-val all : ?quick:bool -> unit -> record list
-(** Run and meter every experiment. [quick] (default false) shrinks each
-    experiment's parameters to smoke-test size. *)
+val all : ?scenario:Runtime.Scenario.t -> ?quick:bool -> unit -> record list
+(** Run and meter every experiment, building every world from
+    [scenario] (default {!Runtime.Scenario.default}). [quick] (default
+    false) shrinks each experiment's parameters to smoke-test size. *)
 
 val pp : Format.formatter -> record list -> unit
 

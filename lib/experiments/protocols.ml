@@ -12,8 +12,8 @@ type timeline = { figure : int; operation : string; entries : entry list }
 
 let pt_bench = 9
 
-let setup ?(transport = Runtime.Offload) () =
-  let world = Runtime.create_world ~transport ~nodes:2 () in
+let setup ?scenario ?(transport = Runtime.Offload) () =
+  let world = Runtime.create_world ?scenario ~transport ~nodes:2 () in
   let ni0 = P.Ni.create world.Runtime.transport ~id:world.Runtime.ranks.(0) () in
   let ni1 = P.Ni.create world.Runtime.transport ~id:world.Runtime.ranks.(1) () in
   (world, ni0, ni1)
@@ -52,8 +52,8 @@ let collect entries side eqq =
 let finish entries =
   List.sort (fun a b -> compare (a.time_us, a.kind) (b.time_us, b.kind)) !entries
 
-let run_put ?(message_size = 4096) ?transport () =
-  let world, ni0, ni1 = setup ?transport () in
+let run_put ?scenario ?(message_size = 4096) ?transport () =
+  let world, ni0, ni1 = setup ?scenario ?transport () in
   let target_eq = attach_target ni1 (Bytes.create message_size) in
   let ieqh = P.Errors.ok_exn ~op:"eq" (P.Ni.eq_alloc ni0 ~capacity:16) in
   let ieqq = P.Errors.ok_exn ~op:"eq" (P.Ni.eq ni0 ieqh) in
@@ -72,8 +72,8 @@ let run_put ?(message_size = 4096) ?transport () =
   collect entries `Target target_eq;
   { figure = 1; operation = "put (send)"; entries = finish entries }
 
-let run_get ?(message_size = 4096) ?transport () =
-  let world, ni0, ni1 = setup ?transport () in
+let run_get ?scenario ?(message_size = 4096) ?transport () =
+  let world, ni0, ni1 = setup ?scenario ?transport () in
   let target_eq = attach_target ni1 (Bytes.create message_size) in
   let ieqh = P.Errors.ok_exn ~op:"eq" (P.Ni.eq_alloc ni0 ~capacity:16) in
   let ieqq = P.Errors.ok_exn ~op:"eq" (P.Ni.eq ni0 ieqh) in

@@ -17,10 +17,14 @@ type entry = {
 
 type timeline = { figure : int; operation : string; entries : entry list }
 
-val run_put : ?message_size:int -> ?transport:Runtime.transport_kind -> unit -> timeline
+val run_put :
+  ?scenario:Runtime.Scenario.t ->
+  ?message_size:int -> ?transport:Runtime.transport_kind -> unit -> timeline
 (** Figure 1: a put with acknowledgment (default 4 KB, MCP placement). *)
 
-val run_get : ?message_size:int -> ?transport:Runtime.transport_kind -> unit -> timeline
+val run_get :
+  ?scenario:Runtime.Scenario.t ->
+  ?message_size:int -> ?transport:Runtime.transport_kind -> unit -> timeline
 (** Figure 2: a get and its reply. *)
 
 val pp : Format.formatter -> timeline -> unit

@@ -103,9 +103,9 @@ let unpack1 b = Int64.float_of_bits (Bytes.get_int64_le b 0)
 
 (* --- latency: put+flush / fetch_add vs send/recv ----------------------- *)
 
-let run_latency ~seed ~p =
+let run_latency ~scenario ~p =
   let put_us = ref [] and faa_us = ref [] in
-  let world = Runtime.create_world ~seed ~nodes:2 () in
+  let world = Runtime.create_world ~scenario ~nodes:2 () in
   let sched = world.Runtime.sched in
   let oss = make_pes world in
   let wins = Array.map (fun os -> Onesided.win_create os ~size:16) oss in
@@ -132,7 +132,7 @@ let run_latency ~seed ~p =
   let t_rma = Time_ns.to_us (Scheduler.now sched) in
   (* The two-sided yardstick: an 8-byte ping-pong over MPI. *)
   let rtts = ref [] in
-  let world2 = Runtime.create_world ~seed ~nodes:2 () in
+  let world2 = Runtime.create_world ~scenario ~nodes:2 () in
   let sched2 = world2.Runtime.sched in
   let eps = make_mpi world2 in
   Runtime.spawn_ranks world2 (fun ~rank ->
@@ -171,8 +171,8 @@ let run_latency ~seed ~p =
 (* The target rank computes in long slices and never touches the
    library; the initiator's fetch_adds are served entirely by the target
    interface (application bypass extended to read-modify-write). *)
-let rma_busy_leg ~seed ~p kind =
-  let world = Runtime.create_world ~transport:kind ~seed ~nodes:2 () in
+let rma_busy_leg ~scenario ~p kind =
+  let world = Runtime.create_world ~scenario ~transport:kind ~nodes:2 () in
   let sched = world.Runtime.sched in
   let oss = make_pes world in
   let wins = Array.map (fun os -> Onesided.win_create os ~size:8) oss in
@@ -199,8 +199,8 @@ let rma_busy_leg ~seed ~p kind =
 
 (* The same shape over send/recv: the target only enters the library
    between compute slices, so every echo waits out the current slice. *)
-let mpi_busy_leg ~seed ~p =
-  let world = Runtime.create_world ~seed ~nodes:2 () in
+let mpi_busy_leg ~scenario ~p =
+  let world = Runtime.create_world ~scenario ~nodes:2 () in
   let sched = world.Runtime.sched in
   let eps = make_mpi world in
   let lats = ref [] in
@@ -232,10 +232,10 @@ let mpi_busy_leg ~seed ~p =
   Runtime.run world;
   (mean !lats, Time_ns.to_us (Scheduler.now sched))
 
-let run_passive ~seed ~p =
-  let off, t1 = rma_busy_leg ~seed ~p Runtime.Offload in
-  let kern, t2 = rma_busy_leg ~seed ~p Runtime.Kernel_interrupt in
-  let mpi, t3 = mpi_busy_leg ~seed ~p in
+let run_passive ~scenario ~p =
+  let off, t1 = rma_busy_leg ~scenario ~p Runtime.Offload in
+  let kern, t2 = rma_busy_leg ~scenario ~p Runtime.Kernel_interrupt in
+  let mpi, t3 = mpi_busy_leg ~scenario ~p in
   let ratio = if off <= 0. then 0. else mpi /. off in
   {
     workload = "passive";
@@ -255,10 +255,10 @@ let halo_init ~rank ~n i = float_of_int (((rank * n) + i) mod 17)
 
 (* The 1-D diffusion stencil of examples/halo_exchange.ml, shrunk, with
    the exchange over pre-posted receives. *)
-let halo_sendrecv ~seed ~p =
+let halo_sendrecv ~scenario ~p =
   let ranks = p.halo_ranks and n = p.halo_cells in
   let result = Array.make ranks [||] in
-  let world = Runtime.create_world ~seed ~nodes:ranks () in
+  let world = Runtime.create_world ~scenario ~nodes:ranks () in
   let eps = make_mpi world in
   Runtime.spawn_ranks world (fun ~rank ->
       let ep = eps.(rank) in
@@ -301,10 +301,10 @@ let halo_sendrecv ~seed ~p =
    running one iteration ahead writes the other slot pair; flag bytes in
    a symmetric side region carry the iteration number, so the wait is
    the shmem wait_until idiom and the target never receives. *)
-let halo_rma ~seed ~p =
+let halo_rma ~scenario ~p =
   let ranks = p.halo_ranks and n = p.halo_cells in
   let result = Array.make ranks [||] in
-  let world = Runtime.create_world ~seed ~nodes:ranks () in
+  let world = Runtime.create_world ~scenario ~nodes:ranks () in
   let oss = make_pes world in
   (* 2 parities x (left ghost, right ghost). *)
   let wins = Array.map (fun os -> Onesided.win_create os ~size:32) oss in
@@ -349,9 +349,9 @@ let halo_rma ~seed ~p =
   Runtime.run world;
   (result, Time_ns.to_us (Scheduler.now world.Runtime.sched))
 
-let run_halo ~seed ~p =
-  let mpi_result, t_mpi = halo_sendrecv ~seed ~p in
-  let rma_result, t_rma = halo_rma ~seed ~p in
+let run_halo ~scenario ~p =
+  let mpi_result, t_mpi = halo_sendrecv ~scenario ~p in
+  let rma_result, t_rma = halo_rma ~scenario ~p in
   let mismatched = ref 0 and total = ref 0 in
   Array.iteri
     (fun r a ->
@@ -381,10 +381,10 @@ let run_halo ~seed ~p =
    word | slot words], the occupancy counter used on rank 0 only. A key
    claims a slot with compare-and-swap against the empty word and walks
    forward on failure — no locks, no target involvement. *)
-let run_hashtable ~seed ~p =
+let run_hashtable ~scenario ~p =
   let n = p.ht_ranks and slots = p.ht_slots in
   let per_rank = (slots + n - 1) / n in
-  let world = Runtime.create_world ~seed ~nodes:n () in
+  let world = Runtime.create_world ~scenario ~nodes:n () in
   let oss = make_pes world in
   let wins =
     Array.map (fun os -> Onesided.win_create os ~size:(8 + (per_rank * 8))) oss
@@ -443,14 +443,15 @@ let run_hashtable ~seed ~p =
 
 (* --- driver ------------------------------------------------------------ *)
 
-let run_workload ~seed ~p = function
-  | "latency" -> run_latency ~seed ~p
-  | "passive" -> run_passive ~seed ~p
-  | "halo" -> run_halo ~seed ~p
-  | "hashtable" -> run_hashtable ~seed ~p
+let run_workload ~scenario ~p = function
+  | "latency" -> run_latency ~scenario ~p
+  | "passive" -> run_passive ~scenario ~p
+  | "halo" -> run_halo ~scenario ~p
+  | "hashtable" -> run_hashtable ~scenario ~p
   | other -> invalid_arg (Printf.sprintf "Rma: unknown workload %S" other)
 
-let run ?(workloads = workload_names) ?(quick = false) ?(seed = 0) () =
+let run ?(scenario = Runtime.Scenario.default) ?(workloads = workload_names)
+    ?(quick = false) () =
   let p = if quick then quick_params else full_params in
   List.iter
     (fun w ->
@@ -459,7 +460,7 @@ let run ?(workloads = workload_names) ?(quick = false) ?(seed = 0) () =
           (Printf.sprintf "Rma: unknown workload %S (valid: %s)" w
              (String.concat ", " workload_names)))
     workloads;
-  { rows = List.map (run_workload ~seed ~p) workloads }
+  { rows = List.map (run_workload ~scenario ~p) workloads }
 
 let find_row t ~workload = List.find_opt (fun r -> r.workload = workload) t.rows
 
@@ -476,10 +477,11 @@ let pp ppf t =
 
 let record_id workload = "RMA." ^ workload
 
-let perf_records ?(workloads = workload_names) ?(quick = false) ?(seed = 0) ()
-    =
+let perf_records ?(scenario = Runtime.Scenario.default)
+    ?(workloads = workload_names) ?(quick = false) () =
   let p = if quick then quick_params else full_params in
   List.map
     (fun w ->
-      Perf.meter ~id:(record_id w) (fun () -> ignore (run_workload ~seed ~p w)))
+      Perf.meter ~id:(record_id w) (fun () ->
+          ignore (run_workload ~scenario ~p w)))
     workloads

@@ -34,7 +34,9 @@ type t = { rows : row list }
 val workload_names : string list
 (** [latency], [passive], [halo], [hashtable], in run order. *)
 
-val run : ?workloads:string list -> ?quick:bool -> ?seed:int -> unit -> t
+val run :
+  ?scenario:Runtime.Scenario.t -> ?workloads:string list -> ?quick:bool ->
+  unit -> t
 (** Run the selected workloads (default all). Raises [Invalid_argument]
     on an unknown name — CLIs should validate against
     {!workload_names} first. [quick] shrinks every workload to
@@ -47,7 +49,8 @@ val record_id : string -> string
 (** ["RMA.<workload>"], the perf-record id of one workload. *)
 
 val perf_records :
-  ?workloads:string list -> ?quick:bool -> ?seed:int -> unit -> Perf.record list
+  ?scenario:Runtime.Scenario.t -> ?workloads:string list -> ?quick:bool ->
+  unit -> Perf.record list
 (** Meter every selected workload as a {!Perf.record} (portals-bench/2),
     id {!record_id} — appended to the bench report and gated against
     [bench/baseline.json] like any other experiment. *)

@@ -9,10 +9,10 @@ type memory_row = {
 
 module MP = Mpi.Mpi_portals
 
-let run_memory ?(job_sizes = [ 4; 8; 16; 32; 64 ]) ?(credits = 8)
+let run_memory ?scenario ?(job_sizes = [ 4; 8; 16; 32; 64 ]) ?(credits = 8)
     ?(eager = 16_384) () =
   let measure n =
-    let world = Runtime.create_world ~nodes:n () in
+    let world = Runtime.create_world ?scenario ~nodes:n () in
     let config = MP.default_config in
     let endpoints =
       Array.init n (fun rank ->
@@ -60,20 +60,23 @@ let pp_memory ppf rows =
 
 type coll_row = { nodes : int; barrier_us : float; allreduce_us : float }
 
-let run_collectives ?impl ?(node_counts = [ 2; 4; 8; 16; 32; 64; 128; 256 ]) () =
-  (* The engine follows the CLI's [--collectives] default unless the
-     caller picks one; both give the same results, only the timing of a
-     busy host differs (Experiments.Coll measures that contrast). *)
+let run_collectives ?(scenario = Runtime.Scenario.default) ?impl
+    ?(node_counts = [ 2; 4; 8; 16; 32; 64; 128; 256 ]) () =
+  (* The engine follows the scenario's unless the caller picks one; both
+     give the same results, only the timing of a busy host differs
+     (Experiments.Coll measures that contrast). *)
   let impl =
     match impl with
     | Some i -> i
     | None -> (
-      match Collectives.impl_of_string (Runtime.run_collectives_env ()) with
+      match
+        Collectives.impl_of_string scenario.Runtime.Scenario.collectives
+      with
       | Some i -> i
       | None -> Collectives.Host)
   in
   let measure n =
-    let world = Runtime.create_world ~nodes:n () in
+    let world = Runtime.create_world ~scenario ~nodes:n () in
     let colls =
       Array.mapi
         (fun rank pid ->
@@ -136,11 +139,11 @@ type perf_row = {
    match bits, so the sweep is sensitive to both raw event cost and the
    pool's claim-path complexity. Only the timed rounds are metered; world
    construction and one warmup barrier run before the clock starts. *)
-let run_perf ?(node_counts = [ 64; 128; 256; 512; 1024 ]) ?(rounds = 4)
-    ?(frags = 4) () =
+let run_perf ?scenario ?(node_counts = [ 64; 128; 256; 512; 1024 ])
+    ?(rounds = 4) ?(frags = 4) () =
   let root = 0 in
   let measure n =
-    let world = Runtime.create_world ~nodes:n () in
+    let world = Runtime.create_world ?scenario ~nodes:n () in
     let nis =
       Array.map
         (fun pid -> Portals.Ni.create world.Runtime.transport ~id:pid ())

@@ -24,6 +24,7 @@ type memory_row = {
 }
 
 val run_memory :
+  ?scenario:Runtime.Scenario.t ->
   ?job_sizes:int list -> ?credits:int -> ?eager:int -> unit -> memory_row list
 (** Pattern: every rank sends 4 unexpected 1 KB messages to rank 0, which
     claims them afterwards. Defaults: jobs 4..64, 8 credits, 16 KB eager
@@ -34,11 +35,15 @@ val pp_memory : Format.formatter -> memory_row list -> unit
 type coll_row = { nodes : int; barrier_us : float; allreduce_us : float }
 
 val run_collectives :
-  ?impl:Collectives.impl -> ?node_counts:int list -> unit -> coll_row list
+  ?scenario:Runtime.Scenario.t ->
+  ?impl:Collectives.impl ->
+  ?node_counts:int list ->
+  unit ->
+  coll_row list
 (** Defaults: 2..256 nodes; allreduce of 8 float64s. [impl] (default:
-    the {!Runtime.run_collectives_env} / [--collectives] selection)
-    picks the engine the ranks build — host-driven trees or the
-    NIC-offloaded triggered chains. *)
+    the scenario's [collectives], set by [--collectives]) picks the
+    engine the ranks build — host-driven trees or the NIC-offloaded
+    triggered chains. *)
 
 val pp_collectives : Format.formatter -> coll_row list -> unit
 
@@ -50,6 +55,7 @@ type perf_row = {
 }
 
 val run_perf :
+  ?scenario:Runtime.Scenario.t ->
   ?node_counts:int list -> ?rounds:int -> ?frags:int -> unit -> perf_row list
 (** Simulator-throughput sweep: per node count, [rounds] timed rounds of
     a segmented gather to rank 0 ([frags] 8-byte fragments per rank,

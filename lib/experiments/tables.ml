@@ -41,7 +41,7 @@ let run () =
       number;
       title;
       fields = P.Wire.field_inventory op;
-      encoded_bytes = Bytes.length (P.Wire.encode msg);
+      encoded_bytes = Bytes.length (P.Wire.encode ~integrity:false msg);
       payload_bytes;
     }
   in

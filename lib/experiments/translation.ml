@@ -35,8 +35,8 @@ let build_list ni ~depth buffer =
   in
   ()
 
-let walk_entries ~transport ~depth =
-  let world = Runtime.create_world ~transport ~nodes:2 () in
+let walk_entries ~scenario ~transport ~depth =
+  let world = Runtime.create_world ~scenario ~transport ~nodes:2 () in
   let ni0 = P.Ni.create world.Runtime.transport ~id:world.Runtime.ranks.(0) () in
   let ni1 = P.Ni.create world.Runtime.transport ~id:world.Runtime.ranks.(1) () in
   build_list ni1 ~depth (Bytes.create 64);
@@ -55,14 +55,16 @@ let walk_entries ~transport ~depth =
   let cpu = Simnet.Node.host_cpu (Simnet.Fabric.node world.Runtime.fabric 1) in
   (counters.P.Ni.entries_walked, Time_ns.to_us (Cpu.stolen_total cpu))
 
-let run ?(depths = default_depths) () =
+let run ?(scenario = Runtime.Scenario.default) ?(depths = default_depths) () =
   let nic = Simnet.Profile.myrinet_mcp.Simnet.Profile.nic_match_cost in
   let host = Simnet.Profile.myrinet_kernel.Simnet.Profile.host_match_cost in
   List.map
     (fun depth ->
-      let entries_walked, _ = walk_entries ~transport:Runtime.Offload ~depth in
+      let entries_walked, _ =
+        walk_entries ~scenario ~transport:Runtime.Offload ~depth
+      in
       let _, host_stolen_us =
-        walk_entries ~transport:Runtime.Kernel_interrupt ~depth
+        walk_entries ~scenario ~transport:Runtime.Kernel_interrupt ~depth
       in
       {
         depth;

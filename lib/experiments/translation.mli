@@ -19,6 +19,6 @@ type row = {
 
 val default_depths : int list
 
-val run : ?depths:int list -> unit -> row list
+val run : ?scenario:Runtime.Scenario.t -> ?depths:int list -> unit -> row list
 
 val pp : Format.formatter -> row list -> unit

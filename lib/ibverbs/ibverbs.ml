@@ -45,7 +45,8 @@ let first_dynamic_rkey = 0x100000
    out at the protocol layer, not from the fabric. *)
 let on_arrival t payload =
   if t.live then begin
-    match Portals.Wire.decode_view payload with
+    let integrity = t.tp.Simnet.Transport.integrity () in
+    match Portals.Wire.decode_view ~integrity payload with
     | Error _ -> t.s_dropped <- t.s_dropped + 1
     | Ok w -> (
       match Hashtbl.find_opt t.mrs w.Portals.Wire.cookie with
@@ -129,7 +130,11 @@ let rdma_write t ~dst ~rkey ~offset ~src ~src_off ~len ~wr_id =
       ~match_bits:Portals.Match_bits.zero ~offset ~md_handle:Portals.Handle.none
       ~eq_handle:Portals.Handle.none ~data:Bytes.empty ()
   in
-  let img = Portals.Wire.encode_with w ~fill:(fun buf off -> Bytes.blit src src_off buf off len) in
+  let integrity = t.tp.Simnet.Transport.integrity () in
+  let img =
+    Portals.Wire.encode_with ~integrity w ~fill:(fun buf off ->
+        Bytes.blit src src_off buf off len)
+  in
   t.s_writes <- t.s_writes + 1;
   t.s_write_bytes <- t.s_write_bytes + len;
   t.tp.Simnet.Transport.send ~src:t.self ~dst img;

@@ -10,9 +10,9 @@ let checksum_size = 4
 
 (* Kinds 0/1 are the unprotected (legacy) Data/Ack encodings; kinds 2/3
    are the same images plus a CRC-32C trailer over everything before it.
-   Like [Wire], the frame is self-describing but the process-wide
-   [Simnet.Integrity] switch decides what encoders emit — and while it is
-   on, unprotected frames are rejected so corruption of the kind byte
+   Like [Wire], the frame is self-describing but the caller's
+   [~integrity] (its fabric's bit) decides what encoders emit — and with
+   it on, unprotected frames are rejected so corruption of the kind byte
    cannot downgrade a frame out of coverage. *)
 let kind_data = 0
 let kind_ack = 1
@@ -24,8 +24,8 @@ let seal buf =
   Bytes.set_int32_le buf body
     (Int32.of_int (Simnet.Crc32c.digest ~pos:0 ~len:body buf))
 
-let encode frame =
-  let ck = if Simnet.Integrity.is_enabled () then checksum_size else 0 in
+let encode ~integrity frame =
+  let ck = if integrity then checksum_size else 0 in
   let buf =
     match frame with
     | Data { seq; payload } ->
@@ -52,15 +52,14 @@ let check_crc buf =
   if Simnet.Crc32c.digest ~pos:0 ~len:body buf = stored then Ok ()
   else Error (Corrupt "rel frame: checksum mismatch")
 
-let decode buf =
+let decode ~integrity buf =
   let len = Bytes.length buf in
   if len < 1 || Bytes.get_uint8 buf 0 <> magic then Error Not_ours
   else if len < 2 then Error (Corrupt "rel frame: truncated header")
   else
     let kind = Bytes.get_uint8 buf 1 in
     let protected_ = kind = kind_data_crc || kind = kind_ack_crc in
-    if (not protected_) && (kind = kind_data || kind = kind_ack)
-       && Simnet.Integrity.is_enabled ()
+    if (not protected_) && (kind = kind_data || kind = kind_ack) && integrity
     then Error (Corrupt "rel frame: unprotected frame while integrity enabled")
     else if protected_ && len < header_size + checksum_size then
       Error (Corrupt "rel frame: truncated checksum trailer")

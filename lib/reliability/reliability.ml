@@ -125,7 +125,9 @@ let rx_of t ~src ~dst =
 
 let send_data_frame t tx entry =
   Simnet.Fabric.send_raw t.fabric ~src:tx.tx_src ~dst:tx.tx_dst
-    (Frame.encode (Frame.Data { seq = entry.e_seq; payload = entry.e_payload }))
+    (Frame.encode
+       ~integrity:(Simnet.Fabric.integrity t.fabric)
+       (Frame.Data { seq = entry.e_seq; payload = entry.e_payload }))
 
 (* --- retransmission timer --------------------------------------------- *)
 
@@ -260,7 +262,9 @@ let send_ack t ~me ~peer rx =
   let seqs = Hashtbl.fold (fun seq _ acc -> seq :: acc) rx.ooo [] in
   let sack = Frame.sack_of_seqs ~cum_ack seqs in
   Simnet.Fabric.send_raw t.fabric ~src:me ~dst:peer
-    (Frame.encode (Frame.Ack { cum_ack; sack }))
+    (Frame.encode
+       ~integrity:(Simnet.Fabric.integrity t.fabric)
+       (Frame.Ack { cum_ack; sack }))
 
 let deliver_up t ~src ~dst payload =
   Metrics.incr t.m_delivered;
@@ -291,7 +295,7 @@ let on_data t ~src ~dst ~seq payload =
   send_ack t ~me:dst ~peer:src rx
 
 let on_wire t ~src ~dst payload =
-  match Frame.decode payload with
+  match Frame.decode ~integrity:(Simnet.Fabric.integrity t.fabric) payload with
   | Ok (Frame.Data { seq; payload }) -> on_data t ~src ~dst ~seq payload
   | Ok (Frame.Ack { cum_ack; sack }) -> on_ack t ~src ~dst ~cum_ack ~sack
   | Error Frame.Not_ours ->

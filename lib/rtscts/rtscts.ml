@@ -383,6 +383,7 @@ let transport t =
     host_copy_time = (fun len -> Simnet.Profile.copy_time profile len);
     send_overhead = profile.Simnet.Profile.host_syscall_cost;
     node_incarnation = (fun nid -> Simnet.Fabric.incarnation t.fabric nid);
+    integrity = (fun () -> Simnet.Fabric.integrity t.fabric);
     on_crash = (fun f -> Simnet.Fabric.on_crash t.fabric f);
     on_restart = (fun f -> Simnet.Fabric.on_restart t.fabric f);
   }

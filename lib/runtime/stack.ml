@@ -46,39 +46,27 @@ let find_exn name =
       (Printf.sprintf "Runtime.Stack: unknown stack %S (valid: %s)" name
          (String.concat ", " names))
 
-(* Mirror of World.launch_mpi, driven by a stack row: endpoints exist
-   before any rank runs; finalize is collective behind a tolerant
-   barrier (see World.launch_mpi for why). *)
-let launch ?profile ?procs_per_node ?seed ?topology ?queue_limit ~nodes stack
-    main =
-  let world =
-    World.create_world ?profile ~transport:stack.kind ?procs_per_node ?seed
-      ?topology ?queue_limit ~nodes ()
-  in
-  let endpoints =
-    Array.init (World.job_size world)
-      (fun rank -> stack.create world.World.transport ~ranks:world.World.ranks ~rank)
-  in
-  World.spawn_ranks world (fun ~rank ->
-      let ep = endpoints.(rank) in
-      main ep;
-      Mpi.barrier ~tolerant:true ep;
-      Mpi.finalize ep);
-  World.run world;
-  world
-
-(* Same launch over a caller-assembled world (a lossy fabric, a custom
-   profile): the stack only contributes its endpoints. The world's
+(* Run one MPI job over a world: endpoints exist before any rank runs,
+   so no early message can find its destination unregistered. The world's
    transport must match [stack.kind]'s placement for the name to mean
    what it says. *)
 let launch_on world stack main =
   let endpoints =
-    Array.init (World.job_size world)
-      (fun rank -> stack.create world.World.transport ~ranks:world.World.ranks ~rank)
+    Array.init (World.job_size world) (fun rank ->
+        (* Over the rank's owner-shard transport (= [world.transport]
+           sequentially). *)
+        stack.create
+          (World.transport_of_rank world rank)
+          ~ranks:world.World.ranks ~rank)
   in
   World.spawn_ranks world (fun ~rank ->
       let ep = endpoints.(rank) in
       main ep;
+      (* Finalize is collective (as in MPI): without the barrier, a rank
+         that finished early would unregister while a peer's transfer is
+         still mid-protocol (e.g. an RTS/CTS handshake), dropping it.
+         Tolerant: ranks whose node crashed are skipped, so survivors
+         still shut down cleanly instead of deadlocking. *)
       Mpi.barrier ~tolerant:true ep;
       Mpi.finalize ep);
   World.run world;

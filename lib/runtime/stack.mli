@@ -26,20 +26,11 @@ val find : string -> t option
 val find_exn : string -> t
 (** Raises [Invalid_argument] naming the valid stacks. *)
 
-val launch :
-  ?profile:Simnet.Profile.t ->
-  ?procs_per_node:int ->
-  ?seed:int ->
-  ?topology:Simnet.Topology.kind ->
-  ?queue_limit:int ->
-  nodes:int ->
-  t ->
-  (Mpi.t -> unit) ->
-  World.world
-(** {!World.launch_mpi} driven by a stack row: build the world for the
-    stack's placement, create one endpoint per rank (before any rank
-    runs), run [main] on each, finalize collectively. *)
-
 val launch_on : World.world -> t -> (Mpi.t -> unit) -> World.world
-(** Same, over a caller-assembled world (lossy fabric, custom profile);
-    the world's transport should match the stack's placement. *)
+(** [launch_on world stack main] runs one MPI job: create one endpoint
+    per rank over the rank's transport (all before any rank runs, so no
+    early message is lost), run [main] on each, finalize collectively
+    behind a crash-tolerant barrier (as MPI_Finalize requires), then
+    {!World.run}. Returns [world] for inspection. The world's transport
+    should match the stack's placement ({!World.create_world} with
+    [~transport:stack.kind]). *)

@@ -26,266 +26,19 @@ type world = {
   par : par option;
 }
 
-(* Process-wide run environment, set once by the front-ends (--loss /
-   --seed / --fault / --crash) so every experiment inherits the lossy
-   fabric, the fault model, the crash schedule and the seed without
-   threading parameters through each call site. *)
-let env_loss = ref 0.
-let env_seed = ref 0
-let env_fault : string option ref = ref None
-let env_crashes : Simnet.Fault.crash_schedule option ref = ref None
-let env_topology : string option ref = ref None
-let env_queue_limit : int option ref = ref None
-let env_domains = ref 1
-let env_collectives = ref "host"
-
-(* A topology spec with explicit dimensions implies its own node count;
-   validate against that so "--topology torus2d:4x3" is rejected up
-   front if malformed, while dimension-less specs ("torus2d") stay
-   polymorphic in the world size. *)
-let validate_topology_spec spec =
-  let implied_nodes =
-    match String.split_on_char ':' (String.trim (String.lowercase_ascii spec)) with
-    | [ _; dims ] -> (
-      match
-        List.map int_of_string_opt (String.split_on_char 'x' dims)
-      with
-      | parts when List.for_all (function Some d -> d > 0 | None -> false) parts
-        ->
-        let ds = List.map Option.get parts in
-        if List.length ds = 1 then
-          (* fattree:K implies K^3/4 hosts. *)
-          let k = List.hd ds in
-          Some (k * k * k / 4)
-        else Some (List.fold_left ( * ) 1 ds)
-      | _ -> None)
-    | _ -> None
-  in
-  ignore
-    (Simnet.Topology.of_spec
-       ~nodes:(Option.value ~default:16 implied_nodes)
-       spec)
-
-(* "bernoulli:P" | "gilbert:P_ENTER:P_EXIT" | "duplicate:P"
-   | "corrupt:P" | "delay:MEAN_US[:JITTER_US]" | "flap:PERIOD_US:DOWN_US"
-   | "partition:A.B|C.D@CUT_US[:HEAL_US]" | "none", composable with "+"
-   (e.g. "bernoulli:0.02+corrupt:0.01"). Partition elements describe
-   scheduled group cuts (nids '.'-joined; '|' severs both directions,
-   '>' only A → B traffic) rather than per-message models, so parsing
-   returns both halves. *)
-let faults_of_spec ~seed spec =
-  let bad reason =
-    invalid_arg
-      (Printf.sprintf
-         "Runtime: bad fault spec %S (%s); expected \
-          bernoulli:P|gilbert:P_ENTER:P_EXIT|duplicate:P|corrupt:P|\
-          delay:MEAN_US[:JITTER_US]|flap:PERIOD_US:DOWN_US|\
-          partition:A.B|C.D@CUT_US[:HEAL_US]|none, joined with '+'"
-         spec reason)
-  in
-  let float_field s =
-    match float_of_string_opt (String.trim s) with
-    | Some f -> f
-    | None -> bad (Printf.sprintf "%S is not a number" s)
-  in
-  (* The models clamp out-of-range probabilities; a CLI spec should be
-     told it is wrong instead. *)
-  let prob_field s =
-    let p = float_field s in
-    if p < 0. || p > 1. then
-      bad (Printf.sprintf "probability %S outside [0, 1]" s);
-    p
-  in
-  let time_field s =
-    let us = float_field s in
-    if us < 0. then bad (Printf.sprintf "time %S is negative" s);
-    Sim_engine.Time_ns.us us
-  in
-  (* "A.B|C.D@CUT_US[:HEAL_US]" ('>' instead of '|' for a one-way cut). *)
-  let parse_partition body =
-    let nids_of s =
-      let parts = String.split_on_char '.' (String.trim s) in
-      if parts = [ "" ] then bad "empty partition group";
-      List.map
-        (fun n ->
-          match int_of_string_opt (String.trim n) with
-          | Some nid when nid >= 0 -> nid
-          | Some _ | None ->
-            bad (Printf.sprintf "%S: node ids are nonnegative integers" body))
-        parts
-    in
-    match String.index_opt body '@' with
-    | None -> bad (Printf.sprintf "partition %S has no '@'" body)
-    | Some at ->
-      let groups = String.sub body 0 at in
-      let times = String.sub body (at + 1) (String.length body - at - 1) in
-      let one_way, sep =
-        match (String.index_opt groups '>', String.index_opt groups '|') with
-        | Some i, None -> (true, i)
-        | None, Some i -> (false, i)
-        | _ ->
-          bad
-            (Printf.sprintf "partition %S needs exactly one '|' or '>'" body)
-      in
-      let group_a = nids_of (String.sub groups 0 sep) in
-      let group_b =
-        nids_of (String.sub groups (sep + 1) (String.length groups - sep - 1))
-      in
-      let cut_at, heal_at =
-        match String.split_on_char ':' times with
-        | [ cut ] -> (time_field cut, None)
-        | [ cut; heal ] -> (time_field cut, Some (time_field heal))
-        | _ -> bad (Printf.sprintf "partition %S: too many times" body)
-      in
-      { Simnet.Fault.group_a; group_b; one_way; cut_at; heal_at }
-  in
-  let parse_one s =
-    match String.split_on_char ':' (String.trim s) with
-    | "partition" :: rest -> `Partition (parse_partition (String.concat ":" rest))
-    | [ "none" ] -> `Model Simnet.Fault.none
-    | [ "bernoulli"; p ] ->
-      `Model (Simnet.Fault.bernoulli ~seed ~p:(prob_field p) ())
-    | [ "gilbert"; p_enter; p_exit ] ->
-      `Model
-        (Simnet.Fault.gilbert ~seed ~p_enter:(prob_field p_enter)
-           ~p_exit:(prob_field p_exit) ())
-    | [ "duplicate"; p ] ->
-      `Model (Simnet.Fault.duplicator ~seed ~p:(prob_field p) ())
-    | [ "corrupt"; p ] -> `Model (Simnet.Fault.corrupt ~seed ~p:(prob_field p) ())
-    | [ "delay"; mean ] ->
-      `Model (Simnet.Fault.delay ~seed ~mean:(time_field mean) ())
-    | [ "delay"; mean; jitter ] ->
-      let mean = time_field mean and jitter = time_field jitter in
-      if Sim_engine.Time_ns.compare jitter mean > 0 then
-        bad "delay jitter exceeds mean";
-      `Model (Simnet.Fault.delay ~seed ~jitter ~mean ())
-    | [ "flap"; period; down ] ->
-      let period = Sim_engine.Time_ns.us (float_field period) in
-      let downtime = Sim_engine.Time_ns.us (float_field down) in
-      if Sim_engine.Time_ns.compare downtime period > 0 then
-        bad "downtime exceeds period";
-      `Model (Simnet.Fault.link_flap ~period ~downtime ())
-    | _ -> bad (Printf.sprintf "unknown model %S" s)
-  in
-  let parts = List.map parse_one (String.split_on_char '+' spec) in
-  if parts = [] then bad "empty";
-  let models =
-    List.filter_map (function `Model m -> Some m | `Partition _ -> None) parts
-  in
-  let events =
-    List.filter_map (function `Partition e -> Some e | `Model _ -> None) parts
-  in
-  let partitions =
-    try Simnet.Fault.partition_schedule events
-    with Invalid_argument reason -> bad reason
-  in
-  (models, partitions)
-
-(* "NID@DOWN_US[:UP_US]" elements joined with ',': node NID crash-stops
-   at DOWN_US microseconds and, with the optional UP_US, restarts then. *)
-let crashes_of_spec spec =
-  let bad reason =
-    invalid_arg
-      (Printf.sprintf
-         "Runtime: bad crash spec %S (%s); expected NID@DOWN_US[:UP_US], \
-          joined with ','"
-         spec reason)
-  in
-  let parse_one s =
-    let s = String.trim s in
-    match String.index_opt s '@' with
-    | None -> bad (Printf.sprintf "%S has no '@'" s)
-    | Some i ->
-      let nid =
-        match int_of_string_opt (String.sub s 0 i) with
-        | Some n when n >= 0 -> n
-        | Some _ | None ->
-          bad (Printf.sprintf "%S: node id must be a nonnegative integer" s)
-      in
-      let rest = String.sub s (i + 1) (String.length s - i - 1) in
-      let time_of f =
-        match float_of_string_opt f with
-        | Some us when us >= 0. -> Sim_engine.Time_ns.us us
-        | Some _ | None ->
-          bad (Printf.sprintf "%S: times are nonnegative microseconds" s)
-      in
-      (match String.index_opt rest ':' with
-      | None -> (nid, time_of rest, None)
-      | Some j ->
-        let down = String.sub rest 0 j in
-        let up = String.sub rest (j + 1) (String.length rest - j - 1) in
-        (nid, time_of down, Some (time_of up)))
-  in
-  if String.trim spec = "" then bad "empty";
-  try Simnet.Fault.crash_schedule (List.map parse_one (String.split_on_char ',' spec))
-  with Invalid_argument reason when not (String.length reason > 7 && String.sub reason 0 8 = "Runtime:") ->
-    bad reason
-
-let set_run_env ?loss ?seed ?fault ?crashes ?topology ?queue_limit ?domains
-    ?collectives () =
-  (match collectives with
-  | Some (("host" | "nic" | "nic_offload" | "nic-offload") as s) ->
-    env_collectives := s
-  | Some other ->
-    invalid_arg
-      (Printf.sprintf
-         "Runtime.set_run_env: unknown collectives engine %S (host|nic)" other)
-  | None -> ());
-  (match domains with
-  | Some d ->
-    if d < 1 then
-      invalid_arg "Runtime.set_run_env: need at least one domain";
-    env_domains := d
-  | None -> ());
-  (match topology with
-  | Some "" -> env_topology := None
-  | Some spec ->
-    validate_topology_spec spec;
-    env_topology := Some spec
-  | None -> ());
-  (match queue_limit with
-  | Some l ->
-    if l <= 0 then
-      invalid_arg "Runtime.set_run_env: queue limit must be positive";
-    env_queue_limit := Some l
-  | None -> ());
-  (match loss with
-  | Some l ->
-    if l < 0. || l >= 1. then
-      invalid_arg "Runtime.set_run_env: loss must be in [0, 1)";
-    env_loss := l
-  | None -> ());
-  (match fault with
-  | Some "" -> env_fault := None
-  | Some spec ->
-    ignore (faults_of_spec ~seed:0 spec);
-    env_fault := Some spec
-  | None -> ());
-  (match crashes with
-  | Some "" -> env_crashes := None
-  | Some spec -> env_crashes := Some (crashes_of_spec spec)
-  | None -> ());
-  match seed with Some s -> env_seed := s | None -> ()
-
-let run_env () = (!env_loss, !env_seed)
-let run_crash_env () = !env_crashes
-let run_topology_env () = (!env_topology, !env_queue_limit)
-let run_domains_env () = !env_domains
-let run_collectives_env () = !env_collectives
-
-let create_world ?profile ?(transport = Offload) ?(procs_per_node = 1) ?seed
-    ?topology ?queue_limit ?domains ?(env_faults = true) ~nodes () =
+let create_world ?(scenario = Scenario.default) ?profile ?(transport = Offload)
+    ?(procs_per_node = 1) ?seed ?topology ?queue_limit ?domains ~nodes () =
   if nodes <= 0 then invalid_arg "Runtime.create_world: need at least one node";
   if procs_per_node <= 0 then
     invalid_arg "Runtime.create_world: need at least one process per node";
-  let domains = match domains with Some d -> d | None -> !env_domains in
+  let domains = Option.value domains ~default:scenario.Scenario.domains in
   if domains < 1 then
     invalid_arg "Runtime.create_world: need at least one domain";
-  (* The CLI's --domains applies to every world an experiment builds,
-     including small helper worlds: cap at one shard per node instead of
-     rejecting them. *)
+  (* A scenario's domain count applies to every world an experiment
+     builds, including small helper worlds: cap at one shard per node
+     instead of rejecting them. *)
   let shards = min domains nodes in
-  let seed = match seed with Some s -> s | None -> !env_seed in
+  let seed = Option.value seed ~default:scenario.Scenario.seed in
   let profile =
     match profile with
     | Some p -> p
@@ -294,21 +47,23 @@ let create_world ?profile ?(transport = Offload) ?(procs_per_node = 1) ?seed
       | Offload -> Simnet.Profile.myrinet_mcp
       | Kernel_interrupt | Rtscts -> Simnet.Profile.myrinet_kernel)
   in
-  (* An explicit topology wins; otherwise the CLI-set spec (if any) is
+  (* An explicit topology wins; otherwise the scenario's spec (if any) is
      fitted to this world's node count; otherwise the seed's
      fully-connected fabric. *)
   let topology =
     match topology with
     | Some k -> k
     | None -> (
-      match !env_topology with
+      match scenario.Scenario.topology with
       | Some spec -> Simnet.Topology.of_spec ~nodes spec
       | None -> Simnet.Topology.Full)
   in
   let queue_limit =
-    match queue_limit with Some _ as l -> l | None -> !env_queue_limit
+    match queue_limit with
+    | Some _ as l -> l
+    | None -> scenario.Scenario.queue_limit
   in
-  (* Faulty mode: inject the configured wire loss, fault model and/or
+  (* Faulty mode: inject the scenario's wire loss, fault model and/or
      partition schedule and install the reliability shim so the
      transports above still see the in-order exactly-once fabric they
      were written against. Frames travel checksummed exactly when the
@@ -320,28 +75,12 @@ let create_world ?profile ?(transport = Offload) ?(procs_per_node = 1) ?seed
      mutable per-pair PRNG tables that must not be shared across
      domains. Same spec + same seed ⇒ identical per-pair streams, so the
      replicas agree with the sequential reference. *)
-  let fresh_faults () =
-    if not env_faults then ([], [])
-    else
-      let spec_models, partitions =
-        match !env_fault with
-        | None -> ([], [])
-        | Some spec -> faults_of_spec ~seed spec
-      in
-      let models =
-        (if !env_loss > 0. then [ Simnet.Fault.bernoulli ~seed ~p:!env_loss () ]
-         else [])
-        @ spec_models
-      in
-      (models, partitions)
-  in
+  (* Every fault spec parses to at least one model or partition. *)
   let faulty =
-    let models, partitions = fresh_faults () in
-    models <> [] || partitions <> []
+    scenario.Scenario.loss > 0. || scenario.Scenario.fault <> None
   in
-  if env_faults then Simnet.Integrity.set_enabled faulty;
   let configure fabric =
-    let fault_models, partitions = fresh_faults () in
+    let fault_models, partitions = Scenario.faults scenario ~seed in
     (match fault_models with
     | [] -> ()
     | models ->
@@ -352,15 +91,17 @@ let create_world ?profile ?(transport = Offload) ?(procs_per_node = 1) ?seed
     (match partitions with
     | [] -> ()
     | schedule -> Simnet.Fabric.apply_partition_schedule fabric schedule);
-    if faulty then ignore (Reliability.attach fabric);
+    if faulty then begin
+      Simnet.Fabric.set_integrity fabric true;
+      ignore (Reliability.attach fabric)
+    end;
     (* Scripted node failures apply to every world, so an experiment that
        builds one world per transport subjects each to the identical
        schedule — and, in a parallel world, to every shard, keeping the
        shadow replicas' crash state in lockstep with the owners. *)
-    match !env_crashes with
-    | Some schedule when env_faults ->
-      Simnet.Fabric.apply_crash_schedule fabric schedule
-    | Some _ | None -> ()
+    match scenario.Scenario.crashes with
+    | Some schedule -> Simnet.Fabric.apply_crash_schedule fabric schedule
+    | None -> ()
   in
   let transport_over fabric =
     match transport with
@@ -509,37 +250,5 @@ let launch ?profile ?transport ?procs_per_node ?seed ?domains ~nodes main =
     create_world ?profile ?transport ?procs_per_node ?seed ?domains ~nodes ()
   in
   spawn_ranks world (fun ~rank -> main world ~rank);
-  run world;
-  world
-
-let launch_mpi ?profile ?transport ?procs_per_node ?seed ?domains
-    ?(backend = `Portals) ?portals_config ?gm_config ~nodes main =
-  let world =
-    create_world ?profile ?transport ?procs_per_node ?seed ?domains ~nodes ()
-  in
-  (* Endpoints exist before any rank runs: no early message can find its
-     destination unregistered. *)
-  let endpoints =
-    Array.init (job_size world) (fun rank ->
-        (* Each rank's endpoint lives over its node's owner-shard
-           transport (= [world.transport] sequentially). *)
-        let tp = transport_of_rank world rank in
-        match backend with
-        | `Portals ->
-          Mpi.create_portals tp ~ranks:world.ranks ~rank
-            ?config:portals_config ()
-        | `Gm ->
-          Mpi.create_gm tp ~ranks:world.ranks ~rank ?config:gm_config ())
-  in
-  spawn_ranks world (fun ~rank ->
-      let ep = endpoints.(rank) in
-      main ep;
-      (* Finalize is collective (as in MPI): without the barrier, a rank
-         that finished early would unregister while a peer's transfer is
-         still mid-protocol (e.g. an RTS/CTS handshake), dropping it.
-         Tolerant: ranks whose node crashed are skipped, so survivors
-         still shut down cleanly instead of deadlocking. *)
-      Mpi.barrier ~tolerant:true ep;
-      Mpi.finalize ep);
   run world;
   world

@@ -3,7 +3,10 @@
     Builds the simulated machine (fabric + transport placement), assigns
     process ids to ranks (round-robin over nodes, multiple processes per
     node supported, §2), runs one fiber per rank, and tears the world
-    down. Everything the examples and benches would otherwise repeat. *)
+    down. Everything the examples and benches would otherwise repeat.
+
+    Every world is built by {!create_world} from a {!Scenario.t}; the
+    record is [private], so no caller can assemble one by hand. *)
 
 type transport_kind =
   | Offload  (** Portals processing on the NIC (the MCP). *)
@@ -17,7 +20,7 @@ type par
     transports and the window runtime); present only when the world was
     created with more than one domain. *)
 
-type world = {
+type world = private {
   sched : Sim_engine.Scheduler.t;
   fabric : Simnet.Fabric.t;
   transport : Simnet.Transport.t;
@@ -30,83 +33,8 @@ type world = {
           {!fabric_of_nid} instead. *)
 }
 
-val set_run_env :
-  ?loss:float ->
-  ?seed:int ->
-  ?fault:string ->
-  ?crashes:string ->
-  ?topology:string ->
-  ?queue_limit:int ->
-  ?domains:int ->
-  ?collectives:string ->
-  unit ->
-  unit
-(** Process-wide defaults applied by {!create_world}, set once by the CLI
-    front-ends ([--loss] / [--seed] / [--fault] / [--crash]):
-
-    {ul
-    {- [loss] — Bernoulli wire loss probability in [0, 1) (0 disables;
-       anything above it makes every subsequent world a lossy fabric with
-       the reliability shim attached);}
-    {- [seed] — the scheduler seed used when a call site passes none;}
-    {- [fault] — a wire fault-model spec:
-       ["bernoulli:P"], ["gilbert:P_ENTER:P_EXIT"], ["duplicate:P"],
-       ["corrupt:P"] (seeded bit-flip/truncation of the wire image),
-       ["delay:MEAN_US\[:JITTER_US\]"] (extra seeded latency, FIFO per
-       src/dst pair), ["flap:PERIOD_US:DOWN_US"],
-       ["partition:A.B|C.D@CUT_US\[:HEAL_US\]"] (scheduled group cut —
-       nids joined with ['.'], ['|'] severs both directions, ['>'] only
-       A → B; heals at [HEAL_US] if given) or ["none"], joined with
-       ['+'] to compose (drop wins over corrupt, corrupt over delay,
-       delay over duplicate). [""] clears. Any model or partition
-       attaches the reliability shim, like [loss], and switches
-       [Simnet.Integrity] on so frames travel with CRC-32C trailers —
-       corruption then degrades to loss and is retransmitted;}
-    {- [crashes] — a scripted node-failure schedule
-       ["NID@DOWN_US[:UP_US]"] joined with [',']: node [NID] crash-stops
-       at [DOWN_US] microseconds of simulated time and, when [:UP_US] is
-       given, restarts then in a fresh incarnation. [""] clears.}
-    {- [topology] — an interconnect spec ({!Simnet.Topology.of_spec}):
-       ["full"], ["ring"], ["torus2d\[:AxB\]"], ["torus3d\[:AxBxC\]"] or
-       ["fattree\[:K\]"]. Dimension-less specs are fitted to each
-       world's node count; explicit dimensions must match it exactly.
-       [""] clears (back to the seed's fully-connected fabric).}
-    {- [queue_limit] — per-hop-link outstanding-transmission bound;
-       overload beyond it becomes congestion drops (recovered by the
-       reliability shim when one is attached).}
-    {- [domains] — number of OCaml domains to shard each world across
-       (default 1 = the sequential reference scheduler). Worlds with
-       fewer nodes than domains fall back to one shard per node. Same
-       seed, same world ⇒ same simulated history at any domain count
-       (see {!Sim_engine.Shard}).}
-    {- [collectives] — which collective engine workloads should build:
-       ["host"] (the host-driven reference) or ["nic"] (triggered-chain
-       NIC offload). Kept as a string so the runtime does not depend on
-       the collectives library; consumers resolve it with
-       [Collectives.impl_of_string]. Both engines give byte-identical
-       results — the choice only moves where tree hops execute.}}
-
-    Raises [Invalid_argument] on an out-of-range loss or a malformed
-    fault/crash spec (bad syntax, negative times, restart not after its
-    crash, a node crashing again while still down). *)
-
-val run_env : unit -> float * int
-(** Current [(loss, seed)] defaults. *)
-
-val run_crash_env : unit -> Simnet.Fault.crash_schedule option
-(** The crash schedule {!create_world} will apply to new worlds, if any. *)
-
-val run_topology_env : unit -> string option * int option
-(** The (topology spec, queue limit) defaults new worlds inherit. *)
-
-val run_domains_env : unit -> int
-(** The domain-count default new worlds inherit (1 = sequential). *)
-
-val run_collectives_env : unit -> string
-(** The collective-engine default (["host"] unless [--collectives]
-    changed it); feed to [Collectives.impl_of_string]. *)
-
 val create_world :
+  ?scenario:Scenario.t ->
   ?profile:Simnet.Profile.t ->
   ?transport:transport_kind ->
   ?procs_per_node:int ->
@@ -114,35 +42,37 @@ val create_world :
   ?topology:Simnet.Topology.kind ->
   ?queue_limit:int ->
   ?domains:int ->
-  ?env_faults:bool ->
   nodes:int ->
   unit ->
   world
-(** A fresh machine. Default profile matches the transport kind
-    ([Offload] → {!Simnet.Profile.myrinet_mcp}, otherwise
-    {!Simnet.Profile.myrinet_kernel}); default one process per node. The
-    job's ranks are [0 .. nodes*procs_per_node - 1]. Seed defaults to the
-    {!set_run_env} value (initially 0); if a wire loss has been set
-    there, the fabric is created lossy with the {!Reliability} protocol
-    shimmed underneath the transport.
+(** A fresh machine of [nodes] compute nodes built under [scenario]
+    (default {!Scenario.default}). The job's ranks are
+    [0 .. nodes*procs_per_node - 1] (default one process per node).
+    Default profile matches the transport kind ([Offload] →
+    {!Simnet.Profile.myrinet_mcp}, otherwise
+    {!Simnet.Profile.myrinet_kernel}).
 
-    [topology] (default: the {!set_run_env} spec fitted to [nodes], else
-    fully connected) selects the interconnect; [queue_limit] bounds each
-    shared hop link's queue (see {!Simnet.Fabric.create}).
+    The scenario supplies the seed, the interconnect (its topology spec
+    fitted to [nodes], else fully connected), the hop-link queue limit
+    and the domain count; an explicit [seed], [topology], [queue_limit]
+    or [domains] wins over it. If the scenario has a wire loss, a fault
+    model or a partition schedule, every shard fabric gets fresh
+    instances of them (seeded with the world's seed), its integrity bit
+    ({!Simnet.Fabric.set_integrity}) and the {!Reliability} shim
+    underneath the transport; otherwise the fabric stays clean and its
+    frames unchecksummed. The scenario's crash schedule is applied to
+    every shard fabric. Nothing outside the returned world is touched.
 
-    [domains] (default: the {!set_run_env} value, initially 1) shards
-    the world across that many OCaml domains: compute nodes are split
-    into contiguous blocks ({!Simnet.Shard_map}), each shard gets its
-    own scheduler, fabric replica, fault-model instance and transport,
-    and {!run} drives them under the conservative window barrier
-    ({!Sim_engine.Shard}). Capped at [nodes]; 1 means the plain
-    sequential world with [par = None].
+    [domains] > 1 shards the world across that many OCaml domains:
+    compute nodes are split into contiguous blocks ({!Simnet.Shard_map}),
+    each shard gets its own scheduler, fabric replica, fault-model
+    instance and transport, and {!run} drives them under the
+    conservative window barrier ({!Sim_engine.Shard}). Capped at
+    [nodes]; 1 means the plain sequential world with [par = None].
 
-    [env_faults:false] makes the world ignore the process-wide loss /
-    fault / crash environment (and leave {!Simnet.Integrity} alone) —
-    for experiments that script their own fault injection per shard
-    fabric, like the chaos campaigns. Seed, topology, queue-limit and
-    domain defaults still apply. *)
+    Raises [Invalid_argument] on no nodes, no processes per node, fewer
+    than one domain, or a partition or crash naming a node outside the
+    world. *)
 
 val job_size : world -> int
 
@@ -209,23 +139,3 @@ val launch :
   world
 (** [launch ~nodes main] is {!create_world}, {!spawn_ranks} with
     [main world ~rank], then {!run}; returns the world for inspection. *)
-
-(** {1 MPI jobs} *)
-
-val launch_mpi :
-  ?profile:Simnet.Profile.t ->
-  ?transport:transport_kind ->
-  ?procs_per_node:int ->
-  ?seed:int ->
-  ?domains:int ->
-  ?backend:[ `Portals | `Gm ] ->
-  ?portals_config:Mpi.Mpi_portals.config ->
-  ?gm_config:Mpi.Mpi_gm.config ->
-  nodes:int ->
-  (Mpi.t -> unit) ->
-  world
-(** Launch an MPI job: endpoints are created for every rank before any
-    rank's main runs (so no early message is lost), each main gets its
-    endpoint, and endpoints are finalized — after a job-wide barrier, as
-    MPI_Finalize requires — when mains return. Default backend
-    [`Portals]. *)

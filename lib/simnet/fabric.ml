@@ -81,6 +81,9 @@ type t = {
      dimension grows on demand (procs-per-node is small, usually 1). *)
   handlers : handler option array array;
   mutable fault : Fault.t option;
+  (* Whether frame codecs above this fabric append and require CRC-32C
+     trailers; see [set_integrity]. *)
+  mutable integrity : bool;
   mutable shim : shim option;
   (* Scheduled cuts, consulted (deterministically, no PRNG) on every
      landing while non-empty. *)
@@ -147,6 +150,7 @@ let create ?(topology = Topology.Full) ?queue_limit sched ~profile ~nodes =
       nodes = Array.init nodes (fun nid -> Node.create sched ~nid ~profile);
       handlers = Array.make nodes [||];
       fault = None;
+      integrity = false;
       shim = None;
       partitions = [];
       fifo_clamp = false;
@@ -347,6 +351,8 @@ let set_fault_model t fault =
   t.fault <- fault
 
 let fault_model t = t.fault
+let set_integrity t on = t.integrity <- on
+let integrity t = t.integrity
 
 let apply_partition_schedule t schedule =
   let schedule = Fault.partition_schedule schedule in

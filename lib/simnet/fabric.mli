@@ -185,6 +185,18 @@ val set_fault_model : t -> Fault.t option -> unit
 
 val fault_model : t -> Fault.t option
 
+val set_integrity : t -> bool -> unit
+(** Switch wire integrity for the frames that cross this fabric (default
+    off). While on, every frame codec above it (the Portals [Wire]
+    format, the reliability shim's frames) appends a CRC-32C trailer
+    at encode time and {e requires} it at decode time, so corruption
+    degrades to a counted drop. While off, frames are encoded exactly
+    as before the integrity layer existed. [Runtime.create_world] turns
+    it on exactly when it attaches the reliability shim for a faulty
+    scenario. *)
+
+val integrity : t -> bool
+
 val apply_partition_schedule : t -> Fault.partition_schedule -> unit
 (** Schedule network cuts (validated again via
     {!Fault.partition_schedule}). While a cut is active, traffic across

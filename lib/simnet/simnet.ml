@@ -8,7 +8,6 @@ module Link = Link
 module Node = Node
 module Fault = Fault
 module Crc32c = Crc32c
-module Integrity = Integrity
 module Fabric = Fabric
 module Transport = Transport
 module Shard_map = Shard_map

@@ -15,6 +15,7 @@ type t = {
   host_copy_time : int -> Time_ns.t;
   send_overhead : Time_ns.t;
   node_incarnation : Proc_id.nid -> int;
+  integrity : unit -> bool;
   on_crash : (Proc_id.nid -> unit) -> unit;
   on_restart : (Proc_id.nid -> unit) -> unit;
 }
@@ -78,6 +79,7 @@ let offload fabric =
     host_copy_time = (fun len -> Profile.copy_time profile len);
     send_overhead = Time_ns.ns 500 (* user-space doorbell write *);
     node_incarnation = (fun nid -> Fabric.incarnation fabric nid);
+    integrity = (fun () -> Fabric.integrity fabric);
     on_crash = (fun f -> Fabric.on_crash fabric f);
     on_restart = (fun f -> Fabric.on_restart fabric f);
   }
@@ -136,6 +138,7 @@ let kernel_interrupt fabric =
     host_copy_time = (fun len -> Profile.copy_time profile len);
     send_overhead = profile.Profile.host_syscall_cost;
     node_incarnation = (fun nid -> Fabric.incarnation fabric nid);
+    integrity = (fun () -> Fabric.integrity fabric);
     on_crash = (fun f -> Fabric.on_crash fabric f);
     on_restart = (fun f -> Fabric.on_restart fabric f);
   }

@@ -46,6 +46,10 @@ type t = {
   node_incarnation : Proc_id.nid -> int;
       (** Current incarnation of a node (see [Node.incarnation]); stamped
           into wire headers so receivers can fence stale traffic. *)
+  integrity : unit -> bool;
+      (** The underlying fabric's integrity bit ({!Fabric.integrity}),
+          read at each send and receive: whether frames carry CRC-32C
+          trailers. *)
   on_crash : (Proc_id.nid -> unit) -> unit;
       (** Subscribe to crash-stop notifications (see [Fabric.on_crash]). *)
   on_restart : (Proc_id.nid -> unit) -> unit;

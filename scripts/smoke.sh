@@ -8,6 +8,48 @@ DUNE=${DUNE:-dune}
 OUT=${SMOKE_OUT:-_build/smoke}
 mkdir -p "$OUT"
 
+echo "== smoke: no process-wide mutable state in lib/ =="
+# Every world is built from one immutable scenario and owns all of its
+# state, so worlds can be built in any order and run on any domain. A
+# top-level ref / Atomic.make / Hashtbl.create / Array.make /
+# Bytes.create binding in lib/ would be shared by every world in the
+# process. Allowed, as FILE:NAME:
+#   - the CRC-32C lookup table, built on first use and never changed;
+#   - the scheduler's three process-wide run totals. They wait for the
+#     benchmark change that moves perfbench/workloads.ml off
+#     Scheduler.global_totals onto per-world counts.
+allowed="lib/engine/scheduler.ml:g_events
+lib/engine/scheduler.ml:g_fibers
+lib/engine/scheduler.ml:g_sim_ns
+lib/simnet/crc32c.ml:table_cell"
+# A binding counts when "let NAME [: TYPE] =" (no parameters) at column
+# 0 is followed, on the same or the next non-blank line, by one of the
+# five constructors.
+found=$(find lib -name '*.ml' | sort | xargs awk '
+  function mutable_rhs(s) {
+    return s ~ /^[ \t]*(ref|Atomic\.make|Hashtbl\.create|Array\.make|Bytes\.create)([ \t(]|$)/
+  }
+  FNR == 1 { pending = "" }
+  pending != "" && $0 !~ /^[ \t]*$/ {
+    if (mutable_rhs($0)) print FILENAME ":" pending
+    pending = ""
+  }
+  /^let [a-z_][A-Za-z0-9_'"'"']*[ \t]*(:[^=]*)?=/ {
+    name = $0
+    sub(/^let /, "", name)
+    sub(/[^A-Za-z0-9_'"'"'].*/, "", name)
+    rhs = $0
+    sub(/^[^=]*=/, "", rhs)
+    if (rhs ~ /^[ \t]*$/) pending = name
+    else if (mutable_rhs(rhs)) print FILENAME ":" name
+  }')
+unexpected=$(comm -23 <(echo "$found" | sort) <(echo "$allowed" | sort))
+if [ -n "$unexpected" ]; then
+  echo "process-wide mutable state in lib/ (make it per world):" >&2
+  echo "$unexpected" >&2
+  exit 1
+fi
+
 echo "== smoke: fig6 metrics + trace =="
 $DUNE exec bin/portals_repro.exe -- \
   --experiment fig6 --metrics=json --trace-out "$OUT/fig6.trace.json"
@@ -35,19 +77,19 @@ echo "== smoke: crash campaign (one mid-run restart, fixed seed) =="
 # Both backends through the identical crash + restart schedule; the run
 # must terminate (no deadlock) and print one row each.
 $DUNE exec bin/portals_repro.exe -- \
-  crash-restart --run-seed 42 | tee "$OUT/crash_restart.out"
+  crash-restart --seed 42 | tee "$OUT/crash_restart.out"
 grep -q '^portals ' "$OUT/crash_restart.out"
 grep -q '^gm ' "$OUT/crash_restart.out"
 # The same schedule on a lossy, flapping wire: crash recovery must
 # compose with the wire fault models.
 $DUNE exec bin/portals_repro.exe -- \
-  crash-restart --run-seed 42 --fault "bernoulli:0.02+flap:400:40"
+  crash-restart --seed 42 --fault "bernoulli:0.02+flap:400:40"
 
 echo "== smoke: topology congestion sweep (4x4 torus, fixed seed) =="
 # Both traffic patterns over the shared-link torus; the per-link
 # queue-depth instruments must reach the metrics registry.
 $DUNE exec bin/portals_repro.exe -- \
-  congestion --nodes 16 --topologies torus2d:4x4 --run-seed 7 --metrics \
+  congestion --nodes 16 --topologies torus2d:4x4 --seed 7 --metrics \
   | tee "$OUT/congestion.out"
 grep -q '^torus2d:4x4 *nearest-neighbor' "$OUT/congestion.out"
 grep -q '^torus2d:4x4 *all-to-all' "$OUT/congestion.out"
@@ -63,7 +105,7 @@ echo "== smoke: cross-stack benchmark matrix (2 transports x 2 axes) =="
 # One host-progress stack and one offload stack through the same two
 # axes at a fixed seed; rows must appear for both.
 $DUNE exec bin/portals_repro.exe -- \
-  matrix --quick --run-seed 42 --transports portals,ibverbs \
+  matrix --quick --seed 42 --transports portals,ibverbs \
   --axes latency,overlap | tee "$OUT/matrix.out"
 grep -q '^portals ' "$OUT/matrix.out"
 grep -q '^ibverbs ' "$OUT/matrix.out"
@@ -81,14 +123,14 @@ echo "== smoke: one-sided RMA workloads (4x4 torus + lossy wire) =="
 # variant and the hash table's occupancy counter must agree with its
 # filled slots.
 $DUNE exec bin/portals_repro.exe -- \
-  rma --quick --run-seed 7 --workloads halo,hashtable \
+  rma --quick --seed 7 --workloads halo,hashtable \
   --topology torus2d:4x4 | tee "$OUT/rma.out"
 grep -q 'byte-identical' "$OUT/rma.out"
 grep -q 'occupancy' "$OUT/rma.out"
 # The atomics must stay exactly-once over a lossy wire with the
 # reliability shim attached.
 $DUNE exec bin/portals_repro.exe -- \
-  rma --quick --run-seed 42 --workloads latency,passive --loss 0.05 \
+  rma --quick --seed 42 --workloads latency,passive --loss 0.05 \
   | tee "$OUT/rma_lossy.out"
 grep -q '^passive ' "$OUT/rma_lossy.out"
 # A malformed --workloads list must die with a clean usage error.
@@ -103,7 +145,7 @@ echo "== smoke: chaos campaign (fixed seed, zero violations) =="
 # One cell per fault axis plus the mixed cell, invariants checked after
 # every cell; the report artifact is what CI uploads.
 $DUNE exec bin/portals_repro.exe -- \
-  chaos --quick --run-seed 0 --json "$OUT/chaos.json" | tee "$OUT/chaos.out"
+  chaos --quick --seed 0 --json "$OUT/chaos.json" | tee "$OUT/chaos.out"
 grep -q 'total violations: 0' "$OUT/chaos.out"
 python3 -c "import json; json.load(open('$OUT/chaos.json'))"
 # Corruption + a scheduled cut + a crash composed on a routed 4x4 torus:
@@ -111,7 +153,7 @@ python3 -c "import json; json.load(open('$OUT/chaos.json'))"
 # partition, and a node restart must still leave both traffic patterns
 # reporting (the reliability shim recovers everything recoverable).
 $DUNE exec bin/portals_repro.exe -- \
-  congestion --nodes 16 --topologies torus2d:4x4 --run-seed 7 \
+  congestion --nodes 16 --topologies torus2d:4x4 --seed 7 \
   --fault "corrupt:0.01+partition:0.1|2.3@400:900" --crash "5@300:700" \
   | tee "$OUT/chaos_torus.out"
 grep -q '^torus2d:4x4 *nearest-neighbor' "$OUT/chaos_torus.out"
@@ -132,10 +174,10 @@ echo "== smoke: NIC-offloaded collectives (4x4 torus, fixed seed) =="
 # byte for byte on a routed torus, and the quick latency table — busy
 # host cells included — must terminate and show both engines.
 $DUNE exec bin/portals_repro.exe -- \
-  coll --check --run-seed 7 | tee "$OUT/coll_check.out"
+  coll --check --seed 7 | tee "$OUT/coll_check.out"
 grep -q 'host and nic agree' "$OUT/coll_check.out"
 $DUNE exec bin/portals_repro.exe -- \
-  coll --quick --run-seed 7 | tee "$OUT/coll.out"
+  coll --quick --seed 7 | tee "$OUT/coll.out"
 grep -q '^torus2d .* busy  nic' "$OUT/coll.out"
 grep -q '^torus2d .* busy  host' "$OUT/coll.out"
 # Simulated latencies are deterministic: the table is pinned byte for
@@ -144,7 +186,7 @@ grep -q '^torus2d .* busy  host' "$OUT/coll.out"
 coll_sha=dde717895ef0aeb1373f32210aaae170ffc8196c930af08b9166314c2da39f43
 got_sha=$(sha256sum "$OUT/coll.out" | cut -d' ' -f1)
 if [ "$got_sha" != "$coll_sha" ]; then
-  echo "coll --quick --run-seed 7 output drifted: sha256 $got_sha" >&2
+  echo "coll --quick --seed 7 output drifted: sha256 $got_sha" >&2
   exit 1
 fi
 # The S2 scaling sweep must run under either engine; a bogus engine name
@@ -168,12 +210,12 @@ $DUNE exec bin/portals_repro.exe -- fig6 --seed 42 > "$OUT/fig6.d1.out"
 $DUNE exec bin/portals_repro.exe -- fig6 --seed 42 --domains 4 \
   > "$OUT/fig6.d4.out"
 diff "$OUT/fig6.d1.out" "$OUT/fig6.d4.out"
-$DUNE exec bin/portals_repro.exe -- chaos --quick --run-seed 0 \
+$DUNE exec bin/portals_repro.exe -- chaos --quick --seed 0 \
   > "$OUT/chaos.d1.out"
-$DUNE exec bin/portals_repro.exe -- chaos --quick --run-seed 0 --domains 4 \
+$DUNE exec bin/portals_repro.exe -- chaos --quick --seed 0 --domains 4 \
   > "$OUT/chaos.d4.out"
 diff "$OUT/chaos.d1.out" "$OUT/chaos.d4.out"
-$DUNE exec bin/portals_repro.exe -- par --check --domains 4 --run-seed 7 \
+$DUNE exec bin/portals_repro.exe -- par --check --domains 4 --seed 7 \
   | tee "$OUT/par.out"
 grep -q 'domains=1 and domains=4 agree' "$OUT/par.out"
 

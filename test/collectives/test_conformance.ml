@@ -26,8 +26,8 @@ let mix acc contribution =
 (* Run [f world coll ~rank] on an [n]-rank world under [impl]; returns
    total §4.8 drops across every rank's interface after quiescence (the
    NIC engine must never mis-fire a chain). *)
-let run_group ?(n = 4) ?(domains = 1) ?(seed = 0) impl f =
-  let world = Runtime.create_world ~nodes:n ~domains ~seed () in
+let run_group ?scenario ?(n = 4) ?(domains = 1) ?(seed = 0) impl f =
+  let world = Runtime.create_world ?scenario ~nodes:n ~domains ~seed () in
   let nis = Array.make n None in
   Runtime.spawn_ranks world (fun ~rank ->
       let ni =
@@ -92,10 +92,10 @@ let shrinking_bcasts n _world coll ~rank =
   done;
   Buffer.contents buf
 
-let run_workload ?(n = 8) ?domains ?(workload = workload) impl =
+let run_workload ?scenario ?(n = 8) ?domains ?(workload = workload) impl =
   let results = Array.make n "" in
   let drops =
-    run_group ~n ?domains impl (fun world coll ~rank ->
+    run_group ?scenario ~n ?domains impl (fun world coll ~rank ->
         results.(rank) <- workload n world coll ~rank)
   in
   (results, drops)
@@ -251,20 +251,19 @@ let chaos_tests =
            not double-fire chains or skew counters — results still match
            the clean-fabric host reference bit for bit. *)
         let reference, _ = run_workload C.Host in
-        Fun.protect
-          ~finally:(fun () -> Runtime.set_run_env ~loss:0. ~fault:"" ())
-          (fun () ->
-            Runtime.set_run_env ~fault:"bernoulli:0.03+delay:30:15" ();
-            List.iter
-              (fun (label, impl) ->
-                let got, _ = run_workload impl in
-                Array.iteri
-                  (fun rank r ->
-                    Alcotest.(check string)
-                      (Printf.sprintf "%s under faults rank %d" label rank)
-                      r got.(rank))
-                  reference)
-              [ ("host", C.Host); ("nic", C.Nic_offload) ]))
+        let scenario =
+          Runtime.Scenario.make ~fault:"bernoulli:0.03+delay:30:15" ()
+        in
+        List.iter
+          (fun (label, impl) ->
+            let got, _ = run_workload ~scenario impl in
+            Array.iteri
+              (fun rank r ->
+                Alcotest.(check string)
+                  (Printf.sprintf "%s under faults rank %d" label rank)
+                  r got.(rank))
+              reference)
+          [ ("host", C.Host); ("nic", C.Nic_offload) ])
   ]
 
 (* Soak: windows of mixed calls on 16 ranks, each worth the NIC engine's

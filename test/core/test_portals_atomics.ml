@@ -210,12 +210,12 @@ let wire_tests =
         List.iter
           (fun aop ->
             let msg = sample_request ~aop ~operand:11L ~compare:22L () in
-            let enc = Wire.encode msg in
+            let enc = Wire.encode ~integrity:false msg in
             Alcotest.(check int)
               (Wire.aop_to_string aop ^ " encoded size")
               (Wire.header_size + Wire.atomic_block_size)
               (Bytes.length enc);
-            match Wire.decode enc with
+            match Wire.decode ~integrity:false enc with
             | Error e ->
               Alcotest.failf "decode failed: %a" Wire.pp_decode_error e
             | Ok dec -> (
@@ -235,7 +235,7 @@ let wire_tests =
       `Quick (fun () ->
         let req = sample_request () in
         let reply = Wire.atomic_reply_of_request req ~fetched:41L in
-        (match Wire.decode (Wire.encode reply) with
+        (match Wire.decode ~integrity:false (Wire.encode ~integrity:false reply) with
         | Error e -> Alcotest.failf "decode failed: %a" Wire.pp_decode_error e
         | Ok dec ->
           Alcotest.(check bool) "is atomic reply" true
@@ -249,19 +249,19 @@ let wire_tests =
           (Wire.fetched_value req));
     Alcotest.test_case "unknown atomic opcode byte is rejected" `Quick
       (fun () ->
-        let enc = Wire.encode (sample_request ()) in
+        let enc = Wire.encode ~integrity:false (sample_request ()) in
         (* The opcode is the first byte of the extension block. *)
         Bytes.set_uint8 enc Wire.header_size 0xEE;
-        match Wire.decode enc with
+        match Wire.decode ~integrity:false enc with
         | Error (Wire.Bad_atomic_op 0xEE) -> ()
         | Error e ->
           Alcotest.failf "wrong error: %a" Wire.pp_decode_error e
         | Ok _ -> Alcotest.fail "decoded a corrupt opcode");
     Alcotest.test_case "truncated extension block is rejected" `Quick
       (fun () ->
-        let enc = Wire.encode (sample_request ()) in
+        let enc = Wire.encode ~integrity:false (sample_request ()) in
         let cut = Bytes.sub enc 0 (Wire.header_size + 4) in
-        match Wire.decode cut with
+        match Wire.decode ~integrity:false cut with
         | Error (Wire.Truncated _) -> ()
         | Error e ->
           Alcotest.failf "wrong error: %a" Wire.pp_decode_error e
@@ -277,13 +277,14 @@ let wire_tests =
              "Wire.encode: atomic operation without an atomic block")
           (fun () ->
             ignore
-              (Wire.encode { (sample_request ()) with Wire.atomic = None }));
+              (Wire.encode ~integrity:false
+                 { (sample_request ()) with Wire.atomic = None }));
         Alcotest.check_raises "non-atomic op, stray block"
           (Invalid_argument
              "Wire.encode: atomic block on a non-atomic operation")
           (fun () ->
             ignore
-              (Wire.encode
+              (Wire.encode ~integrity:false
                  { (sample_request ()) with Wire.op = Wire.Put_request })));
   ]
 
@@ -332,7 +333,7 @@ let drop_tests =
         in
         let stray = Wire.atomic_reply_of_request req ~fetched:0L in
         env.tp.Simnet.Transport.send ~src:(proc 1 0) ~dst:(proc 0 0)
-          (Wire.encode stray);
+          (Wire.encode ~integrity:false stray);
         Scheduler.run env.sched;
         Alcotest.(check int) "dropped" 1
           (Ni.dropped env.ni0 Ni.Atomic_reply_no_md));

@@ -602,7 +602,7 @@ let drop_tests =
         in
         let stray = Wire.ack_of_put put ~mlength:0 in
         env.tp.Simnet.Transport.send ~src:(proc 1 0) ~dst:(proc 0 0)
-          (Wire.encode stray);
+          (Wire.encode ~integrity:false stray);
         Scheduler.run env.sched;
         Alcotest.(check int) "dropped" 1 (Ni.dropped env.ni0 Ni.Ack_no_eq));
     Alcotest.test_case "stray reply with unknown descriptor" `Quick (fun () ->
@@ -614,7 +614,7 @@ let drop_tests =
         in
         let stray = Wire.reply_of_get get ~mlength:3 ~data:(Bytes.of_string "xyz") in
         env.tp.Simnet.Transport.send ~src:(proc 1 0) ~dst:(proc 0 0)
-          (Wire.encode stray);
+          (Wire.encode ~integrity:false stray);
         Scheduler.run env.sched;
         Alcotest.(check int) "dropped" 1 (Ni.dropped env.ni0 Ni.Reply_no_md));
     Alcotest.test_case "reply to a full event queue is dropped" `Quick (fun () ->

@@ -508,7 +508,7 @@ let wire_tests =
             ~portal_index:4 ~cookie:0 ~match_bits:(Match_bits.of_int 77)
             ~offset:16 ~md_handle:Handle.none ~eq_handle:Handle.none ~data ()
         in
-        (match Wire.decode (Wire.encode msg) with
+        (match Wire.decode ~integrity:false (Wire.encode ~integrity:false msg) with
         | Ok d ->
           Alcotest.(check bool) "op" true (d.Wire.op = Wire.Put_request);
           Alcotest.(check bool) "ack default" true d.Wire.ack_requested;
@@ -566,7 +566,7 @@ let wire_tests =
           (Invalid_argument "Wire.ack_of_put: not a put request") (fun () ->
             ignore (Wire.ack_of_put get ~mlength:0)));
     Alcotest.test_case "decode rejects corruption" `Quick (fun () ->
-        (match Wire.decode (Bytes.create 4) with
+        (match Wire.decode ~integrity:false (Bytes.create 4) with
         | Error (Wire.Truncated _) -> ()
         | Ok _ | Error _ -> Alcotest.fail "expected Truncated");
         let msg =
@@ -574,11 +574,11 @@ let wire_tests =
             ~portal_index:0 ~cookie:0 ~match_bits:Match_bits.zero ~offset:0
             ~md_handle:Handle.none ~rlength:0 ()
         in
-        let buf = Wire.encode msg in
+        let buf = Wire.encode ~integrity:false msg in
         let corrupt pos v expect_name check =
           let b = Bytes.copy buf in
           Bytes.set_uint8 b pos v;
-          match Wire.decode b with
+          match Wire.decode ~integrity:false b with
           | Error e when check e -> ()
           | Ok _ | Error _ -> Alcotest.failf "expected %s" expect_name
         in
@@ -601,7 +601,7 @@ let wire_tests =
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"encode/decode round trip" ~count:500 wire_arb
          (fun msg ->
-           match Wire.decode (Wire.encode msg) with
+           match Wire.decode ~integrity:false (Wire.encode ~integrity:false msg) with
            | Error _ -> false
            | Ok d ->
              d.Wire.op = msg.Wire.op

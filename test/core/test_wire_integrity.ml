@@ -15,7 +15,7 @@ let put_frame ~payload_len ~seed =
     ~portal_index:3 ~cookie:seed ~match_bits:(Match_bits.of_int64 42L)
     ~offset:0 ~md_handle:Handle.none ~eq_handle:Handle.none ~data ()
 
-let frame_corpus ~seed =
+let frame_corpus ~integrity ~seed =
   (* One of each operation, plus puts of several payload sizes. *)
   let put = put_frame ~payload_len:(seed mod 64) ~seed in
   let get =
@@ -29,14 +29,15 @@ let frame_corpus ~seed =
       ~portal_index:3 ~cookie:seed ~match_bits:Match_bits.zero ~offset:0
       ~md_handle:Handle.none ()
   in
-  [
-    Wire.encode put;
-    Wire.encode (Wire.ack_of_put put ~mlength:(seed mod 64));
-    Wire.encode get;
-    Wire.encode (Wire.reply_of_get get ~mlength:16 ~data:(Bytes.make 16 'r'));
-    Wire.encode atomic;
-    Wire.encode (Wire.atomic_reply_of_request atomic ~fetched:7L);
-  ]
+  List.map (Wire.encode ~integrity)
+    [
+      put;
+      Wire.ack_of_put put ~mlength:(seed mod 64);
+      get;
+      Wire.reply_of_get get ~mlength:16 ~data:(Bytes.make 16 'r');
+      atomic;
+      Wire.atomic_reply_of_request atomic ~fetched:7L;
+    ]
 
 let corruption_of ~frame_len k =
   if k mod 4 = 3 then Simnet.Fault.Truncate { keep = k mod frame_len }
@@ -46,36 +47,29 @@ let roundtrip_tests =
   [
     Alcotest.test_case "checksummed roundtrip for every operation" `Quick
       (fun () ->
-        Simnet.Integrity.with_enabled true (fun () ->
-            List.iter
-              (fun frame ->
-                Alcotest.(check int) "version byte" 0x31
-                  (Bytes.get_uint8 frame 1);
-                match Wire.decode frame with
-                | Ok msg ->
-                  Alcotest.(check bytes) "re-encode is byte-identical" frame
-                    (Wire.encode msg)
-                | Error e ->
-                  Alcotest.failf "clean frame rejected: %a" Wire.pp_decode_error
-                    e)
-              (frame_corpus ~seed:5)));
+        List.iter
+          (fun frame ->
+            Alcotest.(check int) "version byte" 0x31 (Bytes.get_uint8 frame 1);
+            match Wire.decode ~integrity:true frame with
+            | Ok msg ->
+              Alcotest.(check bytes) "re-encode is byte-identical" frame
+                (Wire.encode ~integrity:true msg)
+            | Error e ->
+              Alcotest.failf "clean frame rejected: %a" Wire.pp_decode_error e)
+          (frame_corpus ~integrity:true ~seed:5));
     Alcotest.test_case "legacy frames rejected while integrity is on" `Quick
       (fun () ->
-        let legacy = List.hd (frame_corpus ~seed:1) in
-        Simnet.Integrity.with_enabled true (fun () ->
-            match Wire.decode legacy with
-            | Error (Wire.Bad_version 0x30) -> ()
-            | Ok _ -> Alcotest.fail "unprotected frame accepted"
-            | Error e ->
-              Alcotest.failf "wrong error: %a" Wire.pp_decode_error e));
+        let legacy = List.hd (frame_corpus ~integrity:false ~seed:1) in
+        match Wire.decode ~integrity:true legacy with
+        | Error (Wire.Bad_version 0x30) -> ()
+        | Ok _ -> Alcotest.fail "unprotected frame accepted"
+        | Error e -> Alcotest.failf "wrong error: %a" Wire.pp_decode_error e);
     Alcotest.test_case "checksummed frames still decode with integrity off"
       `Quick (fun () ->
-        (* Self-describing: the receiver may race the campaign toggle. *)
-        let protected_frame =
-          Simnet.Integrity.with_enabled true (fun () ->
-              List.hd (frame_corpus ~seed:2))
-        in
-        match Wire.decode protected_frame with
+        (* Self-describing: a receiver on a fabric with integrity off
+           still verifies a protected frame. *)
+        let protected_frame = List.hd (frame_corpus ~integrity:true ~seed:2) in
+        match Wire.decode ~integrity:false protected_frame with
         | Ok _ -> ()
         | Error e -> Alcotest.failf "rejected: %a" Wire.pp_decode_error e);
   ]
@@ -90,20 +84,19 @@ let fuzz_checksummed =
        ~name:"corrupted checksummed frames never mis-parse" ~count:500
        QCheck.(pair small_nat small_nat)
        (fun (seed, k) ->
-         Simnet.Integrity.with_enabled true (fun () ->
-             List.for_all
-               (fun frame ->
-                 let damaged =
-                   Simnet.Fault.mutate
-                     (corruption_of ~frame_len:(Bytes.length frame) k)
-                     frame
-                 in
-                 Bytes.equal damaged frame
-                 ||
-                 match Wire.decode damaged with
-                 | Error _ -> true
-                 | Ok _ -> false)
-               (frame_corpus ~seed))))
+         List.for_all
+           (fun frame ->
+             let damaged =
+               Simnet.Fault.mutate
+                 (corruption_of ~frame_len:(Bytes.length frame) k)
+                 frame
+             in
+             Bytes.equal damaged frame
+             ||
+             match Wire.decode ~integrity:true damaged with
+             | Error _ -> true
+             | Ok _ -> false)
+           (frame_corpus ~integrity:true ~seed)))
 
 let legacy_gap_tests =
   [
@@ -116,7 +109,7 @@ let legacy_gap_tests =
         for seed = 0 to 40 do
           List.iter
             (fun frame ->
-              match Wire.decode frame with
+              match Wire.decode ~integrity:false frame with
               | Error _ -> ()
               | Ok original ->
                 for k = 0 to 63 do
@@ -126,11 +119,11 @@ let legacy_gap_tests =
                       frame
                   in
                   if not (Bytes.equal damaged frame) then
-                    match Wire.decode damaged with
+                    match Wire.decode ~integrity:false damaged with
                     | Error _ -> ()
                     | Ok seen -> if seen <> original then incr misparses
                 done)
-            (frame_corpus ~seed)
+            (frame_corpus ~integrity:false ~seed)
         done;
         Alcotest.(check bool)
           (Printf.sprintf "saw %d silent mis-parses" !misparses)
@@ -141,19 +134,21 @@ let ni_drop_tests =
   [
     Alcotest.test_case "NI drops a damaged frame as Checksum_failed" `Quick
       (fun () ->
-        Simnet.Integrity.with_enabled true (fun () ->
-            let sched = Sim_engine.Scheduler.create ~seed:0 () in
-            let fabric =
-              Simnet.Fabric.create sched ~profile:Simnet.Profile.myrinet_mcp
-                ~nodes:2
-            in
-            let tp = Simnet.Transport.offload fabric in
-            let ni = Ni.create tp ~id:(pid 1) () in
-            let frame = Wire.encode (put_frame ~payload_len:8 ~seed:3) in
-            Bytes.set_uint8 frame 30 (Bytes.get_uint8 frame 30 lxor 0x10);
-            tp.Simnet.Transport.send ~src:(pid 0) ~dst:(pid 1) frame;
-            Sim_engine.Scheduler.run sched;
-            Alcotest.(check int) "counted" 1 (Ni.dropped ni Ni.Checksum_failed)));
+        let sched = Sim_engine.Scheduler.create ~seed:0 () in
+        let fabric =
+          Simnet.Fabric.create sched ~profile:Simnet.Profile.myrinet_mcp
+            ~nodes:2
+        in
+        Simnet.Fabric.set_integrity fabric true;
+        let tp = Simnet.Transport.offload fabric in
+        let ni = Ni.create tp ~id:(pid 1) () in
+        let frame =
+          Wire.encode ~integrity:true (put_frame ~payload_len:8 ~seed:3)
+        in
+        Bytes.set_uint8 frame 30 (Bytes.get_uint8 frame 30 lxor 0x10);
+        tp.Simnet.Transport.send ~src:(pid 0) ~dst:(pid 1) frame;
+        Sim_engine.Scheduler.run sched;
+        Alcotest.(check int) "counted" 1 (Ni.dropped ni Ni.Checksum_failed));
   ]
 
 let () =

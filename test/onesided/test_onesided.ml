@@ -3,8 +3,8 @@ open Sim_engine
 (* [n] PEs, each with regions of the given sizes allocated up front (the
    symmetric-heap discipline); [f os syms rank] runs per PE. Returns the
    per-PE endpoints for post-run inspection. *)
-let with_pes ?(n = 2) ~regions f =
-  let world = Runtime.create_world ~nodes:n () in
+let with_pes ?scenario ?(n = 2) ~regions f =
+  let world = Runtime.create_world ?scenario ~nodes:n () in
   let pes =
     Array.mapi
       (fun rank pid ->
@@ -502,11 +502,11 @@ let failure_tests =
    contenders CAS-claiming 8 slots must win each slot exactly once.
    The same seed must reproduce the same history bit-for-bit. *)
 let lossy_atomics_run ~seed ~n ~k =
-  Runtime.set_run_env ~loss:0.08 ~seed ();
+  let scenario = Runtime.Scenario.make ~loss:0.08 ~seed () in
   let traces = Array.make n [] in
   let wins = Array.make n 0 in
   let pes =
-    with_pes ~n ~regions:[ 8; 64 ] (fun os syms rank ->
+    with_pes ~scenario ~n ~regions:[ 8; 64 ] (fun os syms rank ->
         match syms with
         | [ counter; slots ] ->
           for _ = 1 to k do
@@ -538,31 +538,28 @@ let lossy_linearizability =
        ~count:4
        QCheck.(int_range 0 999)
        (fun seed ->
-         Fun.protect
-           ~finally:(fun () -> Runtime.set_run_env ~loss:0. ~seed:0 ())
-           (fun () ->
-             let n = 3 and k = 6 in
-             let final, traces, wins, owners = lossy_atomics_run ~seed ~n ~k in
-             let fetched = List.sort compare (List.concat traces) in
-             let expect = List.init (n * k) Int64.of_int in
-             if final <> Int64.of_int (n * k) then
-               QCheck.Test.fail_reportf "counter %Ld, expected %d" final (n * k);
-             if fetched <> expect then
-               QCheck.Test.fail_reportf
-                 "fetched values are not a permutation of 0..%d" ((n * k) - 1);
-             if List.fold_left ( + ) 0 wins <> 8 then
-               QCheck.Test.fail_reportf "claimed %d slots, expected 8"
-                 (List.fold_left ( + ) 0 wins);
-             List.iter
-               (fun o ->
-                 if o < 1L || o > Int64.of_int n then
-                   QCheck.Test.fail_reportf "slot owner %Ld out of range" o)
-               owners;
-             (* Same seed, same machine: the whole history replays. *)
-             let final', traces', wins', owners' =
-               lossy_atomics_run ~seed ~n ~k
-             in
-             (final, traces, wins, owners) = (final', traces', wins', owners'))))
+         let n = 3 and k = 6 in
+         let final, traces, wins, owners = lossy_atomics_run ~seed ~n ~k in
+         let fetched = List.sort compare (List.concat traces) in
+         let expect = List.init (n * k) Int64.of_int in
+         if final <> Int64.of_int (n * k) then
+           QCheck.Test.fail_reportf "counter %Ld, expected %d" final (n * k);
+         if fetched <> expect then
+           QCheck.Test.fail_reportf
+             "fetched values are not a permutation of 0..%d" ((n * k) - 1);
+         if List.fold_left ( + ) 0 wins <> 8 then
+           QCheck.Test.fail_reportf "claimed %d slots, expected 8"
+             (List.fold_left ( + ) 0 wins);
+         List.iter
+           (fun o ->
+             if o < 1L || o > Int64.of_int n then
+               QCheck.Test.fail_reportf "slot owner %Ld out of range" o)
+           owners;
+         (* Same seed, same machine: the whole history replays. *)
+         let final', traces', wins', owners' =
+           lossy_atomics_run ~seed ~n ~k
+         in
+         (final, traces, wins, owners) = (final', traces', wins', owners')))
 
 let () =
   Alcotest.run "onesided"

@@ -7,12 +7,13 @@ open Sim_engine
 
 let proc nid pid = Simnet.Proc_id.make ~nid ~pid
 
-let mk ?config ?fault ?(nodes = 2) ?(seed = 0) () =
+let mk ?config ?fault ?(integrity = false) ?(nodes = 2) ?(seed = 0) () =
   let sched = Scheduler.create ~seed () in
   let fabric =
     Simnet.Fabric.create sched ~profile:Simnet.Profile.myrinet_mcp ~nodes
   in
   Simnet.Fabric.set_fault_model fabric fault;
+  Simnet.Fabric.set_integrity fabric integrity;
   let rel = Reliability.attach ?config fabric in
   (sched, fabric, rel)
 
@@ -22,14 +23,20 @@ let frame_tests =
         let f =
           Reliability.Frame.Data { seq = 123; payload = Bytes.of_string "abc" }
         in
-        (match Reliability.Frame.decode (Reliability.Frame.encode f) with
+        (match
+           Reliability.Frame.decode ~integrity:false
+             (Reliability.Frame.encode ~integrity:false f)
+         with
         | Ok (Reliability.Frame.Data { seq; payload }) ->
           Alcotest.(check int) "seq" 123 seq;
           Alcotest.(check string) "payload" "abc" (Bytes.to_string payload)
         | _ -> Alcotest.fail "bad decode"));
     Alcotest.test_case "ack frame round trip" `Quick (fun () ->
         let f = Reliability.Frame.Ack { cum_ack = -1; sack = 0b1010L } in
-        (match Reliability.Frame.decode (Reliability.Frame.encode f) with
+        (match
+           Reliability.Frame.decode ~integrity:false
+             (Reliability.Frame.encode ~integrity:false f)
+         with
         | Ok (Reliability.Frame.Ack { cum_ack; sack }) ->
           Alcotest.(check int) "cum" (-1) cum_ack;
           Alcotest.(check bool) "bit for seq 1" true
@@ -39,9 +46,11 @@ let frame_tests =
         | _ -> Alcotest.fail "bad decode"));
     Alcotest.test_case "decode rejects garbage" `Quick (fun () ->
         Alcotest.(check bool) "short" true
-          (Result.is_error (Reliability.Frame.decode (Bytes.create 3)));
+          (Result.is_error
+             (Reliability.Frame.decode ~integrity:false (Bytes.create 3)));
         Alcotest.(check bool) "bad magic" true
-          (Result.is_error (Reliability.Frame.decode (Bytes.make 20 'x'))));
+          (Result.is_error
+             (Reliability.Frame.decode ~integrity:false (Bytes.make 20 'x'))));
     Alcotest.test_case "sack_of_seqs respects the 64-entry window" `Quick
       (fun () ->
         let sack = Reliability.Frame.sack_of_seqs ~cum_ack:10 [ 11; 74; 75; 200 ] in
@@ -55,8 +64,8 @@ let frame_tests =
 
 (* Send [n] distinct payloads rank0 -> rank1 through the plain fabric
    API; return them as received. *)
-let exchange ?config ?fault ?seed ~n ~len () =
-  let sched, fabric, rel = mk ?config ?fault ?seed () in
+let exchange ?config ?fault ?integrity ?seed ~n ~len () =
+  let sched, fabric, rel = mk ?config ?fault ?integrity ?seed () in
   let got = ref [] in
   Simnet.Fabric.register fabric (proc 1 0) (fun ~src:_ payload ->
       got := Bytes.to_string payload :: !got);
@@ -268,21 +277,22 @@ let corruption_tests =
       `Quick (fun () ->
         (* Integrity on: every shim frame carries a CRC, damage is
            detected and retransmitted — never surfaced to the payload. *)
-        Simnet.Integrity.with_enabled true (fun () ->
-            let fault = Simnet.Fault.corrupt ~seed:13 ~p:0.08 () in
-            let got, rel, fabric = exchange ~fault ~n:100 ~len:256 () in
-            Alcotest.(check (list string)) "all recovered byte-identical"
-              (expected_payloads ~n:100 ~len:256)
-              got;
-            let st = Reliability.stats rel in
-            Alcotest.(check bool) "wire damaged something" true
-              ((Simnet.Fabric.stats fabric).Simnet.Fabric.corrupts_injected > 0);
-            Alcotest.(check bool)
-              (Printf.sprintf "corrupt drops %d > 0" st.Reliability.corrupt_drops)
-              true
-              (st.Reliability.corrupt_drops > 0);
-            Alcotest.(check bool) "recovered by retransmission" true
-              (st.Reliability.retransmits > 0)));
+        let fault = Simnet.Fault.corrupt ~seed:13 ~p:0.08 () in
+        let got, rel, fabric =
+          exchange ~fault ~integrity:true ~n:100 ~len:256 ()
+        in
+        Alcotest.(check (list string)) "all recovered byte-identical"
+          (expected_payloads ~n:100 ~len:256)
+          got;
+        let st = Reliability.stats rel in
+        Alcotest.(check bool) "wire damaged something" true
+          ((Simnet.Fabric.stats fabric).Simnet.Fabric.corrupts_injected > 0);
+        Alcotest.(check bool)
+          (Printf.sprintf "corrupt drops %d > 0" st.Reliability.corrupt_drops)
+          true
+          (st.Reliability.corrupt_drops > 0);
+        Alcotest.(check bool) "recovered by retransmission" true
+          (st.Reliability.retransmits > 0));
     Alcotest.test_case "delayed wire: still in order through the shim" `Quick
       (fun () ->
         let fault =

@@ -1,5 +1,7 @@
 open Sim_engine
 
+let portals = Runtime.Stack.find_exn "portals"
+
 let world_tests =
   [
     Alcotest.test_case "rank to process id mapping round-robins nodes" `Quick
@@ -40,10 +42,11 @@ let world_tests =
         in
         ignore world;
         Alcotest.(check (array bool)) "all ran" (Array.make 5 true) ran);
-    Alcotest.test_case "launch_mpi wires a working job" `Quick (fun () ->
+    Alcotest.test_case "Stack.launch_on wires a working job" `Quick (fun () ->
         let total = ref 0 in
         ignore
-          (Runtime.launch_mpi ~nodes:4 (fun ep ->
+          (Runtime.Stack.launch_on (Runtime.create_world ~nodes:4 ()) portals
+             (fun ep ->
                let rank = Mpi.rank ep in
                if rank <> 0 then
                  Mpi.send ep ~dst:0 ~tag:1 (Bytes.make 1 (Char.chr rank))
@@ -54,10 +57,14 @@ let world_tests =
                    total := !total + Char.code (Bytes.get b 0)
                  done));
         Alcotest.(check int) "sum of ranks" 6 !total);
-    Alcotest.test_case "launch_mpi with gm backend" `Quick (fun () ->
+    Alcotest.test_case "Stack.launch_on over the gm stack" `Quick (fun () ->
         let ok = ref false in
+        let gm = Runtime.Stack.find_exn "gm" in
         ignore
-          (Runtime.launch_mpi ~backend:`Gm ~nodes:2 (fun ep ->
+          (Runtime.Stack.launch_on
+             (Runtime.create_world ~transport:gm.Runtime.Stack.kind ~nodes:2 ())
+             gm
+             (fun ep ->
                if Mpi.rank ep = 0 then Mpi.send ep ~dst:1 ~tag:0 (Bytes.create 8)
                else begin
                  let st = Mpi.recv ep ~source:0 ~tag:0 (Bytes.create 8) in
@@ -66,35 +73,32 @@ let world_tests =
         Alcotest.(check bool) "delivered" true !ok);
     Alcotest.test_case "lossy run environment shims reliability under MPI"
       `Quick (fun () ->
-        Runtime.set_run_env ~loss:0.15 ~seed:11 ();
-        Fun.protect
-          ~finally:(fun () -> Runtime.set_run_env ~loss:0. ~seed:0 ())
-          (fun () ->
-            Alcotest.(check (pair (float 1e-9) int))
-              "env readable" (0.15, 11) (Runtime.run_env ());
-            let total = ref 0 in
-            let world =
-              Runtime.launch_mpi ~nodes:4 (fun ep ->
-                  let rank = Mpi.rank ep in
-                  if rank <> 0 then
-                    for _ = 1 to 8 do
-                      Mpi.send ep ~dst:0 ~tag:1 (Bytes.make 2048 (Char.chr rank))
-                    done
-                  else
-                    for _ = 1 to 24 do
-                      let b = Bytes.create 2048 in
-                      let _st = Mpi.recv ep ~tag:1 b in
-                      total := !total + Char.code (Bytes.get b 0)
-                    done)
-            in
-            Alcotest.(check int) "sum of ranks despite 15% loss" 48 !total;
-            (* The wire really was lossy and the shim really repaired it. *)
-            Alcotest.(check bool) "drops injected" true
-              ((Simnet.Fabric.stats world.Runtime.fabric)
-                 .Simnet.Fabric.drops_injected
-              > 0);
-            Alcotest.(check bool) "shim installed" true
-              (Simnet.Fabric.has_shim world.Runtime.fabric)));
+        let scenario = Runtime.Scenario.make ~loss:0.15 ~seed:11 () in
+        let total = ref 0 in
+        let world =
+          Runtime.Stack.launch_on
+            (Runtime.create_world ~scenario ~nodes:4 ())
+            portals
+            (fun ep ->
+              let rank = Mpi.rank ep in
+              if rank <> 0 then
+                for _ = 1 to 8 do
+                  Mpi.send ep ~dst:0 ~tag:1 (Bytes.make 2048 (Char.chr rank))
+                done
+              else
+                for _ = 1 to 24 do
+                  let b = Bytes.create 2048 in
+                  let _st = Mpi.recv ep ~tag:1 b in
+                  total := !total + Char.code (Bytes.get b 0)
+                done)
+        in
+        Alcotest.(check int) "sum of ranks despite 15% loss" 48 !total;
+        (* The wire really was lossy and the shim really repaired it. *)
+        Alcotest.(check bool) "drops injected" true
+          ((Simnet.Fabric.stats world.Runtime.fabric).Simnet.Fabric.drops_injected
+          > 0);
+        Alcotest.(check bool) "shim installed" true
+          (Simnet.Fabric.has_shim world.Runtime.fabric));
     Alcotest.test_case "multiple processes per node share the host cpu" `Quick
       (fun () ->
         let world = Runtime.create_world ~nodes:2 ~procs_per_node:2 () in
@@ -122,8 +126,12 @@ let world_tests =
     Alcotest.test_case "rtscts transport kind carries mpi traffic" `Quick
       (fun () ->
         let ok = ref false in
+        let rtscts = Runtime.Stack.find_exn "rtscts" in
         ignore
-          (Runtime.launch_mpi ~transport:Runtime.Rtscts ~nodes:2 (fun ep ->
+          (Runtime.Stack.launch_on
+             (Runtime.create_world ~transport:rtscts.Runtime.Stack.kind ~nodes:2 ())
+             rtscts
+             (fun ep ->
                if Mpi.rank ep = 0 then
                  Mpi.send ep ~dst:1 ~tag:0 (Bytes.make 50_000 'r')
                else begin
@@ -189,97 +197,131 @@ let control_tests =
           report.Runtime.Control.statuses);
   ]
 
-(* [set_run_env] is process-global: always clear it again, even on a
-   failing assertion, or later tests inherit the degraded environment. *)
-let with_clean_env f =
-  Fun.protect
-    ~finally:(fun () -> Runtime.set_run_env ~loss:0. ~fault:"" ~crashes:"" ())
-    f
-
 let env_tests =
+  let rejects ?fault ?crashes label =
+    Alcotest.(check bool) label true
+      (try
+         ignore (Runtime.Scenario.make ?fault ?crashes ());
+         false
+       with Invalid_argument _ -> true)
+  in
+  let accepts ?fault ?crashes () =
+    ignore (Runtime.Scenario.make ?fault ?crashes ())
+  in
   [
     Alcotest.test_case "malformed --fault and --crash specs are rejected"
       `Quick (fun () ->
-        let rejects ?fault ?crashes label =
-          Alcotest.(check bool) label true
-            (try
-               Runtime.set_run_env ?fault ?crashes ();
-               false
-             with Invalid_argument _ -> true)
-        in
-        with_clean_env (fun () ->
-            rejects ~fault:"bogus:0.1" "unknown model";
-            rejects ~fault:"bernoulli" "missing parameter";
-            rejects ~fault:"bernoulli:1.5" "probability out of range";
-            rejects ~fault:"flap:10:20" "downtime exceeds period";
-            rejects ~crashes:"1@" "missing crash time";
-            rejects ~crashes:"x@10" "non-numeric nid";
-            rejects ~crashes:"1@-5" "negative time";
-            rejects ~crashes:"1@20:10" "restart before crash";
-            (* Valid specs must be accepted (and cleared by the wrapper). *)
-            Runtime.set_run_env
-              ~fault:"bernoulli:0.05+duplicate:0.01+flap:100:20" ();
-            Runtime.set_run_env ~crashes:"1@50:80,0@200" ()));
+        rejects ~fault:"bogus:0.1" "unknown model";
+        rejects ~fault:"bernoulli" "missing parameter";
+        rejects ~fault:"bernoulli:1.5" "probability out of range";
+        rejects ~fault:"flap:10:20" "downtime exceeds period";
+        rejects ~crashes:"1@" "missing crash time";
+        rejects ~crashes:"x@10" "non-numeric nid";
+        rejects ~crashes:"1@-5" "negative time";
+        rejects ~crashes:"1@20:10" "restart before crash";
+        (* Valid specs must be accepted. *)
+        accepts ~fault:"bernoulli:0.05+duplicate:0.01+flap:100:20" ();
+        accepts ~crashes:"1@50:80,0@200" ());
     Alcotest.test_case "corrupt, delay and partition specs are validated"
       `Quick (fun () ->
-        let rejects ~fault label =
-          Alcotest.(check bool) label true
-            (try
-               Runtime.set_run_env ~fault ();
-               false
-             with Invalid_argument _ -> true)
-        in
-        with_clean_env (fun () ->
-            rejects ~fault:"corrupt" "corrupt without probability";
-            rejects ~fault:"corrupt:-0.1" "corrupt probability negative";
-            rejects ~fault:"corrupt:2" "corrupt probability above one";
-            rejects ~fault:"delay:-5" "negative delay mean";
-            rejects ~fault:"delay:10:20" "delay jitter exceeds mean";
-            rejects ~fault:"delay:abc" "non-numeric delay";
-            rejects ~fault:"partition:0.1|2.3" "partition without '@'";
-            rejects ~fault:"partition:0.1@50" "partition without groups";
-            rejects ~fault:"partition:0.1|1.2@50" "node on both sides";
-            rejects ~fault:"partition:|2@50" "empty partition group";
-            rejects ~fault:"partition:0|1@50:20" "heal before cut";
-            rejects ~fault:"partition:0|x@50" "non-numeric nid";
-            (* Valid compositions of the new forms must be accepted. *)
-            Runtime.set_run_env ~fault:"corrupt:0.02+delay:40:10" ();
-            Runtime.set_run_env ~fault:"partition:0.1|2.3@100:200" ();
-            Runtime.set_run_env ~fault:"partition:0>1@100" ();
-            Runtime.set_run_env
-              ~fault:"bernoulli:0.01+corrupt:0.01+partition:0|1@80:160" ()));
+        rejects ~fault:"corrupt" "corrupt without probability";
+        rejects ~fault:"corrupt:-0.1" "corrupt probability negative";
+        rejects ~fault:"corrupt:2" "corrupt probability above one";
+        rejects ~fault:"delay:-5" "negative delay mean";
+        rejects ~fault:"delay:10:20" "delay jitter exceeds mean";
+        rejects ~fault:"delay:abc" "non-numeric delay";
+        rejects ~fault:"partition:0.1|2.3" "partition without '@'";
+        rejects ~fault:"partition:0.1@50" "partition without groups";
+        rejects ~fault:"partition:0.1|1.2@50" "node on both sides";
+        rejects ~fault:"partition:|2@50" "empty partition group";
+        rejects ~fault:"partition:0|1@50:20" "heal before cut";
+        rejects ~fault:"partition:0|x@50" "non-numeric nid";
+        (* Valid compositions of the new forms must be accepted. *)
+        accepts ~fault:"corrupt:0.02+delay:40:10" ();
+        accepts ~fault:"partition:0.1|2.3@100:200" ();
+        accepts ~fault:"partition:0>1@100" ();
+        accepts ~fault:"bernoulli:0.01+corrupt:0.01+partition:0|1@80:160" ());
     Alcotest.test_case "partition nids outside the world are rejected" `Quick
       (fun () ->
-        with_clean_env (fun () ->
-            Runtime.set_run_env ~fault:"partition:0.1|2.9@100" ();
-            Alcotest.(check bool) "create_world rejects nid 9" true
-              (try
-                 ignore (Runtime.create_world ~nodes:4 ());
-                 false
-               with Invalid_argument _ -> true)));
+        let scenario = Runtime.Scenario.make ~fault:"partition:0.1|2.9@100" () in
+        Alcotest.(check bool) "create_world rejects nid 9" true
+          (try
+             ignore (Runtime.create_world ~scenario ~nodes:4 ());
+             false
+           with Invalid_argument _ -> true));
     Alcotest.test_case "env fault spec reaches the fabric of new worlds"
       `Quick (fun () ->
-        with_clean_env (fun () ->
-            Runtime.set_run_env ~fault:"partition:0.1|2.3@100:400" ();
-            let world = Runtime.create_world ~nodes:4 () in
-            Alcotest.(check bool) "schedule installed" true
-              (Simnet.Fabric.has_partitions world.Runtime.fabric);
-            (* Scheduled faults switch the whole world to checksummed
-               framing, so damage is detectable end to end. *)
-            Alcotest.(check bool) "integrity enabled" true
-              (Simnet.Integrity.is_enabled ())));
+        let scenario =
+          Runtime.Scenario.make ~fault:"partition:0.1|2.3@100:400" ()
+        in
+        let world = Runtime.create_world ~scenario ~nodes:4 () in
+        Alcotest.(check bool) "schedule installed" true
+          (Simnet.Fabric.has_partitions world.Runtime.fabric);
+        (* Scheduled faults switch the world to checksummed framing, so
+           damage is detectable end to end. *)
+        Alcotest.(check bool) "integrity enabled" true
+          (Simnet.Fabric.integrity world.Runtime.fabric));
     Alcotest.test_case "env crash schedule is applied to new worlds" `Quick
       (fun () ->
-        with_clean_env (fun () ->
-            Runtime.set_run_env ~crashes:"1@50:80" ();
-            let world = Runtime.create_world ~nodes:2 () in
-            let downs = ref [] in
-            Simnet.Fabric.on_crash world.Runtime.fabric (fun nid ->
-                downs := nid :: !downs);
-            Runtime.run world;
-            Alcotest.(check (list int)) "node 1 crashed" [ 1 ] !downs;
-            Alcotest.(check int) "and restarted, one incarnation later" 1
-              (Simnet.Fabric.incarnation world.Runtime.fabric 1)));
+        let scenario = Runtime.Scenario.make ~crashes:"1@50:80" () in
+        let world = Runtime.create_world ~scenario ~nodes:2 () in
+        let downs = ref [] in
+        Simnet.Fabric.on_crash world.Runtime.fabric (fun nid ->
+            downs := nid :: !downs);
+        Runtime.run world;
+        Alcotest.(check (list int)) "node 1 crashed" [ 1 ] !downs;
+        Alcotest.(check int) "and restarted, one incarnation later" 1
+          (Simnet.Fabric.incarnation world.Runtime.fabric 1));
+  ]
+
+(* One 64-byte MPI send between two ranks of [world]; returns the bytes
+   the fabric carried and the simulated time the job ended at. *)
+let one_message world =
+  ignore
+    (Runtime.Stack.launch_on world portals (fun ep ->
+         if Mpi.rank ep = 0 then Mpi.send ep ~dst:1 ~tag:0 (Bytes.make 64 'm')
+         else ignore (Mpi.recv ep ~source:0 ~tag:0 (Bytes.create 64))));
+  ( (Simnet.Fabric.stats world.Runtime.fabric).Simnet.Fabric.bytes_sent,
+    Scheduler.now world.Runtime.sched )
+
+let scenario_tests =
+  [
+    Alcotest.test_case "a world's wire format does not depend on later worlds"
+      `Quick (fun () ->
+        let faulty () =
+          Runtime.create_world
+            ~scenario:
+              (Runtime.Scenario.make ~fault:"partition:0|1@100000:200000" ())
+            ~nodes:2 ()
+        in
+        let alone = one_message (faulty ()) in
+        let world = faulty () in
+        let clean = Runtime.create_world ~nodes:2 () in
+        let interleaved = one_message world in
+        Alcotest.(check bool) "the clean world stays unchecksummed" false
+          (Simnet.Fabric.integrity clean.Runtime.fabric);
+        Alcotest.(check (pair int int))
+          "bytes sent and end time as when built alone" alone interleaved);
+    Alcotest.test_case "scenario constructor rejects bad settings" `Quick
+      (fun () ->
+        let rejects label msg f =
+          Alcotest.check_raises label (Invalid_argument msg) (fun () ->
+              ignore (f ()))
+        in
+        rejects "loss" "Runtime.Scenario.make: loss must be in [0, 1)"
+          (Runtime.Scenario.make ~loss:1.);
+        rejects "domains" "Runtime.Scenario.make: need at least one domain"
+          (Runtime.Scenario.make ~domains:0);
+        rejects "queue limit"
+          "Runtime.Scenario.make: queue limit must be positive"
+          (Runtime.Scenario.make ~queue_limit:0);
+        rejects "collectives"
+          "Runtime.Scenario.make: unknown collectives engine \"gpu\" \
+           (host|nic)"
+          (Runtime.Scenario.make ~collectives:"gpu");
+        let s = Runtime.Scenario.make ~fault:"" ~crashes:"" ~topology:"" () in
+        Alcotest.(check bool) "empty specs mean none" true
+          (s = Runtime.Scenario.default));
   ]
 
 let liveness_tests =
@@ -333,47 +375,44 @@ let liveness_tests =
               Runtime.create_world ~transport:stack.Runtime.Stack.kind
                 ~nodes:4 ()
             in
-            Fun.protect
-              ~finally:(fun () -> Simnet.Integrity.set_enabled false)
+            Simnet.Fabric.apply_partition_schedule world.Runtime.fabric
+              (Simnet.Fault.partition_schedule
+                 [
+                   {
+                     Simnet.Fault.group_a = [ 0; 1 ];
+                     group_b = [ 2; 3 ];
+                     one_way = false;
+                     cut_at = Time_ns.us 500.;
+                     heal_at = Some (Time_ns.us 2000.);
+                   };
+                 ]);
+            let lv =
+              Runtime.Liveness.start ~period:(Time_ns.us 100.)
+                ~timeout:(Time_ns.us 350.) ~until:(Time_ns.us 4000.)
+                world
+            in
+            let mid = ref [] in
+            Scheduler.at world.Runtime.sched (Time_ns.us 1500.)
               (fun () ->
-                Simnet.Fabric.apply_partition_schedule world.Runtime.fabric
-                  (Simnet.Fault.partition_schedule
-                     [
-                       {
-                         Simnet.Fault.group_a = [ 0; 1 ];
-                         group_b = [ 2; 3 ];
-                         one_way = false;
-                         cut_at = Time_ns.us 500.;
-                         heal_at = Some (Time_ns.us 2000.);
-                       };
-                     ]);
-                let lv =
-                  Runtime.Liveness.start ~period:(Time_ns.us 100.)
-                    ~timeout:(Time_ns.us 350.) ~until:(Time_ns.us 4000.)
-                    world
-                in
-                let mid = ref [] in
-                Scheduler.at world.Runtime.sched (Time_ns.us 1500.)
-                  (fun () ->
-                    mid :=
-                      List.map
-                        (fun nid -> Runtime.Liveness.verdict lv nid)
-                        [ 1; 2; 3 ]);
-                let final_suspects = ref [ -1 ] in
-                Scheduler.at world.Runtime.sched (Time_ns.us 3900.)
-                  (fun () -> final_suspects := Runtime.Liveness.suspected lv);
-                Runtime.run ~until:(Time_ns.us 4000.) world;
-                Alcotest.(check (list verdict_t))
-                  (name ^ ": mid-cut verdicts")
-                  [
-                    Runtime.Liveness.Alive;
-                    Runtime.Liveness.Suspected_partitioned;
-                    Runtime.Liveness.Suspected_partitioned;
-                  ]
-                  !mid;
-                Alcotest.(check (list int))
-                  (name ^ ": nobody suspected after the heal")
-                  [] !final_suspects))
+                mid :=
+                  List.map
+                    (fun nid -> Runtime.Liveness.verdict lv nid)
+                    [ 1; 2; 3 ]);
+            let final_suspects = ref [ -1 ] in
+            Scheduler.at world.Runtime.sched (Time_ns.us 3900.)
+              (fun () -> final_suspects := Runtime.Liveness.suspected lv);
+            Runtime.run ~until:(Time_ns.us 4000.) world;
+            Alcotest.(check (list verdict_t))
+              (name ^ ": mid-cut verdicts")
+              [
+                Runtime.Liveness.Alive;
+                Runtime.Liveness.Suspected_partitioned;
+                Runtime.Liveness.Suspected_partitioned;
+              ]
+              !mid;
+            Alcotest.(check (list int))
+              (name ^ ": nobody suspected after the heal")
+              [] !final_suspects)
           Runtime.Stack.all);
     Alcotest.test_case "liveness validates its arguments" `Quick (fun () ->
         let world = Runtime.create_world ~nodes:2 () in
@@ -397,8 +436,10 @@ let liveness_tests =
    delivery as (dst, arrival_ns, src, len) plus the fabric totals summed
    across shards — the signature that must be invariant in the domain
    count. *)
-let par_signature ~domains ~nodes ?topology () =
-  let world = Runtime.create_world ~domains ~seed:42 ?topology ~nodes () in
+let par_signature ?scenario ~domains ~nodes ?topology () =
+  let world =
+    Runtime.create_world ?scenario ~domains ~seed:42 ?topology ~nodes ()
+  in
   let proc nid = Simnet.Proc_id.make ~nid ~pid:0 in
   let log = Array.make nodes [] in
   for nid = 0 to nodes - 1 do
@@ -453,16 +494,16 @@ let par_signature ~domains ~nodes ?topology () =
   in
   (Array.to_list (Array.map List.rev log), totals)
 
-let check_par_matches_seq ~nodes ?topology () =
-  let seq_log, seq_totals = par_signature ~domains:1 ~nodes ?topology () in
-  let par_log, par_totals = par_signature ~domains:4 ~nodes ?topology () in
+let check_par_matches_seq ?scenario ~nodes ?topology () =
+  let seq_log, seq_totals =
+    par_signature ?scenario ~domains:1 ~nodes ?topology ()
+  in
+  let par_log, par_totals =
+    par_signature ?scenario ~domains:4 ~nodes ?topology ()
+  in
   Alcotest.(check (list (list (triple int int int))))
     "same per-node delivery history" seq_log par_log;
   Alcotest.(check (list int)) "same fabric totals" seq_totals par_totals
-
-let with_run_env ~fault ~crashes f =
-  Runtime.set_run_env ~fault ~crashes ();
-  Fun.protect ~finally:(fun () -> Runtime.set_run_env ~fault:"" ~crashes:"" ()) f
 
 let par_tests =
   [
@@ -475,16 +516,19 @@ let par_tests =
           ());
     Alcotest.test_case "same seed, 1 vs 4 domains: faults and crashes" `Quick
       (fun () ->
-        with_run_env ~fault:"corrupt:0.3+delay:3:1" ~crashes:"2@8:80"
-          (fun () -> check_par_matches_seq ~nodes:8 ()));
+        check_par_matches_seq
+          ~scenario:
+            (Runtime.Scenario.make ~fault:"corrupt:0.3+delay:3:1"
+               ~crashes:"2@8:80" ())
+          ~nodes:8 ());
     Alcotest.test_case
       "same seed, 1 vs 4 domains: multi-hop faults on a torus" `Quick
       (fun () ->
-        with_run_env ~fault:"bernoulli:0.1+corrupt:0.25" ~crashes:""
-          (fun () ->
-            check_par_matches_seq ~nodes:16
-              ~topology:(Simnet.Topology.of_spec ~nodes:16 "torus2d")
-              ()));
+        check_par_matches_seq
+          ~scenario:(Runtime.Scenario.make ~fault:"bernoulli:0.1+corrupt:0.25" ())
+          ~nodes:16
+          ~topology:(Simnet.Topology.of_spec ~nodes:16 "torus2d")
+          ());
     Alcotest.test_case "parallel world exposes shard placement" `Quick
       (fun () ->
         let world = Runtime.create_world ~domains:4 ~nodes:8 () in
@@ -506,10 +550,13 @@ let par_tests =
         (* Small worlds fall back to one shard per node. *)
         let tiny = Runtime.create_world ~domains:4 ~nodes:2 () in
         Alcotest.(check int) "capped at nodes" 2 (Runtime.domains tiny));
-    Alcotest.test_case "launch_mpi runs a parallel job" `Quick (fun () ->
+    Alcotest.test_case "Stack.launch_on runs a parallel job" `Quick (fun () ->
         let total = Atomic.make 0 in
         let world =
-          Runtime.launch_mpi ~nodes:4 ~domains:2 (fun ep ->
+          Runtime.Stack.launch_on
+            (Runtime.create_world ~nodes:4 ~domains:2 ())
+            portals
+            (fun ep ->
               let rank = Mpi.rank ep in
               if rank <> 0 then
                 Mpi.send ep ~dst:0 ~tag:1 (Bytes.make 1 (Char.chr rank))
@@ -562,6 +609,7 @@ let () =
       ("world", world_tests);
       ("control", control_tests);
       ("run env", env_tests);
+      ("scenario", scenario_tests);
       ("liveness", liveness_tests);
       ("parallel", par_tests);
       ("setup", build_cost_tests);
