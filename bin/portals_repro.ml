@@ -337,7 +337,7 @@ let bandwidth_cmd =
 
 let fig5_cmd =
   let run scenario backend transport size batch work tests metrics trace_out =
-    let backend_name = match backend with `Portals -> "portals" | `Gm -> "gm" in
+    let label = match backend with `Portals -> "portals" | `Gm -> "gm" in
     let r =
       Experiments.Fig5.run ~scenario
         ~capture_trace:(trace_out <> None)
@@ -353,12 +353,12 @@ let fig5_cmd =
     in
     Format.fprintf ppf
       "fig5: backend=%s work=%.1fms -> mean wait %.3f ms (max %.3f), work took %.3f ms@."
-      backend_name work
+      label work
       (r.Experiments.Fig5.mean_wait /. 1000.)
       (r.Experiments.Fig5.max_wait /. 1000.)
       (r.Experiments.Fig5.mean_work_elapsed /. 1000.);
     emit_observability ~metrics ~trace_out ~snapshot:r.Experiments.Fig5.metrics
-      ~traces:[ (backend_name, r.Experiments.Fig5.spans) ]
+      ~traces:[ (label, r.Experiments.Fig5.spans) ]
   in
   let backend =
     Arg.(value & opt backend_conv `Portals & info [ "backend" ] ~doc:"portals | gm")

@@ -1,4 +1,4 @@
-(** MPI message envelopes for both backends.
+(** MPI message envelopes for every stack.
 
     {b Portals backend} — the envelope is packed into the 64 match bits
     (§4.4's flexibility argument: "the Portals API provides the
@@ -18,9 +18,10 @@
     the Portals NI; this module only defines the envelope and the
     stack-neutral framings.
 
-    {b GM backend} — GM has no matching, so the same envelope travels as
-    an explicit header in front of the payload, and matching happens in
-    the MPI library (the very fact Figure 6 measures). *)
+    {b GM and ibverbs} — neither wire matches, so the same envelope
+    travels as an explicit header in front of the payload (GM framing,
+    ibverbs channel framing below), and matching happens in the MPI
+    library, [Mpi_core] (the very fact Figure 6 measures). *)
 
 exception Peer_failed of int
 (** Raised (with the peer's rank) by any backend when an operation
@@ -49,7 +50,8 @@ type t = { protocol : protocol; context : int; src_rank : int; tag : int }
 val pp : Format.formatter -> t -> unit
 
 val matches : ?context:int -> t -> source:int -> tag:int -> bool
-(** Library-side matching (GM backend, unexpected lists): [source]/[tag]
+(** Library-side matching ([Mpi_core]'s queues, unexpected lists):
+    [source]/[tag]
     may be wildcards, the context (default 0, the world) must agree; the
     protocol field is not part of MPI matching. *)
 

@@ -1,7 +1,6 @@
 module Envelope = Envelope
 module Mpi_portals = Mpi_portals
 module Mpi_gm = Mpi_gm
-module Mpi_rtscts = Mpi_rtscts
 module Mpi_ibverbs = Mpi_ibverbs
 module Nx = Nx
 
@@ -73,7 +72,6 @@ end
 
 module Over_portals = Make (Mpi_portals.Tx)
 module Over_gm = Make (Mpi_gm.Tx)
-module Over_rtscts = Make (Mpi_rtscts.Tx)
 module Over_ibverbs = Make (Mpi_ibverbs.Tx)
 
 (* Run-time backend selection: an endpoint packs the derived module with
@@ -94,16 +92,12 @@ let create_portals tp ~ranks ~rank ?config () =
 let create_gm tp ~ranks ~rank ?config () =
   Ep ((module Over_gm), Mpi_gm.create tp ~ranks ~rank ?config ())
 
-let create_rtscts tp ~ranks ~rank ?config () =
-  Ep ((module Over_rtscts), Mpi_rtscts.create tp ~ranks ~rank ?config ())
-
 let create_ibverbs tp ~ranks ~rank ?config () =
   Ep ((module Over_ibverbs), Mpi_ibverbs.create tp ~ranks ~rank ?config ())
 
 let finalize (Ep ((module M), ep)) = M.finalize ep
 let rank (Ep ((module M), ep)) = M.rank ep
 let size (Ep ((module M), ep)) = M.size ep
-let backend_name (Ep ((module M), _)) = M.name
 let counters (Ep ((module M), ep)) = M.counters ep
 
 let isend t ?context ~dst ~tag data =

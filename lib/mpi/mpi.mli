@@ -8,10 +8,13 @@
        Figure 6);}
     {- {!create_gm} — MPICH/GM-style: progress only inside library calls
        (the flat curve of Figure 6);}
-    {- {!create_rtscts} — the same Portals glue named for the kernel
-       RTS/CTS wire it runs over (the production Cplant stack);}
     {- {!create_ibverbs} — an ibverbs-style RDMA stack (Liu et al.):
        sender-written per-peer rings plus RDMA-write rendezvous.}}
+
+    The production Cplant stack (§3) is {!create_portals} over the
+    kernel RTS/CTS wire: the Portals glue cannot tell where matching
+    runs, so [Runtime.Stack] only pairs it with a different wire. GM and
+    ibverbs share one library-side engine ([Mpi_core]).
 
     {!Make} is the only MPI {^ } transport binding: give it a
     {!Transport.S} and it returns the full endpoint surface. The
@@ -22,7 +25,6 @@
 module Envelope = Envelope
 module Mpi_portals = Mpi_portals
 module Mpi_gm = Mpi_gm
-module Mpi_rtscts = Mpi_rtscts
 module Mpi_ibverbs = Mpi_ibverbs
 
 module Nx = Nx
@@ -86,16 +88,6 @@ val create_gm :
   unit ->
   t
 
-val create_rtscts :
-  Simnet.Transport.t ->
-  ranks:Simnet.Proc_id.t array ->
-  rank:int ->
-  ?config:Mpi_rtscts.config ->
-  unit ->
-  t
-(** The given wire should be an RTS/CTS kernel transport (see
-    {!Mpi_rtscts}). *)
-
 val create_ibverbs :
   Simnet.Transport.t ->
   ranks:Simnet.Proc_id.t array ->
@@ -114,9 +106,6 @@ val of_endpoint :
 val finalize : t -> unit
 val rank : t -> int
 val size : t -> int
-
-val backend_name : t -> string
-(** ["portals"], ["gm"], ["rtscts"] or ["ibverbs"]. *)
 
 val counters : t -> (string * int) list
 (** The backend's monotone counters (see {!Transport.S.counters}). *)

@@ -10,6 +10,11 @@
     the reason §5.2 argues such implementations break the MPI progress
     rule.
 
+    The MPI protocol itself is [Mpi_core], the library-side engine this
+    stack shares with {!Mpi_ibverbs}; this module supplies only how GM
+    moves the bytes (receive tokens, the send-completion FIFO, the GM
+    framing of {!Envelope}).
+
     All calls must run inside a simulation fiber. *)
 
 type config = {

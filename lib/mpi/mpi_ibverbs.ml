@@ -1,4 +1,5 @@
 open Sim_engine
+module C = Mpi_core
 
 (* MPI over the ibverbs-style RDMA transport — the two protocols of Liu
    et al. (MVAPICH): small messages go through sender-written per-peer
@@ -7,9 +8,8 @@ open Sim_engine
    negotiate a rendezvous (RTS -> CTS carrying an rkey -> one RDMA
    write straight into the user buffer -> FIN). Everything above the
    verbs surface — matching, unexpected messages, rendezvous state — is
-   the library's problem, which is exactly where the paper's §5.2
-   progress argument bites: nothing here advances unless the
-   application is inside an MPI call. *)
+   the library's, run by [Mpi_core] as for GM: nothing here advances
+   unless the application is inside an MPI call. *)
 
 type config = {
   eager_threshold : int;
@@ -23,214 +23,57 @@ let default_config =
   { eager_threshold = 8192; ring_slots = 64; call_cost = Time_ns.ns 300 }
 
 type status = Transport.status = { source : int; tag : int; length : int }
-
-type req_kind = Send | Recv
-
-type request = {
-  id : int;
-  kind : req_kind;
-  buffer : bytes;
-  want_context : int;
-  want_source : int;
-  want_tag : int;
-  mutable state : [ `Pending | `Complete of status | `Failed of int ];
-}
-
-type unexpected =
-  | Ux_eager of { ux_env : Envelope.t; ux_payload : bytes }
-  | Ux_rts of { ux_env : Envelope.t; ux_cookie : int; ux_total : int }
+type request = C.request
 
 (* A ring message that could not be written for lack of credit: the
    composed wire image waits here, in per-peer FIFO order, until the
    receiver's tail update restores credit. *)
 type backlogged = { bk_img : bytes; bk_len : int; bk_action : (unit -> unit) option }
 
-type t = {
+type dev = {
   hca : Ibverbs.t;
-  cfg : config;
-  ranks : Simnet.Proc_id.t array;
-  my_rank : int;
-  sched : Scheduler.t;
-  tp : Simnet.Transport.t;
-  mutable next_id : int;
-  mutable next_cookie : int;
   mutable next_wr : int;
-  posted : request Queue.t; (* receive posting order *)
-  unexpected : unexpected Queue.t;
   send_rings : Ibverbs.Ring.send option array; (* None at my_rank *)
   recv_rings : Ibverbs.Ring.recv option array;
   backlog : backlogged Queue.t array; (* per destination rank *)
   wr_actions : (int, unit -> unit) Hashtbl.t; (* wr_id -> on local completion *)
-  awaiting_cts : (int, request * bytes) Hashtbl.t; (* cookie -> send *)
-  awaiting_fin : (int, request * int * Envelope.t) Hashtbl.t;
-      (* cookie -> recv, its landing rkey, the RTS envelope *)
-  failed : (int, unit) Hashtbl.t;
-  mutable peer_cbs : (rank:int -> unit) list;
-  mutable eager_sends : int;
-  mutable rdvz_sends : int;
-  mutable completions : int;
 }
 
-let rank t = t.my_rank
-let size t = Array.length t.ranks
-let hca t = t.hca
+(* A granted rendezvous keeps the rkey of its landing buffer. *)
+type t = (dev, int) C.t
 
-let fail_req req rank =
-  match req.state with
-  | `Pending -> req.state <- `Failed rank
-  | `Complete _ | `Failed _ -> ()
+include C.Endpoint
 
-let complete t req status =
-  match req.state with
-  | `Pending ->
-    req.state <- `Complete status;
-    t.completions <- t.completions + 1
-  | `Complete _ | `Failed _ -> ()
+let hca (t : t) = (C.dev t).hca
 
-(* A peer's node crashed: its rings, credits and rendezvous state died
-   with it. Connection-oriented semantics, as on GM: everything that
-   needs the peer's cooperation fails, and new traffic toward it raises
-   [Envelope.Peer_failed] until [reconnect]. *)
-let on_peer_crash t nid =
-  let hit = ref false in
-  Array.iteri
-    (fun r pid ->
-      if r <> t.my_rank && pid.Simnet.Proc_id.nid = nid then begin
-        hit := true;
-        Hashtbl.replace t.failed r ();
-        let n = Queue.length t.posted in
-        for _ = 1 to n do
-          let req = Queue.pop t.posted in
-          if req.want_source = r then fail_req req r else Queue.add req t.posted
-        done;
-        (* Ring messages still waiting for the dead peer's credit. *)
-        Queue.iter
-          (fun bk -> match bk.bk_action with None -> () | Some f -> f ())
-          t.backlog.(r);
-        Queue.clear t.backlog.(r);
-        let dead_cts =
-          Hashtbl.fold
-            (fun cookie (req, _) acc ->
-              if req.want_source = r then (cookie, req) :: acc else acc)
-            t.awaiting_cts []
-        in
-        List.iter
-          (fun (cookie, req) ->
-            Hashtbl.remove t.awaiting_cts cookie;
-            fail_req req r)
-          dead_cts;
-        let dead_fin =
-          Hashtbl.fold
-            (fun cookie (req, rkey, env) acc ->
-              if env.Envelope.src_rank = r then (cookie, req, rkey) :: acc
-              else acc)
-            t.awaiting_fin []
-        in
-        List.iter
-          (fun (cookie, req, rkey) ->
-            Hashtbl.remove t.awaiting_fin cookie;
-            Ibverbs.dereg_mr t.hca rkey;
-            fail_req req r)
-          dead_fin;
-        List.iter (fun cb -> cb ~rank:r) t.peer_cbs
-      end)
-    t.ranks;
-  if !hit then Ibverbs.wake t.hca
-
-let create tp ~ranks ~rank:my_rank ?(config = default_config) () =
-  if my_rank < 0 || my_rank >= Array.length ranks then
-    invalid_arg "Mpi_ibverbs.create: rank out of range";
-  let hca = Ibverbs.create tp ~id:ranks.(my_rank) in
-  let n = Array.length ranks in
-  let spay = Envelope.iv_header_size + config.eager_threshold in
-  let t =
-    {
-      hca;
-      cfg = config;
-      ranks;
-      my_rank;
-      sched = tp.Simnet.Transport.sched;
-      tp;
-      next_id = 1;
-      next_cookie = 0;
-      next_wr = 1;
-      posted = Queue.create ();
-      unexpected = Queue.create ();
-      send_rings =
-        Array.init n (fun r ->
-            if r = my_rank then None
-            else
-              Some
-                (Ibverbs.Ring.create_send hca ~dst:ranks.(r) ~dst_rank:r
-                   ~my_rank ~slots:config.ring_slots ~slot_payload:spay));
-      recv_rings =
-        Array.init n (fun r ->
-            if r = my_rank then None
-            else
-              Some
-                (Ibverbs.Ring.create_recv hca ~peer:ranks.(r) ~peer_rank:r
-                   ~my_rank ~slots:config.ring_slots ~slot_payload:spay));
-      backlog = Array.init n (fun _ -> Queue.create ());
-      wr_actions = Hashtbl.create 32;
-      awaiting_cts = Hashtbl.create 16;
-      awaiting_fin = Hashtbl.create 16;
-      failed = Hashtbl.create 4;
-      peer_cbs = [];
-      eager_sends = 0;
-      rdvz_sends = 0;
-      completions = 0;
-    }
-  in
-  tp.Simnet.Transport.on_crash (fun nid -> on_peer_crash t nid);
-  t
-
-let finalize t = Ibverbs.close t.hca
-
-let fresh_id t =
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  id
-
-let fresh_cookie t =
-  let c = t.next_cookie in
-  t.next_cookie <- c + 1;
-  (t.my_rank * 1_000_003) + c
-
-let fresh_wr t =
-  let w = t.next_wr in
-  t.next_wr <- w + 1;
+let fresh_wr d =
+  let w = d.next_wr in
+  d.next_wr <- w + 1;
   w
 
-let on_peer_failure t cb = t.peer_cbs <- t.peer_cbs @ [ cb ]
+(* Re-admit a restarted peer: the pair's rings are re-established from
+   scratch — head, tail and credits to zero on both buffers we own (the
+   peer's own reconnect resets its side). *)
+let reset_peer (t : t) r =
+  Option.iter Ibverbs.Ring.reset_send (C.dev t).send_rings.(r);
+  Option.iter Ibverbs.Ring.reset_recv (C.dev t).recv_rings.(r)
 
-let failed_ranks t =
-  List.sort compare (Hashtbl.fold (fun r () acc -> r :: acc) t.failed [])
+(* Ring messages still waiting for a crashed peer's credit. *)
+let drop_peer (t : t) r =
+  let backlog = (C.dev t).backlog.(r) in
+  Queue.iter (fun bk -> match bk.bk_action with None -> () | Some f -> f ()) backlog;
+  Queue.clear backlog
 
-(* Re-admit a restarted peer: beyond the bookkeeping, the pair's rings
-   are re-established from scratch — head, tail and credits to zero on
-   both buffers we own (the peer's own reconnect resets its side). *)
-let reconnect t ~rank:r =
-  if r < 0 || r >= Array.length t.ranks then
-    invalid_arg "Mpi_ibverbs.reconnect: rank out of range";
-  if Hashtbl.mem t.failed r then begin
-    Hashtbl.remove t.failed r;
-    Option.iter Ibverbs.Ring.reset_send t.send_rings.(r);
-    Option.iter Ibverbs.Ring.reset_recv t.recv_rings.(r)
-  end
-
-let check_alive t peer =
-  if Hashtbl.mem t.failed peer then raise (Envelope.Peer_failed peer)
-
-let send_ring t dst =
-  match t.send_rings.(dst) with
+let send_ring d dst =
+  match d.send_rings.(dst) with
   | Some sv -> sv
   | None -> invalid_arg "Mpi_ibverbs: send to self rank"
 
-let issue_write t sv img len action =
-  let wr_id = fresh_wr t in
+let issue_write d sv img len action =
+  let wr_id = fresh_wr d in
   (match action with
   | None -> ()
-  | Some f -> Hashtbl.replace t.wr_actions wr_id f);
+  | Some f -> Hashtbl.replace d.wr_actions wr_id f);
   Ibverbs.Ring.try_write sv ~wr_id
     ~fill:(fun buf off -> Bytes.blit img 0 buf off len)
     ~len
@@ -239,137 +82,111 @@ let issue_write t sv img len action =
    messages are still waiting for credit, or the write itself finds the
    ring full, the image joins the per-peer backlog. [action] runs when
    the write completes locally. *)
-let ring_send t ~dst img len action =
-  let sv = send_ring t dst in
-  if not (Queue.is_empty t.backlog.(dst)) then
-    Queue.add { bk_img = img; bk_len = len; bk_action = action } t.backlog.(dst)
-  else if not (issue_write t sv img len action) then
-    Queue.add { bk_img = img; bk_len = len; bk_action = action } t.backlog.(dst)
+let ring_send (t : t) ~dst img len action =
+  let d = C.dev t in
+  let sv = send_ring d dst in
+  if not (Queue.is_empty d.backlog.(dst)) then
+    Queue.add { bk_img = img; bk_len = len; bk_action = action } d.backlog.(dst)
+  else if not (issue_write d sv img len action) then
+    Queue.add { bk_img = img; bk_len = len; bk_action = action } d.backlog.(dst)
 
-let drain_backlog t dst =
-  match t.send_rings.(dst) with
+let drain_backlog d dst =
+  match d.send_rings.(dst) with
   | None -> ()
   | Some sv ->
     let rec go () =
-      match Queue.peek_opt t.backlog.(dst) with
-      | Some bk when issue_write t sv bk.bk_img bk.bk_len bk.bk_action ->
-        ignore (Queue.pop t.backlog.(dst));
+      match Queue.peek_opt d.backlog.(dst) with
+      | Some bk when issue_write d sv bk.bk_img bk.bk_len bk.bk_action ->
+        ignore (Queue.pop d.backlog.(dst));
         go ()
       | Some _ | None -> ()
     in
     go ()
 
-(* Find and remove the first posted receive matching the envelope. *)
-let match_posted t (env : Envelope.t) =
-  let n = Queue.length t.posted in
-  let found = ref None in
-  for _ = 1 to n do
-    let req = Queue.pop t.posted in
-    if
-      !found = None
-      && req.state = `Pending
-      && Envelope.matches ~context:req.want_context env ~source:req.want_source
-           ~tag:req.want_tag
-    then found := Some req
-    else Queue.add req t.posted
-  done;
-  !found
+let send_eager (t : t) (req : request) env =
+  let data = req.C.buffer in
+  let len = Bytes.length data in
+  let img = Bytes.create (Envelope.iv_header_size + len) in
+  let n =
+    Envelope.encode_iv_eager img ~off:0 ~env ~payload:data ~pay_off:0
+      ~pay_len:len
+  in
+  ring_send t ~dst:req.C.want_source img n
+    (Some
+       (fun () ->
+         C.complete t req
+           { source = rank t; tag = req.C.want_tag; length = len }))
 
-let copy_in t req payload off length =
-  let n = min length (Bytes.length req.buffer) in
-  Scheduler.delay t.sched (t.tp.Simnet.Transport.host_copy_time n);
-  Bytes.blit payload off req.buffer 0 n;
-  n
+let send_rts t (req : request) env ~cookie =
+  let img = Bytes.create Envelope.iv_header_size in
+  let n =
+    Envelope.encode_iv_rts img ~off:0 ~env ~cookie
+      ~total_len:(Bytes.length req.C.buffer)
+  in
+  ring_send t ~dst:req.C.want_source img n None
 
 (* Grant a matched rendezvous: register the receive buffer itself as
    the landing region and tell the sender where to write — the data
    will arrive without another copy (and without the host). *)
-let grant_rts t ~env ~cookie ~total req =
-  let rkey = Ibverbs.alloc_rkey t.hca in
-  Ibverbs.reg_mr t.hca ~rkey req.buffer;
-  Hashtbl.replace t.awaiting_fin cookie (req, rkey, env);
-  let len = min total (Bytes.length req.buffer) in
+let grant_rts (t : t) (req : request) env ~cookie ~total =
+  let rkey = Ibverbs.alloc_rkey (hca t) in
+  Ibverbs.reg_mr (hca t) ~rkey req.C.buffer;
+  Hashtbl.replace (C.awaiting_data t) cookie (req, env, rkey);
+  let len = min total (Bytes.length req.C.buffer) in
   let img = Bytes.create Envelope.iv_header_size in
   let n = Envelope.encode_iv_cts img ~off:0 ~cookie ~rkey ~len in
   ring_send t ~dst:env.Envelope.src_rank img n None
 
-let take_unexpected t ~context ~source ~tag =
-  let n = Queue.length t.unexpected in
-  let found = ref None in
-  for _ = 1 to n do
-    let u = Queue.pop t.unexpected in
-    let env = match u with Ux_eager { ux_env; _ } | Ux_rts { ux_env; _ } -> ux_env in
-    if !found = None && Envelope.matches ~context env ~source ~tag then
-      found := Some u
-    else Queue.add u t.unexpected
-  done;
-  !found
-
-let handle_iv t buf view =
+let handle_iv (t : t) buf view =
   match view with
-  | Envelope.Iv_eager { env; pay_off; pay_len } -> (
-    match match_posted t env with
-    | Some req ->
-      let n = copy_in t req buf pay_off pay_len in
-      complete t req
-        { source = env.Envelope.src_rank; tag = env.Envelope.tag; length = n }
-    | None ->
-      Queue.add
-        (Ux_eager { ux_env = env; ux_payload = Bytes.sub buf pay_off pay_len })
-        t.unexpected)
-  | Envelope.Iv_rts { env; cookie; total_len } -> (
-    match match_posted t env with
-    | Some req -> grant_rts t ~env ~cookie ~total:total_len req
-    | None ->
-      Queue.add
-        (Ux_rts { ux_env = env; ux_cookie = cookie; ux_total = total_len })
-        t.unexpected)
+  | Envelope.Iv_eager { env; pay_off; pay_len } ->
+    C.on_eager t env buf ~off:pay_off ~len:pay_len
+  | Envelope.Iv_rts { env; cookie; total_len } ->
+    C.on_rts t env ~cookie ~total:total_len
   | Envelope.Iv_cts { cookie; rkey; len } -> (
-    match Hashtbl.find_opt t.awaiting_cts cookie with
+    match C.take (C.awaiting_cts t) cookie with
     | None -> ()
-    | Some (req, data) ->
-      Hashtbl.remove t.awaiting_cts cookie;
-      let dst = req.want_source in
+    | Some req ->
+      let data = req.C.buffer in
+      let dst = req.C.want_source in
       let n = min len (Bytes.length data) in
       (* The payload write goes straight from the user buffer; the FIN
          chases it down the same FIFO pair, so it lands after the
          data. The send completes on the write's local completion. *)
-      let wr_id = fresh_wr t in
-      Hashtbl.replace t.wr_actions wr_id (fun () ->
-          complete t req
-            { source = t.my_rank; tag = req.want_tag; length = Bytes.length data });
-      Ibverbs.rdma_write t.hca ~dst:t.ranks.(dst) ~rkey ~offset:0 ~src:data
-        ~src_off:0 ~len:n ~wr_id;
+      let d = C.dev t in
+      let wr_id = fresh_wr d in
+      Hashtbl.replace d.wr_actions wr_id (fun () ->
+          C.complete t req
+            { source = rank t; tag = req.C.want_tag; length = Bytes.length data });
+      Ibverbs.rdma_write (hca t) ~dst:(C.ranks t).(dst) ~rkey ~offset:0
+        ~src:data ~src_off:0 ~len:n ~wr_id;
       let img = Bytes.create Envelope.iv_header_size in
       let m = Envelope.encode_iv_fin img ~off:0 ~cookie ~length:n in
       ring_send t ~dst img m None)
   | Envelope.Iv_fin { cookie; length } -> (
-    match Hashtbl.find_opt t.awaiting_fin cookie with
+    match C.take (C.awaiting_data t) cookie with
     | None -> ()
-    | Some (req, rkey, env) ->
-      Hashtbl.remove t.awaiting_fin cookie;
-      Ibverbs.dereg_mr t.hca rkey;
-      complete t req
+    | Some (req, env, rkey) ->
+      Ibverbs.dereg_mr (hca t) rkey;
+      C.complete t req
         {
           source = env.Envelope.src_rank;
           tag = env.Envelope.tag;
-          length = min length (Bytes.length req.buffer);
+          length = min length (Bytes.length req.C.buffer);
         })
 
-(* The library progress engine — the only place anything advances:
-   retire local write completions, poll every peer ring for landed
-   messages, and retry credit-starved sends. *)
-let progress_raw t =
+(* The device side of progress — retire local write completions, poll
+   every peer ring for landed messages, and retry credit-starved sends. *)
+let progress_raw (t : t) =
+  let d = C.dev t in
   let rec drain_cq () =
-    match Ibverbs.poll_cq t.hca with
+    match Ibverbs.poll_cq d.hca with
     | None -> ()
     | Some (Ibverbs.Write_complete { wr_id }) ->
       (if wr_id <> Ibverbs.Ring.credit_wr_id then
-         match Hashtbl.find_opt t.wr_actions wr_id with
+         match C.take d.wr_actions wr_id with
          | None -> ()
-         | Some f ->
-           Hashtbl.remove t.wr_actions wr_id;
-           f ());
+         | Some f -> f ());
       drain_cq ()
   in
   drain_cq ();
@@ -388,135 +205,68 @@ let progress_raw t =
             drain_ring ()
         in
         drain_ring ())
-    t.recv_rings;
-  for r = 0 to Array.length t.ranks - 1 do
-    if not (Queue.is_empty t.backlog.(r)) then drain_backlog t r
+    d.recv_rings;
+  for r = 0 to size t - 1 do
+    if not (Queue.is_empty d.backlog.(r)) then drain_backlog d r
   done
 
-let lib_entry t =
-  Scheduler.delay t.sched t.cfg.call_cost;
-  progress_raw t
+let ops =
+  {
+    C.send_eager;
+    send_rts;
+    grant = grant_rts;
+    release = (fun t rkey -> Ibverbs.dereg_mr (hca t) rkey);
+    poll = progress_raw;
+    (* Poll-block: sleep until a write lands somewhere or a completion
+       surfaces. *)
+    block = (fun t -> Ibverbs.wait_activity (hca t));
+    wake = (fun t -> Ibverbs.wake (hca t));
+    drop_peer;
+    reset_peer;
+  }
 
-let progress t = lib_entry t
+let create tp ~ranks ~rank:my_rank ?(config = default_config) () =
+  let n = Array.length ranks in
+  let spay = Envelope.iv_header_size + config.eager_threshold in
+  C.create ~name:"Mpi_ibverbs" ~ops ~eager_threshold:config.eager_threshold
+    ~call_cost:config.call_cost tp ~ranks ~rank:my_rank (fun id ->
+      let hca = Ibverbs.create tp ~id in
+      {
+        hca;
+        next_wr = 1;
+        send_rings =
+          Array.init n (fun r ->
+              if r = my_rank then None
+              else
+                Some
+                  (Ibverbs.Ring.create_send hca ~dst:ranks.(r) ~dst_rank:r
+                     ~my_rank ~slots:config.ring_slots ~slot_payload:spay));
+        recv_rings =
+          Array.init n (fun r ->
+              if r = my_rank then None
+              else
+                Some
+                  (Ibverbs.Ring.create_recv hca ~peer:ranks.(r) ~peer_rank:r
+                     ~my_rank ~slots:config.ring_slots ~slot_payload:spay));
+        backlog = Array.init n (fun _ -> Queue.create ());
+        wr_actions = Hashtbl.create 32;
+      })
 
-let check_peer t peer name =
-  if peer < 0 || peer >= Array.length t.ranks then
-    invalid_arg (Printf.sprintf "Mpi_ibverbs.%s: rank %d out of range" name peer)
-
-let isend t ?(context = 0) ~dst ~tag data =
-  check_peer t dst "isend";
-  check_alive t dst;
-  if dst = t.my_rank then invalid_arg "Mpi_ibverbs.isend: self sends unsupported";
-  lib_entry t;
-  let req =
-    {
-      id = fresh_id t;
-      kind = Send;
-      buffer = data;
-      want_context = context;
-      want_source = dst;
-      want_tag = tag;
-      state = `Pending;
-    }
-  in
-  let env =
-    {
-      Envelope.protocol =
-        (if Bytes.length data <= t.cfg.eager_threshold then Envelope.Eager
-         else Envelope.Rendezvous);
-      context;
-      src_rank = t.my_rank;
-      tag;
-    }
-  in
-  (match env.Envelope.protocol with
-  | Envelope.Eager ->
-    t.eager_sends <- t.eager_sends + 1;
-    let len = Bytes.length data in
-    let img = Bytes.create (Envelope.iv_header_size + len) in
-    let n =
-      Envelope.encode_iv_eager img ~off:0 ~env ~payload:data ~pay_off:0
-        ~pay_len:len
-    in
-    ring_send t ~dst img n
-      (Some
-         (fun () ->
-           complete t req { source = t.my_rank; tag; length = len }))
-  | Envelope.Rendezvous ->
-    t.rdvz_sends <- t.rdvz_sends + 1;
-    let cookie = fresh_cookie t in
-    Hashtbl.replace t.awaiting_cts cookie (req, data);
-    let img = Bytes.create Envelope.iv_header_size in
-    let n =
-      Envelope.encode_iv_rts img ~off:0 ~env ~cookie
-        ~total_len:(Bytes.length data)
-    in
-    ring_send t ~dst img n None);
-  req
-
-let irecv t ?(context = 0) ?(source = Envelope.any_source)
-    ?(tag = Envelope.any_tag) buffer =
-  if source <> Envelope.any_source then begin
-    check_peer t source "irecv";
-    check_alive t source
-  end;
-  lib_entry t;
-  let req =
-    {
-      id = fresh_id t;
-      kind = Recv;
-      buffer;
-      want_context = context;
-      want_source = source;
-      want_tag = tag;
-      state = `Pending;
-    }
-  in
-  (match take_unexpected t ~context ~source ~tag with
-  | Some (Ux_eager { ux_env; ux_payload }) ->
-    let n = copy_in t req ux_payload 0 (Bytes.length ux_payload) in
-    complete t req
-      { source = ux_env.Envelope.src_rank; tag = ux_env.Envelope.tag; length = n }
-  | Some (Ux_rts { ux_env; ux_cookie; ux_total }) ->
-    grant_rts t ~env:ux_env ~cookie:ux_cookie ~total:ux_total req
-  | None -> Queue.add req t.posted);
-  req
-
-let test t req =
-  lib_entry t;
-  match req.state with
-  | `Complete st -> Some st
-  | `Pending -> None
-  | `Failed r -> raise (Envelope.Peer_failed r)
-
-let wait t req =
-  lib_entry t;
-  let rec loop () =
-    match req.state with
-    | `Complete st -> st
-    | `Failed r -> raise (Envelope.Peer_failed r)
-    | `Pending ->
-      (* Poll-block: sleep until a write lands somewhere, a completion
-         surfaces or a failure wake fires, then run the protocol. *)
-      Ibverbs.wait_activity t.hca;
-      progress_raw t;
-      loop ()
-  in
-  loop ()
+let finalize t = Ibverbs.close (hca t)
 
 let counters t =
-  let s = Ibverbs.stats t.hca in
-  [
-    ("eager_sends", t.eager_sends);
-    ("rdvz_sends", t.rdvz_sends);
-    ("completions", t.completions);
-    ("hca_writes", s.Ibverbs.writes);
-    ("hca_remote_writes", s.Ibverbs.remote_writes);
-  ]
+  let s = Ibverbs.stats (hca t) in
+  C.counters t
+  @ [
+      ("hca_writes", s.Ibverbs.writes);
+      ("hca_remote_writes", s.Ibverbs.remote_writes);
+    ]
 
 (* The Transport.S instance: what Mpi.Make and the conformance suite
    consume. *)
 module Tx = struct
+  include C.Endpoint
+
   let name = "ibverbs"
 
   type nonrec t = t
@@ -524,15 +274,12 @@ module Tx = struct
 
   let create tp ~ranks ~rank = create tp ~ranks ~rank ()
   let finalize = finalize
-  let rank = rank
-  let size = size
-  let isend = isend
-  let irecv = irecv
-  let test = test
-  let wait = wait
-  let progress = progress
-  let on_peer_failure = on_peer_failure
-  let failed_ranks = failed_ranks
-  let reconnect = reconnect
   let counters = counters
+
+  (* The rings have no self pair. *)
+  let isend t ?context ~dst ~tag data =
+    if dst = rank t then invalid_arg "Mpi_ibverbs.isend: self sends unsupported";
+    C.Endpoint.isend t ?context ~dst ~tag data
 end
+
+let isend = Tx.isend

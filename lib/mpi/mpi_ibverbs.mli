@@ -12,7 +12,10 @@
 
     Both protocols progress {e only} inside library calls — the NIC
     lands bytes, but matching, unexpected-message buffering and the
-    rendezvous state machine all run on the host. In the taxonomy of
+    rendezvous state machine all run on the host, in [Mpi_core], the
+    library-side engine this stack shares with {!Mpi_gm}; this module
+    supplies the rings, the credit backlog, the rkey registration and
+    the FIN. In the taxonomy of
     §5.2 this stack sits with MPICH/GM on the application-bypass axis
     (none below the library) while beating it on per-message receive
     cost — the benchmark matrix quantifies the trade against Portals'

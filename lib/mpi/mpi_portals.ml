@@ -125,6 +125,7 @@ type unexpected =
       ux_total : int;
       ux_src : Simnet.Proc_id.t;
     }
+  | Ux_dead of Envelope.t (* a header whose sender crashed after sending it *)
 
 type t = {
   ni : P.Ni.t;
@@ -217,6 +218,16 @@ let on_peer_crash t nid =
             t.reqs []
         in
         List.iter (fun req -> fail_req t req r) victims;
+        (* Buffered rendezvous headers from it: the payload they point
+           at died with the node, so whichever receive claims one
+           fails. *)
+        let n = Queue.length t.unexpected in
+        for _ = 1 to n do
+          match Queue.pop t.unexpected with
+          | Ux_rdvz { ux_env; _ } when ux_env.Envelope.src_rank = r ->
+            Queue.add (Ux_dead ux_env) t.unexpected
+          | u -> Queue.add u t.unexpected
+        done;
         List.iter (fun cb -> cb ~rank:r) t.peer_cbs
       end)
     t.ranks;
@@ -358,21 +369,27 @@ let first_slab_me t =
   | idx :: _ -> t.slabs.(idx).s_meh
 
 (* Receiver pull of a rendezvous payload: expose the user buffer as an MD
-   and get from the sender's per-message entry. *)
-let issue_get t req ~cookie ~total_len ~src =
-  let len = min total_len (Bytes.length req.buffer) in
-  let mdh =
-    ok_exn ~op:"rdvz md_bind"
-      (P.Ni.md_bind t.ni
-         (P.Ni.md_spec
-            ~options:{ P.Md.default_options with P.Md.ack_disable = true }
-            ~threshold:(P.Md.Count 1) ~unlink:P.Md.Unlink ~eq:t.eqh
-            ~user_ptr:req.id ~length:len req.buffer))
-  in
-  ok_exn ~op:"rdvz get"
-    (P.Ni.get t.ni ~md:mdh
-       (P.Ni.op ~target:src ~portal_index:pt_rdvz ~cookie:acl_cookie
-          ~match_bits:(P.Match_bits.of_int64 cookie) ()))
+   and get from the sender's per-message entry — unless the sender has
+   crashed, when nothing is left to pull. *)
+let issue_get t req (env : Envelope.t) ~cookie ~total_len ~src =
+  if Hashtbl.mem t.failed env.src_rank then fail_req t req env.src_rank
+  else begin
+    req.rdvz_source <- env.src_rank;
+    req.rdvz_tag <- env.tag;
+    let len = min total_len (Bytes.length req.buffer) in
+    let mdh =
+      ok_exn ~op:"rdvz md_bind"
+        (P.Ni.md_bind t.ni
+           (P.Ni.md_spec
+              ~options:{ P.Md.default_options with P.Md.ack_disable = true }
+              ~threshold:(P.Md.Count 1) ~unlink:P.Md.Unlink ~eq:t.eqh
+              ~user_ptr:req.id ~length:len req.buffer))
+    in
+    ok_exn ~op:"rdvz get"
+      (P.Ni.get t.ni ~md:mdh
+         (P.Ni.op ~target:src ~portal_index:pt_rdvz ~cookie:acl_cookie
+            ~match_bits:(P.Match_bits.of_int64 cookie) ()))
+  end
 
 let handle_event t (ev : P.Event.t) =
   let up = ev.P.Event.md_user_ptr in
@@ -436,9 +453,7 @@ let handle_event t (ev : P.Event.t) =
         (match Envelope.decode_rdvz_header req.buffer ~off:ev.P.Event.offset with
         | Error _ -> decode_error t ~ctx:"posted rendezvous header"
         | Ok (cookie, total_len) ->
-          req.rdvz_source <- env.Envelope.src_rank;
-          req.rdvz_tag <- env.Envelope.tag;
-          issue_get t req ~cookie ~total_len ~src:ev.P.Event.initiator)))
+          issue_get t req env ~cookie ~total_len ~src:ev.P.Event.initiator)))
   | P.Event.Sent -> (
     match find_req t up with
     | Some ({ kind = Send_eager; _ } as req) ->
@@ -491,7 +506,10 @@ let take_unexpected t ~context ~source ~tag =
   let found = ref None in
   for _ = 1 to n do
     let u = Queue.pop t.unexpected in
-    let env = match u with Ux_eager { ux_env; _ } | Ux_rdvz { ux_env; _ } -> ux_env in
+    let env =
+      match u with
+      | Ux_eager { ux_env; _ } | Ux_rdvz { ux_env; _ } | Ux_dead ux_env -> ux_env
+    in
     if !found = None && Envelope.matches ~context env ~source ~tag then
       found := Some u
     else Queue.add u t.unexpected
@@ -627,9 +645,8 @@ let irecv t ?(context = context_world) ?(source = Envelope.any_source)
     complete t req
       { source = ux_env.Envelope.src_rank; tag = ux_env.Envelope.tag; length = n }
   | Some (Ux_rdvz { ux_env; ux_cookie; ux_total; ux_src }) ->
-    req.rdvz_source <- ux_env.Envelope.src_rank;
-    req.rdvz_tag <- ux_env.Envelope.tag;
-    issue_get t req ~cookie:ux_cookie ~total_len:ux_total ~src:ux_src
+    issue_get t req ux_env ~cookie:ux_cookie ~total_len:ux_total ~src:ux_src
+  | Some (Ux_dead env) -> fail_req t req env.Envelope.src_rank
   | None when source <> Envelope.any_source && Hashtbl.mem t.failed source ->
     (* Nothing buffered from the peer and its node is down: the receive
        can never match. *)

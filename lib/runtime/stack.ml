@@ -26,7 +26,7 @@ let all =
     {
       name = "rtscts";
       kind = World.Rtscts;
-      create = (fun tp ~ranks ~rank -> Mpi.create_rtscts tp ~ranks ~rank ());
+      create = (fun tp ~ranks ~rank -> Mpi.create_portals tp ~ranks ~rank ());
     };
     {
       name = "ibverbs";

@@ -13,9 +13,9 @@
     [Mpi.Make (T : Transport.S)] derives the rest of the MPI surface
     (blocking calls, [waitall], the dissemination barrier) from an
     implementation of this signature, so a new backend is a new [S]
-    instance and nothing else. Four instances exist: Portals
-    ([Mpi.Mpi_portals.Tx]), GM ([Mpi.Mpi_gm.Tx]), the kernel RTS/CTS
-    stack ([Mpi.Mpi_rtscts.Tx]) and the ibverbs-style RDMA stack
+    instance and nothing else. Three instances exist: Portals
+    ([Mpi.Mpi_portals.Tx], which also runs the kernel RTS/CTS stack over
+    that wire), GM ([Mpi.Mpi_gm.Tx]) and the ibverbs-style RDMA stack
     ([Mpi.Mpi_ibverbs.Tx]). *)
 
 type status = { source : int; tag : int; length : int }
@@ -42,8 +42,8 @@ val any_tag : int
     copies) and {!S.wait} blocks the calling fiber. *)
 module type S = sig
   val name : string
-  (** Stable identifier of the stack (["portals"], ["gm"], ["rtscts"],
-      ["ibverbs"]); keys benchmark-matrix rows and CLI selection. *)
+  (** Stable identifier of the stack (["portals"], ["gm"],
+      ["ibverbs"]). *)
 
   type t
   (** An endpoint: one rank's view of the communication world. *)

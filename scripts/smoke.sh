@@ -189,6 +189,17 @@ if [ "$got_sha" != "$coll_sha" ]; then
   echo "coll --quick --seed 7 output drifted: sha256 $got_sha" >&2
   exit 1
 fi
+# The two stacks that share the library-side MPI engine (Mpi_core), over
+# every matrix axis: pinned the same way, so a change to the shared
+# protocol that moves either stack's timing fails here.
+$DUNE exec bin/portals_repro.exe -- \
+  matrix --quick --seed 42 --transports gm,ibverbs | tee "$OUT/matrix_lib.out"
+matrix_lib_sha=b226f3fea0dc865ae1b2a766b2a96b3419ed898bd54f03f1d4a6ad95ba4aa886
+got_sha=$(sha256sum "$OUT/matrix_lib.out" | cut -d' ' -f1)
+if [ "$got_sha" != "$matrix_lib_sha" ]; then
+  echo "matrix --quick --seed 42 --transports gm,ibverbs output drifted: sha256 $got_sha" >&2
+  exit 1
+fi
 # The S2 scaling sweep must run under either engine; a bogus engine name
 # must die with a clean usage error.
 $DUNE exec bin/portals_repro.exe -- \

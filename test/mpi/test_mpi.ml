@@ -1,14 +1,18 @@
-(* MPI layer tests, run against both backends (Portals and GM) through the
-   same scenarios, plus backend-specific progress-semantics tests — the
-   behavioural split that Figure 6 of the paper measures. *)
+(* MPI layer tests, run against the Portals, GM and ibverbs backends
+   through the same scenarios, plus backend-specific progress-semantics
+   tests — the behavioural split that Figure 6 of the paper measures. *)
 
 open Sim_engine
 
 let proc nid pid = Simnet.Proc_id.make ~nid ~pid
 
-type backend = Portals_b | Gm_b
+type backend = Portals_b | Gm_b | Ibverbs_b
 
-
+let create backend tp ~ranks ~rank =
+  match backend with
+  | Portals_b -> Mpi.create_portals tp ~ranks ~rank ()
+  | Gm_b -> Mpi.create_gm tp ~ranks ~rank ()
+  | Ibverbs_b -> Mpi.create_ibverbs tp ~ranks ~rank ()
 
 (* Build an [n]-rank world and run [f ep rank] in one fiber per rank. *)
 let with_world ?(n = 2) ?(profile = Simnet.Profile.myrinet_mcp) ~backend f =
@@ -16,12 +20,7 @@ let with_world ?(n = 2) ?(profile = Simnet.Profile.myrinet_mcp) ~backend f =
   let fabric = Simnet.Fabric.create sched ~profile ~nodes:n in
   let tp = Simnet.Transport.offload fabric in
   let ranks = Array.init n (fun r -> proc r 0) in
-  let endpoints =
-    Array.init n (fun rank ->
-        match backend with
-        | Portals_b -> Mpi.create_portals tp ~ranks ~rank ()
-        | Gm_b -> Mpi.create_gm tp ~ranks ~rank ())
-  in
+  let endpoints = Array.init n (fun rank -> create backend tp ~ranks ~rank) in
   Array.iteri
     (fun rank ep ->
       Scheduler.spawn sched ~name:(Printf.sprintf "rank%d" rank) (fun () ->
@@ -37,6 +36,7 @@ let per_backend name speed body =
   [
     Alcotest.test_case (name ^ " [portals]") speed (fun () -> body Portals_b);
     Alcotest.test_case (name ^ " [gm]") speed (fun () -> body Gm_b);
+    Alcotest.test_case (name ^ " [ibverbs]") speed (fun () -> body Ibverbs_b);
   ]
 
 let basic_tests =
@@ -178,11 +178,7 @@ let matching_tests =
         in
         let tp = Simnet.Transport.offload fabric in
         let ranks = [| proc 0 0; proc 1 0 |] in
-        let mk rank =
-          match backend with
-          | Portals_b -> Mpi.create_portals tp ~ranks ~rank ()
-          | Gm_b -> Mpi.create_gm tp ~ranks ~rank ()
-        in
+        let mk rank = create backend tp ~ranks ~rank in
         let ep0 = mk 0 and ep1 = mk 1 in
         Scheduler.spawn sched (fun () ->
             Mpi.send ep0 ~dst:1 ~tag:1 (bytes_of_string "early-bird");
@@ -226,11 +222,7 @@ let collective_tests =
       in
       let tp = Simnet.Transport.offload fabric in
       let ranks = Array.init 4 (fun r -> proc r 0) in
-      let mk rank =
-        match backend with
-        | Portals_b -> Mpi.create_portals tp ~ranks ~rank ()
-        | Gm_b -> Mpi.create_gm tp ~ranks ~rank ()
-      in
+      let mk rank = create backend tp ~ranks ~rank in
       let eps = Array.init 4 mk in
       let leave = Array.make 4 0 in
       Array.iteri
@@ -448,11 +440,7 @@ let run_schedule ?lossy backend ~sizes ~recv_order =
     ignore (Reliability.attach fabric));
   let tp = Simnet.Transport.offload fabric in
   let ranks = [| proc 0 0; proc 1 0 |] in
-  let mk rank =
-    match backend with
-    | Portals_b -> Mpi.create_portals tp ~ranks ~rank ()
-    | Gm_b -> Mpi.create_gm tp ~ranks ~rank ()
-  in
+  let mk rank = create backend tp ~ranks ~rank in
   let ep0 = mk 0 and ep1 = mk 1 in
   let n = List.length sizes in
   let outcomes = Array.make n (0, 0, "") in
@@ -611,11 +599,7 @@ let crash_world ?(n = 2) ~backend () =
   in
   let tp = Simnet.Transport.offload fabric in
   let ranks = Array.init n (fun r -> proc r 0) in
-  let mk rank =
-    match backend with
-    | Portals_b -> Mpi.create_portals tp ~ranks ~rank ()
-    | Gm_b -> Mpi.create_gm tp ~ranks ~rank ()
-  in
+  let mk rank = create backend tp ~ranks ~rank in
   (sched, fabric, mk)
 
 let crash_tests =
@@ -971,7 +955,7 @@ let alloc_budget_tests =
       `Quick (fun () ->
         let sched, fab = fabric Simnet.Profile.myrinet_kernel in
         exchange_words ~sched ~tp:(Rtscts.transport (Rtscts.create fab))
-          (fun tp ~ranks ~rank -> Mpi.create_rtscts tp ~ranks ~rank ())
+          (fun tp ~ranks ~rank -> Mpi.create_portals tp ~ranks ~rank ())
         |> check_copies "rtscts" ~copies:3);
     (* The wire image only: it lands straight in the receive buffer. *)
     Alcotest.test_case "portals over offload: 1 payload copy per message"
@@ -993,6 +977,13 @@ let alloc_budget_tests =
         if words >= slab_words then
           Alcotest.failf "create allocated %d words, one slab is %d" words
             slab_words);
+    (* The RDMA write's wire image only: the rendezvous data lands
+       straight in the registered receive buffer. *)
+    Alcotest.test_case "ibverbs: 1 payload copy per message" `Quick (fun () ->
+        let sched, fab = fabric Simnet.Profile.myrinet_mcp in
+        exchange_words ~sched ~tp:(Simnet.Transport.offload fab)
+          (fun tp ~ranks ~rank -> Mpi.create_ibverbs tp ~ranks ~rank ())
+        |> check_copies "ibverbs" ~copies:1);
   ]
 
 let () =

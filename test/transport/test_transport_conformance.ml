@@ -10,7 +10,9 @@
      - uniform peer-failure surfacing on node crash: wait raises
        Peer_failed, the callback fires, failed_ranks reports, and
        restart + reconnect clears the mark;
-     - counters monotone non-decreasing over the endpoint's life.
+     - counters monotone non-decreasing over the endpoint's life;
+     - a rendezvous header from a peer that has since crashed fails the
+       receive that meets it instead of deadlocking.
 
    Plus one ibverbs-specific test: the RDMA-write fast path beats the
    same stack's own rendezvous on small messages (Liu et al.'s
@@ -202,6 +204,48 @@ module Conformance (T : STACK) = struct
         Alcotest.failf "counter %s decreased: %d -> %d" k v0 v)
       !violations
 
+  (* 5. A rendezvous header whose sender then dies fails the wildcard
+     receive that meets it, on each path between the two: the header
+     drained into the library before the crash, still in the device
+     after it, drained and then its sender restarted and reconnected,
+     or met by a receive posted before it arrived. None may deadlock. *)
+  let dead_rendezvous () =
+    let run path =
+      let outcome = ref `Hung in
+      ignore
+        (with_world (fun sched fabric ep rank ->
+             if rank = 1 then
+               ignore (T.isend ep ~dst:0 ~tag:0 (Bytes.create 100_000))
+             else begin
+               Scheduler.after sched (Time_ns.us 60.) (fun () ->
+                   Simnet.Fabric.crash fabric 1);
+               let buf = Bytes.create 100_000 in
+               let early =
+                 if path = "posted" then Some (T.irecv ep buf) else None
+               in
+               Scheduler.delay sched (Time_ns.us 30.);
+               if path = "drained" || path = "reconnected" then T.progress ep;
+               Scheduler.delay sched (Time_ns.us 70.);
+               if path = "reconnected" then begin
+                 Simnet.Fabric.restart fabric 1;
+                 T.reconnect ep ~rank:1
+               end;
+               let req =
+                 match early with Some r -> r | None -> T.irecv ep buf
+               in
+               outcome :=
+                 match T.wait ep req with
+                 | _ -> `Completed
+                 | exception Transport.Peer_failed r -> `Failed r
+             end));
+      match !outcome with
+      | `Failed 1 -> ()
+      | `Failed r -> Alcotest.failf "%s: Peer_failed %d, want 1" path r
+      | `Completed -> Alcotest.failf "%s: receive completed" path
+      | `Hung -> Alcotest.failf "%s: wait never returned" path
+    in
+    List.iter run [ "drained"; "undrained"; "reconnected"; "posted" ]
+
   let tests =
     [
       inorder_qcheck;
@@ -212,6 +256,8 @@ module Conformance (T : STACK) = struct
         `Quick peer_failure;
       Alcotest.test_case (T.name ^ ": counters monotone") `Quick
         counters_monotone;
+      Alcotest.test_case (T.name ^ ": dead peer's rendezvous fails the recv")
+        `Quick dead_rendezvous;
     ]
 end
 
@@ -229,8 +275,12 @@ module Gm_c = Conformance (struct
   let profile = Simnet.Profile.myrinet_mcp
 end)
 
+(* The production Cplant stack: the Portals glue over the kernel RTS/CTS
+   wire. *)
 module Rtscts_c = Conformance (struct
-  include Mpi.Mpi_rtscts.Tx
+  include Mpi.Mpi_portals.Tx
+
+  let name = "rtscts"
 
   let wire fabric = Rtscts.transport (Rtscts.create fabric)
   let profile = Simnet.Profile.myrinet_kernel
