@@ -45,12 +45,26 @@ let rma_ops ~quick = if quick then 4 else 8
 
 (* --- the stream + liveness world --------------------------------------- *)
 
-type stream_stat = {
+type stream = {
+  st_src : int;
+  st_dst : int;
+  st_msgs : int;
   mutable expected : int;  (** Next in-order sequence number. *)
   mutable accepted : int;
   mutable seq_violations : int;
   mutable byte_violations : int;
 }
+
+let stream ~src ~dst ~msgs =
+  {
+    st_src = src;
+    st_dst = dst;
+    st_msgs = msgs;
+    expected = 0;
+    accepted = 0;
+    seq_violations = 0;
+    byte_violations = 0;
+  }
 
 let payload_byte ~src ~dst ~seq j =
   ((src * 31) + (dst * 17) + (seq * 7) + j) land 0xFF
@@ -71,6 +85,48 @@ let check_payload ~src ~dst ~seq buf =
       if Bytes.get_uint8 buf j <> payload_byte ~src ~dst ~seq j then ok := false
     done;
   !ok
+
+let stream_receive st ~src:from buf =
+  let src = st.st_src and dst = st.st_dst in
+  if from.Simnet.Proc_id.nid <> src then ()
+  else if Bytes.length buf < 4 then begin
+    (* Too short to carry a sequence number: only damage makes such a
+       payload, and it must show up as a violation rather than abort the
+       campaign. *)
+    st.seq_violations <- st.seq_violations + 1;
+    st.byte_violations <- st.byte_violations + 1
+  end
+  else begin
+    let seq = Int32.to_int (Bytes.get_int32_le buf 0) in
+    if seq <> st.expected then st.seq_violations <- st.seq_violations + 1
+    else begin
+      st.expected <- st.expected + 1;
+      st.accepted <- st.accepted + 1
+    end;
+    if not (check_payload ~src ~dst ~seq buf) then
+      st.byte_violations <- st.byte_violations + 1
+  end
+
+let stream_violations st =
+  let src = st.st_src and dst = st.st_dst in
+  List.filter_map Fun.id
+    [
+      (if st.accepted <> st.st_msgs then
+         Some
+           (Printf.sprintf "stream %d->%d: %d/%d delivered" src dst st.accepted
+              st.st_msgs)
+       else None);
+      (if st.seq_violations > 0 then
+         Some
+           (Printf.sprintf "stream %d->%d: %d out-of-order/duplicate arrivals"
+              src dst st.seq_violations)
+       else None);
+      (if st.byte_violations > 0 then
+         Some
+           (Printf.sprintf "stream %d->%d: %d corrupted payloads surfaced" src
+              dst st.byte_violations)
+       else None);
+    ]
 
 (* Each cell scripts its own faults, replicated onto every shard fabric
    (fresh model instances per replica — same cell, same seed, identical
@@ -115,36 +171,17 @@ let run_stream_world ~domains ~quick cell =
   (* Streams: one pair crossing the partition cut each way, one pair
      inside the first half each way. *)
   let pairs = [ (0, nodes / 2); (nodes / 2, 0); (1, 2); (2, 1) ] in
-  let stats = List.map (fun pair -> (pair, {
-      expected = 0; accepted = 0; seq_violations = 0; byte_violations = 0;
-    })) pairs
+  let stats =
+    List.map (fun ((src, dst) as pair) -> (pair, stream ~src ~dst ~msgs)) pairs
   in
   let proc nid = world.Runtime.ranks.(nid) in
   (* No two pairs share a destination, so each dst registers exactly one
      handler (the monitor's beat handler lives on a different pid) — on
      the dst's owner-shard fabric, where its frames are delivered. *)
   List.iter
-    (fun ((src, dst), st) ->
+    (fun ((_, dst), st) ->
       Simnet.Fabric.register (Runtime.fabric_of_nid world dst) (proc dst)
-        (fun ~src:from buf ->
-          if from.Simnet.Proc_id.nid <> src then ()
-          else if Bytes.length buf < 4 then begin
-            (* Too short to carry a sequence number: only damage makes
-               such a payload, and it must show up as a violation rather
-               than abort the campaign. *)
-            st.seq_violations <- st.seq_violations + 1;
-            st.byte_violations <- st.byte_violations + 1
-          end
-          else begin
-            let seq = Int32.to_int (Bytes.get_int32_le buf 0) in
-            if seq <> st.expected then st.seq_violations <- st.seq_violations + 1
-            else begin
-              st.expected <- st.expected + 1;
-              st.accepted <- st.accepted + 1
-            end;
-            if not (check_payload ~src ~dst ~seq buf) then
-              st.byte_violations <- st.byte_violations + 1
-          end))
+        (stream_receive st))
     stats;
   (* Sends spread over the first 80% of the horizon, so some land inside
      the cut window and must ride retransmission out of it. *)
@@ -213,15 +250,7 @@ let run_stream_world ~domains ~quick cell =
           nids);
   Runtime.run world;
   List.iter
-    (fun ((src, dst), st) ->
-      if st.accepted <> msgs then
-        violation "stream %d->%d: %d/%d delivered" src dst st.accepted msgs;
-      if st.seq_violations > 0 then
-        violation "stream %d->%d: %d out-of-order/duplicate arrivals" src dst
-          st.seq_violations;
-      if st.byte_violations > 0 then
-        violation "stream %d->%d: %d corrupted payloads surfaced" src dst
-          st.byte_violations)
+    (fun (_, st) -> List.iter (violation "%s") (stream_violations st))
     stats;
   (* Injection counters accumulate where each stochastic decision was
      made (the src shard), CRC drops where the frame was received — sum

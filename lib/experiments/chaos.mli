@@ -30,6 +30,30 @@ type report = {
 
 type t = { reports : report list }
 
+(** {1 Stream checker}
+
+    The receive side of one stream world pair: it counts what a
+    destination handler is handed and names every broken stream
+    invariant. *)
+
+type stream
+
+val stream : src:Simnet.Proc_id.nid -> dst:Simnet.Proc_id.nid -> msgs:int -> stream
+(** A checker for the stream of [msgs] payloads that [src] sends to
+    [dst]; each payload leads with its sequence number. *)
+
+val stream_receive : stream -> src:Simnet.Proc_id.t -> bytes -> unit
+(** A {!Simnet.Fabric.register} handler for [dst]. Arrivals from other
+    nodes are ignored; a payload too short to carry a sequence number
+    counts as an out-of-order and a corrupted arrival, never an
+    exception. *)
+
+val stream_violations : stream -> string list
+(** Each broken invariant, in this order: fewer than [msgs] payloads
+    accepted in order, out-of-order or duplicate arrivals, corrupted
+    payloads. Empty when the stream was delivered exactly once, in order
+    and byte-identical. *)
+
 val axis_cells : seed:int -> (string * Reliability.Chaos.cell) list
 (** One named cell per fault axis (clean control, corrupt, delay,
     partition, crash, loss) plus a mixed cell. *)

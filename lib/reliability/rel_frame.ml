@@ -2,8 +2,6 @@ type t =
   | Data of { seq : int; payload : bytes }
   | Ack of { cum_ack : int; sack : int64 }
 
-type error = Not_ours | Corrupt of string
-
 let magic = 0xA7
 let header_size = 10 (* magic + kind + seq *)
 let checksum_size = 4
@@ -50,26 +48,26 @@ let check_crc buf =
   let body = Bytes.length buf - checksum_size in
   let stored = Int32.to_int (Bytes.get_int32_le buf body) land 0xFFFFFFFF in
   if Simnet.Crc32c.digest ~pos:0 ~len:body buf = stored then Ok ()
-  else Error (Corrupt "rel frame: checksum mismatch")
+  else Error "rel frame: checksum mismatch"
 
 let decode ~integrity buf =
   let len = Bytes.length buf in
-  if len < 1 || Bytes.get_uint8 buf 0 <> magic then Error Not_ours
-  else if len < 2 then Error (Corrupt "rel frame: truncated header")
+  if len < 2 then Error "rel frame: truncated header"
+  else if Bytes.get_uint8 buf 0 <> magic then Error "rel frame: bad magic"
   else
     let kind = Bytes.get_uint8 buf 1 in
     let protected_ = kind = kind_data_crc || kind = kind_ack_crc in
     if (not protected_) && (kind = kind_data || kind = kind_ack) && integrity
-    then Error (Corrupt "rel frame: unprotected frame while integrity enabled")
+    then Error "rel frame: unprotected frame while integrity enabled"
     else if protected_ && len < header_size + checksum_size then
-      Error (Corrupt "rel frame: truncated checksum trailer")
+      Error "rel frame: truncated checksum trailer"
     else
       let crc = if protected_ then check_crc buf else Ok () in
       match crc with
       | Error e -> Error e
       | Ok () ->
         if kind = kind_data || kind = kind_data_crc then
-          if len < header_size then Error (Corrupt "rel frame: truncated header")
+          if len < header_size then Error "rel frame: truncated header"
           else
             let tail = if protected_ then checksum_size else 0 in
             Ok
@@ -80,7 +78,7 @@ let decode ~integrity buf =
                  })
         else if kind = kind_ack || kind = kind_ack_crc then
           if len < 18 + (if protected_ then checksum_size else 0) then
-            Error (Corrupt "rel frame: truncated ack")
+            Error "rel frame: truncated ack"
           else
             Ok
               (Ack
@@ -88,7 +86,7 @@ let decode ~integrity buf =
                    cum_ack = Int64.to_int (Bytes.get_int64_le buf 2);
                    sack = Bytes.get_int64_le buf 10;
                  })
-        else Error (Corrupt "rel frame: unknown kind")
+        else Error "rel frame: unknown kind"
 
 let sack_mem ~sack ~cum_ack seq =
   let i = seq - cum_ack - 1 in
@@ -106,7 +104,3 @@ let pp ppf = function
     Format.fprintf ppf "DATA seq=%d len=%d" seq (Bytes.length payload)
   | Ack { cum_ack; sack } ->
     Format.fprintf ppf "ACK cum=%d sack=%Lx" cum_ack sack
-
-let pp_error ppf = function
-  | Not_ours -> Format.pp_print_string ppf "not a rel frame"
-  | Corrupt msg -> Format.pp_print_string ppf msg

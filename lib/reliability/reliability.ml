@@ -36,27 +36,57 @@ type tx_entry = {
   e_first_sent : Time_ns.t;
 }
 
-(* Sender half of one (src, dst) direction. *)
+(* A window of sequence-numbered slots: [seq] lives at
+   [seq land (capacity - 1)] of a power-of-two array, and [empty] marks a
+   free slot. Its owner keeps every live seq inside [lo, lo + capacity)
+   for its own low mark [lo] and passes that mark to [ring_set], which
+   doubles the array when a seq would fall outside it. *)
+type 'a ring = { mutable slots : 'a array; empty : 'a; mutable count : int }
+
+let ring_create empty = { slots = Array.make 16 empty; empty; count = 0 }
+let ring_capacity r = Array.length r.slots
+let ring_get r seq = Array.unsafe_get r.slots (seq land (ring_capacity r - 1))
+
+let ring_set r ~lo seq v =
+  while seq - lo >= ring_capacity r do
+    let old = r.slots and cap = ring_capacity r in
+    r.slots <- Array.make (2 * cap) r.empty;
+    for s = lo to lo + cap - 1 do
+      r.slots.(s land ((2 * cap) - 1)) <- old.(s land (cap - 1))
+    done
+  done;
+  r.slots.(seq land (ring_capacity r - 1)) <- v;
+  r.count <- r.count + 1
+
+let ring_clear r seq =
+  r.slots.(seq land (ring_capacity r - 1)) <- r.empty;
+  r.count <- r.count - 1
+
+(* Sender half of one (src, dst) direction. Every seq below [base] is
+   acknowledged or abandoned; the unacked ones lie in [base, next_seq),
+   and [base] itself is unacked unless the window is empty. *)
 type tx = {
   tx_src : Simnet.Proc_id.t;
   tx_dst : Simnet.Proc_id.t;
   mutable next_seq : int;
-  unacked : (int, tx_entry) Hashtbl.t;
+  mutable base : int;
+  unacked : tx_entry ring;
   pending : bytes Queue.t;
   mutable rto : Time_ns.t;
   mutable srtt_us : float;  (* 0 until the first sample *)
   mutable timer_gen : int;
 }
 
-(* Receiver half of one (src, dst) direction. *)
-type rx = { mutable expected : int; ooo : (int, bytes) Hashtbl.t }
+(* Receiver half of one (src, dst) direction: the out-of-order arrivals
+   lie in (expected, expected + capacity). *)
+type rx = { mutable expected : int; ooo : bytes ring }
 
 type t = {
   fabric : Simnet.Fabric.t;
   cfg : config;
   sched : Scheduler.t;
-  txs : (Simnet.Proc_id.t * Simnet.Proc_id.t, tx) Hashtbl.t;
-  rxs : (Simnet.Proc_id.t * Simnet.Proc_id.t, rx) Hashtbl.t;
+  txs : tx Simnet.Proc_id.Pair_tbl.tbl;
+  rxs : rx Simnet.Proc_id.Pair_tbl.tbl;
   mutable inflight_total : int;
   mutable give_up :
     src:Simnet.Proc_id.t -> dst:Simnet.Proc_id.t -> seq:int -> unit;
@@ -97,34 +127,59 @@ let sample_window t =
     ~y:(float_of_int t.inflight_total)
 
 let tx_of t ~src ~dst =
-  match Hashtbl.find_opt t.txs (src, dst) with
-  | Some tx -> tx
-  | None ->
+  match Simnet.Proc_id.Pair_tbl.find t.txs src dst with
+  | tx -> tx
+  | exception Not_found ->
     let tx =
       {
         tx_src = src;
         tx_dst = dst;
         next_seq = 0;
-        unacked = Hashtbl.create 64;
+        base = 0;
+        unacked =
+          ring_create
+            {
+              e_seq = -1;
+              e_payload = Bytes.empty;
+              e_sends = 0;
+              e_first_sent = Time_ns.zero;
+            };
         pending = Queue.create ();
         rto = t.cfg.base_rto;
         srtt_us = 0.;
         timer_gen = 0;
       }
     in
-    Hashtbl.replace t.txs (src, dst) tx;
+    Simnet.Proc_id.Pair_tbl.add t.txs src dst tx;
     tx
 
 let rx_of t ~src ~dst =
-  match Hashtbl.find_opt t.rxs (src, dst) with
-  | Some rx -> rx
-  | None ->
-    let rx = { expected = 0; ooo = Hashtbl.create 64 } in
-    Hashtbl.replace t.rxs (src, dst) rx;
+  match Simnet.Proc_id.Pair_tbl.find t.rxs src dst with
+  | rx -> rx
+  | exception Not_found ->
+    (* A fresh zero-length buffer is physically distinct from every
+       payload, so it can mark the free slots. *)
+    let rx = { expected = 0; ooo = ring_create (Bytes.create 0) } in
+    Simnet.Proc_id.Pair_tbl.add t.rxs src dst rx;
     rx
 
+(* The unacked entry for [seq] if its [e_seq] is [seq]; otherwise [seq]
+   is not unacked (the empty entry's seq is -1). *)
+let unacked_entry tx seq =
+  if seq >= tx.base && seq < tx.next_seq then ring_get tx.unacked seq
+  else tx.unacked.empty
+
+(* Take [seq] out of the window and move [base] past every seq that is
+   no longer unacked. *)
+let release t tx seq =
+  ring_clear tx.unacked seq;
+  t.inflight_total <- t.inflight_total - 1;
+  while tx.base < tx.next_seq && (ring_get tx.unacked tx.base).e_seq <> tx.base do
+    tx.base <- tx.base + 1
+  done
+
 let send_data_frame t tx entry =
-  Simnet.Fabric.send_raw t.fabric ~src:tx.tx_src ~dst:tx.tx_dst
+  Simnet.Fabric.send_framed t.fabric ~src:tx.tx_src ~dst:tx.tx_dst
     (Frame.encode
        ~integrity:(Simnet.Fabric.integrity t.fabric)
        (Frame.Data { seq = entry.e_seq; payload = entry.e_payload }))
@@ -137,24 +192,20 @@ let rec arm_timer t tx =
   tx.timer_gen <- tx.timer_gen + 1;
   let gen = tx.timer_gen in
   Scheduler.after t.sched tx.rto (fun () ->
-      if gen = tx.timer_gen && Hashtbl.length tx.unacked > 0 then
-        on_timeout t tx)
+      if gen = tx.timer_gen && tx.unacked.count > 0 then on_timeout t tx)
 
 and cancel_timer tx = tx.timer_gen <- tx.timer_gen + 1
 
 and on_timeout t tx =
   (* Retransmit every unacked frame in sequence order; frames past their
-     retry budget are abandoned. *)
-  let entries =
-    List.sort
-      (fun a b -> compare a.e_seq b.e_seq)
-      (Hashtbl.fold (fun _ e acc -> e :: acc) tx.unacked [])
-  in
-  List.iter
-    (fun e ->
+     retry budget are abandoned. Frames a give-up callback sends lie past
+     [last] and wait for the next round. *)
+  let last = tx.next_seq - 1 in
+  for seq = tx.base to last do
+    let e = unacked_entry tx seq in
+    if e.e_seq = seq then
       if e.e_sends > t.cfg.max_retries then begin
-        Hashtbl.remove tx.unacked e.e_seq;
-        t.inflight_total <- t.inflight_total - 1;
+        release t tx seq;
         Metrics.incr t.m_exhausted;
         (* Exhausted retry budgets must be visible in Chrome traces, not
            only counters, whatever the give_up callback does. *)
@@ -171,13 +222,13 @@ and on_timeout t tx =
         e.e_sends <- e.e_sends + 1;
         Metrics.incr t.m_retransmits;
         send_data_frame t tx e
-      end)
-    entries;
+      end
+  done;
   (* Exponential backoff, capped. *)
   tx.rto <- Time_ns.min (Time_ns.add tx.rto tx.rto) t.cfg.max_rto;
   sample_window t;
   pump t tx;
-  if Hashtbl.length tx.unacked > 0 then arm_timer t tx else cancel_timer tx
+  if tx.unacked.count > 0 then arm_timer t tx else cancel_timer tx
 
 (* --- sender ------------------------------------------------------------ *)
 
@@ -190,27 +241,23 @@ and transmit t tx payload =
       e_first_sent = Scheduler.now t.sched;
     }
   in
+  ring_set tx.unacked ~lo:tx.base entry.e_seq entry;
   tx.next_seq <- tx.next_seq + 1;
-  Hashtbl.replace tx.unacked entry.e_seq entry;
   t.inflight_total <- t.inflight_total + 1;
   Metrics.incr t.m_data;
   sample_window t;
   send_data_frame t tx entry;
-  if Hashtbl.length tx.unacked = 1 then arm_timer t tx
+  if tx.unacked.count = 1 then arm_timer t tx
 
 and pump t tx =
-  while
-    Hashtbl.length tx.unacked < t.cfg.window
-    && not (Queue.is_empty tx.pending)
-  do
+  while tx.unacked.count < t.cfg.window && not (Queue.is_empty tx.pending) do
     transmit t tx (Queue.pop tx.pending)
   done
 
 let on_send t ~src ~dst payload =
   let tx = tx_of t ~src ~dst in
-  if
-    Hashtbl.length tx.unacked < t.cfg.window && Queue.is_empty tx.pending
-  then transmit t tx payload
+  if tx.unacked.count < t.cfg.window && Queue.is_empty tx.pending then
+    transmit t tx payload
   else Queue.add payload tx.pending
 
 (* --- acknowledgment handling ------------------------------------------ *)
@@ -230,26 +277,29 @@ let update_rtt t tx entry =
         (Time_ns.min t.cfg.max_rto (Time_ns.us (2. *. tx.srtt_us)))
   end
 
+let ack_seq t tx seq =
+  let e = unacked_entry tx seq in
+  if e.e_seq = seq then begin
+    update_rtt t tx e;
+    release t tx seq
+  end
+
 let on_ack t ~src ~dst ~cum_ack ~sack =
   (* The ack travels receiver -> sender, so the data direction it acks is
-     (dst, src). *)
+     (dst, src). Frames are taken in ascending sequence order, the order
+     their RTT samples feed the smoothed RTT. *)
   let tx = tx_of t ~src:dst ~dst:src in
-  let acked =
-    Hashtbl.fold
-      (fun seq e acc ->
-        if seq <= cum_ack || Frame.sack_mem ~sack ~cum_ack seq then e :: acc
-        else acc)
-      tx.unacked []
-  in
-  List.iter
-    (fun e ->
-      update_rtt t tx e;
-      Hashtbl.remove tx.unacked e.e_seq;
-      t.inflight_total <- t.inflight_total - 1)
-    acked;
-  if acked <> [] then begin
+  let before = tx.unacked.count in
+  for seq = tx.base to min cum_ack (tx.next_seq - 1) do
+    ack_seq t tx seq
+  done;
+  if sack <> 0L then
+    for seq = cum_ack + 1 to cum_ack + 64 do
+      if Frame.sack_mem ~sack ~cum_ack seq then ack_seq t tx seq
+    done;
+  if tx.unacked.count < before then begin
     sample_window t;
-    if Hashtbl.length tx.unacked = 0 then cancel_timer tx
+    if tx.unacked.count = 0 then cancel_timer tx
     else arm_timer t tx (* restart: progress was made *)
   end;
   pump t tx
@@ -259,9 +309,18 @@ let on_ack t ~src ~dst ~cum_ack ~sack =
 let send_ack t ~me ~peer rx =
   Metrics.incr t.m_acks;
   let cum_ack = rx.expected - 1 in
-  let seqs = Hashtbl.fold (fun seq _ acc -> seq :: acc) rx.ooo [] in
-  let sack = Frame.sack_of_seqs ~cum_ack seqs in
-  Simnet.Fabric.send_raw t.fabric ~src:me ~dst:peer
+  let sack =
+    if rx.ooo.count = 0 then 0L
+    else begin
+      let seqs = ref [] in
+      for seq = rx.expected + min 63 (ring_capacity rx.ooo - 1)
+          downto rx.expected + 1 do
+        if ring_get rx.ooo seq != rx.ooo.empty then seqs := seq :: !seqs
+      done;
+      Frame.sack_of_seqs ~cum_ack !seqs
+    end
+  in
+  Simnet.Fabric.send_framed t.fabric ~src:me ~dst:peer
     (Frame.encode
        ~integrity:(Simnet.Fabric.integrity t.fabric)
        (Frame.Ack { cum_ack; sack }))
@@ -272,39 +331,48 @@ let deliver_up t ~src ~dst payload =
 
 let on_data t ~src ~dst ~seq payload =
   let rx = rx_of t ~src ~dst in
-  if seq < rx.expected || Hashtbl.mem rx.ooo seq then
+  let ahead = seq - rx.expected in
+  if
+    ahead < 0
+    || (ahead < ring_capacity rx.ooo && ring_get rx.ooo seq != rx.ooo.empty)
+  then begin
     (* Duplicate (a retransmission that crossed our ack): suppress, but
        re-ack so the sender stops resending. *)
-    Metrics.incr t.m_dup_drops
-  else if seq = rx.expected then begin
+    Metrics.incr t.m_dup_drops;
+    send_ack t ~me:dst ~peer:src rx
+  end
+  else if ahead = 0 then begin
     deliver_up t ~src ~dst payload;
     rx.expected <- rx.expected + 1;
     (* Drain any buffered successors that are now in order. *)
-    let rec drain () =
-      match Hashtbl.find_opt rx.ooo rx.expected with
-      | None -> ()
-      | Some p ->
-        Hashtbl.remove rx.ooo rx.expected;
-        deliver_up t ~src ~dst p;
-        rx.expected <- rx.expected + 1;
-        drain ()
-    in
-    drain ()
+    while rx.ooo.count > 0 && ring_get rx.ooo rx.expected != rx.ooo.empty do
+      let p = ring_get rx.ooo rx.expected in
+      ring_clear rx.ooo rx.expected;
+      deliver_up t ~src ~dst p;
+      rx.expected <- rx.expected + 1
+    done;
+    send_ack t ~me:dst ~peer:src rx
   end
-  else Hashtbl.replace rx.ooo seq payload;
-  send_ack t ~me:dst ~peer:src rx
+  else begin
+    (* A working sender never gets [window + 64] seqs ahead: frames past
+       the 64 a SACK covers stay unacked and fill its window. Only a
+       sender that abandoned a frame (this receiver then waits for it
+       forever) or a damaged seq in an unchecked frame gets here, and
+       such a frame could never be delivered, so it is acked but not
+       kept: the ring stays within reach of [expected]. *)
+    if ahead < t.cfg.window + 64 then
+      ring_set rx.ooo ~lo:rx.expected seq payload;
+    send_ack t ~me:dst ~peer:src rx
+  end
 
 let on_wire t ~src ~dst payload =
   match Frame.decode ~integrity:(Simnet.Fabric.integrity t.fabric) payload with
   | Ok (Frame.Data { seq; payload }) -> on_data t ~src ~dst ~seq payload
   | Ok (Frame.Ack { cum_ack; sack }) -> on_ack t ~src ~dst ~cum_ack ~sack
-  | Error Frame.Not_ours ->
-    (* Not ours — a message injected below the shim (e.g. directly via
-       send_raw in a test). Pass it through untouched. *)
-    Simnet.Fabric.deliver t.fabric ~src ~dst payload
-  | Error (Frame.Corrupt _) ->
-    (* A reliability frame damaged in flight. Treat exactly like loss:
-       no delivery, no acknowledgment — the sender's timer retransmits
+  | Error _ ->
+    (* Only the shim's own frames arrive here, so one that does not
+       decode was damaged in flight. Treat exactly like loss: no
+       delivery, no acknowledgment — the sender's timer retransmits
        (data) or the next data frame re-elicits the ack (acks), so
        corruption degrades to loss and recovery is transparent. *)
     Metrics.incr t.m_corrupt_drops;
@@ -325,27 +393,31 @@ let on_wire t ~src ~dst payload =
    counted lost; redelivery is the caller's business (MPI surfaces it as
    [Peer_failed]). State is recreated lazily at seq 0 on next use. *)
 let forget_node t nid =
-  let involved (a, b) =
+  let involved a b =
     a.Simnet.Proc_id.nid = nid || b.Simnet.Proc_id.nid = nid
   in
-  let tx_victims =
-    Hashtbl.fold
-      (fun k tx acc -> if involved k then (k, tx) :: acc else acc)
-      t.txs []
-  in
-  let rx_victims =
-    Hashtbl.fold (fun k _ acc -> if involved k then k :: acc else acc) t.rxs []
-  in
-  List.iter
-    (fun (k, tx) ->
-      cancel_timer tx;
-      let lost = Hashtbl.length tx.unacked + Queue.length tx.pending in
-      t.inflight_total <- t.inflight_total - Hashtbl.length tx.unacked;
-      if lost > 0 then Metrics.add t.m_peer_reset_lost lost;
-      Hashtbl.remove t.txs k)
-    tx_victims;
-  List.iter (Hashtbl.remove t.rxs) rx_victims;
-  if tx_victims <> [] || rx_victims <> [] then begin
+  let reset = ref false in
+  Simnet.Proc_id.Pair_tbl.filter_inplace
+    (fun src dst tx ->
+      if not (involved src dst) then true
+      else begin
+        cancel_timer tx;
+        let lost = tx.unacked.count + Queue.length tx.pending in
+        t.inflight_total <- t.inflight_total - tx.unacked.count;
+        if lost > 0 then Metrics.add t.m_peer_reset_lost lost;
+        reset := true;
+        false
+      end)
+    t.txs;
+  Simnet.Proc_id.Pair_tbl.filter_inplace
+    (fun src dst _ ->
+      if involved src dst then begin
+        reset := true;
+        false
+      end
+      else true)
+    t.rxs;
+  if !reset then begin
     Metrics.incr t.m_peer_resets;
     sample_window t
   end
@@ -365,8 +437,8 @@ let attach ?(config = default_config) fabric =
       fabric;
       cfg = config;
       sched;
-      txs = Hashtbl.create 64;
-      rxs = Hashtbl.create 64;
+      txs = Simnet.Proc_id.Pair_tbl.create 64;
+      rxs = Simnet.Proc_id.Pair_tbl.create 64;
       inflight_total = 0;
       give_up = (fun ~src:_ ~dst:_ ~seq:_ -> ());
       m_data = Metrics.counter m ~labels "rel.data_sent";

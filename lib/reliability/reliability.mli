@@ -29,6 +29,30 @@
     cumulative ack of any later frame or by a (duplicate-suppressed)
     retransmission.
 
+    {b State per pair.} A sender's unacknowledged frames and a receiver's
+    out-of-order buffer are rings indexed by sequence number: a
+    power-of-two array (doubled when a sequence number would not fit)
+    with a count and a low mark — the oldest unacknowledged sequence
+    number, or the next one the receiver expects. An ack releases the
+    frames from that mark through [cum_ack] and then those its SACK bits
+    name, in ascending sequence order; that is also the order their
+    Karn-rule RTT samples enter the smoothed RTT. A timeout walks the
+    sender's ring from its low mark. A working sender never gets
+    [window + 64] or more sequence numbers ahead of its receiver (frames
+    beyond the 64 a SACK reports stay unacknowledged and fill the
+    window); a data frame further ahead follows a frame its sender
+    abandoned, or carries a damaged sequence number, and can never be
+    delivered, so it is acknowledged but not buffered. The per-pair
+    halves live in {!Simnet.Proc_id.Pair_tbl}s.
+
+    {b Frame class.} The shim sends its frames with
+    {!Simnet.Fabric.send_framed}, so the fabric hands it exactly its own
+    frames, whatever damage their bytes took; traffic sent with
+    {!Simnet.Fabric.send_raw} (liveness beats) bypasses it. A frame that
+    does not decode ({!Rel_frame.decode}) — a flipped magic byte, a
+    truncation to nothing, a checksum mismatch — is therefore always a
+    counted corrupt drop, never a payload handed up.
+
     The protocol also understands {e peer reset}: when a node crash-stops
     ([Simnet.Fabric.crash]), every per-pair sequence space and retransmit
     queue touching that node is discarded — the restarted peer comes back
@@ -72,8 +96,8 @@ type stats = {
   retransmits : int;
   duplicate_drops : int;  (** Received frames suppressed as duplicates. *)
   corrupt_drops : int;
-      (** Received frames discarded as corrupt ({!Rel_frame.error.Corrupt})
-          — treated exactly like loss, so the retransmission machinery
+      (** Received shim frames discarded because they do not decode —
+          treated exactly like loss, so the retransmission machinery
           recovers them transparently. *)
   retries_exhausted : int;  (** Frames abandoned past the retry budget. *)
   delivered : int;  (** Payloads handed up, in order, exactly once. *)

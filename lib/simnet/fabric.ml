@@ -28,6 +28,7 @@ type handler = src:Proc_id.t -> bytes -> unit
    must not cross domains: they would capture the wrong shard's fabric. *)
 type remote =
   | R_land of {
+      rl_framed : bool; (* a shim frame, not [send_raw] traffic *)
       rl_src : Proc_id.t;
       rl_dst : Proc_id.t;
       rl_payload : bytes;
@@ -37,6 +38,7 @@ type remote =
       rl_dst_epoch : int;
     }
   | R_hop of {
+      rh_framed : bool;
       rh_src : Proc_id.t;
       rh_dst : Proc_id.t;
       rh_payload : bytes;
@@ -94,10 +96,10 @@ type t = {
      pairs but never within one. Inactive (and costing nothing) until a
      delay fault actually fires. *)
   mutable fifo_clamp : bool;
-  pair_arrivals : (Proc_id.t * Proc_id.t, Time_ns.t ref) Hashtbl.t;
+  pair_arrivals : Time_ns.t ref Proc_id.Pair_tbl.tbl;
   (* Per-(src,dst) message sequence, maintained only when the fault model
      has a keyed per-hop sampler; keys its draws. *)
-  send_seqs : (Proc_id.t * Proc_id.t, int ref) Hashtbl.t;
+  send_seqs : int ref Proc_id.Pair_tbl.tbl;
   (* Parallel-engine hooks; None in sequential mode. In parallel mode
      this fabric instance is one shard's replica of the world: local
      nodes are authoritative, remote nodes are shadows kept in sync by
@@ -126,7 +128,7 @@ type t = {
      [stats] derives the total by summing these. A pair's counter is
      created by its first drop, so the table grows with the traffic
      that was lost, never with the node count. *)
-  drop_pairs : (Proc_id.t * Proc_id.t, Metrics.counter) Hashtbl.t;
+  drop_pairs : Metrics.counter Proc_id.Pair_tbl.tbl;
 }
 
 let create ?(topology = Topology.Full) ?queue_limit sched ~profile ~nodes =
@@ -154,8 +156,8 @@ let create ?(topology = Topology.Full) ?queue_limit sched ~profile ~nodes =
       shim = None;
       partitions = [];
       fifo_clamp = false;
-      pair_arrivals = Hashtbl.create 16;
-      send_seqs = Hashtbl.create 16;
+      pair_arrivals = Proc_id.Pair_tbl.create 16;
+      send_seqs = Proc_id.Pair_tbl.create 16;
       par = None;
       fault_probes_on = false;
       partition_probe_on = false;
@@ -174,7 +176,7 @@ let create ?(topology = Topology.Full) ?queue_limit sched ~profile ~nodes =
       restart_count = Stats.Counter.create ~name:"fabric.restarts" ();
       crash_listeners = new_listeners ();
       restart_listeners = new_listeners ();
-      drop_pairs = Hashtbl.create 16;
+      drop_pairs = Proc_id.Pair_tbl.create 16;
     }
   in
   (* The fabric owns every node's CPU and link and the hop links, so it
@@ -213,14 +215,17 @@ let hop_link t id =
 let peak_link_queue_depth t =
   Array.fold_left (fun acc l -> max acc (Link.peak_queue_depth l)) 0 t.hop_links
 
+(* Every path on the full topology is the empty one: no table. *)
 let route t ~src ~dst =
-  let key = (src * Array.length t.nodes) + dst in
-  match Hashtbl.find_opt t.routes key with
-  | Some path -> path
-  | None ->
-    let path = Router.route t.topo ~src ~dst in
-    Hashtbl.replace t.routes key path;
-    path
+  if Array.length t.hop_links = 0 then [||]
+  else
+    let key = (src * Array.length t.nodes) + dst in
+    match Hashtbl.find t.routes key with
+    | path -> path
+    | exception Not_found ->
+      let path = Router.route t.topo ~src ~dst in
+      Hashtbl.replace t.routes key path;
+      path
 
 let node t nid =
   if nid < 0 || nid >= Array.length t.nodes then
@@ -394,9 +399,9 @@ let install_shim t shim =
 let has_shim t = t.shim <> None
 
 let drop_pair_counter t ~src ~dst =
-  match Hashtbl.find_opt t.drop_pairs (src, dst) with
-  | Some c -> c
-  | None ->
+  match Proc_id.Pair_tbl.find t.drop_pairs src dst with
+  | c -> c
+  | exception Not_found ->
     let c =
       Metrics.counter
         (Scheduler.metrics t.fabric_sched)
@@ -404,7 +409,7 @@ let drop_pair_counter t ~src ~dst =
           [ ("src", Proc_id.to_string src); ("dst", Proc_id.to_string dst) ]
         "fabric.drops_injected"
     in
-    Hashtbl.replace t.drop_pairs (src, dst) c;
+    Proc_id.Pair_tbl.add t.drop_pairs src dst c;
     c
 
 let deliver t ~src ~dst payload =
@@ -414,10 +419,12 @@ let deliver t ~src ~dst payload =
     Stats.Counter.incr t.delivered;
     handler ~src payload
 
-let arrive t ~src ~dst payload =
+(* The frame class travels beside the payload, never inside it: bit
+   damage cannot turn a shim frame into raw traffic or back. *)
+let arrive t ~framed ~src ~dst payload =
   match t.shim with
-  | Some shim -> shim.shim_rx ~src ~dst payload
-  | None -> deliver t ~src ~dst payload
+  | Some shim when framed -> shim.shim_rx ~src ~dst payload
+  | _ -> deliver t ~src ~dst payload
 
 let mutate_counted t c payload =
   Stats.Counter.incr t.corrupt_injected;
@@ -448,31 +455,31 @@ let per_hop_corrupt t ~src ~dst ~seq ~hop payload =
 let next_send_seq t ~src ~dst =
   match t.fault with
   | Some f when Fault.hop_sample f <> None -> (
-    match Hashtbl.find_opt t.send_seqs (src, dst) with
-    | Some r ->
+    match Proc_id.Pair_tbl.find t.send_seqs src dst with
+    | r ->
       let v = !r in
       r := v + 1;
       v
-    | None ->
-      Hashtbl.replace t.send_seqs (src, dst) (ref 1);
+    | exception Not_found ->
+      Proc_id.Pair_tbl.add t.send_seqs src dst (ref 1);
       0)
   | _ -> 0
 
 let clamp_arrival t ~src ~dst arrival =
-  match Hashtbl.find_opt t.pair_arrivals (src, dst) with
-  | Some r ->
+  match Proc_id.Pair_tbl.find t.pair_arrivals src dst with
+  | r ->
     let a = if Time_ns.compare arrival !r < 0 then !r else arrival in
     r := a;
     a
-  | None ->
-    Hashtbl.replace t.pair_arrivals (src, dst) (ref arrival);
+  | exception Not_found ->
+    Proc_id.Pair_tbl.add t.pair_arrivals src dst (ref arrival);
     arrival
 
 (* Landing: the message has reached its destination at the current
    simulated time; apply the decision resolved at send time. Runs on the
    destination's owner shard, so every land-side counter is incremented
    exactly once across the world. *)
-let land_msg t ~src ~dst ~decision ~cut ~src_epoch ~dst_epoch payload =
+let land_msg t ~framed ~src ~dst ~decision ~cut ~src_epoch ~dst_epoch payload =
   let sender = node t src.Proc_id.nid and receiver = node t dst.Proc_id.nid in
   if
     Node.crashes sender <> src_epoch
@@ -483,12 +490,13 @@ let land_msg t ~src ~dst ~decision ~cut ~src_epoch ~dst_epoch payload =
   else
     match decision with
     | Fault.Drop -> Metrics.incr (drop_pair_counter t ~src ~dst)
-    | Fault.Deliver | Fault.Delay _ -> arrive t ~src ~dst payload
-    | Fault.Corrupt c -> arrive t ~src ~dst (mutate_counted t c payload)
+    | Fault.Deliver | Fault.Delay _ -> arrive t ~framed ~src ~dst payload
+    | Fault.Corrupt c ->
+      arrive t ~framed ~src ~dst (mutate_counted t c payload)
     | Fault.Duplicate ->
       Stats.Counter.incr t.dup_injected;
-      arrive t ~src ~dst payload;
-      arrive t ~src ~dst payload
+      arrive t ~framed ~src ~dst payload;
+      arrive t ~framed ~src ~dst payload
 
 (* Store-and-forward over the hop path: at each hop the message
    FIFO-queues on the shared link, occupies it for its full wire image,
@@ -496,19 +504,20 @@ let land_msg t ~src ~dst ~decision ~cut ~src_epoch ~dst_epoch payload =
    limit drops the message — to the layers above (and to
    [lib/reliability]) this is indistinguishable from wire loss. Each hop
    executes on the shard owning the link's source vertex; advancing to a
-   vertex owned elsewhere posts the remaining journey as plain data. *)
-let rec hop_step t ~src ~dst ~seq ~i ~wire_bytes ~decision ~cut ~src_epoch
-    ~dst_epoch ~delay_by ~clamp payload =
-  let path = route t ~src:src.Proc_id.nid ~dst:dst.Proc_id.nid in
+   vertex owned elsewhere posts the remaining journey as plain data, and
+   the shard it reaches resolves the route [path] once for its hops. *)
+let rec hop_step t ~framed ~path ~src ~dst ~seq ~i ~wire_bytes ~decision ~cut
+    ~src_epoch ~dst_epoch ~delay_by ~clamp payload =
   if i >= Array.length path then begin
     let now = Scheduler.now t.fabric_sched in
     let arrival = Time_ns.add now delay_by in
     let arrival = if clamp then clamp_arrival t ~src ~dst arrival else arrival in
     if Time_ns.compare arrival now = 0 then
-      land_msg t ~src ~dst ~decision ~cut ~src_epoch ~dst_epoch payload
+      land_msg t ~framed ~src ~dst ~decision ~cut ~src_epoch ~dst_epoch payload
     else
       Scheduler.at t.fabric_sched arrival (fun () ->
-          land_msg t ~src ~dst ~decision ~cut ~src_epoch ~dst_epoch payload)
+          land_msg t ~framed ~src ~dst ~decision ~cut ~src_epoch ~dst_epoch
+            payload)
   end
   else begin
     let payload =
@@ -527,6 +536,7 @@ let rec hop_step t ~src ~dst ~seq ~i ~wire_bytes ~decision ~cut ~src_epoch
         p.par_post ~dst_shard:p.par_owner.(next_v) ~time:arrival
           (R_hop
              {
+               rh_framed = framed;
                rh_src = src;
                rh_dst = dst;
                rh_payload = payload;
@@ -542,20 +552,23 @@ let rec hop_step t ~src ~dst ~seq ~i ~wire_bytes ~decision ~cut ~src_epoch
              })
       | _ ->
         Scheduler.at t.fabric_sched arrival (fun () ->
-            hop_step t ~src ~dst ~seq ~i:(i + 1) ~wire_bytes ~decision ~cut
-              ~src_epoch ~dst_epoch ~delay_by ~clamp payload))
+            hop_step t ~framed ~path ~src ~dst ~seq ~i:(i + 1) ~wire_bytes
+              ~decision ~cut ~src_epoch ~dst_epoch ~delay_by ~clamp payload))
   end
 
 let exec_remote t = function
   | R_land
-      { rl_src; rl_dst; rl_payload; rl_decision; rl_cut; rl_src_epoch;
-        rl_dst_epoch } ->
-    land_msg t ~src:rl_src ~dst:rl_dst ~decision:rl_decision ~cut:rl_cut
-      ~src_epoch:rl_src_epoch ~dst_epoch:rl_dst_epoch rl_payload
+      { rl_framed; rl_src; rl_dst; rl_payload; rl_decision; rl_cut;
+        rl_src_epoch; rl_dst_epoch } ->
+    land_msg t ~framed:rl_framed ~src:rl_src ~dst:rl_dst ~decision:rl_decision
+      ~cut:rl_cut ~src_epoch:rl_src_epoch ~dst_epoch:rl_dst_epoch rl_payload
   | R_hop
-      { rh_src; rh_dst; rh_payload; rh_i; rh_seq; rh_wire_bytes; rh_decision;
-        rh_cut; rh_src_epoch; rh_dst_epoch; rh_delay_by; rh_clamp } ->
-    hop_step t ~src:rh_src ~dst:rh_dst ~seq:rh_seq ~i:rh_i
+      { rh_framed; rh_src; rh_dst; rh_payload; rh_i; rh_seq; rh_wire_bytes;
+        rh_decision; rh_cut; rh_src_epoch; rh_dst_epoch; rh_delay_by;
+        rh_clamp } ->
+    let path = route t ~src:rh_src.Proc_id.nid ~dst:rh_dst.Proc_id.nid in
+    hop_step t ~framed:rh_framed ~path ~src:rh_src ~dst:rh_dst ~seq:rh_seq
+      ~i:rh_i
       ~wire_bytes:rh_wire_bytes ~decision:rh_decision ~cut:rh_cut
       ~src_epoch:rh_src_epoch ~dst_epoch:rh_dst_epoch ~delay_by:rh_delay_by
       ~clamp:rh_clamp rh_payload
@@ -563,7 +576,7 @@ let exec_remote t = function
 let receive_remote t ~time msg =
   Scheduler.at t.fabric_sched time (fun () -> exec_remote t msg)
 
-let send_raw t ~src ~dst payload =
+let transmit t ~framed ~src ~dst payload =
   let len = Bytes.length payload in
   let sender = node t src.Proc_id.nid in
   let receiver = node t dst.Proc_id.nid in
@@ -628,6 +641,7 @@ let send_raw t ~src ~dst payload =
         p.par_post ~dst_shard:p.par_owner.(dst.Proc_id.nid) ~time:arrival
           (R_land
              {
+               rl_framed = framed;
                rl_src = src;
                rl_dst = dst;
                rl_payload = payload;
@@ -638,14 +652,18 @@ let send_raw t ~src ~dst payload =
              })
       | _ ->
         Scheduler.at t.fabric_sched arrival (fun () ->
-            land_msg t ~src ~dst ~decision ~cut ~src_epoch ~dst_epoch payload)
+            land_msg t ~framed ~src ~dst ~decision ~cut ~src_epoch ~dst_epoch
+              payload)
     end
     else begin
       let wire_bytes = Profile.wire_bytes_of_len t.fabric_profile len in
-      hop_step t ~src ~dst ~seq ~i:0 ~wire_bytes ~decision ~cut ~src_epoch
-        ~dst_epoch ~delay_by ~clamp payload
+      hop_step t ~framed ~path ~src ~dst ~seq ~i:0 ~wire_bytes ~decision ~cut
+        ~src_epoch ~dst_epoch ~delay_by ~clamp payload
     end
   end
+
+let send_raw t ~src ~dst payload = transmit t ~framed:false ~src ~dst payload
+let send_framed t ~src ~dst payload = transmit t ~framed:true ~src ~dst payload
 
 let send t ~src ~dst payload =
   match t.shim with
@@ -664,6 +682,8 @@ let stats t =
     corrupts_injected = Stats.Counter.value t.corrupt_injected;
     delays_injected = Stats.Counter.value t.delay_injected;
     drops_injected =
-      Hashtbl.fold (fun _ c acc -> acc + Metrics.counter_value c) t.drop_pairs 0;
+      Proc_id.Pair_tbl.fold
+        (fun _ _ c acc -> acc + Metrics.counter_value c)
+        t.drop_pairs 0;
     dups_injected = Stats.Counter.value t.dup_injected;
   }

@@ -225,12 +225,19 @@ val set_fault_injector :
 
     A shim intercepts the fabric at exactly the wire boundary: every
     {!send} is diverted to [shim_tx] (which frames the payload and calls
-    {!send_raw}), and every arriving message is diverted to [shim_rx]
-    (which decodes, runs its protocol, and hands accepted payloads up via
-    {!deliver}). Transports built over the fabric — and everything above
-    them — are oblivious: they keep calling {!send} and {!register}. This
-    mirrors Cplant, where the reliability protocol lived below the Portals
-    modules inside the message-passing substrate. *)
+    {!send_framed}), and every arriving shim frame is diverted to
+    [shim_rx] (which decodes, runs its protocol, and hands accepted
+    payloads up via {!deliver}). Transports built over the fabric — and
+    everything above them — are oblivious: they keep calling {!send} and
+    {!register}. This mirrors Cplant, where the reliability protocol
+    lived below the Portals modules inside the message-passing substrate.
+
+    Each message carries its class — shim frame or raw — beside its
+    bytes, the way a NIC tells protocols apart by a header field the
+    wire's CRC covers: fault-model damage to the payload never changes
+    the class. So [shim_rx] sees every shim frame (damaged or not) and
+    nothing else, and raw traffic reaches its handler without passing
+    through the shim. *)
 
 type shim = {
   shim_tx : src:Proc_id.t -> dst:Proc_id.t -> bytes -> unit;
@@ -244,8 +251,15 @@ val has_shim : t -> bool
 
 val send_raw : t -> src:Proc_id.t -> dst:Proc_id.t -> bytes -> unit
 (** The raw wire path: serialise on the sender's link, apply the fault
-    model, schedule arrival. Bypasses [shim_tx] (shims use this to emit
-    their frames); arriving raw messages still pass through [shim_rx]. *)
+    model, schedule arrival. Bypasses the shim at both ends: the message
+    is handed to [dst]'s handler on arrival, exactly as on a fabric with
+    no shim, damaged or not. For datagrams that must not be ordered or
+    retransmitted (liveness beats). *)
+
+val send_framed : t -> src:Proc_id.t -> dst:Proc_id.t -> bytes -> unit
+(** {!send_raw} for the shim's own frames: the same wire path, but the
+    message arrives at [shim_rx] (or at [dst]'s handler on a fabric
+    without a shim). *)
 
 val deliver : t -> src:Proc_id.t -> dst:Proc_id.t -> bytes -> unit
 (** Hand a payload to [dst]'s registered handler at the current simulated

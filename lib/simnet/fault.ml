@@ -60,13 +60,13 @@ let hop_key seed (src : Proc_id.t) (dst : Proc_id.t) ~seq ~hop =
 
 (* Lazily-built per-pair streams backing a stochastic model instance. *)
 let per_pair_streams seed =
-  let chains : (Proc_id.t * Proc_id.t, Prng.t) Hashtbl.t = Hashtbl.create 16 in
+  let chains = Proc_id.Pair_tbl.create 16 in
   fun src dst ->
-    match Hashtbl.find_opt chains (src, dst) with
-    | Some prng -> prng
-    | None ->
+    match Proc_id.Pair_tbl.find chains src dst with
+    | prng -> prng
+    | exception Not_found ->
       let prng = Prng.create ~seed:(pair_seed seed src dst) in
-      Hashtbl.replace chains (src, dst) prng;
+      Proc_id.Pair_tbl.add chains src dst prng;
       prng
 
 let bernoulli ?(seed = 0) ~p () =
@@ -85,15 +85,13 @@ let gilbert ?(seed = 0) ?(p_loss_bad = 1.0) ~p_enter ~p_exit () =
   let p_enter = clamp01 p_enter
   and p_exit = clamp01 p_exit
   and p_loss_bad = clamp01 p_loss_bad in
-  let chains : (Proc_id.t * Proc_id.t, bool ref * Prng.t) Hashtbl.t =
-    Hashtbl.create 16
-  in
+  let chains = Proc_id.Pair_tbl.create 16 in
   let chain src dst =
-    match Hashtbl.find_opt chains (src, dst) with
-    | Some c -> c
-    | None ->
+    match Proc_id.Pair_tbl.find chains src dst with
+    | c -> c
+    | exception Not_found ->
       let c = (ref false, Prng.create ~seed:(pair_seed seed src dst)) in
-      Hashtbl.replace chains (src, dst) c;
+      Proc_id.Pair_tbl.add chains src dst c;
       c
   in
   {

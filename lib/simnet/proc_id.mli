@@ -32,3 +32,27 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 (** {!pp} as a string. *)
+
+(** Tables keyed by an ordered (src, dst) pair of addresses: the one
+    container for per-pair state (reliability windows, FIFO floors,
+    fault streams, drop counters). Keys compare field by field, so
+    addresses that differ only in [pid] stay distinct, and a lookup
+    allocates nothing. *)
+module Pair_tbl : sig
+  type 'a tbl
+
+  val create : int -> 'a tbl
+  (** An empty table sized for about [n] pairs; it grows as needed. *)
+
+  val find : 'a tbl -> t -> t -> 'a
+  (** [find tbl src dst]. Raises [Not_found] if the pair is absent. *)
+
+  val add : 'a tbl -> t -> t -> 'a -> unit
+  (** Bind a pair that is not yet in the table. *)
+
+  val filter_inplace : (t -> t -> 'a -> bool) -> 'a tbl -> unit
+  (** Keep the bindings for which the predicate holds. *)
+
+  val fold : (t -> t -> 'a -> 'b -> 'b) -> 'a tbl -> 'b -> 'b
+  (** Fold over every binding, in no specified order. *)
+end

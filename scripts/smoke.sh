@@ -148,6 +148,22 @@ $DUNE exec bin/portals_repro.exe -- \
   chaos --quick --seed 0 --json "$OUT/chaos.json" | tee "$OUT/chaos.out"
 grep -q 'total violations: 0' "$OUT/chaos.out"
 python3 -c "import json; json.load(open('$OUT/chaos.json'))"
+
+echo "== smoke: full chaos grid at seeds 0-49 (zero violations) =="
+# All 32 cells of the corruption x delay x partition x crash x loss grid,
+# at fifty seeds: corruption holes show at some seeds only (damaged shim
+# frames once surfaced at 54 of seeds 0-99). About 0.07 s a seed, so the
+# loop calls the built executable instead of dune exec.
+$DUNE build bin/portals_repro.exe
+for seed in $(seq 0 49); do
+  if ! _build/default/bin/portals_repro.exe chaos --seed "$seed" \
+      >"$OUT/chaos_full.out" \
+      || ! grep -q '^total violations: 0$' "$OUT/chaos_full.out"; then
+    echo "full chaos grid violated at --seed $seed:" >&2
+    grep -i 'violat' "$OUT/chaos_full.out" >&2 || true
+    exit 1
+  fi
+done
 # Corruption + a scheduled cut + a crash composed on a routed 4x4 torus:
 # per-hop corruption under the checksummed encoding, a mid-run
 # partition, and a node restart must still leave both traffic patterns

@@ -72,6 +72,23 @@ let roundtrip_tests =
         match Wire.decode ~integrity:false protected_frame with
         | Ok _ -> ()
         | Error e -> Alcotest.failf "rejected: %a" Wire.pp_decode_error e);
+    Alcotest.test_case "flipped magic and 0-byte frames are rejected" `Quick
+      (fun () ->
+        (* The two damages that made a reliability-shim frame look like
+           foreign traffic; the Wire codec must refuse both. *)
+        List.iter
+          (fun frame ->
+            let flipped = Bytes.copy frame in
+            Bytes.set_uint8 flipped 0 (Bytes.get_uint8 frame 0 lxor 1);
+            (match Wire.decode ~integrity:true flipped with
+            | Error Wire.Bad_magic -> ()
+            | Ok _ -> Alcotest.fail "flipped magic accepted"
+            | Error e -> Alcotest.failf "wrong error: %a" Wire.pp_decode_error e);
+            match Wire.decode ~integrity:true (Bytes.sub frame 0 0) with
+            | Error (Wire.Truncated { got = 0; _ }) -> ()
+            | Ok _ -> Alcotest.fail "empty frame accepted"
+            | Error e -> Alcotest.failf "wrong error: %a" Wire.pp_decode_error e)
+          (frame_corpus ~integrity:true ~seed:3));
   ]
 
 (* The fuzz property: under the checksummed encoding, a damaged frame

@@ -687,20 +687,27 @@ let chaos_tests =
         Alcotest.(check int) "no checksum drops possible" 0 r.checksum_drops);
     Alcotest.test_case "a truncated stream payload is a violation, not a crash"
       `Quick (fun () ->
-        (* At seed 12 the corrupt cell hands the stream handler a payload
-           shorter than its 4-byte sequence number. It must be tallied as
-           a corrupted stream payload, and nothing else may go wrong. *)
-        let r = run_cell ~quick:true (List.assoc "corrupt" (axis_cells ~seed:12)) in
-        Alcotest.(check int) "every stream payload accepted" 96 r.delivered;
-        Alcotest.(check bool) "a corrupted payload was tallied" true
-          (List.exists
-             (String.ends_with ~suffix:" corrupted payloads surfaced")
-             r.violations);
-        List.iter
-          (fun v ->
-            Alcotest.(check bool) ("stream-level violation: " ^ v) true
-              (String.starts_with ~prefix:"stream " v))
-          r.violations);
+        (* A payload shorter than the stream's 4-byte sequence number,
+           raw on a fabric with no shim, reaches the stream checker. It
+           must be tallied as a violation of that stream, and nothing
+           else may go wrong. *)
+        let world = Runtime.create_world ~nodes:2 () in
+        let fabric = world.Runtime.fabric in
+        let st = stream ~src:0 ~dst:1 ~msgs:1 in
+        let proc nid = Simnet.Proc_id.make ~nid ~pid:0 in
+        Alcotest.(check bool) "no shim below the stream" false
+          (Simnet.Fabric.has_shim fabric);
+        Simnet.Fabric.register fabric (proc 1) (stream_receive st);
+        Simnet.Fabric.send_raw fabric ~src:(proc 0) ~dst:(proc 1)
+          (Bytes.of_string "ab");
+        Runtime.run world;
+        Alcotest.(check (list string)) "tallied, not raised"
+          [
+            "stream 0->1: 0/1 delivered";
+            "stream 0->1: 1 out-of-order/duplicate arrivals";
+            "stream 0->1: 1 corrupted payloads surfaced";
+          ]
+          (stream_violations st));
     Alcotest.test_case "campaign is deterministic per seed" `Quick (fun () ->
         let digest t =
           List.map
@@ -712,6 +719,16 @@ let chaos_tests =
         let scenario = Runtime.Scenario.make ~seed:3 () in
         let a = run ~scenario ~quick:true () and b = run ~scenario ~quick:true () in
         Alcotest.(check bool) "bit-exact replay" true (digest a = digest b));
+    Alcotest.test_case "corrupt seed 12 is clean" `Quick (fun () ->
+        (* Until shim frames carried their class beside the payload, this
+           cell handed the stream handler a damaged frame whose magic
+           byte was hit: the shim passed it up as foreign traffic. Now it
+           is a counted corrupt drop and is retransmitted. *)
+        let r = run_cell ~quick:true (List.assoc "corrupt" (axis_cells ~seed:12)) in
+        Alcotest.(check (list string)) "no violations" [] r.violations;
+        Alcotest.(check int) "every stream payload accepted" 96 r.delivered;
+        Alcotest.(check bool) "damage was caught" true
+          (r.rel_corrupt_drops > 0));
   ]
 
 (* No cell touches state outside its own worlds, so a corrupting cell

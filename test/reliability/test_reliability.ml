@@ -131,6 +131,46 @@ let perfect_wire_tests =
         | _ -> Alcotest.fail "rtt summary missing");
   ]
 
+(* A stream of [n] payloads rank0 -> rank1 whose first payload has a
+   length no other frame of the run has, so a fault model can pick out
+   seq 0's transmissions by length. *)
+let stream_payloads ~n =
+  List.init n (fun i -> if i = 0 then "first" else Printf.sprintf "payload-%06d" i)
+
+let run_stream sched fabric ~n =
+  let got = ref [] in
+  Simnet.Fabric.register fabric (proc 1 0) (fun ~src:_ payload ->
+      got := Bytes.to_string payload :: !got);
+  Simnet.Fabric.register fabric (proc 0 0) (fun ~src:_ _ -> ());
+  List.iter
+    (fun p ->
+      Simnet.Fabric.send fabric ~src:(proc 0 0) ~dst:(proc 1 0)
+        (Bytes.of_string p))
+    (stream_payloads ~n);
+  (* A bounded run: a window that never drains fails the caller's
+     inflight check instead of re-arming its timer forever. *)
+  Scheduler.run ~until:(Time_ns.ms 1000.) sched;
+  List.rev !got
+
+(* Drops the first [transmissions] wire frames that carry seq 0 of
+   {!stream_payloads} (integrity off: header plus 5 payload bytes) and
+   calls [!passed] when one first gets through. *)
+let stuck_first ~transmissions =
+  let seen = ref 0 and passed = ref (fun () -> ()) in
+  let first_len = Reliability.Frame.header_size + 5 in
+  ( Simnet.Fault.custom (fun ~now:_ ~src ~dst:_ ~len ->
+        if src.Simnet.Proc_id.nid <> 0 || len <> first_len then
+          Simnet.Fault.Deliver
+        else begin
+          incr seen;
+          if !seen <= transmissions then Simnet.Fault.Drop
+          else begin
+            if !seen = transmissions + 1 then !passed ();
+            Simnet.Fault.Deliver
+          end
+        end),
+    passed )
+
 let lossy_wire_tests =
   [
     Alcotest.test_case "bernoulli loss: recovered, in order, exactly once"
@@ -198,6 +238,65 @@ let lossy_wire_tests =
            in
            let got, _, _ = exchange ~fault ~seed ~n:40 ~len:64 () in
            got = expected_payloads ~n:40 ~len:64));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"loss, duplication, reorder and a stuck oldest frame: in order, once"
+         ~count:40
+         QCheck.(
+           quad small_nat (int_range 0 15) (int_range 0 30)
+             (pair (int_range 1 128) (int_range 0 4)))
+         (fun (seed, loss_pct, dup_pct, (window, stuck)) ->
+           let n = 160 in
+           let config = { Reliability.default_config with Reliability.window } in
+           let sched, fabric, rel = mk ~config ~seed () in
+           let stuck_fault, _ = stuck_first ~transmissions:stuck in
+           Simnet.Fabric.set_fault_model fabric
+             (Some
+                (Simnet.Fault.compose
+                   [
+                     stuck_fault;
+                     Simnet.Fault.bernoulli ~seed
+                       ~p:(float_of_int loss_pct /. 100.) ();
+                     Simnet.Fault.duplicator ~seed:(seed + 1)
+                       ~p:(float_of_int dup_pct /. 100.) ();
+                     Simnet.Fault.delay ~seed:(seed + 2) ~mean:(Time_ns.us 10.)
+                       ~jitter:(Time_ns.us 10.) ~reorder:true ();
+                   ]));
+           let got = run_stream sched fabric ~n in
+           got = stream_payloads ~n
+           && (Reliability.stats rel).Reliability.delivered = n
+           && Reliability.inflight rel = 0));
+    Alcotest.test_case "a stuck oldest frame while more than 64 pass it" `Quick
+      (fun () ->
+        (* Seq 0 loses its first three transmissions. The window is wide
+           enough that more than 64 later frames are sent, and the first
+           63 of them SACKed, before seq 0 gets through: both rings must
+           grow past the SACK span, and delivery stays in order, once. *)
+        let n = 160 in
+        let config =
+          { Reliability.default_config with Reliability.window = 128 }
+        in
+        let sched, fabric, rel = mk ~config () in
+        let fault, passed = stuck_first ~transmissions:3 in
+        Simnet.Fabric.set_fault_model fabric (Some fault);
+        let sent_before_unstuck = ref 0 in
+        passed := (fun () ->
+          sent_before_unstuck := (Reliability.stats rel).Reliability.data_sent);
+        let got = run_stream sched fabric ~n in
+        Alcotest.(check (list string)) "in order, exactly once"
+          (stream_payloads ~n) got;
+        Alcotest.(check bool)
+          (Printf.sprintf "%d first transmissions before seq 0 passed"
+             !sent_before_unstuck)
+          true
+          (!sent_before_unstuck > 65);
+        (* Three timeouts pass before seq 0 gets through; resending the
+           whole 128-frame window at each would be 384 frames. *)
+        let resent = (Reliability.stats rel).Reliability.retransmits in
+        Alcotest.(check bool)
+          (Printf.sprintf "SACKed frames not resent (%d retransmits)" resent)
+          true (resent < 3 * 128);
+        Alcotest.(check int) "nothing left in flight" 0 (Reliability.inflight rel));
   ]
 
 let budget_tests =
@@ -336,6 +435,88 @@ let corruption_tests =
           ((Simnet.Fabric.stats fabric).Simnet.Fabric.drops_partitioned > 0);
         Alcotest.(check int) "nothing abandoned" 0
           (Reliability.stats rel).Reliability.retries_exhausted);
+  ]
+
+(* One data frame gets its magic byte flipped and another is cut to
+   0 bytes on the wire. Neither looks like a reliability frame any more,
+   but both are still shim frames: each must be a counted corrupt drop,
+   recovered by retransmission, never a payload handed up. *)
+let frame_class_tests =
+  [
+    Alcotest.test_case "flipped magic and 0-byte frames are corrupt drops"
+      `Quick (fun () ->
+        List.iter
+          (fun integrity ->
+            let data_frames = ref 0 in
+            let fault =
+              Simnet.Fault.custom (fun ~now:_ ~src ~dst:_ ~len:_ ->
+                  if src.Simnet.Proc_id.nid <> 0 then
+                    Simnet.Fault.Deliver
+                  else begin
+                    incr data_frames;
+                    match !data_frames with
+                    | 2 -> Simnet.Fault.Corrupt (Simnet.Fault.Flip { bit = 0 })
+                    | 4 -> Simnet.Fault.Corrupt (Simnet.Fault.Truncate { keep = 0 })
+                    | _ -> Simnet.Fault.Deliver
+                  end)
+            in
+            let got, rel, fabric =
+              exchange ~fault ~integrity ~n:6 ~len:32 ()
+            in
+            let label = Printf.sprintf "integrity %b: " integrity in
+            Alcotest.(check (list string)) (label ^ "delivered intact, once")
+              (expected_payloads ~n:6 ~len:32)
+              got;
+            let st = Reliability.stats rel in
+            Alcotest.(check int) (label ^ "two corrupt drops") 2
+              st.Reliability.corrupt_drops;
+            Alcotest.(check bool) (label ^ "recovered by retransmission") true
+              (st.Reliability.retransmits > 0);
+            Alcotest.(check int) (label ^ "two frames damaged") 2
+              (Simnet.Fabric.stats fabric).Simnet.Fabric.corrupts_injected)
+          [ true; false ]);
+    Alcotest.test_case "raw datagrams bypass the shim" `Quick (fun () ->
+        (* Liveness beats travel with send_raw: no sequence number, no
+           acknowledgment, handed straight to the handler, and a damaged
+           one is not the shim's to judge. *)
+        let sched, fabric, rel = mk ~integrity:true () in
+        let got = ref [] in
+        Simnet.Fabric.register fabric (proc 1 0) (fun ~src:_ payload ->
+            got := Bytes.to_string payload :: !got);
+        Simnet.Fabric.send_raw fabric ~src:(proc 0 0) ~dst:(proc 1 0)
+          (Bytes.of_string "\xA7");
+        Simnet.Fabric.send_raw fabric ~src:(proc 0 0) ~dst:(proc 1 0)
+          Bytes.empty;
+        Scheduler.run sched;
+        Alcotest.(check (list string)) "both handed up" [ "\xA7"; "" ]
+          (List.rev !got);
+        let st = Reliability.stats rel in
+        Alcotest.(check int) "not counted as shim traffic" 0
+          (st.Reliability.delivered + st.Reliability.acks_sent
+         + st.Reliability.corrupt_drops));
+    Alcotest.test_case "a damaged seq in an unchecked frame is not buffered"
+      `Quick (fun () ->
+        (* Integrity off: a bit flip in the high bytes of the third data
+           frame's seq makes it look 2^54 frames ahead. The receiver must
+           not size its reorder ring for that; the real frame is resent
+           and the stream still arrives in order, once. *)
+        let data_frames = ref 0 in
+        let fault =
+          Simnet.Fault.custom (fun ~now:_ ~src ~dst:_ ~len:_ ->
+              if src.Simnet.Proc_id.nid <> 0 then Simnet.Fault.Deliver
+              else begin
+                incr data_frames;
+                if !data_frames = 3 then
+                  Simnet.Fault.Corrupt (Simnet.Fault.Flip { bit = (8 * 8) + 6 })
+                else Simnet.Fault.Deliver
+              end)
+        in
+        let got, rel, _ = exchange ~fault ~n:6 ~len:32 () in
+        Alcotest.(check (list string)) "in order, once"
+          (expected_payloads ~n:6 ~len:32)
+          got;
+        Alcotest.(check bool) "the real frame was resent" true
+          ((Reliability.stats rel).Reliability.retransmits > 0));
   ]
 
 let chaos_grid_tests =
@@ -500,4 +681,5 @@ let () =
       ("corruption", corruption_tests);
       ("chaos grid", chaos_grid_tests);
       ("crash", crash_tests);
+      ("frame class", frame_class_tests);
     ]

@@ -67,6 +67,29 @@ let frame_tests =
              && d.Rtscts.Frame.offset = off
              && frame_payload d = s
            | Error _ -> false));
+    Alcotest.test_case "flipped magic and 0-byte frames are rejected" `Quick
+      (fun () ->
+        (* The codec has no checksum of its own (on a faulty fabric its
+           frames ride inside CRC-checked shim frames), so it must still
+           refuse the two damages that pass for foreign traffic. *)
+        let f =
+          {
+            Rtscts.Frame.kind = Rtscts.Frame.Eager;
+            msg_id = 7;
+            total_len = 5;
+            offset = 0;
+            payload = Bytes.of_string "hello";
+            pay_off = 0;
+            pay_len = 5;
+          }
+        in
+        let frame = Rtscts.Frame.encode f in
+        Bytes.set_uint8 frame 0 (Bytes.get_uint8 frame 0 lxor 1);
+        Alcotest.(check (result reject string)) "flipped magic"
+          (Error "rtscts frame: bad magic") (Rtscts.Frame.decode frame);
+        Alcotest.(check (result reject string)) "empty frame"
+          (Error "rtscts frame: truncated header")
+          (Rtscts.Frame.decode Bytes.empty));
   ]
 
 (* The GM framing of the MPI layer decodes receive tokens in place; a

@@ -18,6 +18,113 @@ let proc_id_tests =
            let a = Proc_id.make ~nid:n1 ~pid:p1 in
            let b = Proc_id.make ~nid:n2 ~pid:p2 in
            Proc_id.equal a b = (Proc_id.compare a b = 0)));
+    Alcotest.test_case "pair-table keys differing only in pid stay distinct"
+      `Quick (fun () ->
+        let tbl = Proc_id.Pair_tbl.create 1 in
+        let p nid pid = Proc_id.make ~nid ~pid in
+        Proc_id.Pair_tbl.add tbl (p 0 0) (p 1 0) "a";
+        Proc_id.Pair_tbl.add tbl (p 0 1) (p 1 0) "b";
+        Proc_id.Pair_tbl.add tbl (p 0 0) (p 1 1) "c";
+        Proc_id.Pair_tbl.add tbl (p 1 0) (p 0 0) "d";
+        let find a b = Proc_id.Pair_tbl.find tbl a b in
+        Alcotest.(check (list string)) "each pair its own binding"
+          [ "a"; "b"; "c"; "d" ]
+          [
+            find (p 0 0) (p 1 0);
+            find (p 0 1) (p 1 0);
+            find (p 0 0) (p 1 1);
+            find (p 1 0) (p 0 0);
+          ];
+        Alcotest.(check int) "four bindings" 4
+          (Proc_id.Pair_tbl.fold (fun _ _ _ n -> n + 1) tbl 0);
+        Alcotest.check_raises "absent pair" Not_found (fun () ->
+            ignore (find (p 0 1) (p 1 1)));
+        (* Enough pids on one node pair that buckets must be shared. *)
+        let many = Proc_id.Pair_tbl.create 1 in
+        for i = 0 to 99 do
+          Proc_id.Pair_tbl.add many (p 2 i) (p 3 0) i;
+          Proc_id.Pair_tbl.add many (p 3 0) (p 2 i) (100 + i)
+        done;
+        for i = 0 to 99 do
+          Alcotest.(check int) "src pid keys" i
+            (Proc_id.Pair_tbl.find many (p 2 i) (p 3 0));
+          Alcotest.(check int) "dst pid keys" (100 + i)
+            (Proc_id.Pair_tbl.find many (p 3 0) (p 2 i))
+        done);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"pair table agrees with an association list"
+         ~count:200
+         QCheck.(list (quad (int_bound 5) (int_bound 2) (int_bound 5) (int_bound 2)))
+         (fun quads ->
+           let tbl = Proc_id.Pair_tbl.create 1 in
+           let model = ref [] in
+           List.iteri
+             (fun i (n1, p1, n2, p2) ->
+               let k = (n1, p1, n2, p2) in
+               if not (List.mem_assoc k !model) then begin
+                 model := (k, i) :: !model;
+                 Proc_id.Pair_tbl.add tbl
+                   (Proc_id.make ~nid:n1 ~pid:p1)
+                   (Proc_id.make ~nid:n2 ~pid:p2)
+                   i
+               end)
+             quads;
+           (* Drop the bindings out of node 0, as a peer reset does. *)
+           Proc_id.Pair_tbl.filter_inplace
+             (fun src _ _ -> src.Proc_id.nid <> 0)
+             tbl;
+           let model = List.filter (fun ((n1, _, _, _), _) -> n1 <> 0) !model in
+           Proc_id.Pair_tbl.fold (fun _ _ _ n -> n + 1) tbl 0
+           = List.length model
+           && List.for_all
+                (fun ((n1, p1, n2, p2), i) ->
+                  Proc_id.Pair_tbl.find tbl
+                    (Proc_id.make ~nid:n1 ~pid:p1)
+                    (Proc_id.make ~nid:n2 ~pid:p2)
+                  = i)
+                model
+           && Proc_id.Pair_tbl.fold (fun _ _ i acc -> acc + i) tbl 0
+              = List.fold_left (fun acc (_, i) -> acc + i) 0 model));
+  ]
+
+(* The byte-at-a-time CRC-32C the slicing-by-8 code must agree with. *)
+let crc32c_reference buf ~pos ~len =
+  let crc = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    crc := !crc lxor Char.code (Bytes.get buf i);
+    for _ = 0 to 7 do
+      crc :=
+        if !crc land 1 = 1 then 0x82F63B78 lxor (!crc lsr 1) else !crc lsr 1
+    done
+  done;
+  !crc lxor 0xFFFFFFFF
+
+let crc32c_tests =
+  [
+    Alcotest.test_case "known answer: \"123456789\"" `Quick (fun () ->
+        Alcotest.(check int) "check value" 0xE3069283
+          (Crc32c.digest_string "123456789");
+        Alcotest.(check int) "empty" 0 (Crc32c.digest Bytes.empty));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"slicing-by-8 equals the bytewise reference"
+         ~count:500
+         QCheck.(triple (string_of_size Gen.(0 -- 300)) small_nat small_nat)
+         (fun (s, a, b) ->
+           let buf = Bytes.of_string s in
+           let n = Bytes.length buf in
+           let pos = if n = 0 then 0 else a mod (n + 1) in
+           let len = if n - pos = 0 then 0 else b mod (n - pos + 1) in
+           Crc32c.digest ~pos ~len buf = crc32c_reference buf ~pos ~len));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"update over two parts equals one digest"
+         ~count:200
+         QCheck.(pair (string_of_size Gen.(0 -- 100)) small_nat)
+         (fun (s, cut) ->
+           let buf = Bytes.of_string s in
+           let n = Bytes.length buf in
+           let cut = if n = 0 then 0 else cut mod (n + 1) in
+           let first = Crc32c.update 0 buf ~pos:0 ~len:cut in
+           Crc32c.update first buf ~pos:cut ~len:(n - cut) = Crc32c.digest buf));
   ]
 
 let profile_tests =
@@ -421,6 +528,38 @@ let fabric_tests =
            !delivered = List.length sizes
            && s.Fabric.messages_sent = List.length sizes
            && s.Fabric.bytes_sent = List.fold_left ( + ) 0 sizes));
+    Alcotest.test_case "frame class rides beside the bytes" `Quick (fun () ->
+        (* Every frame is damaged in flight; the class still decides who
+           gets it: shim frames reach the shim, raw datagrams the
+           handler, whatever their bytes became. *)
+        List.iter
+          (fun topology ->
+            let sched = Scheduler.create () in
+            let fabric =
+              Fabric.create ~topology sched ~profile:Profile.myrinet_mcp
+                ~nodes:4
+            in
+            Fabric.set_fault_model fabric
+              (Some (Fault.corrupt ~seed:1 ~p:1.0 ()));
+            let to_shim = ref 0 and to_handler = ref 0 in
+            Fabric.install_shim fabric
+              {
+                Fabric.shim_tx = (fun ~src:_ ~dst:_ _ -> ());
+                shim_rx = (fun ~src:_ ~dst:_ _ -> incr to_shim);
+              };
+            Fabric.register fabric (pid 3 0) (fun ~src:_ _ -> incr to_handler);
+            for _ = 1 to 5 do
+              Fabric.send_framed fabric ~src:(pid 0 0) ~dst:(pid 3 0)
+                (Bytes.make 16 '\xA7');
+              Fabric.send_raw fabric ~src:(pid 0 0) ~dst:(pid 3 0)
+                (Bytes.make 16 '\xA7')
+            done;
+            Scheduler.run sched;
+            let name = Topology.describe topology in
+            Alcotest.(check int) (name ^ ": shim frames to the shim") 5 !to_shim;
+            Alcotest.(check int) (name ^ ": raw datagrams to the handler") 5
+              !to_handler)
+          [ Topology.Full; Topology.Ring ]);
   ]
 
 let fabric_topology_tests =
@@ -1464,4 +1603,5 @@ let () =
       ("shard_map", shard_map_tests);
       ("transport", transport_tests);
       ("probe_families", probe_family_tests);
+      ("crc32c", crc32c_tests);
     ]
