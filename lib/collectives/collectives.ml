@@ -23,11 +23,11 @@ type t = {
 }
 
 (* Collective steps are short (reduction fragments, barrier tokens), so
-   the per-rank eager pool is deliberately small: the Pool defaults
-   (4 x 128 KiB slabs, EQ depth 4096) cost half a megabyte of zeroed
-   buffer per rank, which dominates world setup in the 1024-node scaling
-   sweeps. Callers moving large bcast/alltoall payloads can raise
-   [slab_size] (see {!Pool.largest_message}). *)
+   the per-rank eager pool is deliberately small: with the Pool defaults
+   (4 x 128 KiB slabs, EQ depth 4096) creating a pool backs a 128 KiB
+   slab per rank, which would dominate world setup in the 1024-node
+   scaling sweeps. Callers moving large bcast/alltoall payloads can
+   raise [slab_size] (see {!Pool.largest_message}). *)
 let create ni ~ranks ~rank ?(portal_index = 6) ?(slab_size = 16_384)
     ?(slab_count = 2) ?(eq_capacity = 1024) ?host_cpu
     ?(host_step = Sim_engine.Time_ns.ns 2_000) () =

@@ -1,8 +1,13 @@
 module P = Portals
 
+(* A slab's memory is a reservation, as in [Mpi_portals]: the NI creates
+   it on the first deposit, and re-arming attaches a new MD over the same
+   reservation. [create] backs slab 0 only, where every pool's first
+   message lands; the overflow slabs cost memory once traffic reaches
+   them. *)
 type slab = {
   s_idx : int;
-  s_buffer : bytes;
+  s_memory : P.Md.reservation;
   mutable s_meh : P.Handle.me;
   mutable s_mdh : P.Handle.md;
   mutable s_outstanding : int;
@@ -29,9 +34,11 @@ type t = {
      The NI copies payload into the wire image synchronously inside
      [put], so the scratch is free again as soon as the call returns —
      no per-message md_bind/unlink churn, and with no event queue and an
-     infinite threshold the NI elides the SENT completion too. *)
-  scratch_buf : bytes;
-  scratch_mdh : P.Handle.md;
+     infinite threshold the NI elides the SENT completion too. It starts
+     at [scratch_initial] bytes and doubles, up to [slab_size], when a
+     payload does not fit; its descriptor is re-bound then. *)
+  mutable scratch_buf : bytes;
+  mutable scratch_mdh : P.Handle.md;
 }
 
 exception Eq_overflow of { capacity : int; dropped : int }
@@ -67,26 +74,30 @@ let attach_slab t slab =
   let mdh =
     ok_exn ~op:"pool md_attach"
       (P.Ni.md_attach t.pool_ni ~me:meh
-         (P.Ni.md_spec ~options:slab_options ~threshold:P.Md.Infinite
+         (P.Ni.md_spec_reserved ~options:slab_options ~threshold:P.Md.Infinite
             ~unlink:P.Md.Retain ~eq:t.eqh
             ~user_ptr:(-(slab.s_idx + 1))
-            slab.s_buffer))
+            slab.s_memory))
   in
   slab.s_meh <- meh;
   slab.s_mdh <- mdh
+
+(* Small enough to stay in the minor heap. *)
+let scratch_initial = 1024
+
+let bind_scratch ni buf =
+  ok_exn ~op:"pool scratch md_bind"
+    (P.Ni.md_bind ni
+       (P.Ni.md_spec
+          ~options:{ P.Md.default_options with P.Md.ack_disable = true }
+          ~threshold:P.Md.Infinite ~unlink:P.Md.Retain buf))
 
 let create ni ~portal_index ?(slab_size = 131_072) ?(slab_count = 4)
     ?(eq_capacity = 4096) () =
   let eqh = ok_exn ~op:"pool eq_alloc" (P.Ni.eq_alloc ni ~capacity:eq_capacity) in
   let eqq = ok_exn ~op:"pool eq" (P.Ni.eq ni eqh) in
-  let scratch_buf = Bytes.create slab_size in
-  let scratch_mdh =
-    ok_exn ~op:"pool scratch md_bind"
-      (P.Ni.md_bind ni
-         (P.Ni.md_spec
-            ~options:{ P.Md.default_options with P.Md.ack_disable = true }
-            ~threshold:P.Md.Infinite ~unlink:P.Md.Retain scratch_buf))
-  in
+  let scratch_buf = Bytes.create (min slab_size scratch_initial) in
+  let scratch_mdh = bind_scratch ni scratch_buf in
   let t =
     {
       pool_ni = ni;
@@ -98,7 +109,7 @@ let create ni ~portal_index ?(slab_size = 131_072) ?(slab_count = 4)
         Array.init slab_count (fun s_idx ->
             {
               s_idx;
-              s_buffer = Bytes.create slab_size;
+              s_memory = P.Md.reserve slab_size;
               s_meh = P.Handle.none;
               s_mdh = P.Handle.none;
               s_outstanding = 0;
@@ -109,15 +120,24 @@ let create ni ~portal_index ?(slab_size = 131_072) ?(slab_count = 4)
       scratch_mdh;
     }
   in
+  if slab_count > 0 then ignore (P.Md.reserved_bytes t.slabs.(0).s_memory);
   Array.iter (fun slab -> attach_slab t slab) t.slabs;
   t
 
 let ni t = t.pool_ni
 
+let grow_scratch t len =
+  let rec double n = if n >= len then n else double (2 * n) in
+  let buf = Bytes.create (min t.slab_size (double (2 * Bytes.length t.scratch_buf))) in
+  ok_exn ~op:"pool scratch md_unlink" (P.Ni.md_unlink t.pool_ni t.scratch_mdh);
+  t.scratch_buf <- buf;
+  t.scratch_mdh <- bind_scratch t.pool_ni buf
+
 let send t ~dst ~bits payload =
   let len = Bytes.length payload in
-  if len > Bytes.length t.scratch_buf then
+  if len > t.slab_size then
     invalid_arg "Pool.send: payload larger than the pool's slab size";
+  if len > Bytes.length t.scratch_buf then grow_scratch t len;
   Bytes.blit payload 0 t.scratch_buf 0 len;
   ok_exn ~op:"pool put"
     (P.Ni.put t.pool_ni ~md:t.scratch_mdh ~ack:false ~length:len
@@ -189,7 +209,7 @@ let rec recv t ~bits =
   check_overflow t;
   match take t ~bits with
   | Some p ->
-    let data = Bytes.sub p.p_slab.s_buffer p.p_off p.p_len in
+    let data = Bytes.sub (P.Md.reserved_bytes p.p_slab.s_memory) p.p_off p.p_len in
     p.p_slab.s_outstanding <- p.p_slab.s_outstanding - 1;
     maybe_rearm t p.p_slab;
     data

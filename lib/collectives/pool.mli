@@ -28,14 +28,21 @@ val create :
     arrival the owner has not yet drained: size it from the job (for a
     gather, at least the number of messages in flight to this rank). Its
     ring grows with use, so depth costs nothing on ranks that receive
-    little. *)
+    little.
+
+    What [create] allocates: the bytes of slab 0, where the first
+    message lands, and a send scratch of at most 1 KiB. Every other slab
+    is an {!Portals.Md.reservation} whose bytes the NI creates on the
+    first message that lands in it, and the scratch doubles, up to
+    [slab_size], the first time a {!send} needs more. *)
 
 val ni : t -> Portals.Ni.t
 
 val send :
   t -> dst:Simnet.Proc_id.t -> bits:Portals.Match_bits.t -> bytes -> unit
 (** Fire-and-forget put to the peer's pool on the same portal index. The
-    fabric is reliable, so no completion tracking is needed. *)
+    fabric is reliable, so no completion tracking is needed. Raises
+    [Invalid_argument] when the payload is longer than [slab_size]. *)
 
 val recv : t -> bits:Portals.Match_bits.t -> bytes
 (** Fiber-only: block until a pooled message with exactly [bits] has

@@ -103,6 +103,10 @@ let buffer t =
     seg.seg_buf
   | _ -> invalid_arg "Md.buffer: gather/scatter descriptor (use read)"
 
+let reserved_bytes r =
+  back r;
+  r.seg_buf
+
 let whole_buffer t =
   match t.iov with
   | [| seg |] when seg.seg_off = 0 ->

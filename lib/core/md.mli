@@ -105,6 +105,11 @@ val buffer : t -> bytes
     bytes are created by this call if nothing touched them yet); raises
     [Invalid_argument] for gather/scatter descriptors. *)
 
+val reserved_bytes : reservation -> bytes
+(** The reservation's bytes, created by this call if nothing touched
+    them yet: how the owner of a reserved slab reads what landed in it
+    with no descriptor and no intermediate copy. *)
+
 val whole_buffer : t -> bytes option
 (** The backing buffer when the region is exactly one whole buffer (one
     segment, offset 0, every byte of it), so that operating on the

@@ -208,6 +208,7 @@ let push r ~x ~y =
     r.r_len <- r.r_len + 1
   end
 
+let series_enabled r = !(r.r_enabled)
 let series_points r = List.rev r.r_rev_points
 let series_length r = r.r_len
 

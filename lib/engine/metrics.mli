@@ -111,6 +111,11 @@ val push : series -> x:float -> y:float -> unit
 (** Record one point. No-op unless the registry's detail level is on
     ({!set_detail}). *)
 
+val series_enabled : series -> bool
+(** Whether {!push} records right now. Callers guard with it where
+    building a point's coordinates costs something (boxed floats), so
+    that sampling switched off costs one branch. *)
+
 val series_points : series -> (float * float) list
 val series_length : series -> int
 

@@ -16,10 +16,15 @@ type stats = {
   tokens_available : int;
 }
 
+(* The receive tokens of one size, oldest first. *)
+type token_class = { tc_size : int; tc_tokens : bytes Queue.t }
+
 type t = {
   tp : Simnet.Transport.t;
   self : Simnet.Proc_id.t;
-  tokens : bytes Queue.t;
+  (* Non-empty classes, smallest size first. *)
+  mutable token_classes : token_class list;
+  mutable token_count : int;
   events : event Queue.t;
   nonempty : Sim_engine.Sync.Waitq.t;
   depth_series : Sim_engine.Metrics.series;
@@ -34,27 +39,48 @@ type t = {
 (* The port's event queue is GM's analogue of a Portals event queue, so it
    publishes the same "eq.depth" series the Fig. 6 comparison reads. *)
 let record_depth t =
-  let sched = t.tp.Simnet.Transport.sched in
-  Sim_engine.Metrics.push t.depth_series
-    ~x:(Sim_engine.Time_ns.to_us (Sim_engine.Scheduler.now sched))
-    ~y:(float_of_int (Queue.length t.events))
+  if Sim_engine.Metrics.series_enabled t.depth_series then begin
+    let sched = t.tp.Simnet.Transport.sched in
+    Sim_engine.Metrics.push t.depth_series
+      ~x:(Sim_engine.Time_ns.to_us (Sim_engine.Scheduler.now sched))
+      ~y:(float_of_int (Queue.length t.events))
+  end
 
-(* Take the first token that can hold [len] bytes, preserving the FIFO
-   order of the rest. *)
+let rec find_class size = function
+  | [] -> None
+  | c :: rest -> if c.tc_size = size then Some c else find_class size rest
+
+let rec insert_class c = function
+  | c' :: rest when c'.tc_size < c.tc_size -> c' :: insert_class c rest
+  | classes -> c :: classes
+
+let provide_receive_token t buffer =
+  let size = Bytes.length buffer in
+  (match find_class size t.token_classes with
+  | Some c -> Queue.add buffer c.tc_tokens
+  | None ->
+    let c = { tc_size = size; tc_tokens = Queue.create () } in
+    Queue.add buffer c.tc_tokens;
+    t.token_classes <- insert_class c t.token_classes);
+  t.token_count <- t.token_count + 1
+
+let rec smallest_fit len = function
+  | [] -> None
+  | c :: rest -> if c.tc_size >= len then Some c else smallest_fit len rest
+
+(* Best fit: the oldest token of the smallest size that holds [len]
+   bytes, so an eager message never takes the larger token granted for
+   a rendezvous while an eager token fits; the rendezvous data would
+   then find no token and be dropped. *)
 let take_token t len =
-  let n = Queue.length t.tokens in
-  let rec rotate i found =
-    if i >= n then found
-    else begin
-      let tok = Queue.pop t.tokens in
-      match found with
-      | None when Bytes.length tok >= len -> rotate (i + 1) (Some tok)
-      | None | Some _ ->
-        Queue.add tok t.tokens;
-        rotate (i + 1) found
-    end
-  in
-  rotate 0 None
+  match smallest_fit len t.token_classes with
+  | None -> None
+  | Some c ->
+    let tok = Queue.pop c.tc_tokens in
+    if Queue.is_empty c.tc_tokens then
+      t.token_classes <- List.filter (fun c' -> c' != c) t.token_classes;
+    t.token_count <- t.token_count - 1;
+    Some tok
 
 let on_arrival t ~src payload =
   if t.live then begin
@@ -78,7 +104,8 @@ let open_port tp ~id:self =
     {
       tp;
       self;
-      tokens = Queue.create ();
+      token_classes = [];
+      token_count = 0;
       events = Queue.create ();
       nonempty = Sim_engine.Sync.Waitq.create ~name:"gm-port" sched;
       depth_series =
@@ -109,7 +136,6 @@ let close t =
   end
 
 let id t = t.self
-let provide_receive_token t buffer = Queue.add buffer t.tokens
 
 let send t ~dst payload =
   t.s_sends <- t.s_sends + 1;
@@ -150,5 +176,5 @@ let stats t =
     receives = t.s_receives;
     drops_no_token = t.s_drops;
     polls = t.s_polls;
-    tokens_available = Queue.length t.tokens;
+    tokens_available = t.token_count;
   }

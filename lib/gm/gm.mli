@@ -8,10 +8,12 @@
     response — only when the application calls {!poll}. That distinction
     is exactly what Figure 6 of the paper measures.
 
-    Model: a port owns a FIFO of receive tokens (buffers). An arriving
-    message consumes the first token large enough to hold it; with no
-    usable token the message is dropped and counted (GM requires the
-    receiver to provision tokens ahead of traffic). Completion events
+    Model: a port owns receive tokens (buffers), one FIFO per size. An
+    arriving message consumes the oldest token of the smallest size that
+    holds it (GM matches receive buffers by size class too), so a large
+    token provided for one expected message is not spent on a small one;
+    with no usable token the message is dropped and counted (GM requires
+    the receiver to provision tokens ahead of traffic). Completion events
     accumulate in a port-internal queue that only {!poll} drains. *)
 
 type event =
@@ -43,7 +45,7 @@ val close : t -> unit
 val id : t -> Simnet.Proc_id.t
 
 val provide_receive_token : t -> bytes -> unit
-(** Append a receive buffer to the token FIFO. *)
+(** Append a receive buffer to the FIFO of tokens of its size. *)
 
 val send : t -> dst:Simnet.Proc_id.t -> bytes -> unit
 (** Asynchronous send; a [Send_complete] event is queued once the data

@@ -12,7 +12,15 @@ type request = C.request
 (* What each GM send's completion event means, FIFO with Send_complete. *)
 type sent_kind = Sk_eager of request | Sk_data of request | Sk_control
 
-type dev = { gm_port : Gm.t; sent_fifo : sent_kind Queue.t }
+(* [spare] binds each rendezvous token size to the tokens of that size
+   that have been drained, most recent first ([Hashtbl.add] stacks
+   bindings), so a later grant of the same size reuses one instead of
+   allocating a payload-sized buffer. *)
+type dev = {
+  gm_port : Gm.t;
+  sent_fifo : sent_kind Queue.t;
+  spare : (int, bytes) Hashtbl.t;
+}
 
 (* A granted rendezvous keeps nothing beyond the core's entry: its data
    lands in a token, not in a registered region. *)
@@ -40,12 +48,20 @@ let send_rts t (req : request) env ~cookie =
     (Envelope.Gm_rts { env; cookie; total_len = Bytes.length req.C.buffer })
     Sk_control
 
+let rendezvous_token (t : t) size =
+  let spare = (C.dev t).spare in
+  match Hashtbl.find_opt spare size with
+  | Some token ->
+    Hashtbl.remove spare size;
+    token
+  | None -> Bytes.create size
+
 (* Grant a matched rendezvous: provision a token big enough for the data
    message, then tell the sender to go. *)
 let grant_rts (t : t) req env ~cookie ~total =
   Hashtbl.replace (C.awaiting_data t) cookie (req, env, ());
   Gm.provide_receive_token (port t)
-    (Bytes.create (total + Envelope.gm_header_size));
+    (rendezvous_token t (total + Envelope.gm_header_size));
   gm_send t ~dst:env.Envelope.src_rank (Envelope.Gm_cts { cookie }) Sk_control
 
 (* [token] is decoded in place: matched payloads are blitted straight
@@ -89,9 +105,11 @@ let progress_raw (t : t) =
     | Some (Gm.Recv_complete { buffer; length; _ }) ->
       handle_recv t buffer length;
       (* Recycle the token (unexpected eagers were copied out of it, so
-         the buffer is free either way). *)
-      if Bytes.length buffer = token_size t then
-        Gm.provide_receive_token (port t) buffer;
+         the buffer is free either way): an eager token goes back to the
+         port, a rendezvous token waits for the next grant of its size. *)
+      let size = Bytes.length buffer in
+      if size = token_size t then Gm.provide_receive_token (port t) buffer
+      else Hashtbl.add (C.dev t).spare size buffer;
       drain ()
     | Some (Gm.Send_complete _) ->
       handle_sent t;
@@ -117,7 +135,11 @@ let create tp ~ranks ~rank ?(config = default_config) () =
   let t =
     C.create ~name:"Mpi_gm" ~ops ~eager_threshold:config.eager_threshold
       ~call_cost:config.call_cost tp ~ranks ~rank (fun id ->
-        { gm_port = Gm.open_port tp ~id; sent_fifo = Queue.create () })
+        {
+          gm_port = Gm.open_port tp ~id;
+          sent_fifo = Queue.create ();
+          spare = Hashtbl.create 4;
+        })
   in
   for _ = 1 to config.recv_tokens do
     Gm.provide_receive_token (port t) (Bytes.create (token_size t))

@@ -122,9 +122,10 @@ let stats t =
 let on_give_up t f = t.give_up <- f
 
 let sample_window t =
-  Metrics.push t.m_window
-    ~x:(Time_ns.to_us (Scheduler.now t.sched))
-    ~y:(float_of_int t.inflight_total)
+  if Metrics.series_enabled t.m_window then
+    Metrics.push t.m_window
+      ~x:(Time_ns.to_us (Scheduler.now t.sched))
+      ~y:(float_of_int t.inflight_total)
 
 let tx_of t ~src ~dst =
   match Simnet.Proc_id.Pair_tbl.find t.txs src dst with

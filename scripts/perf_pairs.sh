@@ -1,14 +1,18 @@
 #!/usr/bin/env bash
 # Paired benchmark comparison of a commit against the working tree:
 #
-#   bash scripts/perf_pairs.sh REV WORKLOAD [PAIRS [SEED]]
+#   bash scripts/perf_pairs.sh REV WORKLOADS [PAIRS [SEED]]
 #   make perf-pairs REV=HEAD WORKLOAD=coll PAIRS=10 SEED=0
 #
+# WORKLOADS is one workload, a comma-separated list (gather,paper) or
+# `all` (every workload BENCHMARK.json declares, in its order).
+#
 # Exports REV (`git archive`) into a temporary directory and builds the
-# benchmark there and in the working tree. Then it runs
+# benchmark there and in the working tree. Then, for each workload in
+# turn, it runs
 # `sh perfbench/run.sh --workload WORKLOAD --seed SEED --trace 0` on both
 # sides PAIRS times (default 10; SEED defaults to 0), alternating which
-# side runs first.
+# side runs first, and prints that workload's table.
 #
 # For every end-to-end metric it prints each side's median and quartiles,
 # the change in the median, and how many pairs the working tree won (ties
@@ -21,17 +25,31 @@
 set -euo pipefail
 
 usage() {
-  echo "usage: bash scripts/perf_pairs.sh REV WORKLOAD [PAIRS [SEED]]" >&2
+  echo "usage: bash scripts/perf_pairs.sh REV WORKLOAD[,WORKLOAD...]|all [PAIRS [SEED]]" >&2
   exit 2
 }
 [ $# -ge 2 ] && [ $# -le 4 ] || usage
-rev=$1 workload=$2 pairs=${3:-10} seed=${4:-0}
+rev=$1 workloads=$2 pairs=${3:-10} seed=${4:-0}
 case $pairs in '' | *[!0-9]* | 0 | 1) usage ;; esac
 case $seed in '' | *[!0-9]*) usage ;; esac
 if [ ! -f dune-project ] || [ ! -f perfbench/run.sh ] || [ ! -f BENCHMARK.json ]; then
   echo "perf_pairs: run from the root of a portals_repro checkout" >&2
   exit 2
 fi
+declared=$(python3 -c 'import json
+print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+if [ "$workloads" = all ]; then
+  workloads=$declared
+else
+  workloads=${workloads//,/ }
+  for w in $workloads; do
+    case " $declared " in *" $w "*) ;; *)
+      echo "perf_pairs: unknown workload $w (declared: $declared)" >&2
+      exit 2 ;;
+    esac
+  done
+fi
+[ -n "${workloads// /}" ] || usage
 
 tree=$(pwd)
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/perf_pairs.XXXXXX")
@@ -44,20 +62,13 @@ for dir in "$tmp/rev" "$tree"; do
   (cd "$dir" && DUNE_CACHE=disabled dune build --root . ./perfbench/suite.exe)
 done
 
-run() { # side dir
-  (cd "$2" && sh perfbench/run.sh --workload "$workload" --seed "$seed" \
-    --trace 0 | tail -n 1) >>"$tmp/$1.jsonl"
+run() { # side dir workload
+  (cd "$2" && sh perfbench/run.sh --workload "$3" --seed "$seed" \
+    --trace 0 | tail -n 1) >>"$tmp/$3.$1.jsonl"
 }
-for i in $(seq 1 "$pairs"); do
-  if [ $((i % 2)) -eq 1 ]; then
-    run rev "$tmp/rev"; run tree "$tree"
-  else
-    run tree "$tree"; run rev "$tmp/rev"
-  fi
-  echo "pair $i/$pairs done" >&2
-done
 
-python3 - "$tmp/rev.jsonl" "$tmp/tree.jsonl" "$rev" "$workload" "$seed" <<'EOF'
+table() { # workload
+python3 - "$tmp/$1.rev.jsonl" "$tmp/$1.tree.jsonl" "$rev" "$1" "$seed" <<'EOF'
 import json
 import statistics
 import sys
@@ -101,3 +112,19 @@ for name, m in spec.items():
         vals = " ".join(f"{r['metrics'][name]['value']:.4g}" for r in rs)
         print(f"{name:14} {side:4} {vals} {m['unit']}")
 EOF
+}
+
+first=1
+for workload in $workloads; do
+  for i in $(seq 1 "$pairs"); do
+    if [ $((i % 2)) -eq 1 ]; then
+      run rev "$tmp/rev" "$workload"; run tree "$tree" "$workload"
+    else
+      run tree "$tree" "$workload"; run rev "$tmp/rev" "$workload"
+    fi
+    echo "$workload: pair $i/$pairs done" >&2
+  done
+  [ $first -eq 1 ] || echo
+  first=0
+  table "$workload"
+done

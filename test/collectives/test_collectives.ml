@@ -232,6 +232,41 @@ let float_helpers_tests =
           (Collectives.floats_of_bytes acc));
   ]
 
+(* Words this domain allocates in [f]; emptying the minor heap on both
+   sides makes the count exact. *)
+let words_during f =
+  Gc.minor ();
+  let minor0, promoted0, major0 = Gc.counters () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor ();
+  let minor1, promoted1, major1 = Gc.counters () in
+  int_of_float (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
+(* A two-rank world with one pool per rank: rank 1 runs [sender], rank 0
+   runs [receiver]. *)
+let with_pools ?slab_size ?slab_count ~sender ~receiver () =
+  let world = Runtime.create_world ~nodes:2 () in
+  let pools =
+    Array.map
+      (fun pid ->
+        Collectives.Pool.create
+          (Portals.Ni.create world.Runtime.transport ~id:pid ())
+          ~portal_index:6 ?slab_size ?slab_count ())
+      world.Runtime.ranks
+  in
+  let sched = world.Runtime.sched in
+  Scheduler.spawn sched (fun () ->
+      sender sched (fun bits payload ->
+          Collectives.Pool.send pools.(1) ~dst:world.Runtime.ranks.(0)
+            ~bits:(Portals.Match_bits.of_int bits) payload));
+  Scheduler.spawn sched (fun () ->
+      receiver sched (fun bits ->
+          Collectives.Pool.recv pools.(0) ~bits:(Portals.Match_bits.of_int bits)));
+  Runtime.run world
+
+(* A payload that differs from every other one of the same length. *)
+let pattern i len = Bytes.init len (fun j -> Char.chr (((i * 37) + j) land 255))
+
 let pool_tests =
   [
     Alcotest.test_case "recv claims by bits; FIFO within a key" `Quick
@@ -326,7 +361,7 @@ let pool_tests =
         (* Tiny slabs, so the count is the endpoints' own cost: NI tables
            and probes, two pools with their default EQ depths (1024 and
            4096), match entries, descriptors and fault listeners. Measured
-           2501 words per rank (OCaml 5.1.1, x86-64); the budget leaves
+           2455 words per rank (OCaml 5.1.1, x86-64); the budget leaves
            60% headroom. Rings allocated at full capacity and probes
            registered in the instrument table cost 11116. *)
         let budget = 4000 in
@@ -338,15 +373,81 @@ let pool_tests =
                 Collectives.Pool.create ni ~portal_index:7 ~slab_size:64 () ))
             ranks
         in
-        Gc.minor ();
-        let minor0, promoted0, major0 = Gc.counters () in
-        ignore (Sys.opaque_identity (build ()));
-        Gc.minor ();
-        let minor1, promoted1, major1 = Gc.counters () in
-        let words = minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0) in
-        let per_rank = int_of_float words / n in
+        let per_rank = words_during build / n in
         if per_rank > budget then
           Alcotest.failf "%d words per rank, budget %d" per_rank budget);
+    Alcotest.test_case "create backs slab 0 only" `Quick (fun () ->
+        (* Default sizes: four 128 KiB slabs. Slab 0 and a scratch of at
+           most 1 KiB are created; the overflow slabs are reservations. *)
+        let world = Runtime.create_world ~nodes:1 () in
+        let ni =
+          Portals.Ni.create world.Runtime.transport ~id:world.Runtime.ranks.(0) ()
+        in
+        let words =
+          words_during (fun () -> Collectives.Pool.create ni ~portal_index:6 ())
+        in
+        let slab_words = 131_072 / (Sys.word_size / 8) in
+        if words >= 2 * slab_words then
+          Alcotest.failf "create allocated %d words, two slabs are %d" words
+            (2 * slab_words));
+    Alcotest.test_case "overflow slabs read back byte-exact after slab 0 re-arms"
+      `Quick (fun () ->
+        (* 256-byte slabs, 100-byte messages. Messages 0 and 1 fill slab 0
+           past half; claiming both re-arms it behind slabs 1 and 2. Then
+           messages 2-3 land in slab 1, 4-5 in slab 2 and 6 in slab 0
+           again, at offset 0. *)
+        let len = 100 in
+        let got = ref [] in
+        let claim recv from upto =
+          for i = from to upto do
+            got := (i, recv i) :: !got
+          done
+        in
+        with_pools ~slab_size:256 ~slab_count:3
+          ~sender:(fun sched send ->
+            List.iter (fun i -> send i (pattern i len)) [ 0; 1 ];
+            Scheduler.delay sched (Time_ns.ms 20.);
+            List.iter (fun i -> send i (pattern i len)) [ 2; 3; 4; 5; 6 ])
+          ~receiver:(fun sched recv ->
+            Scheduler.delay sched (Time_ns.ms 10.);
+            claim recv 0 1;
+            Scheduler.delay sched (Time_ns.ms 20.);
+            claim recv 2 6)
+          ();
+        Alcotest.(check int) "all claimed" 7 (List.length !got);
+        List.iter
+          (fun (i, b) ->
+            Alcotest.(check bool)
+              (Printf.sprintf "message %d byte-exact" i)
+              true
+              (Bytes.equal (pattern i len) b))
+          !got);
+    Alcotest.test_case "sends grow the scratch up to the slab size" `Quick
+      (fun () ->
+        (* Default 128 KiB slabs. The scratch starts at 1 KiB, so the
+           first send grows it; the last is exactly one slab. One byte
+           more is refused. *)
+        let sizes = [ 3000; 100; 70_000; 131_072 ] in
+        let got = Array.make (List.length sizes) Bytes.empty in
+        let refused = ref false in
+        with_pools
+          ~sender:(fun _ send ->
+            List.iteri (fun i len -> send i (pattern i len)) sizes;
+            match send 99 (Bytes.create 131_073) with
+            | () -> ()
+            | exception Invalid_argument msg ->
+              refused := String.starts_with ~prefix:"Pool.send" msg)
+          ~receiver:(fun _ recv ->
+            List.iteri (fun i _ -> got.(i) <- recv i) sizes)
+          ();
+        List.iteri
+          (fun i len ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%d-byte message byte-exact" len)
+              true
+              (Bytes.equal (pattern i len) got.(i)))
+          sizes;
+        Alcotest.(check bool) "a send over the slab size raises" true !refused);
   ]
 
 let () =

@@ -418,6 +418,58 @@ let progress_tests =
             done);
         Scheduler.run sched;
         Alcotest.(check bool) "all rounds intact" true !all_ok);
+    Alcotest.test_case "gm: eager arrivals after a grant leave its token alone"
+      `Quick (fun () ->
+        (* Rank 2 has posted its receives when rank 0's RTS arrives, so it
+           grants at once: the rendezvous token joins the port behind the
+           63 free eager tokens (the RTS holds the 64th). Rank 0 computes
+           for 5 ms before it sends the data, and meanwhile rank 1 sends
+           64 eager messages. Taken first-fit from one FIFO, the 64th
+           would spend the rendezvous token, leaving the data nothing to
+           land in. *)
+        let sched = Scheduler.create () in
+        let fabric =
+          Simnet.Fabric.create sched ~profile:Simnet.Profile.myrinet_mcp ~nodes:3
+        in
+        let tp = Simnet.Transport.offload fabric in
+        let ranks = [| proc 0 0; proc 1 0; proc 2 0 |] in
+        let eps = Array.init 3 (fun rank -> Mpi.create_gm tp ~ranks ~rank ()) in
+        let n = 64 and big = 50_000 in
+        let big_msg = Bytes.init big (fun i -> Char.chr (i land 255)) in
+        let small i = Bytes.make 100 (Char.chr (65 + (i mod 26))) in
+        Scheduler.spawn sched (fun () ->
+            Scheduler.delay sched (Time_ns.us 20.0);
+            let req = Mpi.isend eps.(0) ~dst:2 ~tag:0 big_msg in
+            Cpu.compute
+              (Simnet.Node.host_cpu (Simnet.Fabric.node fabric 0))
+              (Time_ns.ms 5.0);
+            ignore (Mpi.wait eps.(0) req));
+        Scheduler.spawn sched (fun () ->
+            Scheduler.delay sched (Time_ns.us 100.0);
+            let reqs =
+              List.init n (fun i -> Mpi.isend eps.(1) ~dst:2 ~tag:(i + 1) (small i))
+            in
+            ignore (Mpi.waitall eps.(1) reqs));
+        let got_big = Bytes.create big in
+        let got_small = Array.init n (fun _ -> Bytes.create 100) in
+        Scheduler.spawn sched (fun () ->
+            let reqs =
+              Mpi.irecv eps.(2) ~source:0 ~tag:0 got_big
+              :: List.init n (fun i ->
+                     Mpi.irecv eps.(2) ~source:1 ~tag:(i + 1) got_small.(i))
+            in
+            ignore (Mpi.waitall eps.(2) reqs));
+        (match Scheduler.run sched with
+        | () -> ()
+        | exception Scheduler.Deadlock _ ->
+          Alcotest.failf "deadlock at %s"
+            (Time_ns.to_string (Scheduler.now sched)));
+        Alcotest.(check bool) "rendezvous data intact" true
+          (Bytes.equal big_msg got_big);
+        Array.iteri
+          (fun i b ->
+            Alcotest.(check bool) "eager message intact" true (Bytes.equal (small i) b))
+          got_small);
   ]
 
 (* Differential testing: the two backends implement the same MPI
@@ -920,9 +972,8 @@ let words_during f =
   let minor1, promoted1, major1 = Gc.counters () in
   (v, int_of_float (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)))
 
-let exchange_words ~sched ~tp create =
-  let ranks = [| proc 0 0; proc 1 0 |] in
-  let eps = Array.init 2 (fun rank -> create tp ~ranks ~rank) in
+(* One message from rank 0 to rank 1 of [eps]: the words it allocates. *)
+let exchange_once ~sched eps =
   let sent = Bytes.init budget_payload (fun i -> Char.chr (i land 255)) in
   let got = Bytes.create budget_payload in
   Scheduler.spawn sched (fun () ->
@@ -932,6 +983,10 @@ let exchange_words ~sched ~tp create =
   let (), words = words_during (fun () -> Scheduler.run sched) in
   Alcotest.(check bool) "payload delivered" true (Bytes.equal sent got);
   words
+
+let exchange_words ~sched ~tp create =
+  let ranks = [| proc 0 0; proc 1 0 |] in
+  exchange_once ~sched (Array.init 2 (fun rank -> create tp ~ranks ~rank))
 
 let check_copies name ~copies words =
   if words >= (copies + 1) * payload_words then
@@ -984,6 +1039,16 @@ let alloc_budget_tests =
         exchange_words ~sched ~tp:(Simnet.Transport.offload fab)
           (fun tp ~ranks ~rank -> Mpi.create_ibverbs tp ~ranks ~rank ())
         |> check_copies "ibverbs" ~copies:1);
+    (* The token drained after the first rendezvous is granted again, so
+       the second message costs only its encoded image. *)
+    Alcotest.test_case "gm: a second rendezvous of the same size reuses its token"
+      `Quick (fun () ->
+        let sched, fab = fabric Simnet.Profile.myrinet_mcp in
+        let tp = Simnet.Transport.offload fab in
+        let ranks = [| proc 0 0; proc 1 0 |] in
+        let eps = Array.init 2 (fun rank -> Mpi.create_gm tp ~ranks ~rank ()) in
+        ignore (exchange_once ~sched eps);
+        exchange_once ~sched eps |> check_copies "gm, second message" ~copies:1);
   ]
 
 let () =
