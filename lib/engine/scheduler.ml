@@ -234,9 +234,12 @@ let blocked_names t =
 (* The inner loop drains every event scheduled for one instant in a single
    batch: the stop/horizon checks and the clock write happen once per
    distinct timestamp instead of once per event, and the heap is driven
-   through the non-allocating [min_time]/[pop_min] pair. Wakers firing at
-   the current instant land in the same batch (FIFO by heap sequence), so
-   ordering is identical to the one-event-at-a-time loop. *)
+   through the non-allocating [min_time]/[pop_min] pair. The heap keeps
+   an instant's events as runs, so a pop within a run is O(1) and only a
+   run's last event pays a sift. Events added at the current instant
+   ([after 0], wakers, [spawn]) join the newest run of that instant and
+   land in the same batch in insertion order, so ordering is identical
+   to the one-event-at-a-time loop. *)
 let run ?until ?(allow_blocked = false) t =
   t.stopping <- false;
   let beyond time =

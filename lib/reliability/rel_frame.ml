@@ -1,6 +1,7 @@
 type t =
   | Data of { seq : int; payload : bytes }
   | Ack of { cum_ack : int; sack : int64 }
+  | Forward of { upto : int }
 
 let magic = 0xA7
 let header_size = 10 (* magic + kind + seq *)
@@ -8,6 +9,7 @@ let checksum_size = 4
 
 (* Kinds 0/1 are the unprotected (legacy) Data/Ack encodings; kinds 2/3
    are the same images plus a CRC-32C trailer over everything before it.
+   Kinds 4/5 are the Forward frame without and with the trailer.
    Like [Wire], the frame is self-describing but the caller's
    [~integrity] (its fabric's bit) decides what encoders emit — and with
    it on, unprotected frames are rejected so corruption of the kind byte
@@ -16,6 +18,8 @@ let kind_data = 0
 let kind_ack = 1
 let kind_data_crc = 2
 let kind_ack_crc = 3
+let kind_fwd = 4
+let kind_fwd_crc = 5
 
 let seal buf =
   let body = Bytes.length buf - checksum_size in
@@ -40,6 +44,12 @@ let encode ~integrity frame =
       Bytes.set_int64_le buf 2 (Int64.of_int cum_ack);
       Bytes.set_int64_le buf 10 sack;
       buf
+    | Forward { upto } ->
+      let buf = Bytes.create (header_size + ck) in
+      Bytes.set_uint8 buf 0 magic;
+      Bytes.set_uint8 buf 1 (if ck > 0 then kind_fwd_crc else kind_fwd);
+      Bytes.set_int64_le buf 2 (Int64.of_int upto);
+      buf
   in
   if ck > 0 then seal buf;
   buf
@@ -56,8 +66,13 @@ let decode ~integrity buf =
   else if Bytes.get_uint8 buf 0 <> magic then Error "rel frame: bad magic"
   else
     let kind = Bytes.get_uint8 buf 1 in
-    let protected_ = kind = kind_data_crc || kind = kind_ack_crc in
-    if (not protected_) && (kind = kind_data || kind = kind_ack) && integrity
+    let protected_ =
+      kind = kind_data_crc || kind = kind_ack_crc || kind = kind_fwd_crc
+    in
+    if
+      (not protected_)
+      && (kind = kind_data || kind = kind_ack || kind = kind_fwd)
+      && integrity
     then Error "rel frame: unprotected frame while integrity enabled"
     else if protected_ && len < header_size + checksum_size then
       Error "rel frame: truncated checksum trailer"
@@ -86,6 +101,10 @@ let decode ~integrity buf =
                    cum_ack = Int64.to_int (Bytes.get_int64_le buf 2);
                    sack = Bytes.get_int64_le buf 10;
                  })
+        else if kind = kind_fwd || kind = kind_fwd_crc then
+          if len < header_size + if protected_ then checksum_size else 0 then
+            Error "rel frame: truncated forward"
+          else Ok (Forward { upto = Int64.to_int (Bytes.get_int64_le buf 2) })
         else Error "rel frame: unknown kind"
 
 let sack_mem ~sack ~cum_ack seq =
@@ -104,3 +123,4 @@ let pp ppf = function
     Format.fprintf ppf "DATA seq=%d len=%d" seq (Bytes.length payload)
   | Ack { cum_ack; sack } ->
     Format.fprintf ppf "ACK cum=%d sack=%Lx" cum_ack sack
+  | Forward { upto } -> Format.fprintf ppf "FWD upto=%d" upto

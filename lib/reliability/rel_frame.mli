@@ -14,6 +14,12 @@
     out-of-order sequence [cum_ack + 1 + i] — a 64-message selective
     window, comfortably beyond the default send window.
 
+    A [Forward] frame moves the receiver past frames its sender abandoned,
+    like PR-SCTP's FORWARD-TSN (RFC 3758): every sequence number below
+    [upto] is either delivered, buffered, or given up, so the receiver
+    delivers what it holds of them and expects [upto] next. [Data] and
+    [Ack] frames carry no extra bytes for it.
+
     {b Integrity.} With [~integrity:true] (the shim passes its fabric's
     [Simnet.Fabric.integrity]), frames carry a CRC-32C trailer
     (distinct kind bytes keep the format self-describing) and
@@ -24,6 +30,7 @@
 type t =
   | Data of { seq : int; payload : bytes }
   | Ack of { cum_ack : int; sack : int64 }
+  | Forward of { upto : int }
 
 val header_size : int
 (** Bytes of framing prepended to a [Data] payload. *)

@@ -27,6 +27,7 @@ type stats = {
   delivered : int;
   peer_resets : int;
   peer_reset_lost : int;
+  skipped : int;
 }
 
 type tx_entry = {
@@ -64,7 +65,11 @@ let ring_clear r seq =
 
 (* Sender half of one (src, dst) direction. Every seq below [base] is
    acknowledged or abandoned; the unacked ones lie in [base, next_seq),
-   and [base] itself is unacked unless the window is empty. *)
+   and [base] itself is unacked unless the window is empty. After a
+   give-up, [skip_to] is one past the highest abandoned seq until an ack
+   shows the receiver expects it (0: no Forward outstanding), and
+   [skip_sends] counts the Forward's transmissions since it was last
+   (re)started. *)
 type tx = {
   tx_src : Simnet.Proc_id.t;
   tx_dst : Simnet.Proc_id.t;
@@ -75,6 +80,8 @@ type tx = {
   mutable rto : Time_ns.t;
   mutable srtt_us : float;  (* 0 until the first sample *)
   mutable timer_gen : int;
+  mutable skip_to : int;
+  mutable skip_sends : int;
 }
 
 (* Receiver half of one (src, dst) direction: the out-of-order arrivals
@@ -99,6 +106,7 @@ type t = {
   m_delivered : Metrics.counter;
   m_peer_resets : Metrics.counter;
   m_peer_reset_lost : Metrics.counter;
+  m_skipped : Metrics.counter;
   m_rtt : Metrics.summary;
   m_window : Metrics.series;
 }
@@ -117,6 +125,7 @@ let stats t =
     delivered = Metrics.counter_value t.m_delivered;
     peer_resets = Metrics.counter_value t.m_peer_resets;
     peer_reset_lost = Metrics.counter_value t.m_peer_reset_lost;
+    skipped = Metrics.counter_value t.m_skipped;
   }
 
 let on_give_up t f = t.give_up <- f
@@ -149,6 +158,8 @@ let tx_of t ~src ~dst =
         rto = t.cfg.base_rto;
         srtt_us = 0.;
         timer_gen = 0;
+        skip_to = 0;
+        skip_sends = 0;
       }
     in
     Simnet.Proc_id.Pair_tbl.add t.txs src dst tx;
@@ -179,34 +190,51 @@ let release t tx seq =
     tx.base <- tx.base + 1
   done
 
+let send_frame t ~src ~dst frame =
+  Simnet.Fabric.send_framed t.fabric ~src ~dst
+    (Frame.encode ~integrity:(Simnet.Fabric.integrity t.fabric) frame)
+
 let send_data_frame t tx entry =
-  Simnet.Fabric.send_framed t.fabric ~src:tx.tx_src ~dst:tx.tx_dst
-    (Frame.encode
-       ~integrity:(Simnet.Fabric.integrity t.fabric)
-       (Frame.Data { seq = entry.e_seq; payload = entry.e_payload }))
+  send_frame t ~src:tx.tx_src ~dst:tx.tx_dst
+    (Frame.Data { seq = entry.e_seq; payload = entry.e_payload })
+
+(* A Forward is live while it has retry budget left. Once spent (the
+   path is still cut) it waits dormant, still outstanding, until an ack
+   shows the path works and the receiver still behind it. *)
+let forward_live t tx = tx.skip_to > 0 && tx.skip_sends <= t.cfg.max_retries
+
+let send_forward t tx =
+  tx.skip_sends <- tx.skip_sends + 1;
+  send_frame t ~src:tx.tx_src ~dst:tx.tx_dst (Frame.Forward { upto = tx.skip_to })
 
 (* --- retransmission timer --------------------------------------------- *)
 
 (* Timers cannot be cancelled in the event queue, so each (re)arm bumps a
-   generation; stale firings see a newer generation and do nothing. *)
+   generation; stale firings see a newer generation and do nothing. The
+   timer runs while frames are unacked or a Forward is live. *)
+let needs_timer t tx = tx.unacked.count > 0 || forward_live t tx
+
 let rec arm_timer t tx =
   tx.timer_gen <- tx.timer_gen + 1;
   let gen = tx.timer_gen in
   Scheduler.after t.sched tx.rto (fun () ->
-      if gen = tx.timer_gen && tx.unacked.count > 0 then on_timeout t tx)
+      if gen = tx.timer_gen && needs_timer t tx then on_timeout t tx)
 
 and cancel_timer tx = tx.timer_gen <- tx.timer_gen + 1
 
 and on_timeout t tx =
   (* Retransmit every unacked frame in sequence order; frames past their
-     retry budget are abandoned. Frames a give-up callback sends lie past
-     [last] and wait for the next round. *)
+     retry budget are abandoned, and a Forward past the last of them
+     (re)starts. Frames a give-up callback sends lie past [last] and wait
+     for the next round. *)
   let last = tx.next_seq - 1 in
   for seq = tx.base to last do
     let e = unacked_entry tx seq in
     if e.e_seq = seq then
       if e.e_sends > t.cfg.max_retries then begin
         release t tx seq;
+        tx.skip_to <- max tx.skip_to (seq + 1);
+        tx.skip_sends <- 0;
         Metrics.incr t.m_exhausted;
         (* Exhausted retry budgets must be visible in Chrome traces, not
            only counters, whatever the give_up callback does. *)
@@ -225,11 +253,12 @@ and on_timeout t tx =
         send_data_frame t tx e
       end
   done;
+  if forward_live t tx then send_forward t tx;
   (* Exponential backoff, capped. *)
   tx.rto <- Time_ns.min (Time_ns.add tx.rto tx.rto) t.cfg.max_rto;
   sample_window t;
   pump t tx;
-  if tx.unacked.count > 0 then arm_timer t tx else cancel_timer tx
+  if needs_timer t tx then arm_timer t tx else cancel_timer tx
 
 (* --- sender ------------------------------------------------------------ *)
 
@@ -290,6 +319,15 @@ let on_ack t ~src ~dst ~cum_ack ~sack =
      (dst, src). Frames are taken in ascending sequence order, the order
      their RTT samples feed the smoothed RTT. *)
   let tx = tx_of t ~src:dst ~dst:src in
+  if tx.skip_to > 0 then
+    if cum_ack >= tx.skip_to - 1 then tx.skip_to <- 0
+    else if not (forward_live t tx) then begin
+      (* The path works again and the receiver is still short of the
+         abandoned frames: restart the Forward with a fresh budget. *)
+      tx.skip_sends <- 0;
+      send_forward t tx;
+      arm_timer t tx
+    end;
   let before = tx.unacked.count in
   for seq = tx.base to min cum_ack (tx.next_seq - 1) do
     ack_seq t tx seq
@@ -300,8 +338,8 @@ let on_ack t ~src ~dst ~cum_ack ~sack =
     done;
   if tx.unacked.count < before then begin
     sample_window t;
-    if tx.unacked.count = 0 then cancel_timer tx
-    else arm_timer t tx (* restart: progress was made *)
+    if needs_timer t tx then arm_timer t tx (* restart: progress was made *)
+    else cancel_timer tx
   end;
   pump t tx
 
@@ -321,14 +359,20 @@ let send_ack t ~me ~peer rx =
       Frame.sack_of_seqs ~cum_ack !seqs
     end
   in
-  Simnet.Fabric.send_framed t.fabric ~src:me ~dst:peer
-    (Frame.encode
-       ~integrity:(Simnet.Fabric.integrity t.fabric)
-       (Frame.Ack { cum_ack; sack }))
+  send_frame t ~src:me ~dst:peer (Frame.Ack { cum_ack; sack })
 
 let deliver_up t ~src ~dst payload =
   Metrics.incr t.m_delivered;
   Simnet.Fabric.deliver t.fabric ~src ~dst payload
+
+(* Hands up the buffered frames that are now in order. *)
+let drain_in_order t ~src ~dst rx =
+  while rx.ooo.count > 0 && ring_get rx.ooo rx.expected != rx.ooo.empty do
+    let p = ring_get rx.ooo rx.expected in
+    ring_clear rx.ooo rx.expected;
+    deliver_up t ~src ~dst p;
+    rx.expected <- rx.expected + 1
+  done
 
 let on_data t ~src ~dst ~seq payload =
   let rx = rx_of t ~src ~dst in
@@ -345,31 +389,43 @@ let on_data t ~src ~dst ~seq payload =
   else if ahead = 0 then begin
     deliver_up t ~src ~dst payload;
     rx.expected <- rx.expected + 1;
-    (* Drain any buffered successors that are now in order. *)
-    while rx.ooo.count > 0 && ring_get rx.ooo rx.expected != rx.ooo.empty do
-      let p = ring_get rx.ooo rx.expected in
-      ring_clear rx.ooo rx.expected;
-      deliver_up t ~src ~dst p;
-      rx.expected <- rx.expected + 1
-    done;
+    drain_in_order t ~src ~dst rx;
     send_ack t ~me:dst ~peer:src rx
   end
   else begin
     (* A working sender never gets [window + 64] seqs ahead: frames past
        the 64 a SACK covers stay unacked and fill its window. Only a
-       sender that abandoned a frame (this receiver then waits for it
-       forever) or a damaged seq in an unchecked frame gets here, and
-       such a frame could never be delivered, so it is acked but not
-       kept: the ring stays within reach of [expected]. *)
+       sender that abandoned a frame (this receiver then waits for its
+       Forward) or a damaged seq in an unchecked frame gets here. Such a
+       frame is acked but not kept, so the ring stays within reach of
+       [expected]; a sender retransmits it, as no SACK reaches it. *)
     if ahead < t.cfg.window + 64 then
       ring_set rx.ooo ~lo:rx.expected seq payload;
     send_ack t ~me:dst ~peer:src rx
   end
 
+(* The sender gave up every seq below [upto] it had not seen acked:
+   deliver what is buffered of them, count the rest as skipped, and ack
+   the new position so the sender stops sending the Forward. *)
+let on_forward t ~src ~dst ~upto =
+  let rx = rx_of t ~src ~dst in
+  while rx.expected < upto do
+    let p = ring_get rx.ooo rx.expected in
+    if p != rx.ooo.empty then begin
+      ring_clear rx.ooo rx.expected;
+      deliver_up t ~src ~dst p
+    end
+    else Metrics.incr t.m_skipped;
+    rx.expected <- rx.expected + 1
+  done;
+  drain_in_order t ~src ~dst rx;
+  send_ack t ~me:dst ~peer:src rx
+
 let on_wire t ~src ~dst payload =
   match Frame.decode ~integrity:(Simnet.Fabric.integrity t.fabric) payload with
   | Ok (Frame.Data { seq; payload }) -> on_data t ~src ~dst ~seq payload
   | Ok (Frame.Ack { cum_ack; sack }) -> on_ack t ~src ~dst ~cum_ack ~sack
+  | Ok (Frame.Forward { upto }) -> on_forward t ~src ~dst ~upto
   | Error _ ->
     (* Only the shim's own frames arrive here, so one that does not
        decode was damaged in flight. Treat exactly like loss: no
@@ -451,6 +507,7 @@ let attach ?(config = default_config) fabric =
       m_delivered = Metrics.counter m ~labels "rel.delivered";
       m_peer_resets = Metrics.counter m ~labels "rel.peer_resets";
       m_peer_reset_lost = Metrics.counter m ~labels "rel.peer_reset_lost";
+      m_skipped = Metrics.counter m ~labels "rel.skipped";
       m_rtt = Metrics.summary m ~labels "rel.ack_rtt_us";
       m_window = Metrics.series m ~labels "rel.window_inflight";
     }

@@ -23,7 +23,17 @@
        [max_retries] times; beyond that the retry budget is exhausted and
        the frame is abandoned — counted, surfaced through
        {!on_give_up}, and visible to the application only as the silence
-       §4.8's drop accounting exists to diagnose.}}
+       §4.8's drop accounting exists to diagnose;}
+    {- a give-up does not stall the pair: the sender sends a [Forward]
+       frame (PR-SCTP's FORWARD-TSN, RFC 3758) naming the seq after the
+       last abandoned one, on the same timer as its data, until an ack
+       shows the receiver expects that seq. The receiver hands up, in
+       order, whatever it had buffered below it, counts each seq it never
+       received as skipped ([rel.skipped]), and carries on: every frame
+       sent after the give-up is delivered in order, exactly once, once
+       the path works again. A Forward whose own retry budget runs out
+       (the path is still cut) waits, and restarts with a fresh budget
+       on the first ack that shows the receiver still short of it.}}
 
     Acknowledgments are never retransmitted; a lost ack is repaired by the
     cumulative ack of any later frame or by a (duplicate-suppressed)
@@ -42,7 +52,8 @@
     beyond the 64 a SACK reports stay unacknowledged and fill the
     window); a data frame further ahead follows a frame its sender
     abandoned, or carries a damaged sequence number, and can never be
-    delivered, so it is acknowledged but not buffered. The per-pair
+    delivered until its Forward arrives, so it is acknowledged but not
+    buffered (and, being in no SACK, is retransmitted). The per-pair
     halves live in {!Simnet.Proc_id.Pair_tbl}s.
 
     {b Frame class.} The shim sends its frames with
@@ -64,13 +75,13 @@
     Metrics (registered in the scheduler's registry, labelled
     [("protocol", "reliability")]): [rel.data_sent], [rel.acks_sent],
     [rel.retransmits], [rel.duplicate_drops], [rel.corrupt_drops],
-    [rel.retries_exhausted],
+    [rel.retries_exhausted], [rel.skipped],
     [rel.delivered], [rel.peer_resets], [rel.peer_reset_lost],
     [rel.ack_rtt_us] (summary), [rel.window_inflight]
     (series of total in-flight frames over time). *)
 
 module Frame = Rel_frame
-(** Wire format of the protocol's [Data] and [Ack] frames. *)
+(** Wire format of the protocol's [Data], [Ack] and [Forward] frames. *)
 
 module Chaos = Chaos
 (** Chaos campaign grids: corruption × delay × partition × crash × loss
@@ -104,6 +115,10 @@ type stats = {
   peer_resets : int;  (** Node failures that wiped per-pair state. *)
   peer_reset_lost : int;
       (** Queued/unacked frames discarded by those resets. *)
+  skipped : int;
+      (** Sequence numbers a receiver moved past on a [Forward] without
+          ever receiving them: abandoned frames, seen from the receiving
+          side. *)
 }
 
 type t
@@ -119,7 +134,10 @@ val stats : t -> stats
 val on_give_up :
   t -> (src:Simnet.Proc_id.t -> dst:Simnet.Proc_id.t -> seq:int -> unit) -> unit
 (** Called when a frame exhausts its retry budget. Default: nothing (the
-    loss is still counted in [retries_exhausted]). Whatever the callback,
+    loss is still counted in [retries_exhausted], and in [skipped] once
+    the receiver moves past it). Only the abandoned frame is lost: the
+    pair's later frames are still delivered, in order, once the path
+    works (see the [Forward] rule above). Whatever the callback,
     each give-up also emits a labelled ["rel.give_up"] instant into the
     scheduler trace when tracing is enabled, so exhausted budgets are
     visible in [--trace-out] Chrome traces. *)

@@ -8,6 +8,16 @@ DUNE=${DUNE:-dune}
 OUT=${SMOKE_OUT:-_build/smoke}
 mkdir -p "$OUT"
 
+# check_sha FILE SHA256 WHAT: fail unless FILE's digest is SHA256.
+check_sha() {
+  local got
+  got=$(sha256sum "$1" | cut -d' ' -f1)
+  if [ "$got" != "$2" ]; then
+    echo "$3 output drifted: sha256 $got" >&2
+    exit 1
+  fi
+}
+
 echo "== smoke: no process-wide mutable state in lib/ =="
 # Every world is built from one immutable scenario and owns all of its
 # state, so worlds can be built in any order and run on any domain. A
@@ -199,23 +209,17 @@ grep -q '^torus2d .* busy  host' "$OUT/coll.out"
 # Simulated latencies are deterministic: the table is pinned byte for
 # byte, so any drift in either engine's timing fails here. A change that
 # means to move them updates the digest and says why.
-coll_sha=dde717895ef0aeb1373f32210aaae170ffc8196c930af08b9166314c2da39f43
-got_sha=$(sha256sum "$OUT/coll.out" | cut -d' ' -f1)
-if [ "$got_sha" != "$coll_sha" ]; then
-  echo "coll --quick --seed 7 output drifted: sha256 $got_sha" >&2
-  exit 1
-fi
+check_sha "$OUT/coll.out" \
+  dde717895ef0aeb1373f32210aaae170ffc8196c930af08b9166314c2da39f43 \
+  "coll --quick --seed 7"
 # The two stacks that share the library-side MPI engine (Mpi_core), over
 # every matrix axis: pinned the same way, so a change to the shared
 # protocol that moves either stack's timing fails here.
 $DUNE exec bin/portals_repro.exe -- \
   matrix --quick --seed 42 --transports gm,ibverbs | tee "$OUT/matrix_lib.out"
-matrix_lib_sha=b226f3fea0dc865ae1b2a766b2a96b3419ed898bd54f03f1d4a6ad95ba4aa886
-got_sha=$(sha256sum "$OUT/matrix_lib.out" | cut -d' ' -f1)
-if [ "$got_sha" != "$matrix_lib_sha" ]; then
-  echo "matrix --quick --seed 42 --transports gm,ibverbs output drifted: sha256 $got_sha" >&2
-  exit 1
-fi
+check_sha "$OUT/matrix_lib.out" \
+  b226f3fea0dc865ae1b2a766b2a96b3419ed898bd54f03f1d4a6ad95ba4aa886 \
+  "matrix --quick --seed 42 --transports gm,ibverbs"
 # The S2 scaling sweep must run under either engine; a bogus engine name
 # must die with a clean usage error.
 $DUNE exec bin/portals_repro.exe -- \
@@ -245,6 +249,22 @@ diff "$OUT/chaos.d1.out" "$OUT/chaos.d4.out"
 $DUNE exec bin/portals_repro.exe -- par --check --domains 4 --seed 7 \
   | tee "$OUT/par.out"
 grep -q 'domains=1 and domains=4 agree' "$OUT/par.out"
+# Both sides of those diffs run the same event queue, so a change that
+# reorders events everywhere moves them together and passes. The outputs
+# are therefore also pinned to their known values: simultaneous events
+# must still fire in (time, insertion) order.
+check_sha "$OUT/fig6.d1.out" \
+  cbbb37d5642f3bb40a5dca0cd121bff5af138432226b6089f41cebfd9e855520 \
+  "fig6 --seed 42"
+check_sha "$OUT/chaos.d1.out" \
+  bd93d54b6c40287841d8d9fcbefef29e2b6653008503f5dc126e4583d2fa3c8d \
+  "chaos --quick --seed 0"
+par_line='  PAR nodes=256 steps=8 delivered=8192 digest=020618001e15c26c sim_us=401.4'
+if [ "$(grep '^  PAR ' "$OUT/par.out" | sort -u)" != "$par_line" ]; then
+  echo "par --check --domains 4 --seed 7 PAR line drifted:" >&2
+  grep '^  PAR ' "$OUT/par.out" >&2
+  exit 1
+fi
 
 echo "== smoke: bench records match the baseline's sim fields exactly =="
 # sim_events, fibers and sim_time_us are deterministic, so every record

@@ -96,45 +96,66 @@ module Model = Set.Make (struct
   let compare = compare
 end)
 
-type heap_op = Add of int | Pop | Drain_to of int
+type heap_op = Add of int | Pop | Pop_and_readd | Drain_to of int
 
 (* Applies [ops] to a heap of insertion indices and to the model, then
-   drains both. Returns whether every pop agreed with the model on time
-   and value and every inserted index came out exactly once, and the
-   heap's peak length. *)
+   drains both. [Pop_and_readd] pops and then adds at the popped time, as
+   an event handler's [after 0] does: the run it lands in may still be
+   pending or may just have drained. Returns whether every pop agreed
+   with the model on time and value and every inserted index came out
+   exactly once, the heap's peak length, and whether some time ever had
+   several runs pending at once. *)
 let heap_agrees_with_model ops =
   let h = Event_heap.create () in
   let model = ref Model.empty and next = ref 0 and popped = ref [] in
-  let ok = ref true in
+  let ok = ref true and shared = ref false in
+  (* Pending events per time: more runs than distinct pending times
+     means some time has several. *)
+  let pending = Hashtbl.create 64 in
+  let count time d =
+    let n = Option.value (Hashtbl.find_opt pending time) ~default:0 + d in
+    if n = 0 then Hashtbl.remove pending time
+    else Hashtbl.replace pending time n
+  in
+  let add time =
+    Event_heap.add h ~time !next;
+    model := Model.add (time, !next) !model;
+    incr next;
+    count time 1;
+    if Event_heap.For_testing.runs h > Hashtbl.length pending then
+      shared := true
+  in
   let pop () =
-    if not (Model.is_empty !model) then begin
+    if Model.is_empty !model then None
+    else begin
       let expected = Model.min_elt !model in
       model := Model.remove expected !model;
       let t = Event_heap.min_time h in
       let v = Event_heap.pop_min h in
       if (t, v) <> expected then ok := false;
-      popped := v :: !popped
+      count (fst expected) (-1);
+      popped := v :: !popped;
+      Some t
     end
   in
   List.iter
     (function
-      | Add time ->
-        Event_heap.add h ~time !next;
-        model := Model.add (time, !next) !model;
-        incr next
-      | Pop -> pop ()
+      | Add time -> add time
+      | Pop -> ignore (pop ())
+      | Pop_and_readd -> Option.iter add (pop ())
       | Drain_to k ->
         while Model.cardinal !model > k do
-          pop ()
+          ignore (pop ())
         done)
     ops;
   while not (Model.is_empty !model) do
-    pop ()
+    ignore (pop ())
   done;
   ( !ok
     && Event_heap.is_empty h
     && List.sort compare !popped = List.init !next Fun.id,
-    Event_heap.peak_size h )
+    Event_heap.peak_size h,
+    !shared )
 
 let heap_tests =
   [
@@ -190,9 +211,11 @@ let heap_tests =
             add-all-then-drain never does. *)
          QCheck.(list (int_range (-3) 40))
          (fun ops ->
-           fst
-             (heap_agrees_with_model
-                (List.map (fun op -> if op < 0 then Pop else Add op) ops))));
+           let agrees, _, _ =
+             heap_agrees_with_model
+               (List.map (fun op -> if op < 0 then Pop else Add op) ops)
+           in
+           agrees));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"model: long runs across four doublings"
          ~count:40
@@ -208,7 +231,7 @@ let heap_tests =
                  (frequency
                     [ (2, map (fun t -> Add t) (int_range 0 7)); (1, return Pop) ])))
          (fun ops ->
-           let agrees, peak = heap_agrees_with_model ops in
+           let agrees, peak, _ = heap_agrees_with_model ops in
            QCheck.assume (peak > 128);
            agrees));
     QCheck_alcotest.to_alcotest
@@ -221,7 +244,7 @@ let heap_tests =
            triple (int_range 129 250) (int_range 0 4)
              (list_of_size (Gen.int_range 400 700) (int_range 0 7)))
          (fun (fill, k, refill) ->
-           let agrees, peak =
+           let agrees, peak, _ =
              heap_agrees_with_model
                (List.init fill (fun i -> Add (i mod 8))
                @ [ Drain_to k ]
@@ -234,46 +257,124 @@ let heap_tests =
     Alcotest.test_case "overflow guard raises before misordering" `Quick
       (fun () ->
         let limit shift = max_int lsr shift in
-        (* Capacity 16 keeps 4 slot bits: the last two seqs that fit. *)
+        (* Seqs number runs, not events. Capacity 16 keeps 4 slot bits:
+           "a" opens a run with the second-to-last seq that fits, "b"
+           appends to it and takes none, "c" opens the run with the last
+           seq. A new run at time 3 is refused; an append at time 5 is
+           not. *)
         let h = Event_heap.For_testing.create_at_seq (limit 4 - 1) in
         Event_heap.add h ~time:5 "a";
         Event_heap.add h ~time:5 "b";
-        Alcotest.check_raises "third add"
+        Event_heap.add h ~time:1 "c";
+        Alcotest.check_raises "fourth add opens a run"
           (Invalid_argument "Event_heap.add: sequence numbers exhausted")
-          (fun () -> Event_heap.add h ~time:1 "c");
+          (fun () -> Event_heap.add h ~time:3 "d");
+        Event_heap.add h ~time:5 "e";
         Alcotest.(check (list (pair int string))) "FIFO at the limit"
-          [ (5, "a"); (5, "b") ] (drain_heap h);
-        (* Sixteen events fill capacity 16; growing to 32 costs a slot
-           bit, which the upper half of their seqs no longer fits in: the
-           growth is refused before it repacks, and the sixteen still come
-           out in order. *)
+          [ (1, "c"); (5, "a"); (5, "b"); (5, "e") ] (drain_heap h);
+        (* Sixteen events in three runs fill capacity 16. Growing to 32
+           costs a slot bit, and the three seqs still fit under it: the
+           heap grows, the repacked keys keep their order, and only the
+           run after the last seq that fits is refused. *)
+        let h = Event_heap.For_testing.create_at_seq (limit 5 - 7) in
+        for i = 0 to 16 do
+          Event_heap.add h ~time:(i mod 3) i
+        done;
+        for i = 17 to 21 do
+          Event_heap.add h ~time:(i - 7) i
+        done;
+        Alcotest.check_raises "run past the limit"
+          (Invalid_argument "Event_heap.add: sequence numbers exhausted")
+          (fun () -> Event_heap.add h ~time:15 22);
+        Event_heap.add h ~time:0 23;
+        let expected =
+          List.init 17 (fun i -> (i mod 3, i))
+          @ List.init 5 (fun i -> (i + 10, i + 17))
+          @ [ (0, 23) ]
+          |> List.sort compare
+        in
+        Alcotest.(check (list (pair int int))) "order kept" expected
+          (drain_heap h);
+        (* Sixteen events at sixteen times open sixteen runs, and the
+           upper half of their seqs no longer fits a fifth slot bit: the
+           growth is refused before it repacks, even for an add that
+           would append, and the sixteen still come out in order. *)
         let h = Event_heap.For_testing.create_at_seq (limit 5 - 7) in
         for i = 0 to 15 do
-          Event_heap.add h ~time:(i mod 3) i
+          Event_heap.add h ~time:(15 - i) i
         done;
         Alcotest.check_raises "growth"
           (Invalid_argument "Event_heap.add: sequence numbers exhausted")
           (fun () -> Event_heap.add h ~time:0 16);
         Alcotest.(check int) "length" 16 (Event_heap.length h);
-        let expected =
-          List.init 16 (fun i -> (i mod 3, i)) |> List.sort compare
-        in
-        Alcotest.(check (list (pair int int))) "order kept" expected
+        Alcotest.(check (list (pair int int))) "order kept after refusal"
+          (List.init 16 (fun i -> (i, 15 - i)))
           (drain_heap h);
-        (* One seq lower, the same growth fits: keys repacked at the very
-           top of the int range keep their order. *)
+        (* One run fewer past the limit, the same growth fits: keys
+           repacked at the very top of the int range keep their order. *)
         let h = Event_heap.For_testing.create_at_seq (limit 5 - 16) in
         for i = 0 to 16 do
-          Event_heap.add h ~time:(i mod 3) i
+          Event_heap.add h ~time:(16 - i) i
         done;
-        Alcotest.check_raises "18th add"
+        Alcotest.check_raises "18th run"
           (Invalid_argument "Event_heap.add: sequence numbers exhausted")
-          (fun () -> Event_heap.add h ~time:0 17);
-        let expected =
-          List.init 17 (fun i -> (i mod 3, i)) |> List.sort compare
-        in
-        Alcotest.(check (list (pair int int))) "repacked order" expected
+          (fun () -> Event_heap.add h ~time:17 17);
+        Event_heap.add h ~time:3 18;
+        Alcotest.(check (list (pair int int))) "repacked order"
+          (List.sort compare
+             ((3, 18) :: List.init 17 (fun i -> (16 - i, i))))
           (drain_heap h));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"model: several runs per time, drained and reopened"
+         ~count:100
+         (* Three times as many distinct times as cache entries, so
+            entries are evicted while their runs are pending and a later
+            add at the same time opens a second run; [Pop_and_readd]
+            lands in the run being popped or reopens one that just
+            drained. A case where no time ever had two runs at once is
+            discarded, not failed. *)
+         QCheck.(
+           make
+             ~print:(fun ops -> string_of_int (List.length ops) ^ " ops")
+             Gen.(
+               list_size (int_range 300 1500)
+                 (frequency
+                    [
+                      ( 4,
+                        map
+                          (fun t -> Add t)
+                          (int_range 0
+                             ((3 * Event_heap.For_testing.cache_entries) - 1))
+                      );
+                      (1, return Pop);
+                      (2, return Pop_and_readd);
+                    ])))
+         (fun ops ->
+           let agrees, _, shared = heap_agrees_with_model ops in
+           QCheck.assume shared;
+           agrees));
+    Alcotest.test_case "a time evicted from the cache gets a second run"
+      `Quick (fun () ->
+        (* Time 0's entry is evicted by one of the next 4 x cache times,
+           so the second add at 0 opens a new run behind the first; the
+           add at 0 after the first pop must land in that newest run. *)
+        let h = Event_heap.create () in
+        let n = 4 * Event_heap.For_testing.cache_entries in
+        Event_heap.add h ~time:0 (0, 0);
+        for t = 1 to n do
+          Event_heap.add h ~time:t (t, 0)
+        done;
+        Event_heap.add h ~time:0 (0, 1);
+        Alcotest.(check bool) "two runs at time 0" true
+          (Event_heap.For_testing.runs h = n + 2);
+        Alcotest.(check (pair int int)) "first run first" (0, 0)
+          (Event_heap.pop_min h);
+        Event_heap.add h ~time:0 (0, 2);
+        let popped = List.map snd (drain_heap h) in
+        Alcotest.(check (list (pair int int))) "newest run appended"
+          ([ (0, 1); (0, 2) ] @ List.init n (fun t -> (t + 1, 0)))
+          popped);
   ]
 
 let scheduler_tests =
@@ -493,6 +594,48 @@ let scheduler_tests =
                 (Invalid_argument "Scheduler: waker invoked more than once")
                 waker);
         Scheduler.run sched);
+    Alcotest.test_case "at, after 0, yield and spawn share one instant FIFO"
+      `Quick (fun () ->
+        let sched = Scheduler.create () in
+        let t0 = 1000 in
+        let log = ref [] in
+        let note s = log := (s, Scheduler.now sched) :: !log in
+        Scheduler.at sched t0 (fun () ->
+            note "a";
+            Scheduler.after sched 0 (fun () -> note "d");
+            Scheduler.spawn sched (fun () ->
+                note "e";
+                Scheduler.yield sched;
+                note "h");
+            Scheduler.at sched t0 (fun () ->
+                note "f";
+                Scheduler.after sched 0 (fun () -> note "i")));
+        (* Pending events at many later times evict t0 from the heap's
+           run cache, so "b" opens a second run at t0 behind "a". *)
+        for k = 1 to 4 * Event_heap.For_testing.cache_entries do
+          Scheduler.at sched (t0 + k) ignore
+        done;
+        Scheduler.at sched t0 (fun () -> note "b");
+        (* Runs at time 0 and parks its waker at t0, after "b"; the
+           waker queues the fiber's resumption behind what is pending. *)
+        Scheduler.spawn sched (fun () ->
+            Scheduler.delay_until sched t0;
+            note "g";
+            Scheduler.yield sched;
+            note "j");
+        Scheduler.at sched 10 (fun () ->
+            Scheduler.at sched t0 (fun () -> note "c"));
+        Scheduler.run sched;
+        (* Insertion order at t0: a, b, the parked waker, c; then a's
+           successors d, the spawned fiber (e) and f; the waker's
+           resumption (g); e's yield (h); f's [after 0] (i); g's yield
+           (j). *)
+        Alcotest.(check (list (pair string int)))
+          "insertion order"
+          (List.map
+             (fun s -> (s, t0))
+             [ "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h"; "i"; "j" ])
+          (List.rev !log));
   ]
 
 let sync_tests =

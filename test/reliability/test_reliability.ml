@@ -670,6 +670,198 @@ let crash_tests =
           (Reliability.stats rel).Reliability.peer_resets);
   ]
 
+(* A two-node cut from [cut_at] until [heal_at]. *)
+let cut fabric ~cut_at ~heal_at =
+  Simnet.Fabric.apply_partition_schedule fabric
+    (Simnet.Fault.partition_schedule
+       [
+         {
+           Simnet.Fault.group_a = [ 0 ];
+           group_b = [ 1 ];
+           one_way = false;
+           cut_at;
+           heal_at = Some heal_at;
+         };
+       ])
+
+(* Sends each [(time, payload)] rank0 -> rank1 at its time and returns
+   the payloads rank1 received, in order. Bounded, so a pair that never
+   recovers fails the caller's checks instead of hanging. *)
+let run_timed sched fabric sends =
+  let got = ref [] in
+  Simnet.Fabric.register fabric (proc 1 0) (fun ~src:_ payload ->
+      got := Bytes.to_string payload :: !got);
+  Simnet.Fabric.register fabric (proc 0 0) (fun ~src:_ _ -> ());
+  List.iter
+    (fun (at, p) ->
+      Scheduler.at sched at (fun () ->
+          Simnet.Fabric.send fabric ~src:(proc 0 0) ~dst:(proc 1 0)
+            (Bytes.of_string p)))
+    sends;
+  Scheduler.run ~until:(Time_ns.ms 2000.) sched;
+  List.rev !got
+
+(* The wedge probe: one frame sent into a cut, then 200 more 1 ms after
+   the cut heals. The first frame's budget (20 retries, RTO 150 us
+   doubling to 5 ms) runs out about 80 ms after it is sent. *)
+let wedge_probe ~heal_ms =
+  let sched, fabric, rel = mk () in
+  cut fabric ~cut_at:Time_ns.zero ~heal_at:(Time_ns.ms heal_ms);
+  let after = List.init 200 (fun i -> Printf.sprintf "after-%03d" i) in
+  let got =
+    run_timed sched fabric
+      ((Time_ns.zero, "into-the-cut")
+      :: List.map (fun p -> (Time_ns.ms (heal_ms +. 1.), p)) after)
+  in
+  (got, after, rel)
+
+let skip_forward_tests =
+  [
+    Alcotest.test_case "a give-up in a long cut does not wedge the pair"
+      `Quick (fun () ->
+        List.iter
+          (fun heal_ms ->
+            let got, after, rel = wedge_probe ~heal_ms in
+            let st = Reliability.stats rel in
+            let label what = Printf.sprintf "heal at %g ms: %s" heal_ms what in
+            if heal_ms < 79. then
+              Alcotest.(check (list string)) (label "all 201")
+                ("into-the-cut" :: after) got
+            else begin
+              Alcotest.(check (list string))
+                (label "the 200 sent after the heal, in order, once")
+                after got;
+              Alcotest.(check int) (label "one give-up") 1
+                st.Reliability.retries_exhausted
+            end;
+            Alcotest.(check int) (label "skipped = abandoned")
+              st.Reliability.retries_exhausted st.Reliability.skipped;
+            Alcotest.(check int) (label "nothing in flight") 0
+              (Reliability.inflight rel))
+          [ 4.; 50.; 80.; 90.; 200. ]);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"wherever the give-up falls, the rest arrive in order, once"
+         ~count:60
+         QCheck.(
+           quad (int_range 0 59) (int_range 1 40) small_nat (int_range 0 30))
+         (fun (victim, window, seed, dup_pct) ->
+           (* Every transmission of frame [victim] is dropped (it alone
+              is 16 bytes on the wire), under duplication and
+              reordering, so exactly it is abandoned and skipped. *)
+           let n = 60 in
+           let config =
+             {
+               Reliability.default_config with
+               Reliability.window;
+               max_retries = 3;
+             }
+           in
+           let sched, fabric, rel = mk ~config ~seed () in
+           let payload i =
+             if i = victim then "victim" else Printf.sprintf "payload-%06d" i
+           in
+           let victim_len = Reliability.Frame.header_size + 6 in
+           Simnet.Fabric.set_fault_model fabric
+             (Some
+                (Simnet.Fault.compose
+                   [
+                     Simnet.Fault.custom (fun ~now:_ ~src ~dst:_ ~len ->
+                         if src.Simnet.Proc_id.nid = 0 && len = victim_len
+                         then Simnet.Fault.Drop
+                         else Simnet.Fault.Deliver);
+                     Simnet.Fault.duplicator ~seed:(seed + 1)
+                       ~p:(float_of_int dup_pct /. 100.) ();
+                     Simnet.Fault.delay ~seed:(seed + 2)
+                       ~mean:(Time_ns.us 10.) ~jitter:(Time_ns.us 10.)
+                       ~reorder:true ();
+                   ]));
+           let got =
+             run_timed sched fabric
+               (List.init n (fun i -> (Time_ns.zero, payload i)))
+           in
+           let st = Reliability.stats rel in
+           got = List.filter (( <> ) "victim") (List.init n payload)
+           && st.Reliability.retries_exhausted = 1
+           && st.Reliability.skipped = 1
+           && Reliability.inflight rel = 0));
+    Alcotest.test_case "a stream across a cut longer than the retry budget"
+      `Quick (fun () ->
+        (* One frame every 2 ms from 0 to 400 ms, with the pair cut from
+           100 to 300 ms: frames sent early in the cut run out of budget,
+           frames sent late in it may still get through after the heal,
+           and every frame sent after the heal must arrive. What arrives
+           is in send order, exactly once, and every frame is either
+           delivered or skipped. *)
+        let sched, fabric, rel = mk () in
+        cut fabric ~cut_at:(Time_ns.ms 100.) ~heal_at:(Time_ns.ms 300.);
+        let sends =
+          List.init 201 (fun i ->
+              (Time_ns.ms (float_of_int (2 * i)), Printf.sprintf "f%03d" i))
+        in
+        let got = run_timed sched fabric sends in
+        let st = Reliability.stats rel in
+        let rec subsequence xs ys =
+          match (xs, ys) with
+          | [], _ -> true
+          | _, [] -> false
+          | x :: xs', y :: ys' ->
+            if x = y then subsequence xs' ys' else subsequence xs ys'
+        in
+        Alcotest.(check bool) "in send order, no duplicates" true
+          (subsequence got (List.map snd sends));
+        let after_heal =
+          List.filter_map
+            (fun (at, p) -> if at >= Time_ns.ms 300. then Some p else None)
+            sends
+        in
+        Alcotest.(check bool) "everything sent after the heal arrives" true
+          (List.for_all (fun p -> List.mem p got) after_heal);
+        Alcotest.(check bool) "some frames were abandoned in the cut" true
+          (st.Reliability.retries_exhausted > 0);
+        Alcotest.(check int) "every frame delivered or skipped"
+          (List.length sends)
+          (List.length got + st.Reliability.skipped);
+        Alcotest.(check int) "nothing in flight" 0 (Reliability.inflight rel));
+    Alcotest.test_case "a Forward spent inside the cut restarts on an ack"
+      `Quick (fun () ->
+        (* Frame "zero" is abandoned about 85 ms into a 200 ms cut, and
+           its Forward spends its budget by about 190 ms. Frame "one",
+           sent at 150 ms, still has budget at the heal: it reaches the
+           receiver, which buffers and SACKs it. That ack shows the
+           receiver still waiting for "zero", so the sender restarts the
+           Forward and "one" is handed up. *)
+        let sched, fabric, rel = mk () in
+        cut fabric ~cut_at:Time_ns.zero ~heal_at:(Time_ns.ms 200.);
+        let got =
+          run_timed sched fabric
+            [ (Time_ns.zero, "zero"); (Time_ns.ms 150., "one") ]
+        in
+        let st = Reliability.stats rel in
+        Alcotest.(check (list string)) "the frame sent in the cut" [ "one" ]
+          got;
+        Alcotest.(check int) "one give-up" 1 st.Reliability.retries_exhausted;
+        Alcotest.(check int) "one skipped" 1 st.Reliability.skipped;
+        Alcotest.(check int) "nothing in flight" 0 (Reliability.inflight rel));
+    Alcotest.test_case "forward frame round trip and integrity" `Quick
+      (fun () ->
+        let f = Reliability.Frame.Forward { upto = 77 } in
+        List.iter
+          (fun integrity ->
+            match
+              Reliability.Frame.decode ~integrity
+                (Reliability.Frame.encode ~integrity f)
+            with
+            | Ok (Reliability.Frame.Forward { upto }) ->
+              Alcotest.(check int) "upto" 77 upto
+            | _ -> Alcotest.fail "bad decode")
+          [ false; true ];
+        Alcotest.(check bool) "unprotected rejected under integrity" true
+          (Result.is_error
+             (Reliability.Frame.decode ~integrity:true
+                (Reliability.Frame.encode ~integrity:false f))));
+  ]
+
 let () =
   Alcotest.run "reliability"
     [
@@ -682,4 +874,5 @@ let () =
       ("chaos grid", chaos_grid_tests);
       ("crash", crash_tests);
       ("frame class", frame_class_tests);
+      ("skip forward", skip_forward_tests);
     ]
