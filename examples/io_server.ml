@@ -160,11 +160,11 @@ let () =
             incr reads_ok;
           (* 2. MPI among the clients, interleaved with the I/O. *)
           if c <> 0 then
-            ignore (MP.wait ep (MP.isend ep ~dst:0 ~tag:5 (Bytes.make 1 (Char.chr c))))
+            ignore (Mpi.wait ep (Mpi.isend ep ~dst:0 ~tag:5 (Bytes.make 1 (Char.chr c))))
           else
             for _ = 1 to clients - 1 do
               let b = Bytes.create 1 in
-              ignore (MP.wait ep (MP.irecv ep ~tag:5 b));
+              ignore (Mpi.wait ep (Mpi.irecv ep ~tag:5 b));
               mpi_sum := !mpi_sum + Char.code (Bytes.get b 0)
             done;
           (* 3. Write a block, then read it back. *)

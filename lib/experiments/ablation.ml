@@ -61,19 +61,19 @@ let run_interrupt_case per_packet =
   let batch = 10 and size = 50_000 in
   Scheduler.spawn sched (fun () ->
       let sends =
-        List.init batch (fun i -> MP.isend eps.(0) ~dst:1 ~tag:i (Bytes.create size))
+        List.init batch (fun i -> Mpi.isend eps.(0) ~dst:1 ~tag:i (Bytes.create size))
       in
-      List.iter (fun r -> ignore (MP.wait eps.(0) r)) sends);
+      List.iter (fun r -> ignore (Mpi.wait eps.(0) r)) sends);
   Scheduler.spawn sched (fun () ->
       let recvs =
         List.init batch (fun i ->
-            MP.irecv eps.(1) ~source:0 ~tag:i (Bytes.create size))
+            Mpi.irecv eps.(1) ~source:0 ~tag:i (Bytes.create size))
       in
       let cpu = Simnet.Node.host_cpu (Simnet.Fabric.node fabric 1) in
       let started = Scheduler.now sched in
       Cpu.compute cpu (Time_ns.ms 20.0);
       work_elapsed := Time_ns.to_ms (Time_ns.sub (Scheduler.now sched) started);
-      List.iter (fun r -> ignore (MP.wait eps.(1) r)) recvs);
+      List.iter (fun r -> ignore (Mpi.wait eps.(1) r)) recvs);
   Scheduler.run sched;
   let cpu = Simnet.Node.host_cpu (Simnet.Fabric.node fabric 1) in
   {

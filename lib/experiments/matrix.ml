@@ -3,7 +3,7 @@ open Sim_engine
 (* The cross-stack benchmark matrix: {portals, gm, rtscts, ibverbs} x
    {latency, bandwidth, overlap, loss-goodput, congestion-goodput},
    every cell the same MPI-level workload built over a different stack
-   through the one Transport.S seam. This is the repo's summary
+   on the one MPI engine (Mpi_core). This is the repo's summary
    artifact: the paper's Figure 6 argument (who progresses without the
    application), Liu et al.'s fast-path numbers and the
    degraded-fabric behaviour, all in one grid. *)

@@ -3,12 +3,11 @@
     [{latency, bandwidth, overlap, loss-goodput, congestion-goodput}].
 
     Every cell runs the {e same} MPI-level workload, built over a
-    different stack through the one {!Transport.S} seam
-    ({!Runtime.Stack}) — the API-redesign payoff in one grid: the
-    paper's application-bypass argument shows up in the [overlap]
-    column, Liu et al.'s fast path in the [latency] row gap, and the
-    degraded-fabric axes exercise every stack over the reliability shim
-    and a contended torus.
+    different stack on the one MPI engine ({!Runtime.Stack}) — the
+    API-redesign payoff in one grid: the paper's application-bypass
+    argument shows up in the [overlap] column, Liu et al.'s fast path
+    in the [latency] row gap, and the degraded-fabric axes exercise
+    every stack over the reliability shim and a contended torus.
 
     Workloads: small-message ping-pong (mean RTT, µs); one-way 256 KiB
     stream (payload MB/s); fig6-style overlap availability (% of the

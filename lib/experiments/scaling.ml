@@ -23,7 +23,7 @@ let run_memory ?scenario ?(job_sizes = [ 4; 8; 16; 32; 64 ]) ?(credits = 8)
         let ep = endpoints.(rank) in
         if rank <> 0 then
           for i = 0 to 3 do
-            ignore (MP.wait ep (MP.isend ep ~dst:0 ~tag:((rank * 10) + i) (Bytes.create 1_024)))
+            ignore (Mpi.wait ep (Mpi.isend ep ~dst:0 ~tag:((rank * 10) + i) (Bytes.create 1_024)))
           done
         else begin
           (* Let everything arrive unexpected, then claim it. *)
@@ -31,8 +31,8 @@ let run_memory ?scenario ?(job_sizes = [ 4; 8; 16; 32; 64 ]) ?(credits = 8)
           for src = 1 to n - 1 do
             for i = 0 to 3 do
               ignore
-                (MP.wait ep
-                   (MP.irecv ep ~source:src ~tag:((src * 10) + i)
+                (Mpi.wait ep
+                   (Mpi.irecv ep ~source:src ~tag:((src * 10) + i)
                       (Bytes.create 1_024)))
             done
           done

@@ -1,7 +1,7 @@
-exception Peer_failed = Transport.Peer_failed
+exception Peer_failed of int
 
-let any_source = Transport.any_source
-let any_tag = Transport.any_tag
+let any_source = -1
+let any_tag = -1
 let max_tag = (1 lsl 31) - 1
 let max_rank = (1 lsl 16) - 1
 let max_context = (1 lsl 14) - 1
@@ -24,7 +24,7 @@ let rdvz_header_size = 16
 
 let encode_rdvz_header ~cookie ~total_len =
   let buf = Bytes.create rdvz_header_size in
-  Bytes.set_int64_le buf 0 cookie;
+  Bytes.set_int64_le buf 0 (Int64.of_int cookie);
   Bytes.set_int64_le buf 8 (Int64.of_int total_len);
   buf
 
@@ -32,7 +32,9 @@ let decode_rdvz_header buf ~off =
   if Bytes.length buf - off < rdvz_header_size then
     Error "rendezvous header: truncated"
   else
-    Ok (Bytes.get_int64_le buf off, Int64.to_int (Bytes.get_int64_le buf (off + 8)))
+    Ok
+      ( Int64.to_int (Bytes.get_int64_le buf off),
+        Int64.to_int (Bytes.get_int64_le buf (off + 8)) )
 
 (* --- GM framing -------------------------------------------------------- *)
 

@@ -21,17 +21,15 @@
     {b GM and ibverbs} — neither wire matches, so the same envelope
     travels as an explicit header in front of the payload (GM framing,
     ibverbs channel framing below), and matching happens in the MPI
-    library, [Mpi_core] (the very fact Figure 6 measures). *)
+    library, [Mpi_libmatch] (the very fact Figure 6 measures). *)
 
 exception Peer_failed of int
 (** Raised (with the peer's rank) by any backend when an operation
     cannot complete because the peer's node crashed: a blocked wait on a
     receive from the failed rank, a rendezvous send whose partner died
     mid-handshake, or (connection-oriented backends only) new traffic
-    toward a peer that has not been {!Mpi.reconnect}ed. An alias of
-    {!Transport.Peer_failed} — the exception is defined once in the
-    transport signature so every stack and the dispatching {!Mpi} layer
-    raise the same one. *)
+    toward a peer that has not been {!Mpi.reconnect}ed. Defined once,
+    here, so every stack raises the same one. *)
 
 val any_source : int
 (** -1: matches any sender. *)
@@ -40,8 +38,11 @@ val any_tag : int
 (** -1: matches any tag. *)
 
 val max_tag : int
+(** [2^31 - 1]: tags are [0 .. max_tag]. *)
+
 val max_rank : int
 val max_context : int
+(** [2^14 - 1]: contexts are [0 .. max_context]. *)
 
 type protocol = Eager | Rendezvous
 
@@ -50,7 +51,8 @@ type t = { protocol : protocol; context : int; src_rank : int; tag : int }
 val pp : Format.formatter -> t -> unit
 
 val matches : ?context:int -> t -> source:int -> tag:int -> bool
-(** Library-side matching ([Mpi_core]'s queues, unexpected lists):
+(** Library-side matching ([Mpi_core]'s unexpected queue,
+    [Mpi_libmatch]'s posted queue):
     [source]/[tag]
     may be wildcards, the context (default 0, the world) must agree; the
     protocol field is not part of MPI matching. *)
@@ -58,10 +60,10 @@ val matches : ?context:int -> t -> source:int -> tag:int -> bool
 (** {1 Rendezvous header payload (Portals backend)} *)
 
 val rdvz_header_size : int
-(** 16: cookie and total length. *)
+(** 16: cookie and total length, 64 bits each. *)
 
-val encode_rdvz_header : cookie:int64 -> total_len:int -> bytes
-val decode_rdvz_header : bytes -> off:int -> (int64 * int, string) result
+val encode_rdvz_header : cookie:int -> total_len:int -> bytes
+val decode_rdvz_header : bytes -> off:int -> (int * int, string) result
 
 (** {1 GM framing} *)
 

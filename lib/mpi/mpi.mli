@@ -1,26 +1,22 @@
 (** A small MPI: nonblocking two-sided point-to-point with tag matching,
-    wildcards and a barrier, derived {e once} from the transport
-    signature and instantiated for every stack the paper compares:
+    wildcards, communicator contexts and a barrier, over every stack the
+    paper compares. Every endpoint is one [Mpi_core.t], whatever the
+    stack; the stacks differ only in where matching and progress run:
 
     {ul
-    {- {!create_portals} — MPICH-over-Portals-style: matching and delivery
-       progress without the application (§5.2, the declining curve of
-       Figure 6);}
-    {- {!create_gm} — MPICH/GM-style: progress only inside library calls
-       (the flat curve of Figure 6);}
+    {- {!create_portals} — MPICH-over-Portals-style: matching in the NI,
+       so delivery progresses without the application (§5.2, the
+       declining curve of Figure 6);}
+    {- {!create_gm} — MPICH/GM-style: matching in the library, so
+       progress only inside library calls (the flat curve of Figure 6);}
     {- {!create_ibverbs} — an ibverbs-style RDMA stack (Liu et al.):
-       sender-written per-peer rings plus RDMA-write rendezvous.}}
+       sender-written per-peer rings plus RDMA-write rendezvous,
+       matching in the library as on GM.}}
 
     The production Cplant stack (§3) is {!create_portals} over the
-    kernel RTS/CTS wire: the Portals glue cannot tell where matching
-    runs, so [Runtime.Stack] only pairs it with a different wire. GM and
-    ibverbs share one library-side engine ([Mpi_core]).
-
-    {!Make} is the only MPI {^ } transport binding: give it a
-    {!Transport.S} and it returns the full endpoint surface. The
-    dynamic [t] below packs any such instantiation so experiments swap
-    backends without touching application code. All calls must run
-    inside a simulation fiber. *)
+    kernel RTS/CTS wire: the Portals glue cannot tell where the NI runs,
+    so [Runtime.Stack] only pairs it with a different wire. All calls
+    must run inside a simulation fiber. *)
 
 module Envelope = Envelope
 module Mpi_portals = Mpi_portals
@@ -31,35 +27,9 @@ module Nx = Nx
 (** The Intel NX interface of §2, over the same Portals matching
     engine. *)
 
-module type TRANSPORT = Transport.S
-(** What a backend implements (re-exported from {!Transport.S}). *)
-
-(** The full per-backend MPI surface {!Make} derives: the transport
-    contract plus blocking calls, [waitall] and the dissemination
-    barrier. *)
-module type ENDPOINT = sig
-  include Transport.S
-
-  val waitall : t -> request list -> Transport.status list
-  val send : t -> ?context:int -> dst:int -> tag:int -> bytes -> unit
-
-  val recv :
-    t -> ?context:int -> ?source:int -> ?tag:int -> bytes -> Transport.status
-
-  val barrier : ?tolerant:bool -> t -> unit
-  (** Dissemination barrier over point-to-point messages on a reserved
-      tag. With [tolerant] (default false), exchanges with failed ranks
-      are skipped instead of raising [Peer_failed]. *)
-end
-
-module Make (T : Transport.S) :
-  ENDPOINT with type t = T.t and type request = T.request
-(** Derive the MPI device layer for one transport. *)
-
-type t
-type request
-
-type status = Transport.status = { source : int; tag : int; length : int }
+type t = Mpi_core.t
+type request = Mpi_core.request
+type status = Mpi_core.status = { source : int; tag : int; length : int }
 
 exception Peer_failed of int
 (** Raised (with the peer's rank) when an operation cannot complete
@@ -98,17 +68,13 @@ val create_ibverbs :
 (** The ibverbs-style RDMA stack: ring fast path + RDMA-write
     rendezvous (see {!Mpi_ibverbs}). *)
 
-val of_endpoint :
-  (module ENDPOINT with type t = 'e and type request = 'r) -> 'e -> t
-(** Pack any {!Make} instantiation (e.g. one over a custom-config
-    backend) into the dynamic endpoint. *)
-
 val finalize : t -> unit
 val rank : t -> int
 val size : t -> int
 
 val counters : t -> (string * int) list
-(** The backend's monotone counters (see {!Transport.S.counters}). *)
+(** The stack's monotone counters: [eager_sends], [rdvz_sends],
+    [completions], then the stack's own (see each stack's module). *)
 
 val isend : t -> ?context:int -> dst:int -> tag:int -> bytes -> request
 (** Nonblocking send ([MPI_Isend]). The data is captured at call time.
@@ -119,7 +85,11 @@ val isend : t -> ?context:int -> dst:int -> tag:int -> bytes -> request
 
 val irecv : t -> ?context:int -> ?source:int -> ?tag:int -> bytes -> request
 (** Nonblocking receive ([MPI_Irecv]); [source]/[tag] default to the
-    wildcards, [context] to the world. *)
+    wildcards, [context] to the world. Both calls check their
+    arguments first: [context] in [0 .. Envelope.max_context], [tag] in
+    [0 .. Envelope.max_tag] and the peer a rank of the job, with the
+    wildcards allowed on [irecv] only; a bad one raises
+    [Invalid_argument]. *)
 
 val test : t -> request -> status option
 (** [MPI_Test]: nonblocking; drives the library's progress engine. *)

@@ -1,55 +1,55 @@
 open Sim_engine
 module C = Mpi_core
+module L = Mpi_libmatch
 
 type config = { eager_threshold : int; recv_tokens : int; call_cost : Time_ns.t }
 
 let default_config =
   { eager_threshold = 16384; recv_tokens = 64; call_cost = Time_ns.ns 300 }
 
-type status = Transport.status = { source : int; tag : int; length : int }
-type request = C.request
-
 (* What each GM send's completion event means, FIFO with Send_complete. *)
-type sent_kind = Sk_eager of request | Sk_data of request | Sk_control
+type sent_kind = Sk_eager of C.request | Sk_data of C.request | Sk_control
 
 (* [spare] binds each rendezvous token size to the tokens of that size
    that have been drained, most recent first ([Hashtbl.add] stacks
    bindings), so a later grant of the same size reuses one instead of
-   allocating a payload-sized buffer. *)
+   allocating a payload-sized buffer. A granted rendezvous keeps nothing
+   beyond its [lib] entry: its data lands in a token, not in a registered
+   region. *)
 type dev = {
   gm_port : Gm.t;
   sent_fifo : sent_kind Queue.t;
   spare : (int, bytes) Hashtbl.t;
+  lib : unit L.t;
 }
 
-(* A granted rendezvous keeps nothing beyond the core's entry: its data
-   lands in a token, not in a registered region. *)
-type t = (dev, unit) C.t
+type C.dev += Gm_dev of dev
 
-include C.Endpoint
+let dev t =
+  match C.dev t with Gm_dev d -> d | _ -> invalid_arg "Mpi_gm: not a GM endpoint"
 
-let port (t : t) = (C.dev t).gm_port
+let port t = (dev t).gm_port
+let token_size t = C.eager_threshold t + Envelope.gm_header_size
 
-let token_size (t : t) = C.eager_threshold t + Envelope.gm_header_size
-
-let gm_send (t : t) ~dst msg kind =
-  Queue.add kind (C.dev t).sent_fifo;
+let gm_send t ~dst msg kind =
+  Queue.add kind (dev t).sent_fifo;
   Gm.send (port t) ~dst:(C.ranks t).(dst) (Envelope.encode_gm msg)
 
-let send_eager t (req : request) env =
+let send_eager t (req : C.request) env =
   let data = req.C.buffer in
   gm_send t ~dst:req.C.want_source
     (Envelope.Gm_eager
        { env; payload = data; pay_off = 0; pay_len = Bytes.length data })
     (Sk_eager req)
 
-let send_rts t (req : request) env ~cookie =
+let send_rts t (req : C.request) env ~cookie =
+  L.await_cts (dev t).lib req ~cookie;
   gm_send t ~dst:req.C.want_source
     (Envelope.Gm_rts { env; cookie; total_len = Bytes.length req.C.buffer })
     Sk_control
 
-let rendezvous_token (t : t) size =
-  let spare = (C.dev t).spare in
+let rendezvous_token t size =
+  let spare = (dev t).spare in
   match Hashtbl.find_opt spare size with
   | Some token ->
     Hashtbl.remove spare size;
@@ -58,23 +58,24 @@ let rendezvous_token (t : t) size =
 
 (* Grant a matched rendezvous: provision a token big enough for the data
    message, then tell the sender to go. *)
-let grant_rts (t : t) req env ~cookie ~total =
-  Hashtbl.replace (C.awaiting_data t) cookie (req, env, ());
+let grant_rts t req env ~cookie ~total =
+  L.await_data (dev t).lib req env ~cookie ();
   Gm.provide_receive_token (port t)
     (rendezvous_token t (total + Envelope.gm_header_size));
   gm_send t ~dst:env.Envelope.src_rank (Envelope.Gm_cts { cookie }) Sk_control
 
 (* [token] is decoded in place: matched payloads are blitted straight
    from it into the request buffer. *)
-let handle_recv (t : t) token length =
+let handle_recv t token length =
+  let lib = (dev t).lib in
   match Envelope.decode_gm token ~len:length with
   | Error _ -> () (* not an MPI message; ignore *)
   | Ok (Envelope.Gm_eager { env; payload; pay_off; pay_len }) ->
-    C.on_eager t env payload ~off:pay_off ~len:pay_len
+    L.on_eager t lib env payload ~off:pay_off ~len:pay_len
   | Ok (Envelope.Gm_rts { env; cookie; total_len }) ->
-    C.on_rts t env ~cookie ~total:total_len
+    L.on_rts t lib env ~cookie ~total:total_len
   | Ok (Envelope.Gm_cts { cookie }) -> (
-    match C.take (C.awaiting_cts t) cookie with
+    match L.cts lib cookie with
     | None -> ()
     | Some req ->
       let data = req.C.buffer in
@@ -83,22 +84,22 @@ let handle_recv (t : t) token length =
            { cookie; payload = data; pay_off = 0; pay_len = Bytes.length data })
         (Sk_data req))
   | Ok (Envelope.Gm_data { cookie; payload; pay_off; pay_len }) -> (
-    match C.take (C.awaiting_data t) cookie with
+    match L.data lib cookie with
     | None -> ()
     | Some (req, env, ()) -> C.deliver t req env payload ~off:pay_off ~len:pay_len)
 
-let handle_sent (t : t) =
-  match Queue.take_opt (C.dev t).sent_fifo with
+let handle_sent t =
+  match Queue.take_opt (dev t).sent_fifo with
   | None | Some Sk_control -> ()
   | Some (Sk_eager req | Sk_data req) ->
     C.complete t req
       {
-        source = rank t;
+        source = C.rank t;
         tag = req.C.want_tag;
         length = Bytes.length req.C.buffer;
       }
 
-let progress_raw (t : t) =
+let poll t =
   let rec drain () =
     match Gm.poll (port t) with
     | None -> ()
@@ -109,7 +110,7 @@ let progress_raw (t : t) =
          port, a rendezvous token waits for the next grant of its size. *)
       let size = Bytes.length buffer in
       if size = token_size t then Gm.provide_receive_token (port t) buffer
-      else Hashtbl.add (C.dev t).spare size buffer;
+      else Hashtbl.add (dev t).spare size buffer;
       drain ()
     | Some (Gm.Send_complete _) ->
       handle_sent t;
@@ -119,50 +120,40 @@ let progress_raw (t : t) =
 
 let ops =
   {
-    C.send_eager;
+    C.connectionless = false;
+    send_eager;
     send_rts;
     grant = grant_rts;
-    release = (fun _ () -> ());
-    poll = progress_raw;
+    post = (fun t req -> L.post (dev t).lib req);
+    poll;
     (* Blocking gm_receive: sleep until the port has an event. *)
-    block = (fun t -> Gm.wait_event (port t));
+    block =
+      (fun t ->
+        Gm.wait_event (port t);
+        poll t);
     wake = (fun t -> Gm.wake (port t));
-    drop_peer = (fun _ _ -> ());
+    drop_peer = (fun t r -> L.drop_peer (dev t).lib ~release:ignore r);
     reset_peer = (fun _ _ -> ());
+    finalize = (fun t -> Gm.close (port t));
+    counters =
+      (fun t ->
+        let s = Gm.stats (port t) in
+        [ ("port_sends", s.Gm.sends); ("port_receives", s.Gm.receives) ]);
   }
 
 let create tp ~ranks ~rank ?(config = default_config) () =
   let t =
     C.create ~name:"Mpi_gm" ~ops ~eager_threshold:config.eager_threshold
       ~call_cost:config.call_cost tp ~ranks ~rank (fun id ->
-        {
-          gm_port = Gm.open_port tp ~id;
-          sent_fifo = Queue.create ();
-          spare = Hashtbl.create 4;
-        })
+        Gm_dev
+          {
+            gm_port = Gm.open_port tp ~id;
+            sent_fifo = Queue.create ();
+            spare = Hashtbl.create 4;
+            lib = L.create ();
+          })
   in
   for _ = 1 to config.recv_tokens do
     Gm.provide_receive_token (port t) (Bytes.create (token_size t))
   done;
   t
-
-let finalize t = Gm.close (port t)
-
-let counters t =
-  let s = Gm.stats (port t) in
-  C.counters t @ [ ("port_sends", s.Gm.sends); ("port_receives", s.Gm.receives) ]
-
-(* The Transport.S instance: what Mpi.Make and the conformance suite
-   consume. *)
-module Tx = struct
-  include C.Endpoint
-
-  let name = "gm"
-
-  type nonrec t = t
-  type nonrec request = request
-
-  let create tp ~ranks ~rank = create tp ~ranks ~rank ()
-  let finalize = finalize
-  let counters = counters
-end

@@ -12,10 +12,10 @@
 
     Both protocols progress {e only} inside library calls — the NIC
     lands bytes, but matching, unexpected-message buffering and the
-    rendezvous state machine all run on the host, in [Mpi_core], the
-    library-side engine this stack shares with {!Mpi_gm}; this module
-    supplies the rings, the credit backlog, the rkey registration and
-    the FIN. In the taxonomy of
+    rendezvous state machine all run on the host: the endpoint is a
+    {!Mpi_core.t} and matching is [Mpi_libmatch], as for {!Mpi_gm};
+    this module supplies the rings, the credit backlog, the rkey
+    registration and the FIN. In the taxonomy of
     §5.2 this stack sits with MPICH/GM on the application-bypass axis
     (none below the library) while beating it on per-message receive
     cost — the benchmark matrix quantifies the trade against Portals'
@@ -23,8 +23,12 @@
 
     Crash semantics are connection-oriented, as on GM: a peer's rings
     and rendezvous state die with its node, so traffic toward a failed
-    rank raises {!Envelope.Peer_failed} until {!reconnect}, which
-    rebuilds the pair's rings from scratch. *)
+    rank raises {!Envelope.Peer_failed} until {!Mpi_core.reconnect},
+    which rebuilds the pair's rings from scratch. The rings have no self
+    pair: a send to the calling rank raises [Invalid_argument].
+
+    Counters: {!Mpi_core.counters}, then [hca_writes] and
+    [hca_remote_writes]. *)
 
 type config = {
   eager_threshold : int;
@@ -39,36 +43,12 @@ type config = {
 
 val default_config : config
 
-type status = Transport.status = { source : int; tag : int; length : int }
-type t
-type request
-
 val create :
   Simnet.Transport.t ->
   ranks:Simnet.Proc_id.t array ->
   rank:int ->
   ?config:config ->
   unit ->
-  t
+  Mpi_core.t
 (** Bring up the endpoint: opens the HCA and registers the all-to-all
     ring and credit buffers under their well-known rkeys. *)
-
-val finalize : t -> unit
-val rank : t -> int
-val size : t -> int
-
-val hca : t -> Ibverbs.t
-(** The underlying HCA (stats, direct verbs access in tests). *)
-
-val isend : t -> ?context:int -> dst:int -> tag:int -> bytes -> request
-val irecv : t -> ?context:int -> ?source:int -> ?tag:int -> bytes -> request
-val test : t -> request -> status option
-val wait : t -> request -> status
-val progress : t -> unit
-val on_peer_failure : t -> (rank:int -> unit) -> unit
-val failed_ranks : t -> int list
-val reconnect : t -> rank:int -> unit
-val counters : t -> (string * int) list
-
-module Tx : Transport.S with type t = t and type request = request
-(** The {!Transport.S} instance ([name = "ibverbs"]). *)

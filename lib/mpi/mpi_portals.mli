@@ -21,8 +21,15 @@
        the library, so oversized transfers need a library call at the
        receiver — an inherent protocol trade-off the benches ablate.}}
 
-    All calls must run inside a simulation fiber (they charge call
-    overhead as simulated time and may block). *)
+    The endpoint is a {!Mpi_core.t}: this module supplies the protocol
+    steps, the lifecycle is the core's. Crash semantics are
+    connectionless (§3: Portals keeps no per-peer connection state): an
+    eager send to a failed rank completes locally, a rendezvous send or
+    a receive that needs it fails with [Envelope.Peer_failed], and the
+    failed mark clears as soon as the node restarts — no
+    {!Mpi_core.reconnect} needed.
+
+    Counters: {!Mpi_core.counters}, then [unexpected_highwater]. *)
 
 type config = {
   eager_threshold : int;  (** Bytes; default 65536 (50 KB messages are eager). *)
@@ -35,71 +42,21 @@ type config = {
 
 val default_config : config
 
-type status = { source : int; tag : int; length : int }
-
-type request
-
-type t
-
 val create :
   Simnet.Transport.t ->
   ranks:Simnet.Proc_id.t array ->
   rank:int ->
   ?config:config ->
   unit ->
-  t
+  Mpi_core.t
 (** Bring up the endpoint for [rank]: creates the Portals NI, allocates
     the event queue and attaches the unexpected-message slabs. *)
 
-val finalize : t -> unit
-val rank : t -> int
-val size : t -> int
-val ni : t -> Portals.Ni.t
-(** The underlying Portals interface (for introspection in tests). *)
+val ni : Mpi_core.t -> Portals.Ni.t
+(** The underlying Portals interface, for other protocols sharing it.
+    Raises [Invalid_argument] on an endpoint of another stack, as does
+    {!unexpected_bytes_highwater}. *)
 
-val isend : t -> ?context:int -> dst:int -> tag:int -> bytes -> request
-(** [context] (default 0, the world) isolates communication spaces —
-    the communicator-context field packed into the match bits. *)
-
-val irecv : t -> ?context:int -> ?source:int -> ?tag:int -> bytes -> request
-
-val test : t -> request -> status option
-(** Non-blocking: drives the library progress engine, then reports. *)
-
-val wait : t -> request -> status
-(** Blocks the calling fiber until the request completes. Both [test]
-    and [wait] raise [Envelope.Peer_failed] when the request can no
-    longer complete because the peer's node crashed: receives pinned to
-    the dead rank and rendezvous sends awaiting its pull fail rather
-    than deadlock. Eager sends still complete locally (fire-and-forget —
-    Portals keeps no per-peer connection state, §3). *)
-
-val progress : t -> unit
-(** One library entry with no request: drain completions (what a bare
-    [MPI_Iprobe]-ish call would do). Exposed for the Figure 6 variant
-    that sprinkles test calls into the work loop. *)
-
-val unexpected_bytes_highwater : t -> int
+val unexpected_bytes_highwater : Mpi_core.t -> int
 (** Peak bytes of slab memory holding not-yet-claimed unexpected
     messages — the §4.1 memory-scaling measurement. *)
-
-(** {1 Peer liveness} *)
-
-val on_peer_failure : t -> (rank:int -> unit) -> unit
-(** Register a callback fired when a peer rank's node crashes. *)
-
-val failed_ranks : t -> int list
-(** Ranks currently marked down, ascending. The mark clears
-    automatically when the node restarts: Portals needs no reconnection
-    handshake. *)
-
-val reconnect : t -> rank:int -> unit
-(** Provided for API parity with the GM backend; Portals has no per-peer
-    connection state, so this merely clears a still-down peer's mark. *)
-
-val counters : t -> (string * int) list
-(** Monotone backend counters: eager/rendezvous sends, completions and
-    the unexpected-buffer highwater. *)
-
-module Tx : Transport.S with type t = t and type request = request
-(** The {!Transport.S} instance of this backend (config defaults). *)

@@ -3,10 +3,10 @@
    receives never restrict the source (crecv matches any sender). The
    info registers are NX's way of reporting status. *)
 
-type msgid = Send of Mpi_portals.request | Recv of Mpi_portals.request
+type msgid = Send of Mpi_core.request | Recv of Mpi_core.request
 
 type t = {
-  ep : Mpi_portals.t;
+  ep : Mpi_core.t;
   mutable info_count : int;
   mutable info_node : int;
   mutable info_type : int;
@@ -18,39 +18,39 @@ let create tp ~ranks ~rank () =
   { ep = Mpi_portals.create tp ~ranks ~rank (); info_count = -1; info_node = -1;
     info_type = -1 }
 
-let finalize t = Mpi_portals.finalize t.ep
-let mynode t = Mpi_portals.rank t.ep
-let numnodes t = Mpi_portals.size t.ep
+let finalize t = Mpi_core.finalize t.ep
+let mynode t = Mpi_core.rank t.ep
+let numnodes t = Mpi_core.size t.ep
 
 let check_type typ =
   if typ < 0 then invalid_arg "Nx: message types must be non-negative"
 
 let isend t ~typ ~node payload =
   check_type typ;
-  Send (Mpi_portals.isend t.ep ~dst:node ~tag:typ payload)
+  Send (Mpi_core.isend t.ep ~dst:node ~tag:typ payload)
 
 let irecv t ~typesel buffer =
   if typesel <> any_type then check_type typesel;
   let tag = if typesel = any_type then Envelope.any_tag else typesel in
-  Recv (Mpi_portals.irecv t.ep ~source:Envelope.any_source ~tag buffer)
+  Recv (Mpi_core.irecv t.ep ~source:Envelope.any_source ~tag buffer)
 
-let record_info t (st : Mpi_portals.status) =
-  t.info_count <- st.Mpi_portals.length;
-  t.info_node <- st.Mpi_portals.source;
-  t.info_type <- st.Mpi_portals.tag
+let record_info t (st : Mpi_core.status) =
+  t.info_count <- st.length;
+  t.info_node <- st.source;
+  t.info_type <- st.tag
 
 let msgwait t id =
   match id with
-  | Send req -> ignore (Mpi_portals.wait t.ep req)
+  | Send req -> ignore (Mpi_core.wait t.ep req)
   | Recv req ->
-    let st = Mpi_portals.wait t.ep req in
+    let st = Mpi_core.wait t.ep req in
     record_info t st
 
 let msgdone t id =
   match id with
-  | Send req -> Mpi_portals.test t.ep req <> None
+  | Send req -> Mpi_core.test t.ep req <> None
   | Recv req -> (
-    match Mpi_portals.test t.ep req with
+    match Mpi_core.test t.ep req with
     | None -> false
     | Some st ->
       record_info t st;

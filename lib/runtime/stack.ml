@@ -1,8 +1,8 @@
 (* The benchmark-stack registry: one row per named MPI-over-wire
    combination the paper's comparison covers. A stack pairs a wire
-   placement (World.transport_kind) with the Transport.S instance that
-   runs over it, so experiment code can iterate "for every stack" and
-   build identical workloads over each. *)
+   placement (World.transport_kind) with the MPI endpoint constructor
+   that runs over it, so experiment code can iterate "for every stack"
+   and build identical workloads over each. *)
 
 type t = {
   name : string;

@@ -1,7 +1,7 @@
 (** The benchmark-stack registry: every named MPI-over-wire combination
     the cross-stack comparison covers, in one table.
 
-    A stack is a wire placement plus the {!Transport.S} instance layered
+    A stack is a wire placement plus the MPI endpoint constructor layered
     over it: ["portals"] (NIC-offload Portals, §5.2), ["gm"]
     (MPICH/GM-style ports and tokens), ["rtscts"] (the kernel RTS/CTS
     production stack of §3) and ["ibverbs"] (RDMA-write rings and

@@ -212,14 +212,21 @@ grep -q '^torus2d .* busy  host' "$OUT/coll.out"
 check_sha "$OUT/coll.out" \
   dde717895ef0aeb1373f32210aaae170ffc8196c930af08b9166314c2da39f43 \
   "coll --quick --seed 7"
-# The two stacks that share the library-side MPI engine (Mpi_core), over
-# every matrix axis: pinned the same way, so a change to the shared
-# protocol that moves either stack's timing fails here.
+# All four stacks share one MPI engine (Mpi_core): GM and ibverbs match
+# in the library (Mpi_libmatch), Portals and the RTS/CTS stack in the NI.
+# Each pair is pinned over every matrix axis the same way, so a change to
+# the shared engine that moves any stack's timing fails here.
 $DUNE exec bin/portals_repro.exe -- \
   matrix --quick --seed 42 --transports gm,ibverbs | tee "$OUT/matrix_lib.out"
 check_sha "$OUT/matrix_lib.out" \
   b226f3fea0dc865ae1b2a766b2a96b3419ed898bd54f03f1d4a6ad95ba4aa886 \
   "matrix --quick --seed 42 --transports gm,ibverbs"
+$DUNE exec bin/portals_repro.exe -- \
+  matrix --quick --seed 42 --transports portals,rtscts \
+  | tee "$OUT/matrix_ni.out"
+check_sha "$OUT/matrix_ni.out" \
+  17300485881a4aacfa7b6c1da05d67c497dc88e332a1734014db21a34dfbf182 \
+  "matrix --quick --seed 42 --transports portals,rtscts"
 # The S2 scaling sweep must run under either engine; a bogus engine name
 # must die with a clean usage error.
 $DUNE exec bin/portals_repro.exe -- \

@@ -917,9 +917,9 @@ let reserved_tests =
         Scheduler.spawn env.sched (fun () ->
             for round = 1 to rounds do
               let sends =
-                List.init 5 (fun i -> MP.isend eps.(0) ~dst:1 ~tag:i (message round i))
+                List.init 5 (fun i -> Mpi.isend eps.(0) ~dst:1 ~tag:i (message round i))
               in
-              List.iter (fun r -> ignore (MP.wait eps.(0) r)) sends;
+              List.iter (fun r -> ignore (Mpi.wait eps.(0) r)) sends;
               Scheduler.delay env.sched gap
             done);
         Scheduler.spawn env.sched (fun () ->
@@ -931,8 +931,8 @@ let reserved_tests =
               for i = 0 to 4 do
                 let want = message round i in
                 let buf = Bytes.create (Bytes.length want) in
-                let st = MP.wait eps.(1) (MP.irecv eps.(1) ~source:0 ~tag:i buf) in
-                Alcotest.(check int) "length" (Bytes.length want) st.MP.length;
+                let st = Mpi.wait eps.(1) (Mpi.irecv eps.(1) ~source:0 ~tag:i buf) in
+                Alcotest.(check int) "length" (Bytes.length want) st.Mpi.length;
                 Alcotest.(check string)
                   (Printf.sprintf "round %d message %d" round i)
                   (Bytes.to_string want) (Bytes.to_string buf);

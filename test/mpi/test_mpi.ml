@@ -711,9 +711,9 @@ let crash_tests =
         `Quick (fun () ->
           (* The §3 asymmetry at the API surface. The connectionless
              Portals sender fire-and-forgets an eager put — the loss is
-             the fabric's to account. The connection-oriented GM sender
-             holds per-peer state that died with the peer, so the send
-             itself fails. *)
+             the fabric's to account. The connection-oriented GM and
+             ibverbs senders hold per-peer state (tokens, rings) that
+             died with the peer, so the send itself fails. *)
           let attempt backend =
             let sched, fabric, mk = crash_world ~backend () in
             let ep0 = mk 0 in
@@ -736,7 +736,10 @@ let crash_tests =
             (pdrops > 0);
           let g, _ = attempt Gm_b in
           Alcotest.(check bool) "gm send raises Peer_failed 1" true
-            (g = `Failed 1));
+            (g = `Failed 1);
+          let i, _ = attempt Ibverbs_b in
+          Alcotest.(check bool) "ibverbs send raises Peer_failed 1" true
+            (i = `Failed 1));
       Alcotest.test_case "restart: portals resumes with zero survivor action"
         `Quick (fun () ->
           let sched, fabric, mk = crash_world ~backend:Portals_b () in

@@ -1,7 +1,7 @@
-(* The transport conformance suite: one functor over Transport.S applied
-   to all four stacks (portals, gm, rtscts, ibverbs), so a new backend is
-   correct-by-construction — implement the signature, add one line here,
-   and it inherits the whole behavioural contract:
+(* The transport conformance suite: one functor applied to all four
+   stacks (portals, gm, rtscts, ibverbs), each an [Mpi.t] constructor over
+   its wire, so a new stack inherits the whole behavioural contract by
+   adding one line here:
 
      - per-pair in-order delivery, across the eager/rendezvous boundary
        (qcheck over random message ladders);
@@ -12,7 +12,9 @@
        restart + reconnect clears the mark;
      - counters monotone non-decreasing over the endpoint's life;
      - a rendezvous header from a peer that has since crashed fails the
-       receive that meets it instead of deadlocking.
+       receive that meets it instead of deadlocking;
+     - an argument out of range raises Invalid_argument on isend and
+       irecv, naming the argument.
 
    Plus one ibverbs-specific test: the RDMA-write fast path beats the
    same stack's own rendezvous on small messages (Liu et al.'s
@@ -22,10 +24,13 @@ open Sim_engine
 
 let proc nid pid = Simnet.Proc_id.make ~nid ~pid
 
-(* What the functor needs beyond Transport.S: how to build the wire this
-   stack runs over (the NIC placement of the paper's taxonomy). *)
+(* A stack: its endpoint constructor and the wire it runs over (the NIC
+   placement of the paper's taxonomy). *)
 module type STACK = sig
-  include Transport.S
+  val name : string
+
+  val create :
+    Simnet.Transport.t -> ranks:Simnet.Proc_id.t array -> rank:int -> Mpi.t
 
   val wire : Simnet.Fabric.t -> Simnet.Transport.t
   val profile : Simnet.Profile.t
@@ -73,21 +78,21 @@ module Conformance (T : STACK) = struct
              let reqs =
                List.mapi
                  (fun i size ->
-                   T.isend ep ~dst:1 ~tag:0 (payload ~seq:i ~size))
+                   Mpi.isend ep ~dst:1 ~tag:0 (payload ~seq:i ~size))
                  sizes
              in
-             List.iter (fun r -> ignore (T.wait ep r)) reqs
+             List.iter (fun r -> ignore (Mpi.wait ep r)) reqs
            end
            else
              (* Post everything up front with full wildcards: matching
                 order must equal per-pair arrival order. *)
              let bufs = List.map (fun size -> Bytes.create (max 1 size)) sizes in
-             let reqs = List.map (fun b -> T.irecv ep b) bufs in
+             let reqs = List.map (fun b -> Mpi.irecv ep b) bufs in
              got :=
                List.map2
                  (fun r b ->
-                   let st = T.wait ep r in
-                   (seq_of b, st.Transport.length))
+                   let st = Mpi.wait ep r in
+                   (seq_of b, st.Mpi.length))
                  reqs bufs));
     List.length !got = n
     && List.for_all2
@@ -122,13 +127,13 @@ module Conformance (T : STACK) = struct
          (fun _sched _fabric ep rank ->
            if rank = 0 then
              List.init msgs (fun i ->
-                 T.isend ep ~dst:1 ~tag:i (payload ~seq:i ~size:512))
-             |> List.iter (fun r -> ignore (T.wait ep r))
+                 Mpi.isend ep ~dst:1 ~tag:i (payload ~seq:i ~size:512))
+             |> List.iter (fun r -> ignore (Mpi.wait ep r))
            else
              let bufs = List.init msgs (fun _ -> Bytes.create 512) in
-             let reqs = List.map (fun b -> T.irecv ep ~source:0 b) bufs in
+             let reqs = List.map (fun b -> Mpi.irecv ep ~source:0 b) bufs in
              got := List.map2 (fun r b ->
-                 ignore (T.wait ep r);
+                 ignore (Mpi.wait ep r);
                  seq_of b) reqs bufs));
     Alcotest.(check (list int))
       "every message exactly once, in order"
@@ -146,16 +151,16 @@ module Conformance (T : STACK) = struct
     ignore
       (with_world (fun sched fabric ep rank ->
            if rank = 0 then begin
-             T.on_peer_failure ep (fun ~rank -> cb_ranks := rank :: !cb_ranks);
+             Mpi.on_peer_failure ep (fun ~rank -> cb_ranks := rank :: !cb_ranks);
              Scheduler.after sched (Time_ns.us 50.) (fun () ->
                  Simnet.Fabric.crash fabric 1);
-             (match T.wait ep (T.irecv ep ~source:1 (Bytes.create 64)) with
+             (match Mpi.wait ep (Mpi.irecv ep ~source:1 (Bytes.create 64)) with
              | _ -> observed := Some `Completed
-             | exception Transport.Peer_failed r ->
-               observed := Some (`Failed (r, T.failed_ranks ep)));
+             | exception Mpi.Peer_failed r ->
+               observed := Some (`Failed (r, Mpi.failed_ranks ep)));
              Simnet.Fabric.restart fabric 1;
-             T.reconnect ep ~rank:1;
-             after_reconnect := Some (T.failed_ranks ep)
+             Mpi.reconnect ep ~rank:1;
+             after_reconnect := Some (Mpi.failed_ranks ep)
            end));
     (match !observed with
     | Some (`Failed (r, failed)) ->
@@ -174,9 +179,9 @@ module Conformance (T : STACK) = struct
     ignore
       (with_world (fun _sched _fabric ep rank ->
            if rank = 0 then begin
-             let prev = ref (T.counters ep) in
+             let prev = ref (Mpi.counters ep) in
              let step () =
-               let now = T.counters ep in
+               let now = Mpi.counters ep in
                List.iter
                  (fun (k, v) ->
                    match List.assoc_opt k !prev with
@@ -187,17 +192,17 @@ module Conformance (T : STACK) = struct
              in
              List.iter
                (fun size ->
-                 ignore (T.wait ep (T.isend ep ~dst:1 ~tag:0 (payload ~seq:0 ~size)));
+                 ignore (Mpi.wait ep (Mpi.isend ep ~dst:1 ~tag:0 (payload ~seq:0 ~size)));
                  step ();
-                 ignore (T.wait ep (T.irecv ep ~source:1 (Bytes.create 4)));
+                 ignore (Mpi.wait ep (Mpi.irecv ep ~source:1 (Bytes.create 4)));
                  step ())
                [ 16; 256; 20_000; 16 ]
            end
            else
              List.iter
                (fun size ->
-                 ignore (T.wait ep (T.irecv ep ~source:0 (Bytes.create (max 1 size))));
-                 ignore (T.wait ep (T.isend ep ~dst:0 ~tag:0 (Bytes.create 4))))
+                 ignore (Mpi.wait ep (Mpi.irecv ep ~source:0 (Bytes.create (max 1 size))));
+                 ignore (Mpi.wait ep (Mpi.isend ep ~dst:0 ~tag:0 (Bytes.create 4))))
                [ 16; 256; 20_000; 16 ]));
     List.iter
       (fun (k, v0, v) ->
@@ -208,35 +213,37 @@ module Conformance (T : STACK) = struct
      receive that meets it, on each path between the two: the header
      drained into the library before the crash, still in the device
      after it, drained and then its sender restarted and reconnected,
-     or met by a receive posted before it arrived. None may deadlock. *)
+     met by a receive posted before it arrived, or still in the device
+     when its sender restarted and was reconnected. None may deadlock. *)
   let dead_rendezvous () =
     let run path =
       let outcome = ref `Hung in
       ignore
         (with_world (fun sched fabric ep rank ->
              if rank = 1 then
-               ignore (T.isend ep ~dst:0 ~tag:0 (Bytes.create 100_000))
+               ignore (Mpi.isend ep ~dst:0 ~tag:0 (Bytes.create 100_000))
              else begin
                Scheduler.after sched (Time_ns.us 60.) (fun () ->
                    Simnet.Fabric.crash fabric 1);
                let buf = Bytes.create 100_000 in
                let early =
-                 if path = "posted" then Some (T.irecv ep buf) else None
+                 if path = "posted" then Some (Mpi.irecv ep buf) else None
                in
                Scheduler.delay sched (Time_ns.us 30.);
-               if path = "drained" || path = "reconnected" then T.progress ep;
+               if path = "drained" || path = "reconnected" then Mpi.progress ep;
                Scheduler.delay sched (Time_ns.us 70.);
-               if path = "reconnected" then begin
+               if path = "reconnected" || path = "undrained, reconnected"
+               then begin
                  Simnet.Fabric.restart fabric 1;
-                 T.reconnect ep ~rank:1
+                 Mpi.reconnect ep ~rank:1
                end;
                let req =
-                 match early with Some r -> r | None -> T.irecv ep buf
+                 match early with Some r -> r | None -> Mpi.irecv ep buf
                in
                outcome :=
-                 match T.wait ep req with
+                 match Mpi.wait ep req with
                  | _ -> `Completed
-                 | exception Transport.Peer_failed r -> `Failed r
+                 | exception Mpi.Peer_failed r -> `Failed r
              end));
       match !outcome with
       | `Failed 1 -> ()
@@ -244,7 +251,56 @@ module Conformance (T : STACK) = struct
       | `Completed -> Alcotest.failf "%s: receive completed" path
       | `Hung -> Alcotest.failf "%s: wait never returned" path
     in
-    List.iter run [ "drained"; "undrained"; "reconnected"; "posted" ]
+    List.iter run
+      [
+        "drained"; "undrained"; "reconnected"; "posted"; "undrained, reconnected";
+      ]
+
+  (* 6. One argument check on every stack: context, tag and peer out of
+     range raise Invalid_argument naming the argument, and the wildcards
+     are receive filters only. *)
+  let bad_arguments () =
+    let max_tag = Mpi.Envelope.max_tag
+    and max_context = Mpi.Envelope.max_context in
+    let send ?(context = 0) ?(dst = 1) ?(tag = 0) ep =
+      Mpi.isend ep ~context ~dst ~tag (Bytes.create 4)
+    and recv ?(context = 0) ?(source = 1) ?(tag = 0) ep =
+      Mpi.irecv ep ~context ~source ~tag (Bytes.create 4)
+    in
+    let cases =
+      [
+        ("isend tag max_tag + 1", "tag", fun ep -> send ~tag:(max_tag + 1) ep);
+        ("isend tag -5", "tag", fun ep -> send ~tag:(-5) ep);
+        ("isend tag any_tag", "tag", fun ep -> send ~tag:Mpi.any_tag ep);
+        ("isend context max_context + 1", "context",
+          fun ep -> send ~context:(max_context + 1) ep);
+        ("isend context -2", "context", fun ep -> send ~context:(-2) ep);
+        ("isend dst 2", "rank", fun ep -> send ~dst:2 ep);
+        ("isend dst any_source", "rank", fun ep -> send ~dst:Mpi.any_source ep);
+        ("irecv tag max_tag + 1", "tag", fun ep -> recv ~tag:(max_tag + 1) ep);
+        ("irecv tag -5", "tag", fun ep -> recv ~tag:(-5) ep);
+        ("irecv context 20000", "context", fun ep -> recv ~context:20000 ep);
+        ("irecv context -2", "context", fun ep -> recv ~context:(-2) ep);
+        ("irecv source 2", "rank", fun ep -> recv ~source:2 ep);
+        ("irecv source -5", "rank", fun ep -> recv ~source:(-5) ep);
+      ]
+    in
+    let names word msg = List.mem word (String.split_on_char ' ' msg) in
+    let accepted = ref [] in
+    ignore
+      (with_world (fun _sched _fabric ep rank ->
+           if rank = 0 then
+             List.iter
+               (fun (what, word, call) ->
+                 match call ep with
+                 | _ -> accepted := what :: !accepted
+                 | exception Invalid_argument msg when names word msg -> ()
+                 | exception Invalid_argument msg ->
+                   accepted := Printf.sprintf "%s (%S)" what msg :: !accepted)
+               cases));
+    Alcotest.(check (list string))
+      "every bad argument raises Invalid_argument naming it" []
+      (List.rev !accepted)
 
   let tests =
     [
@@ -258,19 +314,23 @@ module Conformance (T : STACK) = struct
         counters_monotone;
       Alcotest.test_case (T.name ^ ": dead peer's rendezvous fails the recv")
         `Quick dead_rendezvous;
+      Alcotest.test_case (T.name ^ ": bad arguments raise Invalid_argument")
+        `Quick bad_arguments;
     ]
 end
 
-module Portals_c = Conformance (struct
-  include Mpi.Mpi_portals.Tx
+let create_portals tp ~ranks ~rank = Mpi.create_portals tp ~ranks ~rank ()
 
+module Portals_c = Conformance (struct
+  let name = "portals"
+  let create = create_portals
   let wire = Simnet.Transport.offload
   let profile = Simnet.Profile.myrinet_mcp
 end)
 
 module Gm_c = Conformance (struct
-  include Mpi.Mpi_gm.Tx
-
+  let name = "gm"
+  let create tp ~ranks ~rank = Mpi.create_gm tp ~ranks ~rank ()
   let wire = Simnet.Transport.offload
   let profile = Simnet.Profile.myrinet_mcp
 end)
@@ -278,17 +338,15 @@ end)
 (* The production Cplant stack: the Portals glue over the kernel RTS/CTS
    wire. *)
 module Rtscts_c = Conformance (struct
-  include Mpi.Mpi_portals.Tx
-
   let name = "rtscts"
-
+  let create = create_portals
   let wire fabric = Rtscts.transport (Rtscts.create fabric)
   let profile = Simnet.Profile.myrinet_kernel
 end)
 
 module Ibverbs_c = Conformance (struct
-  include Mpi.Mpi_ibverbs.Tx
-
+  let name = "ibverbs"
+  let create tp ~ranks ~rank = Mpi.create_ibverbs tp ~ranks ~rank ()
   let wire = Simnet.Transport.offload
   let profile = Simnet.Profile.myrinet_mcp
 end)
@@ -313,16 +371,15 @@ let ibverbs_crossover () =
       (fun rank ep ->
         Scheduler.spawn sched ~name:(Printf.sprintf "xover.r%d" rank)
           (fun () ->
-            let module I = Mpi.Mpi_ibverbs in
             let buf = Bytes.create 64 in
             for _ = 1 to 20 do
               if rank = 0 then begin
-                ignore (I.wait ep (I.isend ep ~dst:1 ~tag:0 (Bytes.create 64)));
-                ignore (I.wait ep (I.irecv ep ~source:1 buf))
+                ignore (Mpi.wait ep (Mpi.isend ep ~dst:1 ~tag:0 (Bytes.create 64)));
+                ignore (Mpi.wait ep (Mpi.irecv ep ~source:1 buf))
               end
               else begin
-                ignore (I.wait ep (I.irecv ep ~source:0 buf));
-                ignore (I.wait ep (I.isend ep ~dst:0 ~tag:0 (Bytes.create 64)))
+                ignore (Mpi.wait ep (Mpi.irecv ep ~source:0 buf));
+                ignore (Mpi.wait ep (Mpi.isend ep ~dst:0 ~tag:0 (Bytes.create 64)))
               end
             done;
             if rank = 0 then finish := Scheduler.now sched))
