@@ -4,12 +4,25 @@ exception Killed
 
 type fiber = { id : int; name : string; domain : int option; epoch : int }
 
-type blocked_entry = {
-  b_fiber : fiber;
-  b_why : string;
-  b_since : Time_ns.t;
-  b_kill : unit -> unit;  (* discontinue the stored continuation with Killed *)
-}
+(* One suspension of a fiber. [Blocked] is an inline record, so a
+   suspension allocates one block; the continuation sits in it, so
+   [kill_domain] discontinues it directly. [b_slot] is the entry's index
+   in the blocked set, or [-1] once the fiber was woken or killed — the
+   double-wake check. [Vacant] fills the set's unused cells, so no woken
+   or killed entry stays reachable from the set. *)
+type blocked =
+  | Vacant
+  | Blocked of {
+      b_fiber : fiber;
+      b_why : string;
+      b_since : Time_ns.t;
+      b_k : (unit, unit) Effect.Deep.continuation;
+      mutable b_slot : int;
+    }
+
+(* The blocked fibers, unordered: [cells.(0 .. len - 1)] are [Blocked].
+   Insertion appends; removal moves the last entry into the hole. *)
+type blocked_set = { mutable cells : blocked array; mutable len : int }
 
 type t = {
   heap : (unit -> unit) Event_heap.t;
@@ -19,7 +32,7 @@ type t = {
   mutable stopping : bool;
   mutable events : int;
   mutable count_sim_time : bool;
-  blocked : (int, blocked_entry) Hashtbl.t;
+  blocked : blocked_set;
   domain_kills : (int, int) Hashtbl.t;
   mutable current : fiber option;
   prng : Prng.t;
@@ -65,7 +78,7 @@ let create ?(seed = 0) ?(trace_capacity = 65536) () =
       stopping = false;
       events = 0;
       count_sim_time = true;
-      blocked = Hashtbl.create 64;
+      blocked = { cells = [||]; len = 0 };
       domain_kills = Hashtbl.create 8;
       current = None;
       prng = Prng.create ~seed;
@@ -104,7 +117,12 @@ let at t time f =
 
 let after t dt f = at t (Time_ns.add t.now dt) f
 
-let domain_epoch t d = Option.value ~default:0 (Hashtbl.find_opt t.domain_kills d)
+(* [domain_kills] stays empty in a run without crashes, and every rank
+   fiber carries a domain: the length test spares those runs a hash
+   lookup on each suspend, wake and resume. *)
+let domain_epoch t d =
+  if Hashtbl.length t.domain_kills = 0 then 0
+  else Option.value ~default:0 (Hashtbl.find_opt t.domain_kills d)
 
 (* A fiber is dead once its domain has been killed after the fiber was
    spawned; fibers spawned after a restart carry the newer epoch and are
@@ -113,6 +131,58 @@ let fiber_dead t fiber =
   match fiber.domain with
   | None -> false
   | Some d -> domain_epoch t d > fiber.epoch
+
+let block set fiber why since k =
+  let n = set.len in
+  if n = Array.length set.cells then begin
+    let cells = Array.make (max 16 (2 * n)) Vacant in
+    Array.blit set.cells 0 cells 0 n;
+    set.cells <- cells
+  end;
+  let cell =
+    Blocked { b_fiber = fiber; b_why = why; b_since = since; b_k = k; b_slot = n }
+  in
+  set.cells.(n) <- cell;
+  set.len <- n + 1;
+  cell
+
+(* Swap-remove: the last entry takes the hole, and the vacated last cell
+   is cleared. *)
+let unblock set cell =
+  match cell with
+  | Vacant -> ()
+  | Blocked b ->
+    let i = b.b_slot and last = set.len - 1 in
+    let moved = set.cells.(last) in
+    set.cells.(i) <- moved;
+    (match moved with Blocked m -> m.b_slot <- i | Vacant -> ());
+    set.cells.(last) <- Vacant;
+    set.len <- last;
+    b.b_slot <- -1
+
+let resume t fiber k =
+  let prev = t.current in
+  t.current <- Some fiber;
+  (if fiber_dead t fiber then Effect.Deep.discontinue k Killed
+   else Effect.Deep.continue k ());
+  t.current <- prev
+
+(* A waker enqueues the resumption at the time it is invoked. A dead
+   fiber's waker does nothing; a second call of a live fiber's waker is
+   an error. *)
+let wake t cell =
+  match cell with
+  | Vacant -> ()
+  | Blocked b ->
+    let fiber = b.b_fiber in
+    if fiber_dead t fiber then ()
+    else if b.b_slot < 0 then
+      invalid_arg "Scheduler: waker invoked more than once"
+    else begin
+      unblock t.blocked cell;
+      let k = b.b_k in
+      Event_heap.add t.heap ~time:t.now (fun () -> resume t fiber k)
+    end
 
 (* Run a fiber body under the effect handler. [k] resumptions re-enter
    through this handler, so every blocking point in the fiber is covered. *)
@@ -134,37 +204,8 @@ let start_fiber t fiber f =
               (fun (k : (a, _) continuation) ->
                 if fiber_dead t fiber then discontinue k Killed
                 else begin
-                  let entry =
-                    {
-                      b_fiber = fiber;
-                      b_why = why;
-                      b_since = t.now;
-                      b_kill =
-                        (fun () ->
-                          let prev = t.current in
-                          t.current <- Some fiber;
-                          discontinue k Killed;
-                          t.current <- prev);
-                    }
-                  in
-                  Hashtbl.replace t.blocked fiber.id entry;
-                  let woken = ref false in
-                  let waker () =
-                    if fiber_dead t fiber then ()
-                    else if !woken then
-                      invalid_arg "Scheduler: waker invoked more than once"
-                    else begin
-                      woken := true;
-                      Hashtbl.remove t.blocked fiber.id;
-                      Event_heap.add t.heap ~time:t.now (fun () ->
-                          let prev = t.current in
-                          t.current <- Some fiber;
-                          (if fiber_dead t fiber then discontinue k Killed
-                           else continue k ());
-                          t.current <- prev)
-                    end
-                  in
-                  register waker
+                  let cell = block t.blocked fiber why t.now k in
+                  register (fun () -> wake t cell)
                 end)
           | _ -> None);
     }
@@ -186,21 +227,31 @@ let spawn t ?(name = "fiber") ?domain f =
         t.current <- prev
       end)
 
+let blocked_fiber = function Blocked b -> b.b_fiber | Vacant -> assert false
+
+(* Victims die in fiber-id order, whatever their order in the set. *)
 let kill_domain t d =
   Hashtbl.replace t.domain_kills d (domain_epoch t d + 1);
+  let set = t.blocked in
+  let victims = ref [] in
+  for i = 0 to set.len - 1 do
+    let cell = set.cells.(i) in
+    if (blocked_fiber cell).domain = Some d then victims := cell :: !victims
+  done;
   let victims =
-    Hashtbl.fold
-      (fun id e acc ->
-        match e.b_fiber.domain with
-        | Some dd when dd = d -> (id, e) :: acc
-        | _ -> acc)
-      t.blocked []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    List.sort
+      (fun a b -> compare (blocked_fiber a).id (blocked_fiber b).id)
+      !victims
   in
+  (* The epoch bump above makes every victim dead, so [resume]
+     discontinues it. *)
   List.iter
-    (fun (id, e) ->
-      Hashtbl.remove t.blocked id;
-      e.b_kill ())
+    (fun cell ->
+      match cell with
+      | Vacant -> ()
+      | Blocked b ->
+        unblock set cell;
+        resume t b.b_fiber b.b_k)
     victims;
   List.length victims
 
@@ -222,13 +273,14 @@ let yield t = suspend t ~name:"yield" (fun waker -> waker ())
 let stop t = t.stopping <- true
 
 let blocked_names t =
-  Hashtbl.fold
-    (fun _id e acc ->
-      Format.asprintf "at t=%a fiber#%d (%s) blocked since t=%a on %s"
-        Time_ns.pp t.now e.b_fiber.id e.b_fiber.name Time_ns.pp e.b_since
-        e.b_why
-      :: acc)
-    t.blocked []
+  let set = t.blocked in
+  List.init set.len (fun i ->
+      match set.cells.(i) with
+      | Vacant -> assert false
+      | Blocked b ->
+        Format.asprintf "at t=%a fiber#%d (%s) blocked since t=%a on %s"
+          Time_ns.pp t.now b.b_fiber.id b.b_fiber.name Time_ns.pp b.b_since
+          b.b_why)
   |> List.sort compare
 
 (* The inner loop drains every event scheduled for one instant in a single

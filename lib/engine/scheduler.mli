@@ -8,7 +8,13 @@
     scheduler interleaves fibers at simulated-time granularity; there is no
     OS-level concurrency, so runs are fully deterministic for a given seed.
 
-    Events scheduled for the same instant fire in scheduling order. *)
+    Events scheduled for the same instant fire in scheduling order.
+
+    Blocked fibers sit in an indexed set, not a hash table: suspending
+    appends one entry (holding the continuation) and waking removes it by
+    moving the last entry into its slot, both O(1). The set's order is
+    not observable: {!kill_domain} kills in fiber-id order, and
+    {!Deadlock} and {!blocked_report} sort their lines. *)
 
 type t
 
@@ -16,7 +22,8 @@ exception Deadlock of string list
 (** Raised by {!run} when no events remain but fibers are still blocked.
     Each entry reports the deadlock's simulated time, the fiber's id and
     name, when it blocked, and what it was waiting on, e.g.
-    ["at t=12.5us fiber#3 (rank1) blocked since t=4.0us on mpi.recv"]. *)
+    ["at t=12.5us fiber#3 (rank1) blocked since t=4.0us on mpi.recv"].
+    The list is sorted ([compare] on the strings). *)
 
 exception Stopped
 (** Raised inside {!run} processing when {!stop} was requested; callers of
@@ -65,7 +72,8 @@ val kill_domain : t -> int -> int
     point, and not-yet-started ones never run. Fibers spawned with
     [~domain:d] {e after} this call belong to the node's next incarnation
     and are unaffected. Returns the number of blocked fibers killed
-    synchronously. *)
+    synchronously. Cost: one scan of the blocked set plus a sort of the
+    victims. *)
 
 val at : t -> Time_ns.t -> (unit -> unit) -> unit
 (** [at t time f] schedules callback [f] at absolute [time], which must not
@@ -91,7 +99,13 @@ val suspend : t -> name:string -> ((unit -> unit) -> unit) -> unit
     suspends the calling fiber and hands [register] a {e waker}. Invoking
     the waker (exactly once) schedules the fiber's resumption at the
     simulated time of the invocation. [name] labels the fiber's blocked
-    state for {!Deadlock} reports. *)
+    state for {!Deadlock} reports.
+
+    Cost: one effect, one blocked-set entry (an append, O(1), no hashing)
+    and the waker closure; invoking the waker removes the entry in O(1)
+    and enqueues one resumption event. A second invocation of the same
+    waker raises [Invalid_argument] unless the fiber was killed, in which
+    case every invocation is a no-op. *)
 
 val run : ?until:Time_ns.t -> ?allow_blocked:bool -> t -> unit
 (** [run t] processes events until none remain. If fibers are still
@@ -149,6 +163,7 @@ val pending_events : t -> int
 (** Number of queued events (cheap; heap length). *)
 
 val blocked_report : t -> string list
-(** The {!Deadlock}-style report for currently blocked fibers. The shard
+(** The {!Deadlock}-style report for currently blocked fibers, sorted
+    the same way; O(n log n) in the blocked fibers. The shard
     runtime aggregates these across domains before raising, since a
     windowed [run ~until] never raises {!Deadlock} itself. *)

@@ -16,8 +16,15 @@ type stats = {
   tokens_available : int;
 }
 
-(* The receive tokens of one size, oldest first. *)
-type token_class = { tc_size : int; tc_tokens : bytes Queue.t }
+(* The receive tokens of one size: [tc_tokens] holds the backed ones,
+   oldest first, and [tc_unbacked] counts more whose buffers are created
+   when an arrival first takes one. A backed token is taken first, so a
+   port only ever backs as many tokens as it has had in use at once. *)
+type token_class = {
+  tc_size : int;
+  tc_tokens : bytes Queue.t;
+  mutable tc_unbacked : int;
+}
 
 type t = {
   tp : Simnet.Transport.t;
@@ -54,15 +61,25 @@ let rec insert_class c = function
   | c' :: rest when c'.tc_size < c.tc_size -> c' :: insert_class c rest
   | classes -> c :: classes
 
-let provide_receive_token t buffer =
-  let size = Bytes.length buffer in
-  (match find_class size t.token_classes with
-  | Some c -> Queue.add buffer c.tc_tokens
+let token_class t size =
+  match find_class size t.token_classes with
+  | Some c -> c
   | None ->
-    let c = { tc_size = size; tc_tokens = Queue.create () } in
-    Queue.add buffer c.tc_tokens;
-    t.token_classes <- insert_class c t.token_classes);
+    let c = { tc_size = size; tc_tokens = Queue.create (); tc_unbacked = 0 } in
+    t.token_classes <- insert_class c t.token_classes;
+    c
+
+let provide_receive_token t buffer =
+  Queue.add buffer (token_class t (Bytes.length buffer)).tc_tokens;
   t.token_count <- t.token_count + 1
+
+let provide_receive_tokens t ~size n =
+  if n < 0 then invalid_arg "Gm.provide_receive_tokens: negative count";
+  if n > 0 then begin
+    let c = token_class t size in
+    c.tc_unbacked <- c.tc_unbacked + n;
+    t.token_count <- t.token_count + n
+  end
 
 let rec smallest_fit len = function
   | [] -> None
@@ -76,8 +93,14 @@ let take_token t len =
   match smallest_fit len t.token_classes with
   | None -> None
   | Some c ->
-    let tok = Queue.pop c.tc_tokens in
-    if Queue.is_empty c.tc_tokens then
+    let tok =
+      if Queue.is_empty c.tc_tokens then begin
+        c.tc_unbacked <- c.tc_unbacked - 1;
+        Bytes.create c.tc_size
+      end
+      else Queue.pop c.tc_tokens
+    in
+    if Queue.is_empty c.tc_tokens && c.tc_unbacked = 0 then
       t.token_classes <- List.filter (fun c' -> c' != c) t.token_classes;
     t.token_count <- t.token_count - 1;
     Some tok

@@ -47,6 +47,13 @@ val id : t -> Simnet.Proc_id.t
 val provide_receive_token : t -> bytes -> unit
 (** Append a receive buffer to the FIFO of tokens of its size. *)
 
+val provide_receive_tokens : t -> size:int -> int -> unit
+(** [provide_receive_tokens t ~size n] provides [n] tokens of [size]
+    bytes whose buffers the port creates when an arrival first takes one.
+    They count in [tokens_available] and match like any token of their
+    size, after every provided buffer of that size. Raises
+    [Invalid_argument] if [n] is negative. *)
+
 val send : t -> dst:Simnet.Proc_id.t -> bytes -> unit
 (** Asynchronous send; a [Send_complete] event is queued once the data
     has left. The port takes ownership of the image it is given: no

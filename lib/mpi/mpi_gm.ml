@@ -153,7 +153,5 @@ let create tp ~ranks ~rank ?(config = default_config) () =
             lib = L.create ();
           })
   in
-  for _ = 1 to config.recv_tokens do
-    Gm.provide_receive_token (port t) (Bytes.create (token_size t))
-  done;
+  Gm.provide_receive_tokens (port t) ~size:(token_size t) config.recv_tokens;
   t

@@ -96,6 +96,11 @@ type slab = {
   mutable s_outstanding : int; (* unexpected chunks not yet copied out *)
 }
 
+(* A receive in [recvs]. A posted receive keeps its match entry, so a
+   crash that fails the receive can take the entry off the match list; a
+   rendezvous pull has none ([P.Handle.none]). *)
+type recv = { r_req : C.request; r_meh : P.Handle.me }
+
 (* An MD's user pointer names the request its events complete: a send in
    [sends] (an eager put's SENT, a rendezvous payload's GET), a receive
    in [recvs] (a posted receive's PUT, a rendezvous pull's REPLY), or,
@@ -106,7 +111,7 @@ type dev = {
   eqh : P.Handle.eq;
   eqq : P.Event.Queue.t;
   sends : (int, C.request) Hashtbl.t;
-  recvs : (int, C.request) Hashtbl.t;
+  recvs : (int, recv) Hashtbl.t;
   mutable next_id : int;
   slabs : slab array;
   mutable slab_order : int list; (* match-list order, front = searched first *)
@@ -278,7 +283,8 @@ let pull t (req : C.request) (env : Envelope.t) ~cookie ~total =
          (P.Ni.md_spec
             ~options:{ P.Md.default_options with P.Md.ack_disable = true }
             ~threshold:(P.Md.Count 1) ~unlink:P.Md.Unlink ~eq:d.eqh
-            ~user_ptr:(register d d.recvs req) ~length:len req.C.buffer))
+            ~user_ptr:(register d d.recvs { r_req = req; r_meh = P.Handle.none })
+            ~length:len req.C.buffer))
   in
   ok_exn ~op:"rdvz get"
     (P.Ni.get d.ni ~md:mdh
@@ -313,7 +319,8 @@ let post t (req : C.request) =
     ok_exn ~op:"recv md_attach"
       (P.Ni.md_attach d.ni ~me:meh
          (P.Ni.md_spec ~options:recv_options ~threshold:(P.Md.Count 1)
-            ~unlink:P.Md.Unlink ~eq:d.eqh ~user_ptr:(register d d.recvs req)
+            ~unlink:P.Md.Unlink ~eq:d.eqh
+            ~user_ptr:(register d d.recvs { r_req = req; r_meh = meh })
             req.C.buffer))
   in
   ()
@@ -356,7 +363,7 @@ let handle_event t (ev : P.Event.t) =
     (* A posted receive matched. *)
     match Hashtbl.find_opt d.recvs up with
     | None -> ()
-    | Some req ->
+    | Some { r_req = req; _ } ->
       let env = of_match_bits ev.P.Event.match_bits in
       (match env.Envelope.protocol with
       | Envelope.Eager ->
@@ -398,7 +405,7 @@ let handle_event t (ev : P.Event.t) =
     (* Our rendezvous pull completed; [grant] narrowed the receive to the
        sender. *)
     match C.take d.recvs up with
-    | Some req ->
+    | Some { r_req = req; _ } ->
       C.complete t req
         {
           source = req.C.want_source;
@@ -423,18 +430,27 @@ let poll t =
 (* A peer's node crashed: rendezvous sends awaiting its pull and receives
    pinned to it (or granted to it) fail. Eager sends complete locally
    either way (fire-and-forget: the loss shows up at the receiver's
-   accounting, not the sender's). *)
+   accounting, not the sender's). A failed posted receive's match entry
+   is unlinked too: left on the list, it would take the restarted peer's
+   first matching message for a receive nobody waits on. The unlink
+   fails harmlessly when a message already consumed the entry. *)
 let drop_peer t r =
   let d = dev t in
-  let fail tbl dead =
-    Hashtbl.fold (fun id req acc -> if dead req then id :: acc else acc) tbl []
+  let fail tbl dead release =
+    Hashtbl.fold (fun id v acc -> if dead v then id :: acc else acc) tbl []
     |> List.iter (fun id ->
-           C.fail_req (Hashtbl.find tbl id) r;
+           release (Hashtbl.find tbl id);
            Hashtbl.remove tbl id)
   in
-  fail d.sends (fun req ->
-      req.C.want_source = r && Bytes.length req.C.buffer > d.cfg.eager_threshold);
-  fail d.recvs (fun req -> req.C.want_source = r)
+  fail d.sends
+    (fun req ->
+      req.C.want_source = r && Bytes.length req.C.buffer > d.cfg.eager_threshold)
+    (fun req -> C.fail_req req r);
+  fail d.recvs
+    (fun v -> v.r_req.C.want_source = r)
+    (fun v ->
+      ignore (P.Ni.me_unlink d.ni v.r_meh);
+      C.fail_req v.r_req r)
 
 (* Portals keeps no per-peer connection state (§3): a restarted peer is
    re-admitted with no handshake, and nothing needs rebuilding. *)

@@ -90,10 +90,20 @@ $DUNE exec bin/portals_repro.exe -- \
   crash-restart --seed 42 | tee "$OUT/crash_restart.out"
 grep -q '^portals ' "$OUT/crash_restart.out"
 grep -q '^gm ' "$OUT/crash_restart.out"
+# The campaign drives Scheduler.kill_domain, so its whole table is pinned
+# byte for byte: a change to how blocked fibers are killed or woken that
+# moves any row fails here.
+check_sha "$OUT/crash_restart.out" \
+  f1c566739fc4aecdae813c4d18e5133634839eee684b7a9d8e23a6d95a8e5f70 \
+  "crash-restart --seed 42"
 # The same schedule on a lossy, flapping wire: crash recovery must
 # compose with the wire fault models.
 $DUNE exec bin/portals_repro.exe -- \
-  crash-restart --seed 42 --fault "bernoulli:0.02+flap:400:40"
+  crash-restart --seed 42 --fault "bernoulli:0.02+flap:400:40" \
+  | tee "$OUT/crash_restart_flap.out"
+check_sha "$OUT/crash_restart_flap.out" \
+  8029f622e5ead0675bc62bfb184157459e62adc919fb14ad24a0be3282becdf3 \
+  "crash-restart --seed 42 --fault bernoulli:0.02+flap:400:40"
 
 echo "== smoke: topology congestion sweep (4x4 torus, fixed seed) =="
 # Both traffic patterns over the shared-link torus; the per-link

@@ -377,6 +377,104 @@ let heap_tests =
           popped);
   ]
 
+(* The blocked set against a plain model. Every fiber loops forever
+   suspending on its own waker, named "w<n>" for its n-th suspension, so
+   after each step every live fiber is blocked; a step runs at its own
+   time, so a fiber's blocked-since time is the step that last woke it.
+   After each step the scheduler must agree with the model on
+   [blocked_report], [live_fibers], every [kill_domain] count and the
+   order fibers die in, and at the end on the [Deadlock] report. *)
+type blocked_op = Spawn of int option | Wake of int | Kill of int
+
+let pp_blocked_op = function
+  | Spawn None -> "spawn"
+  | Spawn (Some d) -> Printf.sprintf "spawn@%d" d
+  | Wake i -> Printf.sprintf "wake %d" i
+  | Kill d -> Printf.sprintf "kill %d" d
+
+let blocked_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun d -> Spawn d) (opt ~ratio:0.8 (int_range 0 2)));
+        (4, map (fun i -> Wake i) (int_range 0 20));
+        (1, map (fun d -> Kill d) (int_range 0 2));
+      ])
+
+(* A model fiber: id, spawn name, domain, suspensions so far, and the
+   time it last blocked. *)
+type model_fiber = {
+  m_id : int;
+  m_domain : int option;
+  mutable m_waits : int;
+  mutable m_since : int;
+}
+
+let blocked_set_agrees_with_model ops =
+  let sched = Scheduler.create () in
+  let wakers = Hashtbl.create 16 and died = ref [] in
+  let body id () =
+    let n = ref 0 in
+    try
+      while true do
+        Scheduler.suspend sched
+          ~name:(Printf.sprintf "w%d" !n)
+          (fun w -> Hashtbl.replace wakers id w);
+        incr n
+      done
+    with Scheduler.Killed as e ->
+      died := id :: !died;
+      raise e
+  in
+  let live = ref [] and next = ref 0 and model_died = ref [] in
+  let report now =
+    List.map
+      (fun f ->
+        Format.asprintf "at t=%a fiber#%d (f%d) blocked since t=%a on w%d"
+          Time_ns.pp now f.m_id f.m_id Time_ns.pp f.m_since f.m_waits)
+      !live
+    |> List.sort compare
+  in
+  let ok = ref true in
+  let agree b = if not b then ok := false in
+  List.iteri
+    (fun step op ->
+      let now = (step + 1) * 10 in
+      Scheduler.at sched now (fun () ->
+          match op with
+          | Spawn domain ->
+            let id = !next in
+            incr next;
+            Scheduler.spawn sched ~name:(Printf.sprintf "f%d" id) ?domain
+              (body id);
+            live :=
+              !live @ [ { m_id = id; m_domain = domain; m_waits = 0; m_since = now } ]
+          | Wake i -> (
+            match !live with
+            | [] -> ()
+            | fs ->
+              let f = List.nth fs (i mod List.length fs) in
+              (Hashtbl.find wakers f.m_id) ();
+              f.m_waits <- f.m_waits + 1;
+              f.m_since <- now)
+          | Kill d ->
+            let victims, rest =
+              List.partition (fun f -> f.m_domain = Some d) !live
+            in
+            live := rest;
+            model_died := List.rev_map (fun f -> f.m_id) victims @ !model_died;
+            agree (Scheduler.kill_domain sched d = List.length victims));
+      Scheduler.run ~allow_blocked:true sched;
+      agree (Scheduler.blocked_report sched = report now);
+      agree (Scheduler.live_fibers sched = List.length !live);
+      agree (!died = !model_died))
+    ops;
+  (match Scheduler.run sched with
+  | () -> agree (!live = [])
+  | exception Scheduler.Deadlock names ->
+    agree (names = report (Scheduler.now sched)));
+  !ok
+
 let scheduler_tests =
   [
     Alcotest.test_case "callbacks run in time order" `Quick (fun () ->
@@ -636,6 +734,42 @@ let scheduler_tests =
              (fun s -> (s, t0))
              [ "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h"; "i"; "j" ])
           (List.rev !log));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"blocked set agrees with a list model" ~count:300
+         (QCheck.make
+            ~print:(fun ops -> String.concat "; " (List.map pp_blocked_op ops))
+            ~shrink:QCheck.Shrink.list
+            QCheck.Gen.(list_size (int_range 1 60) blocked_op_gen))
+         blocked_set_agrees_with_model);
+    (* Set X, A, K: killing K, then waking A, removes the last entry each
+       time. The why string is made inside the fiber, so only the
+       fiber's blocked entry refers to it once the fiber is gone. *)
+    Alcotest.test_case "a woken or killed fiber's entry is collectable" `Quick
+      (fun () ->
+        let sched = Scheduler.create () in
+        let whys = Weak.create 2 in
+        let waker_a = ref None and waker_k = ref None in
+        let park ?slot ?domain stash =
+          Scheduler.spawn sched ?domain (fun () ->
+              let why = String.make 16 'w' in
+              Option.iter (fun i -> Weak.set whys i (Some why)) slot;
+              Scheduler.suspend sched ~name:why (fun w -> stash := Some w))
+        in
+        park (ref None);
+        park ~slot:0 waker_a;
+        park ~slot:1 ~domain:1 waker_k;
+        Scheduler.run ~allow_blocked:true sched;
+        Alcotest.(check int) "K killed" 1 (Scheduler.kill_domain sched 1);
+        Option.iter (fun w -> w ()) !waker_a;
+        waker_a := None;
+        waker_k := None;
+        Scheduler.run ~allow_blocked:true sched;
+        Gc.full_major ();
+        Alcotest.(check bool) "woken fiber's why is collected" false
+          (Weak.check whys 0);
+        Alcotest.(check bool) "killed fiber's why is collected" false
+          (Weak.check whys 1);
+        Alcotest.(check int) "X still blocked" 1 (Scheduler.live_fibers sched));
   ]
 
 let sync_tests =

@@ -131,6 +131,41 @@ let tests =
                 (fun s (i, len) -> s = String.make len (Char.chr (65 + (i mod 26))))
                 got
                 (List.mapi (fun i l -> (i, l)) sizes)));
+    Alcotest.test_case "unbacked tokens: backed first, best fit, counted" `Quick
+      (fun () ->
+        let sched, tp = setup () in
+        let rx = Gm.open_port tp ~id:(proc 1 0) in
+        let backed = Bytes.create 32 and big = Bytes.create 64 in
+        Gm.provide_receive_tokens rx ~size:32 2;
+        Gm.provide_receive_token rx backed;
+        Gm.provide_receive_token rx big;
+        Alcotest.(check int) "all four count" 4 (Gm.stats rx).Gm.tokens_available;
+        let txp = Gm.open_port tp ~id:(proc 0 0) in
+        List.iter
+          (fun len -> Gm.send txp ~dst:(proc 1 0) (Bytes.make len 'm'))
+          [ 16; 16; 16; 40; 16 ];
+        Scheduler.run sched;
+        let rec landed acc =
+          match Gm.poll rx with
+          | Some (Gm.Recv_complete { buffer; length; _ }) ->
+            landed ((buffer, length) :: acc)
+          | Some (Gm.Send_complete _) -> landed acc
+          | None -> List.rev acc
+        in
+        match landed [] with
+        | [ (b1, 16); (b2, 16); (b3, 16); (b4, 40) ] ->
+          Alcotest.(check bool) "the backed token is taken first" true (b1 == backed);
+          Alcotest.(check bool) "then two fresh 32-byte buffers" true
+            (b2 != backed && b3 != backed && b2 != b3 && Bytes.length b2 = 32
+           && Bytes.length b3 = 32);
+          Alcotest.(check bool) "the 64-byte token is kept for the 40-byte message"
+            true (b4 == big);
+          Alcotest.(check string) "bytes land in a fresh buffer" (String.make 16 'm')
+            (Bytes.sub_string b3 0 16);
+          let s = Gm.stats rx in
+          Alcotest.(check int) "none left" 0 s.Gm.tokens_available;
+          Alcotest.(check int) "the fifth message is dropped" 1 s.Gm.drops_no_token
+        | got -> Alcotest.failf "%d messages landed, want 4" (List.length got));
   ]
 
 let () = Alcotest.run "gm" [ ("port", tests) ]

@@ -1052,6 +1052,22 @@ let alloc_budget_tests =
         let eps = Array.init 2 (fun rank -> Mpi.create_gm tp ~ranks ~rank ()) in
         ignore (exchange_once ~sched eps);
         exchange_once ~sched eps |> check_copies "gm, second message" ~copies:1);
+    Alcotest.test_case "gm endpoint creation leaves its receive tokens unbacked"
+      `Quick (fun () ->
+        let _, fab = fabric Simnet.Profile.myrinet_mcp in
+        let tp = Simnet.Transport.offload fab in
+        let cfg = Mpi.Mpi_gm.default_config in
+        let _, words =
+          words_during (fun () ->
+              Mpi.Mpi_gm.create tp ~ranks:[| proc 0 0; proc 1 0 |] ~rank:0 ())
+        in
+        let token_words =
+          (cfg.Mpi.Mpi_gm.eager_threshold + Mpi.Envelope.gm_header_size)
+          / (Sys.word_size / 8)
+        in
+        if words >= token_words then
+          Alcotest.failf "create allocated %d words, one token is %d" words
+            token_words);
   ]
 
 let () =

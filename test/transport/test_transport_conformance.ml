@@ -302,6 +302,46 @@ module Conformance (T : STACK) = struct
       "every bad argument raises Invalid_argument naming it" []
       (List.rev !accepted)
 
+  (* 7. A posted receive that its peer's crash fails leaves nothing
+     behind that could take the peer's later traffic: rank 1 crashes at
+     10 us while rank 0 waits on it, restarts at 40 us, rank 0 reconnects
+     and posts the same receive at 55 us, and the restarted rank sends at
+     61 us. The second receive must complete with that message. *)
+  let failed_recv_released () =
+    let first = ref `Hung and second = ref `Hung in
+    ignore
+      (with_world (fun sched fabric ep rank ->
+           if rank = 0 then begin
+             Scheduler.after sched (Time_ns.us 10.) (fun () ->
+                 Simnet.Fabric.crash fabric 1);
+             Scheduler.after sched (Time_ns.us 40.) (fun () ->
+                 Simnet.Fabric.restart fabric 1);
+             let recv () =
+               let buf = Bytes.make 64 '\000' in
+               match Mpi.wait ep (Mpi.irecv ep ~source:1 ~tag:0 buf) with
+               | _ -> `Completed (Bytes.get buf 0)
+               | exception Mpi.Peer_failed r -> `Failed r
+             in
+             first := recv ();
+             Scheduler.delay_until sched (Time_ns.us 55.);
+             Mpi.reconnect ep ~rank:1;
+             second := recv ()
+           end
+           else begin
+             Scheduler.delay_until sched (Time_ns.us 61.);
+             ignore (Mpi.wait ep (Mpi.isend ep ~dst:0 ~tag:0 (Bytes.make 64 'x')))
+           end));
+    (match !first with
+    | `Failed 1 -> ()
+    | `Failed r -> Alcotest.failf "first recv: Peer_failed %d, want 1" r
+    | `Completed _ -> Alcotest.fail "first recv completed against a dead peer"
+    | `Hung -> Alcotest.fail "first recv never returned");
+    match !second with
+    | `Completed 'x' -> ()
+    | `Completed c -> Alcotest.failf "second recv got byte %C, want 'x'" c
+    | `Failed r -> Alcotest.failf "second recv: Peer_failed %d" r
+    | `Hung -> Alcotest.fail "second recv never returned"
+
   let tests =
     [
       inorder_qcheck;
@@ -316,6 +356,9 @@ module Conformance (T : STACK) = struct
         `Quick dead_rendezvous;
       Alcotest.test_case (T.name ^ ": bad arguments raise Invalid_argument")
         `Quick bad_arguments;
+      Alcotest.test_case
+        (T.name ^ ": a crash-failed recv leaves no match entry")
+        `Quick failed_recv_released;
     ]
 end
 
