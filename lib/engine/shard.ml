@@ -195,6 +195,25 @@ let shard_loop t k ~until ~deliver =
     done
   with Exit_loop -> ()
 
+(* Shard 0 on the caller, the rest on one spawned domain each; [run]
+   places its shards with it. Every domain is joined before any failure
+   is re-raised, so a raise never leaves a helper running. *)
+let parallel_init n f =
+  if n < 1 then invalid_arg "Shard.parallel_init: need at least one shard";
+  let attempt k =
+    match f k with
+    | v -> Ok v
+    | exception e -> Error (e, Printexc.get_raw_backtrace ())
+  in
+  let helpers =
+    Array.init (n - 1) (fun i -> Domain.spawn (fun () -> attempt (i + 1)))
+  in
+  let first = attempt 0 in
+  let results = Array.append [| first |] (Array.map Domain.join helpers) in
+  Array.map
+    (function Ok v -> v | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+    results
+
 let run ?until ?(allow_blocked = false) t ~deliver =
   let n = domains t in
   Atomic.set t.failure None;
@@ -208,16 +227,12 @@ let run ?until ?(allow_blocked = false) t ~deliver =
       t.scheds
   in
   let start_clock = clock () in
-  let workers =
-    Array.init (n - 1) (fun i ->
-        Domain.spawn (fun () -> shard_loop t (i + 1) ~until ~deliver))
-  in
   Fun.protect
     ~finally:(fun () ->
-      Array.iter Domain.join workers;
       Array.iter (fun s -> Scheduler.count_sim_time s true) t.scheds;
       Scheduler.add_global_sim_time (Time_ns.sub (clock ()) start_clock))
-    (fun () -> shard_loop t 0 ~until ~deliver);
+    (fun () ->
+      ignore (parallel_init n (fun k -> shard_loop t k ~until ~deliver)));
   (match Atomic.get t.failure with Some e -> raise e | None -> ());
   if until = None && not allow_blocked then begin
     let live =

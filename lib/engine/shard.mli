@@ -48,6 +48,15 @@ val post : 'msg t -> src:int -> dst:int -> time:Time_ns.t -> 'msg -> unit
     inside the current window — that would violate the lookahead bound
     the barrier relies on. *)
 
+val parallel_init : int -> (int -> 'a) -> 'a array
+(** [parallel_init n f] is [Array.init n f], with the shards placed as
+    {!run} places them (it runs its shards with this): [f 0] on the
+    calling domain, each [f k] for [k >= 1] on a domain spawned for it. All of them are joined before
+    it returns; if any raised, the exception of the lowest such [k] is
+    re-raised. The calls run concurrently, so each [f k] may write only
+    what it builds itself and may only read what they share. Raises
+    [Invalid_argument] if [n < 1]. *)
+
 val run :
   ?until:Time_ns.t ->
   ?allow_blocked:bool ->

@@ -40,10 +40,10 @@ let peers_of topo pattern nid =
 let run_one ~kind ~pattern ~nodes ~msgs_per_peer ~size ?queue_limit ~seed () =
   let sched = Scheduler.create ~seed () in
   let profile = Simnet.Profile.myrinet_mcp in
+  let topo = Simnet.Topology.build kind ~nodes in
   let fabric =
-    Simnet.Fabric.create ~topology:kind ?queue_limit sched ~profile ~nodes
+    Simnet.Fabric.create ~topology:topo ?queue_limit sched ~profile ~nodes
   in
-  let topo = Simnet.Fabric.topology fabric in
   let delivered = ref 0 and delivered_bytes = ref 0 in
   let last_arrival = ref Time_ns.zero in
   for nid = 0 to nodes - 1 do

@@ -67,10 +67,26 @@ val record_seq : string
 val record_par4 : string
 (** ["PAR.par4"] — the workload at 4 domains. *)
 
+type metered = {
+  records : Perf.record list;  (** [PAR.seq] then [PAR.par4]. *)
+  seq_run_s : float;  (** Fastest [run_s] of [PAR.seq]'s repeats. *)
+  par4_run_s : float;  (** Fastest [run_s] of [PAR.par4]'s repeats. *)
+}
+
+val meter_runs : ?scenario:Runtime.Scenario.t -> ?quick:bool -> unit -> metered
+(** Meter the workload at 1 and at 4 domains ({!Perf.meter}, best of
+    three each) and keep each side's fastest run phase. *)
+
 val perf_records :
   ?scenario:Runtime.Scenario.t -> ?quick:bool -> unit -> Perf.record list
+(** [(meter_runs ?scenario ?quick ()).records]. *)
 
-val speedup : Perf.record list -> float option
-(** [events_per_sec] of [PAR.par4] over [PAR.seq], when both are present
-    with non-zero rates. The multicore CI lane gates this at >= 2x; on
-    one hardware core it is expectedly < 1. *)
+val run_speedup : metered -> float option
+(** [seq_run_s /. par4_run_s]: the run phase alone, set-up left out. The
+    multicore CI lane gates this at >= 2x; on one hardware core it is
+    expectedly < 1. *)
+
+val events_speedup : Perf.record list -> float option
+(** [events_per_sec] of [PAR.par4] over [PAR.seq], set-up included, when
+    both are present with non-zero rates. Printed beside
+    {!run_speedup}. *)

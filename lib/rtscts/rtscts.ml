@@ -13,6 +13,7 @@ type stats = {
   data_packets : int;
   bytes_carried : int;
   failed_handshakes : int;
+  data_drops : int;
 }
 
 type queued = { q_dst : Simnet.Proc_id.t; q_payload : bytes }
@@ -27,8 +28,23 @@ type pair = {
   awaiting_cts : (int, bytes) Hashtbl.t;
 }
 
-(* Receive-side reassembly of one streamed message. *)
-type assembly = { buffer : bytes; mutable received : int }
+(* Receive-side reassembly of one streamed message; [arrived] has one
+   byte per packet, set once that packet's bytes are in [buffer]. The
+   RTS opens it, but [buffer] is allocated by the first packet: until
+   then the previous message's buffer may still be in the copy engine. *)
+type assembly = {
+  mutable buffer : bytes;
+  arrived : Bytes.t;
+  mutable received : int;
+}
+
+(* Receive side of one (src, me) stream. A pair's rendezvous messages
+   follow one another: the sender streams one before it asks to send the
+   next, and the RTS of a message reaches the receiver before any of its
+   data. [rx_id] is the newest message whose RTS arrived, and [rx_open]
+   its reassembly until it completes; a Data packet of any other message,
+   or of a completed one, is a duplicate or a straggler. *)
+type rx = { mutable rx_id : int; mutable rx_open : assembly option }
 
 type mstats = {
   mutable s_eager : int;
@@ -38,6 +54,7 @@ type mstats = {
   mutable s_data : int;
   mutable s_bytes : int;
   mutable s_failed : int;
+  mutable s_data_drops : int;
 }
 
 type t = {
@@ -47,7 +64,7 @@ type t = {
   pairs : (Simnet.Proc_id.t * Simnet.Proc_id.t, pair) Hashtbl.t;
   kcopy : Simnet.Link.t array; (* per-node kernel copy engine *)
   uppers : (Simnet.Proc_id.t, src:Simnet.Proc_id.t -> bytes -> unit) Hashtbl.t;
-  assemblies : (Simnet.Proc_id.t * Simnet.Proc_id.t * int, assembly) Hashtbl.t;
+  rxs : rx Simnet.Proc_id.Pair_tbl.tbl;
   st : mstats;
   mutable send_error :
     src:Simnet.Proc_id.t -> dst:Simnet.Proc_id.t -> len:int -> unit;
@@ -75,7 +92,7 @@ let create ?config fabric =
         Array.init (Simnet.Fabric.node_count fabric) (fun nid ->
             Simnet.Link.create ~name:("kcopy" ^ string_of_int nid) sched);
       uppers = Hashtbl.create 64;
-      assemblies = Hashtbl.create 64;
+      rxs = Simnet.Proc_id.Pair_tbl.create 64;
       st =
         {
           s_eager = 0;
@@ -85,6 +102,7 @@ let create ?config fabric =
           s_data = 0;
           s_bytes = 0;
           s_failed = 0;
+          s_data_drops = 0;
         };
       send_error = (fun ~src:_ ~dst:_ ~len:_ -> ());
     }
@@ -127,13 +145,10 @@ let create ?config fabric =
             if stalled then pair.busy <- false
           end)
         t.pairs;
-      let dead =
-        Hashtbl.fold
-          (fun ((s, _, _) as key) _ acc ->
-            if s.Simnet.Proc_id.nid = nid then key :: acc else acc)
-          t.assemblies []
-      in
-      List.iter (Hashtbl.remove t.assemblies) dead);
+      Simnet.Proc_id.Pair_tbl.fold
+        (fun src _ rx () ->
+          if src.Simnet.Proc_id.nid = nid then rx.rx_open <- None)
+        t.rxs ());
   t
 
 let on_send_error t f = t.send_error <- f
@@ -147,6 +162,7 @@ let stats t =
     data_packets = t.st.s_data;
     bytes_carried = t.st.s_bytes;
     failed_handshakes = t.st.s_failed;
+    data_drops = t.st.s_data_drops;
   }
 
 let host_cpu t nid = Simnet.Node.host_cpu (Simnet.Fabric.node t.fabric nid)
@@ -315,12 +331,34 @@ let handle_frame t ~me ~src frame =
           (Bytes.sub frame.Frame.payload frame.Frame.pay_off frame.Frame.pay_len))
   | Frame.Rts ->
     interrupt ();
+    let msg_id = frame.Frame.msg_id and len = frame.Frame.total_len in
+    let rx =
+      match Simnet.Proc_id.Pair_tbl.find t.rxs src me with
+      | rx -> rx
+      | exception Not_found ->
+        let rx = { rx_id = -1; rx_open = None } in
+        Simnet.Proc_id.Pair_tbl.add t.rxs src me rx;
+        rx
+    in
+    (* A repeated RTS is answered again (the sender ignores a stale CTS)
+       but opens nothing. *)
+    if msg_id > rx.rx_id then begin
+      rx.rx_id <- msg_id;
+      let chunk = chunk_payload t in
+      rx.rx_open <-
+        Some
+          {
+            buffer = Bytes.empty;
+            arrived = Bytes.make ((len + chunk - 1) / chunk) '\000';
+            received = 0;
+          }
+    end;
     t.st.s_cts <- t.st.s_cts + 1;
     send_frame t ~src:me ~dst:src
       {
         Frame.kind = Frame.Cts;
-        msg_id = frame.Frame.msg_id;
-        total_len = frame.Frame.total_len;
+        msg_id;
+        total_len = len;
         offset = 0;
         payload = Bytes.empty;
         pay_off = 0;
@@ -329,31 +367,29 @@ let handle_frame t ~me ~src frame =
   | Frame.Cts ->
     interrupt ();
     handle_cts t ~me ~from:src frame.Frame.msg_id
-  | Frame.Data ->
+  | Frame.Data -> (
     if t.cfg.per_packet_interrupt then interrupt ();
-    let key = (src, me, frame.Frame.msg_id) in
-    let assembly =
-      match Hashtbl.find_opt t.assemblies key with
-      | Some a -> a
-      | None ->
-        let a = { buffer = Bytes.create frame.Frame.total_len; received = 0 } in
-        Hashtbl.replace t.assemblies key a;
-        a
-    in
-    let n = frame.Frame.pay_len in
-    Bytes.blit frame.Frame.payload frame.Frame.pay_off assembly.buffer
-      frame.Frame.offset n;
-    assembly.received <- assembly.received + n;
-    let copy_done =
-      Simnet.Link.occupy t.kcopy.(nid) (Simnet.Profile.copy_time profile n)
-    in
-    let complete = assembly.received >= frame.Frame.total_len in
-    Scheduler.at t.sched copy_done (fun () ->
-        steal t nid (Simnet.Profile.copy_time profile n);
-        if complete then begin
-          Hashtbl.remove t.assemblies key;
-          deliver_up t ~me ~src assembly.buffer
-        end)
+    let slot = frame.Frame.offset / chunk_payload t in
+    match Simnet.Proc_id.Pair_tbl.find t.rxs src me with
+    | { rx_id; rx_open = Some assembly } as rx
+      when rx_id = frame.Frame.msg_id
+           && Bytes.get assembly.arrived slot = '\000' ->
+      Bytes.set assembly.arrived slot '\001';
+      if assembly.received = 0 then
+        assembly.buffer <- Bytes.create frame.Frame.total_len;
+      let n = frame.Frame.pay_len in
+      Bytes.blit frame.Frame.payload frame.Frame.pay_off assembly.buffer
+        frame.Frame.offset n;
+      assembly.received <- assembly.received + n;
+      let copy_done =
+        Simnet.Link.occupy t.kcopy.(nid) (Simnet.Profile.copy_time profile n)
+      in
+      let complete = assembly.received >= frame.Frame.total_len in
+      if complete then rx.rx_open <- None;
+      Scheduler.at t.sched copy_done (fun () ->
+          steal t nid (Simnet.Profile.copy_time profile n);
+          if complete then deliver_up t ~me ~src assembly.buffer)
+    | _ | (exception Not_found) -> t.st.s_data_drops <- t.st.s_data_drops + 1)
 
 (* --- the transport record -------------------------------------------- *)
 

@@ -54,6 +54,11 @@ type stats = {
   failed_handshakes : int;
       (** Rendezvous sends refused because an endpoint was unregistered
           (see {!on_send_error}). *)
+  data_drops : int;
+      (** Data packets discarded on arrival: a packet whose slot of the
+          message already arrived, or one of a message that completed or
+          whose RTS never opened it. A fabric that duplicates without
+          the reliability shim produces these. *)
 }
 
 type t

@@ -116,31 +116,43 @@ let create_world ?(scenario = Scenario.default) ?profile ?(transport = Offload)
   if shards = 1 then begin
     let sched = Scheduler.create ~seed () in
     let fabric =
-      Simnet.Fabric.create ~topology ?queue_limit sched ~profile ~nodes
+      Simnet.Fabric.create
+        ~topology:(Simnet.Topology.build topology ~nodes)
+        ?queue_limit sched ~profile ~nodes
     in
     configure fabric;
     { sched; fabric; transport = transport_over fabric; ranks; par = None }
   end
   else begin
-    (* Shard 0 keeps the caller's seed so single-shard-visible streams
-       match the sequential world; the rest get decorrelated derived
-       streams (nothing deterministic may depend on them). *)
-    let scheds =
-      Array.init shards (fun k ->
-          Scheduler.create
-            ~seed:(if k = 0 then seed else Prng.derived_seed ~seed ~index:k)
-            ())
+    (* One topology for the whole world: it is immutable, so every
+       replica's fabric routes over and labels its links from this one. *)
+    let topo = Simnet.Topology.build topology ~nodes in
+    let par_map = Simnet.Shard_map.build topo ~profile ~shards in
+    (* Each shard's replica is built on its own domain, as [Shard.run]
+       places the shards, so a replica's scheduler, fabric and transport
+       come from that domain's heap. Shard 0 keeps the caller's seed so
+       single-shard-visible streams match the sequential world; the rest
+       get decorrelated derived streams (nothing deterministic may
+       depend on them). *)
+    let replicas =
+      Shard.parallel_init shards (fun k ->
+          let sched =
+            Scheduler.create
+              ~seed:(if k = 0 then seed else Prng.derived_seed ~seed ~index:k)
+              ()
+          in
+          let fabric =
+            Simnet.Fabric.create ~topology:topo ?queue_limit sched ~profile
+              ~nodes
+          in
+          configure fabric;
+          (sched, fabric, transport_over fabric))
     in
-    let fabrics =
-      Array.map
-        (fun s -> Simnet.Fabric.create ~topology ?queue_limit s ~profile ~nodes)
-        scheds
-    in
-    let par_map =
-      Simnet.Shard_map.build
-        (Simnet.Fabric.topology fabrics.(0))
-        ~profile ~shards
-    in
+    let scheds = Array.map (fun (s, _, _) -> s) replicas in
+    let fabrics = Array.map (fun (_, f, _) -> f) replicas in
+    let par_transports = Array.map (fun (_, _, tr) -> tr) replicas in
+    (* The post hooks need the window runtime, which needs every
+       scheduler: they are set once all replicas are built. *)
     let par_shard =
       Shard.create ~scheds ~lookahead:(Simnet.Shard_map.lookahead par_map) ()
     in
@@ -151,8 +163,6 @@ let create_world ?(scenario = Scenario.default) ?profile ?(transport = Offload)
           ~post:(fun ~dst_shard ~time msg ->
             Shard.post par_shard ~src:k ~dst:dst_shard ~time msg))
       fabrics;
-    Array.iter configure fabrics;
-    let par_transports = Array.map transport_over fabrics in
     {
       sched = scheds.(0);
       fabric = fabrics.(0);

@@ -131,9 +131,18 @@ type t = {
   drop_pairs : Metrics.counter Proc_id.Pair_tbl.tbl;
 }
 
-let create ?(topology = Topology.Full) ?queue_limit sched ~profile ~nodes =
+let create ?topology ?queue_limit sched ~profile ~nodes =
   if nodes <= 0 then invalid_arg "Fabric.create: need at least one node";
-  let topo = Topology.build topology ~nodes in
+  let topo =
+    match topology with
+    | None -> Topology.build Topology.Full ~nodes
+    | Some topo ->
+      if Topology.nodes topo <> nodes then
+        invalid_arg
+          (Printf.sprintf "Fabric.create: topology has %d nodes, not %d"
+             (Topology.nodes topo) nodes);
+      topo
+  in
   let hop_links =
     Array.init (Topology.link_count topo) (fun id ->
         Link.create

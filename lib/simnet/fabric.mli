@@ -21,7 +21,7 @@
 
     {b Topology.} By default the fabric is fully connected — every pair
     of nodes owns a private wire, nothing contends, exactly the seed
-    model. Passing [~topology] ({!Topology.kind}) replaces the wires
+    model. Passing [~topology] (a built {!Topology.t}) replaces the wires
     with a hop graph of {e shared} links: each message follows the
     {!Router} path for its (src, dst) pair, store-and-forwarding across
     every link with FIFO queueing, so concurrent flows crossing the same
@@ -58,7 +58,7 @@ type stats = {
 }
 
 val create :
-  ?topology:Topology.kind ->
+  ?topology:Topology.t ->
   ?queue_limit:int ->
   Sim_engine.Scheduler.t ->
   profile:Profile.t ->
@@ -67,11 +67,12 @@ val create :
 (** [create sched ~profile ~nodes] is a fabric of [nodes] identical nodes
     numbered [0 .. nodes-1].
 
-    [topology] (default {!Topology.Full}) selects the interconnect
-    shape; [queue_limit] (default unbounded) caps each shared hop
-    link's outstanding-transmission queue, beyond which messages are
-    congestion-dropped. Raises [Invalid_argument] if the topology
-    cannot host [nodes] (see {!Topology.build}).
+    [topology] (default the {!Topology.Full} graph over [nodes]) is the
+    interconnect; the fabric only reads it, so the replicas of a sharded
+    world share one (link names included). [queue_limit] (default
+    unbounded) caps each shared hop link's outstanding-transmission
+    queue, beyond which messages are congestion-dropped. Raises
+    [Invalid_argument] if [topology] is not over [nodes] nodes.
 
     The fabric registers the probes of the parts it owns, one family per
     metric: ["cpu.*"] over the node CPUs, ["link.*"] over the node

@@ -16,6 +16,9 @@ type t = {
   edge_index : (int * int, int) Hashtbl.t;
   (* vertex -> neighbour vertices in construction order. *)
   adj : int list array;
+  (* link_id -> "src->dst", formatted once: every fabric built over this
+     topology labels its links with these strings. *)
+  link_names : string array;
 }
 
 let kind t = t.kind
@@ -37,13 +40,15 @@ let neighbors t v =
     List.filter (fun u -> u <> v) (List.init t.topo_nodes Fun.id)
   else List.rev t.adj.(v)
 
-let vertex_name t v =
-  if v < t.topo_nodes then "node" ^ string_of_int v
-  else "sw" ^ string_of_int (v - t.topo_nodes)
+let vertex_label ~nodes v =
+  if v < nodes then "node" ^ string_of_int v
+  else "sw" ^ string_of_int (v - nodes)
+
+let vertex_name t v = vertex_label ~nodes:t.topo_nodes v
 
 let link_name t id =
-  let l = link t id in
-  String.concat "->" [ vertex_name t l.src_v; vertex_name t l.dst_v ]
+  ignore (link t id);
+  t.link_names.(id)
 
 let dims t =
   match t.kind with
@@ -100,13 +105,21 @@ let add_bidi b v u =
   add_link b ~src_v:u ~dst_v:v
 
 let finish kind ~nodes ~vertices b =
+  let links = Array.of_list (List.rev b.blinks) in
+  let link_names = Array.make (Array.length links) "" in
+  for id = 0 to Array.length links - 1 do
+    let l = links.(id) in
+    link_names.(id) <-
+      String.concat "->" [ vertex_label ~nodes l.src_v; vertex_label ~nodes l.dst_v ]
+  done;
   {
     kind;
     topo_nodes = nodes;
     vertices;
-    links = Array.of_list (List.rev b.blinks);
+    links;
     edge_index = b.bindex;
     adj = b.badj;
+    link_names;
   }
 
 let builder vertices =
@@ -117,15 +130,34 @@ let builder vertices =
     badj = Array.make (max vertices 1) [];
   }
 
-let build_torus kind ~nodes ds =
-  if List.exists (fun d -> d < 1) ds then
-    invalid_arg "Topology.build: torus dimensions must be positive";
-  if List.fold_left ( * ) 1 ds <> nodes then
-    invalid_arg
-      (Printf.sprintf
-         "Topology.build: dimensions (%s) do not multiply to %d nodes"
-         (String.concat "x" (List.map string_of_int ds))
-         nodes);
+(* Every check [build] makes, without building: raises [Invalid_argument]
+   exactly when [build kind ~nodes] would. *)
+let validate kind ~nodes =
+  if nodes <= 0 then invalid_arg "Topology.build: need at least one node";
+  let torus ds =
+    if List.exists (fun d -> d < 1) ds then
+      invalid_arg "Topology.build: torus dimensions must be positive";
+    if List.fold_left ( * ) 1 ds <> nodes then
+      invalid_arg
+        (Printf.sprintf
+           "Topology.build: dimensions (%s) do not multiply to %d nodes"
+           (String.concat "x" (List.map string_of_int ds))
+           nodes)
+  in
+  match kind with
+  | Full -> ()
+  | Ring -> if nodes < 2 then invalid_arg "Topology.build: ring needs >= 2 nodes"
+  | Torus2d (a, b) -> torus [ a; b ]
+  | Torus3d (a, b, c) -> torus [ a; b; c ]
+  | Fat_tree k ->
+    if k < 2 || k mod 2 <> 0 then
+      invalid_arg "Topology.build: fat-tree arity must be even and >= 2";
+    if k * k * k / 4 <> nodes then
+      invalid_arg
+        (Printf.sprintf "Topology.build: fattree:%d hosts %d nodes, not %d" k
+           (k * k * k / 4) nodes)
+
+let build_torus kind ~nodes =
   let b = builder nodes in
   let t0 = finish kind ~nodes ~vertices:nodes b in
   (* Wire each node to its ±1 neighbour in every dimension (wraparound).
@@ -152,12 +184,6 @@ let build_torus kind ~nodes ds =
    Vertex layout: hosts 0..n-1, then per-pod edge switches, per-pod
    aggregation switches, then core switches. *)
 let build_fat_tree ~nodes k =
-  if k < 2 || k mod 2 <> 0 then
-    invalid_arg "Topology.build: fat-tree arity must be even and >= 2";
-  if k * k * k / 4 <> nodes then
-    invalid_arg
-      (Printf.sprintf "Topology.build: fattree:%d hosts %d nodes, not %d" k
-         (k * k * k / 4) nodes);
   let half = k / 2 in
   let edge p e = nodes + (p * half) + e in
   let agg p a = nodes + (k * half) + (p * half) + a in
@@ -184,17 +210,13 @@ let build_fat_tree ~nodes k =
   finish (Fat_tree k) ~nodes ~vertices b
 
 let build kind ~nodes =
-  if nodes <= 0 then invalid_arg "Topology.build: need at least one node";
+  validate kind ~nodes;
   match kind with
   | Full ->
     (* The fully-connected fabric keeps the seed's private-wire model:
        no shared hop links exist, so the link table is empty. *)
     finish Full ~nodes ~vertices:nodes (builder nodes)
-  | Ring ->
-    if nodes < 2 then invalid_arg "Topology.build: ring needs >= 2 nodes";
-    build_torus Ring ~nodes [ nodes ]
-  | Torus2d (a, bb) -> build_torus (Torus2d (a, bb)) ~nodes [ a; bb ]
-  | Torus3d (a, bb, c) -> build_torus (Torus3d (a, bb, c)) ~nodes [ a; bb; c ]
+  | Ring | Torus2d _ | Torus3d _ -> build_torus kind ~nodes
   | Fat_tree k -> build_fat_tree ~nodes k
 
 (* --- specs ------------------------------------------------------------- *)
@@ -232,8 +254,8 @@ let of_spec ~nodes spec =
     | _ -> bad (Printf.sprintf "expected %d dimensions" arity)
   in
   let check kind =
-    match build kind ~nodes with
-    | _ -> kind
+    match validate kind ~nodes with
+    | () -> kind
     | exception Invalid_argument msg -> bad msg
   in
   match String.split_on_char ':' (String.trim (String.lowercase_ascii spec)) with

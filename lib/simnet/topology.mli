@@ -70,7 +70,9 @@ val vertex_name : t -> int -> string
 
 val link_name : t -> int -> string
 (** E.g. ["node0->node1"]; the value of the [("link", _)] metric label
-    of the corresponding fabric {!Link}. *)
+    of the corresponding fabric {!Link}. Formatted once, by {!build}:
+    every call, and every fabric over this topology, gets the same
+    string. *)
 
 val dims : t -> int list
 (** The dimension sizes of a grid-shaped topology: [[n]] for a ring,
@@ -91,7 +93,8 @@ val of_spec : nodes:int -> string -> kind
     dimensions the shape is fitted to [nodes] (most-square
     factorisation for tori, [k = ∛(4·nodes)] for fat-trees). Raises
     [Invalid_argument] on syntax errors or shapes that cannot host
-    [nodes]. *)
+    [nodes], found by the checks {!build} runs, without building the
+    graph. *)
 
 val describe : kind -> string
 (** Short human-readable form, e.g. ["torus2d:4x4"]; parseable back by

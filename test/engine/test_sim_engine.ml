@@ -1354,6 +1354,27 @@ let shard_tests =
         Scheduler.spawn scheds.(1) ~name:"stuck" (fun () ->
             ignore (Sync.Ivar.read (Sync.Ivar.create scheds.(1))));
         Shard.run ~allow_blocked:true t ~deliver:(fun ~shard:_ ~time:_ _ -> ()));
+    Alcotest.test_case "parallel_init places, orders and re-raises" `Quick
+      (fun () ->
+        let caller = Domain.self () in
+        let placed =
+          Shard.parallel_init 3 (fun k -> (k, Domain.self () = caller))
+        in
+        Alcotest.(check (array (pair int bool))) "in index order, 0 on the caller"
+          [| (0, true); (1, false); (2, false) |]
+          placed;
+        let finished = Atomic.make 0 in
+        let raised =
+          match
+            Shard.parallel_init 3 (fun k ->
+                Atomic.incr finished;
+                if k >= 1 then failwith (string_of_int k))
+          with
+          | _ -> "none"
+          | exception Failure k -> k
+        in
+        Alcotest.(check string) "the lowest index's failure" "1" raised;
+        Alcotest.(check int) "every call ran to its end" 3 (Atomic.get finished));
     Alcotest.test_case "window width validation" `Quick (fun () ->
         Alcotest.(check bool) "zero lookahead rejected" true
           (match Shard.create ~scheds:(make_pair ()) ~lookahead:0 () with

@@ -207,6 +207,33 @@ let delivery_tests =
           (50_000 + Rtscts.chunk_payload m - 1) / Rtscts.chunk_payload m
         in
         Alcotest.(check int) "packet count" expected_packets st.Rtscts.data_packets);
+    Alcotest.test_case "duplicated packets are reassembled once" `Quick
+      (fun () ->
+        (* No reliability shim: the fabric hands every duplicate to the
+           transport. Each RTS, CTS and Data packet is doubled with
+           probability 0.3; every message must still arrive exactly once,
+           byte for byte. *)
+        let sched, fabric, m, tp = setup () in
+        Simnet.Fabric.set_fault_model fabric
+          (Some (Simnet.Fault.duplicator ~seed:1 ~p:0.3 ()));
+        let sent =
+          List.init 5 (fun k -> Bytes.init 20_000 (fun i -> Char.chr ((i + (k * 37)) mod 251)))
+        in
+        let got = ref [] in
+        tp.Simnet.Transport.register (proc 0 0) (fun ~src:_ _ -> ());
+        tp.Simnet.Transport.register (proc 1 0) (fun ~src:_ p -> got := p :: !got);
+        List.iter (tp.Simnet.Transport.send ~src:(proc 0 0) ~dst:(proc 1 0)) sent;
+        Scheduler.run sched;
+        Alcotest.(check int) "five deliveries" 5 (List.length !got);
+        List.iteri
+          (fun k (want, have) ->
+            Alcotest.(check bool) (Printf.sprintf "message %d intact" k) true
+              (Bytes.equal want have))
+          (List.combine sent (List.rev !got));
+        Alcotest.(check bool) "fabric duplicated packets" true
+          ((Simnet.Fabric.stats fabric).Simnet.Fabric.dups_injected > 0);
+        Alcotest.(check bool) "duplicate data packets dropped" true
+          ((Rtscts.stats m).Rtscts.data_drops > 0));
     Alcotest.test_case "mixed sizes stay ordered per pair" `Quick (fun () ->
         let sched, _, _, tp = setup () in
         let got = ref [] in

@@ -550,6 +550,41 @@ let par_tests =
         (* Small worlds fall back to one shard per node. *)
         let tiny = Runtime.create_world ~domains:4 ~nodes:2 () in
         Alcotest.(check int) "capped at nodes" 2 (Runtime.domains tiny));
+    Alcotest.test_case "replicas share one topology" `Quick (fun () ->
+        let world =
+          Runtime.create_world ~domains:4 ~nodes:16
+            ~topology:(Simnet.Topology.of_spec ~nodes:16 "torus2d")
+            ()
+        in
+        let fabrics = Runtime.shard_fabrics world in
+        Alcotest.(check int) "four replicas" 4 (Array.length fabrics);
+        Array.iteri
+          (fun k fabric ->
+            Alcotest.(check bool)
+              (Printf.sprintf "replica %d: same topology" k)
+              true
+              (Simnet.Fabric.topology fabric
+              == Simnet.Fabric.topology world.Runtime.fabric);
+            Alcotest.(check bool)
+              (Printf.sprintf "replica %d: own scheduler" k)
+              true
+              (Simnet.Fabric.sched fabric == (Runtime.shard_scheds world).(k)))
+          fabrics);
+    Alcotest.test_case "a replica that fails to build fails the world" `Quick
+      (fun () ->
+        (* Every replica applies the crash schedule, so each of the four
+           domains raises; the caller sees the same error as at 1 domain. *)
+        let build domains =
+          match
+            Runtime.create_world
+              ~scenario:(Runtime.Scenario.make ~crashes:"9@10:20" ())
+              ~domains ~nodes:8 ()
+          with
+          | _ -> "built"
+          | exception Invalid_argument msg -> msg
+        in
+        Alcotest.(check string) "same error" (build 1) (build 4);
+        Alcotest.(check bool) "an error" true (build 4 <> "built"));
     Alcotest.test_case "Stack.launch_on runs a parallel job" `Quick (fun () ->
         let total = Atomic.make 0 in
         let world =
@@ -584,19 +619,25 @@ let build_cost_tests =
            measured). *)
         let slack_words = 32_768. in
         let words domains =
-          (* The counters take in the minor heap's words only when it is
-             emptied, so empty it on both sides. *)
-          Gc.minor ();
-          let minor0, promoted0, major0 = Gc.counters () in
+          (* The replicas are built on domains of their own, which have
+             ended when [create_world] returns; [Gc.quick_stat] folds
+             their words in, where [Gc.counters] counts the calling
+             domain's only. Either takes in the minor heap's words only
+             when it is emptied, so empty it on both sides. *)
+          let count () =
+            Gc.minor ();
+            let g = Gc.quick_stat () in
+            g.Gc.minor_words +. g.Gc.major_words -. g.Gc.promoted_words
+          in
+          let w0 = count () in
           let world =
             Runtime.create_world ~seed:0
               ~topology:(Simnet.Topology.Torus2d (64, 64))
               ~domains ~nodes:4096 ()
           in
-          Gc.minor ();
-          let minor1, promoted1, major1 = Gc.counters () in
+          let w1 = count () in
           Alcotest.(check int) "domains" domains (Runtime.domains world);
-          minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+          w1 -. w0
         in
         let one = words 1 and two = words 2 in
         if two > (2. *. one) +. slack_words then

@@ -276,6 +276,48 @@ let topology_tests =
             Topology.of_spec ~nodes:6 "fattree");
         rejects "unknown shape" (fun () -> Topology.of_spec ~nodes:8 "mesh");
         rejects "ring of one" (fun () -> Topology.build Ring ~nodes:1));
+    Alcotest.test_case "bad specs keep their messages" `Quick (fun () ->
+        (* [of_spec] validates without building; the messages are the
+           ones it gave when it built the graph to validate it. *)
+        let expected = "; expected full|ring|torus2d[:AxB]|torus3d[:AxBxC]|fattree[:K]" in
+        let message f =
+          match f () with
+          | _ -> "accepted"
+          | exception Invalid_argument msg -> msg
+        in
+        List.iter
+          (fun (nodes, spec, reason) ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s on %d nodes" spec nodes)
+              (Printf.sprintf "Topology.of_spec: bad topology %S (%s)%s" spec
+                 reason expected)
+              (message (fun () -> Topology.of_spec ~nodes spec)))
+          [
+            (8, "torus2d:4x4",
+             "Topology.build: dimensions (4x4) do not multiply to 8 nodes");
+            (8, "torus3d:2x2x3",
+             "Topology.build: dimensions (2x2x3) do not multiply to 8 nodes");
+            (8, "torus2d:0x8", "\"0\" is not a positive integer");
+            (16, "fattree:3", "Topology.build: fat-tree arity must be even and >= 2");
+            (16, "fattree:0", "Topology.build: fat-tree arity must be even and >= 2");
+            (8, "fattree:4", "Topology.build: fattree:4 hosts 16 nodes, not 8");
+            (6, "fattree", "Topology.build: fattree:4 hosts 16 nodes, not 6");
+            (1, "ring", "Topology.build: ring needs >= 2 nodes");
+            (0, "torus2d", "Topology.build: need at least one node");
+            (8, "mesh", "unknown shape");
+            (8, "torus2d:4", "expected 2 dimensions");
+          ];
+        List.iter
+          (fun (kind, nodes, msg) ->
+            Alcotest.(check string) (Topology.describe kind) msg
+              (message (fun () -> Topology.build kind ~nodes)))
+          [
+            (Topology.Torus2d (0, 4), 4,
+             "Topology.build: torus dimensions must be positive");
+            (Topology.Torus3d (2, 0, 2), 4,
+             "Topology.build: torus dimensions must be positive");
+            (Topology.Full, 0, "Topology.build: need at least one node");
+          ]);
     Alcotest.test_case "full keeps the seed's empty hop graph" `Quick
       (fun () ->
         let t = Topology.build Full ~nodes:8 in
@@ -536,8 +578,9 @@ let fabric_tests =
           (fun topology ->
             let sched = Scheduler.create () in
             let fabric =
-              Fabric.create ~topology sched ~profile:Profile.myrinet_mcp
-                ~nodes:4
+              Fabric.create
+                ~topology:(Topology.build topology ~nodes:4)
+                sched ~profile:Profile.myrinet_mcp ~nodes:4
             in
             Fabric.set_fault_model fabric
               (Some (Fault.corrupt ~seed:1 ~p:1.0 ()));
@@ -572,8 +615,9 @@ let fabric_topology_tests =
             match topology with
             | None -> Fabric.create sched ~profile:Profile.myrinet_mcp ~nodes:4
             | Some k ->
-              Fabric.create ~topology:k sched ~profile:Profile.myrinet_mcp
-                ~nodes:4
+              Fabric.create
+                ~topology:(Topology.build k ~nodes:4)
+                sched ~profile:Profile.myrinet_mcp ~nodes:4
           in
           let arrival = ref 0 in
           Fabric.register fabric (pid 2 0) (fun ~src:_ _ ->
@@ -591,7 +635,9 @@ let fabric_topology_tests =
         let arrival_on topology dst =
           let sched = Scheduler.create () in
           let fabric =
-            Fabric.create ~topology sched ~profile ~nodes:8
+            Fabric.create
+              ~topology:(Topology.build topology ~nodes:8)
+              sched ~profile ~nodes:8
           in
           let arrival = ref 0 in
           Fabric.register fabric (pid dst 0) (fun ~src:_ _ ->
@@ -615,7 +661,7 @@ let fabric_topology_tests =
         let sched = Scheduler.create () in
         let fabric =
           Fabric.create
-            ~topology:(Topology.Torus2d (4, 4))
+            ~topology:(Topology.build (Topology.Torus2d (4, 4)) ~nodes:16)
             sched ~profile:Profile.myrinet_mcp ~nodes:16
         in
         let got = ref [] in
@@ -643,8 +689,9 @@ let fabric_topology_tests =
       (fun () ->
         let sched = Scheduler.create () in
         let fabric =
-          Fabric.create ~topology:Topology.Ring ~queue_limit:2 sched
-            ~profile:Profile.myrinet_mcp ~nodes:4
+          Fabric.create
+            ~topology:(Topology.build Topology.Ring ~nodes:4)
+            ~queue_limit:2 sched ~profile:Profile.myrinet_mcp ~nodes:4
         in
         let delivered = ref 0 in
         Fabric.register fabric (pid 2 0) (fun ~src:_ _ -> incr delivered);
@@ -1428,8 +1475,9 @@ let probe_family_tests =
       `Quick (fun () ->
         let sched = Scheduler.create () in
         let fabric =
-          Fabric.create ~topology:(Topology.Torus2d (3, 3)) ~queue_limit:2
-            sched ~profile:Profile.myrinet_kernel ~nodes:9
+          Fabric.create
+            ~topology:(Topology.build (Topology.Torus2d (3, 3)) ~nodes:9)
+            ~queue_limit:2 sched ~profile:Profile.myrinet_kernel ~nodes:9
         in
         let transport = Transport.kernel_interrupt fabric in
         for nid = 0 to 8 do
@@ -1567,18 +1615,43 @@ let probe_family_tests =
           (Fabric.stats fabric).Fabric.drops_injected);
     Alcotest.test_case "64x64 torus fabric builds within a per-node budget"
       `Quick (fun () ->
-        (* Measured at 571 words per node (OCaml 5.1, 64-bit); the budget
-           leaves about 55% headroom. A nodes x nodes table alone would
-           cost 4096 words per node here. *)
+        (* Measured at 575 words per node (OCaml 5.1, 64-bit): 315 for
+           the topology, link names included, and 260 for the fabric. The
+           budget leaves about 55% headroom. A nodes x nodes table alone
+           would cost 4096 words per node here. *)
         let budget_per_node = 900. in
         let nodes = 64 * 64 in
         let sched = Scheduler.create () in
         let fabric, words =
           words_during (fun () ->
-              Fabric.create ~topology:(Topology.Torus2d (64, 64)) sched
-                ~profile:Profile.myrinet_mcp ~nodes)
+              Fabric.create
+                ~topology:(Topology.build (Topology.Torus2d (64, 64)) ~nodes)
+                sched ~profile:Profile.myrinet_mcp ~nodes)
         in
         Alcotest.(check int) "built" nodes (Fabric.node_count fabric);
+        let per_node = words /. float_of_int nodes in
+        if per_node > budget_per_node then
+          Alcotest.failf "%.0f words per node, budget %.0f" per_node
+            budget_per_node);
+    Alcotest.test_case "a fabric over a built topology allocates none of it"
+      `Quick (fun () ->
+        (* What a sharded world's replicas pay: measured at 260 words per
+           node, against 315 more for building the topology. The budget
+           leaves about 55% headroom and fails a fabric that rebuilds the
+           topology or formats its link names again. *)
+        let budget_per_node = 400. in
+        let nodes = 64 * 64 in
+        let topo = Topology.build (Topology.Torus2d (64, 64)) ~nodes in
+        let sched = Scheduler.create () in
+        let fabric, words =
+          words_during (fun () ->
+              Fabric.create ~topology:topo sched ~profile:Profile.myrinet_mcp
+                ~nodes)
+        in
+        Alcotest.(check bool) "shares the topology" true
+          (Fabric.topology fabric == topo);
+        Alcotest.(check bool) "shares the link names" true
+          (Link.name (Fabric.hop_link fabric 7) == Topology.link_name topo 7);
         let per_node = words /. float_of_int nodes in
         if per_node > budget_per_node then
           Alcotest.failf "%.0f words per node, budget %.0f" per_node
