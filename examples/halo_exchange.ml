@@ -79,7 +79,8 @@ let () =
         Mpi.create_portals world.Runtime.transport ~ranks:world.Runtime.ranks
           ~rank ())
   in
-  let wait_after_compute = Stats.Summary.create ~name:"wait" () in
+  let registry = Scheduler.metrics world.Runtime.sched in
+  let wait_after_compute = Metrics.summary registry "halo.wait_us" in
   let gathered = Array.make ranks [||] in
 
   (* ---- 3. The ranks: overlap compute with halo traffic --------------- *)
@@ -123,7 +124,7 @@ let () =
         Cpu.compute cpu interior_compute;
         let before = Scheduler.now world.Runtime.sched in
         ignore (Mpi.waitall ep (sends @ recvs));
-        Stats.Summary.observe wait_after_compute
+        Metrics.observe wait_after_compute
           (Time_ns.to_us (Time_ns.sub (Scheduler.now world.Runtime.sched) before));
         (* Apply halos and advance the stencil. *)
         cur.(0) <- (unpack left_buf).(0);
@@ -167,7 +168,9 @@ let () =
   Format.printf
     "mean wait after each %.0fus compute phase: %.2f us (overlap works)@."
     (Time_ns.to_us interior_compute)
-    (Stats.Summary.mean wait_after_compute);
+    (match Metrics.Snapshot.find (Metrics.snapshot registry) "halo.wait_us" with
+    | Some (Metrics.Snapshot.Summary { mean; _ }) -> mean
+    | _ -> 0.);
   Format.printf
     "peak hop-link queue depth: %d (nearest-neighbor traffic never piles up)@."
     (Simnet.Fabric.peak_link_queue_depth world.Runtime.fabric);

@@ -75,7 +75,8 @@ let () =
   in
   let dones = Array.map (fun os -> Onesided.alloc os ranks) oss in
 
-  let wait_after_compute = Stats.Summary.create ~name:"wait" () in
+  let registry = Scheduler.metrics world.Runtime.sched in
+  let wait_after_compute = Metrics.summary registry "halo.wait_us" in
 
   Runtime.spawn_ranks world (fun ~rank ->
       let os = oss.(rank) and w = wins.(rank) in
@@ -116,7 +117,7 @@ let () =
           (Bytes.make 1 fv);
         Onesided.wait_until os flags.(rank) ~offset:par ~value:fv;
         Onesided.wait_until os flags.(rank) ~offset:(2 + par) ~value:fv;
-        Stats.Summary.observe wait_after_compute
+        Metrics.observe wait_after_compute
           (Time_ns.to_us
              (Time_ns.sub (Scheduler.now world.Runtime.sched) before));
         (* Apply the freshly-landed ghosts and finish the edge cells. *)
@@ -169,7 +170,9 @@ let () =
   Format.printf
     "mean wait after each %.0fus compute phase: %.2f us (puts overlapped)@."
     (Time_ns.to_us interior_compute)
-    (Stats.Summary.mean wait_after_compute);
+    (match Metrics.Snapshot.find (Metrics.snapshot registry) "halo.wait_us" with
+    | Some (Metrics.Snapshot.Summary { mean; _ }) -> mean
+    | _ -> 0.);
   Format.printf "cells bit-identical to the reference: %d/%d@." !exact total;
   if !max_err > 1e-9 || !exact <> total then begin
     Format.printf "MISMATCH@.";

@@ -4,7 +4,6 @@
 module Time_ns = Time_ns
 module Prng = Prng
 module Event_heap = Event_heap
-module Stats = Stats
 module Metrics = Metrics
 module Report = Report
 module Scheduler = Scheduler

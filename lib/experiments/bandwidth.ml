@@ -11,8 +11,12 @@ let pt_bench = 8
 
 let measure ~scenario ~transport ~size ~count =
   let world = Runtime.create_world ~scenario ~transport ~nodes:2 () in
-  let ni0 = P.Ni.create world.Runtime.transport ~id:world.Runtime.ranks.(0) () in
-  let ni1 = P.Ni.create world.Runtime.transport ~id:world.Runtime.ranks.(1) () in
+  let ni rank =
+    P.Ni.create (Runtime.transport_of_rank world rank)
+      ~id:world.Runtime.ranks.(rank) ()
+  in
+  let ni0 = ni 0 and ni1 = ni 1 in
+  let sched1 = Runtime.sched_of_rank world 1 in
   let eqh = P.Errors.ok_exn ~op:"eq" (P.Ni.eq_alloc ni1 ~capacity:(count * 2)) in
   let eqq = P.Errors.ok_exn ~op:"eq" (P.Ni.eq ni1 eqh) in
   let meh =
@@ -28,12 +32,12 @@ let measure ~scenario ~transport ~size ~count =
             ~threshold:P.Md.Infinite ~eq:eqh (Bytes.create size)))
   in
   let finished = ref Time_ns.zero in
-  Scheduler.spawn world.Runtime.sched ~name:"sink" (fun () ->
+  Scheduler.spawn sched1 ~name:"sink" (fun () ->
       for _ = 1 to count do
         ignore (P.Event.Queue.wait eqq)
       done;
-      finished := Scheduler.now world.Runtime.sched);
-  Scheduler.spawn world.Runtime.sched ~name:"source" (fun () ->
+      finished := Scheduler.now sched1);
+  Scheduler.spawn (Runtime.sched_of_rank world 0) ~name:"source" (fun () ->
       let payload = Bytes.create size in
       for _ = 1 to count do
         let mdh =
@@ -50,7 +54,7 @@ let measure ~scenario ~transport ~size ~count =
   Runtime.run world;
   (* Read the byte count off the sink NI's registry probe rather than
      recomputing size * count: the curve reflects what actually landed. *)
-  let snap = Metrics.snapshot (Scheduler.metrics world.Runtime.sched) in
+  let snap = Metrics.snapshot (Scheduler.metrics sched1) in
   let sink = Format.asprintf "%a" Simnet.Proc_id.pp world.Runtime.ranks.(1) in
   let bytes =
     match Metrics.Snapshot.find snap ~labels:[ ("proc", sink) ] "ni.rx_bytes" with

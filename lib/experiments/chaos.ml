@@ -269,11 +269,7 @@ let run_stream_world ~domains ~quick cell =
   let rel_corrupt =
     sum (fun s -> (Reliability.stats s).Reliability.corrupt_drops) shims
   in
-  let now_us =
-    Array.fold_left
-      (fun a s -> Float.max a (Time_ns.to_us (Scheduler.now s)))
-      0. (Runtime.shard_scheds world)
-  in
+  let now_us = Time_ns.to_us (Runtime.now world) in
   let delivered = List.fold_left (fun a (_, st) -> a + st.accepted) 0 stats in
   (!violations, delivered, (corrupts, delays, parted), rel_corrupt, now_us)
 
@@ -361,11 +357,7 @@ let run_rma_world ~domains ~quick cell =
       (fun acc ni -> acc + P.Ni.dropped ni P.Ni.Checksum_failed)
       0 nis
   in
-  let now_us =
-    Array.fold_left
-      (fun a s -> Float.max a (Time_ns.to_us (Scheduler.now s)))
-      0. (Runtime.shard_scheds world)
-  in
+  let now_us = Time_ns.to_us (Runtime.now world) in
   (!violations, checksum_drops, now_us)
 
 (* --- per-cell driver ---------------------------------------------------- *)

@@ -54,9 +54,9 @@ let default_config =
 
 let victim_nid = 1
 
-let sum_stale_drops sched =
+let sum_stale_drops world =
   let slug = Portals.Ni.drop_reason_slug Portals.Ni.Stale_incarnation in
-  let snap = Metrics.snapshot (Scheduler.metrics sched) in
+  let snap = Runtime.metrics_snapshot world in
   List.fold_left
     (fun acc (e : Metrics.Snapshot.entry) ->
       match e.Metrics.Snapshot.value with
@@ -69,18 +69,23 @@ let sum_stale_drops sched =
 
 let run_backend ~scenario ~(cfg : config) backend =
   let world = Runtime.create_world ~scenario ~nodes:2 () in
-  let sched = world.Runtime.sched in
-  let fabric = world.Runtime.fabric in
-  let tp = world.Runtime.transport in
   let ranks = world.Runtime.ranks in
-  Simnet.Fabric.apply_crash_schedule fabric
-    (Simnet.Fault.crash_schedule
-       [ (victim_nid, cfg.down_at, Some cfg.up_at) ]);
+  (* Every shard replays the crash, keeping its replica of the victim in
+     lockstep with the owner. *)
+  let schedule =
+    Simnet.Fault.crash_schedule [ (victim_nid, cfg.down_at, Some cfg.up_at) ]
+  in
+  Array.iter
+    (fun fabric -> Simnet.Fabric.apply_crash_schedule fabric schedule)
+    (Runtime.shard_fabrics world);
   let make_ep rank =
+    let tp = Runtime.transport_of_rank world rank in
     match backend with
     | `Portals -> Mpi.create_portals tp ~ranks ~rank ()
     | `Gm -> Mpi.create_gm tp ~ranks ~rank ()
   in
+  let sched0 = Runtime.sched_of_rank world 0 in
+  let sched1 = Runtime.sched_of_rank world 1 in
   let sent = ref 0 in
   let send_errors = ref 0 in
   let reconnects = ref 0 in
@@ -95,29 +100,29 @@ let run_backend ~scenario ~(cfg : config) backend =
       delivered := !delivered + 1;
       if second_life && !recovery < 0. then
         recovery :=
-          Time_ns.to_us (Time_ns.sub (Scheduler.now sched) cfg.up_at);
+          Time_ns.to_us (Time_ns.sub (Scheduler.now sched1) cfg.up_at);
       loop ()
     in
     (try loop () with Mpi.Peer_failed _ -> ())
   in
   let ep0 = make_ep 0 in
   let ep1 = make_ep 1 in
-  Scheduler.spawn sched ~name:"rank0" ~domain:0 (fun () ->
+  Scheduler.spawn sched0 ~name:"rank0" ~domain:0 (fun () ->
       let payload = Bytes.create cfg.size in
       for i = 1 to cfg.msgs do
-        Scheduler.delay sched cfg.interval;
+        Scheduler.delay sched0 cfg.interval;
         incr sent;
         try Mpi.send ep0 ~dst:1 ~tag:i payload
         with Mpi.Peer_failed _ -> incr send_errors
       done);
-  Scheduler.spawn sched ~name:"rank1" ~domain:victim_nid (fun () ->
+  Scheduler.spawn sched1 ~name:"rank1" ~domain:victim_nid (fun () ->
       rank1_main ~second_life:false ep1);
   (* The restarted node boots its process back up: a fresh endpoint, a
      fresh fiber — the victim's side of recovery, common to both
      backends. *)
-  Scheduler.at sched (Time_ns.add cfg.up_at (Time_ns.ns 1)) (fun () ->
+  Scheduler.at sched1 (Time_ns.add cfg.up_at (Time_ns.ns 1)) (fun () ->
       let ep1' = make_ep 1 in
-      Scheduler.spawn sched ~name:"rank1-restarted" ~domain:victim_nid
+      Scheduler.spawn sched1 ~name:"rank1-restarted" ~domain:victim_nid
         (fun () -> rank1_main ~second_life:true ep1'));
   (* Identical liveness monitor in both worlds. Only the GM survivor acts
      on it: recovery detection triggers the reconnection its dead
@@ -135,7 +140,12 @@ let run_backend ~scenario ~(cfg : config) backend =
           Mpi.reconnect ep0 ~rank:1
         end));
   Runtime.run ~until:cfg.horizon world;
-  let fstats = Simnet.Fabric.stats fabric in
+  (* Each lost frame is counted once, by the replica that dropped it. *)
+  let drops_crashed =
+    Array.fold_left
+      (fun acc f -> acc + (Simnet.Fabric.stats f).Simnet.Fabric.drops_crashed)
+      0 (Runtime.shard_fabrics world)
+  in
   {
     backend = (match backend with `Portals -> "portals" | `Gm -> "gm");
     sent = !sent;
@@ -144,8 +154,8 @@ let run_backend ~scenario ~(cfg : config) backend =
     send_errors = !send_errors;
     reconnects = !reconnects;
     recovery_us = !recovery;
-    stale_fenced = sum_stale_drops sched;
-    drops_crashed = fstats.Simnet.Fabric.drops_crashed;
+    stale_fenced = sum_stale_drops world;
+    drops_crashed;
   }
 
 let run ?(scenario = Runtime.Scenario.default) ?(config = default_config) () =

@@ -19,12 +19,15 @@ let put ni ~target ~portal_index ~cookie payload =
 
 let run ?scenario () =
   let world = Runtime.create_world ?scenario ~nodes:2 () in
-  let tp = world.Runtime.transport in
+  (* Each rank's NI, and every hand-built frame it sends, goes through
+     its own shard's transport. *)
+  let tp0 = Runtime.transport_of_rank world 0 in
+  let tp1 = Runtime.transport_of_rank world 1 in
   (* Hand-built frames are encoded the way the world's NIs encode. *)
-  let encode msg = P.Wire.encode ~integrity:(tp.Simnet.Transport.integrity ()) msg in
+  let encode msg = P.Wire.encode ~integrity:(tp0.Simnet.Transport.integrity ()) msg in
   let r0 = world.Runtime.ranks.(0) and r1 = world.Runtime.ranks.(1) in
-  let ni0 = P.Ni.create tp ~id:r0 () in
-  let ni1 = P.Ni.create tp ~id:r1 () in
+  let ni0 = P.Ni.create tp0 ~id:r0 () in
+  let ni1 = P.Ni.create tp1 ~id:r1 () in
   (* A small target region so over-long sends have somewhere to fail. *)
   let meh =
     P.Errors.ok_exn ~op:"me"
@@ -52,7 +55,7 @@ let run ?scenario () =
   | Ok () -> ()
   | Error _ -> failwith "acl set");
   (* 1. malformed *)
-  tp.Simnet.Transport.send ~src:r0 ~dst:r1 (Bytes.of_string "not a portals msg");
+  tp0.Simnet.Transport.send ~src:r0 ~dst:r1 (Bytes.of_string "not a portals msg");
   (* 2. invalid portal index *)
   put ni0 ~target:r1 ~portal_index:4999 ~cookie:0 (Bytes.create 1);
   (* 3. bad cookie *)
@@ -69,7 +72,7 @@ let run ?scenario () =
       ~match_bits:P.Match_bits.zero ~offset:0 ~md_handle:P.Handle.none
       ~eq_handle:(P.Handle.of_wire 0x4242L) ~data:Bytes.empty ()
   in
-  tp.Simnet.Transport.send ~src:r1 ~dst:r0
+  tp1.Simnet.Transport.send ~src:r1 ~dst:r0
     (encode (P.Wire.ack_of_put stray_put ~mlength:0));
   (* 8. stray reply to a dead descriptor *)
   let stray_get =
@@ -77,7 +80,7 @@ let run ?scenario () =
       ~match_bits:P.Match_bits.zero ~offset:0
       ~md_handle:(P.Handle.of_wire 0x2424L) ~rlength:0 ()
   in
-  tp.Simnet.Transport.send ~src:r1 ~dst:r0
+  tp1.Simnet.Transport.send ~src:r1 ~dst:r0
     (encode (P.Wire.reply_of_get stray_get ~mlength:0 ~data:Bytes.empty));
   (* 9. reply to a full event queue *)
   let full_eqh = P.Errors.ok_exn ~op:"eq" (P.Ni.eq_alloc ni0 ~capacity:1) in
@@ -110,7 +113,7 @@ let run ?scenario () =
       ~cookie:0 ~match_bits:P.Match_bits.zero ~offset:0
       ~md_handle:P.Handle.none ~eq_handle:P.Handle.none ~data:Bytes.empty ()
   in
-  tp.Simnet.Transport.send ~src:r0 ~dst:r1 (encode stale_put);
+  tp0.Simnet.Transport.send ~src:r0 ~dst:r1 (encode stale_put);
   (* 11. atomic on a word that isn't word-aligned *)
   let amd =
     P.Errors.ok_exn ~op:"bind"
@@ -127,7 +130,7 @@ let run ?scenario () =
       ~md_handle:(P.Handle.of_wire 0x4224L)
       ()
   in
-  tp.Simnet.Transport.send ~src:r1 ~dst:r0
+  tp1.Simnet.Transport.send ~src:r1 ~dst:r0
     (encode (P.Wire.atomic_reply_of_request stray_atomic ~fetched:0L));
   (* 13. fetched-value reply to a full event queue *)
   let afull_eqh = P.Errors.ok_exn ~op:"eq" (P.Ni.eq_alloc ni0 ~capacity:1) in
@@ -166,7 +169,7 @@ let run ?scenario () =
   in
   Bytes.set_uint8 corrupted P.Wire.header_size
     (Bytes.get_uint8 corrupted P.Wire.header_size lxor 0x01);
-  tp.Simnet.Transport.send ~src:r0 ~dst:r1 corrupted;
+  tp0.Simnet.Transport.send ~src:r0 ~dst:r1 corrupted;
   (* 15. triggered chain firing into a vanished handle: the armed
      action's counter is freed before the trigger arrives. *)
   let tct = P.Errors.ok_exn ~op:"ct" (P.Ni.ct_alloc ni0) in
@@ -211,7 +214,7 @@ let run ?scenario () =
   (* The table is read back out of the registry: each NI publishes an
      ["ni.drops"] probe per (proc, reason); summing over procs recovers
      the fabric-wide count per reason. *)
-  let snap = Metrics.snapshot (Scheduler.metrics world.Runtime.sched) in
+  let snap = Runtime.metrics_snapshot world in
   let count_of reason =
     let slug = P.Ni.drop_reason_slug reason in
     List.fold_left

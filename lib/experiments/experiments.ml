@@ -1,6 +1,7 @@
 (** Regeneration code for every table and figure of the paper, plus the
-    ablations DESIGN.md calls out. One module per experiment; the CLI
-    ([bin/portals_repro.ml]) drives these. *)
+    ablations DESIGN.md calls out. One module per experiment; {!Registry}
+    names each one once, and the CLI ([bin/portals_repro.ml]) is derived
+    from it. *)
 
 module Fig5 = Fig5
 module Fig6 = Fig6
@@ -21,3 +22,4 @@ module Rma = Rma
 module Chaos = Chaos
 module Par = Par
 module Coll = Coll
+module Registry = Registry

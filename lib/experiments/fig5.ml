@@ -32,7 +32,6 @@ type result = {
 let run ?scenario ?(capture_trace = false) p =
   let world = Runtime.create_world ?scenario ~transport:p.transport ~nodes:2 () in
   let sched = world.Runtime.sched in
-  let registry = Scheduler.metrics sched in
   (* This world's snapshot is the figure's data: record the EQ-depth and
      protocol time-series, not just the counters (every shard's registry
      in a parallel world; there is exactly one sequentially). *)
@@ -101,18 +100,7 @@ let run ?scenario ?(capture_trace = false) p =
       Mpi.barrier ep;
       Mpi.finalize ep);
   Runtime.run world;
-  let metrics =
-    if Runtime.domains world = 1 then Metrics.snapshot registry
-    else begin
-      (* Merge the per-shard registries: counters and summaries
-         accumulate, so job-wide totals match the sequential run. *)
-      let merged = Metrics.create ~detail:true () in
-      Array.iter
-        (fun s -> Metrics.absorb merged (Metrics.snapshot (Scheduler.metrics s)))
-        (Runtime.shard_scheds world);
-      Metrics.snapshot merged
-    end
-  in
+  let metrics = Runtime.metrics_snapshot world in
   let summary_of name =
     match Metrics.Snapshot.find metrics name with
     | Some (Metrics.Snapshot.Summary { mean; max; _ }) -> (mean, max)

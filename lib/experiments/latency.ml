@@ -39,26 +39,30 @@ let send ni ~target payload =
 let run_one ?scenario ?profile ?label ?(message_size = 0) ?(iterations = 50)
     transport =
   let world = Runtime.create_world ?scenario ?profile ~transport ~nodes:2 () in
-  let ni0 = P.Ni.create world.Runtime.transport ~id:world.Runtime.ranks.(0) () in
-  let ni1 = P.Ni.create world.Runtime.transport ~id:world.Runtime.ranks.(1) () in
+  let ni rank =
+    P.Ni.create (Runtime.transport_of_rank world rank)
+      ~id:world.Runtime.ranks.(rank) ()
+  in
+  let ni0 = ni 0 and ni1 = ni 1 in
   let eq0 = attach_echo ni0 (Bytes.create (max message_size 8)) in
   let eq1 = attach_echo ni1 (Bytes.create (max message_size 8)) in
   let payload = Bytes.create message_size in
-  (* The measurement lives in the world's registry next to the fabric's
+  (* The measurement lives in the pinger's registry next to the fabric's
      own instruments; the row is read back out of the snapshot. *)
-  let registry = Scheduler.metrics world.Runtime.sched in
+  let sched0 = Runtime.sched_of_rank world 0 in
+  let registry = Scheduler.metrics sched0 in
   let rtt = Metrics.summary registry "latency.rtt_us" in
-  Scheduler.spawn world.Runtime.sched ~name:"pinger" (fun () ->
+  Scheduler.spawn sched0 ~name:"pinger" (fun () ->
       (* One warmup round trip, then the measured ones. *)
       for i = 0 to iterations do
-        let start = Scheduler.now world.Runtime.sched in
+        let start = Scheduler.now sched0 in
         send ni0 ~target:world.Runtime.ranks.(1) payload;
         let _ev = P.Event.Queue.wait eq0 in
         if i > 0 then
           Metrics.observe rtt
-            (Time_ns.to_us (Time_ns.sub (Scheduler.now world.Runtime.sched) start))
+            (Time_ns.to_us (Time_ns.sub (Scheduler.now sched0) start))
       done);
-  Scheduler.spawn world.Runtime.sched ~name:"ponger" (fun () ->
+  Scheduler.spawn (Runtime.sched_of_rank world 1) ~name:"ponger" (fun () ->
       for _ = 0 to iterations do
         let _ev = P.Event.Queue.wait eq1 in
         send ni1 ~target:world.Runtime.ranks.(0) payload

@@ -80,9 +80,9 @@ let run_latency ~scenario ~p stack =
   let world =
     Runtime.create_world ~scenario ~transport:stack.Runtime.Stack.kind ~nodes:2 ()
   in
-  let sched = world.Runtime.sched in
   ignore
     (Runtime.Stack.launch_on world stack (fun ep ->
+         let sched = Runtime.sched_of_rank world (Mpi.rank ep) in
          let buf = Bytes.create p.lat_size in
          let msg = Bytes.create p.lat_size in
          if Mpi.rank ep = 0 then
@@ -103,7 +103,7 @@ let run_latency ~scenario ~p stack =
            done));
   let n = List.length !rtts in
   let mean = if n = 0 then 0. else List.fold_left ( +. ) 0. !rtts /. float_of_int n in
-  (mean, "us-rtt", Time_ns.to_us (Scheduler.now sched))
+  (mean, "us-rtt", Time_ns.to_us (Runtime.now world))
 
 (* One-way stream; payload MB/s over the span from first send posted to
    last receive complete. *)
@@ -112,9 +112,9 @@ let run_bandwidth ~scenario ~p stack =
   let world =
     Runtime.create_world ~scenario ~transport:stack.Runtime.Stack.kind ~nodes:2 ()
   in
-  let sched = world.Runtime.sched in
   ignore
     (Runtime.Stack.launch_on world stack (fun ep ->
+         let sched = Runtime.sched_of_rank world (Mpi.rank ep) in
          if Mpi.rank ep = 0 then begin
            let msg = Bytes.create p.bw_size in
            t_start := Scheduler.now sched;
@@ -136,7 +136,7 @@ let run_bandwidth ~scenario ~p stack =
     if span_us <= 0. then 0.
     else float_of_int (p.bw_msgs * p.bw_size) /. span_us
   in
-  (mbps, "MB/s", Time_ns.to_us (Scheduler.now sched))
+  (mbps, "MB/s", Time_ns.to_us (Runtime.now world))
 
 (* Communication/computation overlap availability, fig6-style: elapse a
    large transfer alone (t_comm), then the same transfer with [work] of
@@ -150,9 +150,9 @@ let run_overlap ~scenario ~p stack =
       Runtime.create_world ~scenario ~transport:stack.Runtime.Stack.kind
         ~nodes:2 ()
     in
-    let sched = world.Runtime.sched in
     ignore
       (Runtime.Stack.launch_on world stack (fun ep ->
+           let sched = Runtime.sched_of_rank world (Mpi.rank ep) in
            if Mpi.rank ep = 0 then begin
              let msg = Bytes.create p.ov_size in
              t0 := Scheduler.now sched;
@@ -226,8 +226,9 @@ let run_congestion_goodput ~scenario ~p stack =
     Runtime.create_world ~scenario ~transport:stack.Runtime.Stack.kind
       ~topology ~nodes ()
   in
-  let sched = world.Runtime.sched in
-  let t_end = ref Time_ns.zero in
+  (* One finish slot per rank: ranks on different shards run on
+     different domains, so none writes another's. *)
+  let t_end = Array.make (Runtime.job_size world) Time_ns.zero in
   ignore
     (Runtime.Stack.launch_on world stack (fun ep ->
          let me = Mpi.rank ep and n = Mpi.size ep in
@@ -250,14 +251,13 @@ let run_congestion_goodput ~scenario ~p stack =
          done;
          ignore (Mpi.waitall ep !sends);
          ignore (Mpi.waitall ep !recvs);
-         let now = Scheduler.now sched in
-         if Time_ns.compare now !t_end > 0 then t_end := now));
-  let span_us = Time_ns.to_us !t_end in
+         t_end.(me) <- Scheduler.now (Runtime.sched_of_rank world me)));
+  let span_us = Time_ns.to_us (Array.fold_left Time_ns.max Time_ns.zero t_end) in
   let total_bytes = nodes * (nodes - 1) * p.cg_msgs * p.cg_size in
   let mbps =
     if span_us <= 0. then 0. else float_of_int total_bytes /. span_us
   in
-  (mbps, "MB/s-agg", Time_ns.to_us (Scheduler.now sched))
+  (mbps, "MB/s-agg", Time_ns.to_us (Runtime.now world))
 
 let run_axis ~scenario ~p stack axis =
   let value, unit_, sim_time_us =

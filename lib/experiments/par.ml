@@ -117,12 +117,7 @@ let run ?scenario ?(nodes = 256) ?(steps = 8) ?domains () =
   Runtime.run world;
   let t2 = Unix.gettimeofday () in
   let sum a = Array.fold_left ( + ) 0 a in
-  let sim_time_us =
-    Array.fold_left
-      (fun acc s -> Float.max acc (Time_ns.to_us (Scheduler.now s)))
-      0.
-      (Runtime.shard_scheds world)
-  in
+  let sim_time_us = Time_ns.to_us (Runtime.now world) in
   {
     nodes;
     dims = Simnet.Topology.dims topo;
@@ -214,8 +209,6 @@ let meter_runs ?scenario ?(quick = false) () =
   let seq, seq_run_s = side ~domains:1 record_seq in
   let par4, par4_run_s = side ~domains:4 record_par4 in
   { records = [ seq; par4 ]; seq_run_s; par4_run_s }
-
-let perf_records ?scenario ?quick () = (meter_runs ?scenario ?quick ()).records
 
 (* The run phase of the sequential world over that of the 4-domain one —
    the ratio the multicore CI lane gates at >= 2x. Set-up is left out: it

@@ -77,10 +77,6 @@ val meter_runs : ?scenario:Runtime.Scenario.t -> ?quick:bool -> unit -> metered
 (** Meter the workload at 1 and at 4 domains ({!Perf.meter}, best of
     three each) and keep each side's fastest run phase. *)
 
-val perf_records :
-  ?scenario:Runtime.Scenario.t -> ?quick:bool -> unit -> Perf.record list
-(** [(meter_runs ?scenario ?quick ()).records]. *)
-
 val run_speedup : metered -> float option
 (** [seq_run_s /. par4_run_s]: the run phase alone, set-up left out. The
     multicore CI lane gates this at >= 2x; on one hardware core it is

@@ -68,53 +68,6 @@ let meter ?(domains = 1) ~id f =
   in
   best 2 (meter_once ~domains ~id f)
 
-(* Runners are thunks so the experiments run in report order (the
-   elements of a list literal are evaluated right to left). *)
-let all ?scenario ?(quick = false) () =
-  let m id f () = meter ~id f in
-  List.map
-    (fun run -> run ())
-    [
-      m "F1" (fun () -> Protocols.run_put ?scenario ());
-      m "F2" (fun () -> Protocols.run_get ?scenario ());
-      m "F3" (fun () -> Translation.run ?scenario ~depths:[ 0; 16; 64 ] ());
-      m "F4" (fun () ->
-          Translation.run ?scenario
-            ~depths:(if quick then [ 128 ] else [ 128; 256 ])
-            ());
-      m "F5" (fun () -> Fig5.run ?scenario Fig5.default_params);
-      m "F6" (fun () ->
-          if quick then Fig6.run ?scenario ~iterations:1 ~work_ms:[ 0.; 20. ] ()
-          else Fig6.run ?scenario ());
-      m "L1" (fun () ->
-          if quick then Latency.run_one ?scenario ~iterations:10 Runtime.Offload
-          else List.hd (Latency.run ?scenario ()));
-      m "B1" (fun () ->
-          if quick then
-            Bandwidth.run_one ?scenario ~sizes:[ 65_536 ] ~count:8
-              Runtime.Offload
-          else List.hd (Bandwidth.run ?scenario ()));
-      m "S1" (fun () ->
-          if quick then Scaling.run_memory ?scenario ~job_sizes:[ 8 ] ()
-          else Scaling.run_memory ?scenario ());
-      m "S2" (fun () ->
-          if quick then
-            Scaling.run_collectives ?scenario ~node_counts:[ 16; 64 ] ()
-          else Scaling.run_collectives ?scenario ());
-      m "S3" (fun () ->
-          if quick then Scaling.run_perf ?scenario ~node_counts:[ 64; 256 ] ()
-          else Scaling.run_perf ?scenario ());
-      m "A1" (fun () -> Drops.run ?scenario ());
-      m "A2" (fun () ->
-          if quick then Ablation.run_threshold ~sizes:[ 32_768; 131_072 ] ()
-          else Ablation.run_threshold ());
-      m "R1" (fun () ->
-          if quick then
-            Rel_loss_sweep.run ~losses:[ 0.; 0.05 ] ~seeds:[ 1 ] ~msgs:50 ()
-          else Rel_loss_sweep.run ());
-      m "C1" (fun () -> Crash_restart.run ?scenario ());
-    ]
-
 let pp ppf records =
   Format.fprintf ppf "%-6s %-10s %-12s %-8s %-14s %-14s %-14s@." "id"
     "wall(s)" "sim-events" "fibers" "sim-time(us)" "events/sec" "alloc(w)";

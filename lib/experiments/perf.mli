@@ -28,13 +28,7 @@ val meter : ?domains:int -> id:string -> (unit -> 'a) -> record
     does not masquerade as a slow-down. [domains] (default 1) is how many
     domains the runner spawns; above 1, allocation is read from the
     all-domain [Gc.quick_stat] rather than this domain's [Gc.counters].
-    Other experiment families (e.g. the benchmark matrix) build their
-    records with this. *)
-
-val all : ?scenario:Runtime.Scenario.t -> ?quick:bool -> unit -> record list
-(** Run and meter every experiment, building every world from
-    [scenario] (default {!Runtime.Scenario.default}). [quick] (default
-    false) shrinks each experiment's parameters to smoke-test size. *)
+    Every experiment's records are built with this ({!Registry}). *)
 
 val pp : Format.formatter -> record list -> unit
 

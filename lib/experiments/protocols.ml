@@ -14,9 +14,11 @@ let pt_bench = 9
 
 let setup ?scenario ?(transport = Runtime.Offload) () =
   let world = Runtime.create_world ?scenario ~transport ~nodes:2 () in
-  let ni0 = P.Ni.create world.Runtime.transport ~id:world.Runtime.ranks.(0) () in
-  let ni1 = P.Ni.create world.Runtime.transport ~id:world.Runtime.ranks.(1) () in
-  (world, ni0, ni1)
+  let ni rank =
+    P.Ni.create (Runtime.transport_of_rank world rank)
+      ~id:world.Runtime.ranks.(rank) ()
+  in
+  (world, ni 0, ni 1)
 
 let attach_target ni buffer =
   let eqh = P.Errors.ok_exn ~op:"eq" (P.Ni.eq_alloc ni ~capacity:16) in

@@ -83,7 +83,9 @@ let mean = function
 let make_pes world =
   Array.mapi
     (fun rank pid ->
-      let ni = Portals.Ni.create world.Runtime.transport ~id:pid () in
+      let ni =
+        Portals.Ni.create (Runtime.transport_of_rank world rank) ~id:pid ()
+      in
       Onesided.create_exn ni ~ranks:world.Runtime.ranks ~rank ())
     world.Runtime.ranks
 
@@ -91,8 +93,9 @@ let make_mpi world =
   Array.init
     (Array.length world.Runtime.ranks)
     (fun rank ->
-      Mpi.create_portals world.Runtime.transport ~ranks:world.Runtime.ranks
-        ~rank ())
+      Mpi.create_portals
+        (Runtime.transport_of_rank world rank)
+        ~ranks:world.Runtime.ranks ~rank ())
 
 let pack1 v =
   let b = Bytes.create 8 in
@@ -106,7 +109,7 @@ let unpack1 b = Int64.float_of_bits (Bytes.get_int64_le b 0)
 let run_latency ~scenario ~p =
   let put_us = ref [] and faa_us = ref [] in
   let world = Runtime.create_world ~scenario ~nodes:2 () in
-  let sched = world.Runtime.sched in
+  let sched = Runtime.sched_of_rank world 0 in
   let oss = make_pes world in
   let wins = Array.map (fun os -> Onesided.win_create os ~size:16) oss in
   Scheduler.spawn sched ~name:"rma-initiator" (fun () ->
@@ -129,14 +132,14 @@ let run_latency ~scenario ~p =
             Time_ns.to_us (Time_ns.sub (Scheduler.now sched) t0) :: !faa_us
       done);
   Runtime.run world;
-  let t_rma = Time_ns.to_us (Scheduler.now sched) in
+  let t_rma = Time_ns.to_us (Runtime.now world) in
   (* The two-sided yardstick: an 8-byte ping-pong over MPI. *)
   let rtts = ref [] in
   let world2 = Runtime.create_world ~scenario ~nodes:2 () in
-  let sched2 = world2.Runtime.sched in
   let eps = make_mpi world2 in
   Runtime.spawn_ranks world2 (fun ~rank ->
       let ep = eps.(rank) in
+      let sched2 = Runtime.sched_of_rank world2 rank in
       let buf = Bytes.create 8 and msg = Bytes.create 8 in
       if rank = 0 then
         for i = 0 to p.lat_iters do
@@ -163,7 +166,7 @@ let run_latency ~scenario ~p =
     detail =
       Printf.sprintf
         "put+flush %.1fus, fetch_add %.1fus vs send/recv rtt %.1fus" pm fm rm;
-    sim_time_us = t_rma +. Time_ns.to_us (Scheduler.now sched2);
+    sim_time_us = t_rma +. Time_ns.to_us (Runtime.now world2);
   }
 
 (* --- passive: progress while the target CPU is busy -------------------- *)
@@ -173,7 +176,7 @@ let run_latency ~scenario ~p =
    interface (application bypass extended to read-modify-write). *)
 let rma_busy_leg ~scenario ~p kind =
   let world = Runtime.create_world ~scenario ~transport:kind ~nodes:2 () in
-  let sched = world.Runtime.sched in
+  let sched = Runtime.sched_of_rank world 0 in
   let oss = make_pes world in
   let wins = Array.map (fun os -> Onesided.win_create os ~size:8) oss in
   let lats = ref [] in
@@ -195,13 +198,13 @@ let rma_busy_leg ~scenario ~p kind =
         done
       end);
   Runtime.run world;
-  (mean !lats, Time_ns.to_us (Scheduler.now sched))
+  (mean !lats, Time_ns.to_us (Runtime.now world))
 
 (* The same shape over send/recv: the target only enters the library
    between compute slices, so every echo waits out the current slice. *)
 let mpi_busy_leg ~scenario ~p =
   let world = Runtime.create_world ~scenario ~nodes:2 () in
-  let sched = world.Runtime.sched in
+  let sched = Runtime.sched_of_rank world 0 in
   let eps = make_mpi world in
   let lats = ref [] in
   Runtime.spawn_ranks world (fun ~rank ->
@@ -230,7 +233,7 @@ let mpi_busy_leg ~scenario ~p =
       Mpi.barrier ep;
       Mpi.finalize ep);
   Runtime.run world;
-  (mean !lats, Time_ns.to_us (Scheduler.now sched))
+  (mean !lats, Time_ns.to_us (Runtime.now world))
 
 let run_passive ~scenario ~p =
   let off, t1 = rma_busy_leg ~scenario ~p Runtime.Offload in
@@ -294,7 +297,7 @@ let halo_sendrecv ~scenario ~p =
       Mpi.barrier ep;
       Mpi.finalize ep);
   Runtime.run world;
-  (result, Time_ns.to_us (Scheduler.now world.Runtime.sched))
+  (result, Time_ns.to_us (Runtime.now world))
 
 (* The same stencil over RMA windows. Each rank's window holds its two
    ghost slots, double-buffered by iteration parity so a neighbour
@@ -347,7 +350,7 @@ let halo_rma ~scenario ~p =
       Onesided.quiet os;
       result.(rank) <- Array.sub cur 1 n);
   Runtime.run world;
-  (result, Time_ns.to_us (Scheduler.now world.Runtime.sched))
+  (result, Time_ns.to_us (Runtime.now world))
 
 let run_halo ~scenario ~p =
   let mpi_result, t_mpi = halo_sendrecv ~scenario ~p in
@@ -389,7 +392,9 @@ let run_hashtable ~scenario ~p =
   let wins =
     Array.map (fun os -> Onesided.win_create os ~size:(8 + (per_rank * 8))) oss
   in
-  let max_probes = ref 0 in
+  (* One slot per rank: ranks on different shards run on different
+     domains, so none writes another's. *)
+  let max_probes = Array.make n 0 in
   Runtime.spawn_ranks world (fun ~rank ->
       let w = wins.(rank) in
       for i = 0 to p.ht_keys_per_rank - 1 do
@@ -413,7 +418,7 @@ let run_hashtable ~scenario ~p =
           end
         in
         let probes = probe 0 in
-        if probes > !max_probes then max_probes := probes;
+        max_probes.(rank) <- max max_probes.(rank) probes;
         ignore (Onesided.Win.fetch_and_add w ~rank:0 ~offset:0 1L)
       done);
   Runtime.run world;
@@ -436,9 +441,10 @@ let run_hashtable ~scenario ~p =
       Printf.sprintf
         "%d CAS inserts over %d slots on %d ranks: occupancy %Ld, %d slots \
          filled, max probes %d%s"
-        expect slots n occupancy !found !max_probes
+        expect slots n occupancy !found
+        (Array.fold_left max 0 max_probes)
         (if ok then "" else " (MISMATCH)");
-    sim_time_us = Time_ns.to_us (Scheduler.now world.Runtime.sched);
+    sim_time_us = Time_ns.to_us (Runtime.now world);
   }
 
 (* --- driver ------------------------------------------------------------ *)

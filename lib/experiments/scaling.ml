@@ -16,8 +16,9 @@ let run_memory ?scenario ?(job_sizes = [ 4; 8; 16; 32; 64 ]) ?(credits = 8)
     let config = MP.default_config in
     let endpoints =
       Array.init n (fun rank ->
-          MP.create world.Runtime.transport ~ranks:world.Runtime.ranks ~rank
-            ~config ())
+          MP.create
+            (Runtime.transport_of_rank world rank)
+            ~ranks:world.Runtime.ranks ~rank ~config ())
     in
     Runtime.spawn_ranks world (fun ~rank ->
         let ep = endpoints.(rank) in
@@ -27,7 +28,7 @@ let run_memory ?scenario ?(job_sizes = [ 4; 8; 16; 32; 64 ]) ?(credits = 8)
           done
         else begin
           (* Let everything arrive unexpected, then claim it. *)
-          Scheduler.delay world.Runtime.sched (Time_ns.ms 50.0);
+          Scheduler.delay (Runtime.sched_of_rank world 0) (Time_ns.ms 50.0);
           for src = 1 to n - 1 do
             for i = 0 to 3 do
               ignore
@@ -80,36 +81,41 @@ let run_collectives ?(scenario = Runtime.Scenario.default) ?impl
     let colls =
       Array.mapi
         (fun rank pid ->
-          let ni = Portals.Ni.create world.Runtime.transport ~id:pid () in
+          let ni =
+            Portals.Ni.create (Runtime.transport_of_rank world rank) ~id:pid ()
+          in
           Collectives.create_impl impl ni ~ranks:world.Runtime.ranks ~rank ())
         world.Runtime.ranks
     in
-    let barrier_done = ref Time_ns.zero in
-    let allreduce_done = ref Time_ns.zero in
+    (* One finish slot per rank: ranks on different shards run on
+       different domains, so none writes another's. *)
+    let barrier_done = Array.make n Time_ns.zero in
+    let allreduce_done = Array.make n Time_ns.zero in
     let barrier_start = ref Time_ns.zero in
     let allreduce_start = ref Time_ns.zero in
     Array.iteri
       (fun rank coll ->
-        Scheduler.spawn world.Runtime.sched (fun () ->
+        let sched = Runtime.sched_of_rank world rank in
+        Scheduler.spawn sched (fun () ->
             let payload = Collectives.bytes_of_floats (Array.make 8 1.0) in
             (* Warmup to hide first-touch effects, then measured rounds. *)
             Collectives.any_barrier coll;
-            if rank = 0 then barrier_start := Scheduler.now world.Runtime.sched;
+            if rank = 0 then barrier_start := Scheduler.now sched;
             Collectives.any_barrier coll;
-            let now = Scheduler.now world.Runtime.sched in
-            if Time_ns.compare now !barrier_done > 0 then barrier_done := now;
+            barrier_done.(rank) <- Scheduler.now sched;
             Collectives.any_barrier coll;
-            if rank = 0 then allreduce_start := Scheduler.now world.Runtime.sched;
+            if rank = 0 then allreduce_start := Scheduler.now sched;
             ignore
               (Collectives.any_allreduce coll ~op:Collectives.sum_floats payload);
-            let now = Scheduler.now world.Runtime.sched in
-            if Time_ns.compare now !allreduce_done > 0 then allreduce_done := now))
+            allreduce_done.(rank) <- Scheduler.now sched))
       colls;
     Runtime.run world;
+    let last = Array.fold_left Time_ns.max Time_ns.zero in
     {
       nodes = n;
-      barrier_us = Time_ns.to_us (Time_ns.sub !barrier_done !barrier_start);
-      allreduce_us = Time_ns.to_us (Time_ns.sub !allreduce_done !allreduce_start);
+      barrier_us = Time_ns.to_us (Time_ns.sub (last barrier_done) !barrier_start);
+      allreduce_us =
+        Time_ns.to_us (Time_ns.sub (last allreduce_done) !allreduce_start);
     }
   in
   List.map measure node_counts
@@ -145,8 +151,9 @@ let run_perf ?scenario ?(node_counts = [ 64; 128; 256; 512; 1024 ])
   let measure n =
     let world = Runtime.create_world ?scenario ~nodes:n () in
     let nis =
-      Array.map
-        (fun pid -> Portals.Ni.create world.Runtime.transport ~id:pid ())
+      Array.mapi
+        (fun rank pid ->
+          Portals.Ni.create (Runtime.transport_of_rank world rank) ~id:pid ())
         world.Runtime.ranks
     in
     let colls =
@@ -165,15 +172,16 @@ let run_perf ?scenario ?(node_counts = [ 64; 128; 256; 512; 1024 ])
         (fun ni -> Collectives.Pool.create ni ~portal_index:7 ~eq_capacity ())
         nis
     in
-    Array.iter
-      (fun coll ->
-        Scheduler.spawn world.Runtime.sched (fun () -> Collectives.barrier coll))
+    Array.iteri
+      (fun rank coll ->
+        Scheduler.spawn (Runtime.sched_of_rank world rank) (fun () ->
+            Collectives.barrier coll))
       colls;
     Runtime.run world;
     let payload = Bytes.create 8 in
     Array.iteri
       (fun rank coll ->
-        Scheduler.spawn world.Runtime.sched (fun () ->
+        Scheduler.spawn (Runtime.sched_of_rank world rank) (fun () ->
             for _ = 1 to rounds do
               if rank <> root then
                 for _frag = 1 to frags do

@@ -37,8 +37,11 @@ let build_list ni ~depth buffer =
 
 let walk_entries ~scenario ~transport ~depth =
   let world = Runtime.create_world ~scenario ~transport ~nodes:2 () in
-  let ni0 = P.Ni.create world.Runtime.transport ~id:world.Runtime.ranks.(0) () in
-  let ni1 = P.Ni.create world.Runtime.transport ~id:world.Runtime.ranks.(1) () in
+  let ni rank =
+    P.Ni.create (Runtime.transport_of_rank world rank)
+      ~id:world.Runtime.ranks.(rank) ()
+  in
+  let ni0 = ni 0 and ni1 = ni 1 in
   build_list ni1 ~depth (Bytes.create 64);
   let mdh =
     P.Errors.ok_exn ~op:"bind"
@@ -52,7 +55,7 @@ let walk_entries ~scenario ~transport ~depth =
        (P.Ni.op ~target:world.Runtime.ranks.(1) ~portal_index:pt_bench ()));
   Runtime.run world;
   let counters = P.Ni.counters ni1 in
-  let cpu = Simnet.Node.host_cpu (Simnet.Fabric.node world.Runtime.fabric 1) in
+  let cpu = Runtime.host_cpu_of_rank world 1 in
   (counters.P.Ni.entries_walked, Time_ns.to_us (Cpu.stolen_total cpu))
 
 let run ?(scenario = Runtime.Scenario.default) ?(depths = default_depths) () =

@@ -14,6 +14,7 @@ type stats = {
   bytes_carried : int;
   failed_handshakes : int;
   data_drops : int;
+  eager_drops : int;
 }
 
 type queued = { q_dst : Simnet.Proc_id.t; q_payload : bytes }
@@ -43,8 +44,17 @@ type assembly = {
    next, and the RTS of a message reaches the receiver before any of its
    data. [rx_id] is the newest message whose RTS arrived, and [rx_open]
    its reassembly until it completes; a Data packet of any other message,
-   or of a completed one, is a duplicate or a straggler. *)
-type rx = { mutable rx_id : int; mutable rx_open : assembly option }
+   or of a completed one, is a duplicate or a straggler.
+
+   Eager frames go out back to back, so a delaying fabric may reorder
+   them: every id below [rx_next] has arrived (as an Eager frame or an
+   RTS), and [rx_ahead] holds the ids above it that arrived early. *)
+type rx = {
+  mutable rx_id : int;
+  mutable rx_open : assembly option;
+  mutable rx_next : int;
+  rx_ahead : (int, unit) Hashtbl.t;
+}
 
 type mstats = {
   mutable s_eager : int;
@@ -55,6 +65,7 @@ type mstats = {
   mutable s_bytes : int;
   mutable s_failed : int;
   mutable s_data_drops : int;
+  mutable s_eager_drops : int;
 }
 
 type t = {
@@ -103,6 +114,7 @@ let create ?config fabric =
           s_bytes = 0;
           s_failed = 0;
           s_data_drops = 0;
+          s_eager_drops = 0;
         };
       send_error = (fun ~src:_ ~dst:_ ~len:_ -> ());
     }
@@ -163,6 +175,7 @@ let stats t =
     bytes_carried = t.st.s_bytes;
     failed_handshakes = t.st.s_failed;
     data_drops = t.st.s_data_drops;
+    eager_drops = t.st.s_eager_drops;
   }
 
 let host_cpu t nid = Simnet.Node.host_cpu (Simnet.Fabric.node t.fabric nid)
@@ -311,11 +324,40 @@ let deliver_up t ~me ~src payload =
   | None -> () (* upper layer unregistered mid-flight *)
   | Some handler -> handler ~src payload
 
+let rx_of t ~src ~me =
+  match Simnet.Proc_id.Pair_tbl.find t.rxs src me with
+  | rx -> rx
+  | exception Not_found ->
+    let rx =
+      { rx_id = -1; rx_open = None; rx_next = 0; rx_ahead = Hashtbl.create 1 }
+    in
+    Simnet.Proc_id.Pair_tbl.add t.rxs src me rx;
+    rx
+
+(* Whether message [id] of the stream arrives for the first time;
+   records it either way. *)
+let first_arrival rx id =
+  if id < rx.rx_next || Hashtbl.mem rx.rx_ahead id then false
+  else begin
+    if id > rx.rx_next then Hashtbl.replace rx.rx_ahead id ()
+    else begin
+      rx.rx_next <- id + 1;
+      while Hashtbl.mem rx.rx_ahead rx.rx_next do
+        Hashtbl.remove rx.rx_ahead rx.rx_next;
+        rx.rx_next <- rx.rx_next + 1
+      done
+    end;
+    true
+  end
+
 let handle_frame t ~me ~src frame =
   let profile = profile t in
   let nid = me.Simnet.Proc_id.nid in
   let interrupt () = steal t nid profile.Simnet.Profile.host_interrupt_cost in
   match frame.Frame.kind with
+  | Frame.Eager when not (first_arrival (rx_of t ~src ~me) frame.Frame.msg_id) ->
+    interrupt ();
+    t.st.s_eager_drops <- t.st.s_eager_drops + 1
   | Frame.Eager ->
     interrupt ();
     let cost =
@@ -332,17 +374,10 @@ let handle_frame t ~me ~src frame =
   | Frame.Rts ->
     interrupt ();
     let msg_id = frame.Frame.msg_id and len = frame.Frame.total_len in
-    let rx =
-      match Simnet.Proc_id.Pair_tbl.find t.rxs src me with
-      | rx -> rx
-      | exception Not_found ->
-        let rx = { rx_id = -1; rx_open = None } in
-        Simnet.Proc_id.Pair_tbl.add t.rxs src me rx;
-        rx
-    in
+    let rx = rx_of t ~src ~me in
     (* A repeated RTS is answered again (the sender ignores a stale CTS)
        but opens nothing. *)
-    if msg_id > rx.rx_id then begin
+    if first_arrival rx msg_id then begin
       rx.rx_id <- msg_id;
       let chunk = chunk_payload t in
       rx.rx_open <-
@@ -371,7 +406,7 @@ let handle_frame t ~me ~src frame =
     if t.cfg.per_packet_interrupt then interrupt ();
     let slot = frame.Frame.offset / chunk_payload t in
     match Simnet.Proc_id.Pair_tbl.find t.rxs src me with
-    | { rx_id; rx_open = Some assembly } as rx
+    | { rx_id; rx_open = Some assembly; _ } as rx
       when rx_id = frame.Frame.msg_id
            && Bytes.get assembly.arrived slot = '\000' ->
       Bytes.set assembly.arrived slot '\001';

@@ -59,6 +59,9 @@ type stats = {
           message already arrived, or one of a message that completed or
           whose RTS never opened it. A fabric that duplicates without
           the reliability shim produces these. *)
+  eager_drops : int;
+      (** Eager frames discarded on arrival because their message id
+          already arrived: the second copy of a duplicated frame. *)
 }
 
 type t

@@ -217,6 +217,23 @@ let shard_scheds world =
   | None -> [| world.sched |]
   | Some p -> Array.copy p.par_scheds
 
+let now world =
+  match world.par with
+  | None -> Scheduler.now world.sched
+  | Some p ->
+    Array.fold_left (fun t s -> Time_ns.max t (Scheduler.now s)) Time_ns.zero
+      p.par_scheds
+
+let metrics_snapshot world =
+  match world.par with
+  | None -> Metrics.snapshot (Scheduler.metrics world.sched)
+  | Some p ->
+    let merged = Metrics.create ~detail:true () in
+    Array.iter
+      (fun s -> Metrics.absorb merged (Metrics.snapshot (Scheduler.metrics s)))
+      p.par_scheds;
+    Metrics.snapshot merged
+
 let shard_fabrics world =
   match world.par with
   | None -> [| world.fabric |]

@@ -104,6 +104,16 @@ val shard_scheds : world -> Sim_engine.Scheduler.t array
 (** One scheduler per shard ([[|sched|]] sequentially) — e.g. to merge
     per-shard metrics registries with {!Sim_engine.Metrics.absorb}. *)
 
+val now : world -> Sim_engine.Time_ns.t
+(** The simulated time the world has reached: the latest clock over its
+    shards. *)
+
+val metrics_snapshot : world -> Sim_engine.Metrics.Snapshot.t
+(** Every shard's registry in one snapshot: sequentially the one
+    registry's; in a parallel world the shard registries merged
+    (counters and summaries accumulate, so job-wide totals match the
+    sequential run). *)
+
 val shard_fabrics : world -> Simnet.Fabric.t array
 (** One fabric replica per shard ([[|fabric|]] sequentially). *)
 

@@ -110,18 +110,18 @@ type t = {
      corruption/delay/partition faults existed. *)
   mutable fault_probes_on : bool;
   mutable partition_probe_on : bool;
-  sent : Stats.Counter.t;
-  sent_bytes : Stats.Counter.t;
-  delivered : Stats.Counter.t;
-  drop_unregistered : Stats.Counter.t;
-  drop_congested : Stats.Counter.t;
-  drop_crashed : Stats.Counter.t;
-  drop_partitioned : Stats.Counter.t;
-  corrupt_injected : Stats.Counter.t;
-  delay_injected : Stats.Counter.t;
-  dup_injected : Stats.Counter.t;
-  crash_count : Stats.Counter.t;
-  restart_count : Stats.Counter.t;
+  mutable sent : int;
+  mutable sent_bytes : int;
+  mutable delivered : int;
+  mutable drop_unregistered : int;
+  mutable drop_congested : int;
+  mutable drop_crashed : int;
+  mutable drop_partitioned : int;
+  mutable corrupt_injected : int;
+  mutable delay_injected : int;
+  mutable dup_injected : int;
+  mutable crash_count : int;
+  mutable restart_count : int;
   crash_listeners : listeners;
   restart_listeners : listeners;
   (* Injected drops are counted per (src, dst) pair in the registry;
@@ -170,19 +170,18 @@ let create ?topology ?queue_limit sched ~profile ~nodes =
       par = None;
       fault_probes_on = false;
       partition_probe_on = false;
-      sent = Stats.Counter.create ~name:"fabric.sent" ();
-      sent_bytes = Stats.Counter.create ~name:"fabric.sent_bytes" ();
-      delivered = Stats.Counter.create ~name:"fabric.delivered" ();
-      drop_unregistered = Stats.Counter.create ~name:"fabric.drop_unregistered" ();
-      drop_congested = Stats.Counter.create ~name:"fabric.drop_congested" ();
-      drop_crashed = Stats.Counter.create ~name:"fabric.drop_crashed" ();
-      drop_partitioned =
-        Stats.Counter.create ~name:"fabric.drop_partitioned" ();
-      corrupt_injected = Stats.Counter.create ~name:"fabric.corrupt_injected" ();
-      delay_injected = Stats.Counter.create ~name:"fabric.delay_injected" ();
-      dup_injected = Stats.Counter.create ~name:"fabric.dup_injected" ();
-      crash_count = Stats.Counter.create ~name:"fabric.crashes" ();
-      restart_count = Stats.Counter.create ~name:"fabric.restarts" ();
+      sent = 0;
+      sent_bytes = 0;
+      delivered = 0;
+      drop_unregistered = 0;
+      drop_congested = 0;
+      drop_crashed = 0;
+      drop_partitioned = 0;
+      corrupt_injected = 0;
+      delay_injected = 0;
+      dup_injected = 0;
+      crash_count = 0;
+      restart_count = 0;
       crash_listeners = new_listeners ();
       restart_listeners = new_listeners ();
       drop_pairs = Proc_id.Pair_tbl.create 16;
@@ -195,20 +194,18 @@ let create ?topology ?queue_limit sched ~profile ~nodes =
   Link.probe_family sched ~size:(Array.length hop_links) (Array.get hop_links);
   let m = Scheduler.metrics sched in
   let probe name f = Metrics.probe m name (fun () -> float_of_int (f ())) in
-  probe "fabric.sent" (fun () -> Stats.Counter.value t.sent);
-  probe "fabric.sent_bytes" (fun () -> Stats.Counter.value t.sent_bytes);
-  probe "fabric.delivered" (fun () -> Stats.Counter.value t.delivered);
-  probe "fabric.drops_unregistered" (fun () ->
-      Stats.Counter.value t.drop_unregistered);
+  probe "fabric.sent" (fun () -> t.sent);
+  probe "fabric.sent_bytes" (fun () -> t.sent_bytes);
+  probe "fabric.delivered" (fun () -> t.delivered);
+  probe "fabric.drops_unregistered" (fun () -> t.drop_unregistered);
   (* Only a shared-link topology can congest; keep the seed topology's
      metric snapshot exactly as it was. *)
   if Array.length hop_links > 0 then
-    probe "fabric.drops_congested" (fun () ->
-        Stats.Counter.value t.drop_congested);
-  probe "fabric.dups_injected" (fun () -> Stats.Counter.value t.dup_injected);
-  probe "fabric.drops_crashed" (fun () -> Stats.Counter.value t.drop_crashed);
-  probe "fabric.crashes" (fun () -> Stats.Counter.value t.crash_count);
-  probe "fabric.restarts" (fun () -> Stats.Counter.value t.restart_count);
+    probe "fabric.drops_congested" (fun () -> t.drop_congested);
+  probe "fabric.dups_injected" (fun () -> t.dup_injected);
+  probe "fabric.drops_crashed" (fun () -> t.drop_crashed);
+  probe "fabric.crashes" (fun () -> t.crash_count);
+  probe "fabric.restarts" (fun () -> t.restart_count);
   t
 
 let sched t = t.fabric_sched
@@ -324,7 +321,7 @@ let on_restart t f = append_listener t.restart_listeners f
 let crash t nid =
   let n = node t nid in
   Node.crash n;
-  if owns t nid then Stats.Counter.incr t.crash_count;
+  if owns t nid then t.crash_count <- t.crash_count + 1;
   (* Volatile state dies with the node: its processes disappear from the
      fabric and its resident fibers are destroyed. *)
   Array.fill t.handlers.(nid) 0 (Array.length t.handlers.(nid)) None;
@@ -334,7 +331,7 @@ let crash t nid =
 let restart t nid =
   let n = node t nid in
   Node.restart n;
-  if owns t nid then Stats.Counter.incr t.restart_count;
+  if owns t nid then t.restart_count <- t.restart_count + 1;
   fire t.restart_listeners nid
 
 let apply_crash_schedule t schedule =
@@ -354,10 +351,8 @@ let ensure_fault_probes t =
     t.fault_probes_on <- true;
     let m = Scheduler.metrics t.fabric_sched in
     let probe name f = Metrics.probe m name (fun () -> float_of_int (f ())) in
-    probe "fabric.corrupts_injected" (fun () ->
-        Stats.Counter.value t.corrupt_injected);
-    probe "fabric.delays_injected" (fun () ->
-        Stats.Counter.value t.delay_injected)
+    probe "fabric.corrupts_injected" (fun () -> t.corrupt_injected);
+    probe "fabric.delays_injected" (fun () -> t.delay_injected)
   end
 
 let set_fault_model t fault =
@@ -381,7 +376,7 @@ let apply_partition_schedule t schedule =
     Metrics.probe
       (Scheduler.metrics t.fabric_sched)
       "fabric.drops_partitioned"
-      (fun () -> float_of_int (Stats.Counter.value t.drop_partitioned))
+      (fun () -> float_of_int (t.drop_partitioned))
   end;
   t.partitions <- t.partitions @ schedule
 
@@ -423,9 +418,9 @@ let drop_pair_counter t ~src ~dst =
 
 let deliver t ~src ~dst payload =
   match find_handler t dst with
-  | None -> Stats.Counter.incr t.drop_unregistered
+  | None -> t.drop_unregistered <- t.drop_unregistered + 1
   | Some handler ->
-    Stats.Counter.incr t.delivered;
+    t.delivered <- t.delivered + 1;
     handler ~src payload
 
 (* The frame class travels beside the payload, never inside it: bit
@@ -436,7 +431,7 @@ let arrive t ~framed ~src ~dst payload =
   | _ -> deliver t ~src ~dst payload
 
 let mutate_counted t c payload =
-  Stats.Counter.incr t.corrupt_injected;
+  t.corrupt_injected <- t.corrupt_injected + 1;
   Fault.mutate c payload
 
 (* On multi-hop routes the end-to-end fault sample covers the first hop;
@@ -494,8 +489,8 @@ let land_msg t ~framed ~src ~dst ~decision ~cut ~src_epoch ~dst_epoch payload =
     Node.crashes sender <> src_epoch
     || Node.crashes receiver <> dst_epoch
     || not (Node.is_up receiver)
-  then Stats.Counter.incr t.drop_crashed
-  else if cut then Stats.Counter.incr t.drop_partitioned
+  then t.drop_crashed <- t.drop_crashed + 1
+  else if cut then t.drop_partitioned <- t.drop_partitioned + 1
   else
     match decision with
     | Fault.Drop -> Metrics.incr (drop_pair_counter t ~src ~dst)
@@ -503,7 +498,7 @@ let land_msg t ~framed ~src ~dst ~decision ~cut ~src_epoch ~dst_epoch payload =
     | Fault.Corrupt c ->
       arrive t ~framed ~src ~dst (mutate_counted t c payload)
     | Fault.Duplicate ->
-      Stats.Counter.incr t.dup_injected;
+      t.dup_injected <- t.dup_injected + 1;
       arrive t ~framed ~src ~dst payload;
       arrive t ~framed ~src ~dst payload
 
@@ -534,7 +529,7 @@ let rec hop_step t ~framed ~path ~src ~dst ~seq ~i ~wire_bytes ~decision ~cut
     in
     let flow = (src.Proc_id.nid * Array.length t.nodes) + dst.Proc_id.nid in
     match Link.transmit t.hop_links.(path.(i)) ~flow ~bytes:wire_bytes () with
-    | `Dropped -> Stats.Counter.incr t.drop_congested
+    | `Dropped -> t.drop_congested <- t.drop_congested + 1
     | `Accepted arrival -> (
       let next_v =
         if i + 1 >= Array.length path then dst.Proc_id.nid
@@ -592,10 +587,10 @@ let transmit t ~framed ~src ~dst payload =
   if not (Node.is_up sender) then
     (* A dead node injects nothing; late scheduled callbacks acting on its
        behalf (retransmit timers, NIC engines) are silently fenced. *)
-    Stats.Counter.incr t.drop_crashed
+    t.drop_crashed <- t.drop_crashed + 1
   else begin
-    Stats.Counter.incr t.sent;
-    Stats.Counter.add t.sent_bytes len;
+    t.sent <- t.sent + 1;
+    t.sent_bytes <- t.sent_bytes + len;
     let decision =
       match t.fault with
       | None -> Fault.Deliver
@@ -614,7 +609,7 @@ let transmit t ~framed ~src ~dst payload =
     let delay_by, delay_reorder =
       match decision with
       | Fault.Delay { by; reorder } ->
-        Stats.Counter.incr t.delay_injected;
+        t.delay_injected <- t.delay_injected + 1;
         if not reorder then t.fifo_clamp <- true;
         (by, reorder)
       | _ -> (Time_ns.zero, false)
@@ -681,18 +676,18 @@ let send t ~src ~dst payload =
 
 let stats t =
   {
-    messages_sent = Stats.Counter.value t.sent;
-    bytes_sent = Stats.Counter.value t.sent_bytes;
-    messages_delivered = Stats.Counter.value t.delivered;
-    drops_unregistered = Stats.Counter.value t.drop_unregistered;
-    drops_congested = Stats.Counter.value t.drop_congested;
-    drops_crashed = Stats.Counter.value t.drop_crashed;
-    drops_partitioned = Stats.Counter.value t.drop_partitioned;
-    corrupts_injected = Stats.Counter.value t.corrupt_injected;
-    delays_injected = Stats.Counter.value t.delay_injected;
+    messages_sent = t.sent;
+    bytes_sent = t.sent_bytes;
+    messages_delivered = t.delivered;
+    drops_unregistered = t.drop_unregistered;
+    drops_congested = t.drop_congested;
+    drops_crashed = t.drop_crashed;
+    drops_partitioned = t.drop_partitioned;
+    corrupts_injected = t.corrupt_injected;
+    delays_injected = t.delay_injected;
     drops_injected =
       Proc_id.Pair_tbl.fold
         (fun _ _ c acc -> acc + Metrics.counter_value c)
         t.drop_pairs 0;
-    dups_injected = Stats.Counter.value t.dup_injected;
+    dups_injected = t.dup_injected;
   }

@@ -946,42 +946,6 @@ let cpu_tests =
         Scheduler.run sched);
   ]
 
-let stats_tests =
-  let open Stats in
-  [
-    Alcotest.test_case "counter" `Quick (fun () ->
-        let c = Counter.create ~name:"drops" () in
-        Counter.incr c;
-        Counter.add c 4;
-        Alcotest.(check int) "value" 5 (Counter.value c);
-        Counter.reset c;
-        Alcotest.(check int) "reset" 0 (Counter.value c);
-        Alcotest.(check string) "name" "drops" (Counter.name c));
-    Alcotest.test_case "summary statistics" `Quick (fun () ->
-        let s = Summary.create () in
-        List.iter (Summary.observe s) [ 1.; 2.; 3.; 4. ];
-        Alcotest.(check int) "count" 4 (Summary.count s);
-        Alcotest.(check (float 1e-9)) "mean" 2.5 (Summary.mean s);
-        Alcotest.(check (float 1e-9)) "min" 1. (Summary.min s);
-        Alcotest.(check (float 1e-9)) "max" 4. (Summary.max s);
-        Alcotest.(check (float 1e-6)) "stddev" 1.118034 (Summary.stddev s);
-        Alcotest.(check (float 1e-9)) "total" 10. (Summary.total s));
-    Alcotest.test_case "summary of empty/singleton" `Quick (fun () ->
-        let s = Summary.create () in
-        Alcotest.(check (float 0.)) "empty mean" 0. (Summary.mean s);
-        Alcotest.(check (float 0.)) "empty sd" 0. (Summary.stddev s);
-        Summary.observe s 7.;
-        Alcotest.(check (float 0.)) "single sd" 0. (Summary.stddev s));
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"summary mean within [min,max]" ~count:300
-         QCheck.(list_of_size Gen.(int_range 1 50) (float_range (-1000.) 1000.))
-         (fun xs ->
-           let s = Summary.create () in
-           List.iter (Summary.observe s) xs;
-           let m = Summary.mean s in
-           m >= Summary.min s -. 1e-9 && m <= Summary.max s +. 1e-9));
-  ]
-
 let trace_tests =
   [
     Alcotest.test_case "disabled trace records nothing" `Quick (fun () ->
@@ -1423,7 +1387,6 @@ let () =
       ("scheduler", scheduler_tests);
       ("sync", sync_tests);
       ("cpu", cpu_tests);
-      ("stats", stats_tests);
       ("trace", trace_tests);
       ("metrics", metrics_tests);
       ("shard", shard_tests);

@@ -512,6 +512,17 @@ let crash_restart_tests =
            = strip (Experiments.Crash_restart.run ~scenario ())));
   ]
 
+(* Every registry entry's quick records, metered once for the tests
+   that read them. *)
+let bench_records () =
+  List.concat_map
+    (fun (e : Experiments.Registry.entry) ->
+      (e.Experiments.Registry.default Runtime.Scenario.default ~quick:true)
+        .Experiments.Registry.records ())
+    Experiments.Registry.entries
+
+let quick_records = lazy (bench_records ())
+
 let perf_tests =
   let open Experiments.Perf in
   (* Synthetic records use values exactly representable at the JSON
@@ -610,8 +621,8 @@ let perf_tests =
           (drift_names (drift ~baseline ~current:(baseline @ [ mk "NEW" 1. ]))));
     Alcotest.test_case "same-seed runs agree on sim-side fields" `Slow
       (fun () ->
-        let a = all ~quick:true () in
-        let b = all ~quick:true () in
+        let a = Lazy.force quick_records in
+        let b = bench_records () in
         Alcotest.(check (list string)) "same ids"
           (List.map (fun r -> r.id) a)
           (List.map (fun r -> r.id) b);
@@ -847,9 +858,68 @@ let congestion_tests =
         Alcotest.(check bool) "fig6 identical" true (seed6 = full6));
   ]
 
+let registry_tests =
+  let open Experiments.Registry in
+  (* [par] prints wall times; [par --check] holds it to the contract. *)
+  let unchecked = [ "par" ] in
+  (* Entries whose output moves with the domain count, and why. A sharded
+     world runs same-time events in a different order than the
+     sequential one: an event posted from another shard is merged into
+     its destination's heap at the window barrier, after that shard's
+     own events at the same instant, while the sequential heap keeps
+     every same-time event in insertion order. Two collective frames
+     landing at one NIC at the same nanosecond then queue the other way
+     round. *)
+  let known_divergent = [ "coll" ] in
+  let output ~domains e =
+    let buf = Buffer.create 4096 in
+    let ppf = Format.formatter_of_buffer buf in
+    (match
+       (e.default (Runtime.Scenario.make ~domains ()) ~quick:true).print
+         ~trace:false ppf
+     with
+    | _ -> ()
+    | exception exn -> Format.fprintf ppf "raised %s" (Printexc.to_string exn));
+    Format.pp_print_flush ppf ();
+    Buffer.contents buf
+  in
+  [
+    Alcotest.test_case "every experiment prints the same at 1 and 2 domains"
+      `Quick (fun () ->
+        let divergent =
+          List.filter_map
+            (fun e ->
+              if List.mem e.name unchecked then None
+              else if output ~domains:1 e = output ~domains:2 e then None
+              else Some e.name)
+            entries
+        in
+        Alcotest.(check (list string)) "entries that diverge" known_divergent
+          divergent);
+    Alcotest.test_case "every experiment is named once" `Quick (fun () ->
+        let names = List.map (fun e -> e.name) entries in
+        Alcotest.(check (list string)) "unique names"
+          (List.sort_uniq compare names) (List.sort compare names));
+    Alcotest.test_case "the records are the committed baseline's ids" `Quick
+      (fun () ->
+        (* From the test's build directory under [dune runtest], from the
+           repository root under [dune exec]. *)
+        let path =
+          List.find Sys.file_exists
+            [ "../../bench/baseline.json"; "bench/baseline.json" ]
+        in
+        match Experiments.Perf.read_json ~path with
+        | Error msg -> Alcotest.fail msg
+        | Ok baseline ->
+          let ids l = List.sort compare (List.map (fun r -> r.Experiments.Perf.id) l) in
+          Alcotest.(check (list string)) "ids" (ids baseline)
+            (ids (Lazy.force quick_records)));
+  ]
+
 let () =
   Alcotest.run "experiments"
     [
+      ("registry", registry_tests);
       ("perf", perf_tests);
       ("tables", tables_tests);
       ("protocols", protocol_tests);
