@@ -295,7 +295,12 @@ let pp_decode_error ppf = function
     Format.fprintf ppf "checksum mismatch: computed 0x%08x, frame says 0x%08x"
       expected got
 
-let decode_gen ~integrity ~extract_data buf =
+(* The receive hot path blits payload straight from the wire image into
+   the matched memory descriptor, so the decoder never copies it out: a
+   decoded message aliases the whole image as [data]; its payload bytes
+   live at [header_size ..] (all payload-carrying operations have no
+   extension block). *)
+let decode_view ~integrity buf =
   let got = Bytes.length buf in
   if got < header_size then Error (Truncated { expected = header_size; got })
   else if Bytes.get_uint8 buf 0 <> magic then Error Bad_magic
@@ -376,25 +381,12 @@ let decode_gen ~integrity ~extract_data buf =
                 eq_handle = Handle.of_wire (Bytes.get_int64_le buf 52);
                 incarnation = i32 60;
                 length;
-                data = extract_data buf ~off:(header_size + ext) ~len:data_len;
+                data = buf;
                 atomic;
               }
         end
     end
   end
-
-let decode ~integrity buf =
-  decode_gen ~integrity
-    ~extract_data:(fun buf ~off ~len -> Bytes.sub buf off len)
-    buf
-
-(* The receive hot path blits payload straight from the wire image into
-   the matched memory descriptor, so [decode]'s per-message [Bytes.sub]
-   is pure overhead there. A viewed message aliases the whole image as
-   [data]; its payload bytes live at [header_size ..] (all payload-
-   carrying operations have no extension block). *)
-let decode_view ~integrity buf =
-  decode_gen ~integrity ~extract_data:(fun buf ~off:_ ~len:_ -> buf) buf
 
 let field_inventory = function
   | Put_request ->

@@ -224,12 +224,10 @@ type decode_error =
 
 val pp_decode_error : Format.formatter -> decode_error -> unit
 
-val decode : integrity:bool -> bytes -> (t, decode_error) result
-
 val decode_view : integrity:bool -> bytes -> (t, decode_error) result
-(** Like {!decode}, but without copying the payload: the returned [data]
-    is the {e whole} wire image, with payload bytes at
-    [\[header_size, header_size + length)]. The receive hot path uses
+(** Decode a wire image without copying its payload: the returned [data]
+    is the {e whole} wire image, with a put request's or reply's payload
+    bytes at [\[header_size, header_size + length)]. The receive hot path uses
     this to blit payload straight into the matched memory descriptor.
     (Atomic messages carry no payload, so the extension block never
     shifts a viewed payload.) Do not re-{!encode} a viewed message. *)

@@ -32,7 +32,7 @@ type stats = {
 
 type tx_entry = {
   e_seq : int;
-  e_payload : bytes;
+  e_payload : Simnet.Frame.t;
   mutable e_sends : int;
   e_first_sent : Time_ns.t;
 }
@@ -76,7 +76,7 @@ type tx = {
   mutable next_seq : int;
   mutable base : int;
   unacked : tx_entry ring;
-  pending : bytes Queue.t;
+  pending : Simnet.Frame.t Queue.t;
   mutable rto : Time_ns.t;
   mutable srtt_us : float;  (* 0 until the first sample *)
   mutable timer_gen : int;
@@ -86,7 +86,7 @@ type tx = {
 
 (* Receiver half of one (src, dst) direction: the out-of-order arrivals
    lie in (expected, expected + capacity). *)
-type rx = { mutable expected : int; ooo : bytes ring }
+type rx = { mutable expected : int; ooo : Simnet.Frame.t ring }
 
 type t = {
   fabric : Simnet.Fabric.t;
@@ -150,7 +150,7 @@ let tx_of t ~src ~dst =
           ring_create
             {
               e_seq = -1;
-              e_payload = Bytes.empty;
+              e_payload = Simnet.Frame.of_bytes Bytes.empty;
               e_sends = 0;
               e_first_sent = Time_ns.zero;
             };
@@ -169,9 +169,11 @@ let rx_of t ~src ~dst =
   match Simnet.Proc_id.Pair_tbl.find t.rxs src dst with
   | rx -> rx
   | exception Not_found ->
-    (* A fresh zero-length buffer is physically distinct from every
-       payload, so it can mark the free slots. *)
-    let rx = { expected = 0; ooo = ring_create (Bytes.create 0) } in
+    (* A fresh frame is physically distinct from every payload, so it
+       can mark the free slots. *)
+    let rx =
+      { expected = 0; ooo = ring_create (Simnet.Frame.of_bytes Bytes.empty) }
+    in
     Simnet.Proc_id.Pair_tbl.add t.rxs src dst rx;
     rx
 
@@ -190,13 +192,12 @@ let release t tx seq =
     tx.base <- tx.base + 1
   done
 
-let send_frame t ~src ~dst frame =
-  Simnet.Fabric.send_framed t.fabric ~src ~dst
-    (Frame.encode ~integrity:(Simnet.Fabric.integrity t.fabric) frame)
+let integrity t = Simnet.Fabric.integrity t.fabric
 
 let send_data_frame t tx entry =
-  send_frame t ~src:tx.tx_src ~dst:tx.tx_dst
-    (Frame.Data { seq = entry.e_seq; payload = entry.e_payload })
+  Simnet.Fabric.send_framed t.fabric ~src:tx.tx_src ~dst:tx.tx_dst
+    (Frame.encode_data ~integrity:(integrity t) ~seq:entry.e_seq
+       entry.e_payload)
 
 (* A Forward is live while it has retry budget left. Once spent (the
    path is still cut) it waits dormant, still outstanding, until an ack
@@ -205,7 +206,8 @@ let forward_live t tx = tx.skip_to > 0 && tx.skip_sends <= t.cfg.max_retries
 
 let send_forward t tx =
   tx.skip_sends <- tx.skip_sends + 1;
-  send_frame t ~src:tx.tx_src ~dst:tx.tx_dst (Frame.Forward { upto = tx.skip_to })
+  Simnet.Fabric.send_framed t.fabric ~src:tx.tx_src ~dst:tx.tx_dst
+    (Frame.encode_forward ~integrity:(integrity t) ~upto:tx.skip_to)
 
 (* --- retransmission timer --------------------------------------------- *)
 
@@ -359,7 +361,8 @@ let send_ack t ~me ~peer rx =
       Frame.sack_of_seqs ~cum_ack !seqs
     end
   in
-  send_frame t ~src:me ~dst:peer (Frame.Ack { cum_ack; sack })
+  Simnet.Fabric.send_framed t.fabric ~src:me ~dst:peer
+    (Frame.encode_ack ~integrity:(integrity t) ~cum_ack ~sack)
 
 let deliver_up t ~src ~dst payload =
   Metrics.incr t.m_delivered;
@@ -422,7 +425,7 @@ let on_forward t ~src ~dst ~upto =
   send_ack t ~me:dst ~peer:src rx
 
 let on_wire t ~src ~dst payload =
-  match Frame.decode ~integrity:(Simnet.Fabric.integrity t.fabric) payload with
+  match Frame.decode ~integrity:(integrity t) payload with
   | Ok (Frame.Data { seq; payload }) -> on_data t ~src ~dst ~seq payload
   | Ok (Frame.Ack { cum_ack; sack }) -> on_ack t ~src ~dst ~cum_ack ~sack
   | Ok (Frame.Forward { upto }) -> on_forward t ~src ~dst ~upto
@@ -438,7 +441,7 @@ let on_wire t ~src ~dst payload =
       Trace.instant tr ~subsys:"rel"
         ~proc:(Printf.sprintf "cpu%d" dst.Simnet.Proc_id.nid)
         (Format.asprintf "rel.corrupt_drop %a->%a len=%d" Simnet.Proc_id.pp src
-           Simnet.Proc_id.pp dst (Bytes.length payload))
+           Simnet.Proc_id.pp dst (Simnet.Frame.length payload))
 
 (* --- peer reset -------------------------------------------------------- *)
 

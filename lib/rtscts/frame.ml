@@ -29,32 +29,43 @@ let kind_of_code = function
   | _ -> None
 
 let encode t =
-  let buf = Bytes.create (header_size + t.pay_len) in
-  Bytes.set_uint8 buf 0 magic;
-  Bytes.set_uint8 buf 1 (kind_code t.kind);
-  Bytes.set_int64_le buf 2 (Int64.of_int t.msg_id);
-  Bytes.set_int64_le buf 10 (Int64.of_int t.total_len);
-  Bytes.set_int64_le buf 18 (Int64.of_int t.offset);
-  Bytes.blit t.payload t.pay_off buf header_size t.pay_len;
-  buf
+  let hdr = Bytes.create header_size in
+  Bytes.set_uint8 hdr 0 magic;
+  Bytes.set_uint8 hdr 1 (kind_code t.kind);
+  Bytes.set_int64_le hdr 2 (Int64.of_int t.msg_id);
+  Bytes.set_int64_le hdr 10 (Int64.of_int t.total_len);
+  Bytes.set_int64_le hdr 18 (Int64.of_int t.offset);
+  Simnet.Frame.v ~hdr t.payload ~off:t.pay_off ~len:t.pay_len
 
-let decode buf =
-  if Bytes.length buf < header_size then Error "rtscts frame: truncated header"
-  else if Bytes.get_uint8 buf 0 <> magic then Error "rtscts frame: bad magic"
+let decode (f : Simnet.Frame.t) =
+  if Simnet.Frame.length f < header_size then Error "rtscts frame: truncated header"
   else begin
-    match kind_of_code (Bytes.get_uint8 buf 1) with
-    | None -> Error "rtscts frame: unknown kind"
-    | Some kind ->
-      Ok
-        {
-          kind;
-          msg_id = Int64.to_int (Bytes.get_int64_le buf 2);
-          total_len = Int64.to_int (Bytes.get_int64_le buf 10);
-          offset = Int64.to_int (Bytes.get_int64_le buf 18);
-          payload = buf;
-          pay_off = header_size;
-          pay_len = Bytes.length buf - header_size;
-        }
+    let b = Simnet.Frame.prefix f header_size in
+    if Bytes.get_uint8 b 0 <> magic then Error "rtscts frame: bad magic"
+    else
+      match kind_of_code (Bytes.get_uint8 b 1) with
+      | None -> Error "rtscts frame: unknown kind"
+      | Some kind ->
+        (* The frame's bytes past the header are its view when the header
+           is exactly this codec's, as sent; any other split (a damaged
+           frame) is flattened. *)
+        let payload, pay_off, pay_len =
+          if Bytes.length f.Simnet.Frame.hdr = header_size then
+            (f.Simnet.Frame.buf, f.Simnet.Frame.off, f.Simnet.Frame.len)
+          else
+            let rest = Simnet.Frame.to_bytes (Simnet.Frame.after f header_size) in
+            (rest, 0, Bytes.length rest)
+        in
+        Ok
+          {
+            kind;
+            msg_id = Int64.to_int (Bytes.get_int64_le b 2);
+            total_len = Int64.to_int (Bytes.get_int64_le b 10);
+            offset = Int64.to_int (Bytes.get_int64_le b 18);
+            payload;
+            pay_off;
+            pay_len;
+          }
   end
 
 let pp ppf t =

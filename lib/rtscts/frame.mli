@@ -31,11 +31,13 @@ type t = {
 
 val header_size : int
 
-val encode : t -> bytes
-(** A fresh image: header plus the payload slice, copied once. *)
+val encode : t -> Simnet.Frame.t
+(** A fresh {!header_size}-byte header plus a view of the payload slice:
+    the payload is not copied. *)
 
-val decode : bytes -> (t, string) result
-(** Decode in place: the result's payload views the frame itself
-    ([pay_off = header_size]). *)
+val decode : Simnet.Frame.t -> (t, string) result
+(** Decode the header; the result's payload is the frame's view (or,
+    for a frame whose header is not exactly {!header_size} bytes — a
+    damaged one — a copy of the bytes past the header). *)
 
 val pp : Format.formatter -> t -> unit

@@ -31,10 +31,15 @@ type pair = {
 
 (* Receive-side reassembly of one streamed message; [arrived] has one
    byte per packet, set once that packet's bytes are in [buffer]. The
-   RTS opens it, but [buffer] is allocated by the first packet: until
-   then the previous message's buffer may still be in the copy engine. *)
+   RTS opens it, and the first packet sets [buffer]. While [aliased],
+   [buffer] is the sender's image itself: every packet so far was an
+   intact view of it at its own offset, so its bytes are already in
+   place, and the message is handed up without a reassembly copy. The
+   first packet that is not such a view (a damaged copy) turns the
+   buffer into a private copy, which the remaining packets fill. *)
 type assembly = {
   mutable buffer : bytes;
+  mutable aliased : bool;
   arrived : Bytes.t;
   mutable received : int;
 }
@@ -199,7 +204,7 @@ let pair_of t ~src ~dst =
     p
 
 let send_frame t ~src ~dst frame =
-  Simnet.Fabric.send t.fabric ~src ~dst (Frame.encode frame)
+  Simnet.Fabric.send_frame t.fabric ~src ~dst (Frame.encode frame)
 
 (* --- sender side ------------------------------------------------------ *)
 
@@ -367,10 +372,12 @@ let handle_frame t ~me ~src frame =
     let copy_done = Simnet.Link.occupy t.kcopy.(nid) cost in
     Scheduler.at t.sched copy_done (fun () ->
         steal t nid (Simnet.Profile.copy_time profile frame.Frame.total_len);
-        (* The upper layer owns what it is handed: copy the payload out
-           of the frame image. *)
+        (* A frame is immutable once sent, so an intact view of the
+           sender's whole image is handed up as is. *)
+        let { Frame.payload; pay_off; pay_len; _ } = frame in
         deliver_up t ~me ~src
-          (Bytes.sub frame.Frame.payload frame.Frame.pay_off frame.Frame.pay_len))
+          (if pay_off = 0 && pay_len = Bytes.length payload then payload
+           else Bytes.sub payload pay_off pay_len))
   | Frame.Rts ->
     interrupt ();
     let msg_id = frame.Frame.msg_id and len = frame.Frame.total_len in
@@ -384,6 +391,7 @@ let handle_frame t ~me ~src frame =
         Some
           {
             buffer = Bytes.empty;
+            aliased = false;
             arrived = Bytes.make ((len + chunk - 1) / chunk) '\000';
             received = 0;
           }
@@ -410,11 +418,25 @@ let handle_frame t ~me ~src frame =
       when rx_id = frame.Frame.msg_id
            && Bytes.get assembly.arrived slot = '\000' ->
       Bytes.set assembly.arrived slot '\001';
-      if assembly.received = 0 then
-        assembly.buffer <- Bytes.create frame.Frame.total_len;
-      let n = frame.Frame.pay_len in
-      Bytes.blit frame.Frame.payload frame.Frame.pay_off assembly.buffer
-        frame.Frame.offset n;
+      let { Frame.payload; pay_off; pay_len = n; offset; total_len; _ } =
+        frame
+      in
+      let in_place = pay_off = offset && Bytes.length payload = total_len in
+      if assembly.received = 0 then begin
+        assembly.aliased <- in_place;
+        assembly.buffer <-
+          (if in_place then payload else Bytes.create total_len)
+      end
+      else if assembly.aliased && not (in_place && payload == assembly.buffer)
+      then begin
+        (* The packets so far viewed [buffer] at their own offsets, so a
+           copy of it holds their bytes; later packets overwrite the
+           rest. *)
+        assembly.buffer <- Bytes.copy assembly.buffer;
+        assembly.aliased <- false
+      end;
+      if not assembly.aliased then
+        Bytes.blit payload pay_off assembly.buffer offset n;
       assembly.received <- assembly.received + n;
       let copy_done =
         Simnet.Link.occupy t.kcopy.(nid) (Simnet.Profile.copy_time profile n)
@@ -437,8 +459,8 @@ let transport t =
     register =
       (fun pid handler ->
         Hashtbl.replace t.uppers pid handler;
-        Simnet.Fabric.register t.fabric pid (fun ~src payload ->
-            match Frame.decode payload with
+        Simnet.Fabric.register_frames t.fabric pid (fun ~src frame ->
+            match Frame.decode frame with
             | Error _ -> () (* not ours: drop silently at this layer *)
             | Ok frame -> handle_frame t ~me:pid ~src frame));
     unregister =

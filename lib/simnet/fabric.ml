@@ -15,33 +15,50 @@ type stats = {
 }
 
 type shim = {
-  shim_tx : src:Proc_id.t -> dst:Proc_id.t -> bytes -> unit;
-  shim_rx : src:Proc_id.t -> dst:Proc_id.t -> bytes -> unit;
+  shim_tx : src:Proc_id.t -> dst:Proc_id.t -> Frame.t -> unit;
+  shim_rx : src:Proc_id.t -> dst:Proc_id.t -> Frame.t -> unit;
 }
 
-type handler = src:Proc_id.t -> bytes -> unit
+(* A registered receiver takes plain bytes ([register]) or frames
+   ([register_frames]); the fabric hands each what it asked for. *)
+type handler =
+  | Bytes_rx of (src:Proc_id.t -> bytes -> unit)
+  | Frame_rx of (src:Proc_id.t -> Frame.t -> unit)
+
+(* What a message in flight carries, and so where it lands. A raw
+   message is the whole-buffer frame with no header, and travels as its
+   bytes, unboxed: the raw path allocates no frame. A frame with a
+   header travels as a [Frame.t], and the shim's own frames are told
+   apart by their class, which rides beside the bytes. *)
+type _ body =
+  | Whole : bytes body  (* [send_raw], or [send] with no shim *)
+  | View : Frame.t body  (* [send_frame] with no shim *)
+  | Shim : Frame.t body  (* [send_framed]: lands at [shim_rx] *)
 
 (* Cross-shard fabric traffic as plain data. The sending shard resolves
    every stochastic choice — fault decision, delay, partition cut, crash
    epochs — before the message leaves its domain, so the receiving shard
    only executes consequences against its own replica state. Closures
-   must not cross domains: they would capture the wrong shard's fabric. *)
+   must not cross domains: they would capture the wrong shard's fabric.
+   A frame crossing shards still views the sender's buffer, which is
+   immutable once sent (see [Frame]). *)
 type remote =
-  | R_land of {
-      rl_framed : bool; (* a shim frame, not [send_raw] traffic *)
+  | R_land : {
+      rl_body : 'p body;
       rl_src : Proc_id.t;
       rl_dst : Proc_id.t;
-      rl_payload : bytes;
+      rl_payload : 'p;
       rl_decision : Fault.decision;
       rl_cut : bool;
       rl_src_epoch : int;
       rl_dst_epoch : int;
     }
-  | R_hop of {
-      rh_framed : bool;
+      -> remote
+  | R_hop : {
+      rh_body : 'p body;
       rh_src : Proc_id.t;
       rh_dst : Proc_id.t;
-      rh_payload : bytes;
+      rh_payload : 'p;
       rh_i : int; (* next hop index into the route path *)
       rh_seq : int; (* per-pair message sequence, keys hop corruption *)
       rh_wire_bytes : int; (* wire image of the {e original} frame *)
@@ -52,6 +69,7 @@ type remote =
       rh_delay_by : Time_ns.t;
       rh_clamp : bool; (* FIFO floor active, decided at send time *)
     }
+      -> remote
 
 type par = {
   par_self : int;
@@ -245,7 +263,7 @@ let find_handler t pid =
     let slots = t.handlers.(nid) in
     if p >= Array.length slots then None else slots.(p)
 
-let register t pid handler =
+let add_handler t pid handler =
   if find_handler t pid <> None then
     invalid_arg ("Fabric.register: already registered: " ^ Proc_id.to_string pid);
   ignore (node t pid.Proc_id.nid);
@@ -263,6 +281,9 @@ let register t pid handler =
     end
   in
   slots.(p) <- Some handler
+
+let register t pid handler = add_handler t pid (Bytes_rx handler)
+let register_frames t pid handler = add_handler t pid (Frame_rx handler)
 
 let unregister t pid =
   let nid = pid.Proc_id.nid and p = pid.Proc_id.pid in
@@ -416,23 +437,53 @@ let drop_pair_counter t ~src ~dst =
     Proc_id.Pair_tbl.add t.drop_pairs src dst c;
     c
 
-let deliver t ~src ~dst payload =
+let deliver_bytes t ~src ~dst buf =
   match find_handler t dst with
   | None -> t.drop_unregistered <- t.drop_unregistered + 1
-  | Some handler ->
+  | Some handler -> (
     t.delivered <- t.delivered + 1;
-    handler ~src payload
+    match handler with
+    | Bytes_rx f -> f ~src buf
+    | Frame_rx f -> f ~src (Frame.of_bytes buf))
+
+let deliver t ~src ~dst frame =
+  match find_handler t dst with
+  | None -> t.drop_unregistered <- t.drop_unregistered + 1
+  | Some handler -> (
+    t.delivered <- t.delivered + 1;
+    match handler with
+    | Bytes_rx f -> f ~src (Frame.to_bytes frame)
+    | Frame_rx f -> f ~src frame)
 
 (* The frame class travels beside the payload, never inside it: bit
    damage cannot turn a shim frame into raw traffic or back. *)
-let arrive t ~framed ~src ~dst payload =
-  match t.shim with
-  | Some shim when framed -> shim.shim_rx ~src ~dst payload
-  | _ -> deliver t ~src ~dst payload
+let arrive : type p. t -> p body -> src:Proc_id.t -> dst:Proc_id.t -> p -> unit
+    =
+ fun t body ~src ~dst payload ->
+  match body with
+  | Whole -> deliver_bytes t ~src ~dst payload
+  | View -> deliver t ~src ~dst payload
+  | Shim -> (
+    match t.shim with
+    | Some shim -> shim.shim_rx ~src ~dst payload
+    | None -> deliver t ~src ~dst payload)
 
-let mutate_counted t c payload =
+let body_length : type p. p body -> p -> int =
+ fun body payload ->
+  match body with
+  | Whole -> Bytes.length payload
+  | View -> Frame.length payload
+  | Shim -> Frame.length payload
+
+(* Damage never writes into the sent payload ([Fault.mutate] copies on
+   write), and a raw message stays raw bytes. *)
+let mutate_counted : type p. t -> p body -> Fault.corruption -> p -> p =
+ fun t body c payload ->
   t.corrupt_injected <- t.corrupt_injected + 1;
-  Fault.mutate c payload
+  match body with
+  | Whole -> Frame.to_bytes (Fault.mutate c (Frame.of_bytes payload))
+  | View -> Fault.mutate c payload
+  | Shim -> Fault.mutate c payload
 
 (* On multi-hop routes the end-to-end fault sample covers the first hop;
    each later hop re-samples, honouring only [Corrupt] outcomes, so a
@@ -442,13 +493,13 @@ let mutate_counted t c payload =
    sequence, hop index) — so a route crossing shard boundaries draws the
    same damage no matter which domain executes which hop. Models that
    cannot corrupt have no sampler and cost nothing here. *)
-let per_hop_corrupt t ~src ~dst ~seq ~hop payload =
+let per_hop_corrupt t body ~src ~dst ~seq ~hop payload =
   match t.fault with
   | Some f -> (
     match Fault.hop_sample f with
     | Some sample -> (
-      match sample ~src ~dst ~seq ~hop ~len:(Bytes.length payload) with
-      | Some c -> mutate_counted t c payload
+      match sample ~src ~dst ~seq ~hop ~len:(body_length body payload) with
+      | Some c -> mutate_counted t body c payload
       | None -> payload)
     | None -> payload)
   | None -> payload
@@ -483,7 +534,7 @@ let clamp_arrival t ~src ~dst arrival =
    simulated time; apply the decision resolved at send time. Runs on the
    destination's owner shard, so every land-side counter is incremented
    exactly once across the world. *)
-let land_msg t ~framed ~src ~dst ~decision ~cut ~src_epoch ~dst_epoch payload =
+let land_msg t body ~src ~dst ~decision ~cut ~src_epoch ~dst_epoch payload =
   let sender = node t src.Proc_id.nid and receiver = node t dst.Proc_id.nid in
   if
     Node.crashes sender <> src_epoch
@@ -494,13 +545,13 @@ let land_msg t ~framed ~src ~dst ~decision ~cut ~src_epoch ~dst_epoch payload =
   else
     match decision with
     | Fault.Drop -> Metrics.incr (drop_pair_counter t ~src ~dst)
-    | Fault.Deliver | Fault.Delay _ -> arrive t ~framed ~src ~dst payload
+    | Fault.Deliver | Fault.Delay _ -> arrive t body ~src ~dst payload
     | Fault.Corrupt c ->
-      arrive t ~framed ~src ~dst (mutate_counted t c payload)
+      arrive t body ~src ~dst (mutate_counted t body c payload)
     | Fault.Duplicate ->
       t.dup_injected <- t.dup_injected + 1;
-      arrive t ~framed ~src ~dst payload;
-      arrive t ~framed ~src ~dst payload
+      arrive t body ~src ~dst payload;
+      arrive t body ~src ~dst payload
 
 (* Store-and-forward over the hop path: at each hop the message
    FIFO-queues on the shared link, occupies it for its full wire image,
@@ -510,22 +561,41 @@ let land_msg t ~framed ~src ~dst ~decision ~cut ~src_epoch ~dst_epoch payload =
    executes on the shard owning the link's source vertex; advancing to a
    vertex owned elsewhere posts the remaining journey as plain data, and
    the shard it reaches resolves the route [path] once for its hops. *)
-let rec hop_step t ~framed ~path ~src ~dst ~seq ~i ~wire_bytes ~decision ~cut
-    ~src_epoch ~dst_epoch ~delay_by ~clamp payload =
+let rec hop_step :
+    type p.
+    t ->
+    p body ->
+    path:int array ->
+    src:Proc_id.t ->
+    dst:Proc_id.t ->
+    seq:int ->
+    i:int ->
+    wire_bytes:int ->
+    decision:Fault.decision ->
+    cut:bool ->
+    src_epoch:int ->
+    dst_epoch:int ->
+    delay_by:Time_ns.t ->
+    clamp:bool ->
+    p ->
+    unit =
+ fun t body ~path ~src ~dst ~seq ~i ~wire_bytes ~decision ~cut ~src_epoch
+     ~dst_epoch ~delay_by ~clamp payload ->
   if i >= Array.length path then begin
     let now = Scheduler.now t.fabric_sched in
     let arrival = Time_ns.add now delay_by in
     let arrival = if clamp then clamp_arrival t ~src ~dst arrival else arrival in
     if Time_ns.compare arrival now = 0 then
-      land_msg t ~framed ~src ~dst ~decision ~cut ~src_epoch ~dst_epoch payload
+      land_msg t body ~src ~dst ~decision ~cut ~src_epoch ~dst_epoch payload
     else
       Scheduler.at t.fabric_sched arrival (fun () ->
-          land_msg t ~framed ~src ~dst ~decision ~cut ~src_epoch ~dst_epoch
+          land_msg t body ~src ~dst ~decision ~cut ~src_epoch ~dst_epoch
             payload)
   end
   else begin
     let payload =
-      if i = 0 then payload else per_hop_corrupt t ~src ~dst ~seq ~hop:i payload
+      if i = 0 then payload
+      else per_hop_corrupt t body ~src ~dst ~seq ~hop:i payload
     in
     let flow = (src.Proc_id.nid * Array.length t.nodes) + dst.Proc_id.nid in
     match Link.transmit t.hop_links.(path.(i)) ~flow ~bytes:wire_bytes () with
@@ -540,7 +610,7 @@ let rec hop_step t ~framed ~path ~src ~dst ~seq ~i ~wire_bytes ~decision ~cut
         p.par_post ~dst_shard:p.par_owner.(next_v) ~time:arrival
           (R_hop
              {
-               rh_framed = framed;
+               rh_body = body;
                rh_src = src;
                rh_dst = dst;
                rh_payload = payload;
@@ -556,23 +626,22 @@ let rec hop_step t ~framed ~path ~src ~dst ~seq ~i ~wire_bytes ~decision ~cut
              })
       | _ ->
         Scheduler.at t.fabric_sched arrival (fun () ->
-            hop_step t ~framed ~path ~src ~dst ~seq ~i:(i + 1) ~wire_bytes
+            hop_step t body ~path ~src ~dst ~seq ~i:(i + 1) ~wire_bytes
               ~decision ~cut ~src_epoch ~dst_epoch ~delay_by ~clamp payload))
   end
 
 let exec_remote t = function
   | R_land
-      { rl_framed; rl_src; rl_dst; rl_payload; rl_decision; rl_cut;
+      { rl_body; rl_src; rl_dst; rl_payload; rl_decision; rl_cut;
         rl_src_epoch; rl_dst_epoch } ->
-    land_msg t ~framed:rl_framed ~src:rl_src ~dst:rl_dst ~decision:rl_decision
+    land_msg t rl_body ~src:rl_src ~dst:rl_dst ~decision:rl_decision
       ~cut:rl_cut ~src_epoch:rl_src_epoch ~dst_epoch:rl_dst_epoch rl_payload
   | R_hop
-      { rh_framed; rh_src; rh_dst; rh_payload; rh_i; rh_seq; rh_wire_bytes;
+      { rh_body; rh_src; rh_dst; rh_payload; rh_i; rh_seq; rh_wire_bytes;
         rh_decision; rh_cut; rh_src_epoch; rh_dst_epoch; rh_delay_by;
         rh_clamp } ->
     let path = route t ~src:rh_src.Proc_id.nid ~dst:rh_dst.Proc_id.nid in
-    hop_step t ~framed:rh_framed ~path ~src:rh_src ~dst:rh_dst ~seq:rh_seq
-      ~i:rh_i
+    hop_step t rh_body ~path ~src:rh_src ~dst:rh_dst ~seq:rh_seq ~i:rh_i
       ~wire_bytes:rh_wire_bytes ~decision:rh_decision ~cut:rh_cut
       ~src_epoch:rh_src_epoch ~dst_epoch:rh_dst_epoch ~delay_by:rh_delay_by
       ~clamp:rh_clamp rh_payload
@@ -580,8 +649,10 @@ let exec_remote t = function
 let receive_remote t ~time msg =
   Scheduler.at t.fabric_sched time (fun () -> exec_remote t msg)
 
-let transmit t ~framed ~src ~dst payload =
-  let len = Bytes.length payload in
+let transmit : type p. t -> p body -> src:Proc_id.t -> dst:Proc_id.t -> p -> unit
+    =
+ fun t body ~src ~dst payload ->
+  let len = body_length body payload in
   let sender = node t src.Proc_id.nid in
   let receiver = node t dst.Proc_id.nid in
   if not (Node.is_up sender) then
@@ -645,7 +716,7 @@ let transmit t ~framed ~src ~dst payload =
         p.par_post ~dst_shard:p.par_owner.(dst.Proc_id.nid) ~time:arrival
           (R_land
              {
-               rl_framed = framed;
+               rl_body = body;
                rl_src = src;
                rl_dst = dst;
                rl_payload = payload;
@@ -656,23 +727,28 @@ let transmit t ~framed ~src ~dst payload =
              })
       | _ ->
         Scheduler.at t.fabric_sched arrival (fun () ->
-            land_msg t ~framed ~src ~dst ~decision ~cut ~src_epoch ~dst_epoch
+            land_msg t body ~src ~dst ~decision ~cut ~src_epoch ~dst_epoch
               payload)
     end
     else begin
       let wire_bytes = Profile.wire_bytes_of_len t.fabric_profile len in
-      hop_step t ~framed ~path ~src ~dst ~seq ~i:0 ~wire_bytes ~decision ~cut
+      hop_step t body ~path ~src ~dst ~seq ~i:0 ~wire_bytes ~decision ~cut
         ~src_epoch ~dst_epoch ~delay_by ~clamp payload
     end
   end
 
-let send_raw t ~src ~dst payload = transmit t ~framed:false ~src ~dst payload
-let send_framed t ~src ~dst payload = transmit t ~framed:true ~src ~dst payload
+let send_raw t ~src ~dst payload = transmit t Whole ~src ~dst payload
+let send_framed t ~src ~dst frame = transmit t Shim ~src ~dst frame
 
 let send t ~src ~dst payload =
   match t.shim with
-  | Some shim -> shim.shim_tx ~src ~dst payload
+  | Some shim -> shim.shim_tx ~src ~dst (Frame.of_bytes payload)
   | None -> send_raw t ~src ~dst payload
+
+let send_frame t ~src ~dst frame =
+  match t.shim with
+  | Some shim -> shim.shim_tx ~src ~dst frame
+  | None -> transmit t View ~src ~dst frame
 
 let stats t =
   {

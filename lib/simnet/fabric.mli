@@ -108,7 +108,14 @@ val node : t -> Proc_id.nid -> Node.t
 val register : t -> Proc_id.t -> (src:Proc_id.t -> bytes -> unit) -> unit
 (** Attach the receive handler for a process. Raises [Invalid_argument] if
     the process is already registered. The handler runs at wire-arrival
-    time; receive-path processing costs are the caller's concern. *)
+    time; receive-path processing costs are the caller's concern. It is
+    handed each message's bytes as one buffer ({!Frame.to_bytes}): a raw
+    message's own buffer, read-only — a frame is immutable once sent. *)
+
+val register_frames :
+  t -> Proc_id.t -> (src:Proc_id.t -> Frame.t -> unit) -> unit
+(** {!register} for a layer that decodes frames itself: its handler gets
+    each message as a {!Frame.t}, header and view unflattened. *)
 
 val unregister : t -> Proc_id.t -> unit
 val is_registered : t -> Proc_id.t -> bool
@@ -123,11 +130,20 @@ val endpoint_live : t -> Proc_id.t -> bool
     only sees local registrations. *)
 
 val send : t -> src:Proc_id.t -> dst:Proc_id.t -> bytes -> unit
-(** Inject a message. Returns immediately; delivery happens via scheduled
-    events. The payload is not copied — callers must not mutate it after
-    sending (simulated NICs DMA from live buffers; Portals builds a fresh
-    wire image per message). With a shim installed, the message passes
-    through the shim's tx interceptor first. *)
+(** Inject a message: {!send_frame} of the whole buffer with no header
+    ({!Frame.of_bytes}), which the fabric carries as the bytes
+    themselves, allocating no frame. Returns immediately; delivery
+    happens via scheduled events. The payload is not copied — callers
+    must not mutate it after sending (simulated NICs DMA from live
+    buffers; Portals builds a fresh wire image per message). With a shim
+    installed, the message passes through the shim's tx interceptor
+    first. *)
+
+val send_frame : t -> src:Proc_id.t -> dst:Proc_id.t -> Frame.t -> unit
+(** Inject a frame: a layer's header plus a view of the bytes it
+    carries, neither copied. The frame is immutable once sent (see
+    {!Frame}). Arrives at a {!register_frames} handler as is, or
+    flattened at a {!register} handler. *)
 
 (** {1 Crash-stop node failures}
 
@@ -178,8 +194,9 @@ val apply_crash_schedule : t -> Fault.crash_schedule -> unit
 val set_fault_model : t -> Fault.t option -> unit
 (** Install (or clear) the fault model consulted once per message at send
     time. Dropped messages still occupy the wire; duplicated messages are
-    delivered twice back-to-back; corrupted messages land as a mutated
-    copy ({!Fault.mutate}) — and on a multi-hop topology every hop after
+    delivered twice back-to-back (the same frame: nothing writes into
+    it); corrupted messages land as a mutated frame ({!Fault.mutate},
+    which copies on write) — and on a multi-hop topology every hop after
     the first re-samples a corrupting model, so long routes take more
     damage; delayed messages land late, with each (src, dst) pair's
     send order preserved unless the decision said [reorder]. *)
@@ -225,7 +242,7 @@ val set_fault_injector :
 (** {1 Reliability shim}
 
     A shim intercepts the fabric at exactly the wire boundary: every
-    {!send} is diverted to [shim_tx] (which frames the payload and calls
+    {!send} and {!send_frame} is diverted to [shim_tx] (which frames the payload and calls
     {!send_framed}), and every arriving shim frame is diverted to
     [shim_rx] (which decodes, runs its protocol, and hands accepted
     payloads up via {!deliver}). Transports built over the fabric — and
@@ -241,8 +258,8 @@ val set_fault_injector :
     through the shim. *)
 
 type shim = {
-  shim_tx : src:Proc_id.t -> dst:Proc_id.t -> bytes -> unit;
-  shim_rx : src:Proc_id.t -> dst:Proc_id.t -> bytes -> unit;
+  shim_tx : src:Proc_id.t -> dst:Proc_id.t -> Frame.t -> unit;
+  shim_rx : src:Proc_id.t -> dst:Proc_id.t -> Frame.t -> unit;
 }
 
 val install_shim : t -> shim -> unit
@@ -257,13 +274,13 @@ val send_raw : t -> src:Proc_id.t -> dst:Proc_id.t -> bytes -> unit
     no shim, damaged or not. For datagrams that must not be ordered or
     retransmitted (liveness beats). *)
 
-val send_framed : t -> src:Proc_id.t -> dst:Proc_id.t -> bytes -> unit
+val send_framed : t -> src:Proc_id.t -> dst:Proc_id.t -> Frame.t -> unit
 (** {!send_raw} for the shim's own frames: the same wire path, but the
     message arrives at [shim_rx] (or at [dst]'s handler on a fabric
     without a shim). *)
 
-val deliver : t -> src:Proc_id.t -> dst:Proc_id.t -> bytes -> unit
-(** Hand a payload to [dst]'s registered handler at the current simulated
+val deliver : t -> src:Proc_id.t -> dst:Proc_id.t -> Frame.t -> unit
+(** Hand a frame to [dst]'s registered handler at the current simulated
     time, counting it delivered (or an unregistered drop). Shims call this
     for each message they accept. *)
 

@@ -146,21 +146,13 @@ let corrupt ?(seed = 0) ~p () =
           sample_corruption prng ~p ~len);
   }
 
-(* A mutated frame is always a fresh buffer: the sender still owns the
-   original (it may be duplicated, retransmitted or reused). *)
-let mutate c payload =
+(* The sender still owns the frame (it may be duplicated, retransmitted
+   or reused): a flip copies the part it writes, a truncation only
+   shortens the view. *)
+let mutate c frame =
   match c with
-  | Flip { bit } ->
-    let buf = Bytes.copy payload in
-    let len = Bytes.length buf in
-    if len > 0 then begin
-      let byte = bit / 8 mod len and mask = 1 lsl (bit mod 8) in
-      Bytes.set buf byte (Char.chr (Char.code (Bytes.get buf byte) lxor mask))
-    end;
-    buf
-  | Truncate { keep } ->
-    let keep = max 0 (min keep (Bytes.length payload)) in
-    Bytes.sub payload 0 keep
+  | Flip { bit } -> Frame.flip frame ~bit
+  | Truncate { keep } -> Frame.truncate frame ~keep
 
 let delay ?(seed = 0) ?jitter ?(reorder = false) ~mean () =
   if Time_ns.compare mean Time_ns.zero < 0 then

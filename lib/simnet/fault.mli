@@ -68,11 +68,12 @@ val corrupt : ?seed:int -> p:float -> unit -> t
     truncate the frame to a uniformly chosen prefix. Zero-length frames
     pass untouched. *)
 
-val mutate : corruption -> bytes -> bytes
-(** Apply a corruption to an encoded frame, returning a {e fresh} buffer
-    (the sender still owns the original). Out-of-range positions wrap
-    ([Flip]) or clamp ([Truncate]), so any sampled corruption applies to
-    any frame. *)
+val mutate : corruption -> Frame.t -> Frame.t
+(** Apply a corruption to a frame. The original is never written (the
+    sender still owns it): a [Flip] returns a frame whose header or view,
+    whichever the bit lands in, is a fresh copy; a [Truncate] returns a
+    shorter view. Out-of-range positions wrap ([Flip]) or clamp
+    ([Truncate]), so any sampled corruption applies to any frame. *)
 
 val delay : ?seed:int -> ?jitter:Sim_engine.Time_ns.t -> ?reorder:bool ->
   mean:Sim_engine.Time_ns.t -> unit -> t

@@ -65,17 +65,23 @@ let occupy t d =
   t.busy <- Time_ns.add t.busy d;
   finish
 
+(* A tracked link sees every hop of every message, so neither of these
+   allocates or raises in the common case: [mem] before [find] on entry,
+   where a flow often has nothing outstanding, and [find] on exit, where
+   it always has. *)
 let flow_enter t flow =
-  let n = Option.value ~default:0 (Hashtbl.find_opt t.flows flow) in
-  Hashtbl.replace t.flows flow (n + 1);
-  if n = 0 then
+  if Hashtbl.mem t.flows flow then
+    Hashtbl.replace t.flows flow (Hashtbl.find t.flows flow + 1)
+  else begin
+    Hashtbl.replace t.flows flow 1;
     t.peak_flows <- max t.peak_flows (Hashtbl.length t.flows)
+  end
 
 let flow_leave t flow =
-  match Hashtbl.find_opt t.flows flow with
-  | Some 1 -> Hashtbl.remove t.flows flow
-  | Some n -> Hashtbl.replace t.flows flow (n - 1)
-  | None -> ()
+  match Hashtbl.find t.flows flow with
+  | 1 -> Hashtbl.remove t.flows flow
+  | n -> Hashtbl.replace t.flows flow (n - 1)
+  | exception Not_found -> ()
 
 let transmit t ?flow ~bytes () =
   let bandwidth =
@@ -100,10 +106,10 @@ let transmit t ?flow ~bytes () =
     if t.tracked || t.queue_limit <> None then begin
       t.outstanding <- t.outstanding + 1;
       t.peak_outstanding <- max t.peak_outstanding t.outstanding;
-      Option.iter (fun f -> flow_enter t f) flow;
+      (match flow with Some f -> flow_enter t f | None -> ());
       Scheduler.at t.sched finish (fun () ->
           t.outstanding <- t.outstanding - 1;
-          Option.iter (fun f -> flow_leave t f) flow)
+          match flow with Some f -> flow_leave t f | None -> ())
     end;
     `Accepted (Time_ns.add finish t.latency)
   end

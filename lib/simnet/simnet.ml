@@ -8,6 +8,7 @@ module Link = Link
 module Node = Node
 module Fault = Fault
 module Crc32c = Crc32c
+module Frame = Frame
 module Fabric = Fabric
 module Transport = Transport
 module Shard_map = Shard_map

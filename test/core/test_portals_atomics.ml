@@ -215,7 +215,7 @@ let wire_tests =
               (Wire.aop_to_string aop ^ " encoded size")
               (Wire.header_size + Wire.atomic_block_size)
               (Bytes.length enc);
-            match Wire.decode ~integrity:false enc with
+            match Wire.decode_view ~integrity:false enc with
             | Error e ->
               Alcotest.failf "decode failed: %a" Wire.pp_decode_error e
             | Ok dec -> (
@@ -235,7 +235,7 @@ let wire_tests =
       `Quick (fun () ->
         let req = sample_request () in
         let reply = Wire.atomic_reply_of_request req ~fetched:41L in
-        (match Wire.decode ~integrity:false (Wire.encode ~integrity:false reply) with
+        (match Wire.decode_view ~integrity:false (Wire.encode ~integrity:false reply) with
         | Error e -> Alcotest.failf "decode failed: %a" Wire.pp_decode_error e
         | Ok dec ->
           Alcotest.(check bool) "is atomic reply" true
@@ -252,7 +252,7 @@ let wire_tests =
         let enc = Wire.encode ~integrity:false (sample_request ()) in
         (* The opcode is the first byte of the extension block. *)
         Bytes.set_uint8 enc Wire.header_size 0xEE;
-        match Wire.decode ~integrity:false enc with
+        match Wire.decode_view ~integrity:false enc with
         | Error (Wire.Bad_atomic_op 0xEE) -> ()
         | Error e ->
           Alcotest.failf "wrong error: %a" Wire.pp_decode_error e
@@ -261,7 +261,7 @@ let wire_tests =
       (fun () ->
         let enc = Wire.encode ~integrity:false (sample_request ()) in
         let cut = Bytes.sub enc 0 (Wire.header_size + 4) in
-        match Wire.decode ~integrity:false cut with
+        match Wire.decode_view ~integrity:false cut with
         | Error (Wire.Truncated _) -> ()
         | Error e ->
           Alcotest.failf "wrong error: %a" Wire.pp_decode_error e

@@ -20,22 +20,59 @@ let mk ?config ?fault ?(integrity = false) ?(nodes = 2) ?(seed = 0) () =
 let frame_tests =
   [
     Alcotest.test_case "data frame round trip" `Quick (fun () ->
-        let f =
-          Reliability.Frame.Data { seq = 123; payload = Bytes.of_string "abc" }
-        in
         (match
            Reliability.Frame.decode ~integrity:false
-             (Reliability.Frame.encode ~integrity:false f)
+             (Reliability.Frame.encode_data ~integrity:false ~seq:123
+                (Simnet.Frame.of_bytes (Bytes.of_string "abc")))
          with
         | Ok (Reliability.Frame.Data { seq; payload }) ->
           Alcotest.(check int) "seq" 123 seq;
-          Alcotest.(check string) "payload" "abc" (Bytes.to_string payload)
+          Alcotest.(check string) "payload" "abc"
+            (Bytes.to_string (Simnet.Frame.to_bytes payload))
         | _ -> Alcotest.fail "bad decode"));
+    Alcotest.test_case "data frame views its payload, checksum covers it all"
+      `Quick (fun () ->
+        (* The payload is itself a frame: an upper header plus a view of
+           a slice of a larger buffer. *)
+        let image = Bytes.of_string "..payload.." in
+        let payload =
+          Simnet.Frame.v ~hdr:(Bytes.of_string "HDR") image ~off:2 ~len:7
+        in
+        let wire = Reliability.Frame.encode_data ~integrity:true ~seq:9 payload in
+        Alcotest.(check int) "header + checksum + payload"
+          (Reliability.Frame.header_size + Reliability.Frame.checksum_size + 10)
+          (Simnet.Frame.length wire);
+        Alcotest.(check bool) "the view is not copied" true
+          (wire.Simnet.Frame.buf == image);
+        (match Reliability.Frame.decode ~integrity:true wire with
+        | Ok (Reliability.Frame.Data { seq; payload = got }) ->
+          Alcotest.(check int) "seq" 9 seq;
+          Alcotest.(check string) "payload" "HDRpayload"
+            (Bytes.to_string (Simnet.Frame.to_bytes got));
+          Alcotest.(check bool) "decoded view is the sender's buffer" true
+            (got.Simnet.Frame.buf == image)
+        | _ -> Alcotest.fail "bad decode");
+        for bit = 0 to (Simnet.Frame.length wire * 8) - 1 do
+          if
+            Result.is_ok
+              (Reliability.Frame.decode ~integrity:true
+                 (Simnet.Fault.mutate (Simnet.Fault.Flip { bit }) wire))
+          then Alcotest.failf "flip of bit %d passed the checksum" bit
+        done;
+        for keep = 0 to Simnet.Frame.length wire - 1 do
+          if
+            Result.is_ok
+              (Reliability.Frame.decode ~integrity:true
+                 (Simnet.Fault.mutate (Simnet.Fault.Truncate { keep }) wire))
+          then Alcotest.failf "truncation to %d bytes passed" keep
+        done;
+        Alcotest.(check string) "damage never wrote into the image"
+          "..payload.." (Bytes.to_string image));
     Alcotest.test_case "ack frame round trip" `Quick (fun () ->
-        let f = Reliability.Frame.Ack { cum_ack = -1; sack = 0b1010L } in
         (match
            Reliability.Frame.decode ~integrity:false
-             (Reliability.Frame.encode ~integrity:false f)
+             (Reliability.Frame.encode_ack ~integrity:false ~cum_ack:(-1)
+                ~sack:0b1010L)
          with
         | Ok (Reliability.Frame.Ack { cum_ack; sack }) ->
           Alcotest.(check int) "cum" (-1) cum_ack;
@@ -47,10 +84,12 @@ let frame_tests =
     Alcotest.test_case "decode rejects garbage" `Quick (fun () ->
         Alcotest.(check bool) "short" true
           (Result.is_error
-             (Reliability.Frame.decode ~integrity:false (Bytes.create 3)));
+             (Reliability.Frame.decode ~integrity:false
+                (Simnet.Frame.of_bytes (Bytes.create 3))));
         Alcotest.(check bool) "bad magic" true
           (Result.is_error
-             (Reliability.Frame.decode ~integrity:false (Bytes.make 20 'x'))));
+             (Reliability.Frame.decode ~integrity:false
+                (Simnet.Frame.of_bytes (Bytes.make 20 'x')))));
     Alcotest.test_case "sack_of_seqs respects the 64-entry window" `Quick
       (fun () ->
         let sack = Reliability.Frame.sack_of_seqs ~cum_ack:10 [ 11; 74; 75; 200 ] in
@@ -845,21 +884,17 @@ let skip_forward_tests =
         Alcotest.(check int) "nothing in flight" 0 (Reliability.inflight rel));
     Alcotest.test_case "forward frame round trip and integrity" `Quick
       (fun () ->
-        let f = Reliability.Frame.Forward { upto = 77 } in
+        let f integrity = Reliability.Frame.encode_forward ~integrity ~upto:77 in
         List.iter
           (fun integrity ->
-            match
-              Reliability.Frame.decode ~integrity
-                (Reliability.Frame.encode ~integrity f)
-            with
+            match Reliability.Frame.decode ~integrity (f integrity) with
             | Ok (Reliability.Frame.Forward { upto }) ->
               Alcotest.(check int) "upto" 77 upto
             | _ -> Alcotest.fail "bad decode")
           [ false; true ];
         Alcotest.(check bool) "unprotected rejected under integrity" true
           (Result.is_error
-             (Reliability.Frame.decode ~integrity:true
-                (Reliability.Frame.encode ~integrity:false f))));
+             (Reliability.Frame.decode ~integrity:true (f false))));
   ]
 
 let () =

@@ -8,7 +8,7 @@ let setup ?config ?(profile = Simnet.Profile.myrinet_kernel) () =
   let m = Rtscts.create ?config fabric in
   (sched, fabric, m, Rtscts.transport m)
 
-(* The payload of a decoded frame is a view into the frame image. *)
+(* The payload of a decoded frame is a view into the sender's buffer. *)
 let frame_payload f =
   Bytes.sub_string f.Rtscts.Frame.payload f.Rtscts.Frame.pay_off
     f.Rtscts.Frame.pay_len
@@ -29,20 +29,37 @@ let frame_tests =
             pay_len = 11;
           }
         in
-        (match Rtscts.Frame.decode (Rtscts.Frame.encode f) with
+        let wire = Rtscts.Frame.encode f in
+        Alcotest.(check int) "header only" Rtscts.Frame.header_size
+          (Bytes.length wire.Simnet.Frame.hdr);
+        (match Rtscts.Frame.decode wire with
         | Ok d ->
           Alcotest.(check string) "kind" "DATA" (Rtscts.Frame.kind_to_string d.Rtscts.Frame.kind);
           Alcotest.(check int) "msg_id" 42 d.Rtscts.Frame.msg_id;
           Alcotest.(check int) "total" 100_000 d.Rtscts.Frame.total_len;
           Alcotest.(check int) "offset" 8192 d.Rtscts.Frame.offset;
-          Alcotest.(check int) "view starts after the header"
-            Rtscts.Frame.header_size d.Rtscts.Frame.pay_off;
+          Alcotest.(check bool) "the payload is the sender's buffer" true
+            (d.Rtscts.Frame.payload == f.Rtscts.Frame.payload);
+          Alcotest.(check int) "view starts at the sender's slice" 2
+            d.Rtscts.Frame.pay_off;
           Alcotest.(check string) "payload" "chunk-bytes" (frame_payload d)
-        | Error e -> Alcotest.fail e));
+        | Error e -> Alcotest.fail e);
+        (* The same bytes as one flat buffer decode to the same fields. *)
+        match
+          Rtscts.Frame.decode
+            (Simnet.Frame.of_bytes (Simnet.Frame.to_bytes wire))
+        with
+        | Ok d ->
+          Alcotest.(check int) "flat msg_id" 42 d.Rtscts.Frame.msg_id;
+          Alcotest.(check int) "flat total" 100_000 d.Rtscts.Frame.total_len;
+          Alcotest.(check int) "flat offset" 8192 d.Rtscts.Frame.offset;
+          Alcotest.(check string) "flat payload" "chunk-bytes" (frame_payload d)
+        | Error e -> Alcotest.fail e);
     Alcotest.test_case "decode rejects garbage" `Quick (fun () ->
         Alcotest.(check bool) "short" true
-          (Result.is_error (Rtscts.Frame.decode (Bytes.create 3)));
-        let b = Bytes.make 40 '\x00' in
+          (Result.is_error
+             (Rtscts.Frame.decode (Simnet.Frame.of_bytes (Bytes.create 3))));
+        let b = Simnet.Frame.of_bytes (Bytes.make 40 '\x00') in
         Alcotest.(check bool) "bad magic" true (Result.is_error (Rtscts.Frame.decode b)));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"frame encode/decode identity" ~count:300
@@ -59,14 +76,20 @@ let frame_tests =
                offset = off; payload = Bytes.of_string (pad ^ s ^ pad);
                pay_off = String.length pad; pay_len = String.length s }
            in
-           match Rtscts.Frame.decode (Rtscts.Frame.encode f) with
-           | Ok d ->
-             d.Rtscts.Frame.kind = kind
-             && d.Rtscts.Frame.msg_id = id
-             && d.Rtscts.Frame.total_len = f.Rtscts.Frame.total_len
-             && d.Rtscts.Frame.offset = off
-             && frame_payload d = s
-           | Error _ -> false));
+           (* Decoded as sent (header plus view) and as one flat buffer,
+              every field comes back from the header's bytes. *)
+           let wire = Rtscts.Frame.encode f in
+           List.for_all
+             (fun frame ->
+               match Rtscts.Frame.decode frame with
+               | Ok d ->
+                 d.Rtscts.Frame.kind = kind
+                 && d.Rtscts.Frame.msg_id = id
+                 && d.Rtscts.Frame.total_len = f.Rtscts.Frame.total_len
+                 && d.Rtscts.Frame.offset = off
+                 && frame_payload d = s
+               | Error _ -> false)
+             [ wire; Simnet.Frame.of_bytes (Simnet.Frame.to_bytes wire) ]));
     Alcotest.test_case "flipped magic and 0-byte frames are rejected" `Quick
       (fun () ->
         (* The codec has no checksum of its own (on a faulty fabric its
@@ -83,13 +106,15 @@ let frame_tests =
             pay_len = 5;
           }
         in
-        let frame = Rtscts.Frame.encode f in
-        Bytes.set_uint8 frame 0 (Bytes.get_uint8 frame 0 lxor 1);
+        let frame =
+          Simnet.Fault.mutate (Simnet.Fault.Flip { bit = 0 })
+            (Rtscts.Frame.encode f)
+        in
         Alcotest.(check (result reject string)) "flipped magic"
           (Error "rtscts frame: bad magic") (Rtscts.Frame.decode frame);
         Alcotest.(check (result reject string)) "empty frame"
           (Error "rtscts frame: truncated header")
-          (Rtscts.Frame.decode Bytes.empty));
+          (Rtscts.Frame.decode (Simnet.Frame.of_bytes Bytes.empty)));
   ]
 
 (* The GM framing of the MPI layer decodes receive tokens in place; a

@@ -127,6 +127,84 @@ let crc32c_tests =
            Crc32c.update first buf ~pos:cut ~len:(n - cut) = Crc32c.digest buf));
   ]
 
+(* A frame is a header plus a view; every accessor must agree with the
+   flat bytes [to_bytes] gives, wherever the header ends. *)
+let frame_gen =
+  QCheck.Gen.(
+    map3
+      (fun h (pre, body, post) seed -> (h, pre, body, post, seed))
+      (string_size (int_range 0 12))
+      (triple (string_size (int_range 0 5)) (string_size (int_range 0 40))
+         (string_size (int_range 0 5)))
+      nat)
+
+let frame_of (h, pre, body, post, _) =
+  Frame.v ~hdr:(Bytes.of_string h)
+    (Bytes.of_string (pre ^ body ^ post))
+    ~off:(String.length pre) ~len:(String.length body)
+
+let frame_arb =
+  QCheck.make
+    ~print:(fun (h, pre, body, post, _) ->
+      Printf.sprintf "hdr=%S view of %S in %S" h body (pre ^ body ^ post))
+    frame_gen
+
+let frame_tests =
+  [
+    Alcotest.test_case "a whole buffer is its own bytes" `Quick (fun () ->
+        let b = Bytes.of_string "raw" in
+        let f = Frame.of_bytes b in
+        Alcotest.(check bool) "no copy" true (Frame.to_bytes f == b);
+        let v = Frame.v ~hdr:Bytes.empty b ~off:1 ~len:2 in
+        Alcotest.(check string) "partial view flattens" "aw"
+          (Bytes.to_string (Frame.to_bytes v));
+        Alcotest.check_raises "view past the end"
+          (Invalid_argument "Frame.v: view out of range") (fun () ->
+            ignore (Frame.v ~hdr:Bytes.empty b ~off:2 ~len:2)));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"accessors agree with the flat bytes" ~count:300
+         frame_arb (fun ((_, _, _, _, seed) as spec) ->
+           let f = frame_of spec in
+           let flat = Frame.to_bytes f in
+           let n = Bytes.length flat in
+           let ok = ref (n = Frame.length f) in
+           for k = 0 to n do
+             if not (Bytes.equal (Bytes.sub (Frame.prefix f k) 0 k)
+                       (Bytes.sub flat 0 k))
+             then ok := false;
+             if not (Bytes.equal (Frame.to_bytes (Frame.after f k))
+                       (Bytes.sub flat k (n - k)))
+             then ok := false;
+             let pos = seed mod (k + 1) in
+             if Frame.crc32c 0 f ~pos ~len:(k - pos)
+                <> Crc32c.digest ~pos ~len:(k - pos) flat
+             then ok := false
+           done;
+           !ok));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"flip and truncate act on the flat bytes"
+         ~count:300 frame_arb (fun ((_, _, _, _, seed) as spec) ->
+           let f = frame_of spec in
+           let flat = Bytes.copy (Frame.to_bytes f) in
+           let n = Bytes.length flat in
+           let flipped = Frame.to_bytes (Frame.flip f ~bit:seed) in
+           let expect =
+             if n = 0 then flat
+             else begin
+               let e = Bytes.copy flat in
+               let i = seed / 8 mod n in
+               Bytes.set_uint8 e i (Bytes.get_uint8 e i lxor (1 lsl (seed mod 8)));
+               e
+             end
+           in
+           let keep = seed mod (n + 2) in
+           Bytes.equal flipped expect
+           && Bytes.equal
+                (Frame.to_bytes (Frame.truncate f ~keep))
+                (Bytes.sub flat 0 (min keep n))
+           && Bytes.equal (Frame.to_bytes f) flat));
+  ]
+
 let profile_tests =
   [
     Alcotest.test_case "packet math" `Quick (fun () ->
@@ -593,7 +671,7 @@ let fabric_tests =
             Fabric.register fabric (pid 3 0) (fun ~src:_ _ -> incr to_handler);
             for _ = 1 to 5 do
               Fabric.send_framed fabric ~src:(pid 0 0) ~dst:(pid 3 0)
-                (Bytes.make 16 '\xA7');
+                (Frame.of_bytes (Bytes.make 16 '\xA7'));
               Fabric.send_raw fabric ~src:(pid 0 0) ~dst:(pid 3 0)
                 (Bytes.make 16 '\xA7')
             done;
@@ -986,18 +1064,35 @@ let corruption_delay_tests =
         Alcotest.(check bool) "damage observed" true (!damaged > 0);
         Alcotest.(check bool) "damaged <= injected" true
           (!damaged <= injected));
-    Alcotest.test_case "mutate: flip wraps, truncate clamps, fresh buffer"
+    Alcotest.test_case "mutate: flip wraps, truncate clamps, copy on write"
       `Quick (fun () ->
-        let frame = Bytes.make 4 '\x00' in
+        let buf = Bytes.make 4 '\x00' in
+        let frame = Frame.of_bytes buf in
         let flipped = Fault.mutate (Fault.Flip { bit = 32 }) frame in
         Alcotest.(check bool) "original untouched" true
-          (Bytes.equal frame (Bytes.make 4 '\x00'));
+          (Bytes.equal buf (Bytes.make 4 '\x00'));
         Alcotest.(check int) "bit 32 wraps to bit 0" 1
-          (Bytes.get_uint8 flipped 0);
+          (Bytes.get_uint8 (Frame.to_bytes flipped) 0);
         let cut = Fault.mutate (Fault.Truncate { keep = 2 }) frame in
-        Alcotest.(check int) "truncated" 2 (Bytes.length cut);
+        Alcotest.(check int) "truncated" 2 (Frame.length cut);
+        Alcotest.(check bool) "a truncation only shortens the view" true
+          (cut.Frame.buf == buf);
         let over = Fault.mutate (Fault.Truncate { keep = 9 }) frame in
-        Alcotest.(check int) "overlong keep clamps" 4 (Bytes.length over));
+        Alcotest.(check int) "overlong keep clamps" 4 (Frame.length over);
+        (* A header plus a view: a flip copies only the part it lands in. *)
+        let hdr = Bytes.make 2 '\x00' in
+        let framed = Frame.v ~hdr buf ~off:1 ~len:3 in
+        let in_hdr = Fault.mutate (Fault.Flip { bit = 9 }) framed in
+        Alcotest.(check bool) "header flip shares the view" true
+          (in_hdr.Frame.buf == buf && in_hdr.Frame.hdr != hdr);
+        Alcotest.(check int) "header bit flipped" 2 (Bytes.get_uint8 (Frame.to_bytes in_hdr) 1);
+        let in_view = Fault.mutate (Fault.Flip { bit = 16 }) framed in
+        Alcotest.(check bool) "view flip shares the header" true
+          (in_view.Frame.hdr == hdr && in_view.Frame.buf != buf);
+        Alcotest.(check int) "view bit flipped" 1 (Bytes.get_uint8 (Frame.to_bytes in_view) 2);
+        Alcotest.(check bool) "neither written" true
+          (Bytes.equal buf (Bytes.make 4 '\x00')
+          && Bytes.equal hdr (Bytes.make 2 '\x00')));
     Alcotest.test_case "delay adds latency but keeps per-pair FIFO" `Quick
       (fun () ->
         let sched, fabric = mk_fabric () in
@@ -1658,6 +1753,54 @@ let probe_family_tests =
             budget_per_node);
   ]
 
+(* The raw send path's allocation: words per 32-byte [Fabric.send]
+   (plain bytes, no shim) from injection to delivery, on warmed-up
+   state. Raw sends carry their bytes unboxed — the whole-buffer frame —
+   so frames with headers cost the raw path nothing. Measured on OCaml
+   5.1.1: 12.0 words on a 2-node full graph (the landing closure) and
+   29.0 over one 4x4-torus hop (41.0 before the hop links stopped
+   allocating an option and a closure per flow update). The bounds are
+   those figures plus one word. They guard the [alloc_mwords] of the
+   benchmark's raw-traffic workloads (halo, gather, coll, faults), whose
+   per-message cost is a few dozen words. *)
+let raw_send_words ?topology ~nodes () =
+  let sched = Scheduler.create () in
+  let fabric = Fabric.create ?topology sched ~profile:Profile.myrinet_mcp ~nodes in
+  let src = pid 0 0 and dst = pid 1 0 in
+  let got = ref 0 in
+  Fabric.register fabric dst (fun ~src:_ _ -> incr got);
+  let payload = Bytes.make 32 'x' in
+  let n = 1000 in
+  let batch () =
+    for _ = 1 to n do
+      Fabric.send fabric ~src ~dst payload
+    done;
+    Scheduler.run sched
+  in
+  batch ();
+  let (), words = words_during batch in
+  Alcotest.(check int) "all delivered" (2 * n) !got;
+  words /. float_of_int n
+
+let raw_send_tests =
+  let check name words budget =
+    if words > budget then
+      Alcotest.failf "%s: %.3f words per raw send, budget %.0f" name words
+        budget
+  in
+  [
+    Alcotest.test_case "raw send: at most 13 words on a 2-node full graph"
+      `Quick (fun () -> check "full graph" (raw_send_words ~nodes:2 ()) 13.);
+    Alcotest.test_case "raw send: at most 30 words over one torus hop" `Quick
+      (fun () ->
+        let topology =
+          Topology.build (Topology.of_spec ~nodes:16 "torus2d:4x4") ~nodes:16
+        in
+        Alcotest.(check int) "one hop" 1
+          (Array.length (Router.route topology ~src:0 ~dst:1));
+        check "torus hop" (raw_send_words ~topology ~nodes:16 ()) 30.);
+  ]
+
 let () =
   Alcotest.run "simnet"
     [
@@ -1677,4 +1820,6 @@ let () =
       ("transport", transport_tests);
       ("probe_families", probe_family_tests);
       ("crc32c", crc32c_tests);
+      ("frame", frame_tests);
+      ("raw_send", raw_send_tests);
     ]
