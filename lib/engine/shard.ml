@@ -28,7 +28,12 @@
    lockstep (nobody is left waiting at a barrier). The barriers block on
    a condition variable rather than spinning, so oversubscribed runs
    (more domains than cores — the common case in CI containers) degrade
-   gracefully. *)
+   gracefully. A mailbox is a lock-free list: posts push onto it and the
+   owner takes the whole list at the drain, so the window runtime holds
+   no lock until a run builds its barrier.
+
+   With no lookahead (no shard-crossing link) the window is unbounded:
+   no shard can create work for another. *)
 
 type 'msg envelope = {
   e_time : Time_ns.t;
@@ -36,8 +41,6 @@ type 'msg envelope = {
   e_seq : int;
   e_msg : 'msg;
 }
-
-type 'msg mailbox = { mu : Mutex.t; mutable items : 'msg envelope list }
 
 type barrier = {
   bm : Mutex.t;
@@ -67,12 +70,11 @@ let barrier_await b =
 
 type 'msg t = {
   scheds : Scheduler.t array;
-  lookahead : Time_ns.t;
-  mailboxes : 'msg mailbox array;
+  lookahead : Time_ns.t option;
+  mailboxes : 'msg envelope list Atomic.t array;
   seqs : int array array; (* seqs.(src).(dst): touched by domain src only *)
   window_end : Time_ns.t array; (* window_end.(k): touched by domain k only *)
   next : Time_ns.t array; (* reduction slots; max_int = no local event *)
-  barrier : barrier;
   failure : exn option Atomic.t;
   mutable abort : bool; (* written in publish phase only; see header *)
   mutable rounds : int;
@@ -83,16 +85,17 @@ let no_event = max_int
 let create ~scheds ~lookahead () =
   let n = Array.length scheds in
   if n < 1 then invalid_arg "Shard.create: need at least one shard";
-  if Time_ns.compare lookahead Time_ns.zero <= 0 then
-    invalid_arg "Shard.create: lookahead must be positive";
+  (match lookahead with
+  | Some l when Time_ns.compare l Time_ns.zero <= 0 ->
+    invalid_arg "Shard.create: lookahead must be positive"
+  | _ -> ());
   {
     scheds;
     lookahead;
-    mailboxes = Array.init n (fun _ -> { mu = Mutex.create (); items = [] });
+    mailboxes = Array.init n (fun _ -> Atomic.make []);
     seqs = Array.init n (fun _ -> Array.make n 0);
     window_end = Array.make n Time_ns.zero;
     next = Array.make n no_event;
-    barrier = barrier_create n;
     failure = Atomic.make None;
     abort = false;
     rounds = 0;
@@ -102,6 +105,10 @@ let domains t = Array.length t.scheds
 let lookahead t = t.lookahead
 let rounds t = t.rounds
 let sched t k = t.scheds.(k)
+
+let rec push box env =
+  let items = Atomic.get box in
+  if not (Atomic.compare_and_set box items (env :: items)) then push box env
 
 let post t ~src ~dst ~time msg =
   if src = dst then invalid_arg "Shard.post: src and dst shard are equal";
@@ -113,10 +120,7 @@ let post t ~src ~dst ~time msg =
   let seq = t.seqs.(src).(dst) in
   t.seqs.(src).(dst) <- seq + 1;
   let env = { e_time = time; e_src = src; e_seq = seq; e_msg = msg } in
-  let box = t.mailboxes.(dst) in
-  Mutex.lock box.mu;
-  box.items <- env :: box.items;
-  Mutex.unlock box.mu
+  push t.mailboxes.(dst) env
 
 let fail t e =
   ignore (Atomic.compare_and_set t.failure None (Some e))
@@ -124,11 +128,7 @@ let fail t e =
 let failed t = Atomic.get t.failure <> None
 
 let drain t k deliver =
-  let box = t.mailboxes.(k) in
-  Mutex.lock box.mu;
-  let items = box.items in
-  box.items <- [];
-  Mutex.unlock box.mu;
+  let items = Atomic.exchange t.mailboxes.(k) [] in
   let sorted =
     List.sort
       (fun a b ->
@@ -148,7 +148,7 @@ let drain t k deliver =
    loop can never strand a peer at a barrier. User code (deliver
    callbacks, scheduled events) is wrapped: a raise records the failure
    and the shard degrades to a no-op participant until the common exit. *)
-let shard_loop t k ~until ~deliver =
+let shard_loop t k ~barrier ~until ~deliver =
   let sched = t.scheds.(k) in
   let n = domains t in
   let exception Exit_loop in
@@ -168,7 +168,7 @@ let shard_loop t k ~until ~deliver =
          fail t e;
          t.next.(k) <- no_event);
       if failed t then t.abort <- true;
-      barrier_await t.barrier;
+      barrier_await barrier;
       if t.abort then raise Exit_loop;
       let global_next = ref no_event in
       for i = 0 to n - 1 do
@@ -180,7 +180,11 @@ let shard_loop t k ~until ~deliver =
         raise Exit_loop
       | _ -> ());
       let window_end =
-        let w = Time_ns.add !global_next t.lookahead in
+        let w =
+          match t.lookahead with
+          | Some l -> Time_ns.add !global_next l
+          | None -> no_event
+        in
         match until with
         | Some limit when Time_ns.compare w (Time_ns.add limit 1) > 0 ->
           Time_ns.add limit 1
@@ -191,7 +195,7 @@ let shard_loop t k ~until ~deliver =
       (* Window phase: events in [global_next, window_end) are safe. *)
       (try Scheduler.run ~until:(Time_ns.sub window_end 1) sched
        with e -> fail t e);
-      barrier_await t.barrier
+      barrier_await barrier
     done
   with Exit_loop -> ()
 
@@ -214,7 +218,7 @@ let parallel_init n f =
     (function Ok v -> v | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
     results
 
-let run ?until ?(allow_blocked = false) t ~deliver =
+let run_windows ?until ~allow_blocked t ~deliver =
   let n = domains t in
   Atomic.set t.failure None;
   t.abort <- false;
@@ -227,12 +231,14 @@ let run ?until ?(allow_blocked = false) t ~deliver =
       t.scheds
   in
   let start_clock = clock () in
+  let barrier = barrier_create n in
   Fun.protect
     ~finally:(fun () ->
       Array.iter (fun s -> Scheduler.count_sim_time s true) t.scheds;
       Scheduler.add_global_sim_time (Time_ns.sub (clock ()) start_clock))
     (fun () ->
-      ignore (parallel_init n (fun k -> shard_loop t k ~until ~deliver)));
+      ignore
+        (parallel_init n (fun k -> shard_loop t k ~barrier ~until ~deliver)));
   (match Atomic.get t.failure with Some e -> raise e | None -> ());
   if until = None && not allow_blocked then begin
     let live =
@@ -245,3 +251,9 @@ let run ?until ?(allow_blocked = false) t ~deliver =
            |> List.concat_map Scheduler.blocked_report
            |> List.sort compare))
   end
+
+(* A lone shard has no peer to wait for: its run is the sequential
+   reference itself. *)
+let run ?until ?(allow_blocked = false) t ~deliver =
+  if domains t = 1 then Scheduler.run ?until ~allow_blocked t.scheds.(0)
+  else run_windows ?until ~allow_blocked t ~deliver

@@ -17,22 +17,25 @@
     guarantees this by deriving fault and routing decisions from per-pair
     PRNG streams, not from shared generators), then a run with [N] shards
     produces the same per-node event history as the sequential reference
-    for the same seed. The sequential scheduler remains that reference;
-    [--domains 1] never touches this module. *)
+    for the same seed. The sequential scheduler remains that reference:
+    {!run} over a single shard is {!Scheduler.run} on its scheduler. *)
 
 type 'msg t
 
 val create :
-  scheds:Scheduler.t array -> lookahead:Time_ns.t -> unit -> 'msg t
+  scheds:Scheduler.t array -> lookahead:Time_ns.t option -> unit -> 'msg t
 (** [create ~scheds ~lookahead ()] is a runtime over one scheduler per
-    shard. [lookahead] must be positive — a zero-latency cross-shard link
-    admits no conservative window. Raises [Invalid_argument] otherwise. *)
+    shard. [lookahead] is [None] when no link crosses shards (a lone
+    shard): no shard can then create work for another, and a window is
+    unbounded. A [Some] width must be positive — a zero-latency
+    cross-shard link admits no conservative window. Raises
+    [Invalid_argument] otherwise. *)
 
 val domains : _ t -> int
 (** Number of shards (= OCaml domains used by {!run}). *)
 
-val lookahead : _ t -> Time_ns.t
-(** The window width. *)
+val lookahead : _ t -> Time_ns.t option
+(** The window width, as given to {!create}. *)
 
 val rounds : _ t -> int
 (** Window rounds completed by the last {!run} — a cheap progress and
@@ -64,7 +67,9 @@ val run :
   deliver:(shard:int -> time:Time_ns.t -> 'msg -> unit) ->
   unit
 (** [run t ~deliver] drives all shards to completion: shard 0 on the
-    calling domain, shards [1..N-1] on freshly spawned domains.
+    calling domain, shards [1..N-1] on freshly spawned domains. A single
+    shard is run by {!Scheduler.run} alone: it turns no window and never
+    calls [deliver].
     [deliver ~shard ~time msg] is invoked on shard [shard]'s domain at a
     window boundary for each message posted to it; it should schedule
     the message into [sched t shard] (e.g. {!Scheduler.at}).

@@ -200,7 +200,7 @@ let meter_runs ?scenario ?(quick = false) () =
   let side ~domains id =
     let fastest = ref infinity in
     let record =
-      Perf.meter ~domains ~id (fun () ->
+      Perf.meter ~id (fun () ->
           let r = run ?scenario ~nodes ~steps ~domains () in
           fastest := Float.min !fastest r.run_s)
     in

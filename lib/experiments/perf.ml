@@ -11,18 +11,17 @@ type record = {
 }
 
 (* Words allocated by the process so far, net of minor-to-major
-   promotions (counted the way perfbench counts them). [Gc.counters] is
-   exact but sees only the calling domain, so a run that spawns domains
-   reads the all-domain [Gc.quick_stat] instead, after a minor collection
-   has flushed this domain's young words into it. *)
-let allocated_words ~domains =
+   promotions (counted the way perfbench counts them). [Gc.quick_stat]
+   folds in the words of every domain that has ended, where
+   [Gc.counters] sees the calling domain's only, and a runner may build
+   or run its worlds on domains of its own. The minor collection first
+   flushes this domain's young words into it; words this domain
+   allocated straight into the major heap may show only after the next
+   major slice. *)
+let allocated_words () =
   Gc.minor ();
-  if domains > 1 then
-    let g = Gc.quick_stat () in
-    g.Gc.minor_words +. g.Gc.major_words -. g.Gc.promoted_words
-  else
-    let minor, promoted, major = Gc.counters () in
-    minor +. major -. promoted
+  let g = Gc.quick_stat () in
+  g.Gc.minor_words +. g.Gc.major_words -. g.Gc.promoted_words
 
 (* Each runner is metered as a delta of the process-wide scheduler totals
    and of the allocation counters around its run, so a record reflects
@@ -30,16 +29,16 @@ let allocated_words ~domains =
    included). Wall time and allocated words vary run to run (the latter
    with the compiler); the sim-side fields (sim_events, fibers,
    sim_time_us) are deterministic for a fixed seed. *)
-let meter_once ~domains ~id f =
+let meter_once ~id f =
   (* Compact first so one experiment's garbage cannot charge the next
      one's wall clock with a major collection. *)
   Gc.compact ();
   let e0 = Scheduler.global_totals () in
-  let w0 = allocated_words ~domains in
+  let w0 = allocated_words () in
   let t0 = Unix.gettimeofday () in
   ignore (Sys.opaque_identity (f ()));
   let t1 = Unix.gettimeofday () in
-  let w1 = allocated_words ~domains in
+  let w1 = allocated_words () in
   let e1 = Scheduler.global_totals () in
   let wall = t1 -. t0 in
   let events = e1.Scheduler.t_events - e0.Scheduler.t_events in
@@ -58,15 +57,15 @@ let meter_once ~domains ~id f =
    on them exactly and only the host-side fields differ; keeping the
    fastest repeat filters out wall-clock interference (GC pauses, a busy
    host), which the multicore speed-up gate would otherwise misread. *)
-let meter ?(domains = 1) ~id f =
+let meter ~id f =
   let rec best n acc =
     if n = 0 then acc
     else begin
-      let r = meter_once ~domains ~id f in
+      let r = meter_once ~id f in
       best (n - 1) (if r.events_per_sec > acc.events_per_sec then r else acc)
     end
   in
-  best 2 (meter_once ~domains ~id f)
+  best 2 (meter_once ~id f)
 
 let pp ppf records =
   Format.fprintf ppf "%-6s %-10s %-12s %-8s %-14s %-14s %-14s@." "id"

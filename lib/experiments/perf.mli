@@ -22,13 +22,17 @@ type record = {
       (** Words the run allocated, net of minor-to-major promotions. *)
 }
 
-val meter : ?domains:int -> id:string -> (unit -> 'a) -> record
+val meter : id:string -> (unit -> 'a) -> record
 (** Meter one runner as a delta of the process-wide scheduler totals:
     best of three repeats (after a [Gc.compact] each), so host noise
-    does not masquerade as a slow-down. [domains] (default 1) is how many
-    domains the runner spawns; above 1, allocation is read from the
-    all-domain [Gc.quick_stat] rather than this domain's [Gc.counters].
-    Every experiment's records are built with this ({!Registry}). *)
+    does not masquerade as a slow-down. Allocation is read from the
+    all-domain [Gc.quick_stat], so it counts the words of every domain
+    the runner spawned and joined. That reading can lag: words the
+    calling domain allocated straight into the major heap (large arrays)
+    may show only after the next major slice, so [alloc_words] can read
+    low — by 6.2% around one 64x64-torus world build. Rest an allocation
+    claim on perfbench, not on these records. Every experiment's records
+    are built with this ({!Registry}). *)
 
 val pp : Format.formatter -> record list -> unit
 

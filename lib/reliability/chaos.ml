@@ -9,8 +9,6 @@ type cell = {
   seed : int;
 }
 
-type 'a outcome = { cell : cell; value : 'a }
-
 (* Seeds of the independent fault generators inside one cell are derived
    from the cell seed with fixed offsets, so turning one axis on or off
    never perturbs another axis's random stream. *)
@@ -123,5 +121,3 @@ let describe cell =
   in
   let axes = if axes = [] then [ "clean" ] else axes in
   String.concat " " axes ^ Printf.sprintf " seed=%d" cell.seed
-
-let run ~cells ~f = List.map (fun cell -> { cell; value = f cell }) cells

@@ -22,8 +22,6 @@ type cell = {
   seed : int;
 }
 
-type 'a outcome = { cell : cell; value : 'a }
-
 val cell :
   ?corrupt:float ->
   ?delay:Sim_engine.Time_ns.t ->
@@ -73,5 +71,3 @@ val crash_schedule_of :
 
 val describe : cell -> string
 (** One-line cell label, e.g. ["corrupt=0.01 partition seed=7"]. *)
-
-val run : cells:cell list -> f:(cell -> 'a) -> 'a outcome list

@@ -21,8 +21,8 @@ let kind_exit = 1
    expected-message discipline the collectives use. *)
 type endpoint = { ni : P.Ni.t; pool : Collectives.Pool.t }
 
-let make_endpoint world pid =
-  let ni = P.Ni.create world.World.transport ~id:pid () in
+let make_endpoint transport pid =
+  let ni = P.Ni.create transport ~id:pid () in
   let pool =
     Collectives.Pool.create ni ~portal_index:control_portal ~slab_size:16_384
       ~slab_count:2 ()
@@ -45,7 +45,10 @@ let run_job ?(job_id = 1) world main =
   let launcher_id =
     Simnet.Proc_id.make ~nid:0 ~pid:launcher_pid
   in
-  let launcher = make_endpoint world launcher_id in
+  (* Each endpoint lives on its node's shard: the launcher on rank 0's
+     (node 0), every agent on its own rank's. *)
+  let launcher = make_endpoint (World.transport_of_rank world 0) launcher_id in
+  let launcher_sched = World.sched_of_rank world 0 in
   let agents =
     Array.init n (fun rank ->
         let app = world.World.ranks.(rank) in
@@ -53,7 +56,7 @@ let run_job ?(job_id = 1) world main =
           Simnet.Proc_id.make ~nid:app.Simnet.Proc_id.nid
             ~pid:(agent_pid_base + app.Simnet.Proc_id.pid)
         in
-        (rank, make_endpoint world agent_id))
+        (rank, make_endpoint (World.transport_of_rank world rank) agent_id))
   in
   let statuses = Array.make n min_int in
   let started = ref Time_ns.zero in
@@ -61,7 +64,7 @@ let run_job ?(job_id = 1) world main =
   (* Per-rank control agents: wait for start, run the main, report. *)
   Array.iter
     (fun (rank, agent) ->
-      Scheduler.spawn world.World.sched
+      Scheduler.spawn (World.sched_of_rank world rank)
         ~name:(Printf.sprintf "ctl-agent%d" rank) (fun () ->
           let start =
             Collectives.Pool.recv agent.pool
@@ -76,8 +79,8 @@ let run_job ?(job_id = 1) world main =
             (encode_exit status)))
     agents;
   (* The launcher: start everyone, then gather every exit status. *)
-  Scheduler.spawn world.World.sched ~name:"yod" (fun () ->
-      started := Scheduler.now world.World.sched;
+  Scheduler.spawn launcher_sched ~name:"yod" (fun () ->
+      started := Scheduler.now launcher_sched;
       Array.iter
         (fun (rank, agent) ->
           Collectives.Pool.send launcher.pool ~dst:(P.Ni.id agent.ni)
@@ -91,6 +94,6 @@ let run_job ?(job_id = 1) world main =
         in
         statuses.(rank) <- Int64.to_int (Bytes.get_int64_le exit_msg 0)
       done;
-      finished := Scheduler.now world.World.sched);
+      finished := Scheduler.now launcher_sched);
   World.run world;
   { job_id; statuses; elapsed = Time_ns.sub !finished !started }

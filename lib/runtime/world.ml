@@ -7,23 +7,16 @@ let transport_kind_name = function
   | Kernel_interrupt -> "kernel-interrupt"
   | Rtscts -> "rtscts"
 
-(* Everything a parallel world carries beyond shard 0's view: the
-   node-to-shard map, the window runtime, and shards 1..N-1's
-   scheduler/fabric/transport instances. *)
-type par = {
-  par_map : Simnet.Shard_map.t;
-  par_shard : Simnet.Fabric.remote Shard.t;
-  par_scheds : Scheduler.t array;
-  par_fabrics : Simnet.Fabric.t array;
-  par_transports : Simnet.Transport.t array;
-}
-
 type world = {
   sched : Scheduler.t;
   fabric : Simnet.Fabric.t;
   transport : Simnet.Transport.t;
   ranks : Simnet.Proc_id.t array;
-  par : par option;
+  shard_map : Simnet.Shard_map.t;
+  shard : Simnet.Fabric.remote Shard.t;
+  scheds : Scheduler.t array;
+  fabrics : Simnet.Fabric.t array;
+  transports : Simnet.Transport.t array;
 }
 
 let create_world ?(scenario = Scenario.default) ?profile ?(transport = Offload)
@@ -113,85 +106,68 @@ let create_world ?(scenario = Scenario.default) ?profile ?(transport = Offload)
     Array.init (nodes * procs_per_node) (fun rank ->
         Simnet.Proc_id.make ~nid:(rank mod nodes) ~pid:(rank / nodes))
   in
-  if shards = 1 then begin
-    let sched = Scheduler.create ~seed () in
-    let fabric =
-      Simnet.Fabric.create
-        ~topology:(Simnet.Topology.build topology ~nodes)
-        ?queue_limit sched ~profile ~nodes
-    in
-    configure fabric;
-    { sched; fabric; transport = transport_over fabric; ranks; par = None }
-  end
-  else begin
-    (* One topology for the whole world: it is immutable, so every
-       replica's fabric routes over and labels its links from this one. *)
-    let topo = Simnet.Topology.build topology ~nodes in
-    let par_map = Simnet.Shard_map.build topo ~profile ~shards in
-    (* Each shard's replica is built on its own domain, as [Shard.run]
-       places the shards, so a replica's scheduler, fabric and transport
-       come from that domain's heap. Shard 0 keeps the caller's seed so
-       single-shard-visible streams match the sequential world; the rest
-       get decorrelated derived streams (nothing deterministic may
-       depend on them). *)
-    let replicas =
-      Shard.parallel_init shards (fun k ->
-          let sched =
-            Scheduler.create
-              ~seed:(if k = 0 then seed else Prng.derived_seed ~seed ~index:k)
-              ()
-          in
-          let fabric =
-            Simnet.Fabric.create ~topology:topo ?queue_limit sched ~profile
-              ~nodes
-          in
-          configure fabric;
-          (sched, fabric, transport_over fabric))
-    in
-    let scheds = Array.map (fun (s, _, _) -> s) replicas in
-    let fabrics = Array.map (fun (_, f, _) -> f) replicas in
-    let par_transports = Array.map (fun (_, _, tr) -> tr) replicas in
-    (* The post hooks need the window runtime, which needs every
-       scheduler: they are set once all replicas are built. *)
-    let par_shard =
-      Shard.create ~scheds ~lookahead:(Simnet.Shard_map.lookahead par_map) ()
-    in
+  (* One topology for the whole world: it is immutable, so every
+     replica's fabric routes over and labels its links from this one. *)
+  let topo = Simnet.Topology.build topology ~nodes in
+  let shard_map = Simnet.Shard_map.build topo ~profile ~shards in
+  (* Each shard's replica is built on its own domain, as [Shard.run]
+     places the shards, so a replica's scheduler, fabric and transport
+     come from that domain's heap. Shard 0 keeps the caller's seed, so
+     streams only it draws match the 1-shard world's; the rest get
+     decorrelated derived streams (nothing deterministic may depend on
+     them). *)
+  let replicas =
+    Shard.parallel_init shards (fun k ->
+        let sched =
+          Scheduler.create
+            ~seed:(if k = 0 then seed else Prng.derived_seed ~seed ~index:k)
+            ()
+        in
+        let fabric =
+          Simnet.Fabric.create ~topology:topo ?queue_limit sched ~profile ~nodes
+        in
+        configure fabric;
+        (sched, fabric, transport_over fabric))
+  in
+  let scheds = Array.map (fun (s, _, _) -> s) replicas in
+  let fabrics = Array.map (fun (_, f, _) -> f) replicas in
+  let transports = Array.map (fun (_, _, tr) -> tr) replicas in
+  (* The post hooks need the window runtime, which needs every
+     scheduler: they are set once all replicas are built. A lone shard
+     owns every node and posts nothing, so it needs none. *)
+  let shard =
+    Shard.create ~scheds ~lookahead:(Simnet.Shard_map.lookahead shard_map) ()
+  in
+  if shards > 1 then
     Array.iteri
       (fun k fabric ->
         Simnet.Fabric.set_par fabric ~self:k
-          ~owner:(Simnet.Shard_map.owner par_map)
+          ~owner:(Simnet.Shard_map.owner shard_map)
           ~post:(fun ~dst_shard ~time msg ->
-            Shard.post par_shard ~src:k ~dst:dst_shard ~time msg))
+            Shard.post shard ~src:k ~dst:dst_shard ~time msg))
       fabrics;
-    {
-      sched = scheds.(0);
-      fabric = fabrics.(0);
-      transport = par_transports.(0);
-      ranks;
-      par =
-        Some
-          { par_map; par_shard; par_scheds = scheds; par_fabrics = fabrics;
-            par_transports };
-    }
-  end
+  {
+    sched = scheds.(0);
+    fabric = fabrics.(0);
+    transport = transports.(0);
+    ranks;
+    shard_map;
+    shard;
+    scheds;
+    fabrics;
+    transports;
+  }
 
 let job_size world = Array.length world.ranks
-let domains world = match world.par with None -> 1 | Some p -> Array.length p.par_scheds
+let domains world = Array.length world.scheds
 
 let shard_of_nid world nid =
   if nid < 0 || nid >= Simnet.Fabric.node_count world.fabric then
     invalid_arg "Runtime.shard_of_nid: node out of range";
-  match world.par with
-  | None -> 0
-  | Some p -> Simnet.Shard_map.owner p.par_map nid
+  Simnet.Shard_map.owner world.shard_map nid
 
-let sched_of_nid world nid =
-  let shard = shard_of_nid world nid in
-  match world.par with None -> world.sched | Some p -> p.par_scheds.(shard)
-
-let fabric_of_nid world nid =
-  let shard = shard_of_nid world nid in
-  match world.par with None -> world.fabric | Some p -> p.par_fabrics.(shard)
+let sched_of_nid world nid = world.scheds.(shard_of_nid world nid)
+let fabric_of_nid world nid = world.fabrics.(shard_of_nid world nid)
 
 let nid_of_rank world ~what rank =
   if rank < 0 || rank >= Array.length world.ranks then
@@ -205,45 +181,26 @@ let fabric_of_rank world rank =
   fabric_of_nid world (nid_of_rank world ~what:"fabric_of_rank" rank)
 
 let transport_of_rank world rank =
-  let shard =
-    shard_of_nid world (nid_of_rank world ~what:"transport_of_rank" rank)
-  in
-  match world.par with
-  | None -> world.transport
-  | Some p -> p.par_transports.(shard)
+  let nid = nid_of_rank world ~what:"transport_of_rank" rank in
+  world.transports.(shard_of_nid world nid)
 
-let shard_scheds world =
-  match world.par with
-  | None -> [| world.sched |]
-  | Some p -> Array.copy p.par_scheds
+let shard_scheds world = Array.copy world.scheds
 
 let now world =
-  match world.par with
-  | None -> Scheduler.now world.sched
-  | Some p ->
-    Array.fold_left (fun t s -> Time_ns.max t (Scheduler.now s)) Time_ns.zero
-      p.par_scheds
+  Array.fold_left (fun t s -> Time_ns.max t (Scheduler.now s)) Time_ns.zero
+    world.scheds
 
 let metrics_snapshot world =
-  match world.par with
-  | None -> Metrics.snapshot (Scheduler.metrics world.sched)
-  | Some p ->
-    let merged = Metrics.create ~detail:true () in
-    Array.iter
-      (fun s -> Metrics.absorb merged (Metrics.snapshot (Scheduler.metrics s)))
-      p.par_scheds;
-    Metrics.snapshot merged
+  let merged = Metrics.create ~detail:true () in
+  Array.iter
+    (fun s -> Metrics.absorb merged (Metrics.snapshot (Scheduler.metrics s)))
+    world.scheds;
+  Metrics.snapshot merged
 
-let shard_fabrics world =
-  match world.par with
-  | None -> [| world.fabric |]
-  | Some p -> Array.copy p.par_fabrics
+let shard_fabrics world = Array.copy world.fabrics
+let window_rounds world = Shard.rounds world.shard
 
-let window_rounds world =
-  match world.par with None -> 0 | Some p -> Shard.rounds p.par_shard
-
-let lookahead world =
-  match world.par with None -> None | Some p -> Some (Shard.lookahead p.par_shard)
+let lookahead world = Shard.lookahead world.shard
 
 let host_cpu_of_rank world rank =
   let nid = nid_of_rank world ~what:"host_cpu_of_rank" rank in
@@ -263,19 +220,5 @@ let spawn_ranks world main =
     world.ranks
 
 let run ?until world =
-  match world.par with
-  | Some p ->
-    Shard.run ?until p.par_shard ~deliver:(fun ~shard ~time msg ->
-        Simnet.Fabric.receive_remote p.par_fabrics.(shard) ~time msg)
-  | None -> (
-    match until with
-    | None -> Scheduler.run world.sched
-    | Some limit -> Scheduler.run ~until:limit world.sched)
-
-let launch ?profile ?transport ?procs_per_node ?seed ?domains ~nodes main =
-  let world =
-    create_world ?profile ?transport ?procs_per_node ?seed ?domains ~nodes ()
-  in
-  spawn_ranks world (fun ~rank -> main world ~rank);
-  run world;
-  world
+  Shard.run ?until world.shard ~deliver:(fun ~shard ~time msg ->
+      Simnet.Fabric.receive_remote world.fabrics.(shard) ~time msg)

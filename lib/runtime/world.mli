@@ -15,22 +15,24 @@ type transport_kind =
 
 val transport_kind_name : transport_kind -> string
 
-type par
-(** Parallel-run machinery (shard map, per-shard schedulers/fabrics/
-    transports and the window runtime); present only when the world was
-    created with more than one domain. *)
-
 type world = private {
   sched : Sim_engine.Scheduler.t;
   fabric : Simnet.Fabric.t;
   transport : Simnet.Transport.t;
+      (** Shard 0's scheduler, fabric and transport: correct for global
+          queries (crash/partition state is replicated on every shard)
+          but {e not} for per-rank work on a world of several shards:
+          use {!sched_of_rank} / {!transport_of_rank} / {!fabric_of_nid}
+          instead. *)
   ranks : Simnet.Proc_id.t array;
-  par : par option;
-      (** [None] for sequential worlds. In a parallel world [sched] /
-          [fabric] / [transport] are shard 0's — correct for global
-          queries (crash/partition state is replicated) but {e not} for
-          per-rank work: use {!sched_of_rank} / {!transport_of_rank} /
-          {!fabric_of_nid} instead. *)
+  shard_map : Simnet.Shard_map.t;
+  shard : Simnet.Fabric.remote Sim_engine.Shard.t;
+  scheds : Sim_engine.Scheduler.t array;
+  fabrics : Simnet.Fabric.t array;
+  transports : Simnet.Transport.t array;
+      (** The node-to-shard map, the window runtime and one scheduler,
+          fabric replica and transport per shard (index = shard). Read
+          them through the accessors below. *)
 }
 
 val create_world :
@@ -63,12 +65,14 @@ val create_world :
     frames unchecksummed. The scenario's crash schedule is applied to
     every shard fabric. Nothing outside the returned world is touched.
 
-    [domains] > 1 shards the world across that many OCaml domains:
-    compute nodes are split into contiguous blocks ({!Simnet.Shard_map}),
-    each shard gets its own scheduler, fabric replica, fault-model
-    instance and transport, and {!run} drives them under the
-    conservative window barrier ({!Sim_engine.Shard}). Capped at
-    [nodes]; 1 means the plain sequential world with [par = None].
+    The world is split into [min domains nodes] shards, one OCaml domain
+    each: compute nodes are split into contiguous blocks
+    ({!Simnet.Shard_map}), each shard gets its own scheduler, fabric
+    replica, fault-model instance and transport, built on that shard's
+    domain, and {!run} drives them under the conservative window barrier
+    ({!Sim_engine.Shard}). One shard is the smallest case: it owns every
+    node, so its fabric posts nothing to other shards and {!run} is
+    {!Sim_engine.Scheduler.run} on its scheduler.
 
     Raises [Invalid_argument] on no nodes, no processes per node, fewer
     than one domain, or a partition or crash naming a node outside the
@@ -76,13 +80,10 @@ val create_world :
 
 val job_size : world -> int
 
-(** {1 Shard placement}
-
-    All of these collapse to the single scheduler/fabric/transport on a
-    sequential world, so callers can use them unconditionally. *)
+(** {1 Shard placement} *)
 
 val domains : world -> int
-(** Shards actually used (1 = sequential). *)
+(** Shards actually used. *)
 
 val shard_of_nid : world -> Simnet.Proc_id.nid -> int
 (** The shard owning a compute node. Raises [Invalid_argument] out of
@@ -101,7 +102,7 @@ val transport_of_rank : world -> int -> Simnet.Transport.t
     one bound to its node's owner fabric. *)
 
 val shard_scheds : world -> Sim_engine.Scheduler.t array
-(** One scheduler per shard ([[|sched|]] sequentially) — e.g. to merge
+(** One scheduler per shard ([[|sched|]] at one shard) — e.g. to merge
     per-shard metrics registries with {!Sim_engine.Metrics.absorb}. *)
 
 val now : world -> Sim_engine.Time_ns.t
@@ -109,20 +110,20 @@ val now : world -> Sim_engine.Time_ns.t
     shards. *)
 
 val metrics_snapshot : world -> Sim_engine.Metrics.Snapshot.t
-(** Every shard's registry in one snapshot: sequentially the one
-    registry's; in a parallel world the shard registries merged
-    (counters and summaries accumulate, so job-wide totals match the
-    sequential run). *)
+(** Every shard's registry merged into one snapshot (counters and
+    summaries accumulate, so job-wide totals do not depend on the shard
+    count). *)
 
 val shard_fabrics : world -> Simnet.Fabric.t array
-(** One fabric replica per shard ([[|fabric|]] sequentially). *)
+(** One fabric replica per shard ([[|fabric|]] at one shard). *)
 
 val window_rounds : world -> int
-(** Window-barrier rounds completed by the last {!run}; 0 on a
-    sequential world. *)
+(** Window-barrier rounds completed by the last {!run}; 0 at one shard,
+    which turns no windows. *)
 
 val lookahead : world -> Sim_engine.Time_ns.t option
-(** The conservative window width, if parallel. *)
+(** The conservative window width; [None] at one shard, which has no
+    cut link to bound it. *)
 
 val host_cpu_of_rank : world -> int -> Sim_engine.Cpu.t
 (** The host processor a rank's compute runs on. *)
@@ -133,19 +134,8 @@ val spawn_ranks : world -> (rank:int -> unit) -> unit
 val run : ?until:Sim_engine.Time_ns.t -> world -> unit
 (** Drive the simulation to quiescence ({!Sim_engine.Scheduler.run});
     deadlocks (e.g. a rank blocked on a message that never comes) raise
-    {!Sim_engine.Scheduler.Deadlock}. On a parallel world this runs the
-    window barrier ({!Sim_engine.Shard.run}): shard 0 on the calling
-    domain, the rest on spawned domains, deadlock detection aggregated
-    across shards. *)
-
-val launch :
-  ?profile:Simnet.Profile.t ->
-  ?transport:transport_kind ->
-  ?procs_per_node:int ->
-  ?seed:int ->
-  ?domains:int ->
-  nodes:int ->
-  (world -> rank:int -> unit) ->
-  world
-(** [launch ~nodes main] is {!create_world}, {!spawn_ranks} with
-    [main world ~rank], then {!run}; returns the world for inspection. *)
+    {!Sim_engine.Scheduler.Deadlock}. This is {!Sim_engine.Shard.run}:
+    at one shard, {!Sim_engine.Scheduler.run} on the calling domain; at
+    several, the window barrier with shard 0 on the calling domain, the
+    rest on spawned domains, and deadlock detection aggregated across
+    shards. *)

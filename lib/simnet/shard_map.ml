@@ -15,13 +15,15 @@ open Sim_engine
    shard can only affect another after at least one cut-link crossing,
    so every shard may run [lookahead] ahead of the rest without
    communication. On the full topology every cross-node message pays the
-   profile wire latency, which is therefore the bound. *)
+   profile wire latency, which is therefore the bound. A partition
+   without cut links (a single shard) has no bound: no shard can affect
+   another. *)
 
 type t = {
   shards : int;
   nodes : int;
   owner : int array; (* vertex id -> shard *)
-  lookahead : Time_ns.t;
+  lookahead : Time_ns.t option; (* None: no cut link *)
 }
 
 let node_owner ~nodes ~shards nid =
@@ -41,17 +43,28 @@ let build topo ~(profile : Profile.t) ~shards =
     Array.init vertices (fun v ->
         node_owner ~nodes ~shards (if v < nodes then v else v mod nodes))
   in
-  let lookahead = ref profile.Profile.wire_latency in
-  (* All hop links currently share the profile wire latency (the fabric
-     creates them that way), but derive the bound from the cut honestly
-     so per-link latencies can diverge later without touching this. *)
+  let lookahead = ref None in
+  let cut latency =
+    lookahead :=
+      Some (match !lookahead with Some l -> min l latency | None -> latency)
+  in
+  (* On the full topology every pair of nodes has a wire of its own, so
+     the blocks' two ends (nodes 0 and [nodes - 1]) straddle a cut link
+     exactly when they sit on different shards. All hop links currently
+     share the profile wire latency (the fabric creates them that way),
+     but derive the bound from the cut honestly so per-link latencies
+     can diverge later without touching this. *)
+  if Topology.kind topo = Topology.Full && owner.(0) <> owner.(nodes - 1) then
+    cut profile.Profile.wire_latency;
   for id = 0 to Topology.link_count topo - 1 do
     let l = Topology.link topo id in
     if owner.(l.Topology.src_v) <> owner.(l.Topology.dst_v) then
-      lookahead := min !lookahead profile.Profile.wire_latency
+      cut profile.Profile.wire_latency
   done;
-  if shards > 1 && Time_ns.compare !lookahead Time_ns.zero <= 0 then
-    invalid_arg "Shard_map.build: zero-latency cut link admits no lookahead";
+  (match !lookahead with
+  | Some l when Time_ns.compare l Time_ns.zero <= 0 ->
+    invalid_arg "Shard_map.build: zero-latency cut link admits no lookahead"
+  | _ -> ());
   { shards; nodes; owner; lookahead = !lookahead }
 
 let shards t = t.shards

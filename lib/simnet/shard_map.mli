@@ -9,7 +9,8 @@
     The {e lookahead} is the minimum latency of any cut link (profile
     wire latency on the full topology): one shard can only affect
     another after at least one cut-link crossing, so every shard may
-    process a [lookahead]-wide time window without communication. *)
+    process a [lookahead]-wide time window without communication. A
+    single shard cuts no link and has no lookahead. *)
 
 type t
 
@@ -19,7 +20,8 @@ val build : Topology.t -> profile:Profile.t -> shards:int -> t
     window width zero. *)
 
 val shards : t -> int
-val lookahead : t -> Sim_engine.Time_ns.t
+val lookahead : t -> Sim_engine.Time_ns.t option
+(** The minimum latency of any cut link; [None] when no link is cut. *)
 
 val owner : t -> int -> int
 (** [owner t v] is the shard owning vertex [v] (compute node or switch).

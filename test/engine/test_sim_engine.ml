@@ -1255,7 +1255,7 @@ let shard_tests =
     Alcotest.test_case "two shards ping-pong across window boundaries" `Quick
       (fun () ->
         let scheds = make_pair () in
-        let t = Shard.create ~scheds ~lookahead () in
+        let t = Shard.create ~scheds ~lookahead:(Some lookahead) () in
         let hops = ref [] in
         (* Each delivery re-posts to the peer one lookahead later, so
            the message must cross a window boundary every time. *)
@@ -1282,7 +1282,7 @@ let shard_tests =
     Alcotest.test_case "posts inside the current window are rejected" `Quick
       (fun () ->
         let scheds = make_pair () in
-        let t = Shard.create ~scheds ~lookahead () in
+        let t = Shard.create ~scheds ~lookahead:(Some lookahead) () in
         Scheduler.at scheds.(0) Time_ns.zero (fun () ->
             (* time = now violates the lookahead bound. *)
             Shard.post t ~src:0 ~dst:1 ~time:Time_ns.zero 0);
@@ -1292,7 +1292,7 @@ let shard_tests =
           | exception Invalid_argument _ -> true));
     Alcotest.test_case "a shard failure aborts the whole run" `Quick (fun () ->
         let scheds = make_pair () in
-        let t = Shard.create ~scheds ~lookahead () in
+        let t = Shard.create ~scheds ~lookahead:(Some lookahead) () in
         Scheduler.at scheds.(1) (Time_ns.ns 5) (fun () -> failwith "boom");
         (* Keep shard 0 busy far past the failure point. *)
         for k = 0 to 99 do
@@ -1305,7 +1305,7 @@ let shard_tests =
     Alcotest.test_case "deadlock detection aggregates across shards" `Quick
       (fun () ->
         let scheds = make_pair () in
-        let t = Shard.create ~scheds ~lookahead () in
+        let t = Shard.create ~scheds ~lookahead:(Some lookahead) () in
         Scheduler.spawn scheds.(1) ~name:"stuck" (fun () ->
             ignore (Sync.Ivar.read (Sync.Ivar.create scheds.(1))));
         Alcotest.(check bool) "deadlock" true
@@ -1314,7 +1314,7 @@ let shard_tests =
           | exception Scheduler.Deadlock _ -> true);
         (* allow_blocked downgrades it, as in the sequential runner. *)
         let scheds = make_pair () in
-        let t = Shard.create ~scheds ~lookahead () in
+        let t = Shard.create ~scheds ~lookahead:(Some lookahead) () in
         Scheduler.spawn scheds.(1) ~name:"stuck" (fun () ->
             ignore (Sync.Ivar.read (Sync.Ivar.create scheds.(1))));
         Shard.run ~allow_blocked:true t ~deliver:(fun ~shard:_ ~time:_ _ -> ()));
@@ -1341,9 +1341,27 @@ let shard_tests =
         Alcotest.(check int) "every call ran to its end" 3 (Atomic.get finished));
     Alcotest.test_case "window width validation" `Quick (fun () ->
         Alcotest.(check bool) "zero lookahead rejected" true
-          (match Shard.create ~scheds:(make_pair ()) ~lookahead:0 () with
+          (match Shard.create ~scheds:(make_pair ()) ~lookahead:(Some 0) () with
           | _ -> false
           | exception Invalid_argument _ -> true));
+    Alcotest.test_case "no lookahead leaves the window unbounded" `Quick
+      (fun () ->
+        (* Shards that share no link cannot affect each other: one
+           window runs every event on both, whatever the times. *)
+        let scheds = make_pair () in
+        let t = Shard.create ~scheds ~lookahead:None () in
+        let seen = Array.make 2 0 in
+        Array.iteri
+          (fun k s ->
+            for i = 0 to 9 do
+              Scheduler.at s (Time_ns.ns (i * 1_000_000)) (fun () ->
+                  seen.(k) <- seen.(k) + 1)
+            done)
+          scheds;
+        Shard.run t ~deliver:(fun ~shard:_ ~time:_ _ -> ());
+        Alcotest.(check (array int)) "every event ran" [| 10; 10 |] seen;
+        Alcotest.(check int) "one window" 1 (Shard.rounds t);
+        Alcotest.(check bool) "no width" true (Shard.lookahead t = None));
     Alcotest.test_case "derive matches derived_seed" `Quick (fun () ->
         let a = Prng.derive ~seed:42 ~index:3 in
         let b = Prng.create ~seed:(Prng.derived_seed ~seed:42 ~index:3) in

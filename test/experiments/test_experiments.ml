@@ -619,6 +619,24 @@ let perf_tests =
           (drift_names (drift ~baseline ~current:[ List.hd baseline ]));
         Alcotest.(check (list string)) "extra" [ "extra NEW" ]
           (drift_names (drift ~baseline ~current:(baseline @ [ mk "NEW" 1. ]))));
+    Alcotest.test_case "the meter counts every domain's words" `Quick
+      (fun () ->
+        (* A 2-domain world builds its second replica on a domain of its
+           own. Each replica costs what the 1-domain world costs beyond
+           the topology they share, so the meter must see at least half
+           of that again on top of the 1-domain world. *)
+        let torus = Simnet.Topology.Torus2d (64, 64) in
+        let words f = (meter ~id:"build" f).alloc_words in
+        let world domains () =
+          Runtime.create_world ~seed:0 ~topology:torus ~domains ~nodes:4096 ()
+        in
+        let topology = words (fun () -> Simnet.Topology.build torus ~nodes:4096) in
+        let one = words (world 1) and two = words (world 2) in
+        let replica = one - topology in
+        if two < one + (replica / 2) then
+          Alcotest.failf
+            "2 domains metered %d words, 1 domain %d (topology %d)" two one
+            topology);
     Alcotest.test_case "same-seed runs agree on sim-side fields" `Slow
       (fun () ->
         let a = Lazy.force quick_records in

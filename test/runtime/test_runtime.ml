@@ -35,12 +35,11 @@ let world_tests =
           (fun () -> ignore (Runtime.host_cpu_of_rank world 7)));
     Alcotest.test_case "launch runs every rank to completion" `Quick (fun () ->
         let ran = Array.make 5 false in
-        let world =
-          Runtime.launch ~nodes:5 (fun world ~rank ->
-              Scheduler.delay world.Runtime.sched (Time_ns.us 10.0);
-              ran.(rank) <- true)
-        in
-        ignore world;
+        let world = Runtime.create_world ~nodes:5 () in
+        Runtime.spawn_ranks world (fun ~rank ->
+            Scheduler.delay world.Runtime.sched (Time_ns.us 10.0);
+            ran.(rank) <- true);
+        Runtime.run world;
         Alcotest.(check (array bool)) "all ran" (Array.make 5 true) ran);
     Alcotest.test_case "Stack.launch_on wires a working job" `Quick (fun () ->
         let total = ref 0 in
@@ -156,6 +155,28 @@ let control_tests =
           report.Runtime.Control.statuses;
         Alcotest.(check bool) "took wire time" true
           (report.Runtime.Control.elapsed > 0));
+    Alcotest.test_case "yod runs a job at 1, 2 and 4 domains" `Quick
+      (fun () ->
+        (* Each agent runs on its rank's shard, so the job is the same
+           at any domain count: same statuses, same elapsed time. *)
+        let job domains =
+          let world = Runtime.create_world ~domains ~nodes:4 () in
+          Alcotest.(check int) "domains" domains (Runtime.domains world);
+          Runtime.Control.run_job world (fun ~rank -> rank * 10)
+        in
+        let one = job 1 in
+        Alcotest.(check (array int)) "statuses" [| 0; 10; 20; 30 |]
+          one.Runtime.Control.statuses;
+        List.iter
+          (fun domains ->
+            let r = job domains in
+            Alcotest.(check (array int))
+              (Printf.sprintf "statuses at %d domains" domains)
+              one.Runtime.Control.statuses r.Runtime.Control.statuses;
+            Alcotest.(check int)
+              (Printf.sprintf "elapsed at %d domains" domains)
+              one.Runtime.Control.elapsed r.Runtime.Control.elapsed)
+          [ 2; 4 ]);
     Alcotest.test_case "mains wait for their start message" `Quick (fun () ->
         (* No main may run at t=0: the start put has to cross the wire. *)
         let world = Runtime.create_world ~nodes:3 () in
@@ -529,6 +550,55 @@ let par_tests =
           ~nodes:16
           ~topology:(Simnet.Topology.of_spec ~nodes:16 "torus2d")
           ());
+    Alcotest.test_case "one shard runs as the sequential scheduler" `Quick
+      (fun () ->
+        (* Ranks 1 and 2 finish; ranks 0 and 3 wait for messages that
+           never come. *)
+        let job () =
+          let world = Runtime.create_world ~domains:1 ~nodes:4 () in
+          let ranks = world.Runtime.ranks in
+          let endpoints =
+            Array.init 4 (fun rank ->
+                Mpi.create_portals (Runtime.transport_of_rank world rank)
+                  ~ranks ~rank ())
+          in
+          let ran_on = Array.make 4 None in
+          Runtime.spawn_ranks world (fun ~rank ->
+              ran_on.(rank) <- Some (Domain.self ());
+              if rank mod 3 = 0 then
+                ignore
+                  (Mpi.recv endpoints.(rank) ~source:(3 - rank) ~tag:9
+                     (Bytes.create 4)));
+          (world, ran_on)
+        in
+        let blocked run =
+          match run () with
+          | () -> Alcotest.fail "expected deadlock"
+          | exception Scheduler.Deadlock names -> names
+        in
+        let world, ran_on = job () in
+        let names = blocked (fun () -> Runtime.run world) in
+        Alcotest.(check int) "one domain" 1 (Runtime.domains world);
+        Alcotest.(check int) "no window turned" 0 (Runtime.window_rounds world);
+        Alcotest.(check bool) "no lookahead" true (Runtime.lookahead world = None);
+        Array.iteri
+          (fun rank d ->
+            Alcotest.(check bool)
+              (Printf.sprintf "rank %d ran on the calling domain" rank)
+              true
+              (d = Some (Domain.self ())))
+          ran_on;
+        let reference, _ = job () in
+        Alcotest.(check (list string)) "same blocked fibers as Scheduler.run"
+          (blocked (fun () -> Scheduler.run reference.Runtime.sched))
+          names;
+        Alcotest.(check int) "two blocked" 2 (List.length names);
+        (* A lone shard has no cut link, so a zero-latency wire needs no
+           window. *)
+        let profile =
+          { Simnet.Profile.myrinet_mcp with Simnet.Profile.wire_latency = 0 }
+        in
+        Runtime.run (Runtime.create_world ~profile ~domains:1 ~nodes:2 ()));
     Alcotest.test_case "parallel world exposes shard placement" `Quick
       (fun () ->
         let world = Runtime.create_world ~domains:4 ~nodes:8 () in

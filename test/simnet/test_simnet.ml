@@ -1480,17 +1480,21 @@ let shard_map_tests =
         (* Non-cut links stay inside one shard by definition; lookahead
            is the minimum cut-link latency — with uniform links, the
            profile wire latency. *)
-        Alcotest.(check int)
-          "lookahead = min cut-link latency" profile.Profile.wire_latency
-          (Shard_map.lookahead map));
+        Alcotest.(check (option int))
+          "lookahead = min cut-link latency"
+          (Some profile.Profile.wire_latency) (Shard_map.lookahead map);
+        Alcotest.(check (option int)) "one shard cuts nothing" None
+          (Shard_map.lookahead (Shard_map.build topo ~profile ~shards:1)));
     Alcotest.test_case "full topology lookahead is the wire latency" `Quick
       (fun () ->
         let topo = Topology.build Topology.Full ~nodes:8 in
         let map = Shard_map.build topo ~profile ~shards:2 in
-        Alcotest.(check int) "lookahead" profile.Profile.wire_latency
-          (Shard_map.lookahead map);
+        Alcotest.(check (option int)) "lookahead"
+          (Some profile.Profile.wire_latency) (Shard_map.lookahead map);
         Alcotest.(check (list int)) "no shared links to cut" []
-          (Shard_map.cut_links map topo));
+          (Shard_map.cut_links map topo);
+        Alcotest.(check (option int)) "one shard has none" None
+          (Shard_map.lookahead (Shard_map.build topo ~profile ~shards:1)));
     Alcotest.test_case "validation" `Quick (fun () ->
         let topo = Topology.build Topology.Full ~nodes:4 in
         Alcotest.(check bool) "more shards than nodes" true
