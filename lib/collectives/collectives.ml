@@ -51,12 +51,22 @@ let rank t = t.my_rank
 let size t = Array.length t.ranks
 
 (* Message naming: sequence number (which collective call), round within
-   the algorithm, and sending rank. *)
+   the algorithm, and sending rank, in 40, 8 and 16 bits. Computed in
+   unboxed integers and boxed once, with {!P.Match_bits.field}'s range
+   check and message. *)
+let fits ~width v =
+  if v < 0 || v lsr width <> 0 then
+    invalid_arg
+      (Printf.sprintf "Match_bits.field: %d does not fit in %d bits" v width)
+
 let bits ~seq ~round ~src =
-  let open P.Match_bits in
-  logor
-    (field ~shift:24 ~width:40 seq)
-    (logor (field ~shift:16 ~width:8 round) (field ~shift:0 ~width:16 src))
+  fits ~width:40 seq;
+  fits ~width:8 round;
+  fits ~width:16 src;
+  P.Match_bits.of_int64
+    (Int64.logor
+       (Int64.shift_left (Int64.of_int seq) 24)
+       (Int64.of_int ((round lsl 16) lor src)))
 
 let next_seq t =
   let s = t.seq in

@@ -11,9 +11,13 @@ type slab = {
   mutable s_meh : P.Handle.me;
   mutable s_mdh : P.Handle.md;
   mutable s_outstanding : int;
+  mutable s_used : int; (* the MD's locally managed offset *)
 }
 
-type pooled = { p_slab : slab; p_off : int; p_len : int }
+(* An arrived-but-unclaimed message is its deposit event (slab, offset
+   and length are all in it), chained in arrival order within its
+   bucket. *)
+type cell = Nil | Cell of { ev : P.Event.t; mutable next : cell }
 
 type t = {
   pool_ni : P.Ni.t;
@@ -22,12 +26,12 @@ type t = {
   eqh : P.Handle.eq;
   eqq : P.Event.Queue.t;
   slabs : slab array;
-  (* Arrived-but-unclaimed messages, keyed by their match bits. [recv]
-     claims by exact bits, so a claim is one table probe and a queue pop;
-     the previous representation (one queue rotated end-to-end per claim)
-     cost O(pending) per receive, quadratic over a collective's fan-in.
-     Per-key arrival order is preserved by the per-key queues. *)
-  pooled : (P.Match_bits.t, pooled Queue.t) Hashtbl.t;
+  (* Arrived-but-unclaimed messages, hashed by their match bits. [recv]
+     claims by exact bits, so a claim walks one bucket and unlinks the
+     oldest cell with those bits; appending at the bucket's tail keeps
+     arrival order per key. A message costs its one cell. *)
+  mutable heads : cell array;
+  mutable tails : cell array;
   mutable pending_count : int;
   (* Send-side scratch: one persistent descriptor over [scratch_buf],
      reused by every [send] via a put-region of the payload's length.
@@ -80,7 +84,8 @@ let attach_slab t slab =
             slab.s_memory))
   in
   slab.s_meh <- meh;
-  slab.s_mdh <- mdh
+  slab.s_mdh <- mdh;
+  slab.s_used <- 0
 
 (* Small enough to stay in the minor heap. *)
 let scratch_initial = 1024
@@ -113,8 +118,10 @@ let create ni ~portal_index ?(slab_size = 131_072) ?(slab_count = 4)
               s_meh = P.Handle.none;
               s_mdh = P.Handle.none;
               s_outstanding = 0;
+              s_used = 0;
             });
-      pooled = Hashtbl.create 32;
+      heads = Array.make 32 Nil;
+      tails = Array.make 32 Nil;
       pending_count = 0;
       scratch_buf;
       scratch_mdh;
@@ -141,63 +148,82 @@ let send t ~dst ~bits payload =
   Bytes.blit payload 0 t.scratch_buf 0 len;
   ok_exn ~op:"pool put"
     (P.Ni.put t.pool_ni ~md:t.scratch_mdh ~ack:false ~length:len
-       (P.Ni.op ~target:dst ~portal_index:t.portal_index ~match_bits:bits ()))
+       {
+         P.Ni.target = dst;
+         portal_index = t.portal_index;
+         cookie = P.Acl.default_cookie_job;
+         match_bits = bits;
+         offset = 0;
+       })
 
+(* Every event is drained before a claim, so [s_used] is the slab MD's
+   local offset by then. *)
 let maybe_rearm t slab =
-  if slab.s_outstanding = 0 then begin
-    match P.Ni.md_local_offset t.pool_ni slab.s_mdh with
-    | Error _ -> ()
-    | Ok used ->
-      if used > t.slab_size / 2 then begin
-        ok_exn ~op:"pool rearm" (P.Ni.me_unlink t.pool_ni slab.s_meh);
-        attach_slab t slab
-      end
+  if slab.s_outstanding = 0 && slab.s_used > t.slab_size / 2 then begin
+    ok_exn ~op:"pool rearm" (P.Ni.me_unlink t.pool_ni slab.s_meh);
+    attach_slab t slab
   end
 
-let dispatch t ev =
+let bucket heads bits =
+  let h = (P.Match_bits.hi32 bits * 0x9E3779B1) lxor P.Match_bits.lo32 bits in
+  let h = h * 0x9E3779B1 in
+  (h lxor (h lsr 29)) land (Array.length heads - 1)
+
+let append heads tails i c =
+  (match tails.(i) with Nil -> heads.(i) <- c | Cell last -> last.next <- c);
+  tails.(i) <- c
+
+(* Double the buckets, moving every cell in bucket order so each key's
+   cells keep their arrival order. *)
+let grow_buckets t =
+  let n = 2 * Array.length t.heads in
+  let heads = Array.make n Nil and tails = Array.make n Nil in
+  let rec move = function
+    | Nil -> ()
+    | Cell c as cell ->
+      let next = c.next in
+      c.next <- Nil;
+      append heads tails (bucket heads c.ev.P.Event.match_bits) cell;
+      move next
+  in
+  Array.iter move t.heads;
+  t.heads <- heads;
+  t.tails <- tails
+
+let dispatch t (ev : P.Event.t) =
   match ev.P.Event.kind with
   (* A TRIGGERED deposit is a put fired by a remote chain — same data
      landing, different provenance. *)
   | (P.Event.Put | P.Event.Triggered) when ev.P.Event.md_user_ptr < 0 ->
     let slab = t.slabs.(-ev.P.Event.md_user_ptr - 1) in
     slab.s_outstanding <- slab.s_outstanding + 1;
-    let q =
-      match Hashtbl.find_opt t.pooled ev.P.Event.match_bits with
-      | Some q -> q
-      | None ->
-        let q = Queue.create () in
-        Hashtbl.add t.pooled ev.P.Event.match_bits q;
-        q
-    in
-    Queue.add
-      {
-        p_slab = slab;
-        p_off = ev.P.Event.offset;
-        p_len = ev.P.Event.mlength;
-      }
-      q;
+    slab.s_used <- ev.P.Event.offset + ev.P.Event.mlength;
+    if t.pending_count >= 2 * Array.length t.heads then grow_buckets t;
+    append t.heads t.tails (bucket t.heads ev.P.Event.match_bits)
+      (Cell { ev; next = Nil });
     t.pending_count <- t.pending_count + 1
   | P.Event.Put | P.Event.Get | P.Event.Atomic | P.Event.Reply | P.Event.Ack
   | P.Event.Sent | P.Event.Triggered -> ()
 
-let drain t =
-  let rec go () =
-    match P.Event.Queue.get t.eqq with
-    | None -> ()
-    | Some ev ->
-      dispatch t ev;
-      go ()
-  in
-  go ()
+let rec drain t =
+  match P.Event.Queue.get t.eqq with
+  | None -> ()
+  | Some ev ->
+    dispatch t ev;
+    drain t
 
-let take t ~bits =
-  match Hashtbl.find_opt t.pooled bits with
-  | None -> None
-  | Some q ->
-    let p = Queue.pop q in
-    if Queue.is_empty q then Hashtbl.remove t.pooled bits;
-    t.pending_count <- t.pending_count - 1;
-    Some p
+(* Unlink and return the oldest cell in bucket [i] with [bits]. *)
+let rec take t i bits prev = function
+  | Nil -> Nil
+  | Cell c as cell ->
+    if not (P.Match_bits.equal c.ev.P.Event.match_bits bits) then
+      take t i bits cell c.next
+    else begin
+      (match prev with Nil -> t.heads.(i) <- c.next | Cell p -> p.next <- c.next);
+      if c.next == Nil then t.tails.(i) <- prev;
+      t.pending_count <- t.pending_count - 1;
+      cell
+    end
 
 let check_overflow t =
   let dropped = P.Event.Queue.dropped t.eqq in
@@ -207,13 +233,18 @@ let check_overflow t =
 let rec recv t ~bits =
   drain t;
   check_overflow t;
-  match take t ~bits with
-  | Some p ->
-    let data = Bytes.sub (P.Md.reserved_bytes p.p_slab.s_memory) p.p_off p.p_len in
-    p.p_slab.s_outstanding <- p.p_slab.s_outstanding - 1;
-    maybe_rearm t p.p_slab;
+  let i = bucket t.heads bits in
+  match take t i bits Nil t.heads.(i) with
+  | Cell { ev; _ } ->
+    let slab = t.slabs.(-ev.P.Event.md_user_ptr - 1) in
+    let data =
+      Bytes.sub (P.Md.reserved_bytes slab.s_memory) ev.P.Event.offset
+        ev.P.Event.mlength
+    in
+    slab.s_outstanding <- slab.s_outstanding - 1;
+    maybe_rearm t slab;
     data
-  | None ->
+  | Nil ->
     (* Block until something arrives, then go through normal dispatch. *)
     dispatch t (P.Event.Queue.wait t.eqq);
     recv t ~bits

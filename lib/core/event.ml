@@ -82,13 +82,15 @@ module Queue = struct
   let count t = t.len
   let is_full t = t.len = t.capacity
 
+  (* Checked before the floats are made: they would be boxed for the
+     call even with metrics off. *)
   let record_depth t =
     match t.depth_series with
-    | None -> ()
-    | Some s ->
+    | Some s when Sim_engine.Metrics.series_enabled s ->
       Sim_engine.Metrics.push s
         ~x:(Sim_engine.Time_ns.to_us (Sim_engine.Scheduler.now t.sched))
         ~y:(float_of_int t.len)
+    | Some _ | None -> ()
 
   (* Called with the ring full and [len < capacity]: move the entries,
      oldest first, to the front of a ring twice the size (at least 8

@@ -3,33 +3,33 @@ type md_kind = |
 type me_kind = |
 type ct_kind = |
 
-type 'k t = { idx : int; gen : int }
+(* One immediate: the slot index in the low 32 bits, the generation in
+   the 31 bits above it. [none] is -1, which no table ever hands out. *)
+type 'k t = int
 
 type eq = eq_kind t
 type md = md_kind t
 type me = me_kind t
 type ct = ct_kind t
 
-let none = { idx = -1; gen = -1 }
-let is_none t = t.idx < 0
-let equal a b = a.idx = b.idx && a.gen = b.gen
+let none = -1
+let is_none t = t = none
+let equal = Int.equal
+let idx_bits = 32
+let idx_mask = (1 lsl idx_bits) - 1
+let make ~idx ~gen = idx lor (gen lsl idx_bits)
+let idx t = t land idx_mask
+let gen t = t lsr idx_bits
 
 let pp ppf t =
   if is_none t then Format.pp_print_string ppf "<none>"
-  else Format.fprintf ppf "h%d.%d" t.idx t.gen
+  else Format.fprintf ppf "h%d.%d" (idx t) (gen t)
 
-(* 32 bits of index, 31 bits of generation; [none] maps to all-ones. *)
-let to_wire t =
-  if is_none t then -1L
-  else Int64.logor (Int64.of_int t.idx) (Int64.shift_left (Int64.of_int t.gen) 32)
-
-let of_wire w =
-  if Int64.equal w (-1L) then none
-  else
-    {
-      idx = Int64.to_int (Int64.logand w 0xFFFFFFFFL);
-      gen = Int64.to_int (Int64.shift_right_logical w 32);
-    }
+(* The wire's 64-bit field holds the same integer, sign-extended: the
+   top bit is clear and [none] is all-ones. An integer, not an [int64],
+   so encoding and decoding box nothing. *)
+let to_wire t = t
+let of_wire w = w
 
 module Table = struct
   type 'a slot = { mutable value : 'a option; mutable gen : int }
@@ -64,22 +64,23 @@ module Table = struct
       let slot = t.slots.(idx) in
       slot.value <- Some v;
       t.live <- t.live + 1;
-      { idx; gen = slot.gen }
+      make ~idx ~gen:slot.gen
 
   let find t h =
-    if h.idx < 0 || h.idx >= Array.length t.slots then None
+    let i = idx h in
+    if is_none h || i >= Array.length t.slots then None
     else
-      let slot = t.slots.(h.idx) in
-      if slot.gen <> h.gen then None else slot.value
+      let slot = t.slots.(i) in
+      if slot.gen <> gen h then None else slot.value
 
   let free t h =
     match find t h with
     | None -> false
     | Some _ ->
-      let slot = t.slots.(h.idx) in
+      let slot = t.slots.(idx h) in
       slot.value <- None;
       slot.gen <- slot.gen + 1;
-      t.free <- h.idx :: t.free;
+      t.free <- idx h :: t.free;
       t.live <- t.live - 1;
       true
 
@@ -90,6 +91,6 @@ module Table = struct
       (fun idx slot ->
         match slot.value with
         | None -> ()
-        | Some v -> f { idx; gen = slot.gen } v)
+        | Some v -> f (make ~idx ~gen:slot.gen) v)
       t.slots
 end

@@ -20,9 +20,12 @@ type md_kind
 type me_kind
 type ct_kind
 
-type +'k t
-(** An opaque handle of kind ['k]. Each table still checks generations, so
-    a forged or stale handle resolves as invalid. *)
+type +'k t [@@immediate]
+(** An opaque handle of kind ['k]. Its representation is one immediate
+    integer (the slot index in the low 32 bits, the generation in the 31
+    bits above), so making, storing, comparing and encoding a handle
+    allocates nothing. Each table still checks generations, so a forged
+    or stale handle resolves as invalid. *)
 
 type eq = eq_kind t
 (** Event queue handles ([PtlEQAlloc]). *)
@@ -46,11 +49,14 @@ val is_none : 'k t -> bool
 val equal : 'k t -> 'k t -> bool
 val pp : Format.formatter -> 'k t -> unit
 
-val to_wire : 'k t -> int64
-(** Wire image of a handle (index and generation packed). The kind does
-    not travel — the wire format is unchanged. *)
+val to_wire : 'k t -> int
+(** The integer a handle travels as: the same packing, 32 bits of index
+    and 31 of generation, written as a 64-bit little-endian field
+    (sign-extended, so {!none} is all-ones). The kind does not travel. *)
 
-val of_wire : int64 -> 'k t
+val of_wire : int -> 'k t
+(** The handle a wire field names. Resolving it still checks the
+    generation, so a forged or stale value never finds an object. *)
 
 module Table : sig
   (** A slot table with free-list reuse and per-slot generations,

@@ -143,10 +143,23 @@ let pp_reject ppf r =
     | Op_disabled -> "operation disabled"
     | Too_long -> "too long without truncate")
 
-type acceptance = { offset : int; mlength : int }
+(* A verdict is an immediate: the manipulated length when the request is
+   accepted, a negative code when it is not, so a match-list walk
+   allocates nothing per descriptor it tries. *)
+let inactive = -1
+let op_disabled = -2
+let too_long = -3
+
+let reason v =
+  if v = inactive then Inactive
+  else if v = op_disabled then Op_disabled
+  else if v = too_long then Too_long
+  else invalid_arg "Md.reason: an accepting verdict"
+
+let base t ~roffset = if t.opts.manage_remote then roffset else t.loc_offset
 
 let accepts t ~op ~rlength ~roffset =
-  if not (active t) then Error Inactive
+  if not (active t) then inactive
   else if
     match op with
     | Op_put -> not t.opts.op_put
@@ -154,22 +167,27 @@ let accepts t ~op ~rlength ~roffset =
     (* An atomic both reads and writes the word, so the region must
        permit both operation classes. *)
     | Op_atomic -> not (t.opts.op_put && t.opts.op_get)
-  then Error Op_disabled
+  then op_disabled
   else begin
-    let offset = if t.opts.manage_remote then roffset else t.loc_offset in
+    let offset = base t ~roffset in
     let avail = t.md_len - offset in
-    if rlength <= avail then Ok { offset; mlength = rlength }
+    if offset < 0 then
+      (* Only a damaged or hostile request names a region before the
+         descriptor's start. *)
+      too_long
+    else if rlength <= avail then rlength
     else if op = Op_atomic then
       (* Read-modify-write of a partial word is meaningless: atomics
          never truncate. *)
-      Error Too_long
+      too_long
     else if t.opts.truncate then
       (* An offset past the end truncates to an empty transfer at the
          region's end, keeping offset + mlength within bounds. *)
-      if avail <= 0 then Ok { offset = t.md_len; mlength = 0 }
-      else Ok { offset; mlength = avail }
-    else Error Too_long
+      max avail 0
+    else too_long
   end
+
+let landing t ~roffset = min (base t ~roffset) t.md_len
 
 let consume_threshold t =
   match t.thresh with
@@ -177,46 +195,43 @@ let consume_threshold t =
   | Count 0 -> ()
   | Count n -> t.thresh <- Count (n - 1)
 
-let consume t (acc : acceptance) =
+let consume t ~offset ~mlength =
   consume_threshold t;
-  if not t.opts.manage_remote then t.loc_offset <- acc.offset + acc.mlength
+  if not t.opts.manage_remote then t.loc_offset <- offset + mlength
 
-(* Visit the segment pieces overlapping the logical range
-   [offset, offset+len): calls [f seg_buf byte_pos piece_len logical_pos]. *)
-let iter_range t ~offset ~len f =
+(* Copy [len] bytes between the logical range [offset, offset+len) of
+   [t] and [ext] from [ext_off], into the region when [into_md]. A plain
+   loop over the segments, so a copy allocates nothing. *)
+let transfer t ~offset ~len ~into_md ext ext_off =
   if len > 0 then begin
     if offset < 0 || offset + len > t.md_len then
       invalid_arg "Md: range outside the described region";
-    let remaining = ref len in
-    let logical = ref offset in
-    let seg_start = ref 0 in
-    Array.iter
-      (fun seg ->
-        if !remaining > 0 then begin
-          let seg_end = !seg_start + seg.seg_len in
-          if !logical < seg_end && !logical >= !seg_start then begin
-            let within = !logical - !seg_start in
-            let piece = min !remaining (seg.seg_len - within) in
-            back seg;
-            f seg.seg_buf (seg.seg_off + within) piece (!logical - offset);
-            logical := !logical + piece;
-            remaining := !remaining - piece
-          end;
-          seg_start := seg_end
-        end)
-      t.iov
+    let stop = offset + len in
+    let pos = ref offset and seg_start = ref 0 and i = ref 0 in
+    while !pos < stop do
+      let seg = t.iov.(!i) in
+      let seg_end = !seg_start + seg.seg_len in
+      if !pos < seg_end then begin
+        let within = !pos - !seg_start in
+        let piece = min (stop - !pos) (seg.seg_len - within) in
+        let e = ext_off + (!pos - offset) in
+        back seg;
+        if into_md then Bytes.blit ext e seg.seg_buf (seg.seg_off + within) piece
+        else Bytes.blit seg.seg_buf (seg.seg_off + within) ext e piece;
+        pos := !pos + piece
+      end;
+      seg_start := seg_end;
+      incr i
+    done
   end
 
 let write t ~offset ~src ~src_off ~len =
-  iter_range t ~offset ~len (fun buf pos piece logical ->
-      Bytes.blit src (src_off + logical) buf pos piece)
+  transfer t ~offset ~len ~into_md:true src src_off
 
 let read t ~offset ~len =
   let out = Bytes.create len in
-  iter_range t ~offset ~len (fun buf pos piece logical ->
-      Bytes.blit buf pos out logical piece);
+  transfer t ~offset ~len ~into_md:false out 0;
   out
 
 let blit_to t ~offset ~len ~dst ~dst_off =
-  iter_range t ~offset ~len (fun buf pos piece logical ->
-      Bytes.blit buf pos dst (dst_off + logical) piece)
+  transfer t ~offset ~len ~into_md:false dst dst_off

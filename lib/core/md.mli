@@ -159,17 +159,26 @@ type reject_reason =
 
 val pp_reject : Format.formatter -> reject_reason -> unit
 
-type acceptance = { offset : int; mlength : int }
-(** Where the operation lands and how many bytes move — [mlength] is the
-    manipulated length reported in acks/replies (§4.6). *)
+val accepts : t -> op:operation -> rlength:int -> roffset:int -> int
+(** Pure check: would this MD accept the request? The verdict is an
+    immediate: the manipulated length (≥ 0) reported in acks and replies
+    (§4.6) when it accepts, a negative value that {!reason} names when it
+    rejects. A request that lands before the region's start (a negative
+    remote offset) is rejected as [Too_long]. Does not mutate. *)
 
-val accepts :
-  t -> op:operation -> rlength:int -> roffset:int -> (acceptance, reject_reason) result
-(** Pure check: would this MD accept the request? Does not mutate. *)
+val reason : int -> reject_reason
+(** Why a negative {!accepts} verdict rejected. Raises [Invalid_argument]
+    on an accepting verdict. *)
 
-val consume : t -> acceptance -> unit
-(** Commit an accepted operation: decrement a finite threshold and advance
-    the locally managed offset. *)
+val landing : t -> roffset:int -> int
+(** Where an accepted request lands: the remote offset or the locally
+    managed one, held to the region's end when a truncated request starts
+    past it. Read it before {!consume} moves the local offset. *)
+
+val consume : t -> offset:int -> mlength:int -> unit
+(** Commit an accepted operation at [offset] ({!landing}) of [mlength]
+    bytes: decrement a finite threshold and advance the locally managed
+    offset. *)
 
 val consume_threshold : t -> unit
 (** Decrement a finite, non-exhausted threshold without touching the
@@ -185,4 +194,4 @@ val read : t -> offset:int -> len:int -> bytes
 val blit_to : t -> offset:int -> len:int -> dst:bytes -> dst_off:int -> unit
 (** Copy payload bytes into a caller buffer without the intermediate
     allocation of {!read} — put sourcing on the hot path blits MD memory
-    straight into the wire image ({!Wire.encode_with}). *)
+    straight into the wire image ({!Wire.image}). *)

@@ -199,6 +199,10 @@ type t = {
   c : mutable_counters;
   mutable eq_seq : int;
   mutable live : bool;
+  (* The last translation's outcome beside the entry it returns: how
+     many entries the walk examined and the manipulated length. *)
+  mutable walked : int;
+  mutable mlength : int;
 }
 
 type md_region =
@@ -522,33 +526,39 @@ let md_active t h = Result.map (fun e -> Md.active e.md) (find_md t h)
 (* ------------------------------------------------------------------ *)
 (* Initiating operations (§4.7) *)
 
+(* The wire image of a request from this NI on [mdh] to [o]: the header
+   is written straight from the op, the MD and the NI, with no [Wire.t]
+   in between. *)
+let request_image t ~integrity kind ~ack_requested ~triggered ~mdh
+    ~eq_handle ~length (o : op) =
+  Wire.image ~integrity kind ~ack_requested ~triggered ~initiator:t.self
+    ~target:o.target ~portal_index:o.portal_index ~cookie:o.cookie
+    ~match_bits:o.match_bits ~offset:o.offset ~md_handle:mdh ~eq_handle
+    ~incarnation:(self_incarnation t) ~length
+
 let put t ~md:mdh ?(ack = true) ?(triggered = false) ?length (o : op) =
-  match find_md t mdh with
-  | Error e -> Error e
-  | Ok entry ->
-    if not (Md.active entry.md) then Error Errors.Invalid_md
-    else if
-      match length with None -> false | Some l -> l < 0 || l > Md.length entry.md
-    then Error Errors.Invalid_arg
+  match Handle.Table.find t.mds mdh with
+  | None -> Error Errors.Invalid_md
+  | Some entry ->
+    let md = entry.md in
+    let len = match length with None -> Md.length md | Some l -> l in
+    if not (Md.active md) then Error Errors.Invalid_md
+    else if len < 0 || len > Md.length md then Error Errors.Invalid_arg
     else begin
-      let md = entry.md in
-      let len = Option.value length ~default:(Md.length md) in
       let ack_requested = ack && not (Md.options md).Md.ack_disable in
       (* The payload is blitted from MD memory straight into the wire
-         image ([encode_with]), skipping the intermediate copy an
-         [Md.read] would make — one allocation per put, not two. *)
-      let msg =
-        Wire.put_request ~ack_requested ~triggered
-          ~incarnation:(self_incarnation t) ~length:len ~initiator:t.self
-          ~target:o.target ~portal_index:o.portal_index ~cookie:o.cookie
-          ~match_bits:o.match_bits ~offset:o.offset ~md_handle:mdh
-          ~eq_handle:(Md.eq_handle md) ~data:Bytes.empty ()
+         image, skipping the intermediate copy an [Md.read] would make —
+         one allocation per put, not two. *)
+      let integrity = integrity t in
+      let buf =
+        request_image t ~integrity Wire.Put_request ~ack_requested ~triggered
+          ~mdh ~eq_handle:(Md.eq_handle md) ~length:len o
       in
+      Md.blit_to md ~offset:0 ~len ~dst:buf ~dst_off:Wire.header_size;
+      Wire.seal ~integrity buf;
       t.c.c_puts <- t.c.c_puts + 1;
       if ack_requested then Md.incr_pending md;
-      t.tp.Simnet.Transport.send ~src:t.self ~dst:o.target
-        (Wire.encode_with ~integrity:(integrity t) msg ~fill:(fun buf off ->
-             Md.blit_to md ~offset:0 ~len ~dst:buf ~dst_off:off));
+      t.tp.Simnet.Transport.send ~src:t.self ~dst:o.target buf;
       (* SENT once the message has left the local interface. When the
          descriptor has no event queue and an infinite threshold the
          completion has no observable effect (no event to post, nothing
@@ -584,44 +594,43 @@ let put t ~md:mdh ?(ack = true) ?(triggered = false) ?length (o : op) =
     end
 
 let get t ~md:mdh (o : op) =
-  match find_md t mdh with
-  | Error e -> Error e
-  | Ok entry ->
-    if not (Md.active entry.md) then Error Errors.Invalid_md
+  match Handle.Table.find t.mds mdh with
+  | None -> Error Errors.Invalid_md
+  | Some entry ->
+    let md = entry.md in
+    if not (Md.active md) then Error Errors.Invalid_md
     else begin
-      let md = entry.md in
-      let msg =
-        Wire.get_request ~incarnation:(self_incarnation t) ~initiator:t.self
-          ~target:o.target ~portal_index:o.portal_index ~cookie:o.cookie
-          ~match_bits:o.match_bits ~offset:o.offset ~md_handle:mdh
-          ~rlength:(Md.length md) ()
+      let integrity = integrity t in
+      let buf =
+        request_image t ~integrity Wire.Get_request ~ack_requested:false
+          ~triggered:false ~mdh ~eq_handle:Handle.none ~length:(Md.length md) o
       in
+      Wire.seal ~integrity buf;
       t.c.c_gets <- t.c.c_gets + 1;
       Md.incr_pending md;
-      t.tp.Simnet.Transport.send ~src:t.self ~dst:o.target
-        (Wire.encode ~integrity:(integrity t) msg);
+      t.tp.Simnet.Transport.send ~src:t.self ~dst:o.target buf;
       Ok ()
     end
 
 let atomic t ~md:mdh ~aop ~operand ?(compare = 0L) (o : op) =
-  match find_md t mdh with
-  | Error e -> Error e
-  | Ok entry ->
-    if not (Md.active entry.md) then Error Errors.Invalid_md
-    else if Md.length entry.md < Wire.atomic_word_size then
-      Error Errors.Invalid_arg
+  match Handle.Table.find t.mds mdh with
+  | None -> Error Errors.Invalid_md
+  | Some entry ->
+    let md = entry.md in
+    if not (Md.active md) then Error Errors.Invalid_md
+    else if Md.length md < Wire.atomic_word_size then Error Errors.Invalid_arg
     else begin
-      let md = entry.md in
-      let msg =
-        Wire.atomic_request ~incarnation:(self_incarnation t) ~aop ~operand
-          ~compare ~initiator:t.self ~target:o.target
-          ~portal_index:o.portal_index ~cookie:o.cookie
-          ~match_bits:o.match_bits ~offset:o.offset ~md_handle:mdh ()
+      let integrity = integrity t in
+      let buf =
+        request_image t ~integrity Wire.Atomic_request ~ack_requested:false
+          ~triggered:false ~mdh ~eq_handle:Handle.none
+          ~length:Wire.atomic_word_size o
       in
+      Wire.write_atomic buf aop ~operand ~compare;
+      Wire.seal ~integrity buf;
       t.c.c_atomics <- t.c.c_atomics + 1;
       Md.incr_pending md;
-      t.tp.Simnet.Transport.send ~src:t.self ~dst:o.target
-        (Wire.encode ~integrity:(integrity t) msg);
+      t.tp.Simnet.Transport.send ~src:t.self ~dst:o.target buf;
       Ok ()
     end
 
@@ -829,7 +838,7 @@ let bump_match_ct t cth =
 (* ------------------------------------------------------------------ *)
 (* Receive path (§4.8) *)
 
-let post_event t ?md ~kind ~(msg : Wire.t) ~mlength ~offset queue =
+let post_event t ~kind ~(msg : Wire.t) ~mlength ~offset ~user_ptr queue =
   let ev =
     {
       Event.kind;
@@ -840,47 +849,53 @@ let post_event t ?md ~kind ~(msg : Wire.t) ~mlength ~offset queue =
       mlength;
       offset;
       md_handle = msg.Wire.md_handle;
-      md_user_ptr = (match md with None -> 0 | Some m -> Md.user_ptr m);
+      md_user_ptr = user_ptr;
       time = Scheduler.now (sched t);
     }
   in
   ignore (Event.Queue.post queue ev)
 
+let first_md t e =
+  match Me.md_handles e.me with
+  | [] -> None
+  | mdh :: _ -> Handle.Table.find t.mds mdh
+
 (* Walk a match list from [e] (Figure 4) for a request whose source and
    bits are already split into immediates. A top-level function rather
-   than a closure over the request, so a translation allocates only its
-   result. Returns the number of entries examined with the outcome. *)
-let rec walk t ~nid ~pid ~hi ~lo ~op ~rlength ~roffset examined e =
-  if e == nil then (examined, Error ())
+   than a closure over the request, and it returns the matching entry (or
+   [nil]) with the rest of the outcome left in [t.walked] and
+   [t.mlength], so a translation allocates nothing. *)
+let rec walk t ~nid ~pid ~hi ~lo ~op ~rlength ~roffset e =
+  if e == nil then nil
   else begin
-    let examined = examined + 1 in
+    t.walked <- t.walked + 1;
     if not (Me.matches_split e.me ~nid ~pid ~hi ~lo) then
-      walk t ~nid ~pid ~hi ~lo ~op ~rlength ~roffset examined e.next
+      walk t ~nid ~pid ~hi ~lo ~op ~rlength ~roffset e.next
     else begin
       (* Only the first memory descriptor is considered. *)
-      match Me.md_handles e.me with
-      | [] -> walk t ~nid ~pid ~hi ~lo ~op ~rlength ~roffset examined e.next
-      | mdh :: _ ->
-        (match Handle.Table.find t.mds mdh with
-        | None -> walk t ~nid ~pid ~hi ~lo ~op ~rlength ~roffset examined e.next
-        | Some md_entry ->
-          (match Md.accepts md_entry.md ~op ~rlength ~roffset with
-          | Error _ ->
-            walk t ~nid ~pid ~hi ~lo ~op ~rlength ~roffset examined e.next
-          | Ok acc -> (examined, Ok (e, mdh, md_entry, acc))))
+      match first_md t e with
+      | None -> walk t ~nid ~pid ~hi ~lo ~op ~rlength ~roffset e.next
+      | Some md_entry ->
+        let verdict = Md.accepts md_entry.md ~op ~rlength ~roffset in
+        if verdict < 0 then walk t ~nid ~pid ~hi ~lo ~op ~rlength ~roffset e.next
+        else begin
+          t.mlength <- verdict;
+          e
+        end
     end
   end
 
 let translate t ~portal_index ~(src : Simnet.Proc_id.t) ~mbits ~op ~rlength
     ~roffset =
-  let result =
+  t.walked <- 0;
+  let e =
     walk t ~nid:src.Simnet.Proc_id.nid ~pid:src.Simnet.Proc_id.pid
       ~hi:(Match_bits.hi32 mbits) ~lo:(Match_bits.lo32 mbits)
-      ~op ~rlength ~roffset 0 t.pt_head.(portal_index)
+      ~op ~rlength ~roffset t.pt_head.(portal_index)
   in
   t.c.c_translations <- t.c.c_translations + 1;
-  t.c.c_entries <- t.c.c_entries + fst result;
-  result
+  t.c.c_entries <- t.c.c_entries + t.walked;
+  e
 
 let match_walk_cost t ~entries =
   Time_ns.ns (entries * t.tp.Simnet.Transport.match_entry_cost)
@@ -898,22 +913,23 @@ let handle_put_or_get t (msg : Wire.t) ~op =
     | Error Acl.Id_mismatch -> drop t Acl_id_mismatch
     | Error Acl.Portal_mismatch -> drop t Acl_portal_mismatch
     | Ok () ->
-      let entries, outcome =
+      let me_entry =
         translate t ~portal_index:msg.Wire.portal_index ~src
           ~mbits:msg.Wire.match_bits ~op ~rlength:msg.Wire.length
           ~roffset:msg.Wire.offset
       in
-      (match outcome with
-      | Error () -> drop t No_match
-      | Ok (me_entry, mdh, md_entry, acc) ->
+      if me_entry == nil then drop t No_match
+      else begin
+        let entries = t.walked and mlength = t.mlength in
+        let mdh = List.hd (Me.md_handles me_entry.me) in
+        let md_entry = Option.get (Handle.Table.find t.mds mdh) in
         let md = md_entry.md in
         (* Capture before unlinking can free the match entry. *)
         let matched_ct = me_entry.me_ct in
-        let mlength = acc.Md.mlength in
-        let offset = acc.Md.offset in
+        let offset = Md.landing md ~roffset:msg.Wire.offset in
         (* Commit state at arrival so the next message sees consistent
            matching structures; emit observable effects after the cost. *)
-        Md.consume md acc;
+        Md.consume md ~offset ~mlength;
         let reply_data =
           match op with
           | Md.Op_put ->
@@ -960,7 +976,8 @@ let handle_put_or_get t (msg : Wire.t) ~op =
             | Md.Op_get -> Event.Get
             | Md.Op_atomic -> assert false
           in
-          post_event t ~md ~kind ~msg ~mlength ~offset queue);
+          post_event t ~kind ~msg ~mlength ~offset ~user_ptr:(Md.user_ptr md)
+            queue);
         (match op with
         | Md.Op_put ->
           if ack_wanted then begin
@@ -980,7 +997,8 @@ let handle_put_or_get t (msg : Wire.t) ~op =
         (* Counter bump last: acknowledgments and events for this deposit
            are already issued when a chain it triggers starts sending, so
            a fired chain observes — and extends — a consistent NI. *)
-        bump_match_ct t matched_ct)
+        bump_match_ct t matched_ct
+      end
   end
 
 (* Execute a read-modify-write at ME-match time — the bypass path of
@@ -1008,17 +1026,19 @@ let handle_atomic t (msg : Wire.t) =
           || msg.Wire.offset mod Wire.atomic_word_size <> 0
         then drop t Atomic_misaligned
         else begin
-          let entries, outcome =
+          let me_entry =
             translate t ~portal_index:msg.Wire.portal_index ~src
               ~mbits:msg.Wire.match_bits ~op:Md.Op_atomic
               ~rlength:msg.Wire.length ~roffset:msg.Wire.offset
           in
-          match outcome with
-          | Error () -> drop t No_match
-          | Ok (me_entry, mdh, md_entry, acc) ->
+          if me_entry == nil then drop t No_match
+          else begin
+            let entries = t.walked and mlength = t.mlength in
+            let mdh = List.hd (Me.md_handles me_entry.me) in
+            let md_entry = Option.get (Handle.Table.find t.mds mdh) in
             let md = md_entry.md in
             let matched_ct = me_entry.me_ct in
-            let offset = acc.Md.offset in
+            let offset = Md.landing md ~roffset:msg.Wire.offset in
             let word = Md.read md ~offset ~len:Wire.atomic_word_size in
             let old = Bytes.get_int64_le word 0 in
             let next =
@@ -1028,7 +1048,7 @@ let handle_atomic t (msg : Wire.t) =
               | Wire.Cas ->
                 if Int64.equal old a.Wire.compare then a.Wire.operand else old
             in
-            Md.consume md acc;
+            Md.consume md ~offset ~mlength;
             Bytes.set_int64_le word 0 next;
             Md.write md ~offset ~src:word ~src_off:0
               ~len:Wire.atomic_word_size;
@@ -1050,14 +1070,15 @@ let handle_atomic t (msg : Wire.t) =
             (match md_eq with
             | None -> ()
             | Some queue ->
-              post_event t ~md ~kind:Event.Atomic ~msg
-                ~mlength:acc.Md.mlength ~offset queue);
+              post_event t ~kind:Event.Atomic ~msg ~mlength ~offset
+                ~user_ptr:(Md.user_ptr md) queue);
             t.c.c_atomics_exec <- t.c.c_atomics_exec + 1;
             t.tp.Simnet.Transport.send ~src:t.self ~dst:src
               (Wire.encode ~integrity:(integrity t)
                  (Wire.atomic_reply_of_request
                     ~incarnation:(self_incarnation t) msg ~fetched:old));
             bump_match_ct t matched_ct
+          end
         end
     end
 
@@ -1076,9 +1097,9 @@ let handle_atomic_reply t (msg : Wire.t) =
          ticks the queue's PTL_EQ_DROPPED counter, which completion
          waiters (e.g. Onesided.check_tx_overflow) turn into a typed
          overflow error instead of a silent hang. *)
-      post_event t ~md ~kind:Event.Reply ~msg
+      post_event t ~kind:Event.Reply ~msg
         ~mlength:(min Wire.atomic_word_size (Md.length md))
-        ~offset:0 queue;
+        ~offset:0 ~user_ptr:(Md.user_ptr md) queue;
       drop t Atomic_reply_eq_full
     | Some _ | None ->
       let fetched =
@@ -1092,7 +1113,8 @@ let handle_atomic_reply t (msg : Wire.t) =
       (match Md.eq md with
       | None -> ()
       | Some queue ->
-        post_event t ~md ~kind:Event.Reply ~msg ~mlength ~offset:0 queue);
+        post_event t ~kind:Event.Reply ~msg ~mlength ~offset:0
+          ~user_ptr:(Md.user_ptr md) queue);
       consume_initiator t msg.Wire.md_handle entry)
 
 let handle_ack t (msg : Wire.t) =
@@ -1105,9 +1127,10 @@ let handle_ack t (msg : Wire.t) =
     (match md_entry with
     | None -> ()
     | Some entry -> if Md.pending entry.md > 0 then Md.decr_pending entry.md);
-    post_event t
-      ?md:(Option.map (fun e -> e.md) md_entry)
-      ~kind:Event.Ack ~msg ~mlength:msg.Wire.length ~offset:msg.Wire.offset queue;
+    post_event t ~kind:Event.Ack ~msg ~mlength:msg.Wire.length
+      ~offset:msg.Wire.offset
+      ~user_ptr:(match md_entry with None -> 0 | Some e -> Md.user_ptr e.md)
+      queue;
     (match md_entry with
     | None -> ()
     | Some entry -> consume_initiator t msg.Wire.md_handle entry)
@@ -1122,8 +1145,8 @@ let handle_reply t (msg : Wire.t) =
       (* §4.8: a reply is dropped if the event queue has no space and is
          not null. The failing post keeps the loss observable through
          the queue's PTL_EQ_DROPPED counter. *)
-      post_event t ~md ~kind:Event.Reply ~msg ~mlength:0
-        ~offset:msg.Wire.offset queue;
+      post_event t ~kind:Event.Reply ~msg ~mlength:0 ~offset:msg.Wire.offset
+        ~user_ptr:(Md.user_ptr md) queue;
       drop t Reply_eq_full
     | Some _ | None ->
       (* Every memory descriptor accepts and truncates replies (§4.8). *)
@@ -1133,14 +1156,16 @@ let handle_reply t (msg : Wire.t) =
       if Md.pending md > 0 then Md.decr_pending md;
       (match Md.eq md with
       | None -> ()
-      | Some queue -> post_event t ~md ~kind:Event.Reply ~msg ~mlength ~offset:0 queue);
+      | Some queue ->
+        post_event t ~kind:Event.Reply ~msg ~mlength ~offset:0
+          ~user_ptr:(Md.user_ptr md) queue);
       consume_initiator t msg.Wire.md_handle entry)
 
-let handle_incoming t ~src:_ payload =
+let handle_incoming t ~src payload =
   if t.live then begin
     t.c.c_rx <- t.c.c_rx + 1;
     t.c.c_rx_bytes <- t.c.c_rx_bytes + Bytes.length payload;
-    match Wire.decode_view ~integrity:(integrity t) payload with
+    match Wire.decode_view ~integrity:(integrity t) ~src ~dst:t.self payload with
     | Error (Wire.Bad_checksum _) -> drop t Checksum_failed
     | Error _ -> drop t Malformed
     | Ok msg ->
@@ -1195,6 +1220,8 @@ let create tp ~id:self ?(portal_table_size = 64) ?(acl_size = 16) () =
         };
       eq_seq = 0;
       live = true;
+      walked = 0;
+      mlength = 0;
     }
   in
   Acl.install_defaults t.ni_acl ~job_id:Match_id.any;

@@ -103,7 +103,7 @@ let op_of_code = function
   | _ -> None
 
 let put_request ?(ack_requested = true) ?(triggered = false) ?(incarnation = 0)
-    ?length ~initiator ~target ~portal_index ~cookie ~match_bits ~offset
+    ~initiator ~target ~portal_index ~cookie ~match_bits ~offset
     ~md_handle ~eq_handle ~data () =
   {
     op = Put_request;
@@ -118,7 +118,7 @@ let put_request ?(ack_requested = true) ?(triggered = false) ?(incarnation = 0)
     md_handle;
     eq_handle;
     incarnation;
-    length = Option.value length ~default:(Bytes.length data);
+    length = Bytes.length data;
     data;
     atomic = None;
   }
@@ -217,24 +217,48 @@ let fetched_value t =
   | Atomic_reply, Some a -> Some a.operand
   | _ -> None
 
-let write_header buf t =
+(* Payload bytes a frame of [op] carries after its header. *)
+let data_length op length =
+  match op with
+  | Put_request | Reply -> length
+  | Ack | Get_request | Atomic_request | Atomic_reply -> 0
+
+(* The one header writer: every encoder goes through it, whether it holds
+   a [t] ({!write_header}) or writes a request straight from its fields
+   ({!image}). *)
+let write_fields buf op ~ack_requested ~triggered
+    ~(initiator : Simnet.Proc_id.t) ~(target : Simnet.Proc_id.t)
+    ~portal_index ~cookie ~match_bits ~offset ~md_handle ~eq_handle
+    ~incarnation ~length =
   Bytes.set_uint8 buf 0 magic;
   Bytes.set_uint8 buf 1 version;
-  Bytes.set_uint8 buf 2 (op_code t.op);
+  Bytes.set_uint8 buf 2 (op_code op);
   Bytes.set_uint8 buf 3
-    ((if t.ack_requested then 1 else 0) lor if t.triggered then 2 else 0);
-  Bytes.set_int32_le buf 4 (Int32.of_int t.initiator.Simnet.Proc_id.nid);
-  Bytes.set_int32_le buf 8 (Int32.of_int t.initiator.Simnet.Proc_id.pid);
-  Bytes.set_int32_le buf 12 (Int32.of_int t.target.Simnet.Proc_id.nid);
-  Bytes.set_int32_le buf 16 (Int32.of_int t.target.Simnet.Proc_id.pid);
-  Bytes.set_int32_le buf 20 (Int32.of_int t.portal_index);
-  Bytes.set_int32_le buf 24 (Int32.of_int t.cookie);
-  Bytes.set_int64_le buf 28 (Match_bits.to_int64 t.match_bits);
-  Bytes.set_int64_le buf 36 (Int64.of_int t.offset);
-  Bytes.set_int64_le buf 44 (Handle.to_wire t.md_handle);
-  Bytes.set_int64_le buf 52 (Handle.to_wire t.eq_handle);
-  Bytes.set_int32_le buf 60 (Int32.of_int t.incarnation);
-  Bytes.set_int64_le buf 64 (Int64.of_int t.length);
+    ((if ack_requested then 1 else 0) lor if triggered then 2 else 0);
+  Bytes.set_int32_le buf 4 (Int32.of_int initiator.Simnet.Proc_id.nid);
+  Bytes.set_int32_le buf 8 (Int32.of_int initiator.Simnet.Proc_id.pid);
+  Bytes.set_int32_le buf 12 (Int32.of_int target.Simnet.Proc_id.nid);
+  Bytes.set_int32_le buf 16 (Int32.of_int target.Simnet.Proc_id.pid);
+  Bytes.set_int32_le buf 20 (Int32.of_int portal_index);
+  Bytes.set_int32_le buf 24 (Int32.of_int cookie);
+  Bytes.set_int64_le buf 28 (Match_bits.to_int64 match_bits);
+  Bytes.set_int64_le buf 36 (Int64.of_int offset);
+  Bytes.set_int64_le buf 44 (Int64.of_int (Handle.to_wire md_handle));
+  Bytes.set_int64_le buf 52 (Int64.of_int (Handle.to_wire eq_handle));
+  Bytes.set_int32_le buf 60 (Int32.of_int incarnation);
+  Bytes.set_int64_le buf 64 (Int64.of_int length)
+
+let write_atomic buf aop ~operand ~compare =
+  Bytes.set_uint8 buf header_size (aop_code aop);
+  Bytes.set_int64_le buf (header_size + 1) operand;
+  Bytes.set_int64_le buf (header_size + 9) compare
+
+let write_header buf t =
+  write_fields buf t.op ~ack_requested:t.ack_requested ~triggered:t.triggered
+    ~initiator:t.initiator ~target:t.target ~portal_index:t.portal_index
+    ~cookie:t.cookie ~match_bits:t.match_bits ~offset:t.offset
+    ~md_handle:t.md_handle ~eq_handle:t.eq_handle ~incarnation:t.incarnation
+    ~length:t.length;
   match t.atomic with
   | None ->
     if ext_size t.op <> 0 then
@@ -242,38 +266,36 @@ let write_header buf t =
   | Some a ->
     if ext_size t.op = 0 then
       invalid_arg "Wire.encode: atomic block on a non-atomic operation";
-    Bytes.set_uint8 buf header_size (aop_code a.aop);
-    Bytes.set_int64_le buf (header_size + 1) a.operand;
-    Bytes.set_int64_le buf (header_size + 9) a.compare
+    write_atomic buf a.aop ~operand:a.operand ~compare:a.compare
 
-(* Seal a fully written 0x31 frame: CRC the body into the trailer. *)
-let seal buf =
-  let body = Bytes.length buf - checksum_size in
-  Bytes.set_int32_le buf body
-    (Int32.of_int (Simnet.Crc32c.digest ~pos:0 ~len:body buf))
+let create_frame ~integrity op ~data =
+  Bytes.create
+    (header_size + ext_size op + data
+    + if integrity then checksum_size else 0)
 
-let encode ~integrity t =
-  let ext = ext_size t.op in
-  let ck = if integrity then checksum_size else 0 in
-  let buf = Bytes.create (header_size + ext + Bytes.length t.data + ck) in
-  write_header buf t;
-  Bytes.blit t.data 0 buf (header_size + ext) (Bytes.length t.data);
-  if ck > 0 then begin
-    Bytes.set_uint8 buf 1 version_checksummed;
-    seal buf
-  end;
+let image ~integrity op ~ack_requested ~triggered ~initiator ~target
+    ~portal_index ~cookie ~match_bits ~offset ~md_handle ~eq_handle
+    ~incarnation ~length =
+  let buf = create_frame ~integrity op ~data:(data_length op length) in
+  write_fields buf op ~ack_requested ~triggered ~initiator ~target
+    ~portal_index ~cookie ~match_bits ~offset ~md_handle ~eq_handle
+    ~incarnation ~length;
   buf
 
-let encode_with ~integrity t ~fill =
-  let ext = ext_size t.op in
-  let ck = if integrity then checksum_size else 0 in
-  let buf = Bytes.create (header_size + ext + t.length + ck) in
-  write_header buf t;
-  fill buf (header_size + ext);
-  if ck > 0 then begin
+(* A 0x31 frame: mark the version and CRC the body into the trailer. *)
+let seal ~integrity buf =
+  if integrity then begin
     Bytes.set_uint8 buf 1 version_checksummed;
-    seal buf
-  end;
+    let body = Bytes.length buf - checksum_size in
+    Bytes.set_int32_le buf body
+      (Int32.of_int (Simnet.Crc32c.digest ~pos:0 ~len:body buf))
+  end
+
+let encode ~integrity t =
+  let buf = create_frame ~integrity t.op ~data:(Bytes.length t.data) in
+  write_header buf t;
+  Bytes.blit t.data 0 buf (header_size + ext_size t.op) (Bytes.length t.data);
+  seal ~integrity buf;
   buf
 
 type decode_error =
@@ -300,7 +322,22 @@ let pp_decode_error ppf = function
    decoded message aliases the whole image as [data]; its payload bytes
    live at [header_size ..] (all payload-carrying operations have no
    extension block). *)
-let decode_view ~integrity buf =
+let i32 buf pos = Int32.to_int (Bytes.get_int32_le buf pos)
+let i64 buf pos = Int64.to_int (Bytes.get_int64_le buf pos)
+
+(* The address at [pos], as [known] when the wire names the same one. *)
+let proc_id buf pos (known : Simnet.Proc_id.t) =
+  let nid = i32 buf pos and pid = i32 buf (pos + 4) in
+  if nid = known.Simnet.Proc_id.nid && pid = known.Simnet.Proc_id.pid then known
+  else Simnet.Proc_id.make ~nid ~pid
+
+let checksum_error buf ~body =
+  let computed = Simnet.Crc32c.digest ~pos:0 ~len:body buf in
+  let stored = Int32.to_int (Bytes.get_int32_le buf body) land 0xFFFFFFFF in
+  if computed = stored then None
+  else Some (Bad_checksum { expected = computed; got = stored })
+
+let decode_view ~integrity ~src ~dst buf =
   let got = Bytes.length buf in
   if got < header_size then Error (Truncated { expected = header_size; got })
   else if Bytes.get_uint8 buf 0 <> magic then Error Bad_magic
@@ -314,15 +351,9 @@ let decode_view ~integrity buf =
       match op_of_code (Bytes.get_uint8 buf 2) with
       | None -> Error (Bad_operation (Bytes.get_uint8 buf 2))
       | Some op ->
-        let i32 pos = Int32.to_int (Bytes.get_int32_le buf pos) in
-        let i64 pos = Int64.to_int (Bytes.get_int64_le buf pos) in
-        let length = i64 64 in
+        let length = i64 buf 64 in
         let ext = ext_size op in
-        let data_len =
-          match op with
-          | Put_request | Reply -> length
-          | Ack | Get_request | Atomic_request | Atomic_reply -> 0
-        in
+        let data_len = data_length op length in
         let ck = if v = version_checksummed then checksum_size else 0 in
         (* [data_len] comes off the wire, so guard the arithmetic: a
            corrupted length must surface as an error, not an overflow or
@@ -333,57 +364,46 @@ let decode_view ~integrity buf =
             (Truncated
                { expected = header_size + ext + max data_len 0 + ck; got })
         else begin
-          let crc =
-            if v <> version_checksummed then Ok ()
-            else begin
-              let body = header_size + ext + data_len in
-              let computed = Simnet.Crc32c.digest ~pos:0 ~len:body buf in
-              let stored =
-                Int32.to_int (Bytes.get_int32_le buf body) land 0xFFFFFFFF
-              in
-              if computed = stored then Ok ()
-              else Error (Bad_checksum { expected = computed; got = stored })
-            end
-          in
-          match crc with
-          | Error e -> Error e
-          | Ok () ->
-          let atomic =
-            if ext = 0 then Ok None
-            else begin
-              match aop_of_code (Bytes.get_uint8 buf header_size) with
-              | None -> Error (Bad_atomic_op (Bytes.get_uint8 buf header_size))
-              | Some aop ->
-                Ok
-                  (Some
-                     {
-                       aop;
-                       operand = Bytes.get_int64_le buf (header_size + 1);
-                       compare = Bytes.get_int64_le buf (header_size + 9);
-                     })
-            end
-          in
-          match atomic with
-          | Error e -> Error e
-          | Ok atomic ->
-            Ok
-              {
-                op;
-                ack_requested = Bytes.get_uint8 buf 3 land 1 = 1;
-                triggered = Bytes.get_uint8 buf 3 land 2 <> 0;
-                initiator = Simnet.Proc_id.make ~nid:(i32 4) ~pid:(i32 8);
-                target = Simnet.Proc_id.make ~nid:(i32 12) ~pid:(i32 16);
-                portal_index = i32 20;
-                cookie = i32 24;
-                match_bits = Match_bits.of_int64 (Bytes.get_int64_le buf 28);
-                offset = i64 36;
-                md_handle = Handle.of_wire (Bytes.get_int64_le buf 44);
-                eq_handle = Handle.of_wire (Bytes.get_int64_le buf 52);
-                incarnation = i32 60;
-                length;
-                data = buf;
-                atomic;
-              }
+          match
+            if ck = 0 then None
+            else checksum_error buf ~body:(header_size + ext + data_len)
+          with
+          | Some e -> Error e
+          | None ->
+            let aop =
+              if ext = 0 then None else aop_of_code (Bytes.get_uint8 buf header_size)
+            in
+            match aop with
+            | None when ext <> 0 ->
+              Error (Bad_atomic_op (Bytes.get_uint8 buf header_size))
+            | None | Some _ ->
+              Ok
+                {
+                  op;
+                  ack_requested = Bytes.get_uint8 buf 3 land 1 = 1;
+                  triggered = Bytes.get_uint8 buf 3 land 2 <> 0;
+                  initiator = proc_id buf 4 src;
+                  target = proc_id buf 12 dst;
+                  portal_index = i32 buf 20;
+                  cookie = i32 buf 24;
+                  match_bits = Match_bits.of_int64 (Bytes.get_int64_le buf 28);
+                  offset = i64 buf 36;
+                  md_handle = Handle.of_wire (i64 buf 44);
+                  eq_handle = Handle.of_wire (i64 buf 52);
+                  incarnation = i32 buf 60;
+                  length;
+                  data = buf;
+                  atomic =
+                    (match aop with
+                    | None -> None
+                    | Some aop ->
+                      Some
+                        {
+                          aop;
+                          operand = Bytes.get_int64_le buf (header_size + 1);
+                          compare = Bytes.get_int64_le buf (header_size + 9);
+                        });
+                }
         end
     end
   end

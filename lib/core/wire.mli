@@ -123,7 +123,6 @@ val put_request :
   ?ack_requested:bool ->
   ?triggered:bool ->
   ?incarnation:int ->
-  ?length:int ->
   initiator:Simnet.Proc_id.t ->
   target:Simnet.Proc_id.t ->
   portal_index:int ->
@@ -135,9 +134,6 @@ val put_request :
   data:bytes ->
   unit ->
   t
-(** [length] overrides the wire length field (default
-    [Bytes.length data]) — used with {!encode_with}, where the payload is
-    supplied by a blit instead of [data]. *)
 
 val ack_of_put : ?incarnation:int -> t -> mlength:int -> t
 (** Build the acknowledgment for a put request: fields echoed, initiator
@@ -198,13 +194,36 @@ val encode : integrity:bool -> t -> bytes
     an operation whose frame has no room for one (it would overwrite the
     start of the payload). *)
 
-val encode_with : integrity:bool -> t -> fill:(bytes -> int -> unit) -> bytes
-(** [encode_with t ~fill] allocates the wire image, writes the header
-    from [t], and calls [fill buf off] exactly once to deposit
-    [t.length] payload bytes at [off]; [t.data] is ignored. Initiators
-    use this to blit payload straight from MD memory into the image,
-    skipping the intermediate copy an [Md.read] + {!encode} pair would
-    make. *)
+val image :
+  integrity:bool ->
+  op ->
+  ack_requested:bool ->
+  triggered:bool ->
+  initiator:Simnet.Proc_id.t ->
+  target:Simnet.Proc_id.t ->
+  portal_index:int ->
+  cookie:int ->
+  match_bits:Match_bits.t ->
+  offset:int ->
+  md_handle:Handle.md ->
+  eq_handle:Handle.eq ->
+  incarnation:int ->
+  length:int ->
+  bytes
+(** The wire image of a message given by its fields, with no {!t} in
+    between: allocates the frame (header, the atomic block of an atomic
+    [op], [length] payload bytes when [op] carries data, the CRC trailer
+    when [integrity]) and writes the header through the same writer as
+    {!encode}. The caller then writes the payload at {!header_size} or
+    the atomic block ({!write_atomic}), and finishes with {!seal}. This is
+    how initiators blit payload straight from MD memory into the image. *)
+
+val write_atomic : bytes -> aop -> operand:int64 -> compare:int64 -> unit
+(** Write the atomic extension block of an {!image}. *)
+
+val seal : integrity:bool -> bytes -> unit
+(** Finish an {!image} once its body is written: with [integrity], mark
+    it version [0x31] and write the CRC-32C trailer; otherwise nothing. *)
 
 type decode_error =
   | Bad_magic
@@ -224,13 +243,24 @@ type decode_error =
 
 val pp_decode_error : Format.formatter -> decode_error -> unit
 
-val decode_view : integrity:bool -> bytes -> (t, decode_error) result
+val decode_view :
+  integrity:bool ->
+  src:Simnet.Proc_id.t ->
+  dst:Simnet.Proc_id.t ->
+  bytes ->
+  (t, decode_error) result
 (** Decode a wire image without copying its payload: the returned [data]
     is the {e whole} wire image, with a put request's or reply's payload
     bytes at [\[header_size, header_size + length)]. The receive hot path uses
     this to blit payload straight into the matched memory descriptor.
     (Atomic messages carry no payload, so the extension block never
-    shifts a viewed payload.) Do not re-{!encode} a viewed message. *)
+    shifts a viewed payload.) Do not re-{!encode} a viewed message.
+
+    [src] and [dst] are the addresses the image travelled between, as
+    the fabric knows them. When the header names the same processes, the
+    decoded [initiator] and [target] are those values rather than fresh
+    copies; any address is correct here, a different one only costs an
+    allocation. *)
 
 val field_inventory : op -> (string * string) list
 (** The (field, description) rows of the paper's corresponding table —

@@ -70,7 +70,7 @@ let run ?scenario () =
   let stray_put =
     P.Wire.put_request ~initiator:r1 ~target:r0 ~portal_index:0 ~cookie:0
       ~match_bits:P.Match_bits.zero ~offset:0 ~md_handle:P.Handle.none
-      ~eq_handle:(P.Handle.of_wire 0x4242L) ~data:Bytes.empty ()
+      ~eq_handle:(P.Handle.of_wire 0x4242) ~data:Bytes.empty ()
   in
   tp1.Simnet.Transport.send ~src:r1 ~dst:r0
     (encode (P.Wire.ack_of_put stray_put ~mlength:0));
@@ -78,7 +78,7 @@ let run ?scenario () =
   let stray_get =
     P.Wire.get_request ~initiator:r1 ~target:r0 ~portal_index:0 ~cookie:0
       ~match_bits:P.Match_bits.zero ~offset:0
-      ~md_handle:(P.Handle.of_wire 0x2424L) ~rlength:0 ()
+      ~md_handle:(P.Handle.of_wire 0x2424) ~rlength:0 ()
   in
   tp1.Simnet.Transport.send ~src:r1 ~dst:r0
     (encode (P.Wire.reply_of_get stray_get ~mlength:0 ~data:Bytes.empty));
@@ -127,7 +127,7 @@ let run ?scenario () =
     P.Wire.atomic_request ~aop:P.Wire.Fetch_add ~operand:1L ~initiator:r0
       ~target:r1 ~portal_index:0 ~cookie:0 ~match_bits:P.Match_bits.zero
       ~offset:0
-      ~md_handle:(P.Handle.of_wire 0x4224L)
+      ~md_handle:(P.Handle.of_wire 0x4224)
       ()
   in
   tp1.Simnet.Transport.send ~src:r1 ~dst:r0

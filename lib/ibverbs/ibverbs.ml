@@ -43,10 +43,10 @@ let first_dynamic_rkey = 0x100000
 (* A write to an unregistered or too-small region is silently dropped,
    as a real HCA would drop a write with a bad rkey: the sender finds
    out at the protocol layer, not from the fabric. *)
-let on_arrival t payload =
+let on_arrival t ~src payload =
   if t.live then begin
     let integrity = t.tp.Simnet.Transport.integrity () in
-    match Portals.Wire.decode_view ~integrity payload with
+    match Portals.Wire.decode_view ~integrity ~src ~dst:t.self payload with
     | Error _ -> t.s_dropped <- t.s_dropped + 1
     | Ok w -> (
       match Hashtbl.find_opt t.mrs w.Portals.Wire.cookie with
@@ -93,7 +93,7 @@ let create tp ~id:self =
   probe "ib.writes" (fun () -> t.s_writes);
   probe "ib.remote_writes" (fun () -> t.s_remote_writes);
   probe "ib.dropped_writes" (fun () -> t.s_dropped);
-  tp.Simnet.Transport.register self (fun ~src:_ payload -> on_arrival t payload);
+  tp.Simnet.Transport.register self (fun ~src payload -> on_arrival t ~src payload);
   t
 
 let close t =
@@ -123,18 +123,17 @@ let alloc_rkey t =
    handoff ([send_overhead]) is past — the same local-completion model
    as [Gm.send], but with no receive-side token or event. *)
 let rdma_write t ~dst ~rkey ~offset ~src ~src_off ~len ~wr_id =
-  let w =
-    Portals.Wire.put_request ~ack_requested:false
-      ~incarnation:(t.tp.Simnet.Transport.node_incarnation t.self.Simnet.Proc_id.nid)
-      ~length:len ~initiator:t.self ~target:dst ~portal_index:0 ~cookie:rkey
-      ~match_bits:Portals.Match_bits.zero ~offset ~md_handle:Portals.Handle.none
-      ~eq_handle:Portals.Handle.none ~data:Bytes.empty ()
-  in
   let integrity = t.tp.Simnet.Transport.integrity () in
   let img =
-    Portals.Wire.encode_with ~integrity w ~fill:(fun buf off ->
-        Bytes.blit src src_off buf off len)
+    Portals.Wire.image ~integrity Portals.Wire.Put_request
+      ~ack_requested:false ~triggered:false ~initiator:t.self ~target:dst
+      ~portal_index:0 ~cookie:rkey ~match_bits:Portals.Match_bits.zero ~offset
+      ~md_handle:Portals.Handle.none ~eq_handle:Portals.Handle.none
+      ~incarnation:(t.tp.Simnet.Transport.node_incarnation t.self.Simnet.Proc_id.nid)
+      ~length:len
   in
+  Bytes.blit src src_off img Portals.Wire.header_size len;
+  Portals.Wire.seal ~integrity img;
   t.s_writes <- t.s_writes + 1;
   t.s_write_bytes <- t.s_write_bytes + len;
   t.tp.Simnet.Transport.send ~src:t.self ~dst img;

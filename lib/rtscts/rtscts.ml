@@ -15,6 +15,7 @@ type stats = {
   failed_handshakes : int;
   data_drops : int;
   eager_drops : int;
+  malformed_drops : int;
 }
 
 type queued = { q_dst : Simnet.Proc_id.t; q_payload : bytes }
@@ -29,18 +30,21 @@ type pair = {
   awaiting_cts : (int, bytes) Hashtbl.t;
 }
 
-(* Receive-side reassembly of one streamed message; [arrived] has one
-   byte per packet, set once that packet's bytes are in [buffer]. The
-   RTS opens it, and the first packet sets [buffer]. While [aliased],
+(* Receive-side reassembly of one streamed message of [total] bytes (the
+   RTS's length); [arrived] has one byte per packet, set once that
+   packet's bytes are in [buffer], and grows as packets land: nothing is
+   sized from the RTS's length until a data packet repeats it. The RTS
+   opens it, and the first packet sets [buffer]. While [aliased],
    [buffer] is the sender's image itself: every packet so far was an
    intact view of it at its own offset, so its bytes are already in
    place, and the message is handed up without a reassembly copy. The
    first packet that is not such a view (a damaged copy) turns the
    buffer into a private copy, which the remaining packets fill. *)
 type assembly = {
+  total : int;
   mutable buffer : bytes;
   mutable aliased : bool;
-  arrived : Bytes.t;
+  mutable arrived : Bytes.t;
   mutable received : int;
 }
 
@@ -71,6 +75,7 @@ type mstats = {
   mutable s_failed : int;
   mutable s_data_drops : int;
   mutable s_eager_drops : int;
+  mutable s_malformed : int;
 }
 
 type t = {
@@ -120,6 +125,7 @@ let create ?config fabric =
           s_failed = 0;
           s_data_drops = 0;
           s_eager_drops = 0;
+          s_malformed = 0;
         };
       send_error = (fun ~src:_ ~dst:_ ~len:_ -> ());
     }
@@ -181,6 +187,7 @@ let stats t =
     failed_handshakes = t.st.s_failed;
     data_drops = t.st.s_data_drops;
     eager_drops = t.st.s_eager_drops;
+    malformed_drops = t.st.s_malformed;
   }
 
 let host_cpu t nid = Simnet.Node.host_cpu (Simnet.Fabric.node t.fabric nid)
@@ -355,11 +362,44 @@ let first_arrival rx id =
     true
   end
 
+(* Whether slot [i] of [a] has landed; [arrived] is short until the
+   packets past its end land. *)
+let landed a i = i < Bytes.length a.arrived && Bytes.get a.arrived i <> '\000'
+
+let mark_landed a i =
+  let n = Bytes.length a.arrived in
+  if i >= n then begin
+    let grown = Bytes.make (max (i + 1) (2 * n)) '\000' in
+    Bytes.blit a.arrived 0 grown 0 n;
+    a.arrived <- grown
+  end;
+  Bytes.set a.arrived i '\001'
+
+(* A data packet lies where its message's sender would have put it: the
+   same length as the RTS announced, a packet boundary, a full chunk or
+   the message's tail. *)
+let packet_fits ~chunk a (f : Frame.t) =
+  f.Frame.total_len = a.total && f.Frame.offset >= 0
+  && f.Frame.offset < a.total
+  && f.Frame.offset mod chunk = 0
+  && f.Frame.pay_len = min chunk (a.total - f.Frame.offset)
+
+let malformed t = t.st.s_malformed <- t.st.s_malformed + 1
+
 let handle_frame t ~me ~src frame =
   let profile = profile t in
   let nid = me.Simnet.Proc_id.nid in
   let interrupt () = steal t nid profile.Simnet.Profile.host_interrupt_cost in
   match frame.Frame.kind with
+  (* Only a fabric that damages frames without the reliability shim
+     delivers a header that contradicts itself: an eager length that is
+     not the frame's, or a negative message length. *)
+  | Frame.Eager when frame.Frame.total_len <> frame.Frame.pay_len ->
+    interrupt ();
+    malformed t
+  | Frame.Rts when frame.Frame.total_len < 0 ->
+    interrupt ();
+    malformed t
   | Frame.Eager when not (first_arrival (rx_of t ~src ~me) frame.Frame.msg_id) ->
     interrupt ();
     t.st.s_eager_drops <- t.st.s_eager_drops + 1
@@ -386,13 +426,13 @@ let handle_frame t ~me ~src frame =
        but opens nothing. *)
     if first_arrival rx msg_id then begin
       rx.rx_id <- msg_id;
-      let chunk = chunk_payload t in
       rx.rx_open <-
         Some
           {
+            total = len;
             buffer = Bytes.empty;
             aliased = false;
-            arrived = Bytes.make ((len + chunk - 1) / chunk) '\000';
+            arrived = Bytes.empty;
             received = 0;
           }
     end;
@@ -412,12 +452,16 @@ let handle_frame t ~me ~src frame =
     handle_cts t ~me ~from:src frame.Frame.msg_id
   | Frame.Data -> (
     if t.cfg.per_packet_interrupt then interrupt ();
-    let slot = frame.Frame.offset / chunk_payload t in
+    let chunk = chunk_payload t in
+    let slot = frame.Frame.offset / chunk in
     match Simnet.Proc_id.Pair_tbl.find t.rxs src me with
+    | { rx_id; rx_open = Some assembly; _ }
+      when rx_id = frame.Frame.msg_id && not (packet_fits ~chunk assembly frame)
+      ->
+      malformed t
     | { rx_id; rx_open = Some assembly; _ } as rx
-      when rx_id = frame.Frame.msg_id
-           && Bytes.get assembly.arrived slot = '\000' ->
-      Bytes.set assembly.arrived slot '\001';
+      when rx_id = frame.Frame.msg_id && not (landed assembly slot) ->
+      mark_landed assembly slot;
       let { Frame.payload; pay_off; pay_len = n; offset; total_len; _ } =
         frame
       in

@@ -62,6 +62,14 @@ type stats = {
   eager_drops : int;
       (** Eager frames discarded on arrival because their message id
           already arrived: the second copy of a duplicated frame. *)
+  malformed_drops : int;
+      (** Frames discarded because their header contradicts itself or
+          the RTS that opened their message: an eager length that is not
+          the frame's, a negative RTS length, a data packet whose length,
+          offset or size is not one its sender could have sent. Nothing is
+          sized from a length before a second copy confirms it. A fabric
+          that damages frames without the reliability shim produces
+          these. *)
 }
 
 type t

@@ -252,12 +252,12 @@ let md_update_tests =
            [Handle.md] does not unify with [Handle.eq]. *)
         (match
            Ni.md_update env.ni1 mdh (Ni.md_spec (Bytes.create 4))
-             ~test_eq:(Handle.of_wire 0x999L)
+             ~test_eq:(Handle.of_wire 0x999)
          with
         | Error Errors.Invalid_eq -> ()
         | Ok _ | Error _ -> Alcotest.fail "expected Invalid_eq");
         match
-          Ni.md_update env.ni1 (Handle.of_wire 0x888L)
+          Ni.md_update env.ni1 (Handle.of_wire 0x888)
             (Ni.md_spec (Bytes.create 4)) ~test_eq:eqh
         with
         | Error Errors.Invalid_md -> ()

@@ -598,7 +598,7 @@ let drop_tests =
           Wire.put_request ~initiator:(proc 1 0) ~target:(proc 0 0)
             ~portal_index:0 ~cookie:1 ~match_bits:Match_bits.zero ~offset:0
             ~md_handle:Handle.none
-            ~eq_handle:(Handle.of_wire 0x7777L) ~data:Bytes.empty ()
+            ~eq_handle:(Handle.of_wire 0x7777) ~data:Bytes.empty ()
         in
         let stray = Wire.ack_of_put put ~mlength:0 in
         env.tp.Simnet.Transport.send ~src:(proc 1 0) ~dst:(proc 0 0)
@@ -610,7 +610,7 @@ let drop_tests =
         let get =
           Wire.get_request ~initiator:(proc 1 0) ~target:(proc 0 0)
             ~portal_index:0 ~cookie:1 ~match_bits:Match_bits.zero ~offset:0
-            ~md_handle:(Handle.of_wire 0x1234L) ~rlength:3 ()
+            ~md_handle:(Handle.of_wire 0x1234) ~rlength:3 ()
         in
         let stray = Wire.reply_of_get get ~mlength:3 ~data:(Bytes.of_string "xyz") in
         env.tp.Simnet.Transport.send ~src:(proc 1 0) ~dst:(proc 0 0)
@@ -661,6 +661,25 @@ let drop_tests =
         Alcotest.(check int) "fabric drop" 1
           (Simnet.Fabric.stats env.fabric).Simnet.Fabric.drops_unregistered;
         Alcotest.(check int) "ni saw nothing" 0 (Ni.dropped_total env.ni1));
+    Alcotest.test_case "a negative remote offset is rejected, not raised" `Quick
+      (fun () ->
+        (* A damaged or hostile request can name an offset before the
+           region; the descriptor rejects it like any request that does
+           not fit, instead of the deposit raising inside the engine. *)
+        let env = setup () in
+        let buffer = Bytes.make 8 '.' in
+        let eqh, _, _ = attach_target env.ni1 buffer in
+        let _, imd = bind_initiator env.ni0 (Bytes.of_string "abcd") in
+        ok ~what:"put"
+          (Ni.put env.ni0 ~md:imd ~ack:false
+             (Ni.op ~target:(proc 1 0) ~portal_index:0 ~cookie:1 ~offset:(-4) ()));
+        ok ~what:"get"
+          (Ni.get env.ni0 ~md:imd
+             (Ni.op ~target:(proc 1 0) ~portal_index:0 ~cookie:1 ~offset:(-4) ()));
+        Scheduler.run env.sched;
+        Alcotest.(check int) "both dropped" 2 (Ni.dropped env.ni1 Ni.No_match);
+        Alcotest.(check int) "no target event" 0 (List.length (drain_events env.ni1 eqh));
+        Alcotest.(check string) "memory untouched" "........" (Bytes.to_string buffer));
   ]
 
 let bypass_tests =
@@ -945,6 +964,75 @@ let reserved_tests =
           (MP.unexpected_bytes_highwater eps.(1)));
   ]
 
+(* Words allocated per call of [f], over [n] calls: minor words plus
+   words allocated straight in the major heap, read after a minor
+   collection on both sides so the counts are complete. *)
+let words_per ~n f =
+  Gc.minor ();
+  let minor0, promoted0, major0 = Gc.counters () in
+  for _ = 1 to n do
+    f ()
+  done;
+  Gc.minor ();
+  let minor1, promoted1, major1 = Gc.counters () in
+  (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+  /. float_of_int n
+
+let check_budget what ~budget words =
+  if words > budget then
+    Alcotest.failf "%s allocates %.1f words, over its budget of %.0f" what words
+      budget
+
+(* Allocation budgets of the initiator's and the target's halves of a
+   put. The measured values are on OCaml 5.1.1; the budgets leave room
+   for other compiler versions. *)
+let words_tests =
+  [
+    Alcotest.test_case "Ni.put of 16 bytes costs at most 30 words" `Quick
+      (fun () ->
+        (* 75 words before the header was written straight from the op;
+           20 since: the wire image and the transport's closure. *)
+        let env = setup () in
+        let md =
+          ok ~what:"md_bind"
+            (Ni.md_bind env.ni0
+               (Ni.md_spec
+                  ~options:{ Md.default_options with Md.ack_disable = true }
+                  (Bytes.make 16 'p')))
+        in
+        let o =
+          Ni.op ~target:(proc 1 0) ~portal_index:0
+            ~match_bits:(Match_bits.of_int 42) ()
+        in
+        let put () = ok ~what:"put" (Ni.put env.ni0 ~md ~ack:false o) in
+        (* Warm up to the measured depth, so the engine's queue has
+           already grown. *)
+        for _ = 1 to 1000 do
+          put ()
+        done;
+        Scheduler.run env.sched;
+        check_budget "Ni.put" ~budget:30. (words_per ~n:1000 put);
+        Scheduler.run env.sched);
+    Alcotest.test_case "decode_view of a 16-byte put costs at most 28 words"
+      `Quick (fun () ->
+        (* 41 words with boxed handles, addresses and local closures; 21
+           since (the record, its [Ok] and the match bits). *)
+        let src = proc 0 0 and dst = proc 1 0 in
+        let image =
+          Wire.encode ~integrity:false
+            (Wire.put_request ~initiator:src ~target:dst ~portal_index:0
+               ~cookie:0 ~match_bits:(Match_bits.of_int 42) ~offset:0
+               ~md_handle:Handle.none ~eq_handle:Handle.none
+               ~data:(Bytes.make 16 'p') ())
+        in
+        let decode () =
+          match Wire.decode_view ~integrity:false ~src ~dst image with
+          | Ok msg -> ignore (Sys.opaque_identity msg)
+          | Error _ -> Alcotest.fail "decode"
+        in
+        check_budget "decode_view" ~budget:28. (words_per ~n:1000 decode));
+  ]
+
 let () =
   Alcotest.run "portals_ni"
     [
@@ -958,4 +1046,5 @@ let () =
       ("eq_overflow", eq_overflow_tests);
       ("counters", counter_tests);
       ("reserved", reserved_tests);
+      ("words", words_tests);
     ]

@@ -6,6 +6,35 @@ open Portals
 
 let proc nid pid = Simnet.Proc_id.make ~nid ~pid
 
+(* The fabric's view of a frame's ends; the decoder reuses them when the
+   header names the same processes, and any address is correct. *)
+let decode_view ~integrity b =
+  Wire.decode_view ~integrity ~src:(proc 0 0) ~dst:(proc 1 0) b
+
+(* Random alloc/free sequences on one table: every live handle survives
+   the wire and finds its value; every freed one stays dead, however
+   often its slot is reused. *)
+let packed_handles_round_trip ops =
+  let table : (Handle.me_kind, int) Handle.Table.t = Handle.Table.create () in
+  let live = ref [] and dead = ref [] in
+  List.iteri
+    (fun v op ->
+      match (op, !live) with
+      | `Free i, (_ :: _ as l) ->
+        let h, _ = List.nth l (i mod List.length l) in
+        ignore (Handle.Table.free table h);
+        live := List.filter (fun (x, _) -> not (Handle.equal x h)) l;
+        dead := h :: !dead
+      | `Free _, [] | `Alloc, _ -> live := (Handle.Table.alloc table v, v) :: !live)
+    ops;
+  Handle.to_wire (Handle.none : Handle.me) = -1
+  && List.for_all
+       (fun (h, v) ->
+         Handle.equal (Handle.of_wire (Handle.to_wire h)) h
+         && Handle.Table.find table (Handle.of_wire (Handle.to_wire h)) = Some v)
+       !live
+  && List.for_all (fun h -> Handle.Table.find table h = None) !dead
+
 let handle_tests =
   [
     Alcotest.test_case "alloc/find/free lifecycle" `Quick (fun () ->
@@ -70,6 +99,13 @@ let handle_tests =
            let live = ref 0 in
            Handle.Table.iter table (fun _ _ -> incr live);
            !live = Handle.Table.live_count table));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"packed handles round-trip and stay stale"
+         ~count:300
+         QCheck.(
+           list_of_size Gen.(int_range 0 80)
+             (map (fun i -> if i < 0 then `Free (-i) else `Alloc) (int_range (-20) 20)))
+         packed_handles_round_trip);
   ]
 
 let match_bits_tests =
@@ -174,74 +210,74 @@ let acl_tests =
         | Ok () | Error _ -> Alcotest.fail "expected invalid index"));
   ]
 
+(* An accepting verdict's landing offset and manipulated length. *)
+let accepted md ~op ~rlength ~roffset =
+  let v = Md.accepts md ~op ~rlength ~roffset in
+  if v < 0 then Error (Md.reason v) else Ok (Md.landing md ~roffset, v)
+
+let consume_accepted md ~rlength ~roffset =
+  match accepted md ~op:Md.Op_put ~rlength ~roffset with
+  | Ok (offset, mlength) ->
+    Md.consume md ~offset ~mlength;
+    (offset, mlength)
+  | Error r -> Alcotest.failf "rejected: %s" (Format.asprintf "%a" Md.pp_reject r)
+
 let md_tests =
   [
     Alcotest.test_case "accept within bounds" `Quick (fun () ->
         let md = Md.create (Bytes.create 100) in
-        (match Md.accepts md ~op:Md.Op_put ~rlength:60 ~roffset:40 with
-        | Ok { Md.offset; mlength } ->
+        (match accepted md ~op:Md.Op_put ~rlength:60 ~roffset:40 with
+        | Ok (offset, mlength) ->
           Alcotest.(check int) "offset" 40 offset;
           Alcotest.(check int) "mlength" 60 mlength
         | Error r -> Alcotest.failf "rejected: %s" (Format.asprintf "%a" Md.pp_reject r)));
     Alcotest.test_case "reject too long without truncate" `Quick (fun () ->
         let md = Md.create (Bytes.create 100) in
-        (match Md.accepts md ~op:Md.Op_put ~rlength:61 ~roffset:40 with
+        (match accepted md ~op:Md.Op_put ~rlength:61 ~roffset:40 with
         | Error Md.Too_long -> ()
         | Ok _ | Error _ -> Alcotest.fail "expected Too_long"));
     Alcotest.test_case "truncate caps the length" `Quick (fun () ->
         let options = { Md.default_options with Md.truncate = true } in
         let md = Md.create ~options (Bytes.create 100) in
-        (match Md.accepts md ~op:Md.Op_put ~rlength:500 ~roffset:40 with
-        | Ok { Md.offset; mlength } ->
+        (match accepted md ~op:Md.Op_put ~rlength:500 ~roffset:40 with
+        | Ok (offset, mlength) ->
           Alcotest.(check int) "offset" 40 offset;
           Alcotest.(check int) "manipulated length" 60 mlength
         | Error _ -> Alcotest.fail "expected truncation"));
     Alcotest.test_case "operation enables" `Quick (fun () ->
         let options = { Md.default_options with Md.op_get = false } in
         let md = Md.create ~options (Bytes.create 10) in
-        (match Md.accepts md ~op:Md.Op_get ~rlength:1 ~roffset:0 with
+        (match accepted md ~op:Md.Op_get ~rlength:1 ~roffset:0 with
         | Error Md.Op_disabled -> ()
         | Ok _ | Error _ -> Alcotest.fail "expected Op_disabled");
         Alcotest.(check bool) "put still allowed" true
-          (Result.is_ok (Md.accepts md ~op:Md.Op_put ~rlength:1 ~roffset:0)));
+          (Result.is_ok (accepted md ~op:Md.Op_put ~rlength:1 ~roffset:0)));
     Alcotest.test_case "threshold exhaustion deactivates" `Quick (fun () ->
         let md = Md.create ~threshold:(Md.Count 2) (Bytes.create 10) in
-        let accept () =
-          match Md.accepts md ~op:Md.Op_put ~rlength:1 ~roffset:0 with
-          | Ok acc -> Md.consume md acc
-          | Error r -> Alcotest.failf "%s" (Format.asprintf "%a" Md.pp_reject r)
-        in
+        let accept () = ignore (consume_accepted md ~rlength:1 ~roffset:0) in
         accept ();
         accept ();
         Alcotest.(check bool) "inactive" false (Md.active md);
-        (match Md.accepts md ~op:Md.Op_put ~rlength:1 ~roffset:0 with
+        (match accepted md ~op:Md.Op_put ~rlength:1 ~roffset:0 with
         | Error Md.Inactive -> ()
         | Ok _ | Error _ -> Alcotest.fail "expected Inactive"));
     Alcotest.test_case "locally managed offset advances" `Quick (fun () ->
         let options = { Md.default_options with Md.manage_remote = false } in
         let md = Md.create ~options (Bytes.create 100) in
-        let push len =
-          match Md.accepts md ~op:Md.Op_put ~rlength:len ~roffset:9999 with
-          | Ok acc ->
-            Md.consume md acc;
-            acc
-          | Error r -> Alcotest.failf "%s" (Format.asprintf "%a" Md.pp_reject r)
-        in
+        let push len = fst (consume_accepted md ~rlength:len ~roffset:9999) in
         let a1 = push 30 in
         let a2 = push 30 in
-        Alcotest.(check int) "first at 0 (remote offset ignored)" 0 a1.Md.offset;
-        Alcotest.(check int) "second right after" 30 a2.Md.offset;
+        Alcotest.(check int) "first at 0 (remote offset ignored)" 0 a1;
+        Alcotest.(check int) "second right after" 30 a2;
         Alcotest.(check int) "local offset" 60 (Md.local_offset md);
-        (match Md.accepts md ~op:Md.Op_put ~rlength:50 ~roffset:0 with
+        (match accepted md ~op:Md.Op_put ~rlength:50 ~roffset:0 with
         | Error Md.Too_long -> ()
         | Ok _ | Error _ -> Alcotest.fail "slab exhausted"));
     Alcotest.test_case "consume_threshold leaves local offset alone" `Quick
       (fun () ->
         let options = { Md.default_options with Md.manage_remote = false } in
         let md = Md.create ~options ~threshold:(Md.Count 5) (Bytes.create 10) in
-        (match Md.accepts md ~op:Md.Op_put ~rlength:4 ~roffset:0 with
-        | Ok acc -> Md.consume md acc
-        | Error _ -> Alcotest.fail "accept");
+        ignore (consume_accepted md ~rlength:4 ~roffset:0);
         Md.consume_threshold md;
         Alcotest.(check int) "offset preserved" 4 (Md.local_offset md);
         Alcotest.(check bool) "still active" true (Md.active md));
@@ -258,8 +294,8 @@ let md_tests =
          (fun (size, rlength, roffset) ->
            let options = { Md.default_options with Md.truncate = true } in
            let md = Md.create ~options (Bytes.create size) in
-           match Md.accepts md ~op:Md.Op_put ~rlength ~roffset with
-           | Ok { Md.offset; mlength } ->
+           match accepted md ~op:Md.Op_put ~rlength ~roffset with
+           | Ok (offset, mlength) ->
              mlength >= 0 && offset + mlength <= size
            | Error _ -> true));
   ]
@@ -516,7 +552,7 @@ let wire_tests =
             ~portal_index:4 ~cookie:0 ~match_bits:(Match_bits.of_int 77)
             ~offset:16 ~md_handle:Handle.none ~eq_handle:Handle.none ~data ()
         in
-        (match Wire.decode_view ~integrity:false (Wire.encode ~integrity:false msg) with
+        (match decode_view ~integrity:false (Wire.encode ~integrity:false msg) with
         | Ok d ->
           Alcotest.(check bool) "op" true (d.Wire.op = Wire.Put_request);
           Alcotest.(check bool) "ack default" true d.Wire.ack_requested;
@@ -574,7 +610,7 @@ let wire_tests =
           (Invalid_argument "Wire.ack_of_put: not a put request") (fun () ->
             ignore (Wire.ack_of_put get ~mlength:0)));
     Alcotest.test_case "decode rejects corruption" `Quick (fun () ->
-        (match Wire.decode_view ~integrity:false (Bytes.create 4) with
+        (match decode_view ~integrity:false (Bytes.create 4) with
         | Error (Wire.Truncated _) -> ()
         | Ok _ | Error _ -> Alcotest.fail "expected Truncated");
         let msg =
@@ -586,7 +622,7 @@ let wire_tests =
         let corrupt pos v expect_name check =
           let b = Bytes.copy buf in
           Bytes.set_uint8 b pos v;
-          match Wire.decode_view ~integrity:false b with
+          match decode_view ~integrity:false b with
           | Error e when check e -> ()
           | Ok _ | Error _ -> Alcotest.failf "expected %s" expect_name
         in
@@ -609,7 +645,7 @@ let wire_tests =
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"encode/decode round trip" ~count:500 wire_arb
          (fun msg ->
-           match Wire.decode_view ~integrity:false (Wire.encode ~integrity:false msg) with
+           match decode_view ~integrity:false (Wire.encode ~integrity:false msg) with
            | Error _ -> false
            | Ok d ->
              d.Wire.op = msg.Wire.op

@@ -505,6 +505,73 @@ let portals_over_rtscts_tests =
         | Error _ -> Alcotest.fail "eq resolve");
   ]
 
+(* Portals puts over RTS/CTS on a fabric that corrupts half its frames,
+   with the fabric's integrity bit on and no reliability shim: damaged
+   RTS/CTS headers (a length, an offset) must not raise, and the Portals
+   CRC must keep every damaged byte out of the target's memory. A put
+   either lands whole, with its event, or not at all. *)
+let corrupt_run seed =
+  let sched = Scheduler.create () in
+  let fabric =
+    Simnet.Fabric.create sched ~profile:Simnet.Profile.myrinet_kernel ~nodes:2
+  in
+  Simnet.Fabric.set_fault_model fabric (Some (Simnet.Fault.corrupt ~seed ~p:0.5 ()));
+  Simnet.Fabric.set_integrity fabric true;
+  let m = Rtscts.create fabric in
+  let tp = Rtscts.transport m in
+  let ok = Portals.Errors.ok_exn in
+  let ni0 = Portals.Ni.create tp ~id:(proc 0 0) ()
+  and ni1 = Portals.Ni.create tp ~id:(proc 1 0) () in
+  let size = 10_240 and count = 20 in
+  let memory = Bytes.make (size * count) '\000' in
+  let eq = ok ~op:"eq" (Portals.Ni.eq_alloc ni1 ~capacity:64) in
+  let me =
+    ok ~op:"me"
+      (Portals.Ni.me_attach ni1 ~portal_index:0 ~match_id:Portals.Match_id.any
+         ~match_bits:Portals.Match_bits.zero ~ignore_bits:Portals.Match_bits.all_ones ())
+  in
+  ignore (ok ~op:"md" (Portals.Ni.md_attach ni1 ~me (Portals.Ni.md_spec ~eq memory)));
+  let pattern i = Bytes.init size (fun j -> Char.chr (1 + ((i * 7 + j) mod 255))) in
+  for i = 0 to count - 1 do
+    let md = ok ~op:"bind" (Portals.Ni.md_bind ni0 (Portals.Ni.md_spec (pattern i))) in
+    ok ~op:"put"
+      (Portals.Ni.put ni0 ~md ~ack:false
+         (Portals.Ni.op ~target:(proc 1 0) ~portal_index:0 ~offset:(i * size) ()))
+  done;
+  (match Scheduler.run sched with
+  | () -> ()
+  | exception e -> Alcotest.failf "seed %d raised %s" seed (Printexc.to_string e));
+  let q = ok ~op:"eq" (Portals.Ni.eq ni1 eq) in
+  let landed = Array.make count false in
+  let rec drain () =
+    match Portals.Event.Queue.get q with
+    | None -> ()
+    | Some ev ->
+      landed.(ev.Portals.Event.offset / size) <- true;
+      drain ()
+  in
+  drain ();
+  Array.iteri
+    (fun i landed ->
+      let got = Bytes.sub memory (i * size) size in
+      let want = if landed then pattern i else Bytes.make size '\000' in
+      if not (Bytes.equal got want) then
+        Alcotest.failf "seed %d: put %d (%s) left damaged bytes in memory" seed i
+          (if landed then "landed" else "dropped"))
+    landed;
+  Rtscts.stats m
+
+let corrupt_tests =
+  [
+    Alcotest.test_case "a corrupted length or offset never raises" `Quick
+      (fun () ->
+        let malformed = ref 0 in
+        for seed = 0 to 199 do
+          malformed := !malformed + (corrupt_run seed).Rtscts.malformed_drops
+        done;
+        Alcotest.(check bool) "some damaged headers were counted" true (!malformed > 0));
+  ]
+
 let () =
   Alcotest.run "rtscts"
     [
@@ -513,4 +580,5 @@ let () =
       ("delivery", delivery_tests);
       ("void_sender", void_sender_tests);
       ("portals_over_rtscts", portals_over_rtscts_tests);
+      ("corrupt", corrupt_tests);
     ]
