@@ -43,6 +43,9 @@ type t = {
      payload does not fit; its descriptor is re-bound then. *)
   mutable scratch_buf : bytes;
   mutable scratch_mdh : P.Handle.md;
+  (* The last put-region length handed to [Ni.put], as the option its
+     [?length] takes: kept, a run of same-sized sends boxes none. *)
+  mutable put_length : int option;
 }
 
 exception Eq_overflow of { capacity : int; dropped : int }
@@ -125,6 +128,7 @@ let create ni ~portal_index ?(slab_size = 131_072) ?(slab_count = 4)
       pending_count = 0;
       scratch_buf;
       scratch_mdh;
+      put_length = None;
     }
   in
   if slab_count > 0 then ignore (P.Md.reserved_bytes t.slabs.(0).s_memory);
@@ -146,8 +150,11 @@ let send t ~dst ~bits payload =
     invalid_arg "Pool.send: payload larger than the pool's slab size";
   if len > Bytes.length t.scratch_buf then grow_scratch t len;
   Bytes.blit payload 0 t.scratch_buf 0 len;
+  (match t.put_length with
+  | Some l when l = len -> ()
+  | Some _ | None -> t.put_length <- Some len);
   ok_exn ~op:"pool put"
-    (P.Ni.put t.pool_ni ~md:t.scratch_mdh ~ack:false ~length:len
+    (P.Ni.put t.pool_ni ~md:t.scratch_mdh ~ack:false ?length:t.put_length
        {
          P.Ni.target = dst;
          portal_index = t.portal_index;
@@ -205,12 +212,13 @@ let dispatch t (ev : P.Event.t) =
   | P.Event.Put | P.Event.Get | P.Event.Atomic | P.Event.Reply | P.Event.Ack
   | P.Event.Sent | P.Event.Triggered -> ()
 
+(* [wait] on a non-empty queue returns at once, without boxing the
+   event as [get] does. *)
 let rec drain t =
-  match P.Event.Queue.get t.eqq with
-  | None -> ()
-  | Some ev ->
-    dispatch t ev;
+  if P.Event.Queue.count t.eqq > 0 then begin
+    dispatch t (P.Event.Queue.wait t.eqq);
     drain t
+  end
 
 (* Unlink and return the oldest cell in bucket [i] with [bits]. *)
 let rec take t i bits prev = function

@@ -32,13 +32,29 @@ let pp ppf t =
 module Queue = struct
   type event = t
 
+  (* What an empty slot holds: events sit in the ring unboxed, so a post
+     allocates nothing. *)
+  let vacant =
+    {
+      kind = Sent;
+      initiator = Simnet.Proc_id.make ~nid:0 ~pid:0;
+      portal_index = 0;
+      match_bits = Match_bits.zero;
+      rlength = 0;
+      mlength = 0;
+      offset = 0;
+      md_handle = Handle.none;
+      md_user_ptr = 0;
+      time = Sim_engine.Time_ns.zero;
+    }
+
   (* The ring starts empty and doubles on demand up to [capacity], so a
      queue costs what it holds rather than what it could hold: a deep EQ
      on a rank that never receives stays a few words. *)
   type t = {
     sched : Sim_engine.Scheduler.t;
     capacity : int;
-    mutable ring : event option array;
+    mutable ring : event array;
     mutable head : int; (* next read position *)
     mutable len : int;
     mutable dropped : int;
@@ -98,7 +114,7 @@ module Queue = struct
   let grow t =
     let old = t.ring in
     let size = Array.length old in
-    let ring = Array.make (min t.capacity (max 8 (2 * size))) None in
+    let ring = Array.make (min t.capacity (max 8 (2 * size))) vacant in
     let first = size - t.head in
     Array.blit old t.head ring 0 first;
     Array.blit old 0 ring first t.head;
@@ -113,7 +129,7 @@ module Queue = struct
     else begin
       if t.len = Array.length t.ring then grow t;
       let tail = (t.head + t.len) mod Array.length t.ring in
-      t.ring.(tail) <- Some ev;
+      t.ring.(tail) <- ev;
       t.len <- t.len + 1;
       t.posted <- t.posted + 1;
       record_depth t;
@@ -121,23 +137,23 @@ module Queue = struct
       true
     end
 
-  let get t =
-    if t.len = 0 then None
-    else begin
-      let ev = t.ring.(t.head) in
-      t.ring.(t.head) <- None;
-      t.head <- (t.head + 1) mod Array.length t.ring;
-      t.len <- t.len - 1;
-      record_depth t;
-      ev
-    end
+  (* The oldest event; the queue is not empty. *)
+  let take t =
+    let ev = t.ring.(t.head) in
+    t.ring.(t.head) <- vacant;
+    t.head <- (t.head + 1) mod Array.length t.ring;
+    t.len <- t.len - 1;
+    record_depth t;
+    ev
+
+  let get t = if t.len = 0 then None else Some (take t)
 
   let rec wait t =
-    match get t with
-    | Some ev -> ev
-    | None ->
+    if t.len > 0 then take t
+    else begin
       Sim_engine.Sync.Waitq.wait t.nonempty;
       wait t
+    end
 
   let wake t =
     t.interrupts <- t.interrupts + 1;

@@ -79,7 +79,9 @@ module Queue : sig
   (** Non-blocking read in arrival order ([PtlEQGet]). *)
 
   val wait : t -> event
-  (** Fiber-only blocking read ([PtlEQWait]). *)
+  (** Blocking read ([PtlEQWait]): returns at once, from any context,
+      when an event is queued, and otherwise blocks the calling fiber.
+      Unlike {!get} it allocates nothing. *)
 
   val wait_opt : t -> event option
   (** Like {!wait}, but also returns — with [None] — when a {!wake}

@@ -333,6 +333,17 @@ let run ?until ?(allow_blocked = false) t =
       ignore (Atomic.fetch_and_add g_events (t.events - events0)))
     loop
 
+let advance_to t time =
+  if Time_ns.compare time t.now < 0 then
+    invalid_arg
+      (Format.asprintf "Scheduler.advance_to: time %a is before now %a"
+         Time_ns.pp time Time_ns.pp t.now);
+  if
+    (not (Event_heap.is_empty t.heap))
+    && Time_ns.compare (Event_heap.min_time t.heap) time < 0
+  then invalid_arg "Scheduler.advance_to: an event is pending before the time";
+  t.now <- time
+
 let next_event_time t =
   if Event_heap.is_empty t.heap then None
   else Some (Event_heap.min_time t.heap)

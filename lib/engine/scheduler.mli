@@ -156,6 +156,13 @@ val add_global_sim_time : Time_ns.t -> unit
 (** Credit an externally-tracked clock advance to the global sim-time
     total (see {!count_sim_time}). *)
 
+val advance_to : t -> Time_ns.t -> unit
+(** Move the clock of a scheduler that is not running forward to a
+    time no pending event precedes, running nothing and crediting no
+    sim time. The shard runtime brings every shard to the merged clock
+    this way when a run ends. Raises [Invalid_argument] if the time is
+    before {!now} or after the earliest pending event. *)
+
 val next_event_time : t -> Time_ns.t option
 (** Earliest pending event, if any — the shard barrier's reduction input. *)
 

@@ -240,6 +240,14 @@ let run_windows ?until ~allow_blocked t ~deliver =
       ignore
         (parallel_init n (fun k -> shard_loop t k ~barrier ~until ~deliver)));
   (match Atomic.get t.failure with Some e -> raise e | None -> ());
+  (* Each shard's clock stopped at its own last event; the sequential
+     run's stops at the latest of them. Bring every shard there, so what
+     reads a clock after the run (a CPU's occupancy, the next relative
+     timer) reads the sequential reference's. No shard has an event
+     before it: the run ended because none was left at or before
+     [until]. *)
+  let merged = clock () in
+  Array.iter (fun s -> Scheduler.advance_to s merged) t.scheds;
   if until = None && not allow_blocked then begin
     let live =
       Array.fold_left (fun acc s -> acc + Scheduler.live_fibers s) 0 t.scheds

@@ -80,4 +80,6 @@ val run :
     blocked when no events remain, unless [allow_blocked]. An exception
     raised by any shard's events aborts the whole run at the next window
     boundary and is re-raised here. Global sim-time totals are credited
-    once for the merged clock, not once per shard. *)
+    once for the merged clock, not once per shard, and a run that ends
+    leaves every shard's clock at the merged clock, as the sequential
+    run leaves its one. *)

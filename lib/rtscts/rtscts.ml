@@ -83,7 +83,7 @@ type t = {
   cfg : config;
   sched : Scheduler.t;
   pairs : (Simnet.Proc_id.t * Simnet.Proc_id.t, pair) Hashtbl.t;
-  kcopy : Simnet.Link.t array; (* per-node kernel copy engine *)
+  kcopy : Simnet.Link.t array; (* per owned node: kernel copy engine *)
   uppers : (Simnet.Proc_id.t, src:Simnet.Proc_id.t -> bytes -> unit) Hashtbl.t;
   rxs : rx Simnet.Proc_id.Pair_tbl.tbl;
   st : mstats;
@@ -110,7 +110,7 @@ let create ?config fabric =
       sched;
       pairs = Hashtbl.create 64;
       kcopy =
-        Array.init (Simnet.Fabric.node_count fabric) (fun nid ->
+        Simnet.Fabric.per_node fabric (fun nid ->
             Simnet.Link.create ~name:("kcopy" ^ string_of_int nid) sched);
       uppers = Hashtbl.create 64;
       rxs = Simnet.Proc_id.Pair_tbl.create 64;
@@ -191,6 +191,10 @@ let stats t =
   }
 
 let host_cpu t nid = Simnet.Node.host_cpu (Simnet.Fabric.node t.fabric nid)
+
+let kcopy t nid =
+  t.kcopy.(Simnet.Fabric.owned_index t.fabric ~what:"Rtscts.kcopy" nid)
+
 let steal t nid cost = Cpu.steal (host_cpu t nid) cost
 
 let pair_of t ~src ~dst =
@@ -222,7 +226,7 @@ let stream_packets t pair msg_id payload ~on_done =
   let profile = profile t in
   let chunk = chunk_payload t in
   let len = Bytes.length payload in
-  let copy_link = t.kcopy.(pair.src.Simnet.Proc_id.nid) in
+  let copy_link = kcopy t pair.src.Simnet.Proc_id.nid in
   let rec go offset =
     if offset >= len then on_done ()
     else begin
@@ -261,7 +265,7 @@ let rec pump t pair =
     if len <= t.cfg.eager_threshold then begin
       t.st.s_bytes <- t.st.s_bytes + len;
       t.st.s_eager <- t.st.s_eager + 1;
-      let copy_link = t.kcopy.(pair.src.Simnet.Proc_id.nid) in
+      let copy_link = kcopy t pair.src.Simnet.Proc_id.nid in
       let copy_done =
         Simnet.Link.occupy copy_link (Simnet.Profile.copy_time profile len)
       in
@@ -409,7 +413,7 @@ let handle_frame t ~me ~src frame =
       Time_ns.add profile.Simnet.Profile.host_interrupt_cost
         (Simnet.Profile.copy_time profile frame.Frame.total_len)
     in
-    let copy_done = Simnet.Link.occupy t.kcopy.(nid) cost in
+    let copy_done = Simnet.Link.occupy (kcopy t nid) cost in
     Scheduler.at t.sched copy_done (fun () ->
         steal t nid (Simnet.Profile.copy_time profile frame.Frame.total_len);
         (* A frame is immutable once sent, so an intact view of the
@@ -483,7 +487,7 @@ let handle_frame t ~me ~src frame =
         Bytes.blit payload pay_off assembly.buffer offset n;
       assembly.received <- assembly.received + n;
       let copy_done =
-        Simnet.Link.occupy t.kcopy.(nid) (Simnet.Profile.copy_time profile n)
+        Simnet.Link.occupy (kcopy t nid) (Simnet.Profile.copy_time profile n)
       in
       let complete = assembly.received >= frame.Frame.total_len in
       if complete then rx.rx_open <- None;
@@ -502,11 +506,11 @@ let transport t =
     send = (fun ~src ~dst payload -> enqueue t ~src ~dst payload);
     register =
       (fun pid handler ->
-        Hashtbl.replace t.uppers pid handler;
         Simnet.Fabric.register_frames t.fabric pid (fun ~src frame ->
             match Frame.decode frame with
             | Error _ -> () (* not ours: drop silently at this layer *)
-            | Ok frame -> handle_frame t ~me:pid ~src frame));
+            | Ok frame -> handle_frame t ~me:pid ~src frame);
+        Hashtbl.replace t.uppers pid handler);
     unregister =
       (fun pid ->
         Hashtbl.remove t.uppers pid;

@@ -90,8 +90,9 @@ let create_world ?(scenario = Scenario.default) ?profile ?(transport = Offload)
     end;
     (* Scripted node failures apply to every world, so an experiment that
        builds one world per transport subjects each to the identical
-       schedule — and, in a parallel world, to every shard, keeping the
-       shadow replicas' crash state in lockstep with the owners. *)
+       schedule — and, in a parallel world, to every shard, keeping
+       every replica's status word for the node in lockstep with its
+       owner. *)
     match scenario.Scenario.crashes with
     | Some schedule -> Simnet.Fabric.apply_crash_schedule fabric schedule
     | None -> ()
@@ -112,7 +113,8 @@ let create_world ?(scenario = Scenario.default) ?profile ?(transport = Offload)
   let shard_map = Simnet.Shard_map.build topo ~profile ~shards in
   (* Each shard's replica is built on its own domain, as [Shard.run]
      places the shards, so a replica's scheduler, fabric and transport
-     come from that domain's heap. Shard 0 keeps the caller's seed, so
+     come from that domain's heap, and it holds only the nodes and hop
+     links its shard owns. Shard 0 keeps the caller's seed, so
      streams only it draws match the 1-shard world's; the rest get
      decorrelated derived streams (nothing deterministic may depend on
      them). *)
@@ -124,7 +126,8 @@ let create_world ?(scenario = Scenario.default) ?profile ?(transport = Offload)
             ()
         in
         let fabric =
-          Simnet.Fabric.create ~topology:topo ?queue_limit sched ~profile ~nodes
+          Simnet.Fabric.create ~topology:topo ?queue_limit
+            ~shard:(shard_map, k) sched ~profile ~nodes
         in
         configure fabric;
         (sched, fabric, transport_over fabric))
@@ -141,9 +144,7 @@ let create_world ?(scenario = Scenario.default) ?profile ?(transport = Offload)
   if shards > 1 then
     Array.iteri
       (fun k fabric ->
-        Simnet.Fabric.set_par fabric ~self:k
-          ~owner:(Simnet.Shard_map.owner shard_map)
-          ~post:(fun ~dst_shard ~time msg ->
+        Simnet.Fabric.set_post fabric (fun ~dst_shard ~time msg ->
             Shard.post shard ~src:k ~dst:dst_shard ~time msg))
       fabrics;
   {
@@ -190,11 +191,33 @@ let now world =
   Array.fold_left (fun t s -> Time_ns.max t (Scheduler.now s)) Time_ns.zero
     world.scheds
 
+(* Counters and summaries accumulate in [Metrics.absorb], but a gauge
+   there is overwritten. Every gauge a shard registers is either one
+   part's (a node's CPU or link, an NI), which only its owner registers,
+   or a per-replica total (messages sent, handshakes), which every shard
+   registers. So each gauge is absorbed as its running sum over the
+   shards so far, and the last absorbed is the total. *)
+let running_gauge_sums snaps =
+  let sums = Hashtbl.create 64 in
+  let running (e : Metrics.Snapshot.entry) =
+    match e.Metrics.Snapshot.value with
+    | Metrics.Snapshot.Gauge v ->
+      let key = (e.Metrics.Snapshot.name, e.Metrics.Snapshot.labels) in
+      let v =
+        match Hashtbl.find_opt sums key with Some acc -> acc +. v | None -> v
+      in
+      Hashtbl.replace sums key v;
+      { e with Metrics.Snapshot.value = Metrics.Snapshot.Gauge v }
+    | _ -> e
+  in
+  Array.map (List.map running) snaps
+
 let metrics_snapshot world =
   let merged = Metrics.create ~detail:true () in
-  Array.iter
-    (fun s -> Metrics.absorb merged (Metrics.snapshot (Scheduler.metrics s)))
-    world.scheds;
+  let snaps =
+    Array.map (fun s -> Metrics.snapshot (Scheduler.metrics s)) world.scheds
+  in
+  Array.iter (Metrics.absorb merged) (running_gauge_sums snaps);
   Metrics.snapshot merged
 
 let shard_fabrics world = Array.copy world.fabrics

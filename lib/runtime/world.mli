@@ -21,7 +21,8 @@ type world = private {
   transport : Simnet.Transport.t;
       (** Shard 0's scheduler, fabric and transport: correct for global
           queries (crash/partition state is replicated on every shard)
-          but {e not} for per-rank work on a world of several shards:
+          but {e not} for per-rank work on a world of several shards,
+          where shard 0's replica rejects the nodes it does not own:
           use {!sched_of_rank} / {!transport_of_rank} / {!fabric_of_nid}
           instead. *)
   ranks : Simnet.Proc_id.t array;
@@ -70,9 +71,14 @@ val create_world :
     ({!Simnet.Shard_map}), each shard gets its own scheduler, fabric
     replica, fault-model instance and transport, built on that shard's
     domain, and {!run} drives them under the conservative window barrier
-    ({!Sim_engine.Shard}). One shard is the smallest case: it owns every
-    node, so its fabric posts nothing to other shards and {!run} is
-    {!Sim_engine.Scheduler.run} on its scheduler.
+    ({!Sim_engine.Shard}). A replica holds only what its shard owns: its
+    block's nodes (CPU, link, handlers), their transport engines, and
+    the hop links leaving its vertices; of every other node it keeps the
+    up bit and crash epoch. So each extra shard adds one word per node
+    and a scheduler and transport to the world, not another fabric. One
+    shard is the smallest case: it owns every node, so its fabric posts
+    nothing to other shards and {!run} is {!Sim_engine.Scheduler.run} on
+    its scheduler.
 
     Raises [Invalid_argument] on no nodes, no processes per node, fewer
     than one domain, or a partition or crash naming a node outside the
@@ -102,17 +108,25 @@ val transport_of_rank : world -> int -> Simnet.Transport.t
     one bound to its node's owner fabric. *)
 
 val shard_scheds : world -> Sim_engine.Scheduler.t array
-(** One scheduler per shard ([[|sched|]] at one shard) — e.g. to merge
-    per-shard metrics registries with {!Sim_engine.Metrics.absorb}. *)
+(** One scheduler per shard ([[|sched|]] at one shard) — e.g. to set
+    every shard registry's detail level. Merge their metrics with
+    {!metrics_snapshot}. *)
 
 val now : world -> Sim_engine.Time_ns.t
 (** The simulated time the world has reached: the latest clock over its
     shards. *)
 
 val metrics_snapshot : world -> Sim_engine.Metrics.Snapshot.t
-(** Every shard's registry merged into one snapshot (counters and
-    summaries accumulate, so job-wide totals do not depend on the shard
-    count). *)
+(** Every shard's registry merged into one snapshot that does not depend
+    on the shard count. Counters and summaries accumulate. A gauge of
+    one part (a node's CPU or link, an NI, an event queue) comes from
+    the one shard that owns the part; a gauge every shard registers (a
+    replica's messages sent, its handshakes, its events processed) is
+    summed over the shards into the job-wide total.
+
+    One entry is a fact of each shard's engine and does depend on the
+    shard count: ["sched.heap_peak"], the sum of the shards' pending-event
+    high-water marks. *)
 
 val shard_fabrics : world -> Simnet.Fabric.t array
 (** One fabric replica per shard ([[|fabric|]] at one shard). *)

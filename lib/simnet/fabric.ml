@@ -71,12 +71,6 @@ type remote =
     }
       -> remote
 
-type par = {
-  par_self : int;
-  par_owner : int array; (* vertex id -> shard *)
-  par_post : dst_shard:int -> time:Time_ns.t -> remote -> unit;
-}
-
 (* Crash or restart callbacks in registration order: a growable array
    with a count, so registering one is amortized O(1). *)
 type listeners = { mutable fns : (Proc_id.nid -> unit) array; mutable count : int }
@@ -87,18 +81,38 @@ type t = {
   fabric_sched : Scheduler.t;
   fabric_profile : Profile.t;
   topo : Topology.t;
+  (* The world's node-to-shard map and this replica's shard in it. A
+     replica holds state only for what its shard owns: the nodes of its
+     block [first, first + Array.length nodes), and the hop links leaving
+     the vertices it owns. A sequential fabric is the one shard, which
+     owns everything. *)
+  shard_map : Shard_map.t;
+  self : int;
+  (* [Shard_map.shards shard_map > 1], kept as a field: every hop and
+     landing asks it, and asking the map (a call into another module)
+     made the 1-shard [paper] benchmark about 5% slower. *)
+  sharded : bool;
+  first : Proc_id.nid;
   (* One serialising link per directed edge of the hop graph, indexed by
      [Topology.link_id]; empty for the fully-connected (seed) topology,
-     which keeps the private-wire fast path. *)
+     which keeps the private-wire fast path. A link another shard owns
+     is one shared placeholder, never transmitted on: a hop always runs
+     on the shard that owns the link's source vertex. *)
   hop_links : Link.t array;
   (* (src nid * nodes + dst nid) -> the link-id path, computed on first
      use: routing is deterministic, so each pair is resolved once. *)
   routes : (int, int array) Hashtbl.t;
+  (* The owned nodes, indexed by [nid - first]. *)
   nodes : Node.t array;
-  (* Per-node handler slots indexed by pid — [handlers.(nid).(pid)].
-     Delivery is the fabric's hottest operation, so the lookup is two
-     array loads instead of a hash of the (nid, pid) record. The pid
-     dimension grows on demand (procs-per-node is small, usually 1). *)
+  (* Every node's crash state, owned or not, one word each: its crash
+     count (the crash epoch) times two, plus one while it is down. The
+     replicated crash schedule keeps the words in step on every shard,
+     which is all a replica knows of the nodes it does not own. *)
+  status : int array;
+  (* Per-node handler slots of the owned nodes, indexed by [nid - first]
+     then pid. Delivery is the fabric's hottest operation, so the lookup
+     is two array loads instead of a hash of the (nid, pid) record. The
+     pid dimension grows on demand (procs-per-node is small, usually 1). *)
   handlers : handler option array array;
   mutable fault : Fault.t option;
   (* Whether frame codecs above this fabric append and require CRC-32C
@@ -118,11 +132,9 @@ type t = {
   (* Per-(src,dst) message sequence, maintained only when the fault model
      has a keyed per-hop sampler; keys its draws. *)
   send_seqs : int ref Proc_id.Pair_tbl.tbl;
-  (* Parallel-engine hooks; None in sequential mode. In parallel mode
-     this fabric instance is one shard's replica of the world: local
-     nodes are authoritative, remote nodes are shadows kept in sync by
-     the replicated crash/partition schedules. *)
-  mutable par : par option;
+  (* Forwards a message whose next step runs on another shard; installed
+     by [set_post] on a sharded replica. *)
+  mutable post : dst_shard:int -> time:Time_ns.t -> remote -> unit;
   (* Fault-family probes are registered on first use so a fault-free
      run's metric snapshot stays exactly what it was before the
      corruption/delay/partition faults existed. *)
@@ -149,7 +161,7 @@ type t = {
   drop_pairs : Metrics.counter Proc_id.Pair_tbl.tbl;
 }
 
-let create ?topology ?queue_limit sched ~profile ~nodes =
+let create ?topology ?queue_limit ?shard sched ~profile ~nodes =
   if nodes <= 0 then invalid_arg "Fabric.create: need at least one node";
   let topo =
     match topology with
@@ -161,23 +173,60 @@ let create ?topology ?queue_limit sched ~profile ~nodes =
              (Topology.nodes topo) nodes);
       topo
   in
+  let shard_map, self =
+    match shard with
+    | None -> (Shard_map.build topo ~profile ~shards:1, 0)
+    | Some (map, k) ->
+      if Shard_map.nodes map <> nodes then
+        invalid_arg
+          (Printf.sprintf "Fabric.create: shard map has %d nodes, not %d"
+             (Shard_map.nodes map) nodes);
+      (map, k)
+  in
+  let first, stop = Shard_map.block shard_map self in
+  (* A hop runs on the shard that owns the link's source vertex, so that
+     shard alone builds the link. *)
+  let owns_link id =
+    Shard_map.owner shard_map (Topology.link topo id).Topology.src_v = self
+  in
+  let unowned = lazy (Link.create ~name:"unowned" sched) in
   let hop_links =
     Array.init (Topology.link_count topo) (fun id ->
-        Link.create
-          ~name:(Topology.link_name topo id)
-          ~bandwidth:profile.Profile.wire_bandwidth
-          ~latency:profile.Profile.wire_latency ?queue_limit ~tracked:true
-          sched)
+        if owns_link id then
+          Link.create
+            ~name:(Topology.link_name topo id)
+            ~bandwidth:profile.Profile.wire_bandwidth
+            ~latency:profile.Profile.wire_latency ?queue_limit ~tracked:true
+            sched
+        else Lazy.force unowned)
+  in
+  (* The owned hop links in id order: all of them, unless the
+     placeholder stands in for some. *)
+  let owned_links =
+    if Lazy.is_val unowned then begin
+      let owned = ref [] in
+      for id = Array.length hop_links - 1 downto 0 do
+        if owns_link id then owned := hop_links.(id) :: !owned
+      done;
+      Array.of_list !owned
+    end
+    else hop_links
   in
   let t =
     {
       fabric_sched = sched;
       fabric_profile = profile;
       topo;
+      shard_map;
+      self;
+      sharded = Shard_map.shards shard_map > 1;
+      first;
       hop_links;
       routes = Hashtbl.create (if Array.length hop_links = 0 then 1 else 64);
-      nodes = Array.init nodes (fun nid -> Node.create sched ~nid ~profile);
-      handlers = Array.make nodes [||];
+      nodes =
+        Array.init (stop - first) (fun i -> Node.create sched ~nid:(first + i));
+      status = Array.make nodes 0;
+      handlers = Array.make (stop - first) [||];
       fault = None;
       integrity = false;
       shim = None;
@@ -185,7 +234,9 @@ let create ?topology ?queue_limit sched ~profile ~nodes =
       fifo_clamp = false;
       pair_arrivals = Proc_id.Pair_tbl.create 16;
       send_seqs = Proc_id.Pair_tbl.create 16;
-      par = None;
+      post =
+        (fun ~dst_shard:_ ~time:_ _ ->
+          invalid_arg "Fabric: a sharded replica posted before set_post");
       fault_probes_on = false;
       partition_probe_on = false;
       sent = 0;
@@ -205,11 +256,12 @@ let create ?topology ?queue_limit sched ~profile ~nodes =
       drop_pairs = Proc_id.Pair_tbl.create 16;
     }
   in
-  (* The fabric owns every node's CPU and link and the hop links, so it
+  (* The fabric owns its nodes' CPUs and links and its hop links, so it
      registers their probes: one family per metric, not one per part. *)
-  Cpu.probe_family sched ~size:nodes (fun nid -> Node.host_cpu t.nodes.(nid));
-  Link.probe_family sched ~size:nodes (fun nid -> Node.tx_link t.nodes.(nid));
-  Link.probe_family sched ~size:(Array.length hop_links) (Array.get hop_links);
+  let owned = Array.length t.nodes in
+  Cpu.probe_family sched ~size:owned (fun i -> Node.host_cpu t.nodes.(i));
+  Link.probe_family sched ~size:owned (fun i -> Node.tx_link t.nodes.(i));
+  Link.probe_family sched ~size:(Array.length owned_links) (Array.get owned_links);
   let m = Scheduler.metrics sched in
   let probe name f = Metrics.probe m name (fun () -> float_of_int (f ())) in
   probe "fabric.sent" (fun () -> t.sent);
@@ -229,11 +281,40 @@ let create ?topology ?queue_limit sched ~profile ~nodes =
 let sched t = t.fabric_sched
 let profile t = t.fabric_profile
 let topology t = t.topo
-let node_count t = Array.length t.nodes
+let node_count t = Array.length t.status
+let shard_self t = t.self
+let owned_nodes t = (t.first, t.first + Array.length t.nodes)
+
+let owns t nid =
+  let i = nid - t.first in
+  i >= 0 && i < Array.length t.nodes
+
+let check_nid t ~what nid =
+  if nid < 0 || nid >= node_count t then
+    invalid_arg (Printf.sprintf "%s: nid %d out of range" what nid)
+
+let owned_index t ~what nid =
+  check_nid t ~what nid;
+  if not (owns t nid) then
+    invalid_arg
+      (Printf.sprintf "%s: node %d belongs to shard %d, not to shard %d" what
+         nid
+         (Shard_map.owner t.shard_map nid)
+         t.self);
+  nid - t.first
+
+let per_node t f = Array.init (Array.length t.nodes) (fun i -> f (t.first + i))
 
 let hop_link t id =
   if id < 0 || id >= Array.length t.hop_links then
     invalid_arg (Printf.sprintf "Fabric.hop_link: id %d out of range" id);
+  let v = (Topology.link t.topo id).Topology.src_v in
+  let owner = Shard_map.owner t.shard_map v in
+  if owner <> t.self then
+    invalid_arg
+      (Printf.sprintf
+         "Fabric.hop_link: link %d leaves vertex %d of shard %d, not of shard %d"
+         id v owner t.self);
   t.hop_links.(id)
 
 let peak_link_queue_depth t =
@@ -243,7 +324,7 @@ let peak_link_queue_depth t =
 let route t ~src ~dst =
   if Array.length t.hop_links = 0 then [||]
   else
-    let key = (src * Array.length t.nodes) + dst in
+    let key = (src * node_count t) + dst in
     match Hashtbl.find t.routes key with
     | path -> path
     | exception Not_found ->
@@ -251,32 +332,31 @@ let route t ~src ~dst =
       Hashtbl.replace t.routes key path;
       path
 
-let node t nid =
-  if nid < 0 || nid >= Array.length t.nodes then
-    invalid_arg (Printf.sprintf "Fabric.node: nid %d out of range" nid);
-  t.nodes.(nid)
+let node t nid = t.nodes.(owned_index t ~what:"Fabric.node" nid)
 
+(* The handler of an owned process, if any; [None] for a process of a
+   node this replica does not own. *)
 let find_handler t pid =
-  let nid = pid.Proc_id.nid and p = pid.Proc_id.pid in
-  if nid < 0 || nid >= Array.length t.handlers || p < 0 then None
+  let i = pid.Proc_id.nid - t.first and p = pid.Proc_id.pid in
+  if i < 0 || i >= Array.length t.handlers || p < 0 then None
   else
-    let slots = t.handlers.(nid) in
+    let slots = t.handlers.(i) in
     if p >= Array.length slots then None else slots.(p)
 
 let add_handler t pid handler =
+  let i = owned_index t ~what:"Fabric.register" pid.Proc_id.nid in
   if find_handler t pid <> None then
     invalid_arg ("Fabric.register: already registered: " ^ Proc_id.to_string pid);
-  ignore (node t pid.Proc_id.nid);
   let p = pid.Proc_id.pid in
   if p < 0 then
     invalid_arg ("Fabric.register: negative pid: " ^ Proc_id.to_string pid);
-  let slots = t.handlers.(pid.Proc_id.nid) in
+  let slots = t.handlers.(i) in
   let slots =
     if p < Array.length slots then slots
     else begin
       let grown = Array.make (max (p + 1) (2 * Array.length slots)) None in
       Array.blit slots 0 grown 0 (Array.length slots);
-      t.handlers.(pid.Proc_id.nid) <- grown;
+      t.handlers.(i) <- grown;
       grown
     end
   in
@@ -286,32 +366,42 @@ let register t pid handler = add_handler t pid (Bytes_rx handler)
 let register_frames t pid handler = add_handler t pid (Frame_rx handler)
 
 let unregister t pid =
-  let nid = pid.Proc_id.nid and p = pid.Proc_id.pid in
-  if nid >= 0 && nid < Array.length t.handlers && p >= 0 then begin
-    let slots = t.handlers.(nid) in
-    if p < Array.length slots then slots.(p) <- None
-  end
+  let i = owned_index t ~what:"Fabric.unregister" pid.Proc_id.nid in
+  let slots = t.handlers.(i) and p = pid.Proc_id.pid in
+  if p >= 0 && p < Array.length slots then slots.(p) <- None
 
-let is_registered t pid = find_handler t pid <> None
-let is_node_up t nid = Node.is_up (node t nid)
-let incarnation t nid = Node.incarnation (node t nid)
+let is_registered t pid =
+  ignore (owned_index t ~what:"Fabric.is_registered" pid.Proc_id.nid);
+  find_handler t pid <> None
 
-let set_par t ~self ~owner ~post =
-  if t.par <> None then invalid_arg "Fabric.set_par: already sharded";
-  let vertices = max (Topology.vertex_count t.topo) (Array.length t.nodes) in
-  t.par <- Some { par_self = self; par_owner = Array.init vertices owner; par_post = post }
+let status t ~what nid =
+  check_nid t ~what nid;
+  t.status.(nid)
 
-let shard_self t = match t.par with None -> 0 | Some p -> p.par_self
+let is_node_up t nid = status t ~what:"Fabric.is_node_up" nid land 1 = 0
 
-(* Whether this fabric instance is the authority for [nid] — always, in
-   sequential mode. Shadow replicas mirror crash/restart state but must
-   not double-count it. *)
-let owns t nid =
-  match t.par with None -> true | Some p -> p.par_owner.(nid) = p.par_self
+(* A restart bumps the incarnation: it trails the crash count while the
+   node is down and equals it once the node is back. *)
+let incarnation t nid =
+  let s = status t ~what:"Fabric.incarnation" nid in
+  (s lsr 1) - (s land 1)
+
+let set_post t post =
+  if not t.sharded then invalid_arg "Fabric.set_post: a lone shard posts nothing";
+  t.post <- post
+
+(* The shard that runs vertex [v]'s part of a message, or -1 for this
+   one. *)
+let elsewhere t v =
+  if not t.sharded then -1
+  else
+    let owner = Shard_map.owner t.shard_map v in
+    if owner = t.self then -1 else owner
 
 (* Conservative: a replica can only rule out an endpoint it is the
    authority for. Remote handler tables live on the owning shard. *)
-let endpoint_live t pid = if owns t pid.Proc_id.nid then is_registered t pid else true
+let endpoint_live t pid =
+  if owns t pid.Proc_id.nid then find_handler t pid <> None else true
 
 let append_listener l f =
   if l.count = Array.length l.fns then begin
@@ -334,31 +424,38 @@ let on_crash t f = append_listener t.crash_listeners f
 let on_restart t f = append_listener t.restart_listeners f
 
 (* In parallel mode this runs on {e every} shard at the same simulated
-   time (the schedule is replicated), so each shard's replica of the
-   victim flips state in lockstep; only the owner counts the event, and
-   the kill/handler-clear parts are naturally no-ops on shadows (remote
-   nodes have no fibers or handlers on this shard). Listeners fire on
-   every shard: each shard's shims and monitors track all peers. *)
+   time (the schedule is replicated), so each shard's status word for
+   the victim flips in lockstep; only the owner counts the event and
+   clears the victim's handlers, and the kill is a no-op elsewhere
+   (remote nodes have no fibers on this shard). Listeners fire on every
+   shard: each shard's shims and monitors track all peers. *)
 let crash t nid =
-  let n = node t nid in
-  Node.crash n;
-  if owns t nid then t.crash_count <- t.crash_count + 1;
-  (* Volatile state dies with the node: its processes disappear from the
-     fabric and its resident fibers are destroyed. *)
-  Array.fill t.handlers.(nid) 0 (Array.length t.handlers.(nid)) None;
+  let s = status t ~what:"Fabric.crash" nid in
+  if s land 1 = 1 then
+    invalid_arg (Printf.sprintf "Fabric.crash: node %d already down" nid);
+  t.status.(nid) <- s + 3;
+  if owns t nid then begin
+    t.crash_count <- t.crash_count + 1;
+    (* Volatile state dies with the node: its processes disappear from
+       the fabric and its resident fibers are destroyed. *)
+    let slots = t.handlers.(nid - t.first) in
+    Array.fill slots 0 (Array.length slots) None
+  end;
   ignore (Scheduler.kill_domain t.fabric_sched nid);
   fire t.crash_listeners nid
 
 let restart t nid =
-  let n = node t nid in
-  Node.restart n;
+  let s = status t ~what:"Fabric.restart" nid in
+  if s land 1 = 0 then
+    invalid_arg (Printf.sprintf "Fabric.restart: node %d not down" nid);
+  t.status.(nid) <- s - 1;
   if owns t nid then t.restart_count <- t.restart_count + 1;
   fire t.restart_listeners nid
 
 let apply_crash_schedule t schedule =
   List.iter
     (fun ev ->
-      ignore (node t ev.Fault.victim);
+      check_nid t ~what:"Fabric.apply_crash_schedule" ev.Fault.victim;
       Scheduler.at t.fabric_sched ev.Fault.down_at (fun () ->
           crash t ev.Fault.victim);
       Option.iter
@@ -388,7 +485,7 @@ let apply_partition_schedule t schedule =
   let schedule = Fault.partition_schedule schedule in
   List.iter
     (fun nid ->
-      if nid < 0 || nid >= Array.length t.nodes then
+      if nid < 0 || nid >= node_count t then
         invalid_arg
           (Printf.sprintf "Fabric.apply_partition_schedule: unknown nid %d" nid))
     (Fault.partition_nids schedule);
@@ -535,11 +632,12 @@ let clamp_arrival t ~src ~dst arrival =
    destination's owner shard, so every land-side counter is incremented
    exactly once across the world. *)
 let land_msg t body ~src ~dst ~decision ~cut ~src_epoch ~dst_epoch payload =
-  let sender = node t src.Proc_id.nid and receiver = node t dst.Proc_id.nid in
+  let sender = t.status.(src.Proc_id.nid)
+  and receiver = t.status.(dst.Proc_id.nid) in
   if
-    Node.crashes sender <> src_epoch
-    || Node.crashes receiver <> dst_epoch
-    || not (Node.is_up receiver)
+    sender lsr 1 <> src_epoch
+    || receiver lsr 1 <> dst_epoch
+    || receiver land 1 = 1
   then t.drop_crashed <- t.drop_crashed + 1
   else if cut then t.drop_partitioned <- t.drop_partitioned + 1
   else
@@ -597,17 +695,17 @@ let rec hop_step :
       if i = 0 then payload
       else per_hop_corrupt t body ~src ~dst ~seq ~hop:i payload
     in
-    let flow = (src.Proc_id.nid * Array.length t.nodes) + dst.Proc_id.nid in
+    let flow = (src.Proc_id.nid * node_count t) + dst.Proc_id.nid in
     match Link.transmit t.hop_links.(path.(i)) ~flow ~bytes:wire_bytes () with
     | `Dropped -> t.drop_congested <- t.drop_congested + 1
-    | `Accepted arrival -> (
+    | `Accepted arrival ->
       let next_v =
         if i + 1 >= Array.length path then dst.Proc_id.nid
         else (Topology.link t.topo path.(i + 1)).Topology.src_v
       in
-      match t.par with
-      | Some p when p.par_owner.(next_v) <> p.par_self ->
-        p.par_post ~dst_shard:p.par_owner.(next_v) ~time:arrival
+      let dst_shard = elsewhere t next_v in
+      if dst_shard >= 0 then
+        t.post ~dst_shard ~time:arrival
           (R_hop
              {
                rh_body = body;
@@ -624,10 +722,10 @@ let rec hop_step :
                rh_delay_by = delay_by;
                rh_clamp = clamp;
              })
-      | _ ->
+      else
         Scheduler.at t.fabric_sched arrival (fun () ->
             hop_step t body ~path ~src ~dst ~seq ~i:(i + 1) ~wire_bytes
-              ~decision ~cut ~src_epoch ~dst_epoch ~delay_by ~clamp payload))
+              ~decision ~cut ~src_epoch ~dst_epoch ~delay_by ~clamp payload)
   end
 
 let exec_remote t = function
@@ -653,9 +751,12 @@ let transmit : type p. t -> p body -> src:Proc_id.t -> dst:Proc_id.t -> p -> uni
     =
  fun t body ~src ~dst payload ->
   let len = body_length body payload in
+  (* A message leaves from its sender's owner shard, and the receiver's
+     crash epoch is read from this replica's status words. *)
   let sender = node t src.Proc_id.nid in
-  let receiver = node t dst.Proc_id.nid in
-  if not (Node.is_up sender) then
+  let src_status = t.status.(src.Proc_id.nid) in
+  let dst_status = status t ~what:"Fabric.send" dst.Proc_id.nid in
+  if src_status land 1 = 1 then
     (* A dead node injects nothing; late scheduled callbacks acting on its
        behalf (retransmit timers, NIC engines) are silently fenced. *)
     t.drop_crashed <- t.drop_crashed + 1
@@ -694,7 +795,7 @@ let transmit : type p. t -> p body -> src:Proc_id.t -> dst:Proc_id.t -> p -> uni
        longer exists, so it is lost even if the node is back up by
        arrival. The receiver's epoch reads this shard's replica, kept in
        lockstep by the replicated crash schedule. *)
-    let src_epoch = Node.crashes sender and dst_epoch = Node.crashes receiver in
+    let src_epoch = src_status lsr 1 and dst_epoch = dst_status lsr 1 in
     let seq = next_send_seq t ~src ~dst in
     let path = route t ~src:src.Proc_id.nid ~dst:dst.Proc_id.nid in
     if Array.length path = 0 then begin
@@ -711,9 +812,9 @@ let transmit : type p. t -> p body -> src:Proc_id.t -> dst:Proc_id.t -> p -> uni
       let arrival =
         if clamp then clamp_arrival t ~src ~dst arrival else arrival
       in
-      match t.par with
-      | Some p when p.par_owner.(dst.Proc_id.nid) <> p.par_self ->
-        p.par_post ~dst_shard:p.par_owner.(dst.Proc_id.nid) ~time:arrival
+      let dst_shard = elsewhere t dst.Proc_id.nid in
+      if dst_shard >= 0 then
+        t.post ~dst_shard ~time:arrival
           (R_land
              {
                rl_body = body;
@@ -725,7 +826,7 @@ let transmit : type p. t -> p body -> src:Proc_id.t -> dst:Proc_id.t -> p -> uni
                rl_src_epoch = src_epoch;
                rl_dst_epoch = dst_epoch;
              })
-      | _ ->
+      else
         Scheduler.at t.fabric_sched arrival (fun () ->
             land_msg t body ~src ~dst ~decision ~cut ~src_epoch ~dst_epoch
               payload)

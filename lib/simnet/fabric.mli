@@ -60,6 +60,7 @@ type stats = {
 val create :
   ?topology:Topology.t ->
   ?queue_limit:int ->
+  ?shard:Shard_map.t * int ->
   Sim_engine.Scheduler.t ->
   profile:Profile.t ->
   nodes:int ->
@@ -71,15 +72,23 @@ val create :
     interconnect; the fabric only reads it, so the replicas of a sharded
     world share one (link names included). [queue_limit] (default
     unbounded) caps each shared hop link's outstanding-transmission
-    queue, beyond which messages are congestion-dropped. Raises
-    [Invalid_argument] if [topology] is not over [nodes] nodes.
+    queue, beyond which messages are congestion-dropped.
+
+    [shard] (default: the one shard of a sequential fabric) makes this
+    fabric shard [k]'s replica of a world partitioned by the map (see
+    Parallel sharding below): it builds a {!Node.t} and handler slots only
+    for the block of nodes [k] owns ({!Shard_map.block}), and a hop link
+    only where [k] owns the link's source vertex. Of every other node it
+    keeps one word: its up bit and crash epoch. Raises
+    [Invalid_argument] if [topology] or the map is not over [nodes]
+    nodes.
 
     The fabric registers the probes of the parts it owns, one family per
-    metric: ["cpu.*"] over the node CPUs, ["link.*"] over the node
-    transmit links and the hop links (see {!Link.probe_family}). Its
-    size is linear in [nodes] plus the hop links; per-pair state (routes,
-    FIFO floors, drop counters) is created by the first message that
-    needs it. *)
+    metric: ["cpu.*"] over its node CPUs, ["link.*"] over its node
+    transmit links and hop links (see {!Link.probe_family}). Its size is
+    one word per node of the world plus what it owns; per-pair state
+    (routes, FIFO floors, drop counters) is created by the first message
+    that needs it. *)
 
 val sched : t -> Sim_engine.Scheduler.t
 val profile : t -> Profile.t
@@ -90,7 +99,8 @@ val topology : t -> Topology.t
 val hop_link : t -> int -> Link.t
 (** The shared link for a {!Topology} link id. Raises
     [Invalid_argument] out of range (in particular, always, on the full
-    topology, whose link table is empty). *)
+    topology, whose link table is empty), or if another shard owns the
+    link's source vertex. *)
 
 val peak_link_queue_depth : t -> int
 (** Highest queue depth any hop link reached so far — the scalar the
@@ -101,13 +111,37 @@ val route : t -> src:Proc_id.nid -> dst:Proc_id.nid -> int array
     follows; empty on the full topology and for node-local traffic. *)
 
 val node_count : t -> int
+(** Compute nodes of the world, owned or not. *)
 
 val node : t -> Proc_id.nid -> Node.t
-(** Raises [Invalid_argument] for an out-of-range nid. *)
+(** Raises [Invalid_argument] for an out-of-range nid, or one this
+    replica does not own (the message names the node and both shards). *)
+
+(** {2 Owned nodes}
+
+    A replica holds per-node state only for the contiguous block of
+    nodes its shard owns — all of them on a sequential fabric. Layers
+    above that keep per-node state of their own (receive engines, copy
+    engines) size it with {!per_node} and index it with {!owned_index},
+    so a replica asked about another shard's node fails loudly instead
+    of reading a placeholder. *)
+
+val owned_nodes : t -> Proc_id.nid * Proc_id.nid
+(** The half-open range [\[first, last + 1)] of owned nodes. *)
+
+val owned_index : t -> what:string -> Proc_id.nid -> int
+(** [owned_index t ~what nid] is [nid]'s index in a {!per_node} array.
+    Raises [Invalid_argument] prefixed by [what] if [nid] is out of
+    range or not owned; the latter message names the node and both
+    shards. *)
+
+val per_node : t -> (Proc_id.nid -> 'a) -> 'a array
+(** [per_node t f] is [f] applied to each owned node, ascending. *)
 
 val register : t -> Proc_id.t -> (src:Proc_id.t -> bytes -> unit) -> unit
 (** Attach the receive handler for a process. Raises [Invalid_argument] if
-    the process is already registered. The handler runs at wire-arrival
+    the process is already registered or its node is not owned (see
+    {!owned_index}). The handler runs at wire-arrival
     time; receive-path processing costs are the caller's concern. It is
     handed each message's bytes as one buffer ({!Frame.to_bytes}): a raw
     message's own buffer, read-only — a frame is immutable once sent. *)
@@ -118,7 +152,10 @@ val register_frames :
     each message as a {!Frame.t}, header and view unflattened. *)
 
 val unregister : t -> Proc_id.t -> unit
+(** Detach a process's handler, if it has one. Raises like {!node}. *)
+
 val is_registered : t -> Proc_id.t -> bool
+(** Raises like {!node}: only the owner knows. *)
 
 val endpoint_live : t -> Proc_id.t -> bool
 (** Conservative liveness: [false] only when {e this} replica is the
@@ -289,29 +326,25 @@ val stats : t -> stats
 (** {1 Parallel sharding}
 
     In a parallel run ([Runtime] with [--domains N]) each shard holds a
-    full fabric instance over its own scheduler: nodes it owns are
-    authoritative (handlers, fibers, links), the rest are shadow replicas
-    whose crash/partition state is kept in lockstep by replicating the
-    schedules to every shard. A message whose next step belongs to
-    another shard leaves as an opaque {!remote} value — plain data, every
-    stochastic choice already resolved — posted through the hook
-    installed by {!set_par} and re-entered on the owning shard via
+    fabric replica over its own scheduler, built with [~shard]. It holds
+    the nodes it owns (handlers, CPUs, links, fibers) and the hop links
+    leaving its vertices; of every other node it keeps only the up bit
+    and crash epoch, kept in lockstep by replicating the crash and
+    partition schedules to every shard. A message whose next step
+    belongs to another shard leaves as an opaque {!remote} value — plain
+    data, every stochastic choice already resolved — posted through the
+    hook installed by {!set_post} and re-entered on the owning shard via
     {!receive_remote}. *)
 
 type remote
 (** One cross-shard fabric message (a landing or a hop continuation).
     Opaque: the runtime only shuttles these between shards. *)
 
-val set_par :
-  t ->
-  self:int ->
-  owner:(int -> int) ->
-  post:(dst_shard:int -> time:Sim_engine.Time_ns.t -> remote -> unit) ->
-  unit
-(** Mark this fabric as shard [self]; [owner] maps each topology vertex
-    (compute node or switch) to its owning shard, and [post] forwards a
-    {!remote} for delivery at [time] on [dst_shard]. Raises
-    [Invalid_argument] if already sharded. *)
+val set_post :
+  t -> (dst_shard:int -> time:Sim_engine.Time_ns.t -> remote -> unit) -> unit
+(** Install the hook that forwards a {!remote} for delivery at [time] on
+    [dst_shard]. Raises [Invalid_argument] on a fabric of one shard,
+    which posts nothing. *)
 
 val shard_self : t -> int
 (** This fabric's shard id; 0 in sequential mode. *)

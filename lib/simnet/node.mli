@@ -5,21 +5,16 @@
     transmit pipeline. Multiple simulated processes may live on one node
     and share both.
 
-    Nodes follow a crash-stop/restart failure model. A node starts up in
-    incarnation 0; {!crash} takes it down (losing all volatile state) and
-    {!restart} brings it back with the next monotonic incarnation number.
-    The incarnation is stamped into wire headers so peers can fence traffic
-    from a process's previous life (see [Portals.Ni]). Prefer
-    [Fabric.crash]/[Fabric.restart], which also kill resident fibers, drop
-    in-flight traffic and deregister the node's processes. *)
+    A node's up/down state and crash epoch are not here: the fabric keeps
+    them for every node of the world, including the ones a sharded
+    replica holds no [Node.t] for (see [Fabric.crash]). *)
 
 type t
 
-val create : Sim_engine.Scheduler.t -> nid:Proc_id.nid -> profile:Profile.t -> t
-(** A fresh node, up, in incarnation 0, with an idle CPU and link. *)
+val create : Sim_engine.Scheduler.t -> nid:Proc_id.nid -> t
+(** A fresh node with an idle CPU and link. *)
 
 val nid : t -> Proc_id.nid
-val profile : t -> Profile.t
 
 val host_cpu : t -> Sim_engine.Cpu.t
 (** The application-visible host processor; compute and host-side
@@ -28,23 +23,3 @@ val host_cpu : t -> Sim_engine.Cpu.t
 val tx_link : t -> Link.t
 (** The node's serialising transmit pipeline: concurrent sends from
     this node queue here before reaching the wire. *)
-
-val sched : t -> Sim_engine.Scheduler.t
-
-val is_up : t -> bool
-(** Whether the node is currently running ([true] at creation). *)
-
-val incarnation : t -> int
-(** Monotonic incarnation number: 0 at creation, +1 per {!restart}. *)
-
-val crashes : t -> int
-(** Number of times this node has crashed (the crash epoch; bumps on
-    {!crash}, not on {!restart}, so in-flight messages sent before a crash
-    can be told apart even after the node is back up). *)
-
-val crash : t -> unit
-(** Mark the node down. Raises [Invalid_argument] if already down. *)
-
-val restart : t -> unit
-(** Bring a down node back up in a fresh incarnation. Raises
-    [Invalid_argument] if the node is not down. *)

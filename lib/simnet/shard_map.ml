@@ -31,6 +31,9 @@ let node_owner ~nodes ~shards nid =
      [k*nodes/shards, (k+1)*nodes/shards). *)
   min (shards - 1) (nid * shards / nodes)
 
+(* The first id [nid] with [nid * shards / nodes >= k]. *)
+let block_start ~nodes ~shards k = ((k * nodes) + shards - 1) / shards
+
 let build topo ~(profile : Profile.t) ~shards =
   let nodes = Topology.nodes topo in
   if shards < 1 then invalid_arg "Shard_map.build: need at least one shard";
@@ -68,12 +71,19 @@ let build topo ~(profile : Profile.t) ~shards =
   { shards; nodes; owner; lookahead = !lookahead }
 
 let shards t = t.shards
+let nodes t = t.nodes
 let lookahead t = t.lookahead
 
 let owner t v =
   if v < 0 || v >= Array.length t.owner then
     invalid_arg (Printf.sprintf "Shard_map.owner: vertex %d out of range" v);
   t.owner.(v)
+
+let block t k =
+  if k < 0 || k >= t.shards then
+    invalid_arg (Printf.sprintf "Shard_map.block: shard %d out of range" k);
+  let start = block_start ~nodes:t.nodes ~shards:t.shards in
+  (start k, start (k + 1))
 
 let nodes_of t shard =
   let acc = ref [] in

@@ -20,6 +20,10 @@ val build : Topology.t -> profile:Profile.t -> shards:int -> t
     window width zero. *)
 
 val shards : t -> int
+
+val nodes : t -> int
+(** The compute nodes partitioned. *)
+
 val lookahead : t -> Sim_engine.Time_ns.t option
 (** The minimum latency of any cut link; [None] when no link is cut. *)
 
@@ -29,6 +33,11 @@ val owner : t -> int -> int
 
 val node_owner : nodes:int -> shards:int -> int -> int
 (** The pure block mapping, usable without building a topology. *)
+
+val block : t -> int -> Proc_id.nid * Proc_id.nid
+(** [block t k] is the half-open range [\[first, last + 1)] of the
+    compute nodes shard [k] owns; the blocks of shards [0 .. shards - 1]
+    tile [\[0, nodes)] in order. Raises [Invalid_argument] out of range. *)
 
 val nodes_of : t -> int -> Proc_id.nid list
 (** Compute nodes owned by a shard, ascending. *)

@@ -22,17 +22,21 @@ type t = {
 
 let host_cpu_of fabric nid = Node.host_cpu (Fabric.node fabric nid)
 
-(* One serialising engine per node, named [prefix ^ nid]. The transport
-   owns the array, so it registers the engines' probes, one family per
-   metric. *)
+(* One serialising engine per owned node, named [prefix ^ nid]. The
+   transport owns the array, so it registers the engines' probes, one
+   family per metric. [engine] finds a node's, and rejects a node the
+   fabric replica does not own. *)
 let node_engines fabric prefix =
   let sched = Fabric.sched fabric in
   let links =
-    Array.init (Fabric.node_count fabric) (fun nid ->
+    Fabric.per_node fabric (fun nid ->
         Link.create ~name:(prefix ^ string_of_int nid) sched)
   in
   Link.probe_family sched ~size:(Array.length links) (Array.get links);
   links
+
+let engine fabric what engines nid =
+  engines.(Fabric.owned_index fabric ~what nid)
 
 (* One receive engine (DMA or kernel-copy pipeline) per node: messages
    land in arrival order even when a small message tails a large one —
@@ -61,7 +65,10 @@ let offload fabric =
               Time_ns.add profile.Profile.nic_rx_cost
                 (Profile.dma_time profile (Bytes.length payload))
             in
-            let landed = Link.occupy engines.(pid.Proc_id.nid) cost in
+            let landed =
+              Link.occupy (engine fabric "Transport.rx" engines pid.Proc_id.nid)
+                cost
+            in
             let tr = Scheduler.trace sched in
             if Trace.enabled tr then
               Trace.complete tr ~subsys:"net"
@@ -104,7 +111,10 @@ let kernel_interrupt fabric =
           Time_ns.add profile.Profile.host_syscall_cost
             (Time_ns.add (Profile.copy_time profile len) profile.Profile.nic_tx_cost)
         in
-        let launched = Link.occupy tx_engines.(src.Proc_id.nid) cost in
+        let launched =
+          Link.occupy (engine fabric "Transport.ktx" tx_engines src.Proc_id.nid)
+            cost
+        in
         Scheduler.at sched launched (fun () -> Fabric.send fabric ~src ~dst payload));
     register =
       (fun pid handler ->
@@ -119,7 +129,9 @@ let kernel_interrupt fabric =
                 (Time_ns.add profile.Profile.host_interrupt_cost copy)
             in
             charge_rx nid (Time_ns.add profile.Profile.host_interrupt_cost copy);
-            let landed = Link.occupy engines.(nid) fixed in
+            let landed =
+              Link.occupy (engine fabric "Transport.rx" engines nid) fixed
+            in
             let tr = Scheduler.trace sched in
             if Trace.enabled tr then
               Trace.complete tr ~subsys:"net"

@@ -472,10 +472,11 @@ let words_tests =
         (* Pool.send, the run that delivers it, and Pool.recv, on a warmed
            2-node world. Measured on OCaml 5.1.1: 256 words when the
            handles, the header record, the match result and the claim
-           were boxed; 107 since: the wire image, the Event.t, the
-           engine's closures and events, the op, the claim's cell and the
-           returned copy. The budget leaves room for other compiler
-           versions. *)
+           were boxed; 107 when the EQ ring and the put-region length
+           still boxed theirs; 103.2 since: the wire image, the Event.t,
+           the engine's closures and events, the op, the claim's cell
+           and the returned copy. The budget fails the 107 and leaves
+           room for other compiler versions (5.2 and 5.3 unmeasured). *)
         let world = Runtime.create_world ~nodes:2 () in
         let ranks = world.Runtime.ranks in
         let pools =
@@ -499,8 +500,8 @@ let words_tests =
           one ()
         done;
         let words = words_per ~n:1000 one in
-        if words > 120. then
-          Alcotest.failf "a pooled put allocates %.1f words, over 120" words);
+        if words > 106. then
+          Alcotest.failf "a pooled put allocates %.1f words, over 106" words);
   ]
 
 let () =

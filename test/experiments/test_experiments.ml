@@ -622,9 +622,15 @@ let perf_tests =
     Alcotest.test_case "the meter counts every domain's words" `Quick
       (fun () ->
         (* A 2-domain world builds its second replica on a domain of its
-           own. Each replica costs what the 1-domain world costs beyond
-           the topology they share, so the meter must see at least half
-           of that again on top of the 1-domain world. *)
+           own, and that replica holds half the nodes. Every node is
+           built once at any domain count, so a meter that saw only the
+           calling domain would miss about half of what the 1-domain
+           world costs beyond the topology, and read below the 1-domain
+           world. One that sees every domain reads at least the 1-domain
+           world, plus the second replica's fixed state: well under half
+           a replica, which a full replica per domain would exceed.
+           Measured on OCaml 5.1.1: 1 domain 2.38 M words (topology
+           1.26 M), 2 domains 2.63 M, 0.22 of a replica above. *)
         let torus = Simnet.Topology.Torus2d (64, 64) in
         let words f = (meter ~id:"build" f).alloc_words in
         let world domains () =
@@ -633,7 +639,7 @@ let perf_tests =
         let topology = words (fun () -> Simnet.Topology.build torus ~nodes:4096) in
         let one = words (world 1) and two = words (world 2) in
         let replica = one - topology in
-        if two < one + (replica / 2) then
+        if two < one || two - one > replica / 2 then
           Alcotest.failf
             "2 domains metered %d words, 1 domain %d (topology %d)" two one
             topology);
