@@ -31,14 +31,13 @@ type result = {
 
 let run ?scenario ?(capture_trace = false) p =
   let world = Runtime.create_world ?scenario ~transport:p.transport ~nodes:2 () in
-  let sched = world.Runtime.sched in
   (* This world's snapshot is the figure's data: record the EQ-depth and
      protocol time-series, not just the counters (every shard's registry
      in a parallel world; there is exactly one sequentially). *)
   Array.iter
     (fun s -> Metrics.set_detail (Scheduler.metrics s) true)
     (Runtime.shard_scheds world);
-  if capture_trace then Trace.enable (Scheduler.trace sched);
+  if capture_trace then Runtime.enable_trace world;
   let endpoints =
     Array.init 2 (fun rank ->
         let tp = Runtime.transport_of_rank world rank in
@@ -113,5 +112,5 @@ let run ?scenario ?(capture_trace = false) p =
     max_wait;
     mean_work_elapsed;
     metrics;
-    spans = Trace.spans (Scheduler.trace sched);
+    spans = Runtime.trace_spans world;
   }

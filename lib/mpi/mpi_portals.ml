@@ -417,12 +417,13 @@ let handle_event t (ev : P.Event.t) =
 
 let poll t =
   let d = dev t in
+  (* [wait] on a non-empty queue returns at once, without boxing the
+     event as [get] does. *)
   let rec drain () =
-    match P.Event.Queue.get d.eqq with
-    | None -> ()
-    | Some ev ->
-      handle_event t ev;
+    if P.Event.Queue.count d.eqq > 0 then begin
+      handle_event t (P.Event.Queue.wait d.eqq);
       drain ()
+    end
   in
   drain ();
   Array.iter (fun slab -> maybe_rearm_slab d slab) d.slabs

@@ -216,15 +216,13 @@ let check_tx_overflow t =
   let d = P.Event.Queue.dropped t.tx_eqq in
   if d > 0 then raise (Error (Eq_overflow { side = Tx; dropped = d }))
 
-let drain_tx t =
-  let rec go () =
-    match P.Event.Queue.get t.tx_eqq with
-    | None -> ()
-    | Some ev ->
-      handle_tx_event t ev;
-      go ()
-  in
-  go ()
+(* [wait] on a non-empty queue returns at once, without boxing the
+   event as [get] does. *)
+let rec drain_tx t =
+  if P.Event.Queue.count t.tx_eqq > 0 then begin
+    handle_tx_event t (P.Event.Queue.wait t.tx_eqq);
+    drain_tx t
+  end
 
 (* Drain, then block on the tx queue until [pred] holds. *)
 let wait_tx t pred =

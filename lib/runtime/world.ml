@@ -220,6 +220,22 @@ let metrics_snapshot world =
   Array.iter (Metrics.absorb merged) (running_gauge_sums snaps);
   Metrics.snapshot merged
 
+let enable_trace world =
+  Array.iter (fun s -> Trace.enable (Scheduler.trace s)) world.scheds
+
+(* A track (a node's cpu or nic) records only on its node's owner shard,
+   in the node's own event order, so a stable sort of every shard's spans
+   by (start time, track) is the same list at any shard count. *)
+let trace_spans world =
+  let by_time_then_track (a : Trace.span) (b : Trace.span) =
+    match Time_ns.compare a.Trace.time b.Trace.time with
+    | 0 -> compare a.Trace.proc b.Trace.proc
+    | c -> c
+  in
+  Array.to_list world.scheds
+  |> List.concat_map (fun s -> Trace.spans (Scheduler.trace s))
+  |> List.stable_sort by_time_then_track
+
 let shard_fabrics world = Array.copy world.fabrics
 let window_rounds world = Shard.rounds world.shard
 

@@ -112,6 +112,15 @@ val shard_scheds : world -> Sim_engine.Scheduler.t array
     every shard registry's detail level. Merge their metrics with
     {!metrics_snapshot}. *)
 
+val enable_trace : world -> unit
+(** Start recording spans in every shard's scheduler trace. *)
+
+val trace_spans : world -> Sim_engine.Trace.span list
+(** Every shard's retained spans, merged in an order that does not
+    depend on the shard count: by start time, then by track ([proc], one
+    node's cpu or nic, which records only on its node's owner shard),
+    then in the order the track recorded them. *)
+
 val now : world -> Sim_engine.Time_ns.t
 (** The simulated time the world has reached: the latest clock over its
     shards. *)

@@ -59,7 +59,8 @@ type remote =
       rh_src : Proc_id.t;
       rh_dst : Proc_id.t;
       rh_payload : 'p;
-      rh_i : int; (* next hop index into the route path *)
+      rh_v : int; (* the vertex the message has reached *)
+      rh_i : int; (* hops taken so far; keys hop corruption *)
       rh_seq : int; (* per-pair message sequence, keys hop corruption *)
       rh_wire_bytes : int; (* wire image of the {e original} frame *)
       rh_decision : Fault.decision;
@@ -94,14 +95,13 @@ type t = {
   sharded : bool;
   first : Proc_id.nid;
   (* One serialising link per directed edge of the hop graph, indexed by
-     [Topology.link_id]; empty for the fully-connected (seed) topology,
+     topology link id; empty for the fully-connected (seed) topology,
      which keeps the private-wire fast path. A link another shard owns
      is one shared placeholder, never transmitted on: a hop always runs
-     on the shard that owns the link's source vertex. *)
+     on the shard that owns the link's source vertex. There is no route
+     table: each hop asks [Router.next_link] for the link out of the
+     vertex the message has reached. *)
   hop_links : Link.t array;
-  (* (src nid * nodes + dst nid) -> the link-id path, computed on first
-     use: routing is deterministic, so each pair is resolved once. *)
-  routes : (int, int array) Hashtbl.t;
   (* The owned nodes, indexed by [nid - first]. *)
   nodes : Node.t array;
   (* Every node's crash state, owned or not, one word each: its crash
@@ -186,9 +186,7 @@ let create ?topology ?queue_limit ?shard sched ~profile ~nodes =
   let first, stop = Shard_map.block shard_map self in
   (* A hop runs on the shard that owns the link's source vertex, so that
      shard alone builds the link. *)
-  let owns_link id =
-    Shard_map.owner shard_map (Topology.link topo id).Topology.src_v = self
-  in
+  let owns_link id = Shard_map.owner shard_map (Topology.link_src topo id) = self in
   let unowned = lazy (Link.create ~name:"unowned" sched) in
   let hop_links =
     Array.init (Topology.link_count topo) (fun id ->
@@ -222,7 +220,6 @@ let create ?topology ?queue_limit ?shard sched ~profile ~nodes =
       sharded = Shard_map.shards shard_map > 1;
       first;
       hop_links;
-      routes = Hashtbl.create (if Array.length hop_links = 0 then 1 else 64);
       nodes =
         Array.init (stop - first) (fun i -> Node.create sched ~nid:(first + i));
       status = Array.make nodes 0;
@@ -308,7 +305,7 @@ let per_node t f = Array.init (Array.length t.nodes) (fun i -> f (t.first + i))
 let hop_link t id =
   if id < 0 || id >= Array.length t.hop_links then
     invalid_arg (Printf.sprintf "Fabric.hop_link: id %d out of range" id);
-  let v = (Topology.link t.topo id).Topology.src_v in
+  let v = Topology.link_src t.topo id in
   let owner = Shard_map.owner t.shard_map v in
   if owner <> t.self then
     invalid_arg
@@ -319,18 +316,6 @@ let hop_link t id =
 
 let peak_link_queue_depth t =
   Array.fold_left (fun acc l -> max acc (Link.peak_queue_depth l)) 0 t.hop_links
-
-(* Every path on the full topology is the empty one: no table. *)
-let route t ~src ~dst =
-  if Array.length t.hop_links = 0 then [||]
-  else
-    let key = (src * node_count t) + dst in
-    match Hashtbl.find t.routes key with
-    | path -> path
-    | exception Not_found ->
-      let path = Router.route t.topo ~src ~dst in
-      Hashtbl.replace t.routes key path;
-      path
 
 let node t nid = t.nodes.(owned_index t ~what:"Fabric.node" nid)
 
@@ -655,15 +640,17 @@ let land_msg t body ~src ~dst ~decision ~cut ~src_epoch ~dst_epoch payload =
    FIFO-queues on the shared link, occupies it for its full wire image,
    then propagates to the next vertex. A hop whose queue is over the
    limit drops the message — to the layers above (and to
-   [lib/reliability]) this is indistinguishable from wire loss. Each hop
-   executes on the shard owning the link's source vertex; advancing to a
-   vertex owned elsewhere posts the remaining journey as plain data, and
-   the shard it reaches resolves the route [path] once for its hops. *)
+   [lib/reliability]) this is indistinguishable from wire loss. The
+   message carries only the vertex [v] it has reached and the hops [i]
+   taken so far: {!Router.next_link} names the next link from those, so
+   no route is stored. Each hop executes on the shard owning the link's
+   source vertex; advancing to a vertex owned elsewhere posts the rest of
+   the journey, from that vertex, as plain data. *)
 let rec hop_step :
     type p.
     t ->
     p body ->
-    path:int array ->
+    v:int ->
     src:Proc_id.t ->
     dst:Proc_id.t ->
     seq:int ->
@@ -677,9 +664,9 @@ let rec hop_step :
     clamp:bool ->
     p ->
     unit =
- fun t body ~path ~src ~dst ~seq ~i ~wire_bytes ~decision ~cut ~src_epoch
+ fun t body ~v ~src ~dst ~seq ~i ~wire_bytes ~decision ~cut ~src_epoch
      ~dst_epoch ~delay_by ~clamp payload ->
-  if i >= Array.length path then begin
+  if v = dst.Proc_id.nid then begin
     let now = Scheduler.now t.fabric_sched in
     let arrival = Time_ns.add now delay_by in
     let arrival = if clamp then clamp_arrival t ~src ~dst arrival else arrival in
@@ -696,13 +683,11 @@ let rec hop_step :
       else per_hop_corrupt t body ~src ~dst ~seq ~hop:i payload
     in
     let flow = (src.Proc_id.nid * node_count t) + dst.Proc_id.nid in
-    match Link.transmit t.hop_links.(path.(i)) ~flow ~bytes:wire_bytes () with
+    let l = Router.next_link t.topo ~src:src.Proc_id.nid ~dst:dst.Proc_id.nid ~at:v in
+    match Link.transmit t.hop_links.(l) ~flow ~bytes:wire_bytes () with
     | `Dropped -> t.drop_congested <- t.drop_congested + 1
     | `Accepted arrival ->
-      let next_v =
-        if i + 1 >= Array.length path then dst.Proc_id.nid
-        else (Topology.link t.topo path.(i + 1)).Topology.src_v
-      in
+      let next_v = Topology.link_dst t.topo l in
       let dst_shard = elsewhere t next_v in
       if dst_shard >= 0 then
         t.post ~dst_shard ~time:arrival
@@ -712,6 +697,7 @@ let rec hop_step :
                rh_src = src;
                rh_dst = dst;
                rh_payload = payload;
+               rh_v = next_v;
                rh_i = i + 1;
                rh_seq = seq;
                rh_wire_bytes = wire_bytes;
@@ -724,7 +710,7 @@ let rec hop_step :
              })
       else
         Scheduler.at t.fabric_sched arrival (fun () ->
-            hop_step t body ~path ~src ~dst ~seq ~i:(i + 1) ~wire_bytes
+            hop_step t body ~v:next_v ~src ~dst ~seq ~i:(i + 1) ~wire_bytes
               ~decision ~cut ~src_epoch ~dst_epoch ~delay_by ~clamp payload)
   end
 
@@ -735,11 +721,10 @@ let exec_remote t = function
     land_msg t rl_body ~src:rl_src ~dst:rl_dst ~decision:rl_decision
       ~cut:rl_cut ~src_epoch:rl_src_epoch ~dst_epoch:rl_dst_epoch rl_payload
   | R_hop
-      { rh_body; rh_src; rh_dst; rh_payload; rh_i; rh_seq; rh_wire_bytes;
+      { rh_body; rh_src; rh_dst; rh_payload; rh_v; rh_i; rh_seq; rh_wire_bytes;
         rh_decision; rh_cut; rh_src_epoch; rh_dst_epoch; rh_delay_by;
         rh_clamp } ->
-    let path = route t ~src:rh_src.Proc_id.nid ~dst:rh_dst.Proc_id.nid in
-    hop_step t rh_body ~path ~src:rh_src ~dst:rh_dst ~seq:rh_seq ~i:rh_i
+    hop_step t rh_body ~v:rh_v ~src:rh_src ~dst:rh_dst ~seq:rh_seq ~i:rh_i
       ~wire_bytes:rh_wire_bytes ~decision:rh_decision ~cut:rh_cut
       ~src_epoch:rh_src_epoch ~dst_epoch:rh_dst_epoch ~delay_by:rh_delay_by
       ~clamp:rh_clamp rh_payload
@@ -797,8 +782,7 @@ let transmit : type p. t -> p body -> src:Proc_id.t -> dst:Proc_id.t -> p -> uni
        lockstep by the replicated crash schedule. *)
     let src_epoch = src_status lsr 1 and dst_epoch = dst_status lsr 1 in
     let seq = next_send_seq t ~src ~dst in
-    let path = route t ~src:src.Proc_id.nid ~dst:dst.Proc_id.nid in
-    if Array.length path = 0 then begin
+    if Array.length t.hop_links = 0 || src.Proc_id.nid = dst.Proc_id.nid then begin
       (* Private-wire fast path: the seed model, kept bit-for-bit. Also
          taken for node-local traffic on every topology. *)
       let serialised =
@@ -833,7 +817,7 @@ let transmit : type p. t -> p body -> src:Proc_id.t -> dst:Proc_id.t -> p -> uni
     end
     else begin
       let wire_bytes = Profile.wire_bytes_of_len t.fabric_profile len in
-      hop_step t body ~path ~src ~dst ~seq ~i:0 ~wire_bytes ~decision ~cut
+      hop_step t body ~v:src.Proc_id.nid ~src ~dst ~seq ~i:0 ~wire_bytes ~decision ~cut
         ~src_epoch ~dst_epoch ~delay_by ~clamp payload
     end
   end

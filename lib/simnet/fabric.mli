@@ -70,7 +70,8 @@ val create :
 
     [topology] (default the {!Topology.Full} graph over [nodes]) is the
     interconnect; the fabric only reads it, so the replicas of a sharded
-    world share one (link names included). [queue_limit] (default
+    world share one. Each replica formats the names of the hop links it
+    owns ({!Topology.link_name}) once, when it creates them. [queue_limit] (default
     unbounded) caps each shared hop link's outstanding-transmission
     queue, beyond which messages are congestion-dropped.
 
@@ -87,8 +88,8 @@ val create :
     metric: ["cpu.*"] over its node CPUs, ["link.*"] over its node
     transmit links and hop links (see {!Link.probe_family}). Its size is
     one word per node of the world plus what it owns; per-pair state
-    (routes, FIFO floors, drop counters) is created by the first message
-    that needs it. *)
+    (FIFO floors, drop counters) is created by the first message that
+    needs it. Routes are not state: each hop asks {!Router.next_link}. *)
 
 val sched : t -> Sim_engine.Scheduler.t
 val profile : t -> Profile.t
@@ -99,16 +100,12 @@ val topology : t -> Topology.t
 val hop_link : t -> int -> Link.t
 (** The shared link for a {!Topology} link id. Raises
     [Invalid_argument] out of range (in particular, always, on the full
-    topology, whose link table is empty), or if another shard owns the
+    topology, which has no hop links), or if another shard owns the
     link's source vertex. *)
 
 val peak_link_queue_depth : t -> int
 (** Highest queue depth any hop link reached so far — the scalar the
     congestion experiments report. 0 on the full topology. *)
-
-val route : t -> src:Proc_id.nid -> dst:Proc_id.nid -> int array
-(** The (cached) {!Router} hop path a message from [src] to [dst]
-    follows; empty on the full topology and for node-local traffic. *)
 
 val node_count : t -> int
 (** Compute nodes of the world, owned or not. *)

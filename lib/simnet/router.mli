@@ -21,11 +21,20 @@
     paper's §2 in-order guarantee: all messages of a pair cross the same
     FIFO links in the same order. *)
 
+val next_link : Topology.t -> src:int -> dst:int -> at:int -> int
+(** [next_link topo ~src ~dst ~at] is the id of the link a message from
+    node [src] to node [dst] takes out of vertex [at], a vertex of its
+    path, or [-1] once [at = dst] (and always on {!Topology.Full}, which
+    has no shared links). Pure arithmetic on the topology's shape: it
+    allocates nothing, and no route is stored anywhere. Raises
+    [Invalid_argument] for out-of-range nodes or vertex. *)
+
 val route : Topology.t -> src:int -> dst:int -> int array
 (** [route topo ~src ~dst] is the ordered array of directed link ids a
     message follows from node [src] to node [dst]. Empty when
     [src = dst] or when the topology is {!Topology.Full} (private wire,
-    no shared hops). Raises [Invalid_argument] for out-of-range nodes. *)
+    no shared hops). Raises [Invalid_argument] for out-of-range nodes.
+    The walk of {!next_link} from [src], for tests and reports. *)
 
 val path_vertices : Topology.t -> src:int -> dst:int -> int list
 (** The vertex sequence of {!route}, including [src] and [dst] (so its

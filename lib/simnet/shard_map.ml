@@ -9,7 +9,7 @@ open Sim_engine
    the stripe boundaries: the partition a human would draw, obtained for
    free from the id layout. Switch vertices of indirect topologies
    (fat-tree) are assigned deterministically by folding the vertex id
-   back onto the compute range.
+   back onto the compute range. Ownership is computed, never stored.
 
    The lookahead is the minimum latency of any cut link: an event on one
    shard can only affect another after at least one cut-link crossing,
@@ -22,7 +22,7 @@ open Sim_engine
 type t = {
   shards : int;
   nodes : int;
-  owner : int array; (* vertex id -> shard *)
+  vertices : int;
   lookahead : Time_ns.t option; (* None: no cut link *)
 }
 
@@ -34,6 +34,10 @@ let node_owner ~nodes ~shards nid =
 (* The first id [nid] with [nid * shards / nodes >= k]. *)
 let block_start ~nodes ~shards k = ((k * nodes) + shards - 1) / shards
 
+(* A switch vertex folds back onto the compute range. *)
+let vertex_owner ~nodes ~shards v =
+  node_owner ~nodes ~shards (if v < nodes then v else v mod nodes)
+
 let build topo ~(profile : Profile.t) ~shards =
   let nodes = Topology.nodes topo in
   if shards < 1 then invalid_arg "Shard_map.build: need at least one shard";
@@ -42,10 +46,7 @@ let build topo ~(profile : Profile.t) ~shards =
       (Printf.sprintf "Shard_map.build: %d shards but only %d nodes" shards
          nodes);
   let vertices = Topology.vertex_count topo in
-  let owner =
-    Array.init vertices (fun v ->
-        node_owner ~nodes ~shards (if v < nodes then v else v mod nodes))
-  in
+  let owner v = vertex_owner ~nodes ~shards v in
   let lookahead = ref None in
   let cut latency =
     lookahead :=
@@ -57,27 +58,26 @@ let build topo ~(profile : Profile.t) ~shards =
      share the profile wire latency (the fabric creates them that way),
      but derive the bound from the cut honestly so per-link latencies
      can diverge later without touching this. *)
-  if Topology.kind topo = Topology.Full && owner.(0) <> owner.(nodes - 1) then
+  if Topology.kind topo = Topology.Full && owner 0 <> owner (nodes - 1) then
     cut profile.Profile.wire_latency;
   for id = 0 to Topology.link_count topo - 1 do
-    let l = Topology.link topo id in
-    if owner.(l.Topology.src_v) <> owner.(l.Topology.dst_v) then
-      cut profile.Profile.wire_latency
+    if owner (Topology.link_src topo id) <> owner (Topology.link_dst topo id)
+    then cut profile.Profile.wire_latency
   done;
   (match !lookahead with
   | Some l when Time_ns.compare l Time_ns.zero <= 0 ->
     invalid_arg "Shard_map.build: zero-latency cut link admits no lookahead"
   | _ -> ());
-  { shards; nodes; owner; lookahead = !lookahead }
+  { shards; nodes; vertices; lookahead = !lookahead }
 
 let shards t = t.shards
 let nodes t = t.nodes
 let lookahead t = t.lookahead
 
 let owner t v =
-  if v < 0 || v >= Array.length t.owner then
+  if v < 0 || v >= t.vertices then
     invalid_arg (Printf.sprintf "Shard_map.owner: vertex %d out of range" v);
-  t.owner.(v)
+  vertex_owner ~nodes:t.nodes ~shards:t.shards v
 
 let block t k =
   if k < 0 || k >= t.shards then
@@ -86,17 +86,11 @@ let block t k =
   (start k, start (k + 1))
 
 let nodes_of t shard =
-  let acc = ref [] in
-  for nid = t.nodes - 1 downto 0 do
-    if t.owner.(nid) = shard then acc := nid :: !acc
-  done;
-  !acc
+  let first, stop = block t shard in
+  List.init (stop - first) (fun i -> first + i)
 
 let cut_links t topo =
-  let acc = ref [] in
-  for id = Topology.link_count topo - 1 downto 0 do
-    let l = Topology.link topo id in
-    if t.owner.(l.Topology.src_v) <> t.owner.(l.Topology.dst_v) then
-      acc := id :: !acc
-  done;
-  !acc
+  let owner = owner t in
+  List.filter
+    (fun id -> owner (Topology.link_src topo id) <> owner (Topology.link_dst topo id))
+    (List.init (Topology.link_count topo) Fun.id)

@@ -9,11 +9,15 @@
     congestion experiments ({!Experiments.Congestion}) measure.
 
     A topology is purely structural: a set of vertices (compute nodes
-    first, then internal switches for indirect topologies) and a table of
-    directed links between adjacent vertices. {!Router} maps each
-    (src, dst) node pair onto a hop path over those links, and
-    {!Fabric} turns each link into a serialising {!Link} with the
-    profile's bandwidth and per-hop latency. *)
+    first, then internal switches for indirect topologies) and the
+    directed links between adjacent vertices, numbered densely from 0.
+    Nothing is stored per link: a link's ends, a vertex's neighbours and
+    the link between two vertices are arithmetic on the shape (a grid
+    keeps two int arrays, port to link id and back, a few words a
+    node). {!Router} names the next link of each (src, dst) node pair's
+    path from any vertex on it, and {!Fabric} turns each link into a
+    serialising {!Link} with the profile's bandwidth and per-hop
+    latency. *)
 
 type kind =
   | Full  (** Private wire per (src, dst) pair — the seed model. *)
@@ -28,13 +32,6 @@ type kind =
       (** [Fat_tree k]: k-ary fat-tree ([k] even): [k] pods of [k/2] edge
           and [k/2] aggregation switches, [(k/2)²] core switches,
           [k³/4] hosts. *)
-
-type link = {
-  link_id : int;  (** Dense index into the topology's link table. *)
-  src_v : int;  (** Source vertex (node id, or switch vertex). *)
-  dst_v : int;  (** Destination vertex. *)
-}
-(** One directed link of the hop graph. *)
 
 type t
 
@@ -53,16 +50,21 @@ val vertex_count : t -> int
 
 val link_count : t -> int
 
-val link : t -> int -> link
-(** The link with a given [link_id]. Raises [Invalid_argument] if out of
-    range. *)
+val link_src : t -> int -> int
+(** The source vertex of a link id. Raises [Invalid_argument] if the id
+    is out of range. *)
 
-val find_link : t -> src_v:int -> dst_v:int -> int option
-(** The id of the directed link between two adjacent vertices, if any. *)
+val link_dst : t -> int -> int
+(** The destination vertex of a link id. Raises [Invalid_argument] if
+    the id is out of range. *)
+
+val find_link : t -> src_v:int -> dst_v:int -> int
+(** The id of the directed link between two adjacent vertices, or [-1]
+    when they are not adjacent (or out of range). *)
 
 val neighbors : t -> int -> int list
-(** Adjacent vertices of a vertex, in deterministic (construction)
-    order. For [Full] this is every other node. *)
+(** Adjacent vertices of a vertex, in the order of the links leaving it.
+    For [Full] this is every other node. *)
 
 val vertex_name : t -> int -> string
 (** ["node3"] for compute nodes, ["sw5"] for switches — used to label
@@ -70,15 +72,27 @@ val vertex_name : t -> int -> string
 
 val link_name : t -> int -> string
 (** E.g. ["node0->node1"]; the value of the [("link", _)] metric label
-    of the corresponding fabric {!Link}. Formatted once, by {!build}:
-    every call, and every fabric over this topology, gets the same
-    string. *)
+    of the corresponding fabric {!Link}. Formatted on demand, so each
+    call returns a fresh string: a fabric formats each name it owns
+    once, when it creates the link. *)
 
 val dims : t -> int list
 (** The dimension sizes of a grid-shaped topology: [[n]] for a ring,
     [[a; b]] for a 2-D torus, [[a; b; c]] for a 3-D torus. Empty for
     [Full] and [Fat_tree] — callers wanting a grid decomposition (e.g.
     [examples/halo_exchange.ml]) should test for emptiness. *)
+
+val dim_size : t -> int -> int
+val dim_stride : t -> int -> int
+(** Size and row-major stride of dimension [i] of a grid (the last
+    dimension has stride 1). For the router's hot path, which must not
+    allocate. *)
+
+val port_link : t -> int -> int -> int
+(** [port_link t v port] is the link leaving grid vertex [v] through
+    [port], or [-1]. Port [2i] leads to [v]'s +1 neighbour in dimension
+    [i], port [2i + 1] to its -1 neighbour (the same link in a dimension
+    of size 2; none in a dimension of size 1). *)
 
 val coords : t -> int -> int list
 (** Grid coordinates of a node under {!dims} (row-major; empty when

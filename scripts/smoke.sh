@@ -108,6 +108,15 @@ $DUNE exec bin/portals_repro.exe -- \
 grep -q '^torus2d:4x4 *nearest-neighbor' "$OUT/congestion.out"
 grep -q '^torus2d:4x4 *all-to-all' "$OUT/congestion.out"
 grep -q 'link.queue_depth' "$OUT/congestion.out"
+# Every routed shape, pinned byte for byte: the table and every per-link
+# metric (its label, its place in the snapshot and its queue depth) show
+# the link ids, names and routes the topology and router compute.
+$DUNE exec bin/portals_repro.exe -- \
+  congestion --nodes 16 --topologies torus2d:4x4,torus3d:2x2x4,fattree:4,ring \
+  --seed 7 --metrics > "$OUT/congestion_routed.out"
+check_sha "$OUT/congestion_routed.out" \
+  417520797a6752d31ab89cf57d82f4116a81bcc763cbbd3cfc95b022e4a1ad31 \
+  "congestion --nodes 16 --topologies torus2d:4x4,torus3d:2x2x4,fattree:4,ring"
 # Multi-hop routing composes with wire loss, the reliability shim and a
 # bounded hop queue: the fig6 sweep must still terminate and report.
 $DUNE exec bin/portals_repro.exe -- \
@@ -262,6 +271,14 @@ $DUNE exec bin/portals_repro.exe -- fig6 --seed 42 --metrics=json \
 $DUNE exec bin/portals_repro.exe -- fig6 --seed 42 --domains 4 --metrics=json \
   | grep -v '"name":"sched.heap_peak"' > "$OUT/fig6.metrics.d4.out"
 diff "$OUT/fig6.metrics.d1.out" "$OUT/fig6.metrics.d4.out"
+# So must the trace: every shard records its own nodes' spans, and the
+# merged trace orders them the same way at any domain count.
+for d in 1 2 4; do
+  $DUNE exec bin/portals_repro.exe -- fig6 --seed 42 --domains $d \
+    --trace-out "$OUT/fig6.trace.d$d.json" > /dev/null
+done
+cmp "$OUT/fig6.trace.d1.json" "$OUT/fig6.trace.d2.json"
+cmp "$OUT/fig6.trace.d1.json" "$OUT/fig6.trace.d4.json"
 $DUNE exec bin/portals_repro.exe -- chaos --quick --seed 0 \
   > "$OUT/chaos.d1.out"
 $DUNE exec bin/portals_repro.exe -- chaos --quick --seed 0 --domains 4 \

@@ -783,7 +783,7 @@ let replica_tests =
         let world = Runtime.create_world ~domains:2 ~topology ~nodes:4 () in
         let topo = Simnet.Fabric.topology world.Runtime.fabric in
         for id = 0 to Simnet.Topology.link_count topo - 1 do
-          let src = (Simnet.Topology.link topo id).Simnet.Topology.src_v in
+          let src = Simnet.Topology.link_src topo id in
           let owner = Simnet.Shard_map.owner world.Runtime.shard_map src in
           let fabrics = Runtime.shard_fabrics world in
           Alcotest.(check string) "named" (Simnet.Topology.link_name topo id)

@@ -414,10 +414,9 @@ let topology_tests =
         done;
         (* Every link id agrees with the adjacency index. *)
         for l = 0 to Topology.link_count t - 1 do
-          let { Topology.link_id; src_v; dst_v } = Topology.link t l in
-          Alcotest.(check int) "dense ids" l link_id;
-          Alcotest.(check (option int)) "find_link inverts" (Some l)
-            (Topology.find_link t ~src_v ~dst_v)
+          Alcotest.(check int) "find_link inverts" l
+            (Topology.find_link t ~src_v:(Topology.link_src t l)
+               ~dst_v:(Topology.link_dst t l))
         done);
     Alcotest.test_case "size-2 dimensions do not double links" `Quick
       (fun () ->
@@ -529,12 +528,11 @@ let router_tests =
               (* Each link really wires its two path vertices. *)
               Array.iteri
                 (fun i l ->
-                  let lk = Topology.link ft l in
                   Alcotest.(check int) "hop src" (List.nth verts i)
-                    lk.Topology.src_v;
+                    (Topology.link_src ft l);
                   Alcotest.(check int) "hop dst"
                     (List.nth verts (i + 1))
-                    lk.Topology.dst_v)
+                    (Topology.link_dst ft l))
                 links;
               Alcotest.(check bool) "at most host-edge-agg-core-agg-edge-host"
                 true
@@ -545,6 +543,90 @@ let router_tests =
           done
         done);
   ]
+
+(* The computed topology and router against the stored graph and
+   list-based router they replaced ([Reference_topology]): the same link
+   ids, ends, names, neighbour order, edge index and routes, on every
+   vertex or node pair of each shape. *)
+let reference_shapes =
+  List.map (fun n -> (Topology.Ring, n)) [ 2; 3; 4; 5; 6; 7; 8; 9 ]
+  @ List.map
+      (fun (a, b) -> (Topology.Torus2d (a, b), a * b))
+      [ (1, 4); (2, 2); (2, 3); (3, 4); (4, 4) ]
+  @ List.map
+      (fun (a, b, c) -> (Topology.Torus3d (a, b, c), a * b * c))
+      [ (2, 2, 2); (2, 3, 4); (3, 3, 3) ]
+  @ List.map (fun k -> (Topology.Fat_tree k, k * k * k / 4)) [ 2; 4; 6 ]
+
+let reference_tests =
+  List.map
+    (fun (kind, nodes) ->
+      Alcotest.test_case
+        (Printf.sprintf "%s, %d nodes, matches the stored graph"
+           (Topology.describe kind) nodes)
+        `Quick (fun () ->
+          let t = Topology.build kind ~nodes in
+          let r = Reference_topology.build kind ~nodes in
+          Alcotest.(check int) "link_count" (Reference_topology.link_count r)
+            (Topology.link_count t);
+          Array.iter
+            (fun { Reference_topology.link_id; src_v; dst_v } ->
+              Alcotest.(check int) "src" src_v (Topology.link_src t link_id);
+              Alcotest.(check int) "dst" dst_v (Topology.link_dst t link_id);
+              Alcotest.(check string) "name" r.Reference_topology.names.(link_id)
+                (Topology.link_name t link_id))
+            r.Reference_topology.links;
+          let vertices = Topology.vertex_count t in
+          for v = 0 to vertices - 1 do
+            Alcotest.(check (list int)) "neighbors"
+              (Reference_topology.neighbors r v) (Topology.neighbors t v);
+            for u = 0 to vertices - 1 do
+              Alcotest.(check int) "find_link"
+                (Option.value ~default:(-1)
+                   (Reference_topology.find_link r ~src_v:v ~dst_v:u))
+                (Topology.find_link t ~src_v:v ~dst_v:u)
+            done
+          done;
+          for src = 0 to nodes - 1 do
+            for dst = 0 to nodes - 1 do
+              Alcotest.(check (array int))
+                (Printf.sprintf "route %d->%d" src dst)
+                (Reference_topology.route r ~src ~dst)
+                (Router.route t ~src ~dst)
+            done
+          done))
+    reference_shapes
+
+(* One next-hop walk from [src] to [dst]: the hops it took. *)
+let rec walk_hops topo ~src ~dst ~at hops =
+  let l = Router.next_link topo ~src ~dst ~at in
+  if l < 0 then hops else walk_hops topo ~src ~dst ~at:(Topology.link_dst topo l) (hops + 1)
+
+let walks topo ~count =
+  let n = Topology.nodes topo in
+  let hops = ref 0 in
+  for i = 0 to count - 1 do
+    let src = i mod n and dst = ((i * 7) + 3) mod n in
+    hops := !hops + walk_hops topo ~src ~dst ~at:src 0
+  done;
+  !hops
+
+let next_link_alloc_tests =
+  List.map
+    (fun spec ->
+      Alcotest.test_case
+        (Printf.sprintf "10000 next-hop walks on %s allocate nothing" spec)
+        `Quick (fun () ->
+          let nodes = match spec with "ring" -> 8 | "fattree:4" -> 16 | _ -> 27 in
+          let topo = Topology.build (Topology.of_spec ~nodes spec) ~nodes in
+          (* What reading the counter itself costs, to subtract. *)
+          let w0 = Gc.minor_words () in
+          let w1 = Gc.minor_words () in
+          let hops = walks topo ~count:10_000 in
+          let w2 = Gc.minor_words () in
+          Alcotest.(check bool) "multi-hop walks" true (hops > 10_000);
+          Alcotest.(check (float 0.)) "words" 0. (w2 -. w1 -. (w1 -. w0))))
+    [ "torus3d:3x3x3"; "ring"; "fattree:4" ]
 
 let mk_fabric ?(nodes = 4) ?(profile = Profile.myrinet_mcp) () =
   let sched = Scheduler.create () in
@@ -1472,10 +1554,9 @@ let shard_map_tests =
         Alcotest.(check bool) "some cut links" true (cuts <> []);
         List.iter
           (fun id ->
-            let l = Topology.link topo id in
             Alcotest.(check bool) "endpoints on different shards" true
-              (Shard_map.owner map l.Topology.src_v
-              <> Shard_map.owner map l.Topology.dst_v))
+              (Shard_map.owner map (Topology.link_src topo id)
+              <> Shard_map.owner map (Topology.link_dst topo id)))
           cuts;
         (* Non-cut links stay inside one shard by definition; lookahead
            is the minimum cut-link latency — with uniform links, the
@@ -1714,11 +1795,13 @@ let probe_family_tests =
           (Fabric.stats fabric).Fabric.drops_injected);
     Alcotest.test_case "64x64 torus fabric builds within a per-node budget"
       `Quick (fun () ->
-        (* Measured at 575 words per node (OCaml 5.1, 64-bit): 315 for
-           the topology, link names included, and 260 for the fabric. The
-           budget leaves about 55% headroom. A nodes x nodes table alone
-           would cost 4096 words per node here. *)
-        let budget_per_node = 900. in
+        (* Measured at 342 words per node (OCaml 5.1, 64-bit): 8 for the
+           topology's two port arrays and 334 for the fabric, link names
+           included. Before the topology was computed it took 575 (315
+           for a stored hop graph). The budget leaves about 45% headroom.
+           A nodes x nodes table alone would cost 4096 words per node
+           here. *)
+        let budget_per_node = 500. in
         let nodes = 64 * 64 in
         let sched = Scheduler.create () in
         let fabric, words =
@@ -1734,10 +1817,10 @@ let probe_family_tests =
             budget_per_node);
     Alcotest.test_case "a fabric over a built topology allocates none of it"
       `Quick (fun () ->
-        (* What a sharded world's replicas pay: measured at 260 words per
-           node, against 315 more for building the topology. The budget
-           leaves about 55% headroom and fails a fabric that rebuilds the
-           topology or formats its link names again. *)
+        (* What a sharded world's replicas pay: measured at 334 words per
+           node, about 80 of them the names of the links it owns, which
+           each replica formats once. The budget leaves about 20%
+           headroom. *)
         let budget_per_node = 400. in
         let nodes = 64 * 64 in
         let topo = Topology.build (Topology.Torus2d (64, 64)) ~nodes in
@@ -1749,8 +1832,11 @@ let probe_family_tests =
         in
         Alcotest.(check bool) "shares the topology" true
           (Fabric.topology fabric == topo);
-        Alcotest.(check bool) "shares the link names" true
-          (Link.name (Fabric.hop_link fabric 7) == Topology.link_name topo 7);
+        Alcotest.(check (list int)) "every hop link named as the topology says" []
+          (List.filter
+             (fun id ->
+               Link.name (Fabric.hop_link fabric id) <> Topology.link_name topo id)
+             (List.init (Topology.link_count topo) Fun.id));
         let per_node = words /. float_of_int nodes in
         if per_node > budget_per_node then
           Alcotest.failf "%.0f words per node, budget %.0f" per_node
@@ -1786,6 +1872,42 @@ let raw_send_words ?topology ~nodes () =
   Alcotest.(check int) "all delivered" (2 * n) !got;
   words /. float_of_int n
 
+(* Words for each of [count] raw sends over multi-hop torus routes, each
+   sent and delivered alone. Message 1 opens its pair; the last message
+   repeats that pair. A route stored on first use would make message 1
+   dearer than the last. *)
+let multi_hop_send_words ~count =
+  let nodes = 16 in
+  let topology = Topology.build (Topology.of_spec ~nodes "torus2d:4x4") ~nodes in
+  let sched = Scheduler.create () in
+  let fabric = Fabric.create ~topology sched ~profile:Profile.myrinet_mcp ~nodes in
+  for nid = 0 to nodes - 1 do
+    Fabric.register fabric (pid nid 0) (fun ~src:_ _ -> ())
+  done;
+  let pairs =
+    List.concat_map
+      (fun src ->
+        List.filter_map
+          (fun dst ->
+            if Router.hop_count topology ~src ~dst >= 2 then Some (src, dst) else None)
+          (List.init nodes Fun.id))
+      (List.init (nodes - 1) Fun.id)
+    |> Array.of_list
+  in
+  let payload = Bytes.make 32 'x' in
+  let send (src, dst) =
+    snd
+      (words_during (fun () ->
+           Fabric.send_raw fabric ~src:(pid src 0) ~dst:(pid dst 0) payload;
+           Scheduler.run sched))
+  in
+  (* Warm the scheduler on a pair the measured messages never use. *)
+  for _ = 1 to 10 do
+    ignore (send (15, 5))
+  done;
+  Array.init count (fun k ->
+      send pairs.(if k = count - 1 then 0 else k mod Array.length pairs))
+
 let raw_send_tests =
   let check name words budget =
     if words > budget then
@@ -1803,6 +1925,20 @@ let raw_send_tests =
         Alcotest.(check int) "one hop" 1
           (Array.length (Router.route topology ~src:0 ~dst:1));
         check "torus hop" (raw_send_words ~topology ~nodes:16 ()) 30.);
+    Alcotest.test_case "multi-hop raw sends: message 1 costs what message 1000 does"
+      `Quick (fun () ->
+        let words = multi_hop_send_words ~count:1000 in
+        Alcotest.(check (float 0.)) "words at message 1 and 1000" words.(0)
+          words.(999));
+    Alcotest.test_case "a 100 000-node torus2d holds at most 10 words a node"
+      `Quick (fun () ->
+        let nodes = 100_000 in
+        let topo = Topology.build (Topology.of_spec ~nodes "torus2d") ~nodes in
+        let per_node =
+          float_of_int (Obj.reachable_words (Obj.repr topo)) /. float_of_int nodes
+        in
+        if per_node > 10. then
+          Alcotest.failf "%.2f words per node, budget 10" per_node);
   ]
 
 let () =
@@ -1814,6 +1950,8 @@ let () =
       ("link_contention", link_contention_tests);
       ("topology", topology_tests);
       ("router", router_tests);
+      ("topology_reference", reference_tests);
+      ("next_link_alloc", next_link_alloc_tests);
       ("fabric", fabric_tests);
       ("fabric_topology", fabric_topology_tests);
       ("fault_models", fault_model_tests);
