@@ -26,7 +26,8 @@ let scenario_term =
           ~doc:
             "Run on a lossy fabric: drop each wire message with \
              probability $(docv) (in [0, 1)) and shim the reliability \
-             protocol underneath the transport.")
+             protocol underneath the transport. The same as a leading \
+             $(b,bernoulli:)$(docv) in $(b,--fault).")
   in
   let seed =
     Arg.(
@@ -51,7 +52,9 @@ let scenario_term =
              $(b,partition:A.B|C.D@CUT_US[:HEAL_US]) (scheduled \
              group cut; $(b,>) instead of $(b,|) cuts one way only) or \
              $(b,none); combine with $(b,+) (a drop by any component \
-             wins, corruption over delay). Implies the reliability shim, \
+             wins, corruption over delay). A seeded model takes \
+             $(b,--seed) unless a suffix $(b,@s)N gives it seed N, \
+             e.g. $(b,corrupt:0.02@s9). Implies the reliability shim, \
              like $(b,--loss), and switches on CRC-32C frame \
              checksums.")
   in

@@ -6,12 +6,13 @@ module C = Reliability.Chaos
    x partition x crash x loss grid runs two worlds and asserts what must
    survive the abuse.
 
-     stream     seeded per-pair message streams over the reliability
-                shim — delivered exactly once, in order, byte-identical
-                (corruption must degrade to loss, never to silent
-                damage), with a liveness monitor asserting that a
-                partitioned-but-alive peer is reported partitioned, not
-                crashed, and that suspicion converges after the heal
+     stream     seeded per-pair message streams (over the reliability
+                shim in a faulty cell) — delivered exactly once, in
+                order, byte-identical (corruption must degrade to loss,
+                never to silent damage), with a liveness monitor
+                asserting that a partitioned-but-alive peer is reported
+                partitioned, not crashed, and that suspicion converges
+                after the heal
      rma        the PR-7 linearizability harness promoted from the test
                 suite: concurrent fetch_adds must fetch each pre-value
                 exactly once, CAS slot claims must be exclusive — under
@@ -43,7 +44,7 @@ let liveness_timeout = Time_ns.us 500.
 let stream_msgs ~quick = if quick then 24 else 60
 let rma_ops ~quick = if quick then 4 else 8
 
-(* --- the stream + liveness world --------------------------------------- *)
+(* --- the stream checker ------------------------------------------------- *)
 
 type stream = {
   st_src : int;
@@ -128,44 +129,71 @@ let stream_violations st =
        else None);
     ]
 
-(* Each cell scripts its own faults, replicated onto every shard fabric
-   (fresh model instances per replica — same cell, same seed, identical
-   per-pair streams — with the partition and crash schedules applied to
-   all replicas so shadow crash state stays in lockstep). Frames travel
-   checksummed exactly when the cell is faulty — the clean control cell
-   doubles as a check that the byte-identical legacy encoding still
-   satisfies every invariant. *)
-let inject_cell_faults cell ~partitions ~crashes fabrics =
-  Array.map
-    (fun fabric ->
-      Simnet.Fabric.set_integrity fabric (C.faulty cell);
-      Simnet.Fabric.set_fault_model fabric (C.fault_of_cell cell);
-      if partitions <> [] then
-        Simnet.Fabric.apply_partition_schedule fabric partitions;
-      if crashes <> [] then Simnet.Fabric.apply_crash_schedule fabric crashes;
-      Reliability.attach fabric)
-    fabrics
+(* --- a cell as two scenarios ------------------------------------------- *)
 
-(* The cell scripts every fault; of the scenario, only the domain count
-   reaches its worlds. *)
-let run_stream_world ~domains ~quick cell =
-  let nodes = 6 in
+(* Both worlds run six nodes on the full fabric. Crash victims live
+   outside every stream pair and the liveness monitor, so the
+   exactly-once obligation stays well-defined: nobody streams to a node
+   that ceases to exist. *)
+let nodes = 6
+let victims = [ nodes - 2; nodes - 1 ]
+
+(* Each axis draws from its own stream, seeded [4 * seed + k], so turning
+   one axis on or off never perturbs another's. The partition is one
+   symmetric cut across the middle of the node range for the middle half
+   of the horizon: late enough that liveness has formed a full picture
+   of the job, healed early enough that convergence after the heal is
+   observable before the run ends. Times are written as microseconds
+   with three decimals, which [Time_ns.us] reads back to the
+   nanosecond. *)
+let world_scenarios ~domains (cell : C.cell) =
+  let seed k = (4 * cell.C.seed) + k in
+  let us t = Printf.sprintf "%.3f" (Time_ns.to_us t) in
+  let group lo hi =
+    String.concat "." (List.init (hi - lo) (fun i -> string_of_int (lo + i)))
+  in
+  let on axis element = if axis then [ element ] else [] in
+  let elements =
+    on (cell.C.corrupt > 0.)
+      (Printf.sprintf "corrupt:%.17g@s%d" cell.C.corrupt (seed 1))
+    @ on (cell.C.delay > 0)
+        (Printf.sprintf "delay:%s@s%d" (us cell.C.delay) (seed 2))
+    @ on (cell.C.loss > 0.)
+        (Printf.sprintf "bernoulli:%.17g@s%d" cell.C.loss (seed 3))
+    @ on cell.C.partition
+        (Printf.sprintf "partition:%s|%s@%s:%s" (group 0 (nodes / 2))
+           (group (nodes / 2) nodes) (us (horizon / 4))
+           (us (horizon * 3 / 4)))
+  in
+  (* A faulty cell always names a fault, ["none"] when crashes are its
+     only axis, so both of its worlds get checksummed frames and the
+     shim; a clean cell names none and its worlds stay clean. *)
+  let fault =
+    match elements with
+    | [] -> if C.faulty cell then "none" else ""
+    | elements -> String.concat "+" elements
+  in
+  let crashes =
+    Simnet.Fault.random_crash_schedule ~seed:(seed 4) ~nids:victims
+      ~crashes:cell.C.crashes ~horizon ()
+    |> List.map (fun e ->
+           Printf.sprintf "%d@%s%s" e.Simnet.Fault.victim
+             (us e.Simnet.Fault.down_at)
+             (Option.fold ~none:"" ~some:(fun t -> ":" ^ us t)
+                e.Simnet.Fault.up_at))
+    |> String.concat ","
+  in
+  (* The RMA world takes no crashes: atomics to a dead node have no
+     completion to wait on. *)
+  ( Runtime.Scenario.make ~seed:cell.C.seed ~fault ~crashes ~domains (),
+    Runtime.Scenario.make ~seed:(cell.C.seed + 1) ~fault ~domains () )
+
+(* --- the stream + liveness world --------------------------------------- *)
+
+let run_stream_world ~quick scenario =
   let nids = List.init nodes Fun.id in
   let msgs = stream_msgs ~quick in
-  let world =
-    Runtime.create_world ~seed:cell.C.seed ~topology:Simnet.Topology.Full
-      ~domains ~nodes ()
-  in
-  (* Crash victims live outside every stream pair and the monitor, so
-     the exactly-once obligation stays well-defined: nobody streams to a
-     node that ceases to exist. *)
-  let victims = [ nodes - 2; nodes - 1 ] in
-  let partitions = C.partition_of_cell cell ~nids ~horizon in
-  let shims =
-    inject_cell_faults cell ~partitions
-      ~crashes:(C.crash_schedule_of cell ~nids:victims ~horizon)
-      (Runtime.shard_fabrics world)
-  in
+  let world = Runtime.create_world ~scenario ~nodes () in
   let violations = ref [] in
   let violation fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
   (* Streams: one pair crossing the partition cut each way, one pair
@@ -209,6 +237,7 @@ let run_stream_world ~domains ~quick cell =
      state, and crash flags are replicated on every fabric. *)
   let mon_sched = Runtime.sched_of_nid world 0 in
   let mon_fabric = Runtime.fabric_of_nid world 0 in
+  let partitions = Simnet.Fabric.partition_schedule mon_fabric in
   (match partitions with
   | [] -> ()
   | event :: _ ->
@@ -267,7 +296,10 @@ let run_stream_world ~domains ~quick cell =
     sum (fun f -> (Simnet.Fabric.stats f).Simnet.Fabric.drops_partitioned) fabrics
   in
   let rel_corrupt =
-    sum (fun s -> (Reliability.stats s).Reliability.corrupt_drops) shims
+    List.fold_left
+      (fun a s -> a + (Reliability.stats s).Reliability.corrupt_drops)
+      0
+      (Runtime.reliability_shims world)
   in
   let now_us = Time_ns.to_us (Runtime.now world) in
   let delivered = List.fold_left (fun a (_, st) -> a + st.accepted) 0 stats in
@@ -275,17 +307,10 @@ let run_stream_world ~domains ~quick cell =
 
 (* --- the RMA linearizability world ------------------------------------- *)
 
-let run_rma_world ~domains ~quick cell =
-  let nodes = 6 and ranks = 4 in
+let run_rma_world ~quick scenario =
+  let ranks = 4 in
   let ops = rma_ops ~quick in
-  let world =
-    Runtime.create_world ~seed:(cell.C.seed + 1) ~topology:Simnet.Topology.Full
-      ~domains ~nodes ()
-  in
-  ignore
-    (inject_cell_faults cell
-       ~partitions:(C.partition_of_cell cell ~nids:(List.init nodes Fun.id) ~horizon)
-       ~crashes:[] (Runtime.shard_fabrics world));
+  let world = Runtime.create_world ~scenario ~nodes () in
   (* Ranks straddle the cut (nids 0, 1, n/2, n/2+1) so atomics must
      survive the partition, not merely avoid it. *)
   let rank_nids = [| 0; 1; nodes / 2; (nodes / 2) + 1 |] in
@@ -363,11 +388,13 @@ let run_rma_world ~domains ~quick cell =
 (* --- per-cell driver ---------------------------------------------------- *)
 
 let run_cell ?(scenario = Runtime.Scenario.default) ?(quick = false) cell =
-  let domains = scenario.Runtime.Scenario.domains in
-  let sviol, delivered, (corrupts, delays, parted), rel_corrupt_drops, t1 =
-    run_stream_world ~domains ~quick cell
+  let stream_scenario, rma_scenario =
+    world_scenarios ~domains:scenario.Runtime.Scenario.domains cell
   in
-  let rviol, checksum_drops, t2 = run_rma_world ~domains ~quick cell in
+  let sviol, delivered, (corrupts, delays, parted), rel_corrupt_drops, t1 =
+    run_stream_world ~quick stream_scenario
+  in
+  let rviol, checksum_drops, t2 = run_rma_world ~quick rma_scenario in
   {
     cell;
     violations = List.rev sviol @ List.rev rviol;

@@ -14,7 +14,16 @@
        that must stay linearizable under the same faults.}}
 
     A cell passes when its violation list is empty; the campaign passes
-    when every cell does. Deterministic per seed. *)
+    when every cell does. Deterministic per seed.
+
+    A cell's faults reach its worlds the way every run's do: the cell is
+    written out as two {!Runtime.Scenario.t} ({!world_scenarios}) and
+    {!Runtime.create_world} builds each world from one. So a faulty cell
+    runs on checksummed frames with the reliability shim, and the clean
+    control cell is a clean world: no shim, no integrity trailers. The
+    unchecksummed shim is covered elsewhere: by [rel_loss_sweep], the
+    matrix's [MX.*.loss-goodput] rows and the [integrity:false] unit
+    tests. *)
 
 type report = {
   cell : Reliability.Chaos.cell;
@@ -54,6 +63,31 @@ val stream_violations : stream -> string list
     payloads. Empty when the stream was delivered exactly once, in order
     and byte-identical. *)
 
+val world_scenarios :
+  domains:int ->
+  Reliability.Chaos.cell ->
+  Runtime.Scenario.t * Runtime.Scenario.t
+(** The scenarios of a cell's stream world (seed [cell.seed]) and RMA
+    world (seed [cell.seed + 1]), each sharded over [domains]. Every
+    fault is written in the spec grammar, with each axis on its own seed
+    [4 * cell.seed + k]:
+
+    {ul
+    {- the fault spec joins, in this order, ["corrupt:P@s(4s+1)"],
+       ["delay:MEAN_US@s(4s+2)"], ["bernoulli:P@s(4s+3)"] and a
+       partition ["partition:0.1.2|3.4.5@CUT:HEAL"] that cuts the six
+       nodes in half from [horizon/4] to [3*horizon/4];}
+    {- a cell whose only axis is crashes has the fault spec ["none"], so
+       both its worlds still get checksummed frames and the shim; the
+       clean cell has no fault spec;}
+    {- the stream world's crash spec holds [cell.crashes] crash/restart
+       pairs drawn by {!Simnet.Fault.random_crash_schedule} (seed
+       [4s+4]) over nodes 4 and 5, which no stream and no monitor use;
+       the RMA world has none.}}
+
+    Times are microseconds with three decimals, so each reads back to
+    the nanosecond it was drawn at. *)
+
 val axis_cells : seed:int -> (string * Reliability.Chaos.cell) list
 (** One named cell per fault axis (clean control, corrupt, delay,
     partition, crash, loss) plus a mixed cell. *)
@@ -65,13 +99,10 @@ val default_cells :
 val run_cell :
   ?scenario:Runtime.Scenario.t -> ?quick:bool -> Reliability.Chaos.cell ->
   report
-(** Run both worlds for one cell. The cell scripts every fault; of
+(** Run both worlds for one cell, built from {!world_scenarios}; of
     [scenario] (default {!Runtime.Scenario.default}) only the domain
-    count is used. Frames travel checksummed exactly when the cell
-    injects faults (each fabric's integrity bit), so the clean control
-    cell also pins the byte-identical legacy encoding. Touches no state
-    outside its own worlds: cells may run concurrently on separate
-    domains. *)
+    count is used. Touches no state outside its own worlds: cells may
+    run concurrently on separate domains. *)
 
 val run :
   ?scenario:Runtime.Scenario.t ->

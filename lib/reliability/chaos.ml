@@ -9,14 +9,6 @@ type cell = {
   seed : int;
 }
 
-(* Seeds of the independent fault generators inside one cell are derived
-   from the cell seed with fixed offsets, so turning one axis on or off
-   never perturbs another axis's random stream. *)
-let seed_corrupt cell = (cell.seed * 4) + 1
-let seed_delay cell = (cell.seed * 4) + 2
-let seed_loss cell = (cell.seed * 4) + 3
-let seed_crash cell = (cell.seed * 4) + 4
-
 let cell ?(corrupt = 0.) ?(delay = 0) ?(partition = false) ?(crashes = 0)
     ?(loss = 0.) ~seed () =
   if corrupt < 0. || corrupt > 1. then
@@ -53,56 +45,6 @@ let grid ?(corrupts = [ 0. ]) ?(delays = [ 0 ]) ?(partitions = [ false ])
 let faulty cell =
   cell.corrupt > 0. || cell.delay > 0 || cell.partition || cell.crashes > 0
   || cell.loss > 0.
-
-let fault_of_cell cell =
-  let models =
-    List.concat
-      [
-        (if cell.corrupt > 0. then
-           [ Simnet.Fault.corrupt ~seed:(seed_corrupt cell) ~p:cell.corrupt () ]
-         else []);
-        (if cell.delay > 0 then
-           [ Simnet.Fault.delay ~seed:(seed_delay cell) ~mean:cell.delay () ]
-         else []);
-        (if cell.loss > 0. then
-           [ Simnet.Fault.bernoulli ~seed:(seed_loss cell) ~p:cell.loss () ]
-         else []);
-      ]
-  in
-  match models with
-  | [] -> None
-  | [ m ] -> Some m
-  | ms -> Some (Simnet.Fault.compose ms)
-
-(* One symmetric cut across the middle of the node range for the middle
-   half of the horizon: late enough that liveness has formed a full
-   picture of the job, healed early enough that convergence after the
-   heal is observable before the run ends. *)
-let partition_of_cell cell ~nids ~horizon =
-  if not cell.partition then []
-  else
-    match List.sort_uniq compare nids with
-    | [] | [ _ ] -> []
-    | nids ->
-      let n = List.length nids in
-      let group_a = List.filteri (fun i _ -> i < n / 2) nids in
-      let group_b = List.filteri (fun i _ -> i >= n / 2) nids in
-      Simnet.Fault.partition_schedule
-        [
-          {
-            Simnet.Fault.group_a;
-            group_b;
-            one_way = false;
-            cut_at = horizon / 4;
-            heal_at = Some (horizon * 3 / 4);
-          };
-        ]
-
-let crash_schedule_of cell ~nids ~horizon =
-  if cell.crashes <= 0 then []
-  else
-    Simnet.Fault.random_crash_schedule ~seed:(seed_crash cell) ~nids
-      ~crashes:cell.crashes ~horizon ()
 
 let describe cell =
   let axes =

@@ -2,16 +2,13 @@
     and loss faults into cells that span the full fault domain.
 
     A {!cell} names one point of the fault space plus a seed; {!grid}
-    builds the cartesian product of per-axis levels. The translation to
-    concrete machinery is split exactly as the fabric consumes it:
-    {!fault_of_cell} yields the composed per-message fault model,
-    {!partition_of_cell} and {!crash_schedule_of} yield the scheduled
-    events. Inside a cell each axis draws from its own seeded stream, so
-    enabling one axis never perturbs another's randomness — cells differ
-    only where their parameters differ.
-
-    Invariant checking over worlds lives upstream in
-    [Experiments.Chaos]; this module has no scheduler dependency. *)
+    builds the cartesian product of per-axis levels. A cell is data
+    only: [Experiments.Chaos.world_scenarios] writes it out as the
+    scenarios of its two worlds, in the [--fault] / [--crash] spec
+    grammar, and [Runtime.create_world] builds the faults from those,
+    as it does for every other run. There, each axis draws from its own
+    seeded stream, so enabling one axis never perturbs another's
+    randomness — cells differ only where their parameters differ. *)
 
 type cell = {
   corrupt : float;  (** Per-message corruption probability. *)
@@ -48,26 +45,6 @@ val grid :
 
 val faulty : cell -> bool
 (** Whether any axis is active — a [false] cell is a clean control run. *)
-
-val fault_of_cell : cell -> Simnet.Fault.t option
-(** The composed per-message fault model (corruption, delay, loss), or
-    [None] when all three axes are off. *)
-
-val partition_of_cell :
-  cell ->
-  nids:Simnet.Proc_id.nid list ->
-  horizon:Sim_engine.Time_ns.t ->
-  Simnet.Fault.partition_schedule
-(** When the cell's partition axis is on: one symmetric cut splitting
-    [nids] in half at [horizon/4], healing at [3*horizon/4]. Empty
-    schedule otherwise (or with fewer than two nodes). *)
-
-val crash_schedule_of :
-  cell ->
-  nids:Simnet.Proc_id.nid list ->
-  horizon:Sim_engine.Time_ns.t ->
-  Simnet.Fault.crash_schedule
-(** [cell.crashes] seeded crash/restart pairs over [\[0, horizon)]. *)
 
 val describe : cell -> string
 (** One-line cell label, e.g. ["corrupt=0.01 partition seed=7"]. *)

@@ -5,7 +5,6 @@
 
 type t = {
   seed : int;
-  loss : float;
   fault : string option;
   crashes : Simnet.Fault.crash_schedule option;
   topology : string option;
@@ -15,7 +14,7 @@ type t = {
 }
 
 let default =
-  { seed = 0; loss = 0.; fault = None; crashes = None; topology = None;
+  { seed = 0; fault = None; crashes = None; topology = None;
     queue_limit = None; domains = 1; collectives = "host" }
 
 (* A topology spec with explicit dimensions implies its own node count;
@@ -48,18 +47,20 @@ let validate_topology_spec spec =
 (* "bernoulli:P" | "gilbert:P_ENTER:P_EXIT" | "duplicate:P"
    | "corrupt:P" | "delay:MEAN_US[:JITTER_US]" | "flap:PERIOD_US:DOWN_US"
    | "partition:A.B|C.D@CUT_US[:HEAL_US]" | "none", composable with "+"
-   (e.g. "bernoulli:0.02+corrupt:0.01"). Partition elements describe
-   scheduled group cuts (nids '.'-joined; '|' severs both directions,
-   '>' only A → B traffic) rather than per-message models, so parsing
-   returns both halves. *)
+   (e.g. "bernoulli:0.02+corrupt:0.01"). The five stochastic models take
+   an optional "@sN" suffix that seeds them with N instead of the
+   world's seed. Partition elements describe scheduled group cuts (nids
+   '.'-joined; '|' severs both directions, '>' only A → B traffic)
+   rather than per-message models, so parsing returns both halves. *)
 let faults_of_spec ~seed spec =
   let bad reason =
     invalid_arg
       (Printf.sprintf
          "Runtime: bad fault spec %S (%s); expected \
           bernoulli:P|gilbert:P_ENTER:P_EXIT|duplicate:P|corrupt:P|\
-          delay:MEAN_US[:JITTER_US]|flap:PERIOD_US:DOWN_US|\
-          partition:A.B|C.D@CUT_US[:HEAL_US]|none, joined with '+'"
+          delay:MEAN_US[:JITTER_US], each with an optional @sSEED, or \
+          flap:PERIOD_US:DOWN_US|partition:A.B|C.D@CUT_US[:HEAL_US]|none, \
+          joined with '+'"
          spec reason)
   in
   let float_field s =
@@ -118,33 +119,50 @@ let faults_of_spec ~seed spec =
       in
       { Simnet.Fault.group_a; group_b; one_way; cut_at; heal_at }
   in
-  let parse_one s =
-    match String.split_on_char ':' (String.trim s) with
-    | "partition" :: rest -> `Partition (parse_partition (String.concat ":" rest))
-    | [ "none" ] -> `Model Simnet.Fault.none
-    | [ "bernoulli"; p ] ->
-      `Model (Simnet.Fault.bernoulli ~seed ~p:(prob_field p) ())
+  (* "MODEL@sN": the model's own seed; with no suffix, the world's. *)
+  let seeded s =
+    match String.index_opt s '@' with
+    | None -> (s, None)
+    | Some at -> (
+      let suffix = String.sub s (at + 1) (String.length s - at - 1) in
+      match Scanf.sscanf_opt suffix "s%d%!" Fun.id with
+      | Some n -> (String.sub s 0 at, Some n)
+      | None -> bad (Printf.sprintf "%S: a seed suffix is @sN" s))
+  in
+  let parse_model s =
+    let model, own_seed = seeded s in
+    let seed = Option.value own_seed ~default:seed in
+    let unseeded m =
+      if own_seed <> None then bad (Printf.sprintf "%S takes no seed" s);
+      m
+    in
+    match String.split_on_char ':' model with
+    | [ "none" ] -> unseeded Simnet.Fault.none
+    | [ "bernoulli"; p ] -> Simnet.Fault.bernoulli ~seed ~p:(prob_field p) ()
     | [ "gilbert"; p_enter; p_exit ] ->
-      `Model
-        (Simnet.Fault.gilbert ~seed ~p_enter:(prob_field p_enter)
-           ~p_exit:(prob_field p_exit) ())
-    | [ "duplicate"; p ] ->
-      `Model (Simnet.Fault.duplicator ~seed ~p:(prob_field p) ())
-    | [ "corrupt"; p ] -> `Model (Simnet.Fault.corrupt ~seed ~p:(prob_field p) ())
-    | [ "delay"; mean ] ->
-      `Model (Simnet.Fault.delay ~seed ~mean:(time_field mean) ())
+      Simnet.Fault.gilbert ~seed ~p_enter:(prob_field p_enter)
+        ~p_exit:(prob_field p_exit) ()
+    | [ "duplicate"; p ] -> Simnet.Fault.duplicator ~seed ~p:(prob_field p) ()
+    | [ "corrupt"; p ] -> Simnet.Fault.corrupt ~seed ~p:(prob_field p) ()
+    | [ "delay"; mean ] -> Simnet.Fault.delay ~seed ~mean:(time_field mean) ()
     | [ "delay"; mean; jitter ] ->
       let mean = time_field mean and jitter = time_field jitter in
       if Sim_engine.Time_ns.compare jitter mean > 0 then
         bad "delay jitter exceeds mean";
-      `Model (Simnet.Fault.delay ~seed ~jitter ~mean ())
+      Simnet.Fault.delay ~seed ~jitter ~mean ()
     | [ "flap"; period; down ] ->
       let period = Sim_engine.Time_ns.us (float_field period) in
       let downtime = Sim_engine.Time_ns.us (float_field down) in
       if Sim_engine.Time_ns.compare downtime period > 0 then
         bad "downtime exceeds period";
-      `Model (Simnet.Fault.link_flap ~period ~downtime ())
+      unseeded (Simnet.Fault.link_flap ~period ~downtime ())
     | _ -> bad (Printf.sprintf "unknown model %S" s)
+  in
+  let parse_one s =
+    let s = String.trim s in
+    match String.split_on_char ':' s with
+    | "partition" :: rest -> `Partition (parse_partition (String.concat ":" rest))
+    | _ -> `Model (parse_model s)
   in
   let parts = List.map parse_one (String.split_on_char '+' spec) in
   if parts = [] then bad "empty";
@@ -200,6 +218,8 @@ let crashes_of_spec spec =
   with Invalid_argument reason when not (String.length reason > 7 && String.sub reason 0 8 = "Runtime:") ->
     bad reason
 
+(* [loss] is sugar: "bernoulli:P", first in the spec, so it composes
+   ahead of the rest as the flag always has. *)
 let make ?(loss = 0.) ?(seed = 0) ?fault ?crashes ?topology ?queue_limit
     ?(domains = 1) ?(collectives = "host") () =
   let bad what = invalid_arg ("Runtime.Scenario.make: " ^ what) in
@@ -213,20 +233,18 @@ let make ?(loss = 0.) ?(seed = 0) ?fault ?crashes ?topology ?queue_limit
   if Option.fold ~none:false ~some:(fun l -> l <= 0) queue_limit then
     bad "queue limit must be positive";
   if loss < 0. || loss >= 1. then bad "loss must be in [0, 1)";
-  let fault = spec fault in
+  let fault =
+    match (loss > 0., spec fault) with
+    | false, f -> f
+    | true, None -> Some (Printf.sprintf "bernoulli:%.17g" loss)
+    | true, Some f -> Some (Printf.sprintf "bernoulli:%.17g+%s" loss f)
+  in
   Option.iter (fun f -> ignore (faults_of_spec ~seed:0 f)) fault;
   let crashes = Option.map crashes_of_spec (spec crashes) in
-  { seed; loss; fault; crashes; topology; queue_limit; domains; collectives }
+  { seed; fault; crashes; topology; queue_limit; domains; collectives }
 
 (* Fresh model instances on every call: models carry mutable per-pair
    PRNG tables, so each shard fabric of a world needs its own. Same
    scenario + same seed => identical per-pair streams. *)
 let faults t ~seed =
-  let spec_models, partitions =
-    match t.fault with None -> ([], []) | Some spec -> faults_of_spec ~seed spec
-  in
-  let models =
-    (if t.loss > 0. then [ Simnet.Fault.bernoulli ~seed ~p:t.loss () ] else [])
-    @ spec_models
-  in
-  (models, partitions)
+  match t.fault with None -> ([], []) | Some spec -> faults_of_spec ~seed spec

@@ -12,10 +12,6 @@ type t = private {
   seed : int;
       (** The scheduler and fault-model seed used when a world is built
           with no explicit [~seed] (default 0). *)
-  loss : float;
-      (** Bernoulli wire loss probability in \[0, 1). 0 disables; above
-          it every world is a lossy fabric with the reliability shim
-          attached. *)
   fault : string option;
       (** A wire fault-model spec:
           ["bernoulli:P"], ["gilbert:P_ENTER:P_EXIT"], ["duplicate:P"],
@@ -26,11 +22,17 @@ type t = private {
           nids joined with ['.'], ['|'] severs both directions, ['>'] only
           A → B; heals at [HEAL_US] if given) or ["none"], joined with
           ['+'] to compose (drop wins over corrupt, corrupt over delay,
-          delay over duplicate). Any model or partition attaches the
-          reliability shim, like [loss], and turns on the fabric's
-          integrity bit ({!Simnet.Fabric.set_integrity}) so frames travel
-          with CRC-32C trailers: corruption then degrades to loss and is
-          retransmitted. *)
+          delay over duplicate). Each of the five seeded models
+          ([bernoulli], [gilbert], [duplicate], [corrupt], [delay]) takes
+          an optional ["@sN"] suffix (["corrupt:0.02@s9"]) that seeds it
+          with [N]; without one it takes the world's seed. [flap],
+          [partition] and [none] draw nothing and reject the suffix. Any
+          model or partition ([none] included) attaches the reliability
+          shim and turns on the fabric's integrity bit
+          ({!Simnet.Fabric.set_integrity}) so frames travel with CRC-32C
+          trailers: corruption then degrades to loss and is
+          retransmitted. [--loss P] is sugar for a leading
+          ["bernoulli:P"]. *)
   crashes : Simnet.Fault.crash_schedule option;
       (** A scripted node-failure schedule, parsed from
           ["NID@DOWN_US[:UP_US]"] elements joined with [',']: node [NID]
@@ -63,7 +65,7 @@ type t = private {
 }
 
 val default : t
-(** Seed 0, no loss, faults or crashes, the fully-connected topology, no
+(** Seed 0, no faults or crashes, the fully-connected topology, no
     queue limit, one domain, host collectives: the seed model. *)
 
 val make :
@@ -78,7 +80,10 @@ val make :
   unit ->
   t
 (** The one constructor. Omitted fields take their {!default}; a [""]
-    fault, crash or topology spec means none.
+    fault, crash or topology spec means none. A positive [loss] is
+    written into [fault] as a leading ["bernoulli:P"] ([P] printed with
+    [%.17g], so it reads back exactly): the same model, seed and compose
+    position as every other spec model.
 
     Raises [Invalid_argument] on an unknown collectives engine, fewer
     than one domain, a malformed topology spec, a non-positive queue
@@ -90,7 +95,7 @@ val make :
 
 val faults :
   t -> seed:int -> Simnet.Fault.t list * Simnet.Fault.partition_schedule
-(** Fresh fault-model instances (the [loss] model first, then [fault]'s
-    models in spec order) and the partition schedule, seeded with
+(** Fresh instances of [fault]'s models, in spec order, and its
+    partition schedule; a model without an ["@sN"] suffix is seeded with
     [seed]. Models carry mutable per-pair state, so every fabric gets
     its own call. Both lists are empty for a fault-free scenario. *)

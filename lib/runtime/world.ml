@@ -17,6 +17,7 @@ type world = {
   scheds : Scheduler.t array;
   fabrics : Simnet.Fabric.t array;
   transports : Simnet.Transport.t array;
+  shims : Reliability.t list;
 }
 
 let create_world ?(scenario = Scenario.default) ?profile ?(transport = Offload)
@@ -56,12 +57,12 @@ let create_world ?(scenario = Scenario.default) ?profile ?(transport = Offload)
     | Some _ as l -> l
     | None -> scenario.Scenario.queue_limit
   in
-  (* Faulty mode: inject the scenario's wire loss, fault model and/or
-     partition schedule and install the reliability shim so the
-     transports above still see the in-order exactly-once fabric they
-     were written against. Frames travel checksummed exactly when the
-     world is faulty, so a corrupted frame degrades to a loss the shim
-     recovers — and a clean world's encodings stay byte-identical to the
+  (* Faulty mode: inject the scenario's fault models and/or partition
+     schedule and install the reliability shim so the transports above
+     still see the in-order exactly-once fabric they were written
+     against. Frames travel checksummed exactly when the world is
+     faulty, so a corrupted frame degrades to a loss the shim recovers —
+     and a clean world's encodings stay byte-identical to the
      pre-integrity format.
 
      Each shard gets its own freshly built model instances: models carry
@@ -69,9 +70,7 @@ let create_world ?(scenario = Scenario.default) ?profile ?(transport = Offload)
      domains. Same spec + same seed ⇒ identical per-pair streams, so the
      replicas agree with the sequential reference. *)
   (* Every fault spec parses to at least one model or partition. *)
-  let faulty =
-    scenario.Scenario.loss > 0. || scenario.Scenario.fault <> None
-  in
+  let faulty = scenario.Scenario.fault <> None in
   let configure fabric =
     let fault_models, partitions = Scenario.faults scenario ~seed in
     (match fault_models with
@@ -84,18 +83,22 @@ let create_world ?(scenario = Scenario.default) ?profile ?(transport = Offload)
     (match partitions with
     | [] -> ()
     | schedule -> Simnet.Fabric.apply_partition_schedule fabric schedule);
-    if faulty then begin
-      Simnet.Fabric.set_integrity fabric true;
-      ignore (Reliability.attach fabric)
-    end;
+    let shim =
+      if faulty then begin
+        Simnet.Fabric.set_integrity fabric true;
+        Some (Reliability.attach fabric)
+      end
+      else None
+    in
     (* Scripted node failures apply to every world, so an experiment that
        builds one world per transport subjects each to the identical
        schedule — and, in a parallel world, to every shard, keeping
        every replica's status word for the node in lockstep with its
        owner. *)
-    match scenario.Scenario.crashes with
-    | Some schedule -> Simnet.Fabric.apply_crash_schedule fabric schedule
-    | None -> ()
+    Option.iter
+      (Simnet.Fabric.apply_crash_schedule fabric)
+      scenario.Scenario.crashes;
+    shim
   in
   let transport_over fabric =
     match transport with
@@ -129,12 +132,12 @@ let create_world ?(scenario = Scenario.default) ?profile ?(transport = Offload)
           Simnet.Fabric.create ~topology:topo ?queue_limit
             ~shard:(shard_map, k) sched ~profile ~nodes
         in
-        configure fabric;
-        (sched, fabric, transport_over fabric))
+        let shim = configure fabric in
+        (sched, fabric, transport_over fabric, shim))
   in
-  let scheds = Array.map (fun (s, _, _) -> s) replicas in
-  let fabrics = Array.map (fun (_, f, _) -> f) replicas in
-  let transports = Array.map (fun (_, _, tr) -> tr) replicas in
+  let scheds = Array.map (fun (s, _, _, _) -> s) replicas in
+  let fabrics = Array.map (fun (_, f, _, _) -> f) replicas in
+  let transports = Array.map (fun (_, _, tr, _) -> tr) replicas in
   (* The post hooks need the window runtime, which needs every
      scheduler: they are set once all replicas are built. A lone shard
      owns every node and posts nothing, so it needs none. *)
@@ -157,6 +160,8 @@ let create_world ?(scenario = Scenario.default) ?profile ?(transport = Offload)
     scheds;
     fabrics;
     transports;
+    shims =
+      List.filter_map (fun (_, _, _, shim) -> shim) (Array.to_list replicas);
   }
 
 let job_size world = Array.length world.ranks
@@ -237,6 +242,7 @@ let trace_spans world =
   |> List.stable_sort by_time_then_track
 
 let shard_fabrics world = Array.copy world.fabrics
+let reliability_shims world = world.shims
 let window_rounds world = Shard.rounds world.shard
 
 let lookahead world = Shard.lookahead world.shard

@@ -34,6 +34,7 @@ type world = private {
       (** The node-to-shard map, the window runtime and one scheduler,
           fabric replica and transport per shard (index = shard). Read
           them through the accessors below. *)
+  shims : Reliability.t list;  (** Read with {!reliability_shims}. *)
 }
 
 val create_world :
@@ -58,9 +59,10 @@ val create_world :
     The scenario supplies the seed, the interconnect (its topology spec
     fitted to [nodes], else fully connected), the hop-link queue limit
     and the domain count; an explicit [seed], [topology], [queue_limit]
-    or [domains] wins over it. If the scenario has a wire loss, a fault
-    model or a partition schedule, every shard fabric gets fresh
-    instances of them (seeded with the world's seed), its integrity bit
+    or [domains] wins over it. If the scenario has a fault spec (a
+    model, a partition or ["none"]), every shard fabric gets fresh
+    instances of its models (seeded with the world's seed unless a
+    model names its own), its partition schedule, its integrity bit
     ({!Simnet.Fabric.set_integrity}) and the {!Reliability} shim
     underneath the transport; otherwise the fabric stays clean and its
     frames unchecksummed. The scenario's crash schedule is applied to
@@ -139,6 +141,10 @@ val metrics_snapshot : world -> Sim_engine.Metrics.Snapshot.t
 
 val shard_fabrics : world -> Simnet.Fabric.t array
 (** One fabric replica per shard ([[|fabric|]] at one shard). *)
+
+val reliability_shims : world -> Reliability.t list
+(** The shim {!create_world} attached to each shard fabric, in shard
+    order; empty for a world whose scenario has no fault spec. *)
 
 val window_rounds : world -> int
 (** Window-barrier rounds completed by the last {!run}; 0 at one shard,

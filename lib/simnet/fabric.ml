@@ -490,14 +490,6 @@ let partitioned_now t ~src ~dst =
   t.partitions <> []
   && Fault.cut_now t.partitions ~now:(Scheduler.now t.fabric_sched) ~src ~dst
 
-let set_fault_injector t f =
-  t.fault <-
-    Option.map
-      (fun f ->
-        Fault.custom (fun ~now:_ ~src ~dst ~len ->
-            if f ~src ~dst ~len then Fault.Drop else Fault.Deliver))
-      f
-
 let install_shim t shim =
   if t.shim <> None then
     invalid_arg "Fabric.install_shim: a shim is already installed";

@@ -267,12 +267,6 @@ val partitioned_now : t -> src:Proc_id.nid -> dst:Proc_id.nid -> bool
     the query [Runtime.Liveness] uses to tell a partitioned-but-alive
     peer from a crashed one. *)
 
-val set_fault_injector :
-  t -> (src:Proc_id.t -> dst:Proc_id.t -> len:int -> bool) option -> unit
-(** Legacy boolean interface: with [Some f], each message for which [f]
-    returns true is dropped. Implemented as a {!Fault.custom} model;
-    equivalent to {!set_fault_model}. *)
-
 (** {1 Reliability shim}
 
     A shim intercepts the fabric at exactly the wire boundary: every

@@ -22,8 +22,8 @@
        lets a pair's own messages overtake each other.}
     {- {!link_flap}: the link goes down for [downtime] out of every
        [period] and then repairs; everything sent while down is lost.}
-    {- {!custom}: arbitrary stateful decisions (the old boolean injector
-       is implemented with this).}}
+    {- {!custom}: arbitrary stateful decisions, e.g. "drop every frame
+       longer than N bytes".}}
 
     Every stochastic model carries its own explicit-state PRNG seeded at
     construction, so a campaign point [(model, seed)] replays exactly.

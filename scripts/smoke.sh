@@ -156,6 +156,15 @@ $DUNE exec bin/portals_repro.exe -- \
   rma --quick --seed 42 --workloads latency,passive --loss 0.05 \
   | tee "$OUT/rma_lossy.out"
 grep -q '^passive ' "$OUT/rma_lossy.out"
+# --loss P is sugar for the spec bernoulli:P: the run is pinned, and the
+# spellings must print the same bytes.
+check_sha "$OUT/rma_lossy.out" \
+  47f571b9c0c670df6f7c6186098a575c21e2f2430f3e3d7fdeadf63151bdff10 \
+  "rma --quick --seed 42 --workloads latency,passive --loss 0.05"
+$DUNE exec bin/portals_repro.exe -- \
+  rma --quick --seed 42 --workloads latency,passive \
+  --fault bernoulli:0.05 > "$OUT/rma_lossy_spec.out"
+cmp "$OUT/rma_lossy.out" "$OUT/rma_lossy_spec.out"
 # A malformed --workloads list must die with a clean usage error.
 if $DUNE exec bin/portals_repro.exe -- rma --workloads bogus \
     2>"$OUT/rma.err"; then
@@ -187,6 +196,12 @@ for seed in $(seq 0 49); do
     exit 1
   fi
 done
+# Each cell's worlds are built from the scenarios it is written out as;
+# the whole report at seed 0 is pinned byte for byte.
+_build/default/bin/portals_repro.exe chaos --seed 0 > "$OUT/chaos_full.s0.out"
+check_sha "$OUT/chaos_full.s0.out" \
+  6df806996ae04289127e78c317e941dd9f03067a3daa9da7465d658e55b4e47e \
+  "chaos --seed 0"
 # Corruption + a scheduled cut + a crash composed on a routed 4x4 torus:
 # per-hop corruption under the checksummed encoding, a mid-run
 # partition, and a node restart must still leave both traffic patterns

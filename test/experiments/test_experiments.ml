@@ -678,6 +678,7 @@ let perf_tests =
 
 let chaos_tests =
   let open Experiments.Chaos in
+  let module Time_ns = Sim_engine.Time_ns in
   [
     Alcotest.test_case "quick campaign holds every invariant" `Quick (fun () ->
         let t = run ~quick:true () in
@@ -754,6 +755,137 @@ let chaos_tests =
         let scenario = Runtime.Scenario.make ~seed:3 () in
         let a = run ~scenario ~quick:true () and b = run ~scenario ~quick:true () in
         Alcotest.(check bool) "bit-exact replay" true (digest a = digest b));
+    Alcotest.test_case "world_scenarios: the cut halves the nids, then heals"
+      `Quick (fun () ->
+        let stream, rma =
+          world_scenarios ~domains:1
+            (Reliability.Chaos.cell ~partition:true ~seed:0 ())
+        in
+        List.iter
+          (fun (world, scenario) ->
+            match Runtime.Scenario.faults scenario ~seed:0 with
+            | [], [ e ] ->
+              Alcotest.(check (list int)) (world ^ ": first half") [ 0; 1; 2 ]
+                e.Simnet.Fault.group_a;
+              Alcotest.(check (list int)) (world ^ ": second half") [ 3; 4; 5 ]
+                e.Simnet.Fault.group_b;
+              Alcotest.(check int) (world ^ ": cut at horizon/4")
+                (Time_ns.ms 2.) e.Simnet.Fault.cut_at;
+              Alcotest.(check (option int)) (world ^ ": heal at 3/4")
+                (Some (Time_ns.ms 6.)) e.Simnet.Fault.heal_at
+            | _ -> Alcotest.failf "%s: expected one cut and no model" world)
+          [ ("stream", stream); ("rma", rma) ]);
+    Alcotest.test_case "world_scenarios: one crash per count, replays" `Quick
+      (fun () ->
+        let crashes ~crashes ~seed =
+          let stream, rma =
+            world_scenarios ~domains:1
+              (Reliability.Chaos.cell ~crashes ~seed ())
+          in
+          Alcotest.(check bool) "the rma world has no crashes" true
+            (rma.Runtime.Scenario.crashes = None);
+          stream.Runtime.Scenario.crashes
+        in
+        (match crashes ~crashes:3 ~seed:5 with
+        | None -> Alcotest.fail "no crash schedule"
+        | Some s ->
+          Alcotest.(check int) "three events" 3 (List.length s);
+          List.iter
+            (fun e ->
+              Alcotest.(check bool) "a victim no stream uses" true
+                (List.mem e.Simnet.Fault.victim [ 4; 5 ]);
+              Alcotest.(check bool) "inside the horizon" true
+                (e.Simnet.Fault.down_at >= 0
+                && e.Simnet.Fault.down_at < Time_ns.ms 8.))
+            s;
+          (* Written in microseconds, read back to the nanosecond. *)
+          Alcotest.(check bool) "the drawn schedule, exactly" true
+            (s
+            = Simnet.Fault.random_crash_schedule ~seed:((4 * 5) + 4)
+                ~nids:[ 4; 5 ] ~crashes:3 ~horizon:(Time_ns.ms 8.) ()));
+        Alcotest.(check bool) "same cell replays" true
+          (crashes ~crashes:3 ~seed:5 = crashes ~crashes:3 ~seed:5);
+        Alcotest.(check bool) "zero crashes is no schedule" true
+          (crashes ~crashes:0 ~seed:1 = None));
+    Alcotest.test_case "world_scenarios: each axis on its own seed, in order"
+      `Quick (fun () ->
+        let fault cell =
+          (fst (world_scenarios ~domains:1 cell)).Runtime.Scenario.fault
+        in
+        Alcotest.(check (option string)) "the mixed cell at seed 2"
+          (Some
+             "corrupt:0.01@s9+delay:20.000@s10+bernoulli:0.01@s11+\
+              partition:0.1.2|3.4.5@2000.000:6000.000")
+          (fault
+             (Reliability.Chaos.cell ~corrupt:0.01 ~delay:(Time_ns.us 20.)
+                ~partition:true ~loss:0.01 ~seed:2 ()));
+        Alcotest.(check (option string)) "crashes only" (Some "none")
+          (fault (Reliability.Chaos.cell ~crashes:1 ~seed:0 ()));
+        Alcotest.(check (option string)) "clean" None
+          (fault (Reliability.Chaos.cell ~seed:0 ())));
+    Alcotest.test_case "faulty cells build checksummed, shimmed worlds" `Quick
+      (fun () ->
+        List.iter
+          (fun (name, cell) ->
+            let faulty = Reliability.Chaos.faulty cell in
+            let stream, rma = world_scenarios ~domains:2 cell in
+            List.iter
+              (fun scenario ->
+                let world = Runtime.create_world ~scenario ~nodes:6 () in
+                Array.iter
+                  (fun fabric ->
+                    Alcotest.(check bool) (name ^ ": integrity") faulty
+                      (Simnet.Fabric.integrity fabric))
+                  (Runtime.shard_fabrics world);
+                Alcotest.(check int) (name ^ ": one shim a shard")
+                  (if faulty then 2 else 0)
+                  (List.length (Runtime.reliability_shims world)))
+              [ stream; rma ])
+          (axis_cells ~seed:0));
+    Alcotest.test_case "quick cells at seed 0 report their pinned rows" `Quick
+      (fun () ->
+        (* Pinned so that drift between versions shows, not just between
+           two runs of one version. The clean cell's worlds carry no shim,
+           so its time is its own. *)
+        let summary r =
+          Printf.sprintf
+            "[%s] delivered=%d corrupts=%d delays=%d parted=%d rel=%d \
+             cksum=%d t=%h"
+            (String.concat "; " r.violations)
+            r.delivered r.corrupts_injected r.delays_injected
+            r.drops_partitioned r.rel_corrupt_drops r.checksum_drops
+            r.sim_time_us
+        in
+        let pinned =
+          [
+            ( "clean",
+              "[] delivered=96 corrupts=0 delays=0 parted=0 rel=0 cksum=0 \
+               t=0x1.fcb126e978d5p+12" );
+            ( "corrupt",
+              "[] delivered=96 corrupts=14 delays=0 parted=0 rel=3 cksum=0 \
+               t=0x1.0ce3374bc6a7fp+13" );
+            ( "delay",
+              "[] delivered=96 corrupts=0 delays=592 parted=0 rel=0 cksum=0 \
+               t=0x1.189410624dd2fp+13" );
+            ( "partition",
+              "[] delivered=96 corrupts=0 delays=0 parted=182 rel=0 cksum=0 \
+               t=0x1.02edc083126e9p+13" );
+            ( "crash",
+              "[] delivered=96 corrupts=0 delays=0 parted=0 rel=0 cksum=0 \
+               t=0x1.02edc083126e9p+13" );
+            ( "loss",
+              "[] delivered=96 corrupts=0 delays=0 parted=0 rel=0 cksum=0 \
+               t=0x1.102ed70a3d70ap+13" );
+            ( "mix",
+              "[] delivered=96 corrupts=5 delays=639 parted=182 rel=1 cksum=0 \
+               t=0x1.2cc072b020c4ap+13" );
+          ]
+        in
+        List.iter
+          (fun (name, cell) ->
+            Alcotest.(check string) name (List.assoc name pinned)
+              (summary (run_cell ~quick:true cell)))
+          (axis_cells ~seed:0));
     Alcotest.test_case "corrupt seed 12 is clean" `Quick (fun () ->
         (* Until shim frames carried their class beside the payload, this
            cell handed the stream handler a damaged frame whose magic

@@ -593,14 +593,14 @@ let fault_tests =
         (* Drop exactly the first sizeable message (the MPI payload put;
            barrier-less direct send keeps the schedule simple). *)
         let dropped_one = ref false in
-        Simnet.Fabric.set_fault_injector fabric
+        Simnet.Fabric.set_fault_model fabric
           (Some
-             (fun ~src:_ ~dst:_ ~len ->
-               if (not !dropped_one) && len > 1_000 then begin
-                 dropped_one := true;
-                 true
-               end
-               else false));
+             (Simnet.Fault.custom (fun ~now:_ ~src:_ ~dst:_ ~len ->
+                  if (not !dropped_one) && len > 1_000 then begin
+                    dropped_one := true;
+                    Simnet.Fault.Drop
+                  end
+                  else Simnet.Fault.Deliver)));
         Scheduler.spawn sched (fun () ->
             ignore (Mpi.isend ep0 ~dst:1 ~tag:0 (Bytes.create 10_000)));
         Scheduler.spawn sched ~name:"victim" (fun () ->
@@ -625,8 +625,11 @@ let fault_tests =
         (* Lose an un-waited-for message, then heal the network; fresh
            traffic must flow normally. *)
         let failing = ref true in
-        Simnet.Fabric.set_fault_injector fabric
-          (Some (fun ~src:_ ~dst:_ ~len -> !failing && len > 1_000));
+        Simnet.Fabric.set_fault_model fabric
+          (Some
+             (Simnet.Fault.custom (fun ~now:_ ~src:_ ~dst:_ ~len ->
+                  if !failing && len > 1_000 then Simnet.Fault.Drop
+                  else Simnet.Fault.Deliver)));
         let got = ref "" in
         Scheduler.spawn sched (fun () ->
             ignore (Mpi.isend ep0 ~dst:1 ~tag:0 (Bytes.create 5_000));

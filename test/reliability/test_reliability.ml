@@ -586,56 +586,6 @@ let chaos_grid_tests =
              (List.filter
                 (fun c -> not (Reliability.Chaos.faulty c))
                 (List.filter (fun c -> c.Reliability.Chaos.seed = 1) cells))));
-    Alcotest.test_case "fault_of_cell composes the requested axes" `Quick
-      (fun () ->
-        Alcotest.(check bool) "clean cell has no model" true
-          (Reliability.Chaos.fault_of_cell
-             (Reliability.Chaos.cell ~seed:3 ())
-          = None);
-        match
-          Reliability.Chaos.fault_of_cell
-            (Reliability.Chaos.cell ~corrupt:0.5 ~loss:0.1 ~seed:3 ())
-        with
-        | None -> Alcotest.fail "faulty cell without a model"
-        | Some fault ->
-          Alcotest.(check bool) "composition can corrupt" true
-            (Simnet.Fault.can_corrupt fault));
-    Alcotest.test_case "partition_of_cell halves the nids, heals" `Quick
-      (fun () ->
-        match
-          Reliability.Chaos.partition_of_cell
-            (Reliability.Chaos.cell ~partition:true ~seed:0 ())
-            ~nids:[ 0; 1; 2; 3 ] ~horizon:(Time_ns.ms 4.)
-        with
-        | [ e ] ->
-          Alcotest.(check (list int)) "first half" [ 0; 1 ] e.Simnet.Fault.group_a;
-          Alcotest.(check (list int)) "second half" [ 2; 3 ] e.Simnet.Fault.group_b;
-          Alcotest.(check bool) "cut before heal" true
-            (match e.Simnet.Fault.heal_at with
-            | Some h -> e.Simnet.Fault.cut_at < h
-            | None -> false)
-        | cuts -> Alcotest.failf "expected one cut, got %d" (List.length cuts));
-    Alcotest.test_case "crash_schedule_of: one pair per crash, replays"
-      `Quick (fun () ->
-        let sched ~crashes ~seed =
-          Reliability.Chaos.crash_schedule_of
-            (Reliability.Chaos.cell ~crashes ~seed ())
-            ~nids:[ 0; 1; 2 ] ~horizon:(Time_ns.ms 1.)
-        in
-        let s = sched ~crashes:3 ~seed:5 in
-        Alcotest.(check int) "three events" 3 (List.length s);
-        List.iter
-          (fun e ->
-            Alcotest.(check bool) "victim in range" true
-              (List.mem e.Simnet.Fault.victim [ 0; 1; 2 ]);
-            Alcotest.(check bool) "inside the horizon" true
-              (e.Simnet.Fault.down_at >= 0
-              && e.Simnet.Fault.down_at < Time_ns.ms 1.))
-          s;
-        Alcotest.(check bool) "same cell replays" true
-          (s = sched ~crashes:3 ~seed:5);
-        Alcotest.(check int) "zero crashes is an empty schedule" 0
-          (List.length (sched ~crashes:0 ~seed:1)));
   ]
 
 let crash_tests =

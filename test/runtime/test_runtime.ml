@@ -262,6 +262,63 @@ let env_tests =
         accepts ~fault:"partition:0.1|2.3@100:200" ();
         accepts ~fault:"partition:0>1@100" ();
         accepts ~fault:"bernoulli:0.01+corrupt:0.01+partition:0|1@80:160" ());
+    Alcotest.test_case "a model's @sN suffix seeds it" `Quick (fun () ->
+        let of_spec ?(world_seed = 0) fault =
+          match
+            Runtime.Scenario.faults
+              (Runtime.Scenario.make ~fault ())
+              ~seed:world_seed
+          with
+          | [ m ], [] -> m
+          | _ -> Alcotest.fail "one model, no partition"
+        in
+        let decisions model =
+          let src = Simnet.Proc_id.make ~nid:0 ~pid:0
+          and dst = Simnet.Proc_id.make ~nid:1 ~pid:0 in
+          List.init 1_000 (fun i ->
+              Simnet.Fault.decide model ~now:(i * 100) ~src ~dst
+                ~len:(64 + (i mod 7)))
+        in
+        let own = decisions (of_spec "corrupt:0.3@s7") in
+        Alcotest.(check bool) "Fault.corrupt ~seed:7's decisions" true
+          (own = decisions (Simnet.Fault.corrupt ~seed:7 ~p:0.3 ()));
+        Alcotest.(check bool) "whatever the world's seed" true
+          (own = decisions (of_spec ~world_seed:5 "corrupt:0.3@s7"));
+        Alcotest.(check bool) "not the world-seeded model's" false
+          (own = decisions (of_spec "corrupt:0.3")));
+    Alcotest.test_case "a malformed or misplaced seed suffix is rejected"
+      `Quick (fun () ->
+        let bad_spec fault =
+          match Runtime.Scenario.make ~fault () with
+          | _ -> Alcotest.failf "accepted %S" fault
+          | exception Invalid_argument msg ->
+            Alcotest.(check bool) (fault ^ " says bad fault spec") true
+              (String.starts_with ~prefix:"Runtime: bad fault spec" msg)
+        in
+        List.iter bad_spec
+          [
+            "corrupt:0.3@s";
+            "corrupt:0.3@sx";
+            "corrupt:0.3@7";
+            "partition:0|1@s3";
+            "flap:100:20@s3";
+            "none@s3";
+          ];
+        accepts
+          ~fault:"bernoulli:0.1@s1+gilbert:0.1:0.5@s2+duplicate:0.1@s3" ();
+        accepts ~fault:"delay:40:10@s4+corrupt:0.01@s5+partition:0|1@80" ());
+    Alcotest.test_case "--loss P is the spec bernoulli:P, first" `Quick
+      (fun () ->
+        let fault ?fault loss =
+          (Runtime.Scenario.make ~loss ?fault ()).Runtime.Scenario.fault
+        in
+        (* Seventeen digits read back as the same float. *)
+        Alcotest.(check (option string)) "alone"
+          (Some "bernoulli:0.050000000000000003") (fault 0.05);
+        Alcotest.(check (option string)) "ahead of a spec"
+          (Some "bernoulli:0.25+corrupt:0.01")
+          (fault ~fault:"corrupt:0.01" 0.25);
+        Alcotest.(check (option string)) "zero adds nothing" None (fault 0.));
     Alcotest.test_case "partition nids outside the world are rejected" `Quick
       (fun () ->
         let scenario = Runtime.Scenario.make ~fault:"partition:0.1|2.9@100" () in

@@ -683,12 +683,15 @@ let fabric_tests =
         Alcotest.(check int) "sent" 1 s.Fabric.messages_sent;
         Alcotest.(check int) "dropped" 1 s.Fabric.drops_unregistered;
         Alcotest.(check int) "delivered" 0 s.Fabric.messages_delivered);
-    Alcotest.test_case "fault injector drops selected messages" `Quick (fun () ->
+    Alcotest.test_case "custom fault model drops selected messages" `Quick
+      (fun () ->
         let sched, fabric = mk_fabric () in
         let seen = ref 0 in
         Fabric.register fabric (pid 1 0) (fun ~src:_ _ -> incr seen);
-        Fabric.set_fault_injector fabric
-          (Some (fun ~src:_ ~dst:_ ~len -> len > 10));
+        Fabric.set_fault_model fabric
+          (Some
+             (Fault.custom (fun ~now:_ ~src:_ ~dst:_ ~len ->
+                  if len > 10 then Fault.Drop else Fault.Deliver)));
         Fabric.send fabric ~src:(pid 0 0) ~dst:(pid 1 0) (Bytes.make 100 'x');
         Fabric.send fabric ~src:(pid 0 0) ~dst:(pid 1 0) (Bytes.of_string "ok");
         Scheduler.run sched;
