@@ -66,7 +66,7 @@ let () =
   let world = Runtime.create_world ~topology:Simnet.Topology.Ring ~nodes () in
   (* The world hands back the topology it actually built; from here on
      the grid dimensions come from it, not from constants. *)
-  let topo = Simnet.Fabric.topology world.Runtime.fabric in
+  let topo = Runtime.topology world in
   let ranks = Simnet.Topology.nodes topo in
 
   (* ---- 2. The endpoints: MPI over Portals ----------------------------
@@ -76,17 +76,19 @@ let () =
      layers). *)
   let endpoints =
     Array.init ranks (fun rank ->
-        Mpi.create_portals world.Runtime.transport ~ranks:world.Runtime.ranks
-          ~rank ())
+        Mpi.create_portals (Runtime.transport_of_rank world rank)
+          ~ranks:world.Runtime.ranks ~rank ())
   in
-  let registry = Scheduler.metrics world.Runtime.sched in
-  let wait_after_compute = Metrics.summary registry "halo.wait_us" in
   let gathered = Array.make ranks [||] in
 
   (* ---- 3. The ranks: overlap compute with halo traffic --------------- *)
   Runtime.spawn_ranks world (fun ~rank ->
       let ep = endpoints.(rank) in
       let cpu = Runtime.host_cpu_of_rank world rank in
+      let sched = Runtime.sched_of_rank world rank in
+      let wait_after_compute =
+        Metrics.summary (Scheduler.metrics sched) "halo.wait_us"
+      in
       (* Ask the topology who our neighbours are. On a ring that is
          exactly the ±1 ranks (with wraparound), and each of these
          exchanges will ride its own private hop link. *)
@@ -122,10 +124,10 @@ let () =
            here. Portals' independent progress (the paper's section 5.2
            rule) is what lets the NIC land both halos meanwhile. *)
         Cpu.compute cpu interior_compute;
-        let before = Scheduler.now world.Runtime.sched in
+        let before = Scheduler.now sched in
         ignore (Mpi.waitall ep (sends @ recvs));
         Metrics.observe wait_after_compute
-          (Time_ns.to_us (Time_ns.sub (Scheduler.now world.Runtime.sched) before));
+          (Time_ns.to_us (Time_ns.sub (Scheduler.now sched) before));
         (* Apply halos and advance the stencil. *)
         cur.(0) <- (unpack left_buf).(0);
         cur.(n + 1) <- (unpack right_buf).(0);
@@ -161,19 +163,22 @@ let () =
   Format.printf "halo exchange on %s: %d ranks x %d cells, %d iterations@."
     (Simnet.Topology.describe (Simnet.Topology.kind topo))
     ranks cells_per_rank iterations;
-  Format.printf "simulated time: %a@." Time_ns.pp
-    (Scheduler.now world.Runtime.sched);
+  Format.printf "simulated time: %a@." Time_ns.pp (Runtime.now world);
   Format.printf "checksum %.6f, max error vs sequential reference %.2e@."
     !checksum !max_err;
   Format.printf
     "mean wait after each %.0fus compute phase: %.2f us (overlap works)@."
     (Time_ns.to_us interior_compute)
-    (match Metrics.Snapshot.find (Metrics.snapshot registry) "halo.wait_us" with
+    (match
+       Metrics.Snapshot.find (Runtime.metrics_snapshot world) "halo.wait_us"
+     with
     | Some (Metrics.Snapshot.Summary { mean; _ }) -> mean
     | _ -> 0.);
   Format.printf
     "peak hop-link queue depth: %d (nearest-neighbor traffic never piles up)@."
-    (Simnet.Fabric.peak_link_queue_depth world.Runtime.fabric);
+    (Array.fold_left
+       (fun depth f -> max depth (Simnet.Fabric.peak_link_queue_depth f))
+       0 (Runtime.shard_fabrics world));
   if !max_err > 1e-9 then begin
     Format.printf "MISMATCH@.";
     exit 1

@@ -53,7 +53,7 @@ let reference ~ranks () =
 
 let () =
   let world = Runtime.create_world ~topology:Simnet.Topology.Ring ~nodes () in
-  let topo = Simnet.Fabric.topology world.Runtime.fabric in
+  let topo = Runtime.topology world in
   let ranks = Simnet.Topology.nodes topo in
 
   (* One endpoint per rank over its own interface, then the symmetric
@@ -61,7 +61,9 @@ let () =
   let oss =
     Array.mapi
       (fun rank pid ->
-        let ni = Portals.Ni.create world.Runtime.transport ~id:pid () in
+        let ni =
+          Portals.Ni.create (Runtime.transport_of_rank world rank) ~id:pid ()
+        in
         Onesided.create_exn ni ~ranks:world.Runtime.ranks ~rank ())
       world.Runtime.ranks
   in
@@ -75,12 +77,13 @@ let () =
   in
   let dones = Array.map (fun os -> Onesided.alloc os ranks) oss in
 
-  let registry = Scheduler.metrics world.Runtime.sched in
-  let wait_after_compute = Metrics.summary registry "halo.wait_us" in
-
   Runtime.spawn_ranks world (fun ~rank ->
       let os = oss.(rank) and w = wins.(rank) in
       let cpu = Runtime.host_cpu_of_rank world rank in
+      let sched = Runtime.sched_of_rank world rank in
+      let wait_after_compute =
+        Metrics.summary (Scheduler.metrics sched) "halo.wait_us"
+      in
       let left = (rank + ranks - 1) mod ranks in
       let right = (rank + 1) mod ranks in
       let nbrs = Simnet.Topology.neighbors topo rank in
@@ -108,7 +111,7 @@ let () =
         for i = 2 to n - 1 do
           next.(i) <- (cur.(i - 1) +. cur.(i) +. cur.(i + 1)) /. 3.0
         done;
-        let before = Scheduler.now world.Runtime.sched in
+        let before = Scheduler.now sched in
         Onesided.Win.flush w ~rank:left;
         Onesided.Win.flush w ~rank:right;
         (* Data is remotely complete; raise this iteration's flags. *)
@@ -118,8 +121,7 @@ let () =
         Onesided.wait_until os flags.(rank) ~offset:par ~value:fv;
         Onesided.wait_until os flags.(rank) ~offset:(2 + par) ~value:fv;
         Metrics.observe wait_after_compute
-          (Time_ns.to_us
-             (Time_ns.sub (Scheduler.now world.Runtime.sched) before));
+          (Time_ns.to_us (Time_ns.sub (Scheduler.now sched) before));
         (* Apply the freshly-landed ghosts and finish the edge cells. *)
         let data = Onesided.Win.local_data w in
         cur.(0) <- Int64.float_of_bits (Bytes.get_int64_le data (par * 16));
@@ -163,14 +165,15 @@ let () =
   Format.printf "halo exchange (RMA) on %s: %d ranks x %d cells, %d iterations@."
     (Simnet.Topology.describe (Simnet.Topology.kind topo))
     ranks cells_per_rank iterations;
-  Format.printf "simulated time: %a@." Time_ns.pp
-    (Scheduler.now world.Runtime.sched);
+  Format.printf "simulated time: %a@." Time_ns.pp (Runtime.now world);
   Format.printf "checksum %.6f, max error vs sequential reference %.2e@."
     !checksum !max_err;
   Format.printf
     "mean wait after each %.0fus compute phase: %.2f us (puts overlapped)@."
     (Time_ns.to_us interior_compute)
-    (match Metrics.Snapshot.find (Metrics.snapshot registry) "halo.wait_us" with
+    (match
+       Metrics.Snapshot.find (Runtime.metrics_snapshot world) "halo.wait_us"
+     with
     | Some (Metrics.Snapshot.Summary { mean; _ }) -> mean
     | _ -> 0.);
   Format.printf "cells bit-identical to the reference: %d/%d@." !exact total;

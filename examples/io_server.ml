@@ -71,11 +71,12 @@ let file_write ni eqh eqq ~server ~block data =
 let () =
   let clients = 3 in
   let world = Runtime.create_world ~nodes:(1 + clients) () in
-  let sched = world.Runtime.sched in
   let server_id = world.Runtime.ranks.(0) in
 
   (* ---- server structures ------------------------------------------- *)
-  let server_ni = P.Ni.create world.Runtime.transport ~id:server_id () in
+  let server_ni =
+    P.Ni.create (Runtime.transport_of_rank world 0) ~id:server_id ()
+  in
   let cache =
     Array.init blocks (fun b ->
         let data = Bytes.make block_size (Char.chr (65 + (b mod 26))) in
@@ -127,7 +128,7 @@ let () =
   in
   let writes_applied = ref 0 in
   let expected_writes = clients in
-  Scheduler.spawn sched ~name:"file-server" (fun () ->
+  Scheduler.spawn (Runtime.sched_of_rank world 0) ~name:"file-server" (fun () ->
       while !writes_applied < expected_writes do
         let ev = P.Event.Queue.wait write_eq in
         (* Apply the write: the block number travels in the match bits. *)
@@ -139,14 +140,18 @@ let () =
       done);
 
   (* ---- clients: MPI job + file I/O on one interface each ----------- *)
+  (* Client [c] is world rank [c + 1] and rank [c] of the clients' MPI
+     job. *)
   let client_ranks = Array.sub world.Runtime.ranks 1 clients in
   let endpoints =
-    Array.init clients (fun rank ->
-        MP.create world.Runtime.transport ~ranks:client_ranks ~rank ())
+    Array.init clients (fun c ->
+        MP.create (Runtime.transport_of_rank world (c + 1)) ~ranks:client_ranks
+          ~rank:c ())
   in
   let reads_ok = ref 0 and readbacks_ok = ref 0 and mpi_sum = ref 0 in
   Array.iteri
     (fun c ep ->
+      let sched = Runtime.sched_of_rank world (c + 1) in
       Scheduler.spawn sched ~name:(Printf.sprintf "client%d" c) (fun () ->
           (* The file protocol runs on the SAME interface as MPI, on its
              own portal entries. *)

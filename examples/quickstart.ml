@@ -22,8 +22,11 @@ let () =
   (* A two-node cluster whose NICs run the Portals processing (the MCP
      placement): no host CPU is involved in any receive below. *)
   let world = Runtime.create_world ~transport:Runtime.Offload ~nodes:2 () in
-  let alice = P.Ni.create world.Runtime.transport ~id:world.Runtime.ranks.(0) () in
-  let bob = P.Ni.create world.Runtime.transport ~id:world.Runtime.ranks.(1) () in
+  let ni rank =
+    P.Ni.create (Runtime.transport_of_rank world rank)
+      ~id:world.Runtime.ranks.(rank) ()
+  in
+  let alice = ni 0 and bob = ni 1 in
   show "Interfaces up: alice=%s bob=%s@."
     (Simnet.Proc_id.to_string (P.Ni.id alice))
     (Simnet.Proc_id.to_string (P.Ni.id bob));
@@ -58,7 +61,7 @@ let () =
          (P.Ni.md_spec ~threshold:(P.Md.Count 2) ~unlink:P.Md.Unlink
             ~eq:alice_eqh greeting))
   in
-  Scheduler.spawn world.Runtime.sched ~name:"alice" (fun () ->
+  Scheduler.spawn (Runtime.sched_of_rank world 0) ~name:"alice" (fun () ->
       ok "put"
         (P.Ni.put alice ~md:put_md ~ack:true
            (P.Ni.op ~target:(P.Ni.id bob) ~portal_index:pt_index
@@ -87,7 +90,7 @@ let () =
       show "alice: %a@." P.Event.pp reply;
       show "alice: fetched %S@." (Bytes.to_string window));
 
-  Scheduler.spawn world.Runtime.sched ~name:"bob" (fun () ->
+  Scheduler.spawn (Runtime.sched_of_rank world 1) ~name:"bob" (fun () ->
       (* Bob only *observes*: both operations complete without him. This
          is application bypass — remove this fiber entirely and the data
          still moves. *)
@@ -99,8 +102,7 @@ let () =
       show "bob:   %a@." P.Event.pp get_ev);
 
   Runtime.run world;
-  show "@.Simulated time elapsed: %a@." Time_ns.pp
-    (Scheduler.now world.Runtime.sched);
+  show "@.Simulated time elapsed: %a@." Time_ns.pp (Runtime.now world);
   show "Host CPU cycles stolen on bob's node: %a (the NIC did all the work)@."
     Time_ns.pp
     (Cpu.stolen_total (Runtime.host_cpu_of_rank world 1))

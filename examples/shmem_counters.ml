@@ -22,7 +22,9 @@ let () =
   let oss =
     Array.mapi
       (fun rank pid ->
-        let ni = Portals.Ni.create world.Runtime.transport ~id:pid () in
+        let ni =
+          Portals.Ni.create (Runtime.transport_of_rank world rank) ~id:pid ()
+        in
         Onesided.create_exn ni ~ranks:world.Runtime.ranks ~rank ())
       world.Runtime.ranks
   in
@@ -39,8 +41,8 @@ let () =
 
   Array.iteri
     (fun rank os ->
-      Scheduler.spawn world.Runtime.sched ~name:(Printf.sprintf "pe%d" rank)
-        (fun () ->
+      Scheduler.spawn (Runtime.sched_of_rank world rank)
+        ~name:(Printf.sprintf "pe%d" rank) (fun () ->
           if rank = 0 then begin
             (* The owner only waits for the done flags; it serves nothing. *)
             for w = 0 to workers - 1 do

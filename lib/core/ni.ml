@@ -239,7 +239,6 @@ let id t = t.self
 let sched t = t.tp.Simnet.Transport.sched
 let transport t = t.tp
 let acl t = t.ni_acl
-let portal_table_size t = Array.length t.pt_head
 
 let self_incarnation t =
   t.tp.Simnet.Transport.node_incarnation t.self.Simnet.Proc_id.nid
@@ -1190,8 +1189,11 @@ let handle_incoming t ~src payload =
 
 (* ------------------------------------------------------------------ *)
 
-let create tp ~id:self ?(portal_table_size = 64) ?(acl_size = 16) () =
-  if portal_table_size <= 0 then invalid_arg "Ni.create: empty portal table";
+(* Every interface has 64 portal entries and 16 ACL entries. *)
+let portal_table_size = 64
+let acl_size = 16
+
+let create tp ~id:self () =
   let t =
     {
       tp;

@@ -154,14 +154,12 @@ type counters = {
 val create :
   Simnet.Transport.t ->
   id:Simnet.Proc_id.t ->
-  ?portal_table_size:int ->
-  ?acl_size:int ->
   unit ->
   t
 (** Bring up an interface for process [id] ([PtlNIInit]): registers with
     the transport and installs the §4.5 default ACL entries scoped to
     node-local wildcards (the runtime normally re-scopes entry 0 to the
-    job). Default 64 portal entries, 16 ACL entries. *)
+    job). Every interface has 64 portal entries and 16 ACL entries. *)
 
 val shutdown : t -> unit
 (** [PtlNIFini]: unregister from the transport; incoming messages then
@@ -171,7 +169,6 @@ val id : t -> Simnet.Proc_id.t
 val sched : t -> Sim_engine.Scheduler.t
 val transport : t -> Simnet.Transport.t
 val acl : t -> Acl.t
-val portal_table_size : t -> int
 
 (** {1 Event queues} *)
 

@@ -6,8 +6,8 @@
    Counters, gauges, summaries and series are keyed by (name, sorted
    labels) in a table; registering the same key twice returns the same
    instrument, so components created in loops (one NI per rank, one link
-   per node) can register unconditionally. The mutating instruments pay
-   one branch on the shared [enabled] flag.
+   per node) can register unconditionally. Only a series tests a flag
+   (the registry's detail level) before it records.
 
    Probes and probe families are snapshot-time gauges and never enter the
    table. A probe is one record pushed on a list, with its labels as
@@ -28,11 +28,10 @@ let pp_labels ppf labels =
     Format.fprintf ppf "{%s}"
       (String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) labels))
 
-type counter = { c_enabled : bool ref; mutable c_value : int }
-type gauge = { g_enabled : bool ref; mutable g_value : float }
+type counter = { mutable c_value : int }
+type gauge = { mutable g_value : float }
 
 type summary = {
-  m_enabled : bool ref;
   mutable m_count : int;
   mutable m_total : float;
   mutable m_sum_sq : float;
@@ -69,7 +68,6 @@ type family = {
 }
 
 type t = {
-  enabled : bool ref;
   (* Time-series sampling is a separate, default-off level: every sample
      allocates a point, and some series sample per message (EQ depth,
      protocol windows) — too hot to pay in scaling sweeps that never read
@@ -82,9 +80,8 @@ type t = {
   tbl : (string * labels, entry) Hashtbl.t;
 }
 
-let create ?(enabled = true) ?(detail = false) () =
+let create ?(detail = false) () =
   {
-    enabled = ref enabled;
     detail = ref detail;
     rev_entries = [];
     rev_probes = [];
@@ -93,8 +90,6 @@ let create ?(enabled = true) ?(detail = false) () =
     tbl = Hashtbl.create 64;
   }
 
-let enabled t = !(t.enabled)
-let set_enabled t on = t.enabled := on
 let detail t = !(t.detail)
 let set_detail t on = t.detail := on
 
@@ -127,7 +122,7 @@ let mismatch name want got =
 let counter t ?(labels = []) name =
   match
     (register t name labels (fun () ->
-         Counter { c_enabled = t.enabled; c_value = 0 }))
+         Counter { c_value = 0 }))
       .instrument
   with
   | Counter c -> c
@@ -136,7 +131,7 @@ let counter t ?(labels = []) name =
 let gauge t ?(labels = []) name =
   match
     (register t name labels (fun () ->
-         Gauge { g_enabled = t.enabled; g_value = 0. }))
+         Gauge { g_value = 0. }))
       .instrument
   with
   | Gauge g -> g
@@ -162,10 +157,9 @@ let probe_family t ~label ~size ~member name f =
     }
     :: t.rev_families
 
-let new_summary enabled =
+let new_summary () =
   Summary
     {
-      m_enabled = enabled;
       m_count = 0;
       m_total = 0.;
       m_sum_sq = 0.;
@@ -174,7 +168,7 @@ let new_summary enabled =
     }
 
 let summary t ?(labels = []) name =
-  match (register t name labels (fun () -> new_summary t.enabled)).instrument with
+  match (register t name labels new_summary).instrument with
   | Summary s -> s
   | other -> mismatch name "summary" (kind_name other)
 
@@ -187,20 +181,18 @@ let series t ?(labels = []) name =
   | Series s -> s
   | other -> mismatch name "series" (kind_name other)
 
-let incr c = if !(c.c_enabled) then c.c_value <- c.c_value + 1
-let add c n = if !(c.c_enabled) then c.c_value <- c.c_value + n
+let incr c = c.c_value <- c.c_value + 1
+let add c n = c.c_value <- c.c_value + n
 let counter_value c = c.c_value
-let set g v = if !(g.g_enabled) then g.g_value <- v
+let set g v = g.g_value <- v
 let gauge_value g = g.g_value
 
 let observe m x =
-  if !(m.m_enabled) then begin
-    m.m_count <- m.m_count + 1;
-    m.m_total <- m.m_total +. x;
-    m.m_sum_sq <- m.m_sum_sq +. (x *. x);
-    if x < m.m_min then m.m_min <- x;
-    if x > m.m_max then m.m_max <- x
-  end
+  m.m_count <- m.m_count + 1;
+  m.m_total <- m.m_total +. x;
+  m.m_sum_sq <- m.m_sum_sq +. (x *. x);
+  if x < m.m_min then m.m_min <- x;
+  if x > m.m_max then m.m_max <- x
 
 let push r ~x ~y =
   if !(r.r_enabled) then begin

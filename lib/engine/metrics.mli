@@ -7,10 +7,9 @@
     per-module statistics records.
 
     Cost model: instruments are registered once at component setup;
-    mutation costs one branch on the registry's shared enabled flag plus
-    the arithmetic; probes are closures polled only by {!snapshot}, so the
-    instrumented hot path pays nothing for them. Disabling the registry
-    ({!set_enabled}) turns every mutation into a single load-and-branch.
+    mutation costs the arithmetic alone (a series also tests the detail
+    level, see {!set_detail}); probes are closures polled only by
+    {!snapshot}, so the instrumented hot path pays nothing for them.
     Registering a counter, gauge, summary or series normalises its labels
     and makes one table entry. Registering a {!probe} or a
     {!probe_family} is one record on a list: labels are normalised, keys
@@ -40,12 +39,9 @@ type t
 type labels = (string * string) list
 (** Label sets are normalised: sorted by key, duplicate keys collapsed. *)
 
-val create : ?enabled:bool -> ?detail:bool -> unit -> t
-(** A fresh registry, enabled by default. [detail] (default [false])
-    additionally turns on time-series sampling — see {!set_detail}. *)
-
-val enabled : t -> bool
-val set_enabled : t -> bool -> unit
+val create : ?detail:bool -> unit -> t
+(** A fresh registry. [detail] (default [false]) turns on time-series
+    sampling — see {!set_detail}. *)
 
 val detail : t -> bool
 

@@ -101,8 +101,6 @@ let now t = t.now
 let prng t = t.prng
 let live_fibers t = t.live
 let events_processed t = t.events
-let fibers_spawned t = t.next_fiber_id
-let heap_peak t = Event_heap.peak_size t.heap
 let metrics t = t.metrics
 
 let trace t =

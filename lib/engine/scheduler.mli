@@ -121,17 +121,13 @@ val live_fibers : t -> int
 (** {1 Performance counters}
 
     Cheap run-loop instrumentation (plain integer increments on the hot
-    path; also exported as the metrics probes ["sched.events_processed"],
-    ["sched.fibers_spawned"] and ["sched.heap_peak"]). *)
+    path). The metrics probes ["sched.events_processed"],
+    ["sched.fibers_spawned"] and ["sched.heap_peak"] publish the event
+    count, the fibers ever spawned and the pending-event heap's
+    high-water mark. *)
 
 val events_processed : t -> int
 (** Events popped and executed by {!run} over this scheduler's lifetime. *)
-
-val fibers_spawned : t -> int
-(** Fibers ever created with {!spawn}. *)
-
-val heap_peak : t -> int
-(** High-water mark of the pending-event heap. *)
 
 type totals = { t_events : int; t_fibers : int; t_sim_time : Time_ns.t }
 (** Process-wide accumulation across {e every} scheduler instance:

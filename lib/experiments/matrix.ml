@@ -189,13 +189,16 @@ let run_loss_goodput ~scenario ~p stack =
   let world =
     Runtime.create_world ~transport:stack.Runtime.Stack.kind ~seed ~nodes:2 ()
   in
-  let sched = world.Runtime.sched and fabric = world.Runtime.fabric in
+  (* The default scenario's one domain: one shard, whose fabric carries
+     both nodes. *)
+  let fabric = Runtime.fabric_of_nid world 0 in
   Simnet.Fabric.set_fault_model fabric
     (Some (Simnet.Fault.bernoulli ~seed ~p:p.loss_p ()));
   ignore (Reliability.attach fabric);
   let t_start = ref Time_ns.zero and t_end = ref Time_ns.zero in
   ignore
     (Runtime.Stack.launch_on world stack (fun ep ->
+         let sched = Runtime.sched_of_rank world (Mpi.rank ep) in
          if Mpi.rank ep = 0 then begin
            let msg = Bytes.create p.loss_size in
            t_start := Scheduler.now sched;
@@ -215,7 +218,7 @@ let run_loss_goodput ~scenario ~p stack =
     if span_us <= 0. then 0.
     else float_of_int (p.loss_msgs * p.loss_size) /. span_us
   in
-  (mbps, "MB/s", Time_ns.to_us (Scheduler.now sched))
+  (mbps, "MB/s", Time_ns.to_us (Runtime.now world))
 
 (* Aggregate all-to-all goodput on a 2D-torus interconnect: every rank
    streams to every peer, so messages contend on shared hop links. *)

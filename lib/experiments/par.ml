@@ -73,7 +73,7 @@ let run ?scenario ?(nodes = 256) ?(steps = 8) ?domains () =
   let world =
     Runtime.create_world ?scenario ~topology ?domains ~nodes ()
   in
-  let topo = Simnet.Fabric.topology world.Runtime.fabric in
+  let topo = Runtime.topology world in
   (* Torus links are node-to-node; keep the guard in case a switch-based
      shape is ever substituted. *)
   let neighbors nid =

@@ -69,14 +69,7 @@ let run_collectives ?(scenario = Runtime.Scenario.default) ?impl
      give the same results, only the timing of a busy host differs
      (Experiments.Coll measures that contrast). *)
   let impl =
-    match impl with
-    | Some i -> i
-    | None -> (
-      match
-        Collectives.impl_of_string scenario.Runtime.Scenario.collectives
-      with
-      | Some i -> i
-      | None -> Collectives.Host)
+    Option.value impl ~default:scenario.Runtime.Scenario.collectives
   in
   let measure n =
     let world = Runtime.create_world ~scenario ~nodes:n () in

@@ -149,7 +149,7 @@ let start ?(period = default_period) ?(timeout = default_timeout)
     ?(monitor = 0) ~until (world : World.world) =
   if Time_ns.compare timeout period < 0 then
     invalid_arg "Liveness.start: timeout must be at least the period";
-  let nodes = Simnet.Fabric.node_count world.World.fabric in
+  let nodes = Simnet.Topology.nodes (World.topology world) in
   if monitor < 0 || monitor >= nodes then
     invalid_arg "Liveness.start: monitor node out of range";
   let fabric = World.fabric_of_nid world monitor in

@@ -10,39 +10,12 @@ type t = {
   topology : string option;
   queue_limit : int option;
   domains : int;
-  collectives : string;
+  collectives : Collectives.impl;
 }
 
 let default =
   { seed = 0; fault = None; crashes = None; topology = None;
-    queue_limit = None; domains = 1; collectives = "host" }
-
-(* A topology spec with explicit dimensions implies its own node count;
-   validate against that so "--topology torus2d:4x3" is rejected up
-   front if malformed, while dimension-less specs ("torus2d") stay
-   polymorphic in the world size. *)
-let validate_topology_spec spec =
-  let implied_nodes =
-    match String.split_on_char ':' (String.trim (String.lowercase_ascii spec)) with
-    | [ _; dims ] -> (
-      match
-        List.map int_of_string_opt (String.split_on_char 'x' dims)
-      with
-      | parts when List.for_all (function Some d -> d > 0 | None -> false) parts
-        ->
-        let ds = List.map Option.get parts in
-        if List.length ds = 1 then
-          (* fattree:K implies K^3/4 hosts. *)
-          let k = List.hd ds in
-          Some (k * k * k / 4)
-        else Some (List.fold_left ( * ) 1 ds)
-      | _ -> None)
-    | _ -> None
-  in
-  ignore
-    (Simnet.Topology.of_spec
-       ~nodes:(Option.value ~default:16 implied_nodes)
-       spec)
+    queue_limit = None; domains = 1; collectives = Collectives.Host }
 
 (* "bernoulli:P" | "gilbert:P_ENTER:P_EXIT" | "duplicate:P"
    | "corrupt:P" | "delay:MEAN_US[:JITTER_US]" | "flap:PERIOD_US:DOWN_US"
@@ -223,13 +196,18 @@ let crashes_of_spec spec =
 let make ?(loss = 0.) ?(seed = 0) ?fault ?crashes ?topology ?queue_limit
     ?(domains = 1) ?(collectives = "host") () =
   let bad what = invalid_arg ("Runtime.Scenario.make: " ^ what) in
-  if not (List.mem collectives [ "host"; "nic"; "nic_offload"; "nic-offload" ])
-  then bad (Printf.sprintf "unknown collectives engine %S (host|nic)" collectives);
+  let collectives =
+    match Collectives.impl_of_string collectives with
+    | Some impl -> impl
+    | None ->
+      bad
+        (Printf.sprintf "unknown collectives engine %S (host|nic)" collectives)
+  in
   if domains < 1 then bad "need at least one domain";
   (* An empty spec means none, so a flag can be cleared explicitly. *)
   let spec = function Some "" | None -> None | s -> s in
   let topology = spec topology in
-  Option.iter validate_topology_spec topology;
+  Option.iter Simnet.Topology.check_spec topology;
   if Option.fold ~none:false ~some:(fun l -> l <= 0) queue_limit then
     bad "queue limit must be positive";
   if loss < 0. || loss >= 1. then bad "loss must be in [0, 1)";

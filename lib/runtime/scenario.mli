@@ -55,13 +55,13 @@ type t = private {
           than domains fall back to one shard per node. Same seed, same
           world ⇒ same simulated history at any domain count (see
           [Sim_engine.Shard]). *)
-  collectives : string;
-      (** Which collective engine workloads should build: ["host"] (the
-          host-driven reference) or ["nic"] (triggered-chain NIC
-          offload). Kept as a string so the runtime does not depend on
-          the collectives library; consumers resolve it with
-          [Collectives.impl_of_string]. Both engines give byte-identical
-          results — the choice only moves where tree hops execute. *)
+  collectives : Collectives.impl;
+      (** Which collective engine workloads should build: the
+          host-driven reference or the triggered-chain NIC offload,
+          parsed from ["host"] or ["nic"] by {!make} with
+          {!Collectives.impl_of_string}. Both engines give
+          byte-identical results — the choice only moves where tree hops
+          execute. *)
 }
 
 val default : t

@@ -53,8 +53,7 @@ let find_exn name =
 let launch_on world stack main =
   let endpoints =
     Array.init (World.job_size world) (fun rank ->
-        (* Over the rank's owner-shard transport (= [world.transport]
-           sequentially). *)
+        (* Over the rank's owner-shard transport. *)
         stack.create
           (World.transport_of_rank world rank)
           ~ranks:world.World.ranks ~rank)

@@ -168,7 +168,7 @@ let job_size world = Array.length world.ranks
 let domains world = Array.length world.scheds
 
 let shard_of_nid world nid =
-  if nid < 0 || nid >= Simnet.Fabric.node_count world.fabric then
+  if nid < 0 || nid >= Simnet.Shard_map.nodes world.shard_map then
     invalid_arg "Runtime.shard_of_nid: node out of range";
   Simnet.Shard_map.owner world.shard_map nid
 
@@ -182,9 +182,6 @@ let nid_of_rank world ~what rank =
 
 let sched_of_rank world rank =
   sched_of_nid world (nid_of_rank world ~what:"sched_of_rank" rank)
-
-let fabric_of_rank world rank =
-  fabric_of_nid world (nid_of_rank world ~what:"fabric_of_rank" rank)
 
 let transport_of_rank world rank =
   let nid = nid_of_rank world ~what:"transport_of_rank" rank in
@@ -242,6 +239,9 @@ let trace_spans world =
   |> List.stable_sort by_time_then_track
 
 let shard_fabrics world = Array.copy world.fabrics
+
+(* Every replica routes over the one topology [create_world] built. *)
+let topology world = Simnet.Fabric.topology world.fabrics.(0)
 let reliability_shims world = world.shims
 let window_rounds world = Shard.rounds world.shard
 

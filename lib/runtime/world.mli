@@ -19,12 +19,14 @@ type world = private {
   sched : Sim_engine.Scheduler.t;
   fabric : Simnet.Fabric.t;
   transport : Simnet.Transport.t;
-      (** Shard 0's scheduler, fabric and transport: correct for global
-          queries (crash/partition state is replicated on every shard)
-          but {e not} for per-rank work on a world of several shards,
-          where shard 0's replica rejects the nodes it does not own:
-          use {!sched_of_rank} / {!transport_of_rank} / {!fabric_of_nid}
-          instead. *)
+      (** Shard 0's scheduler, fabric and transport, which on a world
+          of several shards reject the nodes shard 0 does not own. Only
+          the benchmark harness ([perfbench/]) still reads them; they go
+          with the next change to it. Everything else goes through the
+          accessors below: per rank {!sched_of_rank},
+          {!transport_of_rank}, {!host_cpu_of_rank} or {!spawn_ranks};
+          per node {!sched_of_nid} or {!fabric_of_nid}; world-wide
+          {!now}, {!metrics_snapshot}, {!shard_fabrics} or {!topology}. *)
   ranks : Simnet.Proc_id.t array;
   shard_map : Simnet.Shard_map.t;
   shard : Simnet.Fabric.remote Sim_engine.Shard.t;
@@ -103,7 +105,7 @@ val fabric_of_nid : world -> Simnet.Proc_id.nid -> Simnet.Fabric.t
     shard. *)
 
 val sched_of_rank : world -> int -> Sim_engine.Scheduler.t
-val fabric_of_rank : world -> int -> Simnet.Fabric.t
+(** The scheduler of a rank's node's owner shard. *)
 
 val transport_of_rank : world -> int -> Simnet.Transport.t
 (** The transport instance a rank's endpoints must be built over — the
@@ -141,6 +143,9 @@ val metrics_snapshot : world -> Sim_engine.Metrics.Snapshot.t
 
 val shard_fabrics : world -> Simnet.Fabric.t array
 (** One fabric replica per shard ([[|fabric|]] at one shard). *)
+
+val topology : world -> Simnet.Topology.t
+(** The interconnect every shard's replica routes over. *)
 
 val reliability_shims : world -> Reliability.t list
 (** The shim {!create_world} attached to each shard fabric, in shard

@@ -334,14 +334,18 @@ let square_factor n =
   let rec go a best = if a * a > n then best else go (a + 1) (if n mod a = 0 then a else best) in
   go 1 1
 
-let of_spec ~nodes spec =
-  let bad reason =
-    invalid_arg
-      (Printf.sprintf
-         "Topology.of_spec: bad topology %S (%s); expected \
-          full|ring|torus2d[:AxB]|torus3d[:AxBxC]|fattree[:K]"
-         spec reason)
-  in
+let spec_error spec reason =
+  invalid_arg
+    (Printf.sprintf
+       "Topology.of_spec: bad topology %S (%s); expected \
+        full|ring|torus2d[:AxB]|torus3d[:AxBxC]|fattree[:K]"
+       spec reason)
+
+(* The one spec parser: the kind [spec] names on [nodes] nodes and, for
+   explicit dimensions, the node count they describe (at least one, so
+   that a fat-tree's bad arity is what a check reports). *)
+let parse_spec spec ~nodes =
+  let bad = spec_error spec in
   let dims_of s arity =
     match
       List.map
@@ -354,35 +358,44 @@ let of_spec ~nodes spec =
     | ds when List.length ds = arity -> ds
     | _ -> bad (Printf.sprintf "expected %d dimensions" arity)
   in
-  let check kind =
-    match validate kind ~nodes with
-    | () -> kind
-    | exception Invalid_argument msg -> bad msg
-  in
   match String.split_on_char ':' (String.trim (String.lowercase_ascii spec)) with
-  | [ "full" ] -> Full
-  | [ "ring" ] -> check Ring
+  | [ "full" ] -> (Full, None)
+  | [ "ring" ] -> (Ring, None)
   | [ "torus2d" ] ->
     let a = square_factor nodes in
-    check (Torus2d (a, nodes / a))
+    (Torus2d (a, nodes / a), None)
   | [ "torus2d"; d ] -> (
-    match dims_of d 2 with [ a; b ] -> check (Torus2d (a, b)) | _ -> assert false)
+    match dims_of d 2 with
+    | [ a; b ] -> (Torus2d (a, b), Some (a * b))
+    | _ -> assert false)
   | [ "torus3d" ] ->
     let a = square_factor nodes in
     let b = square_factor (nodes / a) in
-    check (Torus3d (b, a, nodes / a / b))
+    (Torus3d (b, a, nodes / a / b), None)
   | [ "torus3d"; d ] -> (
     match dims_of d 3 with
-    | [ a; b; c ] -> check (Torus3d (a, b, c))
+    | [ a; b; c ] -> (Torus3d (a, b, c), Some (a * b * c))
     | _ -> assert false)
   | [ "fattree" ] ->
     let rec find k = if k * k * k / 4 >= nodes || k > 64 then k else find (k + 2) in
-    check (Fat_tree (find 2))
+    (Fat_tree (find 2), None)
   | [ "fattree"; ks ] -> (
     match int_of_string_opt (String.trim ks) with
-    | Some k -> check (Fat_tree k)
+    | Some k -> (Fat_tree k, Some (max 1 (k * k * k / 4)))
     | None -> bad (Printf.sprintf "%S is not an integer arity" ks))
   | _ -> bad "unknown shape"
+
+let checked spec kind ~nodes =
+  match validate kind ~nodes with
+  | () -> kind
+  | exception Invalid_argument msg -> spec_error spec msg
+
+let of_spec ~nodes spec = checked spec (fst (parse_spec spec ~nodes)) ~nodes
+
+let check_spec spec =
+  match parse_spec spec ~nodes:1 with
+  | _, None -> ()
+  | kind, Some nodes -> ignore (checked spec kind ~nodes)
 
 let pp ppf t =
   Format.fprintf ppf "%s (%d nodes, %d vertices, %d links)" (describe t.kind)

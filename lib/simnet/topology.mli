@@ -110,6 +110,13 @@ val of_spec : nodes:int -> string -> kind
     [nodes], found by the checks {!build} runs, without building the
     graph. *)
 
+val check_spec : string -> unit
+(** Raises the [Invalid_argument] {!of_spec} would raise for a malformed
+    spec: an unknown shape, a bad dimension or arity, or explicit
+    dimensions that describe no valid shape. A spec that passes is
+    well-formed; a dimension-less one may still not fit a given node
+    count. *)
+
 val describe : kind -> string
 (** Short human-readable form, e.g. ["torus2d:4x4"]; parseable back by
     {!of_spec}. *)

@@ -60,6 +60,18 @@ if [ -n "$unexpected" ]; then
   exit 1
 fi
 
+echo "== smoke: no shard-0 alias reads outside perfbench/ =="
+# A world's sched, fabric and transport fields are shard 0's, which on a
+# sharded world rejects every node shard 0 does not own. Per-rank and
+# per-node work goes through the *_of_rank / *_of_nid accessors and
+# world-wide questions through Runtime.now, metrics_snapshot,
+# shard_fabrics and topology. perfbench/ alone still reads the fields.
+if grep -rnE '\.(Runtime|World)\.(sched|fabric|transport)\b' \
+  lib bin examples test >&2; then
+  echo "shard-0 alias reads above: use the shard-aware accessors" >&2
+  exit 1
+fi
+
 echo "== smoke: fig6 metrics + trace =="
 $DUNE exec bin/portals_repro.exe -- \
   fig6 --metrics=json --trace-out "$OUT/fig6.trace.json"
@@ -359,6 +371,20 @@ if [ "$status" -ne 2 ]; then
   echo "bench gate exited $status on a truncated baseline (want 2)" >&2
   exit 1
 fi
+
+echo "== smoke: examples print their pinned bytes =="
+# Every example is a deterministic simulation; each one's stdout is
+# pinned byte for byte.
+while read -r example digest; do
+  $DUNE exec "examples/$example.exe" < /dev/null > "$OUT/example_$example.out"
+  check_sha "$OUT/example_$example.out" "$digest" "examples/$example"
+done <<'PINS'
+quickstart ee7c8326a0e55894cdd2d58d729e5db0a774d48de9120150d57b71f4acf0e261
+halo_exchange 4e9de439e27a484045a5d11e614b2d667a7b7e5dbf79c8f2748b4ae2ae1b8bed
+halo_exchange_rma c856e854578b2859db6680ada960fd6716e320faae8f2d109db4e0e15da5e980
+io_server 647257c5673b86bf98b2aa5a51bc03cd6d53e7a12cda7680b7d7466c31f7d234
+shmem_counters 58ada5ad4e05da2dbf8e16479bff775f4c5205b36a3ef7035a7431ee9e4e9a95
+PINS
 
 echo "== smoke: help pages render without markup errors =="
 # cmdliner reports a bad escape in a doc string as a "cmdliner error"

@@ -4,19 +4,19 @@ open Sim_engine
    rank) and run [f coll rank] in a fiber per rank. *)
 let with_group ?(n = 4) f =
   let world = Runtime.create_world ~nodes:n () in
-  let nis =
-    Array.map (fun pid -> Portals.Ni.create world.Runtime.transport ~id:pid ())
-      world.Runtime.ranks
-  in
   let colls =
     Array.mapi
-      (fun rank ni -> Collectives.create ni ~ranks:world.Runtime.ranks ~rank ())
-      nis
+      (fun rank pid ->
+        let ni =
+          Portals.Ni.create (Runtime.transport_of_rank world rank) ~id:pid ()
+        in
+        Collectives.create ni ~ranks:world.Runtime.ranks ~rank ())
+      world.Runtime.ranks
   in
   Array.iteri
     (fun rank coll ->
-      Scheduler.spawn world.Runtime.sched ~name:(Printf.sprintf "coll%d" rank)
-        (fun () -> f coll rank))
+      Scheduler.spawn (Runtime.sched_of_rank world rank)
+        ~name:(Printf.sprintf "coll%d" rank) (fun () -> f coll rank))
     colls;
   Runtime.run world
 
@@ -28,17 +28,21 @@ let barrier_tests =
         let colls =
           Array.mapi
             (fun rank pid ->
-              let ni = Portals.Ni.create world.Runtime.transport ~id:pid () in
+              let ni =
+                Portals.Ni.create (Runtime.transport_of_rank world rank) ~id:pid
+                  ()
+              in
               Collectives.create ni ~ranks:world.Runtime.ranks ~rank ())
             world.Runtime.ranks
         in
         let leave = Array.make n 0 in
         Array.iteri
           (fun rank coll ->
-            Scheduler.spawn world.Runtime.sched (fun () ->
-                Scheduler.delay world.Runtime.sched (Time_ns.ms (float_of_int rank));
+            let sched = Runtime.sched_of_rank world rank in
+            Scheduler.spawn sched (fun () ->
+                Scheduler.delay sched (Time_ns.ms (float_of_int rank));
                 Collectives.barrier coll;
-                leave.(rank) <- Scheduler.now world.Runtime.sched))
+                leave.(rank) <- Scheduler.now sched))
           colls;
         Runtime.run world;
         let slowest = Time_ns.ms (float_of_int (n - 1)) in
@@ -247,20 +251,21 @@ let words_during f =
 let with_pools ?slab_size ?slab_count ~sender ~receiver () =
   let world = Runtime.create_world ~nodes:2 () in
   let pools =
-    Array.map
-      (fun pid ->
+    Array.mapi
+      (fun rank pid ->
         Collectives.Pool.create
-          (Portals.Ni.create world.Runtime.transport ~id:pid ())
+          (Portals.Ni.create (Runtime.transport_of_rank world rank) ~id:pid ())
           ~portal_index:6 ?slab_size ?slab_count ())
       world.Runtime.ranks
   in
-  let sched = world.Runtime.sched in
-  Scheduler.spawn sched (fun () ->
-      sender sched (fun bits payload ->
+  let sender_sched = Runtime.sched_of_rank world 1 in
+  Scheduler.spawn sender_sched (fun () ->
+      sender sender_sched (fun bits payload ->
           Collectives.Pool.send pools.(1) ~dst:world.Runtime.ranks.(0)
             ~bits:(Portals.Match_bits.of_int bits) payload));
-  Scheduler.spawn sched (fun () ->
-      receiver sched (fun bits ->
+  let receiver_sched = Runtime.sched_of_rank world 0 in
+  Scheduler.spawn receiver_sched (fun () ->
+      receiver receiver_sched (fun bits ->
           Collectives.Pool.recv pools.(0) ~bits:(Portals.Match_bits.of_int bits)));
   Runtime.run world
 
@@ -277,19 +282,18 @@ let pool_tests =
            come out in arrival order — the contract the keyed pending
            table in Pool.take provides. *)
         let world = Runtime.create_world ~nodes:3 () in
-        let nis =
-          Array.map
-            (fun pid -> Portals.Ni.create world.Runtime.transport ~id:pid ())
-            world.Runtime.ranks
-        in
         let pools =
-          Array.map
-            (fun ni -> Collectives.Pool.create ni ~portal_index:6 ())
-            nis
+          Array.mapi
+            (fun rank pid ->
+              Collectives.Pool.create
+                (Portals.Ni.create (Runtime.transport_of_rank world rank)
+                   ~id:pid ())
+                ~portal_index:6 ())
+            world.Runtime.ranks
         in
         let root = world.Runtime.ranks.(0) in
         let send_all rank msgs =
-          Scheduler.spawn world.Runtime.sched (fun () ->
+          Scheduler.spawn (Runtime.sched_of_rank world rank) (fun () ->
               List.iter
                 (fun m ->
                   Collectives.Pool.send pools.(rank) ~dst:root
@@ -300,10 +304,11 @@ let pool_tests =
         send_all 1 [ "a1"; "a2"; "a3" ];
         send_all 2 [ "b1"; "b2" ];
         let got = ref [] in
-        Scheduler.spawn world.Runtime.sched (fun () ->
+        let root_sched = Runtime.sched_of_rank world 0 in
+        Scheduler.spawn root_sched (fun () ->
             (* Let every message land unclaimed before the first recv, so
                claims really do run against a populated pool. *)
-            Scheduler.delay world.Runtime.sched (Time_ns.ms 10.);
+            Scheduler.delay root_sched (Time_ns.ms 10.);
             let take key =
               got :=
                 Bytes.to_string
@@ -323,21 +328,23 @@ let pool_tests =
            third is dropped, so its message can never be claimed. *)
         let world = Runtime.create_world ~nodes:4 () in
         let pools =
-          Array.map
-            (fun pid ->
+          Array.mapi
+            (fun rank pid ->
               Collectives.Pool.create
-                (Portals.Ni.create world.Runtime.transport ~id:pid ())
+                (Portals.Ni.create (Runtime.transport_of_rank world rank)
+                   ~id:pid ())
                 ~portal_index:6 ~eq_capacity:2 ())
             world.Runtime.ranks
         in
         for rank = 1 to 3 do
-          Scheduler.spawn world.Runtime.sched (fun () ->
+          Scheduler.spawn (Runtime.sched_of_rank world rank) (fun () ->
               Collectives.Pool.send pools.(rank) ~dst:world.Runtime.ranks.(0)
                 ~bits:(Portals.Match_bits.of_int rank) (Bytes.of_string "m"))
         done;
         let outcome = ref None in
-        Scheduler.spawn world.Runtime.sched (fun () ->
-            Scheduler.delay world.Runtime.sched (Time_ns.ms 10.);
+        let root_sched = Runtime.sched_of_rank world 0 in
+        Scheduler.spawn root_sched (fun () ->
+            Scheduler.delay root_sched (Time_ns.ms 10.);
             outcome :=
               Some
                 (try
@@ -368,7 +375,10 @@ let pool_tests =
         let build () =
           Array.mapi
             (fun rank pid ->
-              let ni = Portals.Ni.create world.Runtime.transport ~id:pid () in
+              let ni =
+                Portals.Ni.create (Runtime.transport_of_rank world rank) ~id:pid
+                  ()
+              in
               ( Collectives.create ni ~ranks ~rank ~slab_size:64 (),
                 Collectives.Pool.create ni ~portal_index:7 ~slab_size:64 () ))
             ranks
@@ -381,7 +391,8 @@ let pool_tests =
            most 1 KiB are created; the overflow slabs are reservations. *)
         let world = Runtime.create_world ~nodes:1 () in
         let ni =
-          Portals.Ni.create world.Runtime.transport ~id:world.Runtime.ranks.(0) ()
+          Portals.Ni.create (Runtime.transport_of_rank world 0)
+            ~id:world.Runtime.ranks.(0) ()
         in
         let words =
           words_during (fun () -> Collectives.Pool.create ni ~portal_index:6 ())
@@ -480,19 +491,23 @@ let words_tests =
         let world = Runtime.create_world ~nodes:2 () in
         let ranks = world.Runtime.ranks in
         let pools =
-          Array.map
-            (fun pid ->
+          Array.mapi
+            (fun rank pid ->
               Collectives.Pool.create
-                (Portals.Ni.create world.Runtime.transport ~id:pid ())
+                (Portals.Ni.create (Runtime.transport_of_rank world rank)
+                   ~id:pid ())
                 ~portal_index:6 ~slab_size:16_384 ~slab_count:2
                 ~eq_capacity:1024 ())
             ranks
         in
+        (* One shard: its scheduler runs the whole world, without the
+           closure [Runtime.run] makes per call. *)
+        let sched = Runtime.sched_of_nid world 0 in
         let payload = Bytes.make 16 'x' in
         let bits = Portals.Match_bits.of_int 42 in
         let one () =
           Collectives.Pool.send pools.(0) ~dst:ranks.(1) ~bits payload;
-          Scheduler.run world.Runtime.sched;
+          Scheduler.run sched;
           let got = Collectives.Pool.recv pools.(1) ~bits in
           if not (Bytes.equal got payload) then Alcotest.fail "payload"
         in

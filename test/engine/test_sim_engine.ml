@@ -1078,18 +1078,22 @@ let metrics_tests =
         let c3 = Metrics.counter m ~labels:[ ("proc", "0:0") ] "requests" in
         Metrics.incr c3;
         Alcotest.(check int) "labels distinguish" 1 (Metrics.counter_value c3));
-    Alcotest.test_case "disabled registry mutates nothing" `Quick (fun () ->
-        let m = Metrics.create ~enabled:false () in
-        let c = Metrics.counter m "n" in
-        let s = Metrics.summary m "lat" in
-        Metrics.incr c;
-        Metrics.observe s 5.0;
-        Alcotest.(check int) "counter untouched" 0 (Metrics.counter_value c);
-        let snap = Metrics.snapshot m in
-        match Metrics.Snapshot.find snap "lat" with
-        | Some (Metrics.Snapshot.Summary { count; _ }) ->
-          Alcotest.(check int) "summary untouched" 0 count
-        | _ -> Alcotest.fail "summary entry missing");
+    Alcotest.test_case "a key keeps its instrument kind" `Quick (fun () ->
+        let m = Metrics.create () in
+        ignore (Metrics.counter m "c");
+        ignore (Metrics.gauge m "g");
+        ignore (Metrics.summary m "s");
+        let rejects what f =
+          Alcotest.check_raises what
+            (Invalid_argument ("Metrics: " ^ what))
+            (fun () -> ignore (f ()))
+        in
+        rejects "\"c\" already registered as a counter, wanted a gauge"
+          (fun () -> Metrics.gauge m "c");
+        rejects "\"g\" already registered as a gauge, wanted a summary"
+          (fun () -> Metrics.summary m "g");
+        rejects "\"s\" already registered as a summary, wanted a counter"
+          (fun () -> Metrics.counter m "s"));
     Alcotest.test_case "snapshot reads counters, gauges, probes" `Quick (fun () ->
         let m = Metrics.create () in
         let c = Metrics.counter m ~labels:[ ("proc", "0:0") ] "ni.puts" in

@@ -728,14 +728,14 @@ let chaos_tests =
            must be tallied as a violation of that stream, and nothing
            else may go wrong. *)
         let world = Runtime.create_world ~nodes:2 () in
-        let fabric = world.Runtime.fabric in
         let st = stream ~src:0 ~dst:1 ~msgs:1 in
         let proc nid = Simnet.Proc_id.make ~nid ~pid:0 in
         Alcotest.(check bool) "no shim below the stream" false
-          (Simnet.Fabric.has_shim fabric);
-        Simnet.Fabric.register fabric (proc 1) (stream_receive st);
-        Simnet.Fabric.send_raw fabric ~src:(proc 0) ~dst:(proc 1)
-          (Bytes.of_string "ab");
+          (Simnet.Fabric.has_shim (Runtime.fabric_of_nid world 0));
+        Simnet.Fabric.register (Runtime.fabric_of_nid world 1) (proc 1)
+          (stream_receive st);
+        Simnet.Fabric.send_raw (Runtime.fabric_of_nid world 0) ~src:(proc 0)
+          ~dst:(proc 1) (Bytes.of_string "ab");
         Runtime.run world;
         Alcotest.(check (list string)) "tallied, not raised"
           [

@@ -8,7 +8,9 @@ let with_pes ?scenario ?(n = 2) ~regions f =
   let pes =
     Array.mapi
       (fun rank pid ->
-        let ni = Portals.Ni.create world.Runtime.transport ~id:pid () in
+        let ni =
+          Portals.Ni.create (Runtime.transport_of_rank world rank) ~id:pid ()
+        in
         let os = Onesided.create_exn ni ~ranks:world.Runtime.ranks ~rank () in
         let syms = List.map (fun size -> Onesided.alloc os size) regions in
         (os, syms))
@@ -16,8 +18,8 @@ let with_pes ?scenario ?(n = 2) ~regions f =
   in
   Array.iteri
     (fun rank (os, syms) ->
-      Scheduler.spawn world.Runtime.sched ~name:(Printf.sprintf "pe%d" rank)
-        (fun () -> f os syms rank))
+      Scheduler.spawn (Runtime.sched_of_rank world rank)
+        ~name:(Printf.sprintf "pe%d" rank) (fun () -> f os syms rank))
     pes;
   Runtime.run world;
   pes
@@ -43,7 +45,7 @@ let put_get_tests =
         let world = Runtime.create_world ~nodes:2 () in
         let mk rank =
           let ni =
-            Portals.Ni.create world.Runtime.transport
+            Portals.Ni.create (Runtime.transport_of_rank world rank)
               ~id:world.Runtime.ranks.(rank) ()
           in
           Onesided.create_exn ni ~ranks:world.Runtime.ranks ~rank ()
@@ -52,7 +54,7 @@ let put_get_tests =
         let _s0 = Onesided.alloc os0 32 in
         let s1 = Onesided.alloc os1 32 in
         Bytes.blit_string "remote-payload!" 0 (Onesided.region_bytes os1 s1) 0 15;
-        Scheduler.spawn world.Runtime.sched (fun () ->
+        Scheduler.spawn (Runtime.sched_of_rank world 0) (fun () ->
             fetched :=
               Bytes.to_string (Onesided.get os0 s1 ~pe:1 ~offset:7 ~len:8));
         Runtime.run world;
@@ -158,15 +160,17 @@ let with_wins ?(n = 2) ~size f =
   let pes =
     Array.mapi
       (fun rank pid ->
-        let ni = Portals.Ni.create world.Runtime.transport ~id:pid () in
+        let ni =
+          Portals.Ni.create (Runtime.transport_of_rank world rank) ~id:pid ()
+        in
         let os = Onesided.create_exn ni ~ranks:world.Runtime.ranks ~rank () in
         (os, Onesided.win_create os ~size))
       world.Runtime.ranks
   in
   Array.iteri
     (fun rank (_, w) ->
-      Scheduler.spawn world.Runtime.sched ~name:(Printf.sprintf "pe%d" rank)
-        (fun () -> f w rank))
+      Scheduler.spawn (Runtime.sched_of_rank world rank)
+        ~name:(Printf.sprintf "pe%d" rank) (fun () -> f w rank))
     pes;
   Runtime.run world;
   pes
@@ -316,14 +320,59 @@ let contains s sub =
   in
   go 0
 
+(* Three PEs with an 8-byte window each, in a world whose scenario
+   crash-stops node 1 at 100 us. Rank 1 takes the exclusive lock on rank
+   2's window and dies holding it; at 300 us rank 0 asks for that lock in
+   [mode], runs [use] under it and unlocks. Returns whether rank 0 got
+   through and the word in rank 2's window. Time-bounded: a broken fence
+   spins forever on the dead holder's tag, and the bound turns that into
+   a check failure rather than a hung test. *)
+let crashed_holder ~domains mode use =
+  let scenario = Runtime.Scenario.make ~crashes:"1@100" ~domains () in
+  let world = Runtime.create_world ~scenario ~nodes:3 () in
+  let wins =
+    Array.mapi
+      (fun rank pid ->
+        let ni =
+          Portals.Ni.create (Runtime.transport_of_rank world rank) ~id:pid ()
+        in
+        let os = Onesided.create_exn ni ~ranks:world.Runtime.ranks ~rank () in
+        Onesided.win_create os ~size:8)
+      world.Runtime.ranks
+  in
+  let recovered = ref false in
+  Runtime.spawn_ranks world (fun ~rank ->
+      let w = wins.(rank) in
+      if rank = 1 then Onesided.Win.lock w ~rank:2 Onesided.Exclusive
+      else if rank = 0 then begin
+        Scheduler.delay (Runtime.sched_of_rank world rank) (Time_ns.us 300.);
+        Onesided.Win.lock w ~rank:2 mode;
+        use w;
+        Onesided.Win.unlock w ~rank:2;
+        recovered := true
+      end);
+  Runtime.run ~until:(Time_ns.s 1.) world;
+  (!recovered, word_of (Onesided.Win.local_data wins.(2)))
+
+(* Runs [outcome] at 1 and 2 domains and expects [expect] from both: the
+   crash comes from the scenario, so every shard's replica takes it. *)
+let at_one_and_two_domains ~expect outcome =
+  List.iter
+    (fun domains ->
+      Alcotest.(check (pair bool int64))
+        (Printf.sprintf "(survivor got the lock, rank 2's word) at %d domains"
+           domains)
+        expect (outcome domains))
+    [ 1; 2 ]
+
 let failure_tests =
   [
     Alcotest.test_case "eq allocation failure is a typed error" `Quick
       (fun () ->
         let world = Runtime.create_world ~nodes:2 () in
         let ni =
-          Portals.Ni.create world.Runtime.transport ~id:world.Runtime.ranks.(0)
-            ()
+          Portals.Ni.create (Runtime.transport_of_rank world 0)
+            ~id:world.Runtime.ranks.(0) ()
         in
         (match
            Onesided.create ni ~ranks:world.Runtime.ranks ~rank:0
@@ -347,92 +396,25 @@ let failure_tests =
         | exception Onesided.Error (Onesided.Eq_alloc_failed _) -> ());
     Alcotest.test_case "a crashed exclusive holder is fenced and recovered"
       `Quick (fun () ->
-        (* Rank 1 takes the exclusive lock on rank 2's window and then
-           its node crash-stops without unlocking. A survivor's lock
-           attempt finds the stale holder tag, fences it (the dead set /
-           incarnation check) and wins the lock instead of spinning
-           forever — the §3 argument that incarnations make crashed
-           processes recoverable without connection state. *)
-        let world = Runtime.create_world ~nodes:3 () in
-        Simnet.Fabric.apply_crash_schedule world.Runtime.fabric
-          (Simnet.Fault.crash_schedule [ (1, Time_ns.us 100., None) ]);
-        let pes =
-          Array.mapi
-            (fun rank pid ->
-              let ni = Portals.Ni.create world.Runtime.transport ~id:pid () in
-              let os =
-                Onesided.create_exn ni ~ranks:world.Runtime.ranks ~rank ()
-              in
-              (os, Onesided.win_create os ~size:8))
-            world.Runtime.ranks
-        in
-        let recovered = ref false in
-        Array.iteri
-          (fun rank (_, w) ->
-            Scheduler.spawn world.Runtime.sched
-              ~name:(Printf.sprintf "pe%d" rank)
-              (fun () ->
-                if rank = 1 then
-                  (* Take the lock and die holding it. *)
-                  Onesided.Win.lock w ~rank:2 Onesided.Exclusive
-                else if rank = 0 then begin
-                  Scheduler.delay world.Runtime.sched (Time_ns.us 300.);
-                  Onesided.Win.lock w ~rank:2 Onesided.Exclusive;
-                  put_word w ~rank:2 ~offset:0 77L;
-                  Onesided.Win.flush w ~rank:2;
-                  Onesided.Win.unlock w ~rank:2;
-                  recovered := true
-                end))
-          pes;
-        Runtime.run world;
-        Alcotest.(check bool) "survivor acquired the stale lock" true
-          !recovered;
-        let _, w2 = pes.(2) in
-        Alcotest.check i64 "and used it" 77L
-          (word_of (Onesided.Win.local_data w2)));
+        (* A survivor's exclusive lock attempt finds the stale holder
+           tag, fences it (the dead set / incarnation check) and wins the
+           lock instead of spinning forever — the §3 argument that
+           incarnations make crashed processes recoverable without
+           connection state. *)
+        at_one_and_two_domains ~expect:(true, 77L) (fun domains ->
+            crashed_holder ~domains Onesided.Exclusive (fun w ->
+                put_word w ~rank:2 ~offset:0 77L;
+                Onesided.Win.flush w ~rank:2)));
     Alcotest.test_case "a shared waiter fences a crashed exclusive holder"
       `Quick (fun () ->
-        (* Same crash as above, but the survivor asks for the lock in
-           Shared mode. After the waiter withdraws its optimistic +1 the
-           word's shared count is back to the pre-increment fetch, so
-           that is what the fence CAS must expect — getting it wrong by
-           one leaves a lone shared waiter spinning on the dead holder's
-           tag forever. *)
-        let world = Runtime.create_world ~nodes:3 () in
-        Simnet.Fabric.apply_crash_schedule world.Runtime.fabric
-          (Simnet.Fault.crash_schedule [ (1, Time_ns.us 100., None) ]);
-        let pes =
-          Array.mapi
-            (fun rank pid ->
-              let ni = Portals.Ni.create world.Runtime.transport ~id:pid () in
-              let os =
-                Onesided.create_exn ni ~ranks:world.Runtime.ranks ~rank ()
-              in
-              (os, Onesided.win_create os ~size:8))
-            world.Runtime.ranks
-        in
-        let recovered = ref false in
-        Array.iteri
-          (fun rank (_, w) ->
-            Scheduler.spawn world.Runtime.sched
-              ~name:(Printf.sprintf "pe%d" rank)
-              (fun () ->
-                if rank = 1 then
-                  Onesided.Win.lock w ~rank:2 Onesided.Exclusive
-                else if rank = 0 then begin
-                  Scheduler.delay world.Runtime.sched (Time_ns.us 300.);
-                  Onesided.Win.lock w ~rank:2 Onesided.Shared;
-                  ignore (Onesided.Win.get w ~rank:2 ~offset:0 ~len:8);
-                  Onesided.Win.unlock w ~rank:2;
-                  recovered := true
-                end))
-          pes;
-        (* Time-bounded: a broken fence spins forever on the dead
-           holder's tag, and the bound turns that into a check failure
-           rather than a hung test. *)
-        Runtime.run ~until:(Time_ns.s 1.) world;
-        Alcotest.(check bool) "shared waiter recovered the stale lock" true
-          !recovered);
+        (* Same crash, but the survivor asks for the lock in Shared mode.
+           After the waiter withdraws its optimistic +1 the word's shared
+           count is back to the pre-increment fetch, so that is what the
+           fence CAS must expect — getting it wrong by one leaves a lone
+           shared waiter spinning on the dead holder's tag forever. *)
+        at_one_and_two_domains ~expect:(true, 0L) (fun domains ->
+            crashed_holder ~domains Onesided.Shared (fun w ->
+                ignore (Onesided.Win.get w ~rank:2 ~offset:0 ~len:8))));
     Alcotest.test_case "exclusive unlock survives a shared waiter's probe"
       `Quick (fun () ->
         (* A shared waiter's optimistic +1 is in flight across a full
@@ -448,7 +430,10 @@ let failure_tests =
         let pes =
           Array.mapi
             (fun rank pid ->
-              let ni = Portals.Ni.create world.Runtime.transport ~id:pid () in
+              let ni =
+                Portals.Ni.create (Runtime.transport_of_rank world rank) ~id:pid
+                  ()
+              in
               let os =
                 Onesided.create_exn ni ~ranks:world.Runtime.ranks ~rank ()
               in
@@ -457,7 +442,7 @@ let failure_tests =
         in
         Array.iteri
           (fun rank (_, w) ->
-            Scheduler.spawn world.Runtime.sched
+            Scheduler.spawn (Runtime.sched_of_rank world rank)
               ~name:(Printf.sprintf "pe%d" rank)
               (fun () ->
                 if rank = 1 then begin

@@ -22,9 +22,11 @@ let world_tests =
           Runtime.create_world ~transport:Runtime.Kernel_interrupt ~nodes:2 ()
         in
         Alcotest.(check string) "offload profile" "myrinet-mcp"
-          (Simnet.Fabric.profile offload.Runtime.fabric).Simnet.Profile.name;
+          (Simnet.Fabric.profile (Runtime.fabric_of_nid offload 0))
+            .Simnet.Profile.name;
         Alcotest.(check string) "kernel profile" "myrinet-kernel"
-          (Simnet.Fabric.profile kernel.Runtime.fabric).Simnet.Profile.name);
+          (Simnet.Fabric.profile (Runtime.fabric_of_nid kernel 0))
+            .Simnet.Profile.name);
     Alcotest.test_case "validation" `Quick (fun () ->
         Alcotest.check_raises "no nodes"
           (Invalid_argument "Runtime.create_world: need at least one node")
@@ -37,7 +39,8 @@ let world_tests =
         let ran = Array.make 5 false in
         let world = Runtime.create_world ~nodes:5 () in
         Runtime.spawn_ranks world (fun ~rank ->
-            Scheduler.delay world.Runtime.sched (Time_ns.us 10.0);
+            Scheduler.delay (Runtime.sched_of_rank world rank)
+              (Time_ns.us 10.0);
             ran.(rank) <- true);
         Runtime.run world;
         Alcotest.(check (array bool)) "all ran" (Array.make 5 true) ran);
@@ -93,11 +96,13 @@ let world_tests =
         in
         Alcotest.(check int) "sum of ranks despite 15% loss" 48 !total;
         (* The wire really was lossy and the shim really repaired it. *)
+        let fabrics = Runtime.shard_fabrics world in
         Alcotest.(check bool) "drops injected" true
-          ((Simnet.Fabric.stats world.Runtime.fabric).Simnet.Fabric.drops_injected
-          > 0);
+          (Array.exists
+             (fun f -> (Simnet.Fabric.stats f).Simnet.Fabric.drops_injected > 0)
+             fabrics);
         Alcotest.(check bool) "shim installed" true
-          (Simnet.Fabric.has_shim world.Runtime.fabric));
+          (Array.for_all Simnet.Fabric.has_shim fabrics));
     Alcotest.test_case "multiple processes per node share the host cpu" `Quick
       (fun () ->
         let world = Runtime.create_world ~nodes:2 ~procs_per_node:2 () in
@@ -111,8 +116,8 @@ let world_tests =
         let world = Runtime.create_world ~nodes:2 () in
         let endpoints =
           Array.init 2 (fun rank ->
-              Mpi.create_portals world.Runtime.transport ~ranks:world.Runtime.ranks
-                ~rank ())
+              Mpi.create_portals (Runtime.transport_of_rank world rank)
+                ~ranks:world.Runtime.ranks ~rank ())
         in
         Runtime.spawn_ranks world (fun ~rank ->
             if rank = 0 then
@@ -183,7 +188,8 @@ let control_tests =
         let start_times = Array.make 3 0 in
         ignore
           (Runtime.Control.run_job world (fun ~rank ->
-               start_times.(rank) <- Scheduler.now world.Runtime.sched;
+               start_times.(rank) <-
+                 Scheduler.now (Runtime.sched_of_rank world rank);
                0));
         Array.iteri
           (fun rank t ->
@@ -198,7 +204,7 @@ let control_tests =
         let world = Runtime.create_world ~nodes:2 () in
         let endpoints =
           Array.init 2 (fun rank ->
-              Mpi.create_portals world.Runtime.transport
+              Mpi.create_portals (Runtime.transport_of_rank world rank)
                 ~ranks:world.Runtime.ranks ~rank ())
         in
         let got = ref "" in
@@ -333,23 +339,24 @@ let env_tests =
           Runtime.Scenario.make ~fault:"partition:0.1|2.3@100:400" ()
         in
         let world = Runtime.create_world ~scenario ~nodes:4 () in
+        let fabrics = Runtime.shard_fabrics world in
         Alcotest.(check bool) "schedule installed" true
-          (Simnet.Fabric.has_partitions world.Runtime.fabric);
+          (Array.for_all Simnet.Fabric.has_partitions fabrics);
         (* Scheduled faults switch the world to checksummed framing, so
            damage is detectable end to end. *)
         Alcotest.(check bool) "integrity enabled" true
-          (Simnet.Fabric.integrity world.Runtime.fabric));
+          (Array.for_all Simnet.Fabric.integrity fabrics));
     Alcotest.test_case "env crash schedule is applied to new worlds" `Quick
       (fun () ->
         let scenario = Runtime.Scenario.make ~crashes:"1@50:80" () in
         let world = Runtime.create_world ~scenario ~nodes:2 () in
         let downs = ref [] in
-        Simnet.Fabric.on_crash world.Runtime.fabric (fun nid ->
+        Simnet.Fabric.on_crash (Runtime.fabric_of_nid world 1) (fun nid ->
             downs := nid :: !downs);
         Runtime.run world;
         Alcotest.(check (list int)) "node 1 crashed" [ 1 ] !downs;
         Alcotest.(check int) "and restarted, one incarnation later" 1
-          (Simnet.Fabric.incarnation world.Runtime.fabric 1));
+          (Simnet.Fabric.incarnation (Runtime.fabric_of_nid world 1) 1));
   ]
 
 (* One 64-byte MPI send between two ranks of [world]; returns the bytes
@@ -359,8 +366,10 @@ let one_message world =
     (Runtime.Stack.launch_on world portals (fun ep ->
          if Mpi.rank ep = 0 then Mpi.send ep ~dst:1 ~tag:0 (Bytes.make 64 'm')
          else ignore (Mpi.recv ep ~source:0 ~tag:0 (Bytes.create 64))));
-  ( (Simnet.Fabric.stats world.Runtime.fabric).Simnet.Fabric.bytes_sent,
-    Scheduler.now world.Runtime.sched )
+  ( Array.fold_left
+      (fun bytes f -> bytes + (Simnet.Fabric.stats f).Simnet.Fabric.bytes_sent)
+      0 (Runtime.shard_fabrics world),
+    Runtime.now world )
 
 let scenario_tests =
   [
@@ -377,7 +386,7 @@ let scenario_tests =
         let clean = Runtime.create_world ~nodes:2 () in
         let interleaved = one_message world in
         Alcotest.(check bool) "the clean world stays unchecksummed" false
-          (Simnet.Fabric.integrity clean.Runtime.fabric);
+          (Array.exists Simnet.Fabric.integrity (Runtime.shard_fabrics clean));
         Alcotest.(check (pair int int))
           "bytes sent and end time as when built alone" alone interleaved);
     Alcotest.test_case "scenario constructor rejects bad settings" `Quick
@@ -406,10 +415,8 @@ let liveness_tests =
   [
     Alcotest.test_case "monitor suspects a crashed node and sees it recover"
       `Quick (fun () ->
-        let world = Runtime.create_world ~nodes:3 () in
-        Simnet.Fabric.apply_crash_schedule world.Runtime.fabric
-          (Simnet.Fault.crash_schedule
-             [ (2, Time_ns.us 500., Some (Time_ns.us 1500.)) ]);
+        let scenario = Runtime.Scenario.make ~crashes:"2@500:1500" () in
+        let world = Runtime.create_world ~scenario ~nodes:3 () in
         let lv =
           Runtime.Liveness.start ~period:(Time_ns.us 100.)
             ~timeout:(Time_ns.us 350.) ~until:(Time_ns.us 3000.) world
@@ -425,9 +432,8 @@ let liveness_tests =
           (Runtime.Liveness.suspected lv));
     Alcotest.test_case "a node that never restarts stays suspected" `Quick
       (fun () ->
-        let world = Runtime.create_world ~nodes:3 () in
-        Simnet.Fabric.apply_crash_schedule world.Runtime.fabric
-          (Simnet.Fault.crash_schedule [ (1, Time_ns.us 400., None) ]);
+        let scenario = Runtime.Scenario.make ~crashes:"1@400" () in
+        let world = Runtime.create_world ~scenario ~nodes:3 () in
         let lv =
           Runtime.Liveness.start ~period:(Time_ns.us 100.)
             ~timeout:(Time_ns.us 350.) ~until:(Time_ns.us 2000.) world
@@ -453,31 +459,36 @@ let liveness_tests =
               Runtime.create_world ~transport:stack.Runtime.Stack.kind
                 ~nodes:4 ()
             in
-            Simnet.Fabric.apply_partition_schedule world.Runtime.fabric
-              (Simnet.Fault.partition_schedule
-                 [
-                   {
-                     Simnet.Fault.group_a = [ 0; 1 ];
-                     group_b = [ 2; 3 ];
-                     one_way = false;
-                     cut_at = Time_ns.us 500.;
-                     heal_at = Some (Time_ns.us 2000.);
-                   };
-                 ]);
+            Array.iter
+              (fun fabric ->
+                Simnet.Fabric.apply_partition_schedule fabric
+                  (Simnet.Fault.partition_schedule
+                     [
+                       {
+                         Simnet.Fault.group_a = [ 0; 1 ];
+                         group_b = [ 2; 3 ];
+                         one_way = false;
+                         cut_at = Time_ns.us 500.;
+                         heal_at = Some (Time_ns.us 2000.);
+                       };
+                     ]))
+              (Runtime.shard_fabrics world);
             let lv =
               Runtime.Liveness.start ~period:(Time_ns.us 100.)
                 ~timeout:(Time_ns.us 350.) ~until:(Time_ns.us 4000.)
                 world
             in
             let mid = ref [] in
-            Scheduler.at world.Runtime.sched (Time_ns.us 1500.)
+            (* Node 0 runs the monitor; its shard reads the verdicts. *)
+            let monitor = Runtime.sched_of_nid world 0 in
+            Scheduler.at monitor (Time_ns.us 1500.)
               (fun () ->
                 mid :=
                   List.map
                     (fun nid -> Runtime.Liveness.verdict lv nid)
                     [ 1; 2; 3 ]);
             let final_suspects = ref [ -1 ] in
-            Scheduler.at world.Runtime.sched (Time_ns.us 3900.)
+            Scheduler.at monitor (Time_ns.us 3900.)
               (fun () -> final_suspects := Runtime.Liveness.suspected lv);
             Runtime.run ~until:(Time_ns.us 4000.) world;
             Alcotest.(check (list verdict_t))
@@ -647,7 +658,7 @@ let par_tests =
           ran_on;
         let reference, _ = job () in
         Alcotest.(check (list string)) "same blocked fibers as Scheduler.run"
-          (blocked (fun () -> Scheduler.run reference.Runtime.sched))
+          (blocked (fun () -> Scheduler.run (Runtime.sched_of_nid reference 0)))
           names;
         Alcotest.(check int) "two blocked" 2 (List.length names);
         (* A lone shard has no cut link, so a zero-latency wire needs no
@@ -690,8 +701,7 @@ let par_tests =
             Alcotest.(check bool)
               (Printf.sprintf "replica %d: same topology" k)
               true
-              (Simnet.Fabric.topology fabric
-              == Simnet.Fabric.topology world.Runtime.fabric);
+              (Simnet.Fabric.topology fabric == Runtime.topology world);
             Alcotest.(check bool)
               (Printf.sprintf "replica %d: own scheduler" k)
               true
@@ -777,7 +787,7 @@ let replica_tests =
           (Runtime.shard_fabrics world);
         let lone = Runtime.create_world ~nodes:8 () in
         Alcotest.(check (pair int int)) "one shard owns every node" (0, 8)
-          (Simnet.Fabric.owned_nodes lone.Runtime.fabric));
+          (Simnet.Fabric.owned_nodes (Runtime.fabric_of_nid lone 0)));
     Alcotest.test_case "a replica rejects a node it does not own" `Quick
       (fun () ->
         (* 4 nodes on 2 shards: shard 0 owns nodes 0 and 1. *)
@@ -792,8 +802,9 @@ let replica_tests =
                 ~topology:(Simnet.Topology.of_spec ~nodes:4 "torus2d:2x2")
                 ()
             in
-            let fabric = world.Runtime.fabric in
-            let tr = world.Runtime.transport in
+            (* Shard 0's replica and transport, asked about node 3. *)
+            let fabric = Runtime.fabric_of_nid world 0 in
+            let tr = Runtime.transport_of_rank world 0 in
             reject "Fabric.register" (fun () ->
                 Simnet.Fabric.register fabric (proc 3) (fun ~src:_ _ -> ()));
             reject "Fabric.register_frames" (fun () ->
@@ -838,7 +849,7 @@ let replica_tests =
       (fun () ->
         let topology = Simnet.Topology.of_spec ~nodes:4 "torus2d:2x2" in
         let world = Runtime.create_world ~domains:2 ~topology ~nodes:4 () in
-        let topo = Simnet.Fabric.topology world.Runtime.fabric in
+        let topo = Runtime.topology world in
         for id = 0 to Simnet.Topology.link_count topo - 1 do
           let src = Simnet.Topology.link_src topo id in
           let owner = Simnet.Shard_map.owner world.Runtime.shard_map src in
