@@ -29,13 +29,6 @@ let install_defaults t ~job_id =
 
 type failure = Bad_cookie | Id_mismatch | Portal_mismatch
 
-let pp_failure ppf f =
-  Format.pp_print_string ppf
-    (match f with
-    | Bad_cookie -> "invalid access control entry"
-    | Id_mismatch -> "process id rejected by access control entry"
-    | Portal_mismatch -> "portal index rejected by access control entry")
-
 let check t ~cookie ~src ~portal_index =
   match get t cookie with
   | None -> Error Bad_cookie

@@ -45,7 +45,5 @@ type failure =
   | Id_mismatch  (** Requesting process does not match the entry. *)
   | Portal_mismatch  (** Requested portal does not match the entry. *)
 
-val pp_failure : Format.formatter -> failure -> unit
-
 val check :
   t -> cookie:int -> src:Simnet.Proc_id.t -> portal_index:int -> (unit, failure) result

@@ -48,73 +48,46 @@ type drop_reason =
   | Triggered_md_inactive
   | Triggered_eq_full
 
-let all_drop_reasons =
-  [
-    Malformed; Invalid_portal_index; Acl_bad_cookie; Acl_id_mismatch;
-    Acl_portal_mismatch; No_match; Ack_no_eq; Reply_no_md; Reply_eq_full;
-    Stale_incarnation; Atomic_misaligned; Atomic_reply_no_md;
-    Atomic_reply_eq_full; Checksum_failed; Triggered_target_gone;
-    Triggered_md_inactive; Triggered_eq_full;
-  ]
+(* Every drop reason once, in counter order: the slug of its
+   [ni.drops] label and the text [pp_drop_reason] prints. *)
+let drop_table =
+  [|
+    (Malformed, "malformed", "malformed message");
+    (Invalid_portal_index, "invalid_portal_index", "invalid portal index");
+    (Acl_bad_cookie, "acl_bad_cookie", "invalid access control entry");
+    (Acl_id_mismatch, "acl_id_mismatch", "access control id mismatch");
+    (Acl_portal_mismatch, "acl_portal_mismatch", "access control portal mismatch");
+    (No_match, "no_match", "no matching entry accepted the request");
+    (Ack_no_eq, "ack_no_eq", "acknowledgment event queue gone");
+    (Reply_no_md, "reply_no_md", "reply memory descriptor gone");
+    (Reply_eq_full, "reply_eq_full", "reply event queue full");
+    (Stale_incarnation, "stale_incarnation", "sender incarnation is stale");
+    (Atomic_misaligned, "atomic_misaligned", "atomic word misaligned or mis-sized");
+    (Atomic_reply_no_md, "atomic_reply_no_md", "atomic reply memory descriptor gone");
+    (Atomic_reply_eq_full, "atomic_reply_eq_full", "atomic reply event queue full");
+    (Checksum_failed, "checksum_failed", "frame checksum mismatch");
+    (Triggered_target_gone, "triggered_target_gone",
+     "triggered chain names a vanished handle");
+    (Triggered_md_inactive, "triggered_md_inactive",
+     "triggered chain memory descriptor inactive");
+    (Triggered_eq_full, "triggered_eq_full", "triggered completion event queue full");
+  |]
 
-let drop_reason_index = function
-  | Malformed -> 0
-  | Invalid_portal_index -> 1
-  | Acl_bad_cookie -> 2
-  | Acl_id_mismatch -> 3
-  | Acl_portal_mismatch -> 4
-  | No_match -> 5
-  | Ack_no_eq -> 6
-  | Reply_no_md -> 7
-  | Reply_eq_full -> 8
-  | Stale_incarnation -> 9
-  | Atomic_misaligned -> 10
-  | Atomic_reply_no_md -> 11
-  | Atomic_reply_eq_full -> 12
-  | Checksum_failed -> 13
-  | Triggered_target_gone -> 14
-  | Triggered_md_inactive -> 15
-  | Triggered_eq_full -> 16
+let all_drop_reasons = Array.to_list (Array.map (fun (r, _, _) -> r) drop_table)
 
-let drop_reason_slug = function
-  | Malformed -> "malformed"
-  | Invalid_portal_index -> "invalid_portal_index"
-  | Acl_bad_cookie -> "acl_bad_cookie"
-  | Acl_id_mismatch -> "acl_id_mismatch"
-  | Acl_portal_mismatch -> "acl_portal_mismatch"
-  | No_match -> "no_match"
-  | Ack_no_eq -> "ack_no_eq"
-  | Reply_no_md -> "reply_no_md"
-  | Reply_eq_full -> "reply_eq_full"
-  | Stale_incarnation -> "stale_incarnation"
-  | Atomic_misaligned -> "atomic_misaligned"
-  | Atomic_reply_no_md -> "atomic_reply_no_md"
-  | Atomic_reply_eq_full -> "atomic_reply_eq_full"
-  | Checksum_failed -> "checksum_failed"
-  | Triggered_target_gone -> "triggered_target_gone"
-  | Triggered_md_inactive -> "triggered_md_inactive"
-  | Triggered_eq_full -> "triggered_eq_full"
+let rec drop_reason_from i reason =
+  let r, _, _ = drop_table.(i) in
+  if r = reason then i else drop_reason_from (i + 1) reason
 
-let pp_drop_reason ppf r =
-  Format.pp_print_string ppf
-    (match r with
-    | Malformed -> "malformed message"
-    | Invalid_portal_index -> "invalid portal index"
-    | Acl_bad_cookie -> "invalid access control entry"
-    | Acl_id_mismatch -> "access control id mismatch"
-    | Acl_portal_mismatch -> "access control portal mismatch"
-    | No_match -> "no matching entry accepted the request"
-    | Ack_no_eq -> "acknowledgment event queue gone"
-    | Reply_no_md -> "reply memory descriptor gone"
-    | Reply_eq_full -> "reply event queue full"
-    | Stale_incarnation -> "sender incarnation is stale"
-    | Atomic_misaligned -> "atomic word misaligned or mis-sized"
-    | Atomic_reply_no_md -> "atomic reply memory descriptor gone"
-    | Atomic_reply_eq_full -> "atomic reply event queue full"
-    | Checksum_failed -> "frame checksum mismatch"
-    | Triggered_target_gone -> "triggered chain names a vanished handle"
-    | Triggered_md_inactive -> "triggered chain memory descriptor inactive"
-    | Triggered_eq_full -> "triggered completion event queue full")
+let drop_reason_index reason = drop_reason_from 0 reason
+
+let drop_reason_slug reason =
+  let _, slug, _ = drop_table.(drop_reason_index reason) in
+  slug
+
+let pp_drop_reason ppf reason =
+  let _, _, text = drop_table.(drop_reason_index reason) in
+  Format.pp_print_string ppf text
 
 type counters = {
   puts_initiated : int;
@@ -247,7 +220,10 @@ let self_incarnation t =
    read at each send and receive, never cached. *)
 let integrity t = t.tp.Simnet.Transport.integrity ()
 
-let drop t reason = t.drops.(drop_reason_index reason) <- t.drops.(drop_reason_index reason) + 1
+let drop t reason =
+  let i = drop_reason_index reason in
+  t.drops.(i) <- t.drops.(i) + 1
+
 let dropped t reason = t.drops.(drop_reason_index reason)
 let dropped_total t = Array.fold_left ( + ) 0 t.drops
 
@@ -525,113 +501,109 @@ let md_active t h = Result.map (fun e -> Md.active e.md) (find_md t h)
 (* ------------------------------------------------------------------ *)
 (* Initiating operations (§4.7) *)
 
-(* The wire image of a request from this NI on [mdh] to [o]: the header
-   is written straight from the op, the MD and the NI, with no [Wire.t]
-   in between. *)
-let request_image t ~integrity kind ~ack_requested ~triggered ~mdh
-    ~eq_handle ~length (o : op) =
-  Wire.image ~integrity kind ~ack_requested ~triggered ~initiator:t.self
-    ~target:o.target ~portal_index:o.portal_index ~cookie:o.cookie
-    ~match_bits:o.match_bits ~offset:o.offset ~md_handle:mdh ~eq_handle
-    ~incarnation:(self_incarnation t) ~length
+(* A request's operation, the same on both sides of the wire: a put
+   writes its payload into the region it matches, a get reads what its
+   reply carries, and an atomic reads, modifies and writes back one word
+   — the bypass path extended to read-modify-write (§5.1 generalized). *)
+type operation = Put | Get | Atomic of Wire.atomic
 
-let put t ~md:mdh ?(ack = true) ?(triggered = false) ?length (o : op) =
+let wire_op = function
+  | Put -> Wire.Put_request
+  | Get -> Wire.Get_request
+  | Atomic _ -> Wire.Atomic_request
+
+let md_op = function
+  | Put -> Md.Op_put
+  | Get -> Md.Op_get
+  | Atomic _ -> Md.Op_atomic
+
+(* SENT once a put has left the local interface. When the descriptor
+   has no event queue and an infinite threshold the completion has no
+   observable effect (no event to post, nothing to consume or unlink),
+   so it is elided — fire-and-forget senders reusing a persistent
+   descriptor pay no extra simulation event. *)
+let sent_completion t ~mdh md ~len (o : op) =
+  let md_eq = Md.eq md in
+  if md_eq <> None || Md.threshold md <> Md.Infinite then
+    Scheduler.after (sched t) t.tp.Simnet.Transport.send_overhead (fun () ->
+        (match md_eq with
+        | None -> ()
+        | Some queue ->
+          let ev =
+            {
+              Event.kind = Event.Sent;
+              initiator = o.target;
+              portal_index = o.portal_index;
+              match_bits = o.match_bits;
+              rlength = len;
+              mlength = len;
+              offset = o.offset;
+              md_handle = mdh;
+              md_user_ptr = Md.user_ptr md;
+              time = Scheduler.now (sched t);
+            }
+          in
+          ignore (Event.Queue.post queue ev));
+        match Handle.Table.find t.mds mdh with
+        | None -> ()
+        | Some entry -> consume_initiator t mdh entry)
+
+(* The initiator half of every request (§4.7): look up the descriptor,
+   check that it is active and holds the [len] bytes the request names,
+   write the wire image straight from the op, the descriptor and the NI
+   (a put's payload blitted from MD memory into it, with no intermediate
+   copy; an atomic's operands into its block) and send it. A put
+   completes locally with SENT; a get or an atomic stays pending on its
+   descriptor until the reply. *)
+let request t operation ~md:mdh ~ack ~triggered ~length (o : op) =
   match Handle.Table.find t.mds mdh with
   | None -> Error Errors.Invalid_md
-  | Some entry ->
-    let md = entry.md in
-    let len = match length with None -> Md.length md | Some l -> l in
+  | Some { md; _ } ->
+    let is_put = match operation with Put -> true | Get | Atomic _ -> false in
+    let len =
+      match (operation, length) with
+      | Atomic _, _ -> Wire.atomic_word_size
+      | (Put | Get), Some l -> l
+      | (Put | Get), None -> Md.length md
+    in
     if not (Md.active md) then Error Errors.Invalid_md
     else if len < 0 || len > Md.length md then Error Errors.Invalid_arg
     else begin
       let ack_requested = ack && not (Md.options md).Md.ack_disable in
-      (* The payload is blitted from MD memory straight into the wire
-         image, skipping the intermediate copy an [Md.read] would make —
-         one allocation per put, not two. *)
       let integrity = integrity t in
       let buf =
-        request_image t ~integrity Wire.Put_request ~ack_requested ~triggered
-          ~mdh ~eq_handle:(Md.eq_handle md) ~length:len o
+        Wire.image ~integrity (wire_op operation) ~ack_requested ~triggered
+          ~initiator:t.self ~target:o.target ~portal_index:o.portal_index
+          ~cookie:o.cookie ~match_bits:o.match_bits ~offset:o.offset
+          ~md_handle:mdh
+          ~eq_handle:(if is_put then Md.eq_handle md else Handle.none)
+          ~incarnation:(self_incarnation t) ~length:len
       in
-      Md.blit_to md ~offset:0 ~len ~dst:buf ~dst_off:Wire.header_size;
+      (match operation with
+      | Put ->
+        t.c.c_puts <- t.c.c_puts + 1;
+        Md.blit_to md ~offset:0 ~len ~dst:buf ~dst_off:Wire.header_size
+      | Get -> t.c.c_gets <- t.c.c_gets + 1
+      | Atomic a ->
+        t.c.c_atomics <- t.c.c_atomics + 1;
+        Wire.write_atomic buf a.Wire.aop ~operand:a.Wire.operand
+          ~compare:a.Wire.compare);
       Wire.seal ~integrity buf;
-      t.c.c_puts <- t.c.c_puts + 1;
-      if ack_requested then Md.incr_pending md;
+      if ack_requested || not is_put then Md.incr_pending md;
       t.tp.Simnet.Transport.send ~src:t.self ~dst:o.target buf;
-      (* SENT once the message has left the local interface. When the
-         descriptor has no event queue and an infinite threshold the
-         completion has no observable effect (no event to post, nothing
-         to consume or unlink), so it is elided — fire-and-forget senders
-         reusing a persistent descriptor pay no extra simulation event. *)
-      let md_eq = Md.eq md in
-      if md_eq = None && Md.threshold md = Md.Infinite then Ok ()
-      else begin
-      Scheduler.after (sched t) t.tp.Simnet.Transport.send_overhead (fun () ->
-          (match md_eq with
-          | None -> ()
-          | Some queue ->
-            let ev =
-              {
-                Event.kind = Event.Sent;
-                initiator = o.target;
-                portal_index = o.portal_index;
-                match_bits = o.match_bits;
-                rlength = len;
-                mlength = len;
-                offset = o.offset;
-                md_handle = mdh;
-                md_user_ptr = Md.user_ptr md;
-                time = Scheduler.now (sched t);
-              }
-            in
-            ignore (Event.Queue.post queue ev));
-          match Handle.Table.find t.mds mdh with
-          | None -> ()
-          | Some entry -> consume_initiator t mdh entry);
-        Ok ()
-      end
-    end
-
-let get t ~md:mdh (o : op) =
-  match Handle.Table.find t.mds mdh with
-  | None -> Error Errors.Invalid_md
-  | Some entry ->
-    let md = entry.md in
-    if not (Md.active md) then Error Errors.Invalid_md
-    else begin
-      let integrity = integrity t in
-      let buf =
-        request_image t ~integrity Wire.Get_request ~ack_requested:false
-          ~triggered:false ~mdh ~eq_handle:Handle.none ~length:(Md.length md) o
-      in
-      Wire.seal ~integrity buf;
-      t.c.c_gets <- t.c.c_gets + 1;
-      Md.incr_pending md;
-      t.tp.Simnet.Transport.send ~src:t.self ~dst:o.target buf;
+      if is_put then sent_completion t ~mdh md ~len o;
       Ok ()
     end
 
-let atomic t ~md:mdh ~aop ~operand ?(compare = 0L) (o : op) =
-  match Handle.Table.find t.mds mdh with
-  | None -> Error Errors.Invalid_md
-  | Some entry ->
-    let md = entry.md in
-    if not (Md.active md) then Error Errors.Invalid_md
-    else if Md.length md < Wire.atomic_word_size then Error Errors.Invalid_arg
-    else begin
-      let integrity = integrity t in
-      let buf =
-        request_image t ~integrity Wire.Atomic_request ~ack_requested:false
-          ~triggered:false ~mdh ~eq_handle:Handle.none
-          ~length:Wire.atomic_word_size o
-      in
-      Wire.write_atomic buf aop ~operand ~compare;
-      Wire.seal ~integrity buf;
-      t.c.c_atomics <- t.c.c_atomics + 1;
-      Md.incr_pending md;
-      t.tp.Simnet.Transport.send ~src:t.self ~dst:o.target buf;
-      Ok ()
-    end
+let put t ~md ?(ack = true) ?(triggered = false) ?length o =
+  request t Put ~md ~ack ~triggered ~length o
+
+let get t ~md o = request t Get ~md ~ack:false ~triggered:false ~length:None o
+
+let atomic t ~md ~aop ~operand ?(compare = 0L) o =
+  request t
+    (Atomic { Wire.aop; operand; compare })
+    ~md ~ack:false ~triggered:false ~length:None o
 
 (* ------------------------------------------------------------------ *)
 (* Counting events and triggered chains *)
@@ -695,6 +667,18 @@ let rec without a = function
   | [] -> []
   | x :: rest -> if x == a then rest else x :: without a rest
 
+(* A chain resolves the descriptor it sends from when it fires: one that
+   vanished or went inactive mis-fires into its drop reason. *)
+let fireable t md =
+  match Handle.Table.find t.mds md with
+  | None ->
+    drop t Triggered_target_gone;
+    false
+  | Some entry when not (Md.active entry.md) ->
+    drop t Triggered_md_inactive;
+    false
+  | Some _ -> true
+
 (* Run one armed chain. Every action resolves its handles at fire time —
    the §4.8 discipline extended to the triggered path: a chain whose
    descriptor or counter vanished (or whose descriptor exhausted its
@@ -737,21 +721,11 @@ and run_actions t = function
 
 and run_action t = function
   | Triggered_put { md; ack; length; op } ->
-    (match Handle.Table.find t.mds md with
-    | None -> drop t Triggered_target_gone
-    | Some entry when not (Md.active entry.md) -> drop t Triggered_md_inactive
-    | Some _ ->
-      (match put t ~md ~ack ~triggered:true ?length op with
-      | Ok () -> ()
-      | Error _ -> drop t Triggered_md_inactive))
+    if fireable t md && Result.is_error (put t ~md ~ack ~triggered:true ?length op)
+    then drop t Triggered_md_inactive
   | Triggered_atomic { md; aop; operand; compare; op } ->
-    (match Handle.Table.find t.mds md with
-    | None -> drop t Triggered_target_gone
-    | Some entry when not (Md.active entry.md) -> drop t Triggered_md_inactive
-    | Some _ ->
-      (match atomic t ~md ~aop ~operand ~compare op with
-      | Ok () -> ()
-      | Error _ -> drop t Triggered_md_inactive))
+    if fireable t md && Result.is_error (atomic t ~md ~aop ~operand ~compare op)
+    then drop t Triggered_md_inactive
   | Triggered_combine { dst; src; f } ->
     (match (Handle.Table.find t.mds dst, Handle.Table.find t.mds src) with
     | None, _ | _, None -> drop t Triggered_target_gone
@@ -899,23 +873,87 @@ let translate t ~portal_index ~(src : Simnet.Proc_id.t) ~mbits ~op ~rlength
 let match_walk_cost t ~entries =
   Time_ns.ns (entries * t.tp.Simnet.Transport.match_entry_cost)
 
-let handle_put_or_get t (msg : Wire.t) ~op =
-  let src = msg.Wire.initiator in
-  if msg.Wire.portal_index < 0 || msg.Wire.portal_index >= Array.length t.pt_head then
-    drop t Invalid_portal_index
+let acl_drop = function
+  | Acl.Bad_cookie -> Acl_bad_cookie
+  | Acl.Id_mismatch -> Acl_id_mismatch
+  | Acl.Portal_mismatch -> Acl_portal_mismatch
+
+(* Deposit a request in [md] at [offset]; the bytes returned are what
+   the response carries: a get's data, an atomic's fetched word. *)
+let deposit md operation (msg : Wire.t) ~offset ~mlength =
+  match operation with
+  | Put ->
+    (* [msg] is a [decode_view]: payload bytes sit in the wire image
+       after the header. *)
+    Md.write md ~offset ~src:msg.Wire.data ~src_off:Wire.header_size
+      ~len:mlength;
+    Bytes.empty
+  | Get -> Md.read md ~offset ~len:mlength
+  | Atomic a ->
+    let word = Md.read md ~offset ~len:mlength in
+    let old = Bytes.get_int64_le word 0 in
+    Bytes.set_int64_le word 0
+      (match a.Wire.aop with
+      | Wire.Fetch_add -> Int64.add old a.Wire.operand
+      | Wire.Swap -> a.Wire.operand
+      | Wire.Cas -> if Int64.equal old a.Wire.compare then a.Wire.operand else old);
+    Md.write md ~offset ~src:word ~src_off:0 ~len:mlength;
+    (* The reply fetches the word as it was. *)
+    Bytes.set_int64_le word 0 old;
+    word
+
+let send_response t (msg : Wire.t) response =
+  t.tp.Simnet.Transport.send ~src:t.self ~dst:msg.Wire.initiator
+    (Wire.encode ~integrity:(integrity t) response)
+
+(* Answer a committed request: an acknowledgment when the put asked for
+   one and its descriptor allows it, a reply carrying a get's data, or
+   the atomic reply carrying the fetched word. *)
+let respond t (msg : Wire.t) md operation ~mlength data =
+  match operation with
+  | Put ->
+    if
+      msg.Wire.ack_requested
+      && (not (Md.options md).Md.ack_disable)
+      && not (Handle.is_none msg.Wire.eq_handle)
+    then begin
+      t.c.c_acks <- t.c.c_acks + 1;
+      send_response t msg
+        (Wire.ack_of_put ~incarnation:(self_incarnation t) msg ~mlength)
+    end
+  | Get ->
+    t.c.c_replies <- t.c.c_replies + 1;
+    send_response t msg
+      (Wire.reply_of_get ~incarnation:(self_incarnation t) msg ~mlength ~data)
+  | Atomic _ ->
+    t.c.c_atomics_exec <- t.c.c_atomics_exec + 1;
+    send_response t msg
+      (Wire.atomic_reply_of_request ~incarnation:(self_incarnation t) msg
+         ~fetched:(Bytes.get_int64_le data 0))
+
+let misaligned operation (msg : Wire.t) =
+  match operation with
+  | Put | Get -> false
+  | Atomic _ ->
+    msg.Wire.length <> Wire.atomic_word_size
+    || msg.Wire.offset < 0
+    || msg.Wire.offset mod Wire.atomic_word_size <> 0
+
+(* One request, as §4.8 prescribes for every kind: check the portal
+   index and the access control entry, translate through the match list,
+   commit to the first descriptor that accepts, deposit, post the event,
+   then answer. *)
+let handle_request t (msg : Wire.t) operation =
+  let src = msg.Wire.initiator and pt = msg.Wire.portal_index in
+  if pt < 0 || pt >= Array.length t.pt_head then drop t Invalid_portal_index
   else begin
-    match
-      Acl.check t.ni_acl ~cookie:msg.Wire.cookie ~src
-        ~portal_index:msg.Wire.portal_index
-    with
-    | Error Acl.Bad_cookie -> drop t Acl_bad_cookie
-    | Error Acl.Id_mismatch -> drop t Acl_id_mismatch
-    | Error Acl.Portal_mismatch -> drop t Acl_portal_mismatch
+    match Acl.check t.ni_acl ~cookie:msg.Wire.cookie ~src ~portal_index:pt with
+    | Error failure -> drop t (acl_drop failure)
+    | Ok () when misaligned operation msg -> drop t Atomic_misaligned
     | Ok () ->
       let me_entry =
-        translate t ~portal_index:msg.Wire.portal_index ~src
-          ~mbits:msg.Wire.match_bits ~op ~rlength:msg.Wire.length
-          ~roffset:msg.Wire.offset
+        translate t ~portal_index:pt ~src ~mbits:msg.Wire.match_bits
+          ~op:(md_op operation) ~rlength:msg.Wire.length ~roffset:msg.Wire.offset
       in
       if me_entry == nil then drop t No_match
       else begin
@@ -929,23 +967,7 @@ let handle_put_or_get t (msg : Wire.t) ~op =
         (* Commit state at arrival so the next message sees consistent
            matching structures; emit observable effects after the cost. *)
         Md.consume md ~offset ~mlength;
-        let reply_data =
-          match op with
-          | Md.Op_put ->
-            (* [msg] is a [decode_view]: payload bytes sit in the wire
-               image after the header. *)
-            Md.write md ~offset ~src:msg.Wire.data ~src_off:Wire.header_size
-              ~len:mlength;
-            Bytes.empty
-          | Md.Op_get -> Md.read md ~offset ~len:mlength
-          | Md.Op_atomic -> assert false (* handled by [handle_atomic] *)
-        in
-        let md_eq = Md.eq md in
-        let ack_wanted =
-          op = Md.Op_put && msg.Wire.ack_requested
-          && (not (Md.options md).Md.ack_disable)
-          && not (Handle.is_none msg.Wire.eq_handle)
-        in
+        let data = deposit md operation msg ~offset ~mlength in
         auto_unlink_md t mdh md_entry;
         (* The transport already carried the data-landing time; only the
            match-list walk is charged here (it perturbs the host when the
@@ -961,160 +983,32 @@ let handle_put_or_get t (msg : Wire.t) ~op =
             ~proc:(t.tp.Simnet.Transport.rx_track t.self.Simnet.Proc_id.nid)
             ~msg_id:t.c.c_rx ~start
             ~finish:(Time_ns.add start walk_cost)
-            (Printf.sprintf "match pt=%d" msg.Wire.portal_index)
+            (match operation with
+            | Put | Get -> Printf.sprintf "match pt=%d" pt
+            | Atomic a ->
+              Printf.sprintf "atomic %s pt=%d" (Wire.aop_to_string a.Wire.aop) pt)
         end;
-        (match md_eq with
+        (match Md.eq md with
         | None -> ()
         | Some queue ->
           let kind =
-            match op with
+            match operation with
             (* A chain-fired put is logged as TRIGGERED: the provenance
                bit on the wire makes NIC-resident forwarding observable
                at the target. *)
-            | Md.Op_put -> if msg.Wire.triggered then Event.Triggered else Event.Put
-            | Md.Op_get -> Event.Get
-            | Md.Op_atomic -> assert false
+            | Put -> if msg.Wire.triggered then Event.Triggered else Event.Put
+            | Get -> Event.Get
+            | Atomic _ -> Event.Atomic
           in
           post_event t ~kind ~msg ~mlength ~offset ~user_ptr:(Md.user_ptr md)
             queue);
-        (match op with
-        | Md.Op_put ->
-          if ack_wanted then begin
-            t.c.c_acks <- t.c.c_acks + 1;
-            t.tp.Simnet.Transport.send ~src:t.self ~dst:src
-              (Wire.encode ~integrity:(integrity t)
-                 (Wire.ack_of_put ~incarnation:(self_incarnation t) msg
-                    ~mlength))
-          end
-        | Md.Op_get ->
-          t.c.c_replies <- t.c.c_replies + 1;
-          t.tp.Simnet.Transport.send ~src:t.self ~dst:src
-            (Wire.encode ~integrity:(integrity t)
-               (Wire.reply_of_get ~incarnation:(self_incarnation t) msg
-                  ~mlength ~data:reply_data))
-        | Md.Op_atomic -> assert false);
+        respond t msg md operation ~mlength data;
         (* Counter bump last: acknowledgments and events for this deposit
            are already issued when a chain it triggers starts sending, so
            a fired chain observes — and extends — a consistent NI. *)
         bump_match_ct t matched_ct
       end
   end
-
-(* Execute a read-modify-write at ME-match time — the bypass path of
-   [handle_put_or_get] extended to atomics (§5.1 generalized): the target
-   host fiber is never involved, only the match-list walk is charged. *)
-let handle_atomic t (msg : Wire.t) =
-  let src = msg.Wire.initiator in
-  match msg.Wire.atomic with
-  | None -> drop t Malformed
-  | Some a ->
-    if msg.Wire.portal_index < 0 || msg.Wire.portal_index >= Array.length t.pt_head
-    then drop t Invalid_portal_index
-    else begin
-      match
-        Acl.check t.ni_acl ~cookie:msg.Wire.cookie ~src
-          ~portal_index:msg.Wire.portal_index
-      with
-      | Error Acl.Bad_cookie -> drop t Acl_bad_cookie
-      | Error Acl.Id_mismatch -> drop t Acl_id_mismatch
-      | Error Acl.Portal_mismatch -> drop t Acl_portal_mismatch
-      | Ok () ->
-        if
-          msg.Wire.length <> Wire.atomic_word_size
-          || msg.Wire.offset < 0
-          || msg.Wire.offset mod Wire.atomic_word_size <> 0
-        then drop t Atomic_misaligned
-        else begin
-          let me_entry =
-            translate t ~portal_index:msg.Wire.portal_index ~src
-              ~mbits:msg.Wire.match_bits ~op:Md.Op_atomic
-              ~rlength:msg.Wire.length ~roffset:msg.Wire.offset
-          in
-          if me_entry == nil then drop t No_match
-          else begin
-            let entries = t.walked and mlength = t.mlength in
-            let mdh = List.hd (Me.md_handles me_entry.me) in
-            let md_entry = Option.get (Handle.Table.find t.mds mdh) in
-            let md = md_entry.md in
-            let matched_ct = me_entry.me_ct in
-            let offset = Md.landing md ~roffset:msg.Wire.offset in
-            let word = Md.read md ~offset ~len:Wire.atomic_word_size in
-            let old = Bytes.get_int64_le word 0 in
-            let next =
-              match a.Wire.aop with
-              | Wire.Fetch_add -> Int64.add old a.Wire.operand
-              | Wire.Swap -> a.Wire.operand
-              | Wire.Cas ->
-                if Int64.equal old a.Wire.compare then a.Wire.operand else old
-            in
-            Md.consume md ~offset ~mlength;
-            Bytes.set_int64_le word 0 next;
-            Md.write md ~offset ~src:word ~src_off:0
-              ~len:Wire.atomic_word_size;
-            let md_eq = Md.eq md in
-            auto_unlink_md t mdh md_entry;
-            let walk_cost = match_walk_cost t ~entries in
-            t.tp.Simnet.Transport.charge_rx t.self.Simnet.Proc_id.nid walk_cost;
-            let tr = Scheduler.trace (sched t) in
-            if Trace.enabled tr then begin
-              let start = Scheduler.now (sched t) in
-              Trace.complete tr ~subsys:"ni"
-                ~proc:(t.tp.Simnet.Transport.rx_track t.self.Simnet.Proc_id.nid)
-                ~msg_id:t.c.c_rx ~start
-                ~finish:(Time_ns.add start walk_cost)
-                (Printf.sprintf "atomic %s pt=%d"
-                   (Wire.aop_to_string a.Wire.aop)
-                   msg.Wire.portal_index)
-            end;
-            (match md_eq with
-            | None -> ()
-            | Some queue ->
-              post_event t ~kind:Event.Atomic ~msg ~mlength ~offset
-                ~user_ptr:(Md.user_ptr md) queue);
-            t.c.c_atomics_exec <- t.c.c_atomics_exec + 1;
-            t.tp.Simnet.Transport.send ~src:t.self ~dst:src
-              (Wire.encode ~integrity:(integrity t)
-                 (Wire.atomic_reply_of_request
-                    ~incarnation:(self_incarnation t) msg ~fetched:old));
-            bump_match_ct t matched_ct
-          end
-        end
-    end
-
-(* The fetched value lands like a get reply: through the initiator's MD,
-   no event-queue handle on the wire (§4.8 semantics extended — the
-   dedicated drop reasons keep the table exact). *)
-let handle_atomic_reply t (msg : Wire.t) =
-  match Handle.Table.find t.mds msg.Wire.md_handle with
-  | None -> drop t Atomic_reply_no_md
-  | Some entry ->
-    let md = entry.md in
-    (match Md.eq md with
-    | Some queue when Event.Queue.is_full queue ->
-      (* §4.8: the fetched value is discarded when the queue has no
-         space — but the loss must stay observable, so the failing post
-         ticks the queue's PTL_EQ_DROPPED counter, which completion
-         waiters (e.g. Onesided.check_tx_overflow) turn into a typed
-         overflow error instead of a silent hang. *)
-      post_event t ~kind:Event.Reply ~msg
-        ~mlength:(min Wire.atomic_word_size (Md.length md))
-        ~offset:0 ~user_ptr:(Md.user_ptr md) queue;
-      drop t Atomic_reply_eq_full
-    | Some _ | None ->
-      let fetched =
-        match msg.Wire.atomic with Some a -> a.Wire.operand | None -> 0L
-      in
-      let mlength = min Wire.atomic_word_size (Md.length md) in
-      let word = Bytes.create Wire.atomic_word_size in
-      Bytes.set_int64_le word 0 fetched;
-      Md.write md ~offset:0 ~src:word ~src_off:0 ~len:mlength;
-      if Md.pending md > 0 then Md.decr_pending md;
-      (match Md.eq md with
-      | None -> ()
-      | Some queue ->
-        post_event t ~kind:Event.Reply ~msg ~mlength ~offset:0
-          ~user_ptr:(Md.user_ptr md) queue);
-      consume_initiator t msg.Wire.md_handle entry)
 
 let handle_ack t (msg : Wire.t) =
   (* §4.8: only confirm the event queue still exists; then record the
@@ -1134,26 +1028,36 @@ let handle_ack t (msg : Wire.t) =
     | None -> ()
     | Some entry -> consume_initiator t msg.Wire.md_handle entry)
 
+(* A get's reply or an atomic's: it lands through the initiator's MD,
+   with no event-queue handle on the wire. Every memory descriptor
+   accepts and truncates replies (§4.8); a get's data follows the header
+   and an atomic's fetched word sits in the operand slot of its block.
+   Each kind keeps its own drop reasons, so the table stays exact. *)
 let handle_reply t (msg : Wire.t) =
+  let atomic = msg.Wire.op = Wire.Atomic_reply in
   match Handle.Table.find t.mds msg.Wire.md_handle with
-  | None -> drop t Reply_no_md
+  | None -> drop t (if atomic then Atomic_reply_no_md else Reply_no_md)
   | Some entry ->
     let md = entry.md in
     (match Md.eq md with
     | Some queue when Event.Queue.is_full queue ->
       (* §4.8: a reply is dropped if the event queue has no space and is
-         not null. The failing post keeps the loss observable through
-         the queue's PTL_EQ_DROPPED counter. *)
-      post_event t ~kind:Event.Reply ~msg ~mlength:0 ~offset:msg.Wire.offset
+         not null. The failing post keeps the loss observable through the
+         queue's PTL_EQ_DROPPED counter, which completion waiters (e.g.
+         Onesided.check_tx_overflow) turn into a typed overflow error
+         instead of a silent hang. *)
+      post_event t ~kind:Event.Reply ~msg ~mlength:0 ~offset:0
         ~user_ptr:(Md.user_ptr md) queue;
-      drop t Reply_eq_full
-    | Some _ | None ->
-      (* Every memory descriptor accepts and truncates replies (§4.8). *)
-      let mlength = min msg.Wire.length (Md.length md) in
-      Md.write md ~offset:0 ~src:msg.Wire.data ~src_off:Wire.header_size
+      drop t (if atomic then Atomic_reply_eq_full else Reply_eq_full)
+    | md_eq ->
+      let mlength =
+        min (if atomic then Wire.atomic_word_size else msg.Wire.length) (Md.length md)
+      in
+      Md.write md ~offset:0 ~src:msg.Wire.data
+        ~src_off:(if atomic then Wire.atomic_operand_offset else Wire.header_size)
         ~len:mlength;
       if Md.pending md > 0 then Md.decr_pending md;
-      (match Md.eq md with
+      (match md_eq with
       | None -> ()
       | Some queue ->
         post_event t ~kind:Event.Reply ~msg ~mlength ~offset:0
@@ -1179,12 +1083,14 @@ let handle_incoming t ~src payload =
       then drop t Stale_incarnation
       else (
         match msg.Wire.op with
-        | Wire.Put_request -> handle_put_or_get t msg ~op:Md.Op_put
-        | Wire.Get_request -> handle_put_or_get t msg ~op:Md.Op_get
-        | Wire.Atomic_request -> handle_atomic t msg
+        | Wire.Put_request -> handle_request t msg Put
+        | Wire.Get_request -> handle_request t msg Get
+        | Wire.Atomic_request ->
+          (match msg.Wire.atomic with
+          | None -> drop t Malformed
+          | Some a -> handle_request t msg (Atomic a))
         | Wire.Ack -> handle_ack t msg
-        | Wire.Reply -> handle_reply t msg
-        | Wire.Atomic_reply -> handle_atomic_reply t msg)
+        | Wire.Reply | Wire.Atomic_reply -> handle_reply t msg)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1205,7 +1111,7 @@ let create tp ~id:self () =
       mes = Handle.Table.create ();
       eqs = Handle.Table.create ();
       cts = Handle.Table.create ();
-      drops = Array.make (List.length all_drop_reasons) 0;
+      drops = Array.make (Array.length drop_table) 0;
       c =
         {
           c_puts = 0;
@@ -1234,13 +1140,13 @@ let create tp ~id:self () =
      registry polls them only at snapshot time. *)
   let m = Scheduler.metrics (sched t) in
   let proc = Simnet.Proc_id.to_string self in
-  List.iter
-    (fun reason ->
+  Array.iteri
+    (fun i (_, slug, _) ->
       Metrics.probe m
-        ~labels:[ ("proc", proc); ("reason", drop_reason_slug reason) ]
+        ~labels:[ ("proc", proc); ("reason", slug) ]
         "ni.drops"
-        (fun () -> float_of_int t.drops.(drop_reason_index reason)))
-    all_drop_reasons;
+        (fun () -> float_of_int t.drops.(i)))
+    drop_table;
   let labels = [ ("proc", proc) ] in
   List.iter
     (fun (name, read) -> Metrics.probe m ~labels name read)

@@ -80,6 +80,7 @@ let checksum_size = 4
    block. *)
 let atomic_block_size = 17
 let atomic_word_size = 8
+let atomic_operand_offset = header_size + 1
 
 let ext_size = function
   | Atomic_request | Atomic_reply -> atomic_block_size
@@ -250,7 +251,7 @@ let write_fields buf op ~ack_requested ~triggered
 
 let write_atomic buf aop ~operand ~compare =
   Bytes.set_uint8 buf header_size (aop_code aop);
-  Bytes.set_int64_le buf (header_size + 1) operand;
+  Bytes.set_int64_le buf atomic_operand_offset operand;
   Bytes.set_int64_le buf (header_size + 9) compare
 
 let write_header buf t =
@@ -400,7 +401,7 @@ let decode_view ~integrity ~src ~dst buf =
                       Some
                         {
                           aop;
-                          operand = Bytes.get_int64_le buf (header_size + 1);
+                          operand = Bytes.get_int64_le buf atomic_operand_offset;
                           compare = Bytes.get_int64_le buf (header_size + 9);
                         });
                 }

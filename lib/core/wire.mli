@@ -116,6 +116,10 @@ val atomic_block_size : int
 val atomic_word_size : int
 (** Width in bytes of the word atomics operate on (8). *)
 
+val atomic_operand_offset : int
+(** Where an atomic message's operand slot starts in its wire image, so
+    in the [data] of a {!decode_view}: the fetched value of a reply. *)
+
 val checksum_size : int
 (** Size of the CRC-32C trailer a version-[0x31] frame carries (4). *)
 

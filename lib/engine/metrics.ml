@@ -185,7 +185,6 @@ let incr c = c.c_value <- c.c_value + 1
 let add c n = c.c_value <- c.c_value + n
 let counter_value c = c.c_value
 let set g v = g.g_value <- v
-let gauge_value g = g.g_value
 
 let observe m x =
   m.m_count <- m.m_count + 1;
@@ -371,7 +370,7 @@ let absorb t ?(labels = []) (snap : Snapshot.t) =
         c.c_value <- c.c_value + v
       | Snapshot.Gauge v ->
         let g = gauge t ~labels:combined e.Snapshot.name in
-        g.g_value <- v
+        g.g_value <- g.g_value +. v
       | Snapshot.Summary { count; mean; stddev; min; max; total } ->
         let m = summary t ~labels:combined e.Snapshot.name in
         if count > 0 then begin

@@ -70,7 +70,6 @@ val counter_value : counter -> int
 
 val gauge : t -> ?labels:labels -> string -> gauge
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val probe : t -> ?labels:labels -> string -> (unit -> float) -> unit
 (** [probe t name f] registers a gauge whose value is [f ()] polled at
@@ -155,6 +154,7 @@ val snapshot : t -> Snapshot.t
 
 val absorb : t -> ?labels:labels -> Snapshot.t -> unit
 (** [absorb t ~labels snap] merges a snapshot into [t], prefixing every
-    entry's labels with [labels]. Counters and summaries accumulate,
-    gauges overwrite, series append. Used to aggregate per-world
-    registries into one cross-configuration report. *)
+    entry's labels with [labels]. Counters, gauges and summaries
+    accumulate, series append. Used to aggregate per-world registries
+    into one cross-configuration report, and a sharded world's
+    per-shard registries into one. *)

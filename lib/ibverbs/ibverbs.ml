@@ -109,7 +109,6 @@ let reg_mr t ~rkey region =
     invalid_arg (Printf.sprintf "Ibverbs.reg_mr: rkey %#x already bound" rkey);
   Hashtbl.replace t.mrs rkey region
 
-let rereg_mr t ~rkey region = Hashtbl.replace t.mrs rkey region
 let dereg_mr t rkey = Hashtbl.remove t.mrs rkey
 
 let alloc_rkey t =
@@ -146,8 +145,6 @@ let rdma_write t ~dst ~rkey ~offset ~src ~src_off ~len ~wr_id =
 let poll_cq t =
   t.s_polls <- t.s_polls + 1;
   Queue.take_opt t.cq
-
-let pending_completions t = Queue.length t.cq
 
 let wake t =
   t.interrupts <- t.interrupts + 1;

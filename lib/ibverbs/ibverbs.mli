@@ -37,10 +37,6 @@ val reg_mr : t -> rkey:int -> bytes -> unit
 (** Register [bytes] under [rkey]; remote writes naming [rkey] land in
     it. Raises [Invalid_argument] if [rkey] is already bound. *)
 
-val rereg_mr : t -> rkey:int -> bytes -> unit
-(** Like {!reg_mr} but replaces any existing binding (connection
-    re-establishment after a peer restart). *)
-
 val dereg_mr : t -> int -> unit
 (** Unregister an rkey; subsequent writes to it are dropped. *)
 
@@ -64,7 +60,6 @@ val rdma_write :
     source buffer is reusable, not that the data arrived. *)
 
 val poll_cq : t -> completion option
-val pending_completions : t -> int
 
 val wait_activity : t -> unit
 (** Block the calling fiber until something happened since the call: a

@@ -193,33 +193,16 @@ let now world =
   Array.fold_left (fun t s -> Time_ns.max t (Scheduler.now s)) Time_ns.zero
     world.scheds
 
-(* Counters and summaries accumulate in [Metrics.absorb], but a gauge
-   there is overwritten. Every gauge a shard registers is either one
-   part's (a node's CPU or link, an NI), which only its owner registers,
-   or a per-replica total (messages sent, handshakes), which every shard
-   registers. So each gauge is absorbed as its running sum over the
-   shards so far, and the last absorbed is the total. *)
-let running_gauge_sums snaps =
-  let sums = Hashtbl.create 64 in
-  let running (e : Metrics.Snapshot.entry) =
-    match e.Metrics.Snapshot.value with
-    | Metrics.Snapshot.Gauge v ->
-      let key = (e.Metrics.Snapshot.name, e.Metrics.Snapshot.labels) in
-      let v =
-        match Hashtbl.find_opt sums key with Some acc -> acc +. v | None -> v
-      in
-      Hashtbl.replace sums key v;
-      { e with Metrics.Snapshot.value = Metrics.Snapshot.Gauge v }
-    | _ -> e
-  in
-  Array.map (List.map running) snaps
-
+(* Every gauge a shard registers is either one part's (a node's CPU or
+   link, an NI), which only its owner registers, or a per-replica total
+   (messages sent, handshakes), which every shard registers. Gauges sum
+   in [Metrics.absorb] like counters, so absorbing every shard gives the
+   world's value of both. *)
 let metrics_snapshot world =
   let merged = Metrics.create ~detail:true () in
-  let snaps =
-    Array.map (fun s -> Metrics.snapshot (Scheduler.metrics s)) world.scheds
-  in
-  Array.iter (Metrics.absorb merged) (running_gauge_sums snaps);
+  Array.iter
+    (fun s -> Metrics.absorb merged (Metrics.snapshot (Scheduler.metrics s)))
+    world.scheds;
   Metrics.snapshot merged
 
 let enable_trace world =

@@ -66,10 +66,6 @@ val neighbors : t -> int -> int list
 (** Adjacent vertices of a vertex, in the order of the links leaving it.
     For [Full] this is every other node. *)
 
-val vertex_name : t -> int -> string
-(** ["node3"] for compute nodes, ["sw5"] for switches — used to label
-    per-link metrics. *)
-
 val link_name : t -> int -> string
 (** E.g. ["node0->node1"]; the value of the [("link", _)] metric label
     of the corresponding fabric {!Link}. Formatted on demand, so each

@@ -162,6 +162,16 @@ $DUNE exec bin/portals_repro.exe -- \
   --topology torus2d:4x4 | tee "$OUT/rma.out"
 grep -q 'byte-identical' "$OUT/rma.out"
 grep -q 'occupancy' "$OUT/rma.out"
+# This clean multi-hop run carries CAS, fetch-add and get through the
+# target NI's request path, so its table is pinned byte for byte, and
+# two domains must print the same bytes.
+check_sha "$OUT/rma.out" \
+  ca9d159ff5548dbdb493769c733587f9d9de4052a5a9bec4ab5b865abae40966 \
+  "rma --quick --seed 7 --workloads halo,hashtable --topology torus2d:4x4"
+$DUNE exec bin/portals_repro.exe -- \
+  rma --quick --seed 7 --workloads halo,hashtable \
+  --topology torus2d:4x4 --domains 2 > "$OUT/rma.d2.out"
+cmp "$OUT/rma.out" "$OUT/rma.d2.out"
 # The atomics must stay exactly-once over a lossy wire with the
 # reliability shim attached.
 $DUNE exec bin/portals_repro.exe -- \

@@ -12,7 +12,8 @@
    - the bytes deposited in every target MD and returned by gets and
      atomics,
    - the entries the match walk examined ([entries_walked]),
-   - the NI's live resources and its drop count.
+   - the NI's live resources, its drop count and the reason it files a
+     refused request under.
 
    Triggered chains are not modelled. *)
 
@@ -297,14 +298,18 @@ let consume m e md ~offset ~mlength =
     if e.mds = [] && e.crit.c_unlink then remove_entry m e
   end
 
-let acl_ok ~cookie ~src ~portal =
-  if cookie = 0 || cookie = 1 then true
+(* Why the ACL refuses a request (§4.5), if it does. *)
+let acl_refusal ~cookie ~src ~portal =
+  if cookie = 0 || cookie = 1 then None
   else
     match List.assoc_opt cookie acl_entries with
-    | None -> false
+    | None -> Some Ni.Acl_bad_cookie
     | Some a ->
-      Match_id.matches a.Acl.allowed_id src
-      && (match a.Acl.allowed_portal with None -> true | Some p -> p = portal)
+      if not (Match_id.matches a.Acl.allowed_id src) then Some Ni.Acl_id_mismatch
+      else if
+        match a.Acl.allowed_portal with None -> false | Some p -> p <> portal
+      then Some Ni.Acl_portal_mismatch
+      else None
 
 (* ------------------------------------------------------------------ *)
 (* The system under test, driven in lockstep *)
@@ -427,16 +432,18 @@ type expect = {
       (* kind, initiator nid, offset, mlength, rlength, md *)
   x_initiator : (Event.kind * int) list;
   x_walked : int;
-  x_dropped : bool;
+  x_drop : Ni.drop_reason option; (* the reason the target refuses it *)
   x_reply : bytes option; (* the bytes a get or atomic brings back *)
 }
 
-let no_effect = { x_target = None; x_initiator = []; x_walked = 0; x_dropped = true; x_reply = None }
+let refused reason =
+  { x_target = None; x_initiator = []; x_walked = 0; x_drop = Some reason; x_reply = None }
 
-(* Where a remote operation goes before any match-list walk. *)
-let admitted r src =
-  r.r_portal >= 0 && r.r_portal < portals
-  && acl_ok ~cookie:r.r_cookie ~src ~portal:r.r_portal
+(* Why a remote operation is refused before any match-list walk, if it
+   is: the portal index first, then the access control entry. *)
+let refusal r src =
+  if r.r_portal < 0 || r.r_portal >= portals then Some Ni.Invalid_portal_index
+  else acl_refusal ~cookie:r.r_cookie ~src ~portal:r.r_portal
 
 let event_of ~kind ~src ~offset ~mlength ~rlength md =
   Some (kind, src.Simnet.Proc_id.nid, offset, mlength, rlength, md.md_id)
@@ -444,13 +451,15 @@ let event_of ~kind ~src ~offset ~mlength ~rlength md =
 let model_put env r ~len ~ack ~payload =
   let src = initiators.(r.r_src) in
   let sent = [ (Event.Sent, len) ] in
-  if not (admitted r src) then { no_effect with x_initiator = sent }
-  else begin
+  match refusal r src with
+  | Some reason -> { (refused reason) with x_initiator = sent }
+  | None -> (
     match
       translate env.m ~portal:r.r_portal ~src ~mbits:r.r_bits ~op:`Put
         ~rlength:len ~roffset:r.r_offset
     with
-    | walked, None -> { no_effect with x_initiator = sent; x_walked = walked }
+    | walked, None ->
+      { (refused Ni.No_match) with x_initiator = sent; x_walked = walked }
     | walked, Some (e, md, offset, mlength) ->
       Bytes.blit payload 0 md.data offset mlength;
       Array.fill md.known offset mlength true;
@@ -460,20 +469,20 @@ let model_put env r ~len ~ack ~payload =
         x_target = event_of ~kind:Event.Put ~src ~offset ~mlength ~rlength:len md;
         x_initiator = (if acked then sent @ [ (Event.Ack, mlength) ] else sent);
         x_walked = walked;
-        x_dropped = false;
+        x_drop = None;
         x_reply = None;
-      }
-  end
+      })
 
 let model_get env r ~len =
   let src = initiators.(r.r_src) in
-  if not (admitted r src) then no_effect
-  else begin
+  match refusal r src with
+  | Some reason -> refused reason
+  | None -> (
     match
       translate env.m ~portal:r.r_portal ~src ~mbits:r.r_bits ~op:`Get
         ~rlength:len ~roffset:r.r_offset
     with
-    | walked, None -> { no_effect with x_walked = walked }
+    | walked, None -> { (refused Ni.No_match) with x_walked = walked }
     | walked, Some (e, md, offset, mlength) ->
       learn md;
       let reply = Bytes.sub md.data offset mlength in
@@ -482,22 +491,22 @@ let model_get env r ~len =
         x_target = event_of ~kind:Event.Get ~src ~offset ~mlength ~rlength:len md;
         x_initiator = [ (Event.Reply, mlength) ];
         x_walked = walked;
-        x_dropped = false;
+        x_drop = None;
         x_reply = Some reply;
-      }
-  end
+      })
 
 let model_atomic env r ~aop ~operand ~compare =
   let src = initiators.(r.r_src) in
   let w = Wire.atomic_word_size in
-  if not (admitted r src) then no_effect
-  else if r.r_offset mod w <> 0 then no_effect
-  else begin
+  match refusal r src with
+  | Some reason -> refused reason
+  | None when r.r_offset mod w <> 0 -> refused Ni.Atomic_misaligned
+  | None -> (
     match
       translate env.m ~portal:r.r_portal ~src ~mbits:r.r_bits ~op:`Atomic
         ~rlength:w ~roffset:r.r_offset
     with
-    | walked, None -> { no_effect with x_walked = walked }
+    | walked, None -> { (refused Ni.No_match) with x_walked = walked }
     | walked, Some (e, md, offset, mlength) ->
       learn md;
       let old = Bytes.get_int64_le md.data offset in
@@ -515,10 +524,9 @@ let model_atomic env r ~aop ~operand ~compare =
         x_target = event_of ~kind:Event.Atomic ~src ~offset ~mlength ~rlength:w md;
         x_initiator = [ (Event.Reply, w) ];
         x_walked = walked;
-        x_dropped = false;
+        x_drop = None;
         x_reply = Some reply;
-      }
-  end
+      })
 
 let drain ni eqh =
   let q = ok ~what:"eq" (Ni.eq ni eqh) in
@@ -531,13 +539,23 @@ let fail fmt = Printf.ksprintf failwith fmt
 let check_remote env r ~ini_md ~ini_buf x run =
   let before_walked = (Ni.counters env.ni).Ni.entries_walked in
   let before_dropped = Ni.dropped_total env.ni in
+  let filed () =
+    match x.x_drop with None -> 0 | Some reason -> Ni.dropped env.ni reason
+  in
+  let before_filed = filed () in
   ok ~what:"initiate" (run env.inis.(r.r_src) ini_md);
   Scheduler.run env.sched;
   let walked = (Ni.counters env.ni).Ni.entries_walked - before_walked in
   if walked <> x.x_walked then fail "entries_walked %d, model %d" walked x.x_walked;
   let dropped = Ni.dropped_total env.ni - before_dropped in
-  if dropped <> if x.x_dropped then 1 else 0 then
-    fail "drops %d, model %b" dropped x.x_dropped;
+  let show_drop = function
+    | None -> "none"
+    | Some reason -> Format.asprintf "%a" Ni.pp_drop_reason reason
+  in
+  if dropped <> if x.x_drop = None then 0 else 1 then
+    fail "drops %d, model %s" dropped (show_drop x.x_drop);
+  if filed () - before_filed <> dropped then
+    fail "the drop is not filed under %s" (show_drop x.x_drop);
   let target_events =
     List.map
       (fun (ev : Event.t) ->

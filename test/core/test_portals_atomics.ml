@@ -199,6 +199,22 @@ let semantics_tests =
         Alcotest.check i64 "addressed word updated" 110L (word tbuf 8);
         Alcotest.check i64 "neighbour word untouched (right)" 3L (word tbuf 16);
         Alcotest.check i64 "fetched" 10L (word ibuf 0));
+    Alcotest.test_case "an atomic through a counted entry bumps its counter"
+      `Quick (fun () ->
+        (* A matched atomic is a deposit like a put: the entry's counting
+           event counts it, once it has executed. *)
+        let env = setup () in
+        let _, meh, _ = attach_target env.ni1 (Bytes.make 8 '\000') in
+        let ct = ok ~what:"ct_alloc" (Ni.ct_alloc env.ni1) in
+        ok ~what:"me_set_ct" (Ni.me_set_ct env.ni1 ~me:meh ~ct);
+        let _, imd = bind_initiator env.ni0 (Bytes.make 8 '\000') in
+        for _ = 1 to 2 do
+          ok ~what:"atomic"
+            (Ni.atomic env.ni0 ~md:imd ~aop:Wire.Fetch_add ~operand:1L
+               (atomic_op ()))
+        done;
+        Scheduler.run env.sched;
+        Alcotest.(check int) "counter" 2 (ok ~what:"ct_get" (Ni.ct_get env.ni1 ct)));
   ]
 
 let sample_request ?(aop = Wire.Fetch_add) ?(operand = 11L) ?(compare = 0L) ()
@@ -400,6 +416,38 @@ let drop_tests =
             (Ni.Atomic_reply_no_md, "atomic_reply_no_md");
             (Ni.Atomic_reply_eq_full, "atomic_reply_eq_full");
           ]);
+    Alcotest.test_case "replies land truncated to their descriptor" `Quick
+      (fun () ->
+        (* §4.8: every descriptor accepts and truncates replies. An
+           initiator checks lengths before it sends, so only a reply
+           built by hand is longer than its descriptor. *)
+        let env = setup () in
+        let ibuf = Bytes.make 4 '.' in
+        let eqh, imd = bind_initiator env.ni0 ibuf in
+        let deliver reply =
+          env.tp.Simnet.Transport.send ~src:(proc 1 0) ~dst:(proc 0 0)
+            (Wire.encode ~integrity:false reply);
+          Scheduler.run env.sched
+        in
+        let get =
+          Wire.get_request ~initiator:(proc 0 0) ~target:(proc 1 0)
+            ~portal_index:0 ~cookie:1 ~match_bits:Match_bits.zero ~offset:0
+            ~md_handle:imd ~rlength:16 ()
+        in
+        deliver
+          (Wire.reply_of_get get ~mlength:16
+             ~data:(Bytes.of_string "abcdefghijklmnop"));
+        Alcotest.(check string) "get reply truncated" "abcd" (Bytes.to_string ibuf);
+        let atomic =
+          Wire.atomic_request ~aop:Wire.Fetch_add ~operand:1L
+            ~initiator:(proc 0 0) ~target:(proc 1 0) ~portal_index:0 ~cookie:1
+            ~match_bits:Match_bits.zero ~offset:0 ~md_handle:imd ()
+        in
+        deliver (Wire.atomic_reply_of_request atomic ~fetched:0x44434241L);
+        Alcotest.(check string) "fetched word truncated" "ABCD"
+          (Bytes.to_string ibuf);
+        Alcotest.(check (list int)) "reply mlengths" [ 4; 4 ]
+          (List.map (fun (e : Event.t) -> e.Event.mlength) (drain_events env.ni0 eqh)));
   ]
 
 let () =

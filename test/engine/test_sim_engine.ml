@@ -1240,6 +1240,7 @@ let metrics_tests =
         let world = Metrics.create () in
         Metrics.add (Metrics.counter world "ni.puts") 2;
         Metrics.observe (Metrics.summary world "rtt") 10.0;
+        Metrics.set (Metrics.gauge world "link.utilization") 1.5;
         let agg = Metrics.create () in
         Metrics.absorb agg ~labels:[ ("config", "portals") ] (Metrics.snapshot world);
         Metrics.absorb agg ~labels:[ ("config", "portals") ] (Metrics.snapshot world);
@@ -1250,6 +1251,13 @@ let metrics_tests =
         | Some (Metrics.Snapshot.Counter n) ->
           Alcotest.(check int) "counters add" 4 n
         | _ -> Alcotest.fail "absorbed counter missing");
+        (match
+           Metrics.Snapshot.find snap ~labels:[ ("config", "portals") ]
+             "link.utilization"
+         with
+        | Some (Metrics.Snapshot.Gauge v) ->
+          Alcotest.(check (float 1e-9)) "gauges add" 3.0 v
+        | _ -> Alcotest.fail "absorbed gauge missing");
         match
           Metrics.Snapshot.find snap ~labels:[ ("config", "portals") ] "rtt"
         with
