@@ -1,5 +1,5 @@
 module Pool = Pool
-module Coll_intf = Coll_intf
+module Plan = Plan
 module P = Portals
 
 type t = {
@@ -7,18 +7,12 @@ type t = {
   ranks : Simnet.Proc_id.t array;
   my_rank : int;
   mutable seq : int;
-  (* When a host CPU is supplied, every protocol hop charges [host_step]
-     of compute to it — the per-message host work (matching, combining,
-     re-sending) a host-driven tree cannot avoid. The charge serializes
-     behind whatever else the host is computing, which is exactly the
-     degradation the NIC-offload engine exists to remove; leaving
-     [host_cpu] unset keeps the engine's timing identical to before the
-     knob existed. *)
+  (* When set, every protocol hop charges [host_step] of compute to this
+     CPU: the per-message host work (matching, combining, re-sending) a
+     host-driven tree cannot avoid. The charge serializes behind whatever
+     else the host is computing, the degradation the NIC-offload engine
+     removes. Unset, hops cost no host CPU. *)
   host_cpu : Sim_engine.Cpu.t option;
-  (* Nodes currently crash-stopped, maintained from the transport's
-     crash/restart notifications — what [barrier ~tolerant] consults to
-     skip exchanges with dead ranks. *)
-  down : (Simnet.Proc_id.nid, unit) Hashtbl.t;
 }
 
 (* Collective steps are short (reduction fragments, barrier tokens), so
@@ -31,39 +25,15 @@ let create ni ~ranks ~rank ?(portal_index = 6) ?(slab_size = 16_384)
     ?(slab_count = 2) ?(eq_capacity = 1024) ?host_cpu () =
   if rank < 0 || rank >= Array.length ranks then
     invalid_arg "Collectives.create: rank out of range";
-  let down = Hashtbl.create 4 in
-  let tp = P.Ni.transport ni in
-  tp.Simnet.Transport.on_crash (fun nid -> Hashtbl.replace down nid ());
-  tp.Simnet.Transport.on_restart (fun nid -> Hashtbl.remove down nid);
   {
     pool = Pool.create ni ~portal_index ~slab_size ~slab_count ~eq_capacity ();
     ranks;
     my_rank = rank;
     seq = 0;
     host_cpu;
-    down;
   }
 
-let rank t = t.my_rank
 let size t = Array.length t.ranks
-
-(* Message naming: sequence number (which collective call), round within
-   the algorithm, and sending rank, in 40, 8 and 16 bits. Computed in
-   unboxed integers and boxed once, with {!P.Match_bits.field}'s range
-   check and message. *)
-let fits ~width v =
-  if v < 0 || v lsr width <> 0 then
-    invalid_arg
-      (Printf.sprintf "Match_bits.field: %d does not fit in %d bits" v width)
-
-let bits ~seq ~round ~src =
-  fits ~width:40 seq;
-  fits ~width:8 round;
-  fits ~width:16 src;
-  P.Match_bits.of_int64
-    (Int64.logor
-       (Int64.shift_left (Int64.of_int seq) 24)
-       (Int64.of_int ((round lsl 16) lor src)))
 
 let next_seq t =
   let s = t.seq in
@@ -79,94 +49,64 @@ let charge t =
 
 let send t ~seq ~round ~dst payload =
   charge t;
-  Pool.send t.pool ~dst:t.ranks.(dst) ~bits:(bits ~seq ~round ~src:t.my_rank) payload
+  Pool.send t.pool ~dst:t.ranks.(dst)
+    ~bits:(Plan.bits ~seq ~round ~src:t.my_rank)
+    payload
 
 let recv t ~seq ~round ~src =
-  let data = Pool.recv t.pool ~bits:(bits ~seq ~round ~src) in
+  let data = Pool.recv t.pool ~bits:(Plan.bits ~seq ~round ~src) in
   charge t;
   data
 
-let alive t r = not (Hashtbl.mem t.down t.ranks.(r).Simnet.Proc_id.nid)
+let alive t r =
+  (P.Ni.transport (Pool.ni t.pool)).Simnet.Transport.node_up
+    t.ranks.(r).Simnet.Proc_id.nid
 
 let barrier ?(tolerant = false) t =
   let n = size t in
   if n > 1 then begin
-    let seq = next_seq t in
-    let rec go round step =
-      if step < n then begin
-        (* Tolerant mode (shutdown best effort, the Mpi.barrier contract):
-           skip exchanges with crash-stopped ranks instead of blocking on
-           tokens that can never arrive. *)
-        let dst = (t.my_rank + step) mod n
-        and src = (t.my_rank - step + n) mod n in
-        if (not tolerant) || alive t dst then
-          send t ~seq ~round ~dst Bytes.empty;
-        if (not tolerant) || alive t src then
-          ignore (recv t ~seq ~round ~src);
-        go (round + 1) (step * 2)
-      end
-    in
-    go 0 1
+    let seq = next_seq t and rank = t.my_rank in
+    for round = 0 to Plan.rounds n - 1 do
+      (* Tolerant mode (shutdown best effort, the Mpi.barrier contract):
+         skip exchanges with crash-stopped ranks instead of blocking on
+         tokens that can never arrive. *)
+      let dst = Plan.dissemination_dst ~n ~rank ~round
+      and src = Plan.dissemination_src ~n ~rank ~round in
+      if (not tolerant) || alive t dst then send t ~seq ~round ~dst Bytes.empty;
+      if (not tolerant) || alive t src then ignore (recv t ~seq ~round ~src)
+    done
   end
 
-let log2_floor v =
-  let rec go acc v = if v <= 1 then acc else go (acc + 1) (v lsr 1) in
-  go 0 v
-
-let highest_bit v =
-  if v = 0 then 0 else 1 lsl log2_floor v
-
-(* Binomial broadcast: virtual rank v receives from v - 2^j (j = position
-   of v's highest set bit) in round j, then feeds rounds k > j. *)
 let bcast t ~root payload =
   let n = size t in
   if root < 0 || root >= n then invalid_arg "Collectives.bcast: bad root";
-  let seq = next_seq t in
-  let vr = (t.my_rank - root + n) mod n in
-  let real v = (v + root) mod n in
+  let seq = next_seq t and rank = t.my_rank in
   let data =
-    if vr = 0 then payload
-    else begin
-      let top = highest_bit vr in
-      recv t ~seq ~round:(log2_floor top) ~src:(real (vr - top))
-    end
+    let parent = Plan.bcast_parent ~n ~root ~rank in
+    if parent < 0 then payload
+    else recv t ~seq ~round:(Plan.bcast_round ~n ~root ~rank) ~src:parent
   in
-  let first_round = if vr = 0 then 0 else log2_floor (highest_bit vr) + 1 in
-  let rec fan k =
-    let mask = 1 lsl k in
-    if mask < n then begin
-      if vr < mask && vr + mask < n then send t ~seq ~round:k ~dst:(real (vr + mask)) data;
-      fan (k + 1)
-    end
-  in
-  fan first_round;
+  for round = 0 to Plan.rounds n - 1 do
+    let child = Plan.bcast_child ~n ~root ~rank ~round in
+    if child >= 0 then send t ~seq ~round ~dst:child data
+  done;
   data
 
-(* Binomial reduce: at the first set bit of the virtual rank, send the
-   accumulated value toward the root; below it, absorb children. *)
 let reduce t ~root ~op payload =
   let n = size t in
   if root < 0 || root >= n then invalid_arg "Collectives.reduce: bad root";
-  let seq = next_seq t in
-  let vr = (t.my_rank - root + n) mod n in
-  let real v = (v + root) mod n in
+  let seq = next_seq t and rank = t.my_rank in
   let acc = Bytes.copy payload in
-  let rec go mask round =
-    if mask < n then
-      if vr land mask <> 0 then begin
-        send t ~seq ~round ~dst:(real (vr - mask)) acc;
-        false
-      end
-      else begin
-        if vr + mask < n then begin
-          let contribution = recv t ~seq ~round ~src:(real (vr + mask)) in
-          op acc contribution
-        end;
-        go (mask * 2) (round + 1)
-      end
-    else true
-  in
-  if go 1 0 then Some acc else None
+  for round = 0 to Plan.rounds n - 1 do
+    let child = Plan.reduce_child ~n ~root ~rank ~round in
+    if child >= 0 then op acc (recv t ~seq ~round ~src:child)
+  done;
+  let parent = Plan.reduce_parent ~n ~root ~rank in
+  if parent < 0 then Some acc
+  else begin
+    send t ~seq ~round:(Plan.reduce_round ~n ~root ~rank) ~dst:parent acc;
+    None
+  end
 
 let allreduce t ~op payload =
   match reduce t ~root:0 ~op payload with
@@ -268,28 +208,6 @@ let allreduce_float_sum t values =
 
 module Nic = Nic_offload
 
-module Host_s : Coll_intf.S with type t = t = struct
-  type nonrec t = t
-
-  let rank = rank
-  let size = size
-  let barrier = barrier
-  let bcast = bcast
-  let reduce = reduce
-  let allreduce = allreduce
-end
-
-module Nic_s : Coll_intf.S with type t = Nic_offload.t = struct
-  type t = Nic_offload.t
-
-  let rank = Nic_offload.rank
-  let size = Nic_offload.size
-  let barrier = Nic_offload.barrier
-  let bcast = Nic_offload.bcast
-  let reduce = Nic_offload.reduce
-  let allreduce = Nic_offload.allreduce
-end
-
 type impl = Host | Nic_offload
 
 let impl_name = function Host -> "host" | Nic_offload -> "nic"
@@ -299,19 +217,28 @@ let impl_of_string = function
   | "nic" | "nic_offload" | "nic-offload" -> Some Nic_offload
   | _ -> None
 
-type any = Any : (module Coll_intf.S with type t = 'a) * 'a -> any
+type any = Host_engine of t | Nic_engine of Nic.t
 
 let create_impl impl ni ~ranks ~rank ?host_cpu () =
   match impl with
-  | Host -> Any ((module Host_s), create ni ~ranks ~rank ?host_cpu ())
-  | Nic_offload -> Any ((module Nic_s), Nic.create ni ~ranks ~rank ())
+  | Host -> Host_engine (create ni ~ranks ~rank ?host_cpu ())
+  | Nic_offload -> Nic_engine (Nic.create ni ~ranks ~rank ())
 
-let any_rank (Any ((module M), t)) = M.rank t
-let any_size (Any ((module M), t)) = M.size t
-let any_barrier ?tolerant (Any ((module M), t)) = M.barrier ?tolerant t
-let any_bcast (Any ((module M), t)) ~root payload = M.bcast t ~root payload
+let any_barrier ?tolerant = function
+  | Host_engine t -> barrier ?tolerant t
+  | Nic_engine t -> Nic.barrier ?tolerant t
 
-let any_reduce (Any ((module M), t)) ~root ~op payload =
-  M.reduce t ~root ~op payload
+let any_bcast any ~root payload =
+  match any with
+  | Host_engine t -> bcast t ~root payload
+  | Nic_engine t -> Nic.bcast t ~root payload
 
-let any_allreduce (Any ((module M), t)) ~op payload = M.allreduce t ~op payload
+let any_reduce any ~root ~op payload =
+  match any with
+  | Host_engine t -> reduce t ~root ~op payload
+  | Nic_engine t -> Nic.reduce t ~root ~op payload
+
+let any_allreduce any ~op payload =
+  match any with
+  | Host_engine t -> allreduce t ~op payload
+  | Nic_engine t -> Nic.allreduce t ~op payload

@@ -13,12 +13,12 @@
     This module is the {e host-driven} reference engine: every tree hop
     is a host fiber receiving, combining and re-sending. The
     NIC-offloaded alternative with identical results lives in
-    {!Nic_offload} (re-exported as {!Nic}); both satisfy {!Coll_intf.S},
-    and {!create_impl} picks one at run time — the CLIs expose the
-    choice as [--collectives host|nic]. *)
+    {!Nic_offload} (re-exported as {!Nic}). Both walk one {!Plan}, and
+    {!create_impl} picks one at run time; the CLIs expose the choice as
+    [--collectives host|nic]. *)
 
 module Pool = Pool
-module Coll_intf = Coll_intf
+module Plan = Plan
 module Nic = Nic_offload
 
 type t
@@ -46,14 +46,11 @@ val create :
     degrade (the contrast {!Nic_offload} removes, measured by
     [Experiments.Coll]). Unset, timing is unchanged. *)
 
-val rank : t -> int
-val size : t -> int
-
 val barrier : ?tolerant:bool -> t -> unit
 (** Dissemination barrier: ceil(log2 n) rounds. With [tolerant] (default
-    false), exchanges with crash-stopped ranks are skipped — the
-    shutdown best-effort contract of [Mpi.barrier ~tolerant] — so
-    survivors are released. *)
+    false), exchanges with ranks whose node is down
+    ({!Simnet.Transport.node_up}) are skipped — the shutdown best-effort
+    contract of [Mpi.barrier ~tolerant] — so survivors are released. *)
 
 val bcast : t -> root:int -> bytes -> bytes
 (** Binomial-tree broadcast of root's buffer; every rank returns the
@@ -87,7 +84,7 @@ val reduce : t -> root:int -> op:(bytes -> bytes -> unit) -> bytes -> bytes opti
     Ranks that need the value everywhere should call {!allreduce}
     instead of broadcasting a [reduce] result by hand. Both engines
     ({!Collectives} and {!Nic_offload}) implement this identical
-    contract; folds run in ascending-mask order, so results are
+    contract; folds run in the plan's ascending round order, so results are
     byte-identical between them. *)
 
 val allreduce : t -> op:(bytes -> bytes -> unit) -> bytes -> bytes
@@ -123,15 +120,10 @@ val allreduce_float_sum : t -> float array -> float array
 
 (** {1 Implementation selection}
 
-    Both engines behind one signature: [Host] is this module's
-    host-driven reference, [Nic_offload] is the triggered-chain engine.
-    Results are byte-identical; only where the tree's work happens — and
-    therefore how it interacts with a busy host CPU — differs. *)
-
-module Host_s : Coll_intf.S with type t = t
-(** This module, packaged as a {!Coll_intf.S} for functors. *)
-
-module Nic_s : Coll_intf.S with type t = Nic_offload.t
+    [Host] is this module's host-driven reference, [Nic_offload] is the
+    triggered-chain engine. Results are byte-identical; only where the
+    tree's work happens, and therefore how it interacts with a busy host
+    CPU, differs. *)
 
 type impl = Host | Nic_offload
 
@@ -141,8 +133,8 @@ val impl_name : impl -> string
 val impl_of_string : string -> impl option
 (** Inverse of {!impl_name} (also accepts ["nic_offload"]). *)
 
-type any = Any : (module Coll_intf.S with type t = 'a) * 'a -> any
-(** An endpoint of either engine, packed with its operations. *)
+type any
+(** An endpoint of either engine. *)
 
 val create_impl :
   impl ->
@@ -156,8 +148,6 @@ val create_impl :
     [host_cpu] is the per-hop charge target for the [Host] engine
     (see {!create}); the NIC engine ignores it — that is the point. *)
 
-val any_rank : any -> int
-val any_size : any -> int
 val any_barrier : ?tolerant:bool -> any -> unit
 val any_bcast : any -> root:int -> bytes -> bytes
 

@@ -1,4 +1,4 @@
-(* NIC-resident collectives: the trees of {!Collectives} compiled into
+(* NIC-resident collectives: the collective plan ({!Plan}) compiled into
    pre-armed triggered-operation chains (Ni.ct_arm), so every interior
    hop — token forwarding, reduction combining, result fan-out — runs
    inside the receive path of the simulated NI. The host appears exactly
@@ -67,7 +67,7 @@ type t = {
   ranks : Simnet.Proc_id.t array;
   my_rank : int;
   portal_index : int;
-  rounds : int; (* ceil log2 (size); slots per sequence *)
+  rounds : int; (* Plan.rounds size; slots per sequence *)
   armed : seq_res array; (* sequence s at s mod window *)
   mutable seq : int; (* next sequence number *)
   mutable arm_hi : int; (* highest armed sequence *)
@@ -80,28 +80,13 @@ type t = {
   acc_buf : bytes;
   acc_md : P.Handle.md;
   sum_ct : P.Handle.ct;
-  (* Crash-stopped nodes, from the transport's notifications; consulted
-     by [barrier ~tolerant]. *)
-  down : (Simnet.Proc_id.nid, unit) Hashtbl.t;
 }
 
-let rank t = t.my_rank
 let size t = Array.length t.ranks
 
-let ceil_log2 n =
-  let rec go r = if 1 lsl r >= n then r else go (r + 1) in
-  go 0
-
-(* Same naming as Collectives.bits — the two engines share the sequence/
-   round/source convention so traces line up; "round" doubles as the
-   slot index here. *)
-let slot_bits ~seq ~slot ~src =
-  let open P.Match_bits in
-  logor
-    (field ~shift:24 ~width:40 seq)
-    (logor (field ~shift:16 ~width:8 slot) (field ~shift:0 ~width:16 src))
-
-let src_ignore = P.Match_bits.field ~shift:0 ~width:16 0xFFFF
+(* Messages are named by the plan, whose round field carries the slot;
+   a slot accepts any source. *)
+let src_ignore = Plan.bits ~seq:0 ~round:0 ~src:0xFFFF
 
 let slot_options =
   {
@@ -128,7 +113,7 @@ let new_res t s =
           ok ~op:"nic me_attach"
             (P.Ni.me_attach t.ni ~portal_index:t.portal_index
                ~match_id:P.Match_id.any
-               ~match_bits:(slot_bits ~seq:s ~slot:j ~src:0)
+               ~match_bits:(Plan.bits ~seq:s ~round:j ~src:0)
                ~ignore_bits:src_ignore ~unlink:P.Md.Retain ~pos:`Tail ())
         in
         let sl_md =
@@ -156,7 +141,8 @@ let rearm t res s =
   Array.iteri
     (fun j sl ->
       ok ~op:"nic me_retarget"
-        (P.Ni.me_retarget t.ni sl.sl_me ~match_bits:(slot_bits ~seq:s ~slot:j ~src:0));
+        (P.Ni.me_retarget t.ni sl.sl_me
+           ~match_bits:(Plan.bits ~seq:s ~round:j ~src:0));
       ok ~op:"nic ct_reset" (P.Ni.ct_reset t.ni sl.sl_ct))
     res.slots;
   ok ~op:"nic ct_reset" (P.Ni.ct_reset t.ni res.done_ct);
@@ -202,17 +188,13 @@ let create ni ~ranks ~rank ?(portal_index = 8) () =
             ~threshold:P.Md.Infinite ~unlink:P.Md.Retain acc_buf))
   in
   let sum_ct = ok ~op:"nic ct_alloc" (P.Ni.ct_alloc ni) in
-  let down = Hashtbl.create 4 in
-  let tp = P.Ni.transport ni in
-  tp.Simnet.Transport.on_crash (fun nid -> Hashtbl.replace down nid ());
-  tp.Simnet.Transport.on_restart (fun nid -> Hashtbl.remove down nid);
   let t =
     {
       ni;
       ranks;
       my_rank = rank;
       portal_index;
-      rounds = ceil_log2 n;
+      rounds = Plan.rounds n;
       armed = Array.make window vacant;
       seq = 0;
       arm_hi = -1;
@@ -223,7 +205,6 @@ let create ni ~ranks ~rank ?(portal_index = 8) () =
       acc_buf;
       acc_md;
       sum_ct;
-      down;
     }
   in
   if n > 1 then begin
@@ -233,8 +214,6 @@ let create ni ~ranks ~rank ?(portal_index = 8) () =
     t.arm_hi <- window - 1
   end;
   t
-
-let ni t = t.ni
 
 let next_seq t =
   let s = t.seq in
@@ -250,7 +229,7 @@ let find_res t s =
 
 let chain_op t ~dst ~seq ~slot =
   P.Ni.op ~target:t.ranks.(dst) ~portal_index:t.portal_index
-    ~match_bits:(slot_bits ~seq ~slot ~src:t.my_rank)
+    ~match_bits:(Plan.bits ~seq ~round:slot ~src:t.my_rank)
     ()
 
 (* Host-initiated send from the scratch descriptor: the NI copies the
@@ -269,13 +248,14 @@ let put_scratch t ~dst ~seq ~slot ~length =
    bumps the completion counter. Waiting for all [rounds] tokens (not
    just the last) guarantees the retirement invariant: completion means
    every deposit addressed here for this sequence has landed. *)
-let alive t r = not (Hashtbl.mem t.down t.ranks.(r).Simnet.Proc_id.nid)
+let alive t r =
+  (P.Ni.transport t.ni).Simnet.Transport.node_up t.ranks.(r).Simnet.Proc_id.nid
 
 let run_barrier ?(tolerant = false) t seq =
-  let n = size t in
+  let n = size t and rank = t.my_rank in
   let res = find_res t seq in
   for k = 0 to t.rounds - 1 do
-    let forward =
+    let chain =
       if k + 1 < t.rounds then
         [
           P.Ni.Triggered_put
@@ -285,26 +265,26 @@ let run_barrier ?(tolerant = false) t seq =
               length = Some 8;
               op =
                 chain_op t
-                  ~dst:((t.my_rank + (1 lsl (k + 1))) mod n)
+                  ~dst:(Plan.dissemination_dst ~n ~rank ~round:(k + 1))
                   ~seq ~slot:(k + 1);
             };
+          res.done_inc;
         ]
-      else []
+      else [ res.done_inc ]
     in
     ok ~op:"nic ct_arm"
-      (P.Ni.ct_arm t.ni ~ct:res.slots.(k).sl_ct ~threshold:1
-         (forward @ [ res.done_inc ]))
+      (P.Ni.ct_arm t.ni ~ct:res.slots.(k).sl_ct ~threshold:1 chain)
   done;
   Bytes.set_int64_le t.scratch 0 0L;
-  put_scratch t ~dst:((t.my_rank + 1) mod n) ~seq ~slot:0 ~length:8;
+  put_scratch t ~dst:(Plan.dissemination_dst ~n ~rank ~round:0) ~seq ~slot:0
+    ~length:8;
   (* Tolerant mode: a crash-stopped sender's token can never arrive, so
      bump its slot counter from the host — the armed chain fires exactly
      as if the token had landed (forwarding included), and survivors are
      released. Sends towards dead nodes just drop at the fabric. *)
   if tolerant then
     for k = 0 to t.rounds - 1 do
-      let sender = (t.my_rank - (1 lsl k) + n) mod n in
-      if not (alive t sender) then
+      if not (alive t (Plan.dissemination_src ~n ~rank ~round:k)) then
         ok ~op:"nic ct_inc" (P.Ni.ct_inc t.ni res.slots.(k).sl_ct 1)
     done;
   ignore (ok ~op:"nic ct_wait" (P.Ni.ct_wait t.ni res.done_ct ~threshold:t.rounds))
@@ -352,75 +332,51 @@ let load_scratch t payload =
   (* Zero the tail so forwarded whole-frame copies are deterministic. *)
   Bytes.fill t.scratch (8 + len) (max_payload - len) '\000'
 
-(* Binomial: virtual rank v hears from v - 2^j (j = highest set bit) and
-   feeds v + 2^k for k > j. Every receiver's frame lands in its slot 0;
-   the arrival fires the puts to all of its children in one chain. *)
+(* Every receiver's frame lands in its slot 0; the arrival fires the
+   puts to all of its children, in round order, in one chain. *)
 let run_bcast t seq ~root payload =
-  let n = size t in
+  let n = size t and rank = t.my_rank in
   let res = find_res t seq in
-  let vr = (t.my_rank - root + n) mod n in
-  let real v = (v + root) mod n in
-  let children first_k =
-    let rec go k acc =
-      let mask = 1 lsl k in
-      if mask >= n then List.rev acc
-      else if vr < mask && vr + mask < n then go (k + 1) (real (vr + mask) :: acc)
-      else go (k + 1) acc
-    in
-    go first_k []
-  in
-  if vr = 0 then begin
+  if Plan.bcast_parent ~n ~root ~rank < 0 then begin
     load_scratch t payload;
-    List.iter
-      (fun child -> put_scratch t ~dst:child ~seq ~slot:0 ~length:frame)
-      (children 0);
+    for round = 0 to t.rounds - 1 do
+      let child = Plan.bcast_child ~n ~root ~rank ~round in
+      if child >= 0 then put_scratch t ~dst:child ~seq ~slot:0 ~length:frame
+    done;
     payload
   end
   else begin
-    let rec log2_floor acc v = if v <= 1 then acc else log2_floor (acc + 1) (v lsr 1) in
-    let first_round = log2_floor 0 vr + 1 in
-    let forwards =
-      List.map
-        (fun child ->
+    let chain = ref [ res.done_inc ] in
+    for round = t.rounds - 1 downto 0 do
+      let child = Plan.bcast_child ~n ~root ~rank ~round in
+      if child >= 0 then
+        chain :=
           P.Ni.Triggered_put
             {
               md = res.slots.(0).sl_md;
               ack = false;
               length = None;
               op = chain_op t ~dst:child ~seq ~slot:0;
-            })
-        (children first_round)
-    in
+            }
+          :: !chain
+    done;
     ok ~op:"nic ct_arm"
-      (P.Ni.ct_arm t.ni ~ct:res.slots.(0).sl_ct ~threshold:1
-         (forwards @ [ res.done_inc ]));
+      (P.Ni.ct_arm t.ni ~ct:res.slots.(0).sl_ct ~threshold:1 !chain);
     ignore (ok ~op:"nic ct_wait" (P.Ni.ct_wait t.ni res.done_ct ~threshold:1));
     frame_payload res.slots.(0).sl_buf
   end
 
 (* --- reduce ----------------------------------------------------------- *)
 
-(* Binomial, mirroring Collectives.reduce exactly: child vr sends its
-   accumulator to vr - 2^j (j = lowest set bit) into the parent's slot j;
-   the parent folds children in ascending mask order — the same order the
-   host engine combines in, so floating-point results are byte-identical.
-   The whole fold + forward is ONE chain gated on a fan-in counter that
-   each child slot bumps; a leaf's chain has threshold 0 and fires at
-   arm time. *)
+(* Child c's accumulator lands in slot k of its parent, k being the
+   round the plan sends it in; the parent folds children in ascending
+   round order, the order the host engine combines in, so floating-point
+   results are byte-identical. The whole fold + forward is ONE chain
+   gated on a fan-in counter that each child slot bumps; a leaf's chain
+   has threshold 0 and fires at arm time. *)
 let run_reduce t seq ~root ~op payload =
-  let n = size t in
+  let n = size t and rank = t.my_rank in
   let res = find_res t seq in
-  let vr = (t.my_rank - root + n) mod n in
-  let real v = (v + root) mod n in
-  (* Children (slot per mask) and parent from the host engine's loop. *)
-  let rec classify mask k children =
-    if mask >= n then (List.rev children, None)
-    else if vr land mask <> 0 then (List.rev children, Some (real (vr - mask), k))
-    else
-      classify (mask * 2) (k + 1)
-        (if vr + mask < n then k :: children else children)
-  in
-  let children, parent = classify 1 0 [] in
   let len = Bytes.length payload in
   if len > max_payload then
     invalid_arg "Nic_offload: payload larger than max_payload";
@@ -438,39 +394,43 @@ let run_reduce t seq ~root ~op payload =
     Bytes.blit a 0 dst 8 la
   in
   ok ~op:"nic ct_reset" (P.Ni.ct_reset t.ni sum_ct);
-  List.iter
-    (fun k ->
+  let children = ref 0 in
+  for round = 0 to t.rounds - 1 do
+    if Plan.reduce_child ~n ~root ~rank ~round >= 0 then begin
+      incr children;
       ok ~op:"nic ct_arm"
-        (P.Ni.ct_arm t.ni ~ct:res.slots.(k).sl_ct ~threshold:1
-           [ P.Ni.Triggered_ct_inc { ct = sum_ct; amount = 1 } ]))
-    children;
-  let folds =
-    List.map
-      (fun k ->
+        (P.Ni.ct_arm t.ni ~ct:res.slots.(round).sl_ct ~threshold:1
+           [ P.Ni.Triggered_ct_inc { ct = sum_ct; amount = 1 } ])
+    end
+  done;
+  let parent = Plan.reduce_parent ~n ~root ~rank in
+  let chain =
+    ref
+      (if parent < 0 then [ res.done_inc ]
+       else
+         [
+           P.Ni.Triggered_put
+             {
+               md = acc_md;
+               ack = false;
+               length = None;
+               op =
+                 chain_op t ~dst:parent ~seq
+                   ~slot:(Plan.reduce_round ~n ~root ~rank);
+             };
+           res.done_inc;
+         ])
+  in
+  for round = t.rounds - 1 downto 0 do
+    if Plan.reduce_child ~n ~root ~rank ~round >= 0 then
+      chain :=
         P.Ni.Triggered_combine
-          { dst = acc_md; src = res.slots.(k).sl_md; f = combine_frames })
-      children
-  in
-  let forward =
-    match parent with
-    | None -> []
-    | Some (p, k) ->
-      [
-        P.Ni.Triggered_put
-          {
-            md = acc_md;
-            ack = false;
-            length = None;
-            op = chain_op t ~dst:p ~seq ~slot:k;
-          };
-      ]
-  in
-  ok ~op:"nic ct_arm"
-    (P.Ni.ct_arm t.ni ~ct:sum_ct
-       ~threshold:(List.length children)
-       (folds @ forward @ [ res.done_inc ]));
+          { dst = acc_md; src = res.slots.(round).sl_md; f = combine_frames }
+        :: !chain
+  done;
+  ok ~op:"nic ct_arm" (P.Ni.ct_arm t.ni ~ct:sum_ct ~threshold:!children !chain);
   ignore (ok ~op:"nic ct_wait" (P.Ni.ct_wait t.ni res.done_ct ~threshold:1));
-  if parent = None then Some (frame_payload acc_buf) else None
+  if parent < 0 then Some (frame_payload acc_buf) else None
 
 (* --- public operations ------------------------------------------------ *)
 

@@ -1,8 +1,9 @@
 (** NIC-resident collectives over triggered-operation chains.
 
     This engine runs the same dissemination barrier, binomial broadcast
-    and binomial reduction as the host-driven {!Collectives}, but
-    compiles every interior tree hop into a pre-armed chain
+    and binomial reduction as the host-driven {!Collectives}, read from
+    the same {!Plan}, but compiles every interior tree hop into a
+    pre-armed chain
     ({!Portals.Ni.ct_arm}): a counting event attached to a match entry
     fires forwarding puts, NIC-local combines and counter bumps the
     moment the awaited deposit commits — inside the simulated NI's
@@ -34,9 +35,9 @@
 
     {b Equivalence.} Results are byte-identical to {!Collectives} for
     the same ranks, roots, payloads and operators — reductions fold
-    children in the same ascending-mask order, so even floating-point
-    rounding matches. The conformance suite in [test/collectives] checks
-    both engines through one functor over {!Coll_intf.S}. *)
+    children in the plan's ascending round order, so even floating-point
+    rounding matches. The conformance suite in [test/collectives] runs
+    every check against both engines. *)
 
 type t
 
@@ -60,19 +61,14 @@ val create :
     covers two full sync periods, the minimum that makes a fast rank's
     traffic always land on armed slots. *)
 
-val ni : t -> Portals.Ni.t
-
-val rank : t -> int
-val size : t -> int
-
 val barrier : ?tolerant:bool -> t -> unit
 (** Dissemination barrier: the host sends one round-0 token and waits
     for a counter to reach the round count; every round-k arrival fires
     the round-(k+1) token from inside the receive path. With [tolerant]
-    (default false), slots whose sender is crash-stopped are bumped from
-    the host — the armed chain fires as if the token had landed — so
-    survivors are released ({!Coll_intf.S.barrier}'s shutdown
-    contract). *)
+    (default false), slots whose sender's node is down
+    ({!Simnet.Transport.node_up}) are bumped from the host — the armed
+    chain fires as if the token had landed — so survivors are released,
+    the shutdown contract of {!Collectives.barrier}. *)
 
 val bcast : t -> root:int -> bytes -> bytes
 (** Binomial broadcast of [root]'s payload (ignored elsewhere); each
@@ -81,7 +77,7 @@ val bcast : t -> root:int -> bytes -> bytes
 val reduce :
   t -> root:int -> op:(bytes -> bytes -> unit) -> bytes -> bytes option
 (** Binomial reduction with NIC-local combining (one
-    [Triggered_combine] per child, ascending-mask order, then a forward
+    [Triggered_combine] per child, ascending round order, then a forward
     put). Root-only result, same contract as {!Collectives.reduce}:
     [Some combined] at [root], [None] elsewhere. [op acc contribution]
     must fold [contribution] into [acc] in place. *)

@@ -19,7 +19,6 @@ let get t i =
   if i < 0 || i >= Array.length t.entries then None else t.entries.(i)
 
 let default_cookie_job = 0
-let default_cookie_system = 1
 
 let install_defaults t ~job_id =
   if Array.length t.entries > 0 then

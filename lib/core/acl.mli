@@ -32,9 +32,6 @@ val get : t -> int -> entry option
 val default_cookie_job : int
 (** Conventional cookie (0) for peers in the same application. *)
 
-val default_cookie_system : int
-(** Conventional cookie (1) for system processes. *)
-
 val install_defaults : t -> job_id:Match_id.t -> unit
 (** Install the §4.5 convention: entry 0 = processes matching [job_id] on
     any portal; entry 1 = any process on any portal (system services). No

@@ -35,7 +35,6 @@ type kind =
           In both cases no host fiber was scheduled to make it happen. *)
 
 val kind_to_string : kind -> string
-val pp_kind : Format.formatter -> kind -> unit
 
 type t = {
   kind : kind;

@@ -56,9 +56,6 @@ type op =
   | Atomic_request
   | Atomic_reply
 
-val op_to_string : op -> string
-val pp_op : Format.formatter -> op -> unit
-
 type aop =
   | Fetch_add  (** Deposit [old + operand]; fetch [old]. *)
   | Swap  (** Deposit [operand]; fetch [old]. *)
@@ -67,7 +64,6 @@ type aop =
           fetch [old] either way (success is [fetched = compare]). *)
 
 val aop_to_string : aop -> string
-val pp_aop : Format.formatter -> aop -> unit
 val all_aops : aop list
 
 type atomic = {

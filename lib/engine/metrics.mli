@@ -53,7 +53,6 @@ val set_detail : t -> bool -> unit
     Counters, gauges, probes and summaries are unaffected. Deep-dive
     experiments that plot curves (the Fig. 5/6 worlds) enable it. *)
 
-val normalize_labels : labels -> labels
 val pp_labels : Format.formatter -> labels -> unit
 
 (** {1 Instruments} *)

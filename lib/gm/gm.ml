@@ -2,12 +2,6 @@ type event =
   | Recv_complete of { src : Simnet.Proc_id.t; buffer : bytes; length : int }
   | Send_complete of { dst : Simnet.Proc_id.t; length : int }
 
-let pp_event ppf = function
-  | Recv_complete { src; length; _ } ->
-    Format.fprintf ppf "recv %d bytes from %a" length Simnet.Proc_id.pp src
-  | Send_complete { dst; length } ->
-    Format.fprintf ppf "sent %d bytes to %a" length Simnet.Proc_id.pp dst
-
 type stats = {
   sends : int;
   receives : int;

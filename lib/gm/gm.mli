@@ -23,8 +23,6 @@ type event =
   | Send_complete of { dst : Simnet.Proc_id.t; length : int }
       (** A send's data left the local NIC; the send buffer is reusable. *)
 
-val pp_event : Format.formatter -> event -> unit
-
 type stats = {
   sends : int;
   receives : int;

@@ -79,15 +79,6 @@ val stats : t -> stats
     rank-derived well-known rkeys, standing in for the static
     all-to-all exchange a real job performs at startup. *)
 module Ring : sig
-  val ring_rkey : src_rank:int -> int
-  (** rkey of the ring that rank [src_rank] writes, at any receiver. *)
-
-  val credit_rkey : peer_rank:int -> int
-  (** rkey of the credit cell rank [peer_rank] writes, at any sender. *)
-
-  val slot_header : int
-  (** Bytes of slot metadata (sequence + length) ahead of the payload. *)
-
   type recv
   type send
 
@@ -114,8 +105,6 @@ module Ring : sig
 
   val credits : send -> int
   (** Slots the receiver is known to have free. *)
-
-  val payload_capacity : send -> int
 
   val try_write : send -> wr_id:int -> fill:(bytes -> int -> unit) -> len:int -> bool
   (** Write one [len]-byte message (deposited by [fill buf off]) into

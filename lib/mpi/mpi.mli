@@ -126,10 +126,8 @@ val reconnect : t -> rank:int -> unit
 
 val barrier : ?tolerant:bool -> t -> unit
 (** Dissemination barrier over point-to-point messages on a reserved tag
-    ([MPI_Barrier] on the world communicator). With [tolerant] (default
+    ([MPI_Barrier] on the world communicator); the top 64 tags are
+    reserved for it, so user tags must stay below them. With [tolerant] (default
     false), exchanges with failed ranks are skipped instead of raising
     {!Peer_failed}, so surviving ranks still synchronise — what a
     shutdown barrier needs after a crash. *)
-
-val barrier_tag_base : int
-(** Reserved tag space used by {!barrier}; user tags must stay below. *)

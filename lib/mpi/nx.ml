@@ -19,8 +19,6 @@ let create tp ~ranks ~rank () =
     info_type = -1 }
 
 let finalize t = Mpi_core.finalize t.ep
-let mynode t = Mpi_core.rank t.ep
-let numnodes t = Mpi_core.size t.ep
 
 let check_type typ =
   if typ < 0 then invalid_arg "Nx: message types must be non-negative"

@@ -21,9 +21,6 @@ val create :
 
 val finalize : t -> unit
 
-val mynode : t -> int
-val numnodes : t -> int
-
 val any_type : int
 (** -1: the wildcard type selector. *)
 

@@ -55,7 +55,6 @@ type t = {
   rx_eqq : P.Event.Queue.t; (* incoming one-sided ops on my regions *)
   tx_eqh : P.Handle.eq;
   tx_eqq : P.Event.Queue.t; (* completions of my puts/gets/atomics *)
-  dead : (int, unit) Hashtbl.t; (* crashed, not-yet-restarted nids *)
   m : rma_metrics;
   mutable regions : region list;
   mutable next_region : int;
@@ -84,9 +83,6 @@ let create ni ~ranks ~rank ?(portal_index = 7) ?(eq_capacity = 4096) () =
     | Error _ as e -> e
     | Ok tx_eqh ->
       let tp = P.Ni.transport ni in
-      let dead = Hashtbl.create 8 in
-      tp.Simnet.Transport.on_crash (fun nid -> Hashtbl.replace dead nid ());
-      tp.Simnet.Transport.on_restart (fun nid -> Hashtbl.remove dead nid);
       let reg = Scheduler.metrics (P.Ni.sched ni) in
       let labels =
         [ ("proc", Format.asprintf "%a" Simnet.Proc_id.pp (P.Ni.id ni)) ]
@@ -116,7 +112,6 @@ let create ni ~ranks ~rank ?(portal_index = 7) ?(eq_capacity = 4096) () =
           rx_eqq = ok_exn ~op:"rx eq" (P.Ni.eq ni rx_eqh);
           tx_eqh;
           tx_eqq = ok_exn ~op:"tx eq" (P.Ni.eq ni tx_eqh);
-          dead;
           m;
           regions = [];
           next_region = 0;
@@ -416,7 +411,8 @@ module Win = struct
     let r = (tag lsr 16) - 1 in
     if r < 0 || r >= Array.length os.ranks then true
     else
-      Hashtbl.mem os.dead os.ranks.(r).Simnet.Proc_id.nid
+      let nid = os.ranks.(r).Simnet.Proc_id.nid in
+      (not (os.tp.Simnet.Transport.node_up nid))
       || node_inc os r land 0xFFFF <> tag land 0xFFFF
 
   let create os ~size =

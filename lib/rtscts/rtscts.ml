@@ -525,6 +525,7 @@ let transport t =
     send_overhead = profile.Simnet.Profile.host_syscall_cost;
     node_incarnation = (fun nid -> Simnet.Fabric.incarnation t.fabric nid);
     integrity = (fun () -> Simnet.Fabric.integrity t.fabric);
+    node_up = (fun nid -> Simnet.Fabric.is_node_up t.fabric nid);
     on_crash = (fun f -> Simnet.Fabric.on_crash t.fabric f);
     on_restart = (fun f -> Simnet.Fabric.on_restart t.fabric f);
   }

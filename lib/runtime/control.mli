@@ -19,9 +19,6 @@ type report = {
       (** Launcher-observed time from first start message to last exit. *)
 }
 
-val control_portal : int
-(** The portal table entry the control protocol lives on (2). *)
-
 val run_job :
   ?job_id:int -> World.world -> (rank:int -> int) -> report
 (** Launch the job over the control protocol and drive the simulation to

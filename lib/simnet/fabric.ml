@@ -279,7 +279,6 @@ let sched t = t.fabric_sched
 let profile t = t.fabric_profile
 let topology t = t.topo
 let node_count t = Array.length t.status
-let shard_self t = t.self
 let owned_nodes t = (t.first, t.first + Array.length t.nodes)
 
 let owns t nid =
@@ -462,7 +461,6 @@ let set_fault_model t fault =
   if fault <> None then ensure_fault_probes t;
   t.fault <- fault
 
-let fault_model t = t.fault
 let set_integrity t on = t.integrity <- on
 let integrity t = t.integrity
 

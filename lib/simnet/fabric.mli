@@ -201,13 +201,20 @@ val restart : t -> Proc_id.nid -> unit
     [Invalid_argument] if the node is not down. *)
 
 val is_node_up : t -> Proc_id.nid -> bool
+(** Whether a node is up now. Every shard replica flips a node's status
+    at the same simulated time, so the answer does not depend on which
+    replica is asked. *)
+
 val incarnation : t -> Proc_id.nid -> int
 
 val on_crash : t -> (Proc_id.nid -> unit) -> unit
 (** Register a callback run (in registration order) after a node has been
     crash-stopped — processes already deregistered, fibers already
-    killed. Layers with per-peer state (reliability, MPI endpoints)
-    subscribe to observe failures promptly.
+    killed. Subscribe when a crash must start work: the reliability
+    shim forgets the node's windows, MPI endpoints fail the operations
+    pending on it. A layer that only asks whether a peer is down reads
+    {!is_node_up} instead, which also covers crashes that happened
+    before the layer existed; a listener never hears of those.
 
     Cost: registering appends to a growable array in amortized O(1), so
     a world whose every rank subscribes builds its listener list in
@@ -234,8 +241,6 @@ val set_fault_model : t -> Fault.t option -> unit
     the first re-samples a corrupting model, so long routes take more
     damage; delayed messages land late, with each (src, dst) pair's
     send order preserved unless the decision said [reorder]. *)
-
-val fault_model : t -> Fault.t option
 
 val set_integrity : t -> bool -> unit
 (** Switch wire integrity for the frames that cross this fabric (default
@@ -336,9 +341,6 @@ val set_post :
 (** Install the hook that forwards a {!remote} for delivery at [time] on
     [dst_shard]. Raises [Invalid_argument] on a fabric of one shard,
     which posts nothing. *)
-
-val shard_self : t -> int
-(** This fabric's shard id; 0 in sequential mode. *)
 
 val receive_remote : t -> time:Sim_engine.Time_ns.t -> remote -> unit
 (** Schedule a posted {!remote} for execution at [time] on this shard's

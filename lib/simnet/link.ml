@@ -116,7 +116,6 @@ let transmit t ?flow ~bytes () =
 
 let on_congestion t hook = t.hook <- Some hook
 let name t = t.link_name
-let free_at t = t.free_at
 let busy_time t = t.busy
 let queue_depth t = t.outstanding
 let peak_queue_depth t = t.peak_outstanding

@@ -96,9 +96,6 @@ val on_congestion : t -> (congestion -> unit) -> unit
 
 val name : t -> string
 
-val free_at : t -> Sim_engine.Time_ns.t
-(** The instant the resource next becomes free. *)
-
 val busy_time : t -> Sim_engine.Time_ns.t
 (** Total time the resource has been occupied (utilisation numerator). *)
 

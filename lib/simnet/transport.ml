@@ -16,6 +16,7 @@ type t = {
   send_overhead : Time_ns.t;
   node_incarnation : Proc_id.nid -> int;
   integrity : unit -> bool;
+  node_up : Proc_id.nid -> bool;
   on_crash : (Proc_id.nid -> unit) -> unit;
   on_restart : (Proc_id.nid -> unit) -> unit;
 }
@@ -87,6 +88,7 @@ let offload fabric =
     send_overhead = Time_ns.ns 500 (* user-space doorbell write *);
     node_incarnation = (fun nid -> Fabric.incarnation fabric nid);
     integrity = (fun () -> Fabric.integrity fabric);
+    node_up = (fun nid -> Fabric.is_node_up fabric nid);
     on_crash = (fun f -> Fabric.on_crash fabric f);
     on_restart = (fun f -> Fabric.on_restart fabric f);
   }
@@ -151,6 +153,7 @@ let kernel_interrupt fabric =
     send_overhead = profile.Profile.host_syscall_cost;
     node_incarnation = (fun nid -> Fabric.incarnation fabric nid);
     integrity = (fun () -> Fabric.integrity fabric);
+    node_up = (fun nid -> Fabric.is_node_up fabric nid);
     on_crash = (fun f -> Fabric.on_crash fabric f);
     on_restart = (fun f -> Fabric.on_restart fabric f);
   }

@@ -50,6 +50,14 @@ type t = {
       (** The underlying fabric's integrity bit ({!Fabric.integrity}),
           read at each send and receive: whether frames carry CRC-32C
           trailers. *)
+  node_up : Proc_id.nid -> bool;
+      (** Whether a node is up now ({!Fabric.is_node_up}). Every shard
+          replica of the fabric flips its status word for a crash or
+          restart at the same simulated time, so any rank reads the same
+          answer for any node, and a crash that happened before the
+          reader existed is seen too. Layers that only need to know
+          which peers are down read this instead of keeping a table fed
+          by [on_crash]/[on_restart]. *)
   on_crash : (Proc_id.nid -> unit) -> unit;
       (** Subscribe to crash-stop notifications (see [Fabric.on_crash]). *)
   on_restart : (Proc_id.nid -> unit) -> unit;

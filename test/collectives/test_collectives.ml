@@ -519,6 +519,84 @@ let words_tests =
           Alcotest.failf "a pooled put allocates %.1f words, over 106" words);
   ]
 
+(* The collective plan, for every group size up to 70 and every root.
+   [listed_by child ~n ~root] asks [child] for every rank's child in every round
+   and returns, per rank, each (rank, round) that lists it. *)
+module Plan = Collectives.Plan
+
+let each_group f =
+  for n = 1 to 70 do
+    for root = 0 to n - 1 do
+      f n root
+    done
+  done
+
+let listed_by child ~n ~root =
+  let lists = Array.make n [] in
+  for rank = 0 to n - 1 do
+    for round = 0 to Plan.rounds n - 1 do
+      let c = child ~n ~root ~rank ~round in
+      if c >= 0 then lists.(c) <- (rank, round) :: lists.(c)
+    done
+  done;
+  lists
+
+let check_tree what ~parent ~round ~child =
+  each_group (fun n root ->
+      let lists = listed_by child ~n ~root in
+      for rank = 0 to n - 1 do
+        let expect =
+          if rank = root then []
+          else [ (parent ~n ~root ~rank, round ~n ~root ~rank) ]
+        in
+        Alcotest.(check (list (pair int int)))
+          (Printf.sprintf "%s n=%d root=%d rank=%d: (parent, round) listing it"
+             what n root rank)
+          expect lists.(rank)
+      done)
+
+let plan_tests =
+  [
+    Alcotest.test_case "every non-root has one bcast parent that lists it"
+      `Quick (fun () ->
+        check_tree "bcast" ~parent:Plan.bcast_parent ~round:Plan.bcast_round
+          ~child:Plan.bcast_child);
+    Alcotest.test_case "reduce children fold in round order before the send"
+      `Quick (fun () ->
+        check_tree "reduce" ~parent:Plan.reduce_parent
+          ~round:Plan.reduce_round ~child:Plan.reduce_child;
+        (* A rank's rounds are walked in ascending order, so its children
+           fold in ascending round order; each must land before the rank
+           sends its accumulator on. *)
+        each_group (fun n root ->
+            for rank = 0 to n - 1 do
+              let send = Plan.reduce_round ~n ~root ~rank in
+              for round = 0 to Plan.rounds n - 1 do
+                if Plan.reduce_child ~n ~root ~rank ~round >= 0 then
+                  Alcotest.(check bool)
+                    (Printf.sprintf "n=%d root=%d rank=%d folds round %d first"
+                       n root rank round)
+                    true
+                    (send < 0 || round < send)
+              done
+            done));
+    Alcotest.test_case "dissemination partners are mutually inverse" `Quick
+      (fun () ->
+        for n = 1 to 70 do
+          for rank = 0 to n - 1 do
+            for round = 0 to Plan.rounds n - 1 do
+              let dst = Plan.dissemination_dst ~n ~rank ~round
+              and src = Plan.dissemination_src ~n ~rank ~round in
+              Alcotest.(check (pair int int))
+                (Printf.sprintf "n=%d rank=%d round=%d" n rank round)
+                (rank, rank)
+                ( Plan.dissemination_src ~n ~rank:dst ~round,
+                  Plan.dissemination_dst ~n ~rank:src ~round )
+            done
+          done
+        done);
+  ]
+
 let () =
   Alcotest.run "collectives"
     [
@@ -527,4 +605,5 @@ let () =
       ("helpers", float_helpers_tests);
       ("pool", pool_tests);
       ("words", words_tests);
+      ("plan", plan_tests);
     ]

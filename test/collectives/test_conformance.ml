@@ -5,9 +5,8 @@ module P = Portals
 (* Conformance: the host-driven and NIC-offloaded collective engines
    must be observationally identical — byte-identical results on every
    rank, the same barrier release semantics, the same tolerant-barrier
-   shutdown behaviour — whatever the domain count or fault regime. One
-   functorizable surface ({!Coll_intf.S}, packed as {!Collectives.any})
-   runs every check against both. *)
+   shutdown behaviour — whatever the domain count or fault regime. Every
+   check runs against both through {!Collectives.any}. *)
 
 let impls = [ ("host", C.Host); ("nic", C.Nic_offload) ]
 
@@ -23,13 +22,18 @@ let mix acc contribution =
       land 0xff)
   done
 
-(* Run [f world coll ~rank] on an [n]-rank world under [impl]; returns
+(* Run [f world coll ~rank] on an [n]-rank world under [impl], each rank
+   creating its endpoint at [create_at] (default: time zero); returns
    total §4.8 drops across every rank's interface after quiescence (the
    NIC engine must never mis-fire a chain). *)
-let run_group ?scenario ?(n = 4) ?(domains = 1) ?(seed = 0) impl f =
+let run_group ?scenario ?(n = 4) ?(domains = 1) ?(seed = 0) ?create_at
+    impl f =
   let world = Runtime.create_world ?scenario ~nodes:n ~domains ~seed () in
   let nis = Array.make n None in
   Runtime.spawn_ranks world (fun ~rank ->
+      Option.iter
+        (Scheduler.delay (Runtime.sched_of_rank world rank))
+        create_at;
       let ni =
         P.Ni.create
           (Runtime.transport_of_rank world rank)
@@ -204,20 +208,45 @@ let tolerant_release impl ~domains =
   Runtime.run world;
   List.filter (fun rank -> released.(rank)) (List.init n Fun.id)
 
+(* The ranks a tolerant barrier released on endpoints created at 15 us,
+   in a world of four ranks sharded over [domains] whose scenario
+   crash-stops rank 3's node at 10 us: no endpoint existed when the
+   crash happened, so only the node's current status can tell the
+   survivors to skip rank 3. *)
+let late_tolerant_release impl ~domains =
+  let released = Array.make 4 false in
+  let scenario = Runtime.Scenario.make ~crashes:"3@10" () in
+  let _ =
+    run_group ~scenario ~domains ~create_at:(Time_ns.us 15.) impl
+      (fun _ coll ~rank ->
+        C.any_barrier ~tolerant:true coll;
+        released.(rank) <- true)
+  in
+  List.filter (fun rank -> released.(rank)) [ 0; 1; 2; 3 ]
+
 let tolerant_tests =
-  List.map
+  List.concat_map
     (fun (name, impl) ->
-      Alcotest.test_case
-        (Printf.sprintf "%s tolerant barrier survives a crashed rank" name)
-        `Quick
-        (fun () ->
-          List.iter
-            (fun domains ->
-              Alcotest.(check (list int))
-                (Printf.sprintf "survivors released at %d domains" domains)
-                [ 0; 1; 3 ]
-                (tolerant_release impl ~domains))
-            [ 1; 2 ]))
+      let at_one_and_two_domains expect release () =
+        List.iter
+          (fun domains ->
+            Alcotest.(check (list int))
+              (Printf.sprintf "survivors released at %d domains" domains)
+              expect (release impl ~domains))
+          [ 1; 2 ]
+      in
+      [
+        Alcotest.test_case
+          (Printf.sprintf "%s tolerant barrier survives a crashed rank" name)
+          `Quick
+          (at_one_and_two_domains [ 0; 1; 3 ] tolerant_release);
+        Alcotest.test_case
+          (Printf.sprintf
+             "%s tolerant barrier skips a rank that crashed before creation"
+             name)
+          `Quick
+          (at_one_and_two_domains [ 0; 1; 2 ] late_tolerant_release);
+      ])
     impls
 
 let domain_tests =

@@ -799,6 +799,18 @@ let eq_overflow_tests =
         Alcotest.(check int) "two events kept" 2 (Event.Queue.count q);
         Alcotest.(check int) "two dropped" 2 (Event.Queue.dropped q);
         Alcotest.(check int) "no message drops" 0 (Ni.dropped_total env.ni1));
+    Alcotest.test_case "a freed event queue's handle is invalid" `Quick
+      (fun () ->
+        (* PtlEQFree: the handle stops resolving, cannot be bound to a new
+           descriptor, and cannot be freed twice. *)
+        let env = setup () in
+        let eqh = ok ~what:"eq_alloc" (Ni.eq_alloc env.ni0 ~capacity:4) in
+        ok ~what:"eq_free" (Ni.eq_free env.ni0 eqh);
+        expect_err Errors.Invalid_eq ~what:"eq after free" (Ni.eq env.ni0 eqh);
+        expect_err Errors.Invalid_eq ~what:"md_bind after free"
+          (Ni.md_bind env.ni0 (Ni.md_spec ~eq:eqh (Bytes.create 8)));
+        expect_err Errors.Invalid_eq ~what:"second eq_free"
+          (Ni.eq_free env.ni0 eqh));
   ]
 
 let counter_tests =

@@ -153,27 +153,28 @@ let put_get_tests =
            Bytes.equal mirror (Onesided.region_bytes os1 (sym1 syms))));
   ]
 
-(* Like [with_pes], but every PE gets an MPI-3-style window of [size]
-   data bytes instead of raw regions. *)
+(* An MPI-3-style window of [size] data bytes on every rank of [world]. *)
+let wins_of world ~size =
+  Array.mapi
+    (fun rank pid ->
+      let ni =
+        Portals.Ni.create (Runtime.transport_of_rank world rank) ~id:pid ()
+      in
+      let os = Onesided.create_exn ni ~ranks:world.Runtime.ranks ~rank () in
+      Onesided.win_create os ~size)
+    world.Runtime.ranks
+
+(* Like [with_pes], but every PE gets a window instead of raw regions. *)
 let with_wins ?(n = 2) ~size f =
   let world = Runtime.create_world ~nodes:n () in
-  let pes =
-    Array.mapi
-      (fun rank pid ->
-        let ni =
-          Portals.Ni.create (Runtime.transport_of_rank world rank) ~id:pid ()
-        in
-        let os = Onesided.create_exn ni ~ranks:world.Runtime.ranks ~rank () in
-        (os, Onesided.win_create os ~size))
-      world.Runtime.ranks
-  in
+  let wins = wins_of world ~size in
   Array.iteri
-    (fun rank (_, w) ->
+    (fun rank w ->
       Scheduler.spawn (Runtime.sched_of_rank world rank)
         ~name:(Printf.sprintf "pe%d" rank) (fun () -> f w rank))
-    pes;
+    wins;
   Runtime.run world;
-  pes
+  wins
 
 let word_of b = Bytes.get_int64_le b 0
 
@@ -189,6 +190,46 @@ let i64 = Alcotest.int64
 
 let win_tests =
   [
+    Alcotest.test_case "flush_all completes puts to every rank" `Quick
+      (fun () ->
+        (* Read straight from the targets' memory when flush_all returns:
+           both puts must have landed by then. *)
+        let world = Runtime.create_world ~nodes:3 () in
+        let wins = wins_of world ~size:16 in
+        let landed = ref [] in
+        Scheduler.spawn (Runtime.sched_of_rank world 0) (fun () ->
+            for r = 1 to 2 do
+              Onesided.Win.put wins.(0) ~rank:r ~offset:0
+                (Bytes.of_string (Printf.sprintf "to-%d" r))
+            done;
+            Onesided.Win.flush_all wins.(0);
+            landed :=
+              List.map
+                (fun r ->
+                  Bytes.sub_string (Onesided.Win.local_data wins.(r)) 0 4)
+                [ 1; 2 ]);
+        Runtime.run world;
+        Alcotest.(check (list string)) "both puts landed" [ "to-1"; "to-2" ]
+          !landed);
+    Alcotest.test_case "win_free completes pending puts, then closes the window"
+      `Quick (fun () ->
+        let world = Runtime.create_world ~nodes:2 () in
+        let wins = wins_of world ~size:16 in
+        let at_free = ref "" and after_free = ref "" in
+        Scheduler.spawn (Runtime.sched_of_rank world 0) (fun () ->
+            Onesided.Win.put wins.(0) ~rank:1 ~offset:0
+              (Bytes.of_string "last");
+            Onesided.win_free wins.(0);
+            at_free := Bytes.sub_string (Onesided.Win.local_data wins.(1)) 0 4;
+            after_free :=
+              match Onesided.Win.put wins.(0) ~rank:1 ~offset:0 Bytes.empty with
+              | () -> "accepted"
+              | exception Invalid_argument msg -> msg);
+        Runtime.run world;
+        Alcotest.(check string) "the put landed when win_free returned" "last"
+          !at_free;
+        Alcotest.(check string) "use after free" "Onesided.Win: window freed"
+          !after_free);
     Alcotest.test_case "put/flush/get round-trip through a window" `Quick
       (fun () ->
         let seen = ref "" in
@@ -205,7 +246,7 @@ let win_tests =
               end)
         in
         Alcotest.(check string) "get after flush sees the put" "windowed" !seen;
-        let _, w1 = pes.(1) in
+        let w1 = pes.(1) in
         Alcotest.(check string) "target data area" "windowed"
           (Bytes.sub_string (Onesided.Win.local_data w1) 8 8));
     Alcotest.test_case "exclusive lock serializes read-modify-write" `Quick
@@ -226,7 +267,7 @@ let win_tests =
                   Onesided.Win.unlock w ~rank:0
                 done)
         in
-        let _, w0 = pes.(0) in
+        let w0 = pes.(0) in
         Alcotest.check i64 "no update lost"
           (Int64.of_int (2 * k))
           (word_of (Onesided.Win.local_data w0)));
@@ -324,35 +365,39 @@ let contains s sub =
    crash-stops node 1 at 100 us. Rank 1 takes the exclusive lock on rank
    2's window and dies holding it; at 300 us rank 0 asks for that lock in
    [mode], runs [use] under it and unlocks. Returns whether rank 0 got
-   through and the word in rank 2's window. Time-bounded: a broken fence
-   spins forever on the dead holder's tag, and the bound turns that into
-   a check failure rather than a hung test. *)
-let crashed_holder ~domains mode use =
+   through and the word in rank 2's window. With [late], rank 0 creates
+   its endpoint only at 300 us, after the crash. Time-bounded: a broken
+   fence spins forever on the dead holder's tag, and the bound turns that
+   into a check failure rather than a hung test. *)
+let crashed_holder ?(late = false) ~domains mode use =
   let scenario = Runtime.Scenario.make ~crashes:"1@100" ~domains () in
   let world = Runtime.create_world ~scenario ~nodes:3 () in
+  let win rank =
+    let ni =
+      Portals.Ni.create (Runtime.transport_of_rank world rank)
+        ~id:world.Runtime.ranks.(rank) ()
+    in
+    let os = Onesided.create_exn ni ~ranks:world.Runtime.ranks ~rank () in
+    Onesided.win_create os ~size:8
+  in
   let wins =
-    Array.mapi
-      (fun rank pid ->
-        let ni =
-          Portals.Ni.create (Runtime.transport_of_rank world rank) ~id:pid ()
-        in
-        let os = Onesided.create_exn ni ~ranks:world.Runtime.ranks ~rank () in
-        Onesided.win_create os ~size:8)
-      world.Runtime.ranks
+    Array.init 3 (fun rank ->
+        if late && rank = 0 then None else Some (win rank))
   in
   let recovered = ref false in
   Runtime.spawn_ranks world (fun ~rank ->
-      let w = wins.(rank) in
-      if rank = 1 then Onesided.Win.lock w ~rank:2 Onesided.Exclusive
+      if rank = 1 then
+        Onesided.Win.lock (Option.get wins.(1)) ~rank:2 Onesided.Exclusive
       else if rank = 0 then begin
         Scheduler.delay (Runtime.sched_of_rank world rank) (Time_ns.us 300.);
+        let w = match wins.(0) with Some w -> w | None -> win 0 in
         Onesided.Win.lock w ~rank:2 mode;
         use w;
         Onesided.Win.unlock w ~rank:2;
         recovered := true
       end);
   Runtime.run ~until:(Time_ns.s 1.) world;
-  (!recovered, word_of (Onesided.Win.local_data wins.(2)))
+  (!recovered, word_of (Onesided.Win.local_data (Option.get wins.(2))))
 
 (* Runs [outcome] at 1 and 2 domains and expects [expect] from both: the
    crash comes from the scenario, so every shard's replica takes it. *)
@@ -397,12 +442,23 @@ let failure_tests =
     Alcotest.test_case "a crashed exclusive holder is fenced and recovered"
       `Quick (fun () ->
         (* A survivor's exclusive lock attempt finds the stale holder
-           tag, fences it (the dead set / incarnation check) and wins the
+           tag, fences it (node status / incarnation check) and wins the
            lock instead of spinning forever — the §3 argument that
            incarnations make crashed processes recoverable without
            connection state. *)
         at_one_and_two_domains ~expect:(true, 77L) (fun domains ->
             crashed_holder ~domains Onesided.Exclusive (fun w ->
+                put_word w ~rank:2 ~offset:0 77L;
+                Onesided.Win.flush w ~rank:2)));
+    Alcotest.test_case
+      "a holder that crashed before the survivor's endpoint is fenced"
+      `Quick (fun () ->
+        (* The survivor's endpoint is created after the holder's node
+           went down, so it never saw the crash happen: staleness must
+           come from the node's current status, not from a record of
+           crashes observed since creation. *)
+        at_one_and_two_domains ~expect:(true, 77L) (fun domains ->
+            crashed_holder ~late:true ~domains Onesided.Exclusive (fun w ->
                 put_word w ~rank:2 ~offset:0 77L;
                 Onesided.Win.flush w ~rank:2)));
     Alcotest.test_case "a shared waiter fences a crashed exclusive holder"
