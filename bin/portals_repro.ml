@@ -35,8 +35,8 @@ let scenario_term =
       & opt (some int) None
       & info [ "seed" ] ~docv:"N"
           ~doc:
-            "Scheduler, fault-model and campaign PRNG seed, for \
-             deterministic replay (default 0).")
+            "Fault-model and campaign PRNG seed, for deterministic \
+             replay (default 0).")
   in
   let fault =
     Arg.(

@@ -20,7 +20,7 @@ type t = {
    (4 x 128 KiB slabs, EQ depth 4096) creating a pool backs a 128 KiB
    slab per rank, which would dominate world setup in the 1024-node
    scaling sweeps. Callers moving large bcast/alltoall payloads can
-   raise [slab_size] (see {!Pool.largest_message}). *)
+   raise [slab_size] (one slab bounds a single message). *)
 let create ni ~ranks ~rank ?(portal_index = 6) ?(slab_size = 16_384)
     ?(slab_count = 2) ?(eq_capacity = 1024) ?host_cpu () =
   if rank < 0 || rank >= Array.length ranks then
@@ -59,7 +59,8 @@ let recv t ~seq ~round ~src =
   data
 
 let alive t r =
-  (P.Ni.transport (Pool.ni t.pool)).Simnet.Transport.node_up
+  Simnet.Fabric.is_node_up
+    (P.Ni.transport (Pool.ni t.pool)).Simnet.Transport.fabric
     t.ranks.(r).Simnet.Proc_id.nid
 
 let barrier ?(tolerant = false) t =

@@ -49,7 +49,7 @@ val create :
 val barrier : ?tolerant:bool -> t -> unit
 (** Dissemination barrier: ceil(log2 n) rounds. With [tolerant] (default
     false), exchanges with ranks whose node is down
-    ({!Simnet.Transport.node_up}) are skipped — the shutdown best-effort
+    ({!Simnet.Fabric.is_node_up}) are skipped — the shutdown best-effort
     contract of [Mpi.barrier ~tolerant] — so survivors are released. *)
 
 val bcast : t -> root:int -> bytes -> bytes

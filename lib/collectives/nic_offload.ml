@@ -249,7 +249,8 @@ let put_scratch t ~dst ~seq ~slot ~length =
    just the last) guarantees the retirement invariant: completion means
    every deposit addressed here for this sequence has landed. *)
 let alive t r =
-  (P.Ni.transport t.ni).Simnet.Transport.node_up t.ranks.(r).Simnet.Proc_id.nid
+  Simnet.Fabric.is_node_up (P.Ni.transport t.ni).Simnet.Transport.fabric
+    t.ranks.(r).Simnet.Proc_id.nid
 
 let run_barrier ?(tolerant = false) t seq =
   let n = size t and rank = t.my_rank in

@@ -66,7 +66,7 @@ val barrier : ?tolerant:bool -> t -> unit
     for a counter to reach the round count; every round-k arrival fires
     the round-(k+1) token from inside the receive path. With [tolerant]
     (default false), slots whose sender's node is down
-    ({!Simnet.Transport.node_up}) are bumped from the host — the armed
+    ({!Simnet.Fabric.is_node_up}) are bumped from the host — the armed
     chain fires as if the token had landed — so survivors are released,
     the shutdown contract of {!Collectives.barrier}. *)
 

@@ -260,5 +260,3 @@ let rec recv t ~bits =
 let pending t =
   drain t;
   t.pending_count
-
-let largest_message t = t.slab_size

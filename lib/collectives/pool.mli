@@ -54,6 +54,3 @@ val recv : t -> bits:Portals.Match_bits.t -> bytes
 
 val pending : t -> int
 (** Messages sitting in the pool (drained events not yet claimed). *)
-
-val largest_message : t -> int
-(** Upper bound on a single message: one slab. *)

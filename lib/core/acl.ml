@@ -6,8 +6,6 @@ let create ~size =
   if size < 0 then invalid_arg "Acl.create: negative size";
   { entries = Array.make size None }
 
-let size t = Array.length t.entries
-
 let set t i entry =
   if i < 0 || i >= Array.length t.entries then Error Errors.Invalid_ac_index
   else begin

@@ -21,13 +21,8 @@ type t
 val create : size:int -> t
 (** [size] entries, all denying. Raises [Invalid_argument] if [size < 0]. *)
 
-val size : t -> int
-
 val set : t -> int -> entry -> (unit, Errors.t) result
 (** [Error Invalid_ac_index] when out of range ([PtlACEntry]). *)
-
-val get : t -> int -> entry option
-(** [None] when out of range or unset. *)
 
 val default_cookie_job : int
 (** Conventional cookie (0) for peers in the same application. *)

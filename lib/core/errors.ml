@@ -37,7 +37,6 @@ let to_string = function
   | Segv -> "PTL_SEGV"
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
-let equal (a : t) b = a = b
 
 exception Portals_error of t * string
 

@@ -26,7 +26,6 @@ val to_string : t -> string
 (** The corresponding [PTL_*] constant name. *)
 
 val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool
 
 exception Portals_error of t * string
 (** Raised by the [_exn] convenience wrappers; carries the failing

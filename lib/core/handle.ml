@@ -21,10 +21,6 @@ let make ~idx ~gen = idx lor (gen lsl idx_bits)
 let idx t = t land idx_mask
 let gen t = t lsr idx_bits
 
-let pp ppf t =
-  if is_none t then Format.pp_print_string ppf "<none>"
-  else Format.fprintf ppf "h%d.%d" (idx t) (gen t)
-
 (* The wire's 64-bit field holds the same integer, sign-extended: the
    top bit is clear and [none] is all-ones. An integer, not an [int64],
    so encoding and decoding box nothing. *)

@@ -47,7 +47,6 @@ val none : 'k t
 
 val is_none : 'k t -> bool
 val equal : 'k t -> 'k t -> bool
-val pp : Format.formatter -> 'k t -> unit
 
 val to_wire : 'k t -> int
 (** The integer a handle travels as: the same packing, 32 bits of index

@@ -31,6 +31,5 @@ let extract ~shift ~width t =
 let hi32 t = Int64.to_int (Int64.shift_right_logical t 32)
 let lo32 t = Int64.to_int t land 0xFFFF_FFFF
 let logor = Int64.logor
-let lognot = Int64.lognot
 let equal = Int64.equal
 let pp ppf t = Format.fprintf ppf "0x%016Lx" t

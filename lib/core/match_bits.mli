@@ -38,6 +38,5 @@ val lo32 : t -> int
 (** The high and low 32 bits, as non-negative immediates. *)
 
 val logor : t -> t -> t
-val lognot : t -> t
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -15,9 +15,3 @@ let matches t (p : Simnet.Proc_id.t) =
   && component_matches t.pid p.Simnet.Proc_id.pid
 
 let equal a b = a = b
-
-let pp_component ppf = function
-  | Any -> Format.pp_print_string ppf "*"
-  | Id id -> Format.pp_print_int ppf id
-
-let pp ppf t = Format.fprintf ppf "%a:%a" pp_component t.nid pp_component t.pid

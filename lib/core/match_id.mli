@@ -21,4 +21,3 @@ val matches : t -> Simnet.Proc_id.t -> bool
 (** Component-wise equality with [Any] matching everything. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

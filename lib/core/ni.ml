@@ -209,16 +209,17 @@ let op ?(cookie = Acl.default_cookie_job) ?(match_bits = Match_bits.zero)
   { target; portal_index; cookie; match_bits; offset }
 
 let id t = t.self
-let sched t = t.tp.Simnet.Transport.sched
+let fabric t = t.tp.Simnet.Transport.fabric
+let sched t = Simnet.Fabric.sched (fabric t)
 let transport t = t.tp
 let acl t = t.ni_acl
 
 let self_incarnation t =
-  t.tp.Simnet.Transport.node_incarnation t.self.Simnet.Proc_id.nid
+  Simnet.Fabric.incarnation (fabric t) t.self.Simnet.Proc_id.nid
 
 (* The transport's fabric decides whether frames carry CRC trailers;
    read at each send and receive, never cached. *)
-let integrity t = t.tp.Simnet.Transport.integrity ()
+let integrity t = Simnet.Fabric.integrity (fabric t)
 
 let drop t reason =
   let i = drop_reason_index reason in
@@ -1079,7 +1080,7 @@ let handle_incoming t ~src payload =
       let sender_nid = msg.Wire.initiator.Simnet.Proc_id.nid in
       if
         msg.Wire.incarnation
-        <> t.tp.Simnet.Transport.node_incarnation sender_nid
+        <> Simnet.Fabric.incarnation (fabric t) sender_nid
       then drop t Stale_incarnation
       else (
         match msg.Wire.op with

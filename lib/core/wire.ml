@@ -6,16 +6,6 @@ type op =
   | Atomic_request
   | Atomic_reply
 
-let op_to_string = function
-  | Put_request -> "PUT_REQUEST"
-  | Ack -> "ACK"
-  | Get_request -> "GET_REQUEST"
-  | Reply -> "REPLY"
-  | Atomic_request -> "ATOMIC_REQUEST"
-  | Atomic_reply -> "ATOMIC_REPLY"
-
-let pp_op ppf op = Format.pp_print_string ppf (op_to_string op)
-
 type aop = Fetch_add | Swap | Cas
 
 let aop_to_string = function
@@ -23,7 +13,6 @@ let aop_to_string = function
   | Swap -> "SWAP"
   | Cas -> "CAS"
 
-let pp_aop ppf a = Format.pp_print_string ppf (aop_to_string a)
 let aop_code = function Fetch_add -> 0 | Swap -> 1 | Cas -> 2
 
 let aop_of_code = function
@@ -489,17 +478,3 @@ let field_inventory = function
                          operand slot");
       ("length", "Width of the fetched word (always 8)");
     ]
-
-let pp ppf t =
-  Format.fprintf ppf
-    "%a %a->%a pt=%d ck=%d bits=%a off=%d md=%a eq=%a inc=%d len=%d%s" pp_op
-    t.op Simnet.Proc_id.pp t.initiator Simnet.Proc_id.pp t.target
-    t.portal_index t.cookie Match_bits.pp t.match_bits t.offset Handle.pp
-    t.md_handle Handle.pp t.eq_handle t.incarnation t.length
-    ((if t.ack_requested then " +ack" else "")
-    ^ if t.triggered then " +trig" else "");
-  match t.atomic with
-  | None -> ()
-  | Some a ->
-    Format.fprintf ppf " %a operand=%Ld compare=%Ld" pp_aop a.aop a.operand
-      a.compare

@@ -116,9 +116,6 @@ val atomic_operand_offset : int
 (** Where an atomic message's operand slot starts in its wire image, so
     in the [data] of a {!decode_view}: the fetched value of a reply. *)
 
-val checksum_size : int
-(** Size of the CRC-32C trailer a version-[0x31] frame carries (4). *)
-
 val put_request :
   ?ack_requested:bool ->
   ?triggered:bool ->
@@ -268,5 +265,3 @@ val field_inventory : op -> (string * string) list
     the paper's four operations; the atomic request/reply inventories
     extend the set in the paper's format. Used by the bench harness to
     regenerate the tables. *)
-
-val pp : Format.formatter -> t -> unit

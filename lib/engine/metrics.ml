@@ -90,7 +90,6 @@ let create ?(detail = false) () =
     tbl = Hashtbl.create 64;
   }
 
-let detail t = !(t.detail)
 let set_detail t on = t.detail := on
 
 let kind_name = function
@@ -242,14 +241,6 @@ module Snapshot = struct
     Option.map
       (fun e -> e.value)
       (List.find_opt (fun e -> String.equal e.name name && e.labels = labels) t)
-
-  let find_exn ?(labels = []) t name =
-    match find ~labels t name with
-    | Some v -> v
-    | None ->
-      invalid_arg
-        (Format.asprintf "Metrics.Snapshot: no entry %S %a" name pp_labels
-           (normalize_labels labels))
 
   let filter t name = List.filter (fun e -> String.equal e.name name) t
 end

@@ -43,8 +43,6 @@ val create : ?detail:bool -> unit -> t
 (** A fresh registry. [detail] (default [false]) turns on time-series
     sampling — see {!set_detail}. *)
 
-val detail : t -> bool
-
 val set_detail : t -> bool -> unit
 (** Time-series sampling ({!push}) is a separate, default-off detail
     level: every sample allocates a point, and some series sample once
@@ -141,7 +139,6 @@ module Snapshot : sig
   val find : ?labels:labels -> t -> string -> value option
   (** The value of the entry with this name and label set, if present. *)
 
-  val find_exn : ?labels:labels -> t -> string -> value
   val filter : t -> string -> entry list
 end
 

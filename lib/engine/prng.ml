@@ -44,7 +44,6 @@ let float t bound =
   (* 53 significant bits, scaled to [0,1). *)
   r /. 9007199254740992.0 *. bound
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
 
 let exponential t ~mean =
   let u = float t 1.0 in

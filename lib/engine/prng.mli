@@ -36,8 +36,6 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] is a uniform float in [\[0, bound)]. *)
 
-val bool : t -> bool
-
 val exponential : t -> mean:float -> float
 (** [exponential t ~mean] samples an exponential distribution. *)
 

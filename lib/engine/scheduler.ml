@@ -35,7 +35,6 @@ type t = {
   blocked : blocked_set;
   domain_kills : (int, int) Hashtbl.t;
   mutable current : fiber option;
-  prng : Prng.t;
   metrics : Metrics.t;
   mutable trace_slot : Trace.t option;
 }
@@ -68,7 +67,7 @@ let count_sim_time t flag = t.count_sim_time <- flag
 
 type _ Effect.t += Suspend : (string * ((unit -> unit) -> unit)) -> unit Effect.t
 
-let create ?(seed = 0) () =
+let create () =
   let t =
     {
       heap = Event_heap.create ();
@@ -81,7 +80,6 @@ let create ?(seed = 0) () =
       blocked = { cells = [||]; len = 0 };
       domain_kills = Hashtbl.create 8;
       current = None;
-      prng = Prng.create ~seed;
       metrics = Metrics.create ();
       trace_slot = None;
     }
@@ -98,7 +96,6 @@ let create ?(seed = 0) () =
   t
 
 let now t = t.now
-let prng t = t.prng
 let live_fibers t = t.live
 let events_processed t = t.events
 let metrics t = t.metrics
@@ -346,5 +343,4 @@ let next_event_time t =
   if Event_heap.is_empty t.heap then None
   else Some (Event_heap.min_time t.heap)
 
-let pending_events t = Event_heap.length t.heap
 let blocked_report t = blocked_names t

@@ -35,16 +35,12 @@ exception Killed
     Fibers may catch it to run cleanup; an uncaught [Killed] terminates
     the fiber silently rather than aborting the run. *)
 
-val create : ?seed:int -> unit -> t
-(** [create ~seed ()] is a fresh scheduler at time 0. [seed] (default 0)
-    initialises the PRNG tree used by simulation components. Its own
-    {!trace} keeps the last 65536 spans. *)
+val create : unit -> t
+(** [create ()] is a fresh scheduler at time 0. Its own {!trace} keeps the
+    last 65536 spans. *)
 
 val now : t -> Time_ns.t
 (** Current simulated time. *)
-
-val prng : t -> Prng.t
-(** The scheduler's root PRNG; components should {!Prng.split} it. *)
 
 val metrics : t -> Metrics.t
 (** The metrics registry shared by every component driven by this
@@ -160,9 +156,6 @@ val advance_to : t -> Time_ns.t -> unit
 
 val next_event_time : t -> Time_ns.t option
 (** Earliest pending event, if any — the shard barrier's reduction input. *)
-
-val pending_events : t -> int
-(** Number of queued events (cheap; heap length). *)
 
 val blocked_report : t -> string list
 (** The {!Deadlock}-style report for currently blocked fibers, sorted

@@ -104,7 +104,6 @@ let create ~scheds ~lookahead () =
 let domains t = Array.length t.scheds
 let lookahead t = t.lookahead
 let rounds t = t.rounds
-let sched t k = t.scheds.(k)
 
 let rec push box env =
   let items = Atomic.get box in

@@ -31,18 +31,12 @@ val create :
     cross-shard link admits no conservative window. Raises
     [Invalid_argument] otherwise. *)
 
-val domains : _ t -> int
-(** Number of shards (= OCaml domains used by {!run}). *)
-
 val lookahead : _ t -> Time_ns.t option
 (** The window width, as given to {!create}. *)
 
 val rounds : _ t -> int
 (** Window rounds completed by the last {!run} — a cheap progress and
     overhead indicator (events per round ≫ 1 is where speedup lives). *)
-
-val sched : _ t -> int -> Scheduler.t
-(** [sched t k] is shard [k]'s scheduler. *)
 
 val post : 'msg t -> src:int -> dst:int -> time:Time_ns.t -> 'msg -> unit
 (** [post t ~src ~dst ~time msg] sends [msg] to shard [dst], to be

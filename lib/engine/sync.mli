@@ -19,17 +19,16 @@ module Ivar : sig
 end
 
 module Waitq : sig
-  (** Condition-variable-like wait queue. [wait] blocks; [signal] wakes the
-      oldest waiter; [broadcast] wakes all current waiters. There is no
-      separate mutex — the simulation is cooperatively scheduled, so state
-      checks and [wait] cannot be interleaved by other fibers. As with any
-      condition variable, callers must re-check their predicate on wakeup. *)
+  (** Condition-variable-like wait queue. [wait] blocks; [broadcast] wakes
+      all current waiters. There is no separate mutex — the simulation is
+      cooperatively scheduled, so state checks and [wait] cannot be
+      interleaved by other fibers. As with any condition variable, callers
+      must re-check their predicate on wakeup. *)
 
   type t
 
   val create : ?name:string -> Scheduler.t -> t
   val wait : t -> unit
-  val signal : t -> unit
   val broadcast : t -> unit
   val waiters : t -> int
 end

@@ -54,9 +54,6 @@ val check :
     run under both engines; [true] iff every rank's observable bytes
     agree. *)
 
-val record_id : Collectives.impl -> string -> string
-(** ["COLL.<impl>.<op>"]. *)
-
 val perf_records :
   ?scenario:Runtime.Scenario.t -> ?quick:bool -> unit -> Perf.record list
 (** Meter [COLL.{host,nic}.{barrier,allreduce}] — each op hammered on a

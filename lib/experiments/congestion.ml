@@ -37,8 +37,8 @@ let peers_of topo pattern nid =
       (List.init (Simnet.Topology.nodes topo) Fun.id)
   | Nearest_neighbor -> halo_peers topo nid
 
-let run_one ~kind ~pattern ~nodes ~msgs_per_peer ~size ?queue_limit ~seed () =
-  let sched = Scheduler.create ~seed () in
+let run_one ~kind ~pattern ~nodes ~msgs_per_peer ~size ?queue_limit () =
+  let sched = Scheduler.create () in
   let profile = Simnet.Profile.myrinet_mcp in
   let topo = Simnet.Topology.build kind ~nodes in
   let fabric =
@@ -89,15 +89,14 @@ let run_one ~kind ~pattern ~nodes ~msgs_per_peer ~size ?queue_limit ~seed () =
     Metrics.snapshot (Scheduler.metrics sched) )
 
 let run ?(nodes = 16) ?(topologies = default_topologies) ?(msgs_per_peer = 8)
-    ?(size = 4096) ?queue_limit ?(seed = 0) ?registry () =
+    ?(size = 4096) ?queue_limit ?registry () =
   List.concat_map
     (fun spec ->
       let kind = Simnet.Topology.of_spec ~nodes spec in
       List.map
         (fun pattern ->
           let row, snapshot =
-            run_one ~kind ~pattern ~nodes ~msgs_per_peer ~size ?queue_limit
-              ~seed ()
+            run_one ~kind ~pattern ~nodes ~msgs_per_peer ~size ?queue_limit ()
           in
           Option.iter
             (fun registry ->

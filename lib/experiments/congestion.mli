@@ -43,7 +43,6 @@ val run :
   ?msgs_per_peer:int ->
   ?size:int ->
   ?queue_limit:int ->
-  ?seed:int ->
   ?registry:Sim_engine.Metrics.t ->
   unit ->
   row list
@@ -52,6 +51,6 @@ val run :
     peer). Each world's metrics — including the per-link
     ["link.queue_depth"] / ["link.flows"] instruments — are absorbed
     into [registry] (when given) under [("topology", _)] and
-    [("pattern", _)] labels. Deterministic in [seed]. *)
+    [("pattern", _)] labels. The traffic is fixed, so the result is too. *)
 
 val pp : Format.formatter -> row list -> unit

@@ -68,16 +68,14 @@ let sum_stale_drops world =
     (Metrics.Snapshot.filter snap "ni.drops")
 
 let run_backend ~scenario ~(cfg : config) backend =
+  (* The victim's crash joins any the scenario scripts; the world applies
+     the merged schedule to every shard. *)
+  let scenario =
+    Runtime.Scenario.add_crashes scenario
+      [ (victim_nid, cfg.down_at, Some cfg.up_at) ]
+  in
   let world = Runtime.create_world ~scenario ~nodes:2 () in
   let ranks = world.Runtime.ranks in
-  (* Every shard replays the crash, keeping its replica of the victim in
-     lockstep with the owner. *)
-  let schedule =
-    Simnet.Fault.crash_schedule [ (victim_nid, cfg.down_at, Some cfg.up_at) ]
-  in
-  Array.iter
-    (fun fabric -> Simnet.Fabric.apply_crash_schedule fabric schedule)
-    (Runtime.shard_fabrics world);
   let make_ep rank =
     let tp = Runtime.transport_of_rank world rank in
     match backend with

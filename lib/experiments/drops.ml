@@ -24,7 +24,11 @@ let run ?scenario () =
   let tp0 = Runtime.transport_of_rank world 0 in
   let tp1 = Runtime.transport_of_rank world 1 in
   (* Hand-built frames are encoded the way the world's NIs encode. *)
-  let encode msg = P.Wire.encode ~integrity:(tp0.Simnet.Transport.integrity ()) msg in
+  let encode msg =
+    P.Wire.encode
+      ~integrity:(Simnet.Fabric.integrity tp0.Simnet.Transport.fabric)
+      msg
+  in
   let r0 = world.Runtime.ranks.(0) and r1 = world.Runtime.ranks.(1) in
   let ni0 = P.Ni.create tp0 ~id:r0 () in
   let ni1 = P.Ni.create tp1 ~id:r1 () in

@@ -45,9 +45,6 @@ val run :
 
 val pp : Format.formatter -> t -> unit
 
-val record_id : transport:string -> axis:string -> string
-(** ["MX.<transport>.<axis>"], the perf-record id of one cell. *)
-
 val perf_records :
   ?scenario:Runtime.Scenario.t ->
   ?transports:string list ->

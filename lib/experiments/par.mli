@@ -42,10 +42,6 @@ val run :
 val ok : result -> bool
 (** Every expected payload arrived, none damaged. *)
 
-val canonical : result -> string
-(** The determinism line: nodes, steps, deliveries, digest, final sim
-    time — everything in it independent of the domain count. *)
-
 val pp : Format.formatter -> result -> unit
 
 val selfcheck :

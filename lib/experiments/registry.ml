@@ -439,16 +439,17 @@ let crash_restart =
         $ us (fun d -> d.Crash_restart.horizon) "horizon" "Simulation horizon, us")
     (fun scenario ~quick:_ -> job scenario)
 
-(* Congestion builds its own worlds from the scenario's seed alone. *)
+(* Congestion builds its own worlds; it draws no random numbers, so the
+   scenario's seed does not reach it. *)
 let congestion =
-  let job ?nodes ?topologies ?msgs_per_peer ?size ?queue_limit scenario =
+  let job ?nodes ?topologies ?msgs_per_peer ?size ?queue_limit _scenario =
     {
       print =
         (fun ~trace:_ ppf ->
           let registry = Metrics.create () in
           Congestion.pp ppf
             (Congestion.run ?nodes ?topologies ?msgs_per_peer ?size ?queue_limit
-               ~seed:scenario.Runtime.Scenario.seed ~registry ());
+               ~registry ());
           { nothing with metrics = Metrics.snapshot registry });
       records = (fun () -> []);
     }

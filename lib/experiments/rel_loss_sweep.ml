@@ -16,7 +16,7 @@ let default_losses = [ 0.; 0.01; 0.02; 0.05; 0.1 ]
    variables are the fault model and whether the reliability protocol is
    shimmed underneath the wire. *)
 let stream ?registry ~loss ~seed ~reliable ~msgs ~size () =
-  let sched = Scheduler.create ~seed () in
+  let sched = Scheduler.create () in
   let fabric =
     Simnet.Fabric.create sched ~profile:Simnet.Profile.myrinet_mcp ~nodes:2
   in

@@ -44,9 +44,6 @@ val run :
 
 val pp : Format.formatter -> t -> unit
 
-val record_id : string -> string
-(** ["RMA.<workload>"], the perf-record id of one workload. *)
-
 val perf_records :
   ?scenario:Runtime.Scenario.t -> ?workloads:string list -> ?quick:bool ->
   unit -> Perf.record list

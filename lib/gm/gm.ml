@@ -41,7 +41,7 @@ type t = {
    publishes the same "eq.depth" series the Fig. 6 comparison reads. *)
 let record_depth t =
   if Sim_engine.Metrics.series_enabled t.depth_series then begin
-    let sched = t.tp.Simnet.Transport.sched in
+    let sched = Simnet.Fabric.sched t.tp.Simnet.Transport.fabric in
     Sim_engine.Metrics.push t.depth_series
       ~x:(Sim_engine.Time_ns.to_us (Sim_engine.Scheduler.now sched))
       ~y:(float_of_int (Queue.length t.events))
@@ -114,7 +114,7 @@ let on_arrival t ~src payload =
   end
 
 let open_port tp ~id:self =
-  let sched = tp.Simnet.Transport.sched in
+  let sched = Simnet.Fabric.sched tp.Simnet.Transport.fabric in
   let m = Sim_engine.Scheduler.metrics sched in
   let pname = Format.asprintf "%a" Simnet.Proc_id.pp self in
   let t =
@@ -152,13 +152,12 @@ let close t =
     t.tp.Simnet.Transport.unregister t.self
   end
 
-let id t = t.self
-
 let send t ~dst payload =
   t.s_sends <- t.s_sends + 1;
   let length = Bytes.length payload in
   t.tp.Simnet.Transport.send ~src:t.self ~dst payload;
-  Sim_engine.Scheduler.after t.tp.Simnet.Transport.sched
+  Sim_engine.Scheduler.after
+    (Simnet.Fabric.sched t.tp.Simnet.Transport.fabric)
     t.tp.Simnet.Transport.send_overhead (fun () ->
       if t.live then begin
         Queue.add (Send_complete { dst; length }) t.events;

@@ -40,8 +40,6 @@ val open_port : Simnet.Transport.t -> id:Simnet.Proc_id.t -> t
 
 val close : t -> unit
 
-val id : t -> Simnet.Proc_id.t
-
 val provide_receive_token : t -> bytes -> unit
 (** Append a receive buffer to the FIFO of tokens of its size. *)
 

@@ -45,7 +45,7 @@ let first_dynamic_rkey = 0x100000
    out at the protocol layer, not from the fabric. *)
 let on_arrival t ~src payload =
   if t.live then begin
-    let integrity = t.tp.Simnet.Transport.integrity () in
+    let integrity = Simnet.Fabric.integrity t.tp.Simnet.Transport.fabric in
     match Portals.Wire.decode_view ~integrity ~src ~dst:t.self payload with
     | Error _ -> t.s_dropped <- t.s_dropped + 1
     | Ok w -> (
@@ -66,7 +66,7 @@ let on_arrival t ~src payload =
   end
 
 let create tp ~id:self =
-  let sched = tp.Simnet.Transport.sched in
+  let sched = Simnet.Fabric.sched tp.Simnet.Transport.fabric in
   let t =
     {
       tp;
@@ -102,8 +102,6 @@ let close t =
     t.tp.Simnet.Transport.unregister t.self
   end
 
-let id t = t.self
-
 let reg_mr t ~rkey region =
   if Hashtbl.mem t.mrs rkey then
     invalid_arg (Printf.sprintf "Ibverbs.reg_mr: rkey %#x already bound" rkey);
@@ -122,13 +120,15 @@ let alloc_rkey t =
    handoff ([send_overhead]) is past — the same local-completion model
    as [Gm.send], but with no receive-side token or event. *)
 let rdma_write t ~dst ~rkey ~offset ~src ~src_off ~len ~wr_id =
-  let integrity = t.tp.Simnet.Transport.integrity () in
+  let integrity = Simnet.Fabric.integrity t.tp.Simnet.Transport.fabric in
   let img =
     Portals.Wire.image ~integrity Portals.Wire.Put_request
       ~ack_requested:false ~triggered:false ~initiator:t.self ~target:dst
       ~portal_index:0 ~cookie:rkey ~match_bits:Portals.Match_bits.zero ~offset
       ~md_handle:Portals.Handle.none ~eq_handle:Portals.Handle.none
-      ~incarnation:(t.tp.Simnet.Transport.node_incarnation t.self.Simnet.Proc_id.nid)
+      ~incarnation:
+        (Simnet.Fabric.incarnation t.tp.Simnet.Transport.fabric
+           t.self.Simnet.Proc_id.nid)
       ~length:len
   in
   Bytes.blit src src_off img Portals.Wire.header_size len;

@@ -31,7 +31,6 @@ val create : Simnet.Transport.t -> id:Simnet.Proc_id.t -> t
     starts landing remote writes. *)
 
 val close : t -> unit
-val id : t -> Simnet.Proc_id.t
 
 val reg_mr : t -> rkey:int -> bytes -> unit
 (** Register [bytes] under [rkey]; remote writes naming [rkey] land in
@@ -102,9 +101,6 @@ module Ring : sig
     send
   (** Attach to our ring at [dst] and register the credit cell [dst]
       writes back to us. *)
-
-  val credits : send -> int
-  (** Slots the receiver is known to have free. *)
 
   val try_write : send -> wr_id:int -> fill:(bytes -> int -> unit) -> len:int -> bool
   (** Write one [len]-byte message (deposited by [fill buf off]) into

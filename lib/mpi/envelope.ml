@@ -10,11 +10,6 @@ type protocol = Eager | Rendezvous
 
 type t = { protocol : protocol; context : int; src_rank : int; tag : int }
 
-let pp ppf t =
-  Format.fprintf ppf "%s ctx=%d src=%d tag=%d"
-    (match t.protocol with Eager -> "eager" | Rendezvous -> "rdvz")
-    t.context t.src_rank t.tag
-
 let matches ?(context = 0) t ~source ~tag =
   t.context = context
   && (source = any_source || source = t.src_rank)

@@ -48,8 +48,6 @@ type protocol = Eager | Rendezvous
 
 type t = { protocol : protocol; context : int; src_rank : int; tag : int }
 
-val pp : Format.formatter -> t -> unit
-
 val matches : ?context:int -> t -> source:int -> tag:int -> bool
 (** Library-side matching ([Mpi_core]'s unexpected queue,
     [Mpi_libmatch]'s posted queue):

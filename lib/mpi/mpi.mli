@@ -91,9 +91,6 @@ val irecv : t -> ?context:int -> ?source:int -> ?tag:int -> bytes -> request
     wildcards allowed on [irecv] only; a bad one raises
     [Invalid_argument]. *)
 
-val test : t -> request -> status option
-(** [MPI_Test]: nonblocking; drives the library's progress engine. *)
-
 val wait : t -> request -> status
 (** [MPI_Wait]: blocks the calling fiber. *)
 

@@ -97,7 +97,8 @@ let seq_bits = 32
 let incarnation_mask = (1 lsl 14) - 1
 
 let incarnation t rank =
-  t.tp.Simnet.Transport.node_incarnation t.ranks.(rank).Simnet.Proc_id.nid
+  Simnet.Fabric.incarnation t.tp.Simnet.Transport.fabric
+    t.ranks.(rank).Simnet.Proc_id.nid
   land incarnation_mask
 
 let fresh_cookie t =
@@ -159,7 +160,7 @@ let create ~name ~ops ~eager_threshold ~call_cost tp ~ranks ~rank:my_rank
       call_cost;
       ranks;
       my_rank;
-      sched = tp.Simnet.Transport.sched;
+      sched = Simnet.Fabric.sched tp.Simnet.Transport.fabric;
       tp;
       next_seq = 0;
       unexpected = Queue.create ();
@@ -170,9 +171,10 @@ let create ~name ~ops ~eager_threshold ~call_cost tp ~ranks ~rank:my_rank
       completions = 0;
     }
   in
-  tp.Simnet.Transport.on_crash (fun nid -> on_peer_crash t nid);
+  let fabric = tp.Simnet.Transport.fabric in
+  Simnet.Fabric.on_crash fabric (fun nid -> on_peer_crash t nid);
   if ops.connectionless then
-    tp.Simnet.Transport.on_restart (fun nid ->
+    Simnet.Fabric.on_restart fabric (fun nid ->
         Array.iteri
           (fun r pid -> if pid.Simnet.Proc_id.nid = nid then reconnect t ~rank:r)
           ranks);
@@ -233,7 +235,10 @@ let take tbl key =
 
 let deliver t req (env : Envelope.t) payload ~off ~len =
   let n = min len (Bytes.length req.buffer) in
-  Scheduler.delay t.sched (t.tp.Simnet.Transport.host_copy_time n);
+  Scheduler.delay t.sched
+    (Simnet.Profile.copy_time
+       (Simnet.Fabric.profile t.tp.Simnet.Transport.fabric)
+       n);
   Bytes.blit payload off req.buffer 0 n;
   complete t req { source = env.src_rank; tag = env.tag; length = n }
 

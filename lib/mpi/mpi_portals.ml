@@ -200,7 +200,9 @@ let claim_slab t (req : C.request) (env : Envelope.t) slab ~off ~len =
   let d = dev t in
   let n = min len (Bytes.length req.C.buffer) in
   Scheduler.delay (P.Ni.sched d.ni)
-    ((P.Ni.transport d.ni).Simnet.Transport.host_copy_time n);
+    (Simnet.Profile.copy_time
+       (Simnet.Fabric.profile (P.Ni.transport d.ni).Simnet.Transport.fabric)
+       n);
   read_slab d slab ~off ~len:n ~dst:req.C.buffer;
   slab.s_outstanding <- slab.s_outstanding - 1;
   d.ux_bytes <- d.ux_bytes - len;

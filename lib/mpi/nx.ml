@@ -18,8 +18,6 @@ let create tp ~ranks ~rank () =
   { ep = Mpi_portals.create tp ~ranks ~rank (); info_count = -1; info_node = -1;
     info_type = -1 }
 
-let finalize t = Mpi_core.finalize t.ep
-
 let check_type typ =
   if typ < 0 then invalid_arg "Nx: message types must be non-negative"
 

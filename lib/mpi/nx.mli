@@ -19,8 +19,6 @@ type msgid
 val create :
   Simnet.Transport.t -> ranks:Simnet.Proc_id.t array -> rank:int -> unit -> t
 
-val finalize : t -> unit
-
 val any_type : int
 (** -1: the wildcard type selector. *)
 

@@ -128,9 +128,6 @@ let create_exn ni ~ranks ~rank ?portal_index ?eq_capacity () =
   | Ok t -> t
   | Error e -> raise (Error e)
 
-let rank t = t.my_rank
-let size t = Array.length t.ranks
-
 let region_options =
   {
     P.Md.op_put = true;
@@ -331,9 +328,6 @@ let fetch_and_add t sym ~pe ~offset delta =
   atomic_fetch t sym ~pe ~offset ~aop:P.Wire.Fetch_add ~operand:delta
     ~compare:0L
 
-let swap t sym ~pe ~offset value =
-  atomic_fetch t sym ~pe ~offset ~aop:P.Wire.Swap ~operand:value ~compare:0L
-
 let compare_and_swap t sym ~pe ~offset ~expected ~desired =
   Metrics.incr t.m.m_cas;
   atomic_fetch t sym ~pe ~offset ~aop:P.Wire.Cas ~operand:desired
@@ -397,7 +391,7 @@ module Win = struct
       (Int64.of_int (shared land 0xFFFF_FFFF))
 
   let node_inc os rank =
-    os.tp.Simnet.Transport.node_incarnation
+    Simnet.Fabric.incarnation os.tp.Simnet.Transport.fabric
       os.ranks.(rank).Simnet.Proc_id.nid
 
   let my_tag os =
@@ -412,7 +406,7 @@ module Win = struct
     if r < 0 || r >= Array.length os.ranks then true
     else
       let nid = os.ranks.(r).Simnet.Proc_id.nid in
-      (not (os.tp.Simnet.Transport.node_up nid))
+      (not (Simnet.Fabric.is_node_up os.tp.Simnet.Transport.fabric nid))
       || node_inc os r land 0xFFFF <> tag land 0xFFFF
 
   let create os ~size =
@@ -427,7 +421,6 @@ module Win = struct
     }
 
   let check_live w = if w.w_freed then invalid_arg "Onesided.Win: window freed"
-  let size w = w.w_size
 
   let local_data w =
     check_live w;
@@ -584,11 +577,9 @@ module Win = struct
     Metrics.incr w.w_os.m.m_flush;
     quiet w.w_os
 
-  let quiet w = flush_all w
-
   let free w =
     check_live w;
-    quiet w;
+    flush_all w;
     w.w_freed <- true;
     free_region w.w_os w.w_sym
 end

@@ -55,9 +55,6 @@ val create_exn :
   t
 (** {!create}, raising {!Error} on failure. *)
 
-val rank : t -> int
-val size : t -> int
-
 type sym
 (** A symmetric region id. *)
 
@@ -86,9 +83,6 @@ val fetch_and_add : t -> sym -> pe:int -> offset:int -> int64 -> int64
     Executes on the target interface at match time ({!Portals.Ni.atomic});
     the target application is never involved. Raises [Invalid_argument]
     if [offset, offset+8) overruns the region. *)
-
-val swap : t -> sym -> pe:int -> offset:int -> int64 -> int64
-(** Blocking atomic swap: deposits the given value, returns the old. *)
 
 val compare_and_swap :
   t -> sym -> pe:int -> offset:int -> expected:int64 -> desired:int64 -> int64
@@ -120,16 +114,6 @@ type win
     relative to the data area. *)
 
 module Win : sig
-  val create : t -> size:int -> win
-  (** Collective (same order on every rank, like {!alloc}): expose a
-      window of [size] data bytes per rank. *)
-
-  val free : win -> unit
-  (** Collective: drain outstanding operations and retire the window's
-      region. *)
-
-  val size : win -> int
-
   val local_data : win -> bytes
   (** Copy of this rank's window data area (excluding the lock word). *)
 
@@ -178,13 +162,12 @@ module Win : sig
 
   val flush_all : win -> unit
   (** MPI_Win_flush_all: {!flush} to every rank. *)
-
-  val quiet : win -> unit
-  (** Alias for {!flush_all} (shmem_quiet over the window's endpoint). *)
 end
 
 val win_create : t -> size:int -> win
-(** {!Win.create}. *)
+(** Collective (same order on every rank, like {!alloc}): expose a window
+    of [size] data bytes per rank. *)
 
 val win_free : win -> unit
-(** {!Win.free}. *)
+(** Collective: drain outstanding operations and retire the window's
+    region. *)

@@ -146,10 +146,3 @@ let sack_of_seqs ~cum_ack seqs =
       let i = seq - cum_ack - 1 in
       if i >= 0 && i < 64 then Int64.logor acc (Int64.shift_left 1L i) else acc)
     0L seqs
-
-let pp ppf = function
-  | Data { seq; payload } ->
-    Format.fprintf ppf "DATA seq=%d len=%d" seq (Frame.length payload)
-  | Ack { cum_ack; sack } ->
-    Format.fprintf ppf "ACK cum=%d sack=%Lx" cum_ack sack
-  | Forward { upto } -> Format.fprintf ppf "FWD upto=%d" upto

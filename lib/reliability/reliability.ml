@@ -111,7 +111,6 @@ type t = {
   m_window : Metrics.series;
 }
 
-let config t = t.cfg
 let inflight t = t.inflight_total
 
 let stats t =

@@ -128,7 +128,6 @@ val attach : ?config:config -> Simnet.Fabric.t -> t
     fabric already has a shim. Must be installed before traffic flows
     (frames sent earlier would be indistinguishable from corruption). *)
 
-val config : t -> config
 val stats : t -> stats
 
 val on_give_up :

@@ -67,8 +67,3 @@ let decode (f : Simnet.Frame.t) =
             pay_len;
           }
   end
-
-let pp ppf t =
-  Format.fprintf ppf "%s id=%d total=%d off=%d payload=%d"
-    (kind_to_string t.kind) t.msg_id t.total_len t.offset
-    t.pay_len

@@ -39,5 +39,3 @@ val decode : Simnet.Frame.t -> (t, string) result
 (** Decode the header; the result's payload is the frame's view (or,
     for a frame whose header is not exactly {!header_size} bytes — a
     damaged one — a copy of the bytes past the header). *)
-
-val pp : Format.formatter -> t -> unit

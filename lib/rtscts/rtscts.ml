@@ -3,8 +3,6 @@ module Frame = Frame
 
 type config = { eager_threshold : int; per_packet_interrupt : bool }
 
-let default_config = { eager_threshold = 4096; per_packet_interrupt = true }
-
 type stats = {
   eager_messages : int;
   rendezvous_messages : int;
@@ -501,8 +499,7 @@ let handle_frame t ~me ~src frame =
 let transport t =
   let profile = profile t in
   {
-    Simnet.Transport.sched = t.sched;
-    name = profile.Simnet.Profile.name ^ "/rtscts";
+    Simnet.Transport.fabric = t.fabric;
     send = (fun ~src ~dst payload -> enqueue t ~src ~dst payload);
     register =
       (fun pid handler ->
@@ -515,17 +512,8 @@ let transport t =
       (fun pid ->
         Hashtbl.remove t.uppers pid;
         Simnet.Fabric.unregister t.fabric pid);
-    host_cpu = (fun nid -> host_cpu t nid);
     charge_rx = (fun nid cost -> steal t nid cost);
     rx_track = (fun nid -> Printf.sprintf "cpu%d" nid);
     match_entry_cost = profile.Simnet.Profile.host_match_cost;
-    rx_fixed_cost = profile.Simnet.Profile.host_interrupt_cost;
-    data_in_time = (fun len -> Simnet.Profile.copy_time profile len);
-    host_copy_time = (fun len -> Simnet.Profile.copy_time profile len);
     send_overhead = profile.Simnet.Profile.host_syscall_cost;
-    node_incarnation = (fun nid -> Simnet.Fabric.incarnation t.fabric nid);
-    integrity = (fun () -> Simnet.Fabric.integrity t.fabric);
-    node_up = (fun nid -> Simnet.Fabric.is_node_up t.fabric nid);
-    on_crash = (fun f -> Simnet.Fabric.on_crash t.fabric f);
-    on_restart = (fun f -> Simnet.Fabric.on_restart t.fabric f);
   }

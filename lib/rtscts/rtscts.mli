@@ -39,11 +39,6 @@ type config = {
           interrupt coalescing — an ablation knob. *)
 }
 
-val default_config : config
-(** Eager at or below 4096 bytes; per-packet interrupts on. {!create}
-    without an explicit config instead uses the fabric profile's MTU as
-    the threshold. *)
-
 type stats = {
   eager_messages : int;
   rendezvous_messages : int;

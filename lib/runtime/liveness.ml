@@ -18,8 +18,6 @@ type t = {
   until : Time_ns.t;
   last_seen : Time_ns.t array;
   states : state array;
-  stopped : bool Atomic.t;
-      (* Read by emitters on every shard's domain, hence atomic. *)
   mutable down_cbs : (Simnet.Proc_id.nid -> unit) list;
   mutable up_cbs : (Simnet.Proc_id.nid -> unit) list;
   emit_sched : Scheduler.t array;  (* Per nid: its owner shard. *)
@@ -73,8 +71,6 @@ let pp_verdict ppf = function
 
 let on_down t cb = t.down_cbs <- t.down_cbs @ [ cb ]
 let on_up t cb = t.up_cbs <- t.up_cbs @ [ cb ]
-let stop t = Atomic.set t.stopped true
-
 let handle_beat t ~src (_ : bytes) =
   let nid = src.Simnet.Proc_id.nid in
   Metrics.incr t.m_received;
@@ -104,10 +100,7 @@ let handle_beat t ~src (_ : bytes) =
    node lives and crosses to the monitor's shard like any message. *)
 let rec emit t nid =
   let sched = t.emit_sched.(nid) and fabric = t.emit_fabric.(nid) in
-  if
-    (not (Atomic.get t.stopped))
-    && Time_ns.compare (Scheduler.now sched) t.until < 0
-  then begin
+  if Time_ns.compare (Scheduler.now sched) t.until < 0 then begin
     if Simnet.Fabric.is_node_up fabric nid && nid <> t.monitor then begin
       Metrics.incr t.m_sent.(nid);
       Simnet.Fabric.send_raw fabric
@@ -118,10 +111,7 @@ let rec emit t nid =
   end
 
 let rec check t =
-  if
-    (not (Atomic.get t.stopped))
-    && Time_ns.compare (Scheduler.now t.sched) t.until < 0
-  then begin
+  if Time_ns.compare (Scheduler.now t.sched) t.until < 0 then begin
     let now = Scheduler.now t.sched in
     Array.iteri
       (fun nid st ->
@@ -166,7 +156,6 @@ let start ?(period = default_period) ?(timeout = default_timeout)
       until;
       last_seen = Array.make nodes (Scheduler.now sched);
       states = Array.make nodes Beating;
-      stopped = Atomic.make false;
       down_cbs = [];
       up_cbs = [];
       emit_sched = Array.init nodes (World.sched_of_nid world);

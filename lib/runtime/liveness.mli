@@ -47,9 +47,6 @@ val start :
     Raises [Invalid_argument] on a timeout below the period or a monitor
     node outside the world. *)
 
-val stop : t -> unit
-(** Stop emitting and checking now (idempotent). *)
-
 val suspected : t -> Simnet.Proc_id.nid list
 (** Nodes currently suspected dead, ascending. *)
 

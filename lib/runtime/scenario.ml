@@ -221,6 +221,14 @@ let make ?(loss = 0.) ?(seed = 0) ?fault ?crashes ?topology ?queue_limit
   let crashes = Option.map crashes_of_spec (spec crashes) in
   { seed; fault; crashes; topology; queue_limit; domains; collectives }
 
+let add_crashes t events =
+  let scripted =
+    List.map
+      (fun (ev : Simnet.Fault.crash_event) -> (ev.victim, ev.down_at, ev.up_at))
+      (Option.value t.crashes ~default:[])
+  in
+  { t with crashes = Some (Simnet.Fault.crash_schedule (scripted @ events)) }
+
 (* Fresh model instances on every call: models carry mutable per-pair
    PRNG tables, so each shard fabric of a world needs its own. Same
    scenario + same seed => identical per-pair streams. *)

@@ -10,8 +10,8 @@
 
 type t = private {
   seed : int;
-      (** The scheduler and fault-model seed used when a world is built
-          with no explicit [~seed] (default 0). *)
+      (** The fault-model seed used when a world is built with no
+          explicit [~seed] (default 0). *)
   fault : string option;
       (** A wire fault-model spec:
           ["bernoulli:P"], ["gilbert:P_ENTER:P_EXIT"], ["duplicate:P"],
@@ -92,6 +92,16 @@ val make :
     not after its crash, a node crashing again while still down).
     Partition nids outside a world are only caught when that world is
     built. *)
+
+val add_crashes :
+  t ->
+  (Simnet.Proc_id.nid * Sim_engine.Time_ns.t * Sim_engine.Time_ns.t option)
+  list ->
+  t
+(** [t] with these node failures added to its [crashes] schedule, as
+    [(nid, down_at, up_at)] triples ({!Simnet.Fault.crash_schedule}).
+    Raises [Invalid_argument] when the merged schedule is not valid (a
+    node crashing again while still down). *)
 
 val faults :
   t -> seed:int -> Simnet.Fault.t list * Simnet.Fault.partition_schedule

@@ -22,7 +22,6 @@ val all : t list
 val names : string list
 (** [List.map name all]. *)
 
-val find : string -> t option
 val find_exn : string -> t
 (** Raises [Invalid_argument] naming the valid stacks. *)
 

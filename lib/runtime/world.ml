@@ -117,17 +117,10 @@ let create_world ?(scenario = Scenario.default) ?profile ?(transport = Offload)
   (* Each shard's replica is built on its own domain, as [Shard.run]
      places the shards, so a replica's scheduler, fabric and transport
      come from that domain's heap, and it holds only the nodes and hop
-     links its shard owns. Shard 0 keeps the caller's seed, so
-     streams only it draws match the 1-shard world's; the rest get
-     decorrelated derived streams (nothing deterministic may depend on
-     them). *)
+     links its shard owns. *)
   let replicas =
     Shard.parallel_init shards (fun k ->
-        let sched =
-          Scheduler.create
-            ~seed:(if k = 0 then seed else Prng.derived_seed ~seed ~index:k)
-            ()
-        in
+        let sched = Scheduler.create () in
         let fabric =
           Simnet.Fabric.create ~topology:topo ?queue_limit
             ~shard:(shard_map, k) sched ~profile ~nodes

@@ -6,37 +6,29 @@
    one more zero byte, so the eight lookups of a step together equal
    eight byte steps.
 
-   The table is built on first use, and shards on several domains may
-   all make that first use at once. [Lazy] is not safe there (a second
-   domain forcing it raises [CamlinternalLazy.Undefined]); racing
-   domains here each build an identical table and the last store wins. *)
+   The table is built once, when the module is initialised, and never
+   written after, so shards on any domain read it without
+   synchronisation. *)
 
-let table_cell = Atomic.make [||]
-
-let table () =
-  let t = Atomic.get table_cell in
-  if Array.length t > 0 then t
-  else begin
-    let t = Array.make 2048 0 in
-    for n = 0 to 255 do
-      let c = ref n in
-      for _ = 0 to 7 do
-        c := if !c land 1 = 1 then 0x82F63B78 lxor (!c lsr 1) else !c lsr 1
-      done;
-      t.(n) <- !c
+let table =
+  let t = Array.make 2048 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0x82F63B78 lxor (!c lsr 1) else !c lsr 1
     done;
-    for i = 256 to 2047 do
-      let prev = t.(i - 256) in
-      t.(i) <- t.(prev land 0xFF) lxor (prev lsr 8)
-    done;
-    Atomic.set table_cell t;
-    t
-  end
+    t.(n) <- !c
+  done;
+  for i = 256 to 2047 do
+    let prev = t.(i - 256) in
+    t.(i) <- t.(prev land 0xFF) lxor (prev lsr 8)
+  done;
+  t
 
 (* Every index below is masked to 8 bits plus a table offset, so it lies
    inside the 2048 entries. *)
 let update crc buf ~pos ~len =
-  let t = table () in
+  let t = table in
   let crc = ref (crc lxor 0xFFFFFFFF) in
   let i = ref pos in
   let stop8 = pos + (len land lnot 7) in

@@ -4,9 +4,9 @@
     corruption end to end. Values are non-negative 32-bit ints.
 
     Computed slicing-by-8: eight bytes per step through one 2048-entry
-    table built on first use, then byte at a time over the last
-    [len mod 8] bytes. The values are those of the plain byte-at-a-time
-    algorithm. *)
+    table built when the module is initialised, then byte at a time over
+    the last [len mod 8] bytes. The values are those of the plain
+    byte-at-a-time algorithm. *)
 
 val digest : ?pos:int -> ?len:int -> bytes -> int
 (** Checksum of [buf[pos .. pos+len)] (default: the whole buffer).

@@ -239,7 +239,6 @@ let compose models =
     }
 
 let decide t ~now ~src ~dst ~len = t.f ~now ~src ~dst ~len
-let describe t = t.label
 let can_corrupt t = t.corrupting
 let hop_sample t = t.hop
 

@@ -138,9 +138,6 @@ val decide :
   len:int ->
   decision
 
-val describe : t -> string
-(** Short human-readable summary, e.g. ["bernoulli(p=0.05)"]. *)
-
 (** {1 Crash-stop schedules}
 
     Unlike the per-message models above, node failures are scheduled

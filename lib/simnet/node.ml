@@ -7,6 +7,5 @@ let create sched ~nid =
     link = Link.create ~name:("link" ^ string_of_int nid) sched;
   }
 
-let nid t = t.node_nid
 let host_cpu t = t.cpu
 let tx_link t = t.link

@@ -14,8 +14,6 @@ type t
 val create : Sim_engine.Scheduler.t -> nid:Proc_id.nid -> t
 (** A fresh node with an idle CPU and link. *)
 
-val nid : t -> Proc_id.nid
-
 val host_cpu : t -> Sim_engine.Cpu.t
 (** The application-visible host processor; compute and host-side
     protocol costs ({!Profile.t} syscall/interrupt fields) occupy it. *)

@@ -24,9 +24,6 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 (** Total order: by node id, then process id. *)
 
-val hash : t -> int
-(** Hash consistent with {!equal}, for [Hashtbl]-keyed routing tables. *)
-
 val pp : Format.formatter -> t -> unit
 (** Prints ["nid:pid"], e.g. ["3:0"]. *)
 

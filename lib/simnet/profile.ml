@@ -90,13 +90,6 @@ let tcp_reference =
     dma_bandwidth = 200e6;
   }
 
-let pp ppf t =
-  Format.fprintf ppf
-    "%s: wire %a + %.0f MB/s, mtu %d, nic tx/rx %a/%a, intr %a, copy %.0f MB/s"
-    t.name Time_ns.pp t.wire_latency (t.wire_bandwidth /. 1e6) t.mtu Time_ns.pp
-    t.nic_tx_cost Time_ns.pp t.nic_rx_cost Time_ns.pp t.host_interrupt_cost
-    (t.copy_bandwidth /. 1e6)
-
 let packets_of_len t len =
   if len <= 0 then 1 else (len + t.mtu - 1) / t.mtu
 

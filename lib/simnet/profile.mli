@@ -51,8 +51,6 @@ val tcp_reference : t
 (** The TCP/IP reference implementation: same commodity wire, heavyweight
     per-message host costs. *)
 
-val pp : Format.formatter -> t -> unit
-
 val packets_of_len : t -> int -> int
 (** Number of MTU-sized packets needed for a payload of the given length
     (at least 1: even a zero-byte message occupies one header packet). *)

@@ -396,7 +396,3 @@ let check_spec spec =
   match parse_spec spec ~nodes:1 with
   | _, None -> ()
   | kind, Some nodes -> ignore (checked spec kind ~nodes)
-
-let pp ppf t =
-  Format.fprintf ppf "%s (%d nodes, %d vertices, %d links)" (describe t.kind)
-    t.topo_nodes t.vertices (link_count t)

@@ -116,5 +116,3 @@ val check_spec : string -> unit
 val describe : kind -> string
 (** Short human-readable form, e.g. ["torus2d:4x4"]; parseable back by
     {!of_spec}. *)
-
-val pp : Format.formatter -> t -> unit

@@ -23,15 +23,13 @@ echo "== smoke: no process-wide mutable state in lib/ =="
 # state, so worlds can be built in any order and run on any domain. A
 # top-level ref / Atomic.make / Hashtbl.create / Array.make /
 # Bytes.create binding in lib/ would be shared by every world in the
-# process. Allowed, as FILE:NAME:
-#   - the CRC-32C lookup table, built on first use and never changed;
-#   - the scheduler's three process-wide run totals. They wait for the
-#     benchmark change that moves perfbench/workloads.ml off
-#     Scheduler.global_totals onto per-world counts.
+# process. Allowed, as FILE:NAME: the scheduler's three process-wide
+# run totals. They wait for the benchmark change that moves
+# perfbench/workloads.ml off Scheduler.global_totals onto per-world
+# counts.
 allowed="lib/engine/scheduler.ml:g_events
 lib/engine/scheduler.ml:g_fibers
-lib/engine/scheduler.ml:g_sim_ns
-lib/simnet/crc32c.ml:table_cell"
+lib/engine/scheduler.ml:g_sim_ns"
 # A binding counts when "let NAME [: TYPE] =" (no parameters) at column
 # 0 is followed, on the same or the next non-blank line, by one of the
 # five constructors.
@@ -74,19 +72,105 @@ fi
 
 echo "== smoke: every exported val has a reader outside its module =="
 # A `val NAME` in lib/**/*.mli that no file outside its own .ml/.mli
-# under lib bin test examples perfbench names (as a word) is an export
-# nothing calls: drop it from the .mli, or give it a test. Allowed, as
-# MLI:NAME (none today):
+# under lib bin test examples perfbench reads is an export nothing
+# calls: drop it from the .mli, or give it a test. A file reads M.NAME
+# (M the .mli's module, or the `module M : sig` the val sits in) when,
+# outside comments and strings, it names M.NAME through any module path
+# or through an alias of M (`module A = ...M` in that file or in any
+# .mli, or a wrapper that does `include M`), or when it opens M (`open
+# ...M`, `M.(`) and names NAME as a word. Allowed, as MLI:NAME (none
+# today):
 allowed=""
-sources=$(find lib bin test examples perfbench -name '*.ml' -o -name '*.mli' | sort)
-unread=$(find lib -name '*.mli' | sort | while read -r mli; do
-  others=$(echo "$sources" | grep -vxF -e "$mli" -e "${mli%i}")
-  sed -nE "s/^[ ]*val ([a-z_][A-Za-z0-9_']*).*/\1/p" "$mli" | sort -u |
-    while read -r name; do
-      echo "$others" | xargs grep -qw -- "$name" || echo "$mli:$name"
-    done
-done)
-unexpected=$(comm -23 <(echo "$unread" | sort) <(echo "$allowed" | sort))
+unread=$(python3 - <<'EOF'
+import pathlib, re
+
+MOD = r"[A-Z][\w']*"
+PATH = rf"(?:{MOD}\.)*({MOD})"
+CHAR = re.compile(r"'(\\(?:[^']+|')|[^\\'])'")
+
+
+def strip(src):
+    """The source with comments, strings and char literals left out."""
+    out, i, n, depth = [], 0, len(src), 0
+    while i < n:
+        if src.startswith("(*", i):
+            depth, i = depth + 1, i + 2
+        elif depth and src.startswith("*)", i):
+            depth, i = depth - 1, i + 2
+        elif src[i] == '"':
+            i += 1
+            while i < n and src[i] != '"':
+                i += 2 if src[i] == "\\" else 1
+            i += 1
+        elif depth == 0 and (m := CHAR.match(src, i)) and not (
+            i and re.match(r"[\w']", src[i - 1])
+        ):
+            i = m.end()
+        else:
+            if depth == 0 or src[i] == "\n":
+                out.append(src[i])
+            i += 1
+    return "".join(out)
+
+
+def aliases(src):
+    got = {}
+    for a, m in re.findall(rf"\bmodule\s+({MOD})\s*=\s*{PATH}\b(?!\s*\()", src):
+        got.setdefault(m, set()).add(a)
+    return got
+
+
+files = sorted(
+    p
+    for root in "lib bin test examples perfbench".split()
+    for p in pathlib.Path(root).rglob("*")
+    if p.suffix in (".ml", ".mli")
+)
+text = {p: strip(p.read_text()) for p in files}
+# Names a module goes by in every file: aliases an .mli re-exports,
+# and a wrapper module that includes it.
+known = {}
+for p in files:
+    if p.suffix == ".mli":
+        for m, a in aliases(text[p]).items():
+            known.setdefault(m, set()).update(a)
+    for m in re.findall(rf"^include\s+{PATH}", text[p], re.M):
+        known.setdefault(m, set()).add(p.stem.capitalize())
+facts = {
+    p: (
+        aliases(src),
+        set(re.findall(rf"\bopen!?\s+{PATH}", src))
+        | set(re.findall(rf"(?<![\w'])({MOD})\.[({{]", src)),
+        set(re.findall(rf"(?<![\w'])({MOD})\.([a-z_][\w']*)", src)),
+        set(re.findall(r"(?<![\w'.])([a-z_][\w']*)", src)),
+    )
+    for p, src in text.items()
+}
+
+
+def reads(p, m, name):
+    local, opened, qualified, words = facts[p]
+    names = {m} | known.get(m, set()) | local.get(m, set())
+    return any((n, name) in qualified for n in names) or (
+        bool(names & opened) and name in words
+    )
+
+
+for mli in (p for p in files if p.suffix == ".mli" and p.parts[0] == "lib"):
+    others = [p for p in files if p not in (mli, mli.with_suffix(".ml"))]
+    path = []
+    for line in text[mli].splitlines():
+        if m := re.match(rf"\s*module\s+({MOD})\s*:\s*sig\b", line):
+            path = path + [m.group(1)]
+        elif re.match(r"\s*end\b", line) and path:
+            path = path[:-1]
+        elif m := re.match(r"\s*val\s+([a-z_][\w']*)", line):
+            owner = path[-1] if path else mli.stem.capitalize()
+            if not any(reads(p, owner, m.group(1)) for p in others):
+                print(f"{mli}:" + ".".join(path + [m.group(1)]))
+EOF
+)
+unexpected=$(comm -23 <(echo "$unread" | sort -u) <(echo "$allowed" | sort))
 if [ -n "$unexpected" ]; then
   echo "exported vals nothing outside their module reads:" >&2
   echo "$unexpected" >&2

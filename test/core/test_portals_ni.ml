@@ -699,7 +699,10 @@ let bypass_tests =
         Alcotest.(check string) "delivered with no target activity" "bypassed"
           (Bytes.sub_string buf 0 8);
         Alcotest.(check int) "event logged" 1 (List.length (drain_events env.ni1 teq));
-        let cpu = env.tp.Simnet.Transport.host_cpu 1 in
+        let cpu =
+          Simnet.Node.host_cpu
+            (Simnet.Fabric.node env.tp.Simnet.Transport.fabric 1)
+        in
         Alcotest.(check int) "host cpu untouched" 0 (Cpu.stolen_total cpu));
     Alcotest.test_case "kernel transport charges the target host" `Quick
       (fun () ->
@@ -710,7 +713,10 @@ let bypass_tests =
           (Ni.put env.ni0 ~md:imd
              (Ni.op ~target:(proc 1 0) ~portal_index:0 ~cookie:1 ()));
         Scheduler.run env.sched;
-        let cpu = env.tp.Simnet.Transport.host_cpu 1 in
+        let cpu =
+          Simnet.Node.host_cpu
+            (Simnet.Fabric.node env.tp.Simnet.Transport.fabric 1)
+        in
         Alcotest.(check bool) "host cycles stolen" true (Cpu.stolen_total cpu > 0));
     Alcotest.test_case "events are delayed by processing costs" `Quick (fun () ->
         let env = setup () in

@@ -172,7 +172,7 @@ let ni_drop_tests =
   [
     Alcotest.test_case "NI drops a damaged frame as Checksum_failed" `Quick
       (fun () ->
-        let sched = Sim_engine.Scheduler.create ~seed:0 () in
+        let sched = Sim_engine.Scheduler.create () in
         let fabric =
           Simnet.Fabric.create sched ~profile:Simnet.Profile.myrinet_mcp
             ~nodes:2

@@ -1295,7 +1295,7 @@ let metrics_tests =
 let shard_tests =
   let lookahead = Time_ns.ns 1000 in
   let make_pair () =
-    [| Scheduler.create ~seed:1 (); Scheduler.create ~seed:2 () |]
+    [| Scheduler.create (); Scheduler.create () |]
   in
   [
     Alcotest.test_case "two shards ping-pong across window boundaries" `Quick

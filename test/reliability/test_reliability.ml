@@ -7,8 +7,8 @@ open Sim_engine
 
 let proc nid pid = Simnet.Proc_id.make ~nid ~pid
 
-let mk ?config ?fault ?(integrity = false) ?(nodes = 2) ?(seed = 0) () =
-  let sched = Scheduler.create ~seed () in
+let mk ?config ?fault ?(integrity = false) ?(nodes = 2) () =
+  let sched = Scheduler.create () in
   let fabric =
     Simnet.Fabric.create sched ~profile:Simnet.Profile.myrinet_mcp ~nodes
   in
@@ -103,8 +103,8 @@ let frame_tests =
 
 (* Send [n] distinct payloads rank0 -> rank1 through the plain fabric
    API; return them as received. *)
-let exchange ?config ?fault ?integrity ?seed ~n ~len () =
-  let sched, fabric, rel = mk ?config ?fault ?integrity ?seed () in
+let exchange ?config ?fault ?integrity ~n ~len () =
+  let sched, fabric, rel = mk ?config ?fault ?integrity () in
   let got = ref [] in
   Simnet.Fabric.register fabric (proc 1 0) (fun ~src:_ payload ->
       got := Bytes.to_string payload :: !got);
@@ -262,7 +262,7 @@ let lossy_wire_tests =
       (fun () ->
         let run () =
           let fault = Simnet.Fault.bernoulli ~seed:9 ~p:0.1 () in
-          let _, rel, _ = exchange ~fault ~seed:9 ~n:30 ~len:128 () in
+          let _, rel, _ = exchange ~fault ~n:30 ~len:128 () in
           (Reliability.stats rel).Reliability.retransmits
         in
         Alcotest.(check int) "deterministic" (run ()) (run ()));
@@ -275,7 +275,7 @@ let lossy_wire_tests =
            let fault =
              Simnet.Fault.bernoulli ~seed ~p:(float_of_int loss_pct /. 100.) ()
            in
-           let got, _, _ = exchange ~fault ~seed ~n:40 ~len:64 () in
+           let got, _, _ = exchange ~fault ~n:40 ~len:64 () in
            got = expected_payloads ~n:40 ~len:64));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make
@@ -287,7 +287,7 @@ let lossy_wire_tests =
          (fun (seed, loss_pct, dup_pct, (window, stuck)) ->
            let n = 160 in
            let config = { Reliability.default_config with Reliability.window } in
-           let sched, fabric, rel = mk ~config ~seed () in
+           let sched, fabric, rel = mk ~config () in
            let stuck_fault, _ = stuck_first ~transmissions:stuck in
            Simnet.Fabric.set_fault_model fabric
              (Some
@@ -746,7 +746,7 @@ let skip_forward_tests =
                max_retries = 3;
              }
            in
-           let sched, fabric, rel = mk ~config ~seed () in
+           let sched, fabric, rel = mk ~config () in
            let payload i =
              if i = victim then "victim" else Printf.sprintf "payload-%06d" i
            in

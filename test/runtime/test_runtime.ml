@@ -820,8 +820,9 @@ let replica_tests =
                   (Bytes.create 8));
             reject "Transport.register" (fun () ->
                 tr.Simnet.Transport.register (proc 3) (fun ~src:_ _ -> ()));
-            reject "Transport.host_cpu" (fun () ->
-                tr.Simnet.Transport.host_cpu 3);
+            reject "Transport.fabric host CPU" (fun () ->
+                Simnet.Node.host_cpu
+                  (Simnet.Fabric.node tr.Simnet.Transport.fabric 3));
             (* The kernel paths charge the receiving host's CPU and
                serialise a send on the sender's engine: ktx for the
                kernel module, kcopy (after the syscall's CPU charge) for

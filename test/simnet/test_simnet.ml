@@ -886,7 +886,7 @@ let transport_tests =
           (Bytes.of_string "msg");
         Scheduler.run sched;
         Alcotest.(check bool) "handled" true !handled;
-        let cpu = transport.Transport.host_cpu 1 in
+        let cpu = Node.host_cpu (Fabric.node fabric 1) in
         Alcotest.(check int) "no host cycles" 0 (Cpu.stolen_total cpu));
     Alcotest.test_case "kernel rx interrupts the host cpu" `Quick (fun () ->
         let sched, fabric = mk_fabric ~profile:Profile.myrinet_kernel () in
@@ -899,7 +899,7 @@ let transport_tests =
           (Bytes.of_string "msg");
         Scheduler.run sched;
         Alcotest.(check bool) "handled" true !handled;
-        let cpu = transport.Transport.host_cpu 1 in
+        let cpu = Node.host_cpu (Fabric.node fabric 1) in
         let expected =
           Time_ns.add Profile.myrinet_kernel.Profile.host_interrupt_cost
             (Time_ns.add (Profile.copy_time Profile.myrinet_kernel 3) (Time_ns.us 5.0))
@@ -910,7 +910,7 @@ let transport_tests =
         let sched, fabric = mk_fabric ~profile:Profile.myrinet_kernel () in
         let transport = Transport.kernel_interrupt fabric in
         transport.Transport.register (pid 1 0) (fun ~src:_ _ -> ());
-        let cpu = transport.Transport.host_cpu 1 in
+        let cpu = Node.host_cpu (Fabric.node fabric 1) in
         let finished = ref 0 in
         Scheduler.spawn sched (fun () ->
             Cpu.compute cpu (Time_ns.ms 1.0);
@@ -920,15 +920,40 @@ let transport_tests =
         Scheduler.run sched;
         Alcotest.(check bool) "compute extended past 1ms" true
           (!finished > Time_ns.ms 1.0));
-    Alcotest.test_case "offload vs kernel cost parameters" `Quick (fun () ->
-        let _, fabric_mcp = mk_fabric () in
-        let _, fabric_k = mk_fabric ~profile:Profile.myrinet_kernel () in
-        let off = Transport.offload fabric_mcp in
-        let ker = Transport.kernel_interrupt fabric_k in
-        Alcotest.(check bool) "kernel rx fixed cost higher" true
-          (ker.Transport.rx_fixed_cost > off.Transport.rx_fixed_cost);
-        Alcotest.(check bool) "kernel data path slower" true
-          (ker.Transport.data_in_time 100_000 > off.Transport.data_in_time 100_000));
+    Alcotest.test_case "a message lands after its placement's receive cost"
+      `Quick (fun () ->
+        (* One [n]-byte message from node 0 to node 1, put on the wire at
+           time 0. [deliver] registers the receiver; the result is the
+           time its handler runs and the host cycles node 1 lost. *)
+        let arrive profile deliver n =
+          let sched, fabric = mk_fabric ~profile () in
+          let at = ref (-1) in
+          deliver fabric (pid 1 0) (fun ~src:_ _ -> at := Scheduler.now sched);
+          Fabric.send fabric ~src:(pid 0 0) ~dst:(pid 1 0) (Bytes.create n);
+          Scheduler.run sched;
+          (!at, Cpu.stolen_total (Node.host_cpu (Fabric.node fabric 1)))
+        in
+        let check placement profile ~landing ~stolen n =
+          let wire, _ = arrive profile Fabric.register n in
+          let landed, lost =
+            arrive profile
+              (fun fabric -> (placement fabric).Transport.register)
+              n
+          in
+          let what = Printf.sprintf "%s, %d bytes" profile.Profile.name n in
+          Alcotest.(check int) (what ^ ": lands") (wire + landing) landed;
+          Alcotest.(check int) (what ^ ": host stolen") stolen lost
+        in
+        List.iter
+          (fun n ->
+            let p = Profile.myrinet_mcp in
+            check Transport.offload p n ~stolen:0
+              ~landing:(p.Profile.nic_rx_cost + Profile.dma_time p n);
+            let p = Profile.myrinet_kernel in
+            let host = p.Profile.host_interrupt_cost + Profile.copy_time p n in
+            check Transport.kernel_interrupt p n ~stolen:host
+              ~landing:(p.Profile.nic_rx_cost + host))
+          [ 0; 100_000 ]);
     Alcotest.test_case "small message cannot overtake a large one" `Quick
       (fun () ->
         (* The landing stage (DMA/copy) must serialise per node: a tiny

@@ -39,8 +39,8 @@ end
 module Conformance (T : STACK) = struct
   (* Build an [n]-rank world over [T]'s wire and run [body fabric ep rank]
      in one fiber per rank. *)
-  let with_world ?(n = 2) ?fault ?(reliability = false) ?seed body =
-    let sched = Scheduler.create ?seed () in
+  let with_world ?(n = 2) ?fault ?(reliability = false) body =
+    let sched = Scheduler.create () in
     let fabric = Simnet.Fabric.create sched ~profile:T.profile ~nodes:n in
     (match fault with
     | None -> ()
@@ -123,7 +123,7 @@ module Conformance (T : STACK) = struct
     in
     let got = ref [] in
     ignore
-      (with_world ~fault ~reliability:true ~seed:7
+      (with_world ~fault ~reliability:true
          (fun _sched _fabric ep rank ->
            if rank = 0 then
              List.init msgs (fun i ->
