@@ -6,7 +6,7 @@ CI_DEPS = dune alcotest qcheck qcheck-alcotest cmdliner \
 	ocamlformat odoc
 
 .PHONY: all build test fmt doc bench bench-json perf-gate perf-pairs smoke \
-	ci ci-deps baseline-refresh clean
+	ci ci-deps baseline-refresh doc-blocks clean
 
 all: build
 
@@ -65,6 +65,11 @@ ci-deps:
 # that moved the sim fields, and say why.
 baseline-refresh:
 	dune exec bin/portals_repro.exe -- bench --json bench/baseline.json
+
+# Rewrite every command-output block in EXPERIMENTS.md from this tree,
+# after a change that means to move an output (smoke.sh checks them).
+doc-blocks: build
+	python3 scripts/doc_blocks.py --write
 
 # Seeded acceptance smoke, shared with CI (scripts/smoke.sh).
 smoke: build

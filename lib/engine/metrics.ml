@@ -42,7 +42,6 @@ type summary = {
 type series = {
   r_enabled : bool ref;
   mutable r_rev_points : (float * float) list;
-  mutable r_len : int;
 }
 
 type instrument =
@@ -174,7 +173,7 @@ let summary t ?(labels = []) name =
 let series t ?(labels = []) name =
   match
     (register t name labels (fun () ->
-         Series { r_enabled = t.detail; r_rev_points = []; r_len = 0 }))
+         Series { r_enabled = t.detail; r_rev_points = [] }))
       .instrument
   with
   | Series s -> s
@@ -193,31 +192,10 @@ let observe m x =
   if x > m.m_max then m.m_max <- x
 
 let push r ~x ~y =
-  if !(r.r_enabled) then begin
-    r.r_rev_points <- (x, y) :: r.r_rev_points;
-    r.r_len <- r.r_len + 1
-  end
+  if !(r.r_enabled) then r.r_rev_points <- (x, y) :: r.r_rev_points
 
 let series_enabled r = !(r.r_enabled)
 let series_points r = List.rev r.r_rev_points
-let series_length r = r.r_len
-
-let reset t =
-  List.iter
-    (fun e ->
-      match e.instrument with
-      | Counter c -> c.c_value <- 0
-      | Gauge g -> g.g_value <- 0.
-      | Summary m ->
-        m.m_count <- 0;
-        m.m_total <- 0.;
-        m.m_sum_sq <- 0.;
-        m.m_min <- infinity;
-        m.m_max <- neg_infinity
-      | Series r ->
-        r.r_rev_points <- [];
-        r.r_len <- 0)
-    t.rev_entries
 
 module Snapshot = struct
   type value =
@@ -376,9 +354,5 @@ let absorb t ?(labels = []) (snap : Snapshot.t) =
         end
       | Snapshot.Series pts ->
         let r = series t ~labels:combined e.Snapshot.name in
-        List.iter
-          (fun (x, y) ->
-            r.r_rev_points <- (x, y) :: r.r_rev_points;
-            r.r_len <- r.r_len + 1)
-          pts)
+        List.iter (fun p -> r.r_rev_points <- p :: r.r_rev_points) pts)
     snap

@@ -109,11 +109,6 @@ val series_enabled : series -> bool
     that sampling switched off costs one branch. *)
 
 val series_points : series -> (float * float) list
-val series_length : series -> int
-
-val reset : t -> unit
-(** Zero every instrument in place (probes are unaffected); registrations
-    and handles stay valid. *)
 
 (** {1 Snapshots} *)
 

@@ -52,27 +52,6 @@ module Waitq = struct
   let waiters t = Queue.length t.waiters
 end
 
-module Mailbox = struct
-  type 'a t = { q : 'a Queue.t; nonempty : Waitq.t }
-
-  let create ?(name = "mailbox") sched =
-    { q = Queue.create (); nonempty = Waitq.create ~name sched }
-
-  let send t v =
-    Queue.add v t.q;
-    Waitq.signal t.nonempty
-
-  let rec recv t =
-    match Queue.take_opt t.q with
-    | Some v -> v
-    | None ->
-      Waitq.wait t.nonempty;
-      recv t
-
-  let try_recv t = Queue.take_opt t.q
-  let length t = Queue.length t.q
-end
-
 module Semaphore = struct
   type t = { mutable units : int; nonzero : Waitq.t }
 
@@ -92,30 +71,4 @@ module Semaphore = struct
     Waitq.signal t.nonzero
 
   let available t = t.units
-end
-
-module Barrier = struct
-  type t = {
-    parties : int;
-    mutable arrived : int;
-    mutable generation : int;
-    released : Waitq.t;
-  }
-
-  let create ?(name = "barrier") sched n =
-    if n <= 0 then invalid_arg "Barrier.create: parties must be positive";
-    { parties = n; arrived = 0; generation = 0; released = Waitq.create ~name sched }
-
-  let await t =
-    let gen = t.generation in
-    t.arrived <- t.arrived + 1;
-    if t.arrived = t.parties then begin
-      t.arrived <- 0;
-      t.generation <- t.generation + 1;
-      Waitq.broadcast t.released
-    end
-    else
-      while t.generation = gen do
-        Waitq.wait t.released
-      done
 end

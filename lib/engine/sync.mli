@@ -33,20 +33,6 @@ module Waitq : sig
   val waiters : t -> int
 end
 
-module Mailbox : sig
-  (** Unbounded FIFO queue; [recv] blocks when empty. *)
-
-  type 'a t
-
-  val create : ?name:string -> Scheduler.t -> 'a t
-  val send : 'a t -> 'a -> unit
-  val recv : 'a t -> 'a
-  (** Fiber-only: blocks until a message is available. *)
-
-  val try_recv : 'a t -> 'a option
-  val length : 'a t -> int
-end
-
 module Semaphore : sig
   type t
 
@@ -58,15 +44,4 @@ module Semaphore : sig
 
   val release : t -> unit
   val available : t -> int
-end
-
-module Barrier : sig
-  (** Reusable fiber barrier for [n] parties. *)
-
-  type t
-
-  val create : ?name:string -> Scheduler.t -> int -> t
-  val await : t -> unit
-  (** Fiber-only: blocks until [n] fibers have called [await] in the
-      current generation, then releases them all. *)
 end

@@ -439,37 +439,35 @@ let crash_restart =
         $ us (fun d -> d.Crash_restart.horizon) "horizon" "Simulation horizon, us")
     (fun scenario ~quick:_ -> job scenario)
 
-(* Congestion builds its own worlds; it draws no random numbers, so the
-   scenario's seed does not reach it. *)
+(* Congestion builds its own fabrics and draws no random numbers: of the
+   scenario it reads only the queue limit. *)
 let congestion =
-  let job ?nodes ?topologies ?msgs_per_peer ?size ?queue_limit _scenario =
+  let job ?nodes ?topologies ?msgs_per_peer ?size scenario =
     {
       print =
         (fun ~trace:_ ppf ->
           let registry = Metrics.create () in
           Congestion.pp ppf
-            (Congestion.run ?nodes ?topologies ?msgs_per_peer ?size ?queue_limit
-               ~registry ());
+            (Congestion.run ?nodes ?topologies ?msgs_per_peer ?size
+               ?queue_limit:scenario.Runtime.Scenario.queue_limit ~registry ());
           { nothing with metrics = Metrics.snapshot registry });
       records = (fun () -> []);
     }
   in
   entry "congestion"
     "All-to-all vs nearest-neighbor goodput across interconnect topologies \
-     (N1)"
+     (N1); it draws no random numbers, so $(b,--seed) does not change it"
     ~section:
       (full "N1: traffic patterns vs interconnect topology (section 2: Cplant scale)")
     ~flags:
       Term.(
-        const (fun nodes topologies msgs_per_peer size queue_limit ->
-            job ~nodes ~topologies ~msgs_per_peer ~size ?queue_limit)
+        const (fun nodes topologies msgs_per_peer size ->
+            job ~nodes ~topologies ~msgs_per_peer ~size)
         $ opt Arg.int 16 "nodes" "Nodes per world"
         $ opt (Arg.list ~sep:',' Arg.string) Congestion.default_topologies
             "topologies" "Topology specs to sweep (comma separated; see --topology)"
         $ opt Arg.int 8 "msgs" "Messages per (src, peer) pair"
-        $ opt Arg.int 4096 "size" "Message size in bytes"
-        $ opt (Arg.some Arg.int) None "limit"
-            "Hop-link queue limit (congestion drops beyond it)")
+        $ opt Arg.int 4096 "size" "Message size in bytes")
     (fun scenario ~quick:_ -> job scenario)
 
 (* --- cross-stack, one-sided, chaos, parallel, collectives ---------------- *)

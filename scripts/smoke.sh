@@ -24,32 +24,37 @@ echo "== smoke: no process-wide mutable state in lib/ =="
 # top-level ref / Atomic.make / Hashtbl.create / Array.make /
 # Bytes.create binding in lib/ would be shared by every world in the
 # process. Allowed, as FILE:NAME: the scheduler's three process-wide
-# run totals. They wait for the benchmark change that moves
+# run totals, which wait for the benchmark change that moves
 # perfbench/workloads.ml off Scheduler.global_totals onto per-world
-# counts.
+# counts; and the CRC-32C lookup table, filled once at module
+# initialisation and only read after.
 allowed="lib/engine/scheduler.ml:g_events
 lib/engine/scheduler.ml:g_fibers
-lib/engine/scheduler.ml:g_sim_ns"
+lib/engine/scheduler.ml:g_sim_ns
+lib/simnet/crc32c.ml:table"
 # A binding counts when "let NAME [: TYPE] =" (no parameters) at column
-# 0 is followed, on the same or the next non-blank line, by one of the
-# five constructors.
+# 0 names one of the five constructors anywhere in its body, which runs
+# to the next column-0 line; a body that starts with fun or function
+# builds a closure, not state, and is skipped.
 found=$(find lib -name '*.ml' | sort | xargs awk '
-  function mutable_rhs(s) {
-    return s ~ /^[ \t]*(ref|Atomic\.make|Hashtbl\.create|Array\.make|Bytes\.create)([ \t(]|$)/
+  function mutable_in(s) {
+    return s ~ /(^|[^A-Za-z0-9_'"'"'.])(ref|Atomic\.make|Hashtbl\.create|Array\.make|Bytes\.create)([ \t(]|$)/
   }
-  FNR == 1 { pending = "" }
-  pending != "" && $0 !~ /^[ \t]*$/ {
-    if (mutable_rhs($0)) print FILENAME ":" pending
-    pending = ""
-  }
+  FNR == 1 { name = "" }
+  /^[^ \t]/ { name = "" }
   /^let [a-z_][A-Za-z0-9_'"'"']*[ \t]*(:[^=]*)?=/ {
     name = $0
     sub(/^let /, "", name)
     sub(/[^A-Za-z0-9_'"'"'].*/, "", name)
-    rhs = $0
-    sub(/^[^=]*=/, "", rhs)
-    if (rhs ~ /^[ \t]*$/) pending = name
-    else if (mutable_rhs(rhs)) print FILENAME ":" name
+    text = $0
+    sub(/^[^=]*=/, "", text)
+    fresh = 1
+  }
+  name != "" && !/^let / { text = $0 }
+  name != "" && text !~ /^[ \t]*$/ {
+    if (fresh && text ~ /^[ \t]*(fun|function)([ \t]|$)/) name = ""
+    else if (mutable_in(text)) { print FILENAME ":" name; name = "" }
+    fresh = 0
   }')
 unexpected=$(comm -23 <(echo "$found" | sort) <(echo "$allowed" | sort))
 if [ -n "$unexpected" ]; then
@@ -453,6 +458,38 @@ $DUNE exec bin/portals_repro.exe -- all --seed 0 > "$OUT/all.out"
 check_sha "$OUT/all.out" \
   1db9b73fc53d43e40dcbf4d77dfd166264b0b228e70dde6f30a2a96178575912 \
   "all --seed 0"
+
+echo "== smoke: EXPERIMENTS.md blocks match the commands that print them =="
+# Each result in EXPERIMENTS.md is a block spliced from the subcommand
+# named above it; any difference between a block and what its command
+# prints fails here (make doc-blocks rewrites them).
+$DUNE build bin/portals_repro.exe
+python3 scripts/doc_blocks.py
+# The check bites: a copy with one digit changed inside every block
+# must fail it with exit 1 and a diff for each block, not pass or die on
+# usage (exit 2).
+python3 - EXPERIMENTS.md > "$OUT/experiments_mutated.md" <<'EOF'
+import re, sys
+
+lines = open(sys.argv[1]).read().splitlines(keepends=True)
+bump = lambda m: str((int(m.group()) + 1) % 10)
+for n, line in enumerate(lines):
+    if line.startswith("<!-- portals_repro "):
+        i = n + 2
+        while not re.search(r"[0-9]", lines[i]):
+            i += 1
+        lines[i] = re.sub(r"[0-9]", bump, lines[i], count=1)
+sys.stdout.writelines(lines)
+EOF
+status=0
+python3 scripts/doc_blocks.py "$OUT/experiments_mutated.md" \
+  > "$OUT/doc_blocks.diff" 2>&1 || status=$?
+if [ "$status" -ne 1 ] \
+    || ! grep -qE ': ([0-9]+) of \1 blocks differ' "$OUT/doc_blocks.diff"; then
+  echo "doc_blocks.py missed a changed digit (exit $status, want 1):" >&2
+  tail -n 1 "$OUT/doc_blocks.diff" >&2
+  exit 1
+fi
 
 echo "== smoke: bench records match the baseline's sim fields exactly =="
 # sim_events, fibers and sim_time_us are deterministic, so every record

@@ -800,29 +800,25 @@ let sync_tests =
         Ivar.fill iv 1;
         Alcotest.check_raises "refilled"
           (Invalid_argument "Ivar.fill: already filled") (fun () -> Ivar.fill iv 2));
-    Alcotest.test_case "mailbox delivers in FIFO order" `Quick (fun () ->
+    Alcotest.test_case "ivar wakes every reader at the fill, in order" `Quick
+      (fun () ->
         let sched = Scheduler.create () in
-        let mb = Mailbox.create sched in
+        let iv = Ivar.create sched in
         let got = ref [] in
+        for i = 1 to 3 do
+          Scheduler.spawn sched (fun () ->
+              Scheduler.delay sched i;
+              let v = Ivar.read iv in
+              got := (i, v, Scheduler.now sched) :: !got)
+        done;
         Scheduler.spawn sched (fun () ->
-            for _ = 1 to 3 do
-              got := Mailbox.recv mb :: !got
-            done);
-        Scheduler.spawn sched (fun () ->
-            Scheduler.delay sched 1;
-            Mailbox.send mb "a";
-            Mailbox.send mb "b";
-            Scheduler.delay sched 1;
-            Mailbox.send mb "c");
+            Scheduler.delay sched 50;
+            Ivar.fill iv 7);
         Scheduler.run sched;
-        Alcotest.(check (list string)) "order" [ "a"; "b"; "c" ] (List.rev !got));
-    Alcotest.test_case "mailbox try_recv" `Quick (fun () ->
-        let sched = Scheduler.create () in
-        let mb = Mailbox.create sched in
-        Alcotest.(check (option int)) "empty" None (Mailbox.try_recv mb);
-        Mailbox.send mb 9;
-        Alcotest.(check int) "length" 1 (Mailbox.length mb);
-        Alcotest.(check (option int)) "ready" (Some 9) (Mailbox.try_recv mb));
+        Alcotest.(check (list (triple int int int)))
+          "readers in arrival order, at the fill time"
+          [ (1, 7, 50); (2, 7, 50); (3, 7, 50) ]
+          (List.rev !got));
     Alcotest.test_case "semaphore serialises critical sections" `Quick (fun () ->
         let sched = Scheduler.create () in
         let sem = Semaphore.create sched 1 in
@@ -849,33 +845,35 @@ let sync_tests =
             Semaphore.release sem;
             Alcotest.(check int) "restored" 3 (Semaphore.available sem));
         Scheduler.run sched);
-    Alcotest.test_case "barrier releases all parties together" `Quick (fun () ->
+    Alcotest.test_case "semaphore grants waiters in arrival order" `Quick
+      (fun () ->
         let sched = Scheduler.create () in
-        let barrier = Barrier.create sched 3 in
-        let release_times = ref [] in
-        for i = 1 to 3 do
-          Scheduler.spawn sched (fun () ->
-              Scheduler.delay sched (i * 10);
-              Barrier.await barrier;
-              release_times := Scheduler.now sched :: !release_times)
-        done;
+        let sem = Semaphore.create sched 1 in
+        let order = ref [] in
+        Scheduler.spawn sched (fun () ->
+            Semaphore.acquire sem;
+            Scheduler.delay sched 10;
+            Semaphore.release sem);
+        List.iter
+          (fun (id, arrive) ->
+            Scheduler.spawn sched (fun () ->
+                Scheduler.delay sched arrive;
+                Semaphore.acquire sem;
+                order := (id, Scheduler.now sched) :: !order;
+                Scheduler.delay sched 5;
+                Semaphore.release sem))
+          [ ("c", 3); ("a", 1); ("b", 2) ];
         Scheduler.run sched;
-        Alcotest.(check (list int)) "all at slowest arrival" [ 30; 30; 30 ]
-          !release_times);
-    Alcotest.test_case "barrier is reusable across generations" `Quick (fun () ->
+        Alcotest.(check (list (pair string int)))
+          "FIFO, each after the previous holder"
+          [ ("a", 10); ("b", 15); ("c", 20) ]
+          (List.rev !order);
+        Alcotest.(check int) "all units back" 1 (Semaphore.available sem));
+    Alcotest.test_case "semaphore rejects a negative count" `Quick (fun () ->
         let sched = Scheduler.create () in
-        let barrier = Barrier.create sched 2 in
-        let hits = ref 0 in
-        for _ = 1 to 2 do
-          Scheduler.spawn sched (fun () ->
-              Barrier.await barrier;
-              incr hits;
-              Scheduler.delay sched 5;
-              Barrier.await barrier;
-              incr hits)
-        done;
-        Scheduler.run sched;
-        Alcotest.(check int) "two rounds, two fibers" 4 !hits);
+        Alcotest.check_raises "negative"
+          (Invalid_argument "Semaphore.create: negative") (fun () ->
+            ignore (Semaphore.create sched (-1))));
     Alcotest.test_case "waitq broadcast wakes current waiters only" `Quick
       (fun () ->
         let sched = Scheduler.create () in
@@ -892,6 +890,29 @@ let sync_tests =
             Waitq.broadcast wq);
         Scheduler.run sched;
         Alcotest.(check int) "all woken" 3 !woken);
+    Alcotest.test_case "waitq broadcast skips fibers that wait again" `Quick
+      (fun () ->
+        let sched = Scheduler.create () in
+        let wq = Waitq.create sched in
+        let wakes = ref [] in
+        for i = 1 to 2 do
+          Scheduler.spawn sched (fun () ->
+              Waitq.wait wq;
+              wakes := (i, Scheduler.now sched) :: !wakes;
+              Waitq.wait wq;
+              wakes := (i, Scheduler.now sched) :: !wakes)
+        done;
+        Scheduler.spawn sched (fun () ->
+            Scheduler.delay sched 10;
+            Waitq.broadcast wq;
+            Scheduler.delay sched 10;
+            Alcotest.(check int) "both waiting again" 2 (Waitq.waiters wq);
+            Waitq.broadcast wq);
+        Scheduler.run sched;
+        Alcotest.(check (list (pair int int)))
+          "each broadcast wakes each fiber once"
+          [ (1, 10); (2, 10); (1, 20); (2, 20) ]
+          (List.rev !wakes));
   ]
 
 let cpu_tests =
@@ -1078,6 +1099,21 @@ let metrics_tests =
         let c3 = Metrics.counter m ~labels:[ ("proc", "0:0") ] "requests" in
         Metrics.incr c3;
         Alcotest.(check int) "labels distinguish" 1 (Metrics.counter_value c3));
+    Alcotest.test_case "labels are sorted and duplicate keys collapse" `Quick
+      (fun () ->
+        let m = Metrics.create () in
+        let c1 = Metrics.counter m ~labels:[ ("b", "1"); ("a", "2") ] "x" in
+        let c2 =
+          Metrics.counter m ~labels:[ ("a", "2"); ("b", "1"); ("a", "2") ] "x"
+        in
+        Metrics.incr c1;
+        Metrics.incr c2;
+        Alcotest.(check int) "one instrument" 2 (Metrics.counter_value c1);
+        match Metrics.snapshot m with
+        | [ e ] ->
+          Alcotest.(check (list (pair string string)))
+            "normalised labels" [ ("a", "2"); ("b", "1") ] e.Metrics.Snapshot.labels
+        | _ -> Alcotest.fail "expected one entry");
     Alcotest.test_case "a key keeps its instrument kind" `Quick (fun () ->
         let m = Metrics.create () in
         ignore (Metrics.counter m "c");
@@ -1205,7 +1241,7 @@ let metrics_tests =
         Metrics.push s ~x:1.0 ~y:1.0;
         Metrics.push s ~x:2.0 ~y:2.0;
         Metrics.push s ~x:3.0 ~y:1.0;
-        Alcotest.(check int) "length" 3 (Metrics.series_length s);
+        Alcotest.(check int) "length" 3 (List.length (Metrics.series_points s));
         match
           Metrics.Snapshot.find (Metrics.snapshot m)
             ~labels:[ ("eq", "0:0#0") ]
@@ -1222,20 +1258,12 @@ let metrics_tests =
         let m = Metrics.create () in
         let s = Metrics.series m "pts" in
         Metrics.push s ~x:1.0 ~y:1.0;
-        Alcotest.(check int) "off by default" 0 (Metrics.series_length s);
+        Alcotest.(check int) "off by default" 0
+          (List.length (Metrics.series_points s));
         Metrics.set_detail m true;
         Metrics.push s ~x:2.0 ~y:4.0;
         Alcotest.(check (list (pair (float 0.) (float 0.))))
           "only the detailed push" [ (2.0, 4.0) ] (Metrics.series_points s));
-    Alcotest.test_case "reset zeroes in place" `Quick (fun () ->
-        let m = Metrics.create () in
-        let c = Metrics.counter m "n" in
-        let s = Metrics.series m "pts" in
-        Metrics.add c 9;
-        Metrics.push s ~x:0.0 ~y:1.0;
-        Metrics.reset m;
-        Alcotest.(check int) "counter" 0 (Metrics.counter_value c);
-        Alcotest.(check int) "series" 0 (Metrics.series_length s));
     Alcotest.test_case "absorb merges with label prefix" `Quick (fun () ->
         let world = Metrics.create () in
         Metrics.add (Metrics.counter world "ni.puts") 2;
@@ -1265,6 +1293,26 @@ let metrics_tests =
           Alcotest.(check int) "summary counts add" 2 count;
           Alcotest.(check (float 1e-9)) "summary mean" 10.0 mean
         | _ -> Alcotest.fail "absorbed summary missing");
+    Alcotest.test_case "absorb appends series points" `Quick (fun () ->
+        let world = Metrics.create ~detail:true () in
+        let s = Metrics.series world "eq.depth" in
+        Metrics.push s ~x:1.0 ~y:3.0;
+        Metrics.push s ~x:2.0 ~y:4.0;
+        (* The aggregate keeps absorbed points without a detail level. *)
+        let agg = Metrics.create () in
+        Metrics.absorb agg ~labels:[ ("config", "a") ] (Metrics.snapshot world);
+        Metrics.push s ~x:3.0 ~y:5.0;
+        Metrics.absorb agg ~labels:[ ("config", "a") ] (Metrics.snapshot world);
+        match
+          Metrics.Snapshot.find (Metrics.snapshot agg) ~labels:[ ("config", "a") ]
+            "eq.depth"
+        with
+        | Some (Metrics.Snapshot.Series pts) ->
+          Alcotest.(check (list (pair (float 0.) (float 0.))))
+            "both snapshots, in absorb order"
+            [ (1.0, 3.0); (2.0, 4.0); (1.0, 3.0); (2.0, 4.0); (3.0, 5.0) ]
+            pts
+        | _ -> Alcotest.fail "absorbed series missing");
     Alcotest.test_case "report renders table and json" `Quick (fun () ->
         let contains hay needle =
           let rec go i =

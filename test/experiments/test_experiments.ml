@@ -993,6 +993,33 @@ let congestion_tests =
             Alcotest.(check int) (r.c_pattern ^ " no queueing") 0
               r.c_peak_queue)
           rows);
+    Alcotest.test_case "the subcommand bounds hop queues at the scenario's limit"
+      `Quick (fun () ->
+        let entry =
+          List.find
+            (fun e -> e.Experiments.Registry.name = "congestion")
+            Experiments.Registry.entries
+        in
+        (* The drops column of each printed ring row. *)
+        let ring_drops scenario =
+          let buf = Buffer.create 1024 in
+          let ppf = Format.formatter_of_buffer buf in
+          ignore
+            ((entry.Experiments.Registry.default scenario ~quick:false)
+               .Experiments.Registry.print ~trace:false ppf);
+          Format.pp_print_flush ppf ();
+          String.split_on_char '\n' (Buffer.contents buf)
+          |> List.filter (fun l -> String.starts_with ~prefix:"ring " l)
+          |> List.map (fun l ->
+                 String.split_on_char ' ' l
+                 |> List.filter (( <> ) "")
+                 |> List.rev |> List.hd |> int_of_string)
+        in
+        Alcotest.(check (list int)) "unbounded: no ring drops" [ 0; 0 ]
+          (ring_drops Runtime.Scenario.default);
+        List.iter
+          (fun d -> Alcotest.(check bool) "limit 2: ring drops" true (d > 0))
+          (ring_drops (Runtime.Scenario.make ~queue_limit:2 ())));
     Alcotest.test_case "explicit full topology reproduces seed fig5/fig6"
       `Slow (fun () ->
         let fig5 ?scenario () =
